@@ -278,11 +278,18 @@ def compute_places(comp: Char0Component, prec: int = DEFAULT_PREC) -> PlacedComp
     field = comp.field
     places: list[Place] = list(archimedean_places(field, prec))
     ord_rows: list[tuple[int, ...] | None] = [None] * len(places)
-    primes: set[int] = set()
+    # xi is a unit at every place above p iff xi and 1/xi are both integral
+    # there, i.e. iff p divides no denominator of charpoly(xi) or of
+    # charpoly(1/xi) = reversed charpoly(xi) / its constant term. The norm
+    # alone misses a split p whose places carry opposite valuations.
+    denominators: set[int] = set()
     for el in comp.xi:
-        nrm = field.norm(el)
-        primes.update(factor_int(nrm.numerator))
-        primes.update(factor_int(nrm.denominator))
+        cp = field.charpoly(el)
+        denominators.update(c.denominator for c in cp)
+        denominators.update((c / cp[0]).denominator for c in cp)
+    primes: set[int] = set()
+    for den in denominators:
+        primes.update(factor_int(den))
     for p in sorted(primes):
         for place in finite_places_above(field, p):
             ords = tuple(ord_v(place, el) for el in comp.xi)

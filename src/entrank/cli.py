@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .action import load_spec, place_spec, mixing_check, entropy_rank_one_check
+from .algebra import AlgebraError
 from .counting import (
     charp_window_oracle,
     count_composite,
@@ -180,7 +181,10 @@ def cmd_nonexpansive(args) -> int:
 
 
 def cmd_mahler(args) -> int:
-    coeffs = [int(c.strip()) for c in args.poly.split(",")]
+    try:
+        coeffs = [int(c.strip()) for c in args.poly.split(",")]
+    except ValueError:
+        raise SpecError(f"could not parse polynomial coefficients {args.poly!r}") from None
     mm = mahler_measure(coeffs)
     print(f"{_fmt(mm.value)} (error bound {_fmt(mm.error_bound)})")
     return 0
@@ -341,7 +345,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (SpecError, MathDomainError, UnsupportedPrimeError) as e:
+    except (SpecError, MathDomainError, UnsupportedPrimeError, AlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -7,10 +7,21 @@ finite valuations); no floating point touches the result, and integrality is
 asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
-Laurent quotient by the generators together with u^n - 1. The dimension comes
-from a grevlex Groebner basis with auxiliary inverse variables; an independent
-window oracle (unimodular change of coordinates plus truncated linear algebra)
-cross-checks it.
+Laurent quotient by the generators together with u^n - 1.
+
+- d <= 2: the Fitting ideal (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A
+  unimodular change of coordinates sends n to (g, 0), so the quotient is a
+  finitely generated module over the PID A = F_q[w2^+-], presented over
+  A[w1]/(m) = A^D for a modulus m monic in w1. dim is the Laurent span of
+  the gcd of the maximal minors, read off a column Hermite form over
+  F_q[w2]; the count is infinite exactly when that gcd is 0. For d = 1 the
+  ring is A itself and the matrix has one row.
+- d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
+  same engine decides ideal membership for the mixing check and is the
+  tests' cross-check for the Fitting-ideal route.
+
+An independent window oracle (the same change of coordinates plus truncated
+linear algebra) cross-checks d = 2 counts.
 """
 
 from __future__ import annotations
@@ -21,9 +32,10 @@ from fractions import Fraction
 
 from .action import CharPComponent, PlacedComponent, PlacedSpec
 from .algebra import rank_mod_q
-from .errors import ConsistencyError, MathDomainError
+from .errors import ConsistencyError, MathDomainError, ResourceLimitError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import ord_v
+from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_pow_mod, gf_sub
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,232 @@ def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
 
 
 # ---------------------------------------------------------------------------
-# Char p via Groebner bases
+# Char p, d <= 2: the Fitting ideal over A = F_q[w2^+-]
+# ---------------------------------------------------------------------------
+
+# entries of the g x (g * generators) matrix built when the modulus is w1^g - 1
+_FALLBACK_ENTRY_CAP = 1 << 18
+
+AxisPoly = dict[tuple[int, int], int]  # (w1 exponent mod g, w2 exponent) -> coefficient
+W1Poly = list[GfPoly]  # polynomial in w1, ascending, with coefficients in F_q[w2]
+
+
+def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """U in SL_2(Z) with U n = (gcd, 0)."""
+    n1, n2 = n
+    g = math.gcd(abs(n1), abs(n2))
+    old_r, r = n1, n2
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qq = old_r // r
+        old_r, r = r, old_r - qq * r
+        old_s, s = s, old_s - qq * s
+        old_t, t = t, old_t - qq * t
+    # old_r = +-g; normalize to +g
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    u = ((old_s, old_t), (-n2 // g, n1 // g))
+    assert u[0][0] * n1 + u[0][1] * n2 == g
+    assert u[1][0] * n1 + u[1][1] * n2 == 0
+    assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
+    return g, u
+
+
+def _axis_generators(pc: CharPComponent, n: tuple[int, int]):
+    """(g, U, generators) in the coordinates w = u^U that send n to (g, 0).
+
+    There u^n - 1 becomes w1^g - 1, so w1 exponents are reduced mod g and
+    w2 exponents shifted to start at 0 (both are multiplications by units
+    of the quotient). Generators that vanish after the reduction are dropped.
+    """
+    g, u = _unimodular_to_axis(n)
+    gens_w: list[AxisPoly] = []
+    for gen in pc.generators:
+        mapped: AxisPoly = {}
+        for (e1, e2), c in gen.terms:
+            a = u[0][0] * e1 + u[0][1] * e2
+            b = u[1][0] * e1 + u[1][1] * e2
+            key = (a % g, b)
+            mapped[key] = (mapped.get(key, 0) + c) % pc.q
+        mapped = {k: v for k, v in mapped.items() if v}
+        if not mapped:
+            continue
+        low = min(j for (_a, j) in mapped)
+        gens_w.append({(a, j - low): c for (a, j), c in mapped.items()})
+    return g, u, gens_w
+
+
+def _w1_poly(poly: AxisPoly) -> W1Poly:
+    """poly as a polynomial in w1 over F_q[w2], divided by its lowest w1 power."""
+    low = min(a for a, _j in poly)
+    out: W1Poly = [[] for _ in range(max(a for a, _j in poly) - low + 1)]
+    for (a, j), c in poly.items():
+        coeff = out[a - low]
+        coeff.extend([0] * (j + 1 - len(coeff)))
+        coeff[j] = c
+    return out
+
+
+def _ord_w2(f: GfPoly) -> int:
+    return next(i for i, c in enumerate(f) if c)
+
+
+def _laurent_span(f: GfPoly) -> int:
+    """deg - ord_w2: the F_q-dimension of A/(f)."""
+    return len(f) - 1 - _ord_w2(f)
+
+
+def _reduce(p: W1Poly, m: W1Poly, q: int) -> tuple[W1Poly, int]:
+    """(r, s) with r = w2^s * (p mod m) in A[w1], r free of any common w2 factor.
+
+    The leading w1-coefficient of m must be a monomial c * w2^k, a unit of A;
+    each division step multiplies by the power of w2 that keeps every
+    coefficient inside F_q[w2].
+    """
+    p = list(p)
+    deg = len(m) - 1
+    k = len(m[-1]) - 1
+    inv = pow(m[-1][k], -1, q)
+    s = 0
+    while len(p) > deg:
+        top = p.pop()
+        if not top:
+            continue
+        lift = max(0, k - _ord_w2(top))
+        if lift:
+            p = [[0] * lift + c if c else c for c in p]
+            top = [0] * lift + top
+            s += lift
+        f = [c * inv % q for c in top[k:]]
+        shift = len(p) - deg
+        for i, mc in enumerate(m[:-1]):
+            p[shift + i] = gf_sub(p[shift + i], gf_mul(f, mc, q), q)
+    strip = min((_ord_w2(c) for c in p if c), default=0)
+    if strip:
+        p = [c[strip:] if c else c for c in p]
+    return p, s - strip
+
+
+def _mul(a: W1Poly, b: W1Poly, q: int) -> W1Poly:
+    out: W1Poly = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = gf_add(out[i + j], gf_mul(x, y, q), q)
+    return out
+
+
+def _w1_power_minus_one(g: int, m: W1Poly, q: int) -> W1Poly:
+    """A unit multiple of (w1^g - 1) mod m, by square-and-multiply."""
+    acc: W1Poly = [[1]]
+    e = 0  # w1^(bits so far) mod m = w2^-e * acc
+    for bit in bin(g)[2:]:
+        acc, s = _reduce(_mul(acc, acc, q), m, q)
+        e = 2 * e + s
+        if bit == "1":
+            acc, s = _reduce([[]] + acc, m, q)
+            e += s
+    # w1^g - 1 = w2^-e * (acc - w2^e)
+    if e < 0:
+        acc = [[0] * -e + c if c else c for c in acc]
+        e = 0
+    return [gf_sub(acc[0], [0] * e + [1], q)] + acc[1:]
+
+
+def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
+    """Laurent span of the gcd of the maximal minors of a rows x len(columns)
+    matrix over A, or None when that gcd is 0.
+
+    Column Hermite elimination over F_q[w2]: in each row a Euclidean loop
+    of column operations leaves one pivot column, whose diagonal entry is a
+    factor of the gcd; the other columns are zero in that row and carry on.
+    """
+    dim = 0
+    for i in range(rows):
+        active = [c for c in columns if c[i]]
+        columns = [c for c in columns if not c[i]]
+        if not active:
+            return None
+        while len(active) > 1:
+            active.sort(key=lambda c: len(c[i]))
+            pivot = active[0]
+            survivors = [pivot]
+            for col in active[1:]:
+                quo = gf_divmod(col[i], pivot[i], q)[0]
+                col = [gf_sub(x, gf_mul(quo, y, q), q) for x, y in zip(col, pivot)]
+                (survivors if col[i] else columns).append(col)
+            active = survivors
+        dim += _laurent_span(active[0][i])
+    return dim
+
+
+def _fitting_dim_d1(pc: CharPComponent, n: int) -> int | None:
+    """F_q[u^+-]/(generators, u^n - 1) is A/(gcd) with A = F_q[u^+-]: one row."""
+    q = pc.q
+    gens = []
+    for gen in pc.generators:
+        low = min(e for (e,), _c in gen.terms)
+        f = [0] * (max(e for (e,), _c in gen.terms) - low + 1)
+        for (e,), c in gen.terms:
+            f[e - low] = c
+        gens.append(f)
+    if gens:
+        relation = gf_sub(gf_pow_mod([0, 1], abs(n), gens[0], q), [1], q)
+    else:
+        relation = [q - 1] + [0] * (abs(n) - 1) + [1]
+    return _fitting_dim([[f] for f in gens + [relation]], 1, q)
+
+
+def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, int]) -> int | None:
+    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1) as the Laurent span
+    of its Fitting ideal over A = F_q[w2^+-].
+
+    The quotient is presented over A[w1]/(m) = A^D for the smallest m among
+    the generators whose leading w1-coefficient is a unit of A, falling back
+    to w1^g - 1 itself; its columns are "multiply by each remaining relation"
+    on the basis 1, w1, ..., w1^(D-1). Any lift of a generator's w1 exponents
+    mod g spans the same ideal, and so does the whole presentation under
+    w1 -> 1/w1 (which fixes (w1^g - 1)), so every cyclic lift is tried in
+    both orientations.
+    """
+    q = pc.q
+    g, _u, gens_w = _axis_generators(pc, n)
+    best = None  # (index, flipped, modulus)
+    for i, poly in enumerate(gens_w):
+        for cut in {a for a, _j in poly}:
+            lift = _w1_poly({((a - cut) % g, j): c for (a, j), c in poly.items()})
+            for flip, f in ((False, lift), (True, lift[::-1])):
+                if sum(1 for c in f[-1] if c) == 1 and (best is None or len(f) < len(best[2])):
+                    best = (i, flip, f)
+    polys = [_w1_poly(p) for p in gens_w]
+    if best is not None:
+        i, flip, m = best
+        if len(m) == 1:
+            return 0  # m is a monomial, a unit: the quotient is zero
+        relations = [f[::-1] if flip else f for j, f in enumerate(polys) if j != i]
+        relations.append(_w1_power_minus_one(g, m, q))
+    else:
+        if g * g * len(polys) > _FALLBACK_ENTRY_CAP:
+            raise ResourceLimitError(
+                f"no generator has a unit leading w1-coefficient, and the "
+                f"w1^{g} - 1 presentation needs {g * g * len(polys)} matrix "
+                f"entries (cap {_FALLBACK_ENTRY_CAP})")
+        m = [[q - 1]] + [[] for _ in range(g - 1)] + [[1]]
+        relations = polys
+    rows = len(m) - 1
+    columns = []
+    for h in relations:
+        col = _reduce(h, m, q)[0]
+        for _j in range(rows):
+            columns.append(col + [[] for _ in range(rows - len(col))])
+            col = _reduce([[]] + col, m, q)[0]
+    return _fitting_dim(columns, rows, q)
+
+
+# ---------------------------------------------------------------------------
+# Char p, d >= 3, and the cross-check: Groebner bases
 # ---------------------------------------------------------------------------
 
 def _charp_base_generators(pc: CharPComponent) -> tuple[int, list[GfMPoly]]:
@@ -104,15 +341,23 @@ def _relation_for(pc: CharPComponent, n: tuple[int, ...]) -> GfMPoly:
     return {plus: 1, minus: q - 1}
 
 
+def _groebner_dim(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
+    nvars, gens = _charp_base_generators(pc)
+    gens.append(_relation_for(pc, n))
+    return GroebnerBasis(pc.q, nvars, gens).standard_monomial_count()
+
+
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite."""
     n = _require_nonzero(n)
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
-    nvars, gens = _charp_base_generators(pc)
-    gens.append(_relation_for(pc, n))
-    gb = GroebnerBasis(pc.q, nvars, gens)
-    dim = gb.standard_monomial_count()
+    if pc.d == 1:
+        dim = _fitting_dim_d1(pc, n[0])
+    elif pc.d == 2:
+        dim = _fitting_dim_d2(pc, n)  # type: ignore[arg-type]
+    else:
+        dim = _groebner_dim(pc, n)
     if dim is None:
         raise MathDomainError(
             f"count at n={n} is infinite (quotient not zero-dimensional); "
@@ -164,19 +409,17 @@ def count_composite(ps: PlacedSpec, n) -> CountResult:
     n = _require_nonzero(n)
     per = []
     value = 1
+    factored = None
     for comp, mult in ps.entries:
         if isinstance(comp, PlacedComponent):
-            c = count_prime_char0(comp, n).value
+            res = count_prime_char0(comp, n)
         else:
-            c = count_prime_charp(comp, n).value
-        per.append((c, mult))
-        value *= c**mult
-    factored = None
-    if len(per) == 1 and isinstance(ps.entries[0][0], CharPComponent):
-        q = ps.entries[0][0].q
-        e = round(math.log(value, q)) if value > 1 else 0
-        if q**e == value:
-            factored = (q, e)
+            res = count_prime_charp(comp, n)
+            if len(ps.entries) == 1:
+                q, e = res.factored
+                factored = (q, e * mult)
+        per.append((res.value, mult))
+        value *= res.value**mult
     return CountResult(value=value, factored=factored, per_component=tuple(per),
                        upper_bound_only=not ps.noetherian)
 
@@ -194,28 +437,6 @@ class WindowOracle:
     count: CountResult | None
     gcd: int
     transform: tuple[tuple[int, int], tuple[int, int]]
-
-
-def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
-    """U in SL_2(Z) with U n = (gcd, 0)."""
-    n1, n2 = n
-    g = math.gcd(abs(n1), abs(n2))
-    old_r, r = n1, n2
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    # old_r = +-g; normalize to +g
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    u = ((old_s, old_t), (-n2 // g, n1 // g))
-    assert u[0][0] * n1 + u[0][1] * n2 == g
-    assert u[1][0] * n1 + u[1][1] * n2 == 0
-    assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
-    return g, u
 
 
 def _relation_rows(q: int, g: int, gens_w: list[dict[tuple[int, int], int]],
@@ -267,21 +488,7 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
     n = _require_nonzero(n)
     if pc.d != 2:
         raise MathDomainError("the window oracle is implemented for d = 2 only")
-    g, u = _unimodular_to_axis(n)  # type: ignore[arg-type]
-    gens_w = []
-    for gen in pc.generators:
-        mapped: dict[tuple[int, int], int] = {}
-        for (e1, e2), c in gen.terms:
-            a = u[0][0] * e1 + u[0][1] * e2
-            b = u[1][0] * e1 + u[1][1] * e2
-            key = (a % g, b)
-            mapped[key] = (mapped.get(key, 0) + c) % pc.q
-        mapped = {k: v for k, v in mapped.items() if v}
-        if not mapped:
-            # generator collapses to zero in this quotient: no constraint
-            continue
-        low = min(j for (_a, j) in mapped)
-        gens_w.append({(a, j - low): c for (a, j), c in mapped.items()})
+    g, u, gens_w = _axis_generators(pc, n)  # type: ignore[arg-type]
     max_deg = max((max(j for (_a, j) in poly) for poly in gens_w), default=0)
     t_band = max(window, max_deg)
     dims = []

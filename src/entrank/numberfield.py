@@ -120,6 +120,40 @@ class NumberField:
             return x.coords[0]
         return resultant(self.poly, Poly.of(x.coords))
 
+    def charpoly(self, x: "Element") -> tuple[Fraction, ...]:
+        """Characteristic polynomial of multiplication by x, ascending and monic.
+
+        With x = y/c for an integral y, Newton's identities turn the traces
+        of y, y^2, ..., y^degree into the coefficients b_j of charpoly(y),
+        all in integer arithmetic; charpoly(x) has coefficients b_j / c^(n-j).
+        Tr(theta^j) are the power sums of the roots of min_poly.
+        """
+        n, f = self.degree, self.min_poly
+        num, den = _clear_denominators(x)
+        y = [int(v) for v in num.coeffs] + [0] * (n - len(num.coeffs))
+        traces = _theta_traces(f)
+        sums, power = [], [1] + [0] * (n - 1)
+        for _ in range(n):
+            prod = [0] * (2 * n - 1)
+            for i, a in enumerate(power):
+                if a:
+                    for j, b in enumerate(y):
+                        prod[i + j] += a * b
+            for i in range(2 * n - 2, n - 1, -1):  # reduce mod the monic f
+                if prod[i]:
+                    t = prod[i]
+                    for j in range(n):
+                        prod[i - n + j] -= t * f[j]
+            power = prod[:n]
+            sums.append(sum(a * t for a, t in zip(power, traces)))
+        e = [1]
+        for k in range(1, n + 1):
+            total = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
+            if total % k:
+                raise ConsistencyError("Newton identity gave a non-integral coefficient")
+            e.append(total // k)
+        return tuple(Fraction((-1) ** (n - j) * e[n - j], den ** (n - j)) for j in range(n + 1))
+
     def root_of_unity_order(self, x: "Element") -> int | None:
         """Multiplicative order when x is a root of unity, else None."""
         if x.is_zero():
@@ -154,6 +188,18 @@ def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
     if k & 1:
         out = field.mul(out, x)
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _theta_traces(min_poly: tuple[int, ...]) -> tuple[int, ...]:
+    """Tr(theta^j) for j < degree: power sums of the roots of min_poly."""
+    n = len(min_poly) - 1
+    e = [(-1) ** k * min_poly[n - k] for k in range(n + 1)]
+    sums = [n]
+    for k in range(1, n):
+        sums.append(sum((-1) ** (i - 1) * e[i] * sums[k - i] for i in range(1, k))
+                    + (-1) ** (k - 1) * k * e[k])
+    return tuple(sums)
 
 
 def _poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:

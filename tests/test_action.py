@@ -124,6 +124,20 @@ def test_compute_places_deterministic(x2x3_spec):
     assert a.lyapunov == b.lyapunov
 
 
+# xi = (-2 - 2t/3, -1 - t/2) in Q(t), t^2 + t + 3 = 0: 3 splits and xi_1 has
+# valuations +1 and -1 at the two places above it, so 3 divides no norm
+SPLIT_CANCEL_DOC = {"d": 2, "components": [
+    {"multiplicity": 1, "char": 0, "min_poly": [3, 1, 1],
+     "xi": [[-2, 1, -2, 3], [-1, 1, -1, 2]]}]}
+
+
+def test_compute_places_keeps_primes_cancelled_in_the_norm():
+    pc = compute_places(parse_spec(SPLIT_CANCEL_DOC).components[0][0])
+    above_3 = sorted(o for p, o in zip(pc.places, pc.finite_ords)
+                     if p.kind == "finite" and p.p == 3)
+    assert above_3 == [(-1, 0), (1, 0)]
+
+
 def test_ratio_shift_places():
     spec = ratio_shift_spec(2)
     pc = compute_places(spec.components[0][0])

@@ -1,0 +1,178 @@
+"""Char-p counts for d <= 2 come from the Fitting ideal; Groebner bases and
+the window oracle are the independent references here."""
+
+import random
+import time
+
+import pytest
+
+import entrank.counting
+from entrank import (
+    CharPComponent,
+    LaurentPolynomial,
+    MathDomainError,
+    ResourceLimitError,
+    charp_window_oracle,
+    count_composite,
+    count_prime_charp,
+    ledrappier_axis_closed_form,
+    parse_spec,
+    place_spec,
+)
+from entrank.counting import _groebner_dim as groebner_dim
+
+
+def fitting_dim(pc: CharPComponent, n):
+    try:
+        res = count_prime_charp(pc, n)
+    except MathDomainError as e:
+        assert "infinite" in str(e)
+        return None
+    q, dim = res.factored
+    assert q == pc.q and res.value == q**dim
+    return dim
+
+
+def laurent_mul(f: dict, g: dict, q: int) -> dict:
+    out: dict = {}
+    for a, c in f.items():
+        for b, e in g.items():
+            k = tuple(x + y for x, y in zip(a, b))
+            out[k] = (out.get(k, 0) + c * e) % q
+    return {k: v for k, v in out.items() if v}
+
+
+def random_case(rng: random.Random):
+    """A random ideal with 1-3 generators and a direction n. About a third
+    of the ideals lie inside (u^k - 1) for some k dividing n, which makes
+    the count infinite."""
+    q = rng.choice([2, 3, 5])
+    d = rng.choice([1, 2])
+    while True:
+        n = tuple(rng.randint(-6, 6) for _ in range(d))
+        if any(n):
+            break
+    common = None
+    if rng.random() < 0.3:
+        t = rng.choice([1, 2]) if all(v % 2 == 0 for v in n) else 1
+        k = tuple(v // t for v in n)
+        common = {tuple(max(v, 0) for v in k): 1, tuple(max(-v, 0) for v in k): q - 1}
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {tuple(rng.randint(-1, 2) for _ in range(d)): rng.randrange(1, q)
+                 for _ in range(rng.randint(2, 4))}
+        if common:
+            terms = laurent_mul(terms, common, q)
+        if terms:
+            gens.append(LaurentPolynomial(terms=tuple(sorted(terms.items()))))
+    return CharPComponent(q=q, d=d, generators=tuple(gens)), n
+
+
+@pytest.fixture(scope="module")
+def led_pc(ledrappier):
+    return ledrappier.charp()[0][0]
+
+
+def test_fitting_matches_groebner_seeded():
+    rng = random.Random(20060915)
+    seen = {"finite": 0, "infinite": 0}
+    for _ in range(250):
+        pc, n = random_case(rng)
+        expected = groebner_dim(pc, n)
+        assert fitting_dim(pc, n) == expected, (pc, n)
+        seen["infinite" if expected is None else "finite"] += 1
+    assert seen["infinite"] >= 25 and seen["finite"] >= 150, seen
+
+
+@pytest.mark.parametrize("q, d, terms, n", [
+    # neither end of any cyclic lift has a unit coefficient: modulus w1^g - 1
+    (3, 2, [[((1, 1), 1), ((1, 0), 1), ((0, 0), 1), ((0, 1), 1), ((0, 2), 1)]], (4, 0)),
+    # unit only at the low end: the presentation is flipped by w1 -> 1/w1
+    (3, 2, [[((1, 1), 1), ((1, 0), 1), ((0, 0), 2)]], (4, 0)),
+    # leading coefficient w2^k with k > 0; at (-12, 0) only after a cyclic lift
+    (2, 2, [[((1, 2), 1), ((0, 0), 1), ((0, 1), 1)], [((0, 3), 1), ((1, 0), 1)]], (6, 0)),
+    (2, 2, [[((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]], (-12, 0)),
+    # a modulus of w1-degree 2, and two generators off the axes
+    (5, 2, [[((2, 1), 3), ((1, 0), 1), ((0, 2), 4)]], (5, -5)),
+    (2, 2, [[((2, 1), 1), ((2, 0), 1), ((0, 0), 1)], [((1, 1), 1), ((0, 0), 1)]], (3, 3)),
+    # d = 1, with and without generators
+    (3, 1, [[((0,), 1), ((2,), 1)], [((-1,), 2), ((3,), 1)]], (12,)),
+    (5, 1, [], (7,)),
+    (2, 2, [], (2, 1)),
+])
+def test_fitting_matches_groebner_chosen(q, d, terms, n):
+    pc = CharPComponent(q=q, d=d, generators=tuple(
+        LaurentPolynomial(terms=tuple(sorted(t))) for t in terms))
+    assert fitting_dim(pc, n) == groebner_dim(pc, n)
+
+
+def test_w1_power_modulus_is_capped():
+    # (1 + u2) u1 + 1 + u2 + u2^2 over F_3: no cyclic lift has a unit leading
+    # w1-coefficient, so the modulus is w1^g - 1 and the matrix is g x g
+    pc = CharPComponent(q=3, d=2, generators=(LaurentPolynomial(terms=(
+        ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), 1), ((1, 1), 1))),))
+    assert fitting_dim(pc, (4, 0)) == groebner_dim(pc, (4, 0))
+    count_prime_charp(pc, (64, 0))
+    with pytest.raises(ResourceLimitError, match="w1\\^20000 - 1"):
+        count_prime_charp(pc, (20000, 0))
+
+
+@pytest.mark.parametrize("n", [96, 100, 1024])
+def test_closed_form_deep_axis(led_pc, n):
+    assert count_prime_charp(led_pc, (n, 0)) == ledrappier_axis_closed_form(n)
+    assert count_prime_charp(led_pc, (-n, 0)).value == ledrappier_axis_closed_form(n).value
+    assert count_prime_charp(led_pc, (0, n)).value == ledrappier_axis_closed_form(n).value
+
+
+def test_window_oracle_fibonacci_direction(led_pc):
+    w = charp_window_oracle(led_pc, (89, 55))
+    assert w.stabilized and w.count.value == 2**144
+    assert count_prime_charp(led_pc, (89, 55)) == w.count
+
+
+def test_large_vectors_count_fast(led_pc):
+    # 2^987 at (610, 377) was confirmed by the window oracle, which takes
+    # seconds there
+    for n, e in [((610, 377), 987), ((1024, 0), 0)]:
+        t0 = time.perf_counter()
+        res = count_prime_charp(led_pc, n)
+        assert time.perf_counter() - t0 < 1.0, n
+        assert res.factored == (2, e) and res.value == 2**e
+
+
+def test_count_is_even_in_n(led_pc):
+    rng = random.Random(5)
+    for _ in range(20):
+        n = (rng.randint(-60, 60), rng.randint(-60, 60))
+        if any(n):
+            neg = (-n[0], -n[1])
+            assert count_prime_charp(led_pc, n) == count_prime_charp(led_pc, neg), n
+
+
+def test_composite_factored_from_component():
+    spec = parse_spec({"d": 2, "components": [
+        {"multiplicity": 2, "char": 2,
+         "generators": [{"terms": [{"exp": [0, 0], "coeff": 1},
+                                   {"exp": [1, 0], "coeff": 1},
+                                   {"exp": [0, 1], "coeff": 1}]}]}]})
+    res = count_composite(place_spec(spec), (610, 377))
+    assert res.factored == (2, 2 * 987) and res.value == 2**(2 * 987)
+    assert res.per_component == ((2**987, 2),)
+
+
+def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
+    class Forbidden:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("GroebnerBasis built")
+
+    monkeypatch.setattr(entrank.counting, "GroebnerBasis", Forbidden)
+    rng = random.Random(11)
+    for _ in range(40):
+        pc, n = random_case(rng)
+        fitting_dim(pc, n)
+    for n in [(1, 1), (100, 0), (-13, 21)]:
+        count_prime_charp(led_pc, n)
+    d3 = CharPComponent(q=2, d=3, generators=(
+        LaurentPolynomial(terms=(((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1))),))
+    with pytest.raises(AssertionError, match="GroebnerBasis built"):
+        count_prime_charp(d3, (1, 0, 0))

@@ -199,6 +199,25 @@ def test_mahler_lehmer(capsys):
     assert abs(float(out.split()[0]) - 0.162357) < 1e-4
 
 
+@pytest.mark.parametrize("poly", ["1,a", ""])
+def test_mahler_unparsable_poly_exits_2(capsys, poly):
+    rc, out, err = run(capsys, "mahler", "--poly", poly)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: could not parse polynomial coefficients")
+
+
+def test_algebra_error_exits_2(capsys, monkeypatch):
+    import entrank.cli
+    from entrank.algebra import AlgebraError
+
+    def fail(_coeffs):
+        raise AlgebraError("division by zero polynomial")
+
+    monkeypatch.setattr(entrank.cli, "mahler_measure", fail)
+    rc, _out, err = run(capsys, "mahler", "--poly", "1,1")
+    assert rc == 2 and err == "error: division by zero polynomial\n"
+
+
 def test_oracle_ledrappier(capsys):
     rc, out, _ = run(capsys, "oracle", "ledrappier", "--n", "12")
     assert rc == 0

@@ -115,6 +115,33 @@ def test_golden_mean_lucas_counts():
         assert count_prime_char0(pc, (n,)).value == expected
 
 
+@pytest.mark.parametrize("doc, expected", [
+    # t^2 + t + 3 = 0, xi = (-2 - 2t/3, -1 - t/2). Confirmed by the product
+    # formula: the prime-to-{2,3,5} part of |N(xi^n - 1)| times 5^ord at the
+    # place t = 1 mod 5, the only place above 2, 3 or 5 outside the support.
+    ({"d": 2, "components": [{"char": 0, "min_poly": [3, 1, 1],
+                              "xi": [[-2, 1, -2, 3], [-1, 1, -1, 2]]}]},
+     {(1, 1): 1, (2, -1): 925, (3, 2): 2209}),
+    # N(xi_1 xi_2 - 1) = 2971/9 with 2971 prime, and both places above 3
+    # in the support
+    ({"d": 2, "components": [{"char": 0, "min_poly": [3, 3, 1, -2, 1],
+                              "xi": [[1, 1, 0, 1, 1, 1, 0, 1],
+                                     [-1, 1, 0, 1, -1, 3, 0, 1]]}]},
+     {(1, 1): 2971}),
+    # (1 + sqrt5)/2 on the model t^2 - 5: 2 divides its coordinate
+    # denominators and the index [O_K : Z[t]], but xi is a unit above 2, so
+    # 2 stays out of the support and the counts are the golden mean's
+    ({"d": 1, "components": [{"char": 0, "min_poly": [-5, 0, 1],
+                              "xi": [[1, 2, 1, 2]]}]},
+     {(1,): 1, (2,): 1, (3,): 4, (4,): 5, (5,): 11, (8,): 45}),
+])
+def test_support_prime_selection(doc, expected):
+    pc = place_spec(parse_spec(doc)).placed_char0()[0][0]
+    for n, value in expected.items():
+        assert count_prime_char0(pc, n).value == value, n
+        assert count_prime_char0(pc, tuple(-v for v in n)).value == value, n
+
+
 def test_growth_matches_entropy(x2x3_pc):
     k = 20
     val = count_prime_char0(x2x3_pc, (k, k)).value

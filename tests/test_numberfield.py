@@ -227,3 +227,22 @@ def test_ord_p_norm_consistency_unique_place():
     v2 = finite_places_above(GOLDEN, 2)[0]
     assert abs_v(v2, GOLDEN.element([2, 0])) == 0.25
     assert ord_p(GOLDEN.norm(GOLDEN.element([2, 0])), 2) == 2
+
+
+@pytest.mark.parametrize("min_poly, coords", [
+    ([-2, 1], [Fraction(3, 4)]),
+    ([-5, 0, 1], [Fraction(1, 2), Fraction(1, 2)]),
+    ([3, 1, 1], [Fraction(-2), Fraction(-2, 3)]),
+    ([3, 3, 1, -2, 1], [Fraction(-1), Fraction(0), Fraction(-1, 3), Fraction(0)]),
+])
+def test_charpoly_annihilates_and_carries_the_norm(min_poly, coords):
+    field = build_field(min_poly)
+    x = field.element(coords)
+    cp = field.charpoly(x)
+    assert len(cp) == field.degree + 1 and cp[-1] == 1
+    assert cp[0] == (-1) ** field.degree * field.norm(x)
+    acc, power = field.zero(), field.one()
+    for c in cp:  # Cayley-Hamilton: cp(x) = 0
+        acc = field.add(acc, field.mul(field.element([c] + [0] * (field.degree - 1)), power))
+        power = field.mul(power, x)
+    assert acc.is_zero()
