@@ -33,7 +33,6 @@ from .entropy import (
     MahlerMeasure,
     SphereExtrema,
     directional_entropy,
-    entropy_d1_yuzvinskii,
     entropy_function_of,
     lipschitz_constant,
     mahler_measure,

@@ -24,7 +24,6 @@ is Q).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -88,12 +87,6 @@ class ActionSpec:
     d: int
     noetherian: bool
     components: tuple[tuple[PrimeComponent, int], ...]  # with multiplicities
-
-    def char0_components(self):
-        return [(c, m) for c, m in self.components if isinstance(c, Char0Component)]
-
-    def charp_components(self):
-        return [(c, m) for c, m in self.components if isinstance(c, CharPComponent)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +349,28 @@ class CheckReport:
     notes: tuple[str, ...]
 
 
-def _half_lattice(d: int, radius: float):
-    """One representative of each +-n pair with 0 < |n|_2 <= radius."""
-    r = int(math.floor(radius))
-    for n in itertools.product(range(-r, r + 1), repeat=d):
-        if all(v == 0 for v in n):
-            continue
-        nz = next(v for v in n if v != 0)
-        if nz < 0:
-            continue
-        if sum(v * v for v in n) <= radius * radius:
-            yield n
+def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
+    """One representative of each +-n pair, n != 0, with r_min <= |n|_2 <= r_max:
+    the one whose first nonzero entry is positive. Ordered by (unit shell
+    floor(|n|_2), lexicographic); only points of the r_max ball are visited.
+    """
+    for r in (r_min, r_max):
+        if not (r >= 0 and math.isfinite(r * r)):
+            raise MathDomainError(f"radius must be a number >= 0 with a finite square, got {r}")
+    lo2, top = r_min * r_min, math.floor(r_max * r_max)  # s <= r_max^2 iff s <= top
+    pts = []
+
+    def extend(prefix: tuple[int, ...], s: int) -> None:
+        if len(prefix) == d:
+            if s and lo2 <= s:
+                pts.append((math.isqrt(s), prefix))
+            return
+        b = math.isqrt(top - s)  # the bound on |v| the earlier entries leave
+        for v in range(-b if any(prefix) else 0, b + 1):
+            extend(prefix + (v,), s + v * v)
+
+    extend((), 0)
+    return [n for _shell, n in sorted(pts)]
 
 
 def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
@@ -387,7 +391,7 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                     violations.append(
                         f"components[{idx}]: xi[{j}] is a root of unity of order {order}")
             one = field.one()
-            for n in _half_lattice(spec.d, radius):
+            for n in lattice_shell_points(spec.d, 0, radius):
                 if field.pow_vector(comp.xi, n) == one:
                     violations.append(f"components[{idx}]: xi^{n} = 1")
         else:

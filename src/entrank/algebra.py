@@ -118,12 +118,6 @@ class Poly:
                 out[i + j] += a * b
         return Poly.of(out)
 
-    def shift_mul(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise AlgebraError("division by the zero polynomial")
@@ -166,11 +160,7 @@ class Poly:
             c = self.coeffs[i]
             if c == 0:
                 continue
-            term = "1" if (i == 0 or abs(c) != 1) else ""
-            if abs(c) != 1 or i == 0:
-                term = str(abs(c))
-            else:
-                term = ""
+            term = str(abs(c)) if (abs(c) != 1 or i == 0) else ""
             if i >= 1:
                 term += "x" if not term else "*x"
                 if i > 1:
@@ -180,12 +170,19 @@ class Poly:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def int_poly(seq) -> Poly:
-    """Polynomial with integer coefficients; rejects fractional input."""
-    p = Poly.of(seq)
-    if not p.is_integral():
-        raise AlgebraError("expected integer coefficients")
-    return p
+def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """(d, t): d the monic gcd of f and g over Q (zero when both are), and t
+    with t*g = d mod f. The cofactor of f is not formed."""
+    r0, r1 = f, g
+    t0, t1 = Poly.of([]), Poly.of([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, t0
+    inv = 1 / r0.leading()
+    return r0.scale(inv), t0.scale(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .action import load_spec, place_spec, mixing_check, entropy_rank_one_check
+from .action import (Char0Component, CharPComponent, entropy_rank_one_check, load_spec,
+                     mixing_check, place_spec)
 from .algebra import AlgebraError
 from .counting import (
     charp_window_oracle,
@@ -21,7 +22,6 @@ from .counting import (
     ledrappier_axis_closed_form,
 )
 from .entropy import (
-    directional_entropy,
     entropy_function_of,
     mahler_measure,
     nonexpansive_candidates,
@@ -198,7 +198,7 @@ def cmd_oracle(args) -> int:
         print(f"= {q}^{e}")
         return 0
     spec = load_spec(args.spec)
-    charp = [c for c, _m in parse_components_charp(spec)]
+    charp = [c for c, _m in spec.components if isinstance(c, CharPComponent)]
     if not charp:
         print("error: window oracle needs a char-p component", file=sys.stderr)
         return 2
@@ -213,18 +213,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def parse_components_charp(spec):
-    return spec.charp_components()
-
-
 def cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     ps = place_spec(spec)
     print(f"d = {spec.d}, components = {len(spec.components)}, "
           f"noetherian = {str(spec.noetherian).lower()}")
     for i, (comp, mult) in enumerate(spec.components):
-        from .action import Char0Component
-
         if isinstance(comp, Char0Component):
             pc = next(p for p, _m in ps.placed_char0()
                       if p.component is comp)

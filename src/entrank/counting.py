@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import CharPComponent, PlacedComponent, PlacedSpec
+from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_points
 from .algebra import rank_mod_q
 from .errors import ConsistencyError, MathDomainError, ResourceLimitError
 from .groebner import GfMPoly, GroebnerBasis
@@ -368,12 +368,11 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
     """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal."""
-    from .action import _half_lattice
-
+    points = lattice_shell_points(pc.d, 0, radius)
     nvars, gens = _charp_base_generators(pc)
     gb = GroebnerBasis(pc.q, nvars, gens)
     out = []
-    for n in _half_lattice(pc.d, radius):
+    for n in points:
         if not gb.normal_form(_relation_for(pc, n)):
             out.append(n)
     return out

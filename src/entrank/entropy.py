@@ -297,8 +297,10 @@ class MahlerMeasure:
 def mahler_measure(coeffs, target_error: float = 1e-8) -> MahlerMeasure:
     """m(P) = log|lc(P)| + sum over roots of log max(1, |root|).
 
-    Roots come from a certified refinement loop; the reported error bound is
-    the sum of per-root log errors plus the requested root tolerance.
+    Roots come from a precision-doubling loop over mpmath polyroots, whose
+    root error is an estimate, not a proven enclosure; the reported error
+    bound is the sum of per-root log errors plus the requested root tolerance,
+    so it is estimated too.
     """
     p = Poly.of(coeffs)
     if p.is_zero():
@@ -339,8 +341,3 @@ def mahler_measure(coeffs, target_error: float = 1e-8) -> MahlerMeasure:
                 return MahlerMeasure(value=float(total), error_bound=float(bound) + 1e-14)
         dps *= 2
 
-
-def entropy_d1_yuzvinskii(coeffs) -> MahlerMeasure:
-    """Entropy of the d = 1 system defined by an integer polynomial: its
-    logarithmic Mahler measure."""
-    return mahler_measure(coeffs)

@@ -76,6 +76,12 @@ class GroebnerBasis:
     # -- reduction ---------------------------------------------------------
 
     def normal_form(self, f: GfMPoly) -> GfMPoly:
+        """Normal form of f, within a budget of max_reductions steps of its own."""
+        self._reductions = 0
+        return self._reduce(f)
+
+    def _reduce(self, f: GfMPoly) -> GfMPoly:
+        """Normal form of f; every step is charged to self._reductions."""
         q = self.q
         work = dict(f)
         out: GfMPoly = {}
@@ -112,7 +118,7 @@ class GroebnerBasis:
     def _compute(self, gens: list[GfMPoly]) -> None:
         heap: list = []
         for g in sorted(gens, key=lambda h: grevlex_key(leading_monomial(h))):
-            g = self.normal_form(g)
+            g = self._reduce(g)
             if g:
                 self._add_to_basis(g, heap)
         while heap:
@@ -125,7 +131,7 @@ class GroebnerBasis:
             if self._chain_criterion(i, j, lcm):
                 continue
             s = self._s_poly(i, j, lcm)
-            s = self.normal_form(s)
+            s = self._reduce(s)
             if s:
                 self._add_to_basis(s, heap)
         self._minimize()

@@ -12,20 +12,22 @@ wrong data when p divides the index). Valuations at a prime with several
 places above it go through Hensel-lifted local factors and resultants;
 the unique-place case reduces to ord_p of the norm.
 
-Archimedean data is certified: every embedding evaluation carries an error
-radius derived from the root enclosure, and consumers refine precision on
-demand.
+Archimedean data carries estimated error radii: every embedding evaluation
+has a radius derived from mpmath polyroots' error estimate for the roots,
+which is not a proven enclosure, and consumers refine precision on demand.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .algebra import Poly, discriminant, is_prime, ord_p, real_root_count, resultant
+from .algebra import (Poly, discriminant, is_prime, ord_p, poly_ext_gcd, real_root_count,
+                      resultant)
 from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
 from .polyfactor import (
     gf_divmod,
@@ -88,10 +90,10 @@ class NumberField:
     def inv(self, x: "Element") -> "Element":
         if x.is_zero():
             raise MathDomainError("inverse of zero")
-        g, _, t = _poly_ext_gcd(self.poly, Poly.of(x.coords))
+        g, t = poly_ext_gcd(self.poly, Poly.of(x.coords))
         if g.degree != 0:
             raise ConsistencyError("min_poly not coprime with nonzero element")
-        return self._from_poly(t.scale(1 / g.coeffs[0]).divmod(self.poly)[1])
+        return self._from_poly(t.divmod(self.poly)[1])
 
     def pow(self, x: "Element", k: int) -> "Element":
         if k < 0:
@@ -202,18 +204,6 @@ def _theta_traces(min_poly: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def _poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    r0, r1 = f, g
-    s0, s1 = Poly.of([1]), Poly.of([])
-    t0, t1 = Poly.of([]), Poly.of([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
 # ---------------------------------------------------------------------------
 # Field construction
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def build_field(min_poly_coeffs, degree_cap: int = DEGREE_CAP) -> NumberField:
 
 
 # ---------------------------------------------------------------------------
-# Embeddings (certified ball data)
+# Embeddings (ball data with estimated radii)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -370,6 +360,15 @@ def _dedekind_p_maximal(f: Poly, p: int, factors) -> bool:
     return len(g2) == 1
 
 
+@functools.lru_cache(maxsize=4096)
+def _factor_mod_p(field: NumberField, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """gf_factor of min_poly mod p: sorted (monic irreducible, multiplicity) pairs.
+
+    Places, lifted local factors and valuations all read this one factorization.
+    """
+    return tuple((tuple(g), e) for g, e in gf_factor(gf_from_int_poly(field.poly, p), p))
+
+
 def finite_places_above(field: NumberField, p: int) -> list[Place]:
     """Dedekind factorization of p; errors loudly when p-maximality fails."""
     if not is_prime(p):
@@ -378,7 +377,7 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
         return [Place(field=field, kind="finite", p=p, res_degree=1, ram_index=1,
                       ideal_gen=(), siblings=1)]
     f = field.poly
-    factors = gf_factor(gf_from_int_poly(f, p), p)
+    factors = _factor_mod_p(field, p)
     disc = discriminant(f)
     if int(disc) % (p * p) == 0:
         if not _dedekind_p_maximal(f, p, factors):
@@ -392,7 +391,7 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
         fv = len(gbar) - 1
         total += e * fv
         places.append(Place(field=field, kind="finite", p=p, res_degree=fv,
-                            ram_index=e, ideal_gen=tuple(gbar), siblings=len(factors)))
+                            ram_index=e, ideal_gen=gbar, siblings=len(factors)))
     if total != field.degree:
         raise ConsistencyError(f"sum e_v f_v = {total} != degree {field.degree}")
     return places
@@ -404,24 +403,20 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 
 def _clear_denominators(x: Element) -> tuple[Poly, int]:
     """x = A(theta)/c with A an integer polynomial and c a positive integer."""
-    den = 1
-    for c in x.coords:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in x.coords))
     return Poly.of([c * den for c in x.coords]), den
 
 
 @functools.lru_cache(maxsize=4096)
 def _lifted_local_factors(field: NumberField, p: int, exp: int) -> tuple[tuple[int, ...], ...]:
     """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^k >= p^exp."""
-    f = field.poly
-    factors = gf_factor(gf_from_int_poly(f, p), p)
     blocks = []
-    for gbar, e in factors:
+    for gbar, e in _factor_mod_p(field, p):
         blk = [1]
         for _ in range(e):
             blk = gf_mul(blk, gbar, p)
         blocks.append(blk)
-    lifted = hensel_lift_factors(f, blocks, p, exp)
+    lifted = hensel_lift_factors(field.poly, blocks, p, exp)
     return tuple(tuple(c for c in blk) for blk in lifted)
 
 
@@ -456,21 +451,17 @@ def _ord_v_multi(place: Place, x: Element) -> int:
     if v_total == 0:
         return -place.ram_index * den_ord
     lifted = _lifted_local_factors(field, p, v_total + 1)
-    factors = gf_factor(gf_from_int_poly(field.poly, p), p)
-    vals = []
-    for (gbar, _e), block in zip(factors, lifted):
-        bpoly = Poly.of([Fraction(c) for c in block])
-        r = resultant(bpoly, a_poly)
+    check = 0
+    my_val = None
+    for (gbar, _e), block in zip(_factor_mod_p(field, p), lifted):
+        r = resultant(Poly.of(block), a_poly)
         assert r.denominator == 1
         if r == 0:
             raise ConsistencyError("lifted local factor shares a root with the element")
-        vals.append((tuple(gbar), ord_p(r, p)))
-    check = 0
-    my_val = None
-    for (gtuple, v), (gbar, _e) in zip(vals, factors):
-        fv = len(gbar) - 1
+        v = ord_p(r, p)
         check += v
-        if gtuple == place.ideal_gen:
+        if gbar == place.ideal_gen:
+            fv = len(gbar) - 1
             if v % fv:
                 raise ConsistencyError("local valuation not divisible by residue degree")
             my_val = v // fv
@@ -498,7 +489,7 @@ def _arch_abs_ball(place: Place, x: Element, prec: int) -> tuple[mp.mpf, mp.mpf]
 
 
 def abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
-    """Normalized absolute value |x|_v (float; archimedean certified internally)."""
+    """Normalized absolute value |x|_v (float; archimedean from a ball with an estimated radius)."""
     if x.is_zero():
         raise MathDomainError("absolute value of zero requested")
     if place.kind == "finite":
@@ -513,8 +504,6 @@ def log_abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
     if x.is_zero():
         raise MathDomainError("log |0|_v requested")
     if place.kind == "finite":
-        import math
-
         return -ord_v(place, x) * place.res_degree * math.log(place.p)
     return float(log_abs_v_ball(place, x, prec)[0])
 
@@ -536,7 +525,7 @@ def log_abs_v_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> tuple[
 
 
 def compare_abs_to_one(place: Place, x: Element, prec: int = DEFAULT_PREC) -> int:
-    """Sign of |x|_v - 1: +1, -1, or 0 (0 only when certified or at max precision)."""
+    """Sign of |x|_v - 1: +1, -1, or 0 (0 when exact or still unresolved at max precision)."""
     if x.is_zero():
         raise MathDomainError("comparison of |0|_v requested")
     if place.kind == "finite":

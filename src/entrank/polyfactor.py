@@ -6,23 +6,27 @@ The Z path is Zassenhaus: factor mod a good prime, Hensel-lift past the
 Mignotte bound, recombine subsets. Degrees stay small here (field degree is
 capped at 8), so subset recombination is never a cost concern.
 
-Polynomials over F_p are plain lists of ints in [0, p), ascending degree,
-trimmed. Integer polynomials use algebra.Poly.
+Polynomials over Z/m are plain lists of ints in [0, m), ascending degree,
+trimmed. The gf_* helpers are the one family for Z/m[x]: they take any
+modulus m, and division needs only a unit leading coefficient of the
+divisor. Factoring uses them with m = p; Hensel lifting and recombination
+use them with m = p^k on monic factors. Integer polynomials use algebra.Poly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraError, Poly, is_prime
+from .algebra import AlgebraError, Poly, discriminant, is_prime, poly_ext_gcd
 
 GfPoly = list[int]
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F_p[x]
+# Arithmetic in Z/m[x]
 # ---------------------------------------------------------------------------
 
 def gf_trim(f: GfPoly) -> GfPoly:
@@ -114,13 +118,6 @@ def gf_derivative(f: GfPoly, p: int) -> GfPoly:
     return gf_trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def gf_eval(f: GfPoly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Factorization in F_p[x]
 # ---------------------------------------------------------------------------
@@ -198,9 +195,7 @@ def gf_equal_degree_split(f: GfPoly, d: int, p: int, rng: random.Random) -> list
             g = gf_gcd(t, f, p)
         else:
             g = gf_gcd(a, f, p)
-            if 0 < len(g) - 1 < n:
-                pass
-            else:
+            if not 0 < len(g) - 1 < n:
                 b = gf_pow_mod(a, (p**d - 1) // 2, f, p)
                 g = gf_gcd(gf_sub(b, [1], p), f, p)
         if 0 < len(g) - 1 < n:
@@ -230,71 +225,20 @@ def gf_factor(f: GfPoly, p: int) -> list[tuple[GfPoly, int]]:
 # Hensel lifting (monic factors of a monic integer polynomial)
 # ---------------------------------------------------------------------------
 
-def _zx_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zx_sub(f: list[int], g: list[int], m: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zx_add(f: list[int], g: list[int], m: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zx_divmod_monic(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    # g must be monic mod m
-    f = f[:]
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] % m
-        k = len(f) - len(g)
-        if c:
-            q[k] = c
-            for i, b in enumerate(g):
-                f[k + i] = (f[k + i] - c * b) % m
-        f.pop()
-        while f and f[-1] % m == 0:
-            f.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, f
-
-
 def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: f = g*h and s*g + t*h = 1, valid mod m -> mod m^2."""
+    """One quadratic lift: f = g*h and s*g + t*h = 1, valid mod m -> mod m^2.
+
+    h stays monic, so gf_divmod by it works mod m^2.
+    """
     m2 = m * m
-    e = _zx_sub(f, _zx_mul(g, h, m2), m2)
-    q, r = _zx_divmod_monic(_zx_mul(s, e, m2), h, m2)
-    g1 = _zx_add(g, _zx_add(_zx_mul(t, e, m2), _zx_mul(q, g, m2), m2), m2)
-    h1 = _zx_add(h, r, m2)
-    b = _zx_sub(_zx_add(_zx_mul(s, g1, m2), _zx_mul(t, h1, m2), m2), [1], m2)
-    c, d = _zx_divmod_monic(_zx_mul(s, b, m2), h1, m2)
-    s1 = _zx_sub(s, d, m2)
-    t1 = _zx_sub(t, _zx_add(_zx_mul(t, b, m2), _zx_mul(c, g1, m2), m2), m2)
+    e = gf_sub(f, gf_mul(g, h, m2), m2)
+    q, r = gf_divmod(gf_mul(s, e, m2), h, m2)
+    g1 = gf_add(g, gf_add(gf_mul(t, e, m2), gf_mul(q, g, m2), m2), m2)
+    h1 = gf_add(h, r, m2)
+    b = gf_sub(gf_add(gf_mul(s, g1, m2), gf_mul(t, h1, m2), m2), [1], m2)
+    c, d = gf_divmod(gf_mul(s, b, m2), h1, m2)
+    s1 = gf_sub(s, d, m2)
+    t1 = gf_sub(t, gf_add(gf_mul(t, b, m2), gf_mul(c, g1, m2), m2), m2)
     return g1, h1, s1, t1
 
 
@@ -338,10 +282,9 @@ def hensel_lift_factors(f: Poly, factors: list[GfPoly], p: int, target_exp: int)
         h = gf_mul(h, fac, p)
     s, t = _gf_ext_gcd(g, h, p)
     m, k = p, 1
-    G, H, S, T = g[:], h[:], s[:], t[:]
-    fmod = fz[:]
+    G, H, S, T = g, h, s, t
     while k < target_exp:
-        G, H, S, T = _hensel_step(fmod, G, H, S, T, m)
+        G, H, S, T = _hensel_step(fz, G, H, S, T, m)
         m, k = m * m, k * 2
     Gp = Poly.of([Fraction(c) for c in G])
     Hp = Poly.of([Fraction(c) for c in H])
@@ -369,7 +312,7 @@ def factor_monic_int_poly(f: Poly) -> list[Poly]:
         raise AlgebraError("expected a monic integer polynomial")
     if f.degree == 1:
         return [f]
-    disc = discriminant_int(f)
+    disc = discriminant(f)
     if disc == 0:
         raise AlgebraError("input must be squarefree")
     best: tuple[int, list[GfPoly]] | None = None
@@ -403,10 +346,10 @@ def factor_monic_int_poly(f: Poly) -> list[Poly]:
     size = 1
     while 2 * size <= len(remaining):
         progress = False
-        for subset in _subsets(remaining, size):
+        for subset in itertools.combinations(remaining, size):
             prod = [1]
             for i in subset:
-                prod = _zx_mul(prod, lifted[i], m)
+                prod = gf_mul(prod, lifted[i], m)
             cand = Poly.of([Fraction(_symmetric(c, m)) for c in prod])
             if cand.degree < 1:
                 continue
@@ -425,12 +368,6 @@ def factor_monic_int_poly(f: Poly) -> list[Poly]:
     return found
 
 
-def _subsets(items: list[int], size: int):
-    import itertools
-
-    return itertools.combinations(items, size)
-
-
 def _next_prime(n: int) -> int:
     n += 1
     while not is_prime(n):
@@ -438,26 +375,15 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def discriminant_int(f: Poly) -> int:
-    from .algebra import discriminant
-
-    d = discriminant(f)
-    assert d.denominator == 1
-    return int(d)
-
-
 def irreducible_over_q(f: Poly) -> tuple[bool, Poly | None]:
     """Exact test for a monic integer polynomial; returns (flag, witness factor)."""
     if f.degree == 1:
         return True, None
-    from .algebra import Poly as _P
-
-    g = _poly_gcd_q(f, f.derivative())
-    if g.degree >= 1:
-        return False, g
+    if discriminant(f) == 0:  # not squarefree: the witness is gcd(f, f')
+        return False, poly_ext_gcd(f, f.derivative())[0]
     for r in _integer_root_candidates(f):
         if f(Fraction(r)) == 0:
-            return False, _P.of([-r, 1])
+            return False, Poly.of([-r, 1])
     factors = factor_monic_int_poly(f)
     if len(factors) == 1:
         return True, None
@@ -475,14 +401,6 @@ def _integer_root_candidates(f: Poly) -> list[int]:
             divs.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
         d += 1
     return sorted(divs, key=abs)
-
-
-def _poly_gcd_q(f: Poly, g: Poly) -> Poly:
-    while not g.is_zero():
-        f, g = g, f.divmod(g)[1]
-    if f.is_zero():
-        return f
-    return f.scale(1 / f.leading())
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,17 @@ the decomposition columns cover the char-0 share of f.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
 from .action import (
-    ActionSpec,
     PlacedComponent,
     PlacedSpec,
+    lattice_shell_points,
     parse_spec,
     place_spec,
     serialize_spec,
@@ -34,7 +32,7 @@ from .action import (
 from .algebra import log_fraction
 from .counting import count_composite, count_prime_char0
 from .entropy import EntropyFunction, Hyperplane, directional_entropy, entropy_function_of
-from .errors import ConsistencyError, MathDomainError, ResourceLimitError
+from .errors import ConsistencyError, MathDomainError
 from .numberfield import Element, Place, compare_abs_to_one, log_abs_v_ball, ord_v
 
 IDENTITY_TOL = 1e-8
@@ -161,24 +159,6 @@ def point_record(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> PointR
     else:
         g = 0.0
     return PointRecord(n=n, count=count, f=f, h_hat=h_hat, g=g)
-
-
-def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
-    """Representatives of +-n pairs with r_min <= |n|_2 <= r_max, ordered by
-    (unit shell, lexicographic)."""
-    r_int = int(math.floor(r_max))
-    lo2, hi2 = r_min * r_min, r_max * r_max
-    pts = []
-    for n in itertools.product(range(-r_int, r_int + 1), repeat=d):
-        s = sum(v * v for v in n)
-        if s == 0 or not (lo2 <= s <= hi2):
-            continue
-        first = next(v for v in n if v != 0)
-        if first < 0:
-            continue
-        pts.append((int(math.floor(math.sqrt(s))), n))
-    pts.sort()
-    return [n for _shell, n in pts]
 
 
 _WORKER_CACHE: dict[str, tuple[PlacedSpec, EntropyFunction]] = {}

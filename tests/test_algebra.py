@@ -15,6 +15,7 @@ from entrank.algebra import (
     is_prime,
     log_fraction,
     ord_p,
+    poly_ext_gcd,
     real_root_count,
     resultant,
 )
@@ -74,6 +75,23 @@ def test_discriminant_quadratic():
     # b^2 - 4ac for x^2 + bx + c
     assert discriminant(Poly.of([-1, -1, 1])) == 5
     assert discriminant(Poly.of([1, 0, 1])) == -4
+
+
+def test_poly_ext_gcd_identity():
+    # d is the monic gcd and t*g = d mod f, on pairs with a planted common factor
+    rng = random.Random(31)
+    for _ in range(40):
+        common = Poly.of([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1])
+        f = common * Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+        g = common * Poly.of([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 4))])
+        if g.is_zero():
+            continue
+        d, t = poly_ext_gcd(f, g)
+        assert d.is_monic() and d.degree >= common.degree
+        assert f.divmod(d)[1].is_zero() and g.divmod(d)[1].is_zero()
+        assert (t * g - d).divmod(f)[1].is_zero()
+    assert poly_ext_gcd(Poly.of([]), Poly.of([])) == (Poly.of([]), Poly.of([]))
 
 
 # ---------------------------------------------------------------------------

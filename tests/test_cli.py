@@ -259,6 +259,18 @@ def test_validate_fails_on_non_mixing(capsys, tmp_path):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--spec", LED, "--radius", "nan"),
+    ("validate", "--spec", X2X3, "--radius", "inf"),
+    ("validate", "--spec", X2X3, "--radius", "-1"),
+    ("scan", "--spec", X2X3, "--rmin", "1", "--rmax", "inf"),
+])
+def test_bad_radius_exits_2(capsys, argv):
+    rc, _out, err = run(capsys, *argv)
+    assert rc == 2
+    assert "radius must be" in err
+
+
 def test_validate_rejects_bad_spec(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"d": 2, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[0,1],[3,1]]}]}')

@@ -5,6 +5,7 @@ import pytest
 
 from entrank import (
     MathDomainError,
+    ResourceLimitError,
     charp_window_oracle,
     count_composite,
     count_prime_char0,
@@ -13,6 +14,7 @@ from entrank import (
     parse_spec,
     place_spec,
 )
+from entrank.groebner import GroebnerBasis
 
 
 def strip_23(x: Fraction) -> int:
@@ -175,6 +177,17 @@ def test_groebner_offaxis_samples(led_pc):
     assert count_prime_charp(led_pc, (6, 0)).value == 16
     assert count_prime_charp(led_pc, (1, 1)).value == 4
     assert count_prime_charp(led_pc, (-8, 8)).value == 1
+
+
+def test_groebner_membership_budget_is_per_call():
+    # <x + 1> over F_2: the normal form of x^6 + 1 takes 6 steps and that of
+    # x^20 + 1 takes 20, against a budget of 10 per call
+    gb = GroebnerBasis(2, 1, [{(1,): 1, (0,): 1}], max_reductions=10)
+    for _ in range(3):
+        assert gb.normal_form({(6,): 1, (0,): 1}) == {}
+    with pytest.raises(ResourceLimitError):
+        gb.normal_form({(20,): 1, (0,): 1})
+    assert gb.normal_form({(6,): 1, (0,): 1}) == {}
 
 
 def test_charp_symmetry(led_pc):

@@ -6,7 +6,6 @@ import pytest
 from entrank import (
     MathDomainError,
     directional_entropy,
-    entropy_d1_yuzvinskii,
     entropy_function_of,
     lipschitz_constant,
     mahler_measure,
@@ -219,8 +218,3 @@ def test_mahler_multiplicative():
         mq = mahler_measure([int(c) for c in q.coeffs])
         mpq = mahler_measure([int(c) for c in (p * q).coeffs])
         assert abs(mpq.value - mp_.value - mq.value) < 1e-8
-
-
-def test_entropy_d1_wrapper():
-    assert abs(entropy_d1_yuzvinskii([-2, 1]).value - LOG2) < 1e-10
-    assert abs(entropy_d1_yuzvinskii([-1, -1, 1]).value - 0.4812118250596) < 1e-10

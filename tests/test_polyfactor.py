@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from entrank.algebra import Poly
+from entrank.algebra import Poly, discriminant
 from entrank.polyfactor import (
     factor_monic_int_poly,
     gf_factor,
@@ -111,3 +111,78 @@ def test_unity_order_candidates():
     cands = unity_order_candidates(8)
     assert {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30}.issubset(set(cands))
     assert all(n <= 130 for n in cands)
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle (skipped when sympy is not installed)
+# ---------------------------------------------------------------------------
+
+def _random_monic(rng, deg, lo, hi):
+    return [rng.randint(lo, hi) for _ in range(deg)] + [1]
+
+
+def _mod_p_cases(rng, p):
+    """Dense monic polynomials of degree 1-8, and g^e * h with e = 2 or 3."""
+    for _ in range(15):
+        yield _random_monic(rng, rng.randint(1, 8), 0, p - 1)
+    for _ in range(15):
+        g = _random_monic(rng, rng.randint(1, 2), 0, p - 1)
+        f = _random_monic(rng, rng.randint(1, 2), 0, p - 1)
+        for _ in range(rng.randint(2, 3)):
+            f = gf_mul(f, g, p)
+        yield f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_factor_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(4000 + p)
+    for f in _mod_p_cases(rng, p):
+        _lc, theirs = sympy.Poly(f[::-1], x, modulus=p).factor_list()
+        expected = sorted(([int(c) % p for c in reversed(g.all_coeffs())], m) for g, m in theirs)
+        assert sorted(gf_factor(f, p)) == expected
+
+
+def test_factor_monic_int_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(4100)
+    checked = 0
+    while checked < 40:
+        f = Poly.of([1])
+        for _ in range(rng.randint(1, 3)):
+            f = f * Poly.of(_random_monic(rng, rng.randint(1, 3), -4, 4))
+        if f.degree > 8 or f.degree < 1 or discriminant(f) == 0:
+            continue
+        _content, theirs = sympy.factor_list(sympy.Poly([int(c) for c in reversed(f.coeffs)], x))
+        expected = sorted(tuple(int(c) for c in reversed(g.all_coeffs())) for g, _m in theirs)
+        assert all(m == 1 for _g, m in theirs)
+        got = sorted(tuple(int(c) for c in g.coeffs) for g in factor_monic_int_poly(f))
+        assert got == expected
+        checked += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hensel_lift_product_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(4200 + p)
+    lifted_cases = 0
+    while lifted_cases < 10:
+        f = Poly.of(_random_monic(rng, rng.randint(2, 8), -9, 9))
+        modular = gf_factor(gf_from_int_poly(f, p), p)
+        if len(modular) < 2 or any(m > 1 for _g, m in modular):
+            continue
+        target = rng.randint(1, 9)
+        lifted = hensel_lift_factors(f, [g for g, _m in modular], p, target)
+        k = 1
+        while k < target:
+            k *= 2
+        prod = sympy.Poly([1], x)
+        for blk, (orig, _m) in zip(lifted, modular):
+            assert blk[-1] == 1 and [c % p for c in blk] == orig
+            prod = prod * sympy.Poly(blk[::-1], x)
+        got = [int(c) % p**k for c in reversed(prod.all_coeffs())]
+        assert got == [int(c) % p**k for c in f.coeffs]
+        lifted_cases += 1

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -101,15 +102,17 @@ def test_point_record_charp_has_no_decomposition(ledrappier):
 # ---------------------------------------------------------------------------
 
 def test_lattice_shell_points_structure():
-    pts = lattice_shell_points(2, 1.0, 3.5)
-    assert all(1.0 <= math.hypot(*n) <= 3.5 for n in pts)
-    # representatives only: first nonzero coordinate positive
-    for n in pts:
-        first = next(v for v in n if v != 0)
-        assert first > 0
-        assert tuple(-v for v in n) not in pts
-    # deterministic: unit shells first, lexicographic inside
-    assert pts == lattice_shell_points(2, 1.0, 3.5)
+    # against a brute-force filter of the cube: one representative per +-n
+    # pair (first nonzero entry positive), ordered by (unit shell, lexicographic)
+    for d, r_min, r_max in [(1, 0, 6.5), (2, 0, 4.0), (2, 1.0, 3.5), (3, 0, 3.0),
+                            (3, 1.5, 3.2)]:
+        pts = lattice_shell_points(d, r_min, r_max)
+        r = int(r_max)
+        expected = [n for n in itertools.product(range(-r, r + 1), repeat=d)
+                    if any(n) and next(v for v in n if v) > 0
+                    and r_min**2 <= sum(v * v for v in n) <= r_max**2]
+        assert len(pts) == len(set(pts)) and set(pts) == set(expected)
+        assert pts == sorted(expected, key=lambda n: (math.isqrt(sum(v * v for v in n)), n))
 
 
 def test_scan_small_annulus(x2x3):
