@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .algebra import (Poly, discriminant, is_prime, ord_p, poly_ext_gcd, real_root_count,
-                      resultant)
+from .algebra import (Poly, discriminant, is_prime, log_fraction, ord_p, poly_ext_gcd,
+                      real_root_count, resultant)
 from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
 from .polyfactor import (
     gf_divmod,
@@ -96,8 +96,6 @@ class NumberField:
         return self._from_poly(t.divmod(self.poly)[1])
 
     def pow(self, x: "Element", k: int) -> "Element":
-        if k < 0:
-            return self.pow(self.inv(x), -k)
         return _pow_cached(self, x, k)
 
     def pow_vector(self, xs: tuple["Element", ...], n) -> "Element":
@@ -181,6 +179,10 @@ class Element:
 
 @functools.lru_cache(maxsize=200_000)
 def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
+    if k == -1:
+        return field.inv(x)
+    if k < 0:  # powers of the one cached inverse
+        return _pow_cached(field, _pow_cached(field, x, -1), -k)
     if k == 0:
         return field.one()
     if k == 1:
@@ -500,11 +502,14 @@ def abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
 
 
 def log_abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
-    """log |x|_v; exact combination -ord * f * log(p) at finite places."""
+    """log |x|_v; exact combination -ord * f * log(p) at finite places, and
+    log |x| of the rational x itself at the archimedean place of Q."""
     if x.is_zero():
         raise MathDomainError("log |0|_v requested")
     if place.kind == "finite":
         return -ord_v(place, x) * place.res_degree * math.log(place.p)
+    if place.field.degree == 1:
+        return log_fraction(abs(x.coords[0]))
     return float(log_abs_v_ball(place, x, prec)[0])
 
 

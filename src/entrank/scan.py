@@ -4,8 +4,9 @@ converging to a non-expansive line.
 
 The identity behind the split: at every support place, |xi^n - 1|_v equals
 |xi^n|_v * |1 - xi^(-n)|_v when |xi^n|_v > 1 and |1 - xi^n|_v otherwise, so
-log count = h(n) + sum of log |1 - phi_v(n)|_v. Both routes to g are
-computed and compared; disagreement is an internal error, not a warning.
+log count = h(n) + sum of log |1 - phi_v(n)|_v. point_record computes the
+exact count once and checks the direct sum for g against f - h(n_hat) taken
+from the count it reports; disagreement is an internal error, not a warning.
 
 Only char-0 components enter h and g (char-p components have no computed
 places); f always includes every component, so for specs with char-p parts
@@ -14,6 +15,7 @@ the decomposition columns cover the char-0 share of f.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,50 +23,33 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .action import (
-    PlacedComponent,
-    PlacedSpec,
-    lattice_shell_points,
-    parse_spec,
-    place_spec,
-    serialize_spec,
-)
-from .algebra import log_fraction
-from .counting import count_composite, count_prime_char0
+from .action import PlacedComponent, PlacedSpec, lattice_shell_points
+from .counting import count_composite
 from .entropy import EntropyFunction, Hyperplane, directional_entropy, entropy_function_of
 from .errors import ConsistencyError, MathDomainError
-from .numberfield import Element, Place, compare_abs_to_one, log_abs_v_ball, ord_v
+from .numberfield import Element, compare_abs_to_one, log_abs_v
 
 IDENTITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# phi_v and the two routes to g
+# phi_v, f and g
 # ---------------------------------------------------------------------------
 
-def phi_v(pc: PlacedComponent, place: Place, n) -> Element:
-    """xi^(-n) when |xi^n|_v > 1, else xi^n (ties resolve to the <= branch)."""
+def phi_v(pc: PlacedComponent, n) -> tuple[Element, ...]:
+    """One phi_v(n) per support place, in pc.places order: xi^(-n) where
+    |xi^n|_v > 1, else xi^n (ties resolve to the <= branch).
+
+    xi^n is formed once, and its inverse at most once.
+    """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("phi_v needs n != 0")
     field = pc.component.field
     xn = field.pow_vector(pc.component.xi, n)
-    if compare_abs_to_one(place, xn) > 0:
-        return field.inv(xn)
-    return xn
-
-
-def _log_abs_one_minus_phi(pc: PlacedComponent, place: Place, n) -> float:
-    field = pc.component.field
-    value = field.sub(field.one(), phi_v(pc, place, n))
-    if value.is_zero():
-        raise MathDomainError(f"phi_v = 1 at n={n}: non-mixing direction")
-    if place.kind == "finite":
-        return -ord_v(place, value) * place.res_degree * math.log(place.p)
-    if field.degree == 1:
-        return log_fraction(abs(value.coords[0]))
-    val, _err = log_abs_v_ball(place, value)
-    return float(val)
+    above_one = [compare_abs_to_one(place, xn) > 0 for place in pc.places]
+    inverse = field.inv(xn) if any(above_one) else None
+    return tuple(inverse if above else xn for above in above_one)
 
 
 def _norm2(n) -> float:
@@ -80,29 +65,11 @@ def f_value(ps: PlacedSpec, n) -> float:
 def g_value(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> float:
     """(1/|n|) sum of log |1 - phi_v(n)|_v over char-0 components.
 
-    Computed directly and via f_char0 - h(n_hat); both must agree within
-    IDENTITY_TOL or a ConsistencyError is raised.
+    This is point_record(ps, n, ef).g: the identity check runs on the full
+    point record, so for a mixed spec the char-p part is counted too, and
+    g_value raises wherever point_record raises.
     """
-    n = tuple(int(v) for v in n)
-    norm = _norm2(n)
-    if norm == 0:
-        raise MathDomainError("g needs n != 0")
-    direct = 0.0
-    f0 = 0.0
-    for pc, mult in ps.placed_char0():
-        for place in pc.places:
-            direct += mult * _log_abs_one_minus_phi(pc, place, n)
-        f0 += mult * math.log(count_prime_char0(pc, n).value)
-    direct /= norm
-    f0 /= norm
-    if ef is None:
-        ef = entropy_function_of(ps)
-    h_hat = directional_entropy(ef, n) / norm
-    if abs(direct - (f0 - h_hat)) > IDENTITY_TOL:
-        raise ConsistencyError(
-            f"decomposition mismatch at n={n}: direct g = {direct!r}, "
-            f"f - h = {f0 - h_hat!r}")
-    return direct
+    return point_record(ps, n, ef).g
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +114,35 @@ class ScanReport:
 
 
 def point_record(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> PointRecord:
+    """count, f, h(n_hat) and g at n, with g computed directly and checked
+    against f_char0 - h(n_hat) from the char-0 factors of the reported count;
+    a mismatch beyond IDENTITY_TOL raises ConsistencyError."""
     n = tuple(int(v) for v in n)
     norm = _norm2(n)
-    count = count_composite(ps, n).value
-    f = math.log(count) / norm
+    res = count_composite(ps, n)
+    f = math.log(res.value) / norm
     if ef is None:
         ef = entropy_function_of(ps)
     h_hat = directional_entropy(ef, n) / norm
-    if ps.placed_char0():
-        g = g_value(ps, n, ef)
-    else:
-        g = 0.0
-    return PointRecord(n=n, count=count, f=f, h_hat=h_hat, g=g)
-
-
-_WORKER_CACHE: dict[str, tuple[PlacedSpec, EntropyFunction]] = {}
-
-
-def _scan_worker(args):
-    import json
-
-    spec_json, chunk = args
-    cached = _WORKER_CACHE.get(spec_json)
-    if cached is None:
-        ps = place_spec(parse_spec(json.loads(spec_json)))
-        cached = (ps, entropy_function_of(ps))
-        _WORKER_CACHE[spec_json] = cached
-    ps, ef = cached
-    return [point_record(ps, n, ef) for n in chunk]
+    direct = 0.0
+    f0 = 0.0
+    for (pc, mult), (count, _) in zip(ps.entries, res.per_component):
+        if not isinstance(pc, PlacedComponent):
+            continue
+        field = pc.component.field
+        for place, phi in zip(pc.places, phi_v(pc, n)):
+            value = field.sub(field.one(), phi)
+            if value.is_zero():
+                raise MathDomainError(f"phi_v = 1 at n={n}: non-mixing direction")
+            direct += mult * log_abs_v(place, value)
+        f0 += mult * math.log(count)
+    direct /= norm
+    f0 /= norm
+    if abs(direct - (f0 - h_hat)) > IDENTITY_TOL:
+        raise ConsistencyError(
+            f"decomposition mismatch at n={n}: direct g = {direct!r}, "
+            f"f - h = {f0 - h_hat!r}")
+    return PointRecord(n=n, count=res.value, f=f, h_hat=h_hat, g=direct)
 
 
 def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
@@ -192,15 +160,10 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     if workers is None:
         workers = int(os.environ.get("ENTRANK_WORKERS", "1"))
     if workers > 1 and len(points) > 64:
-        import json
-
-        spec_json = json.dumps(serialize_spec(ps.spec), sort_keys=True)
         chunk_size = max(16, len(points) // (workers * 8))
-        chunks = [points[i:i + chunk_size] for i in range(0, len(points), chunk_size)]
-        records: list[PointRecord] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_worker, [(spec_json, c) for c in chunks]):
-                records.extend(part)
+            records = list(pool.map(functools.partial(point_record, ps, ef=ef), points,
+                                    chunksize=chunk_size))
     else:
         records = [point_record(ps, n, ef) for n in points]
 

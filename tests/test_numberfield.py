@@ -91,6 +91,26 @@ def test_inverse_and_pow_vector():
     assert GOLDEN.pow_vector((th, two), (3, -2)) == GOLDEN.element([Fraction(1, 4), Fraction(1, 2)])
 
 
+def test_negative_powers_share_one_cached_inverse(monkeypatch):
+    from entrank.numberfield import NumberField, _pow_cached
+
+    calls = []
+    inv = NumberField.inv
+
+    def counting_inv(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    monkeypatch.setattr(NumberField, "inv", counting_inv)
+    _pow_cached.cache_clear()
+    x = GOLDEN.element([3, -7])
+    x3 = GOLDEN.pow(x, -3)
+    assert GOLDEN.mul(x3, GOLDEN.pow(x, 3)) == GOLDEN.one()
+    assert GOLDEN.mul(GOLDEN.pow(x, -5), GOLDEN.pow(x, 5)) == GOLDEN.one()
+    assert GOLDEN.pow_vector((x, x), (-2, 4)) == GOLDEN.pow(x, 2)
+    assert calls == [x]
+
+
 def test_root_of_unity_order():
     assert Q.root_of_unity_order(Q.element([-1])) == 2
     assert Q.root_of_unity_order(Q.element([1])) == 1
@@ -174,6 +194,10 @@ def test_log_abs_v_examples():
     assert abs(log_abs_v(v2, two) + math.log(2)) < 1e-15
     v3 = finite_places_above(Q, 3)[0]
     assert log_abs_v(v3, two) == 0.0
+    # exact at the archimedean place of Q: log 1 is 0, not a rounding residue
+    assert log_abs_v(arch, Q.element([-1])) == 0.0
+    big = Q.element([Fraction(3**700, 2**900)])
+    assert abs(log_abs_v(arch, big) - (700 * math.log(3) - 900 * math.log(2))) < 1e-9
 
 
 def test_compare_abs_to_one():

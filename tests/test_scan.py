@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from entrank import (
+    ConsistencyError,
     MathDomainError,
     convergent_sequence,
+    count_composite,
     entropy_function_of,
     f_value,
     g_value,
@@ -19,7 +21,8 @@ from entrank import (
     shell_scan,
     write_records_csv,
 )
-from entrank.scan import lattice_shell_points
+from entrank.counting import CountResult
+from entrank.scan import IDENTITY_TOL, lattice_shell_points
 
 from tests.test_counting import x2x3_oracle
 
@@ -32,22 +35,39 @@ def pc23(x2x3):
     return x2x3.placed_char0()[0][0]
 
 
+@pytest.fixture(scope="module")
+def golden(golden_mean_spec):
+    return place_spec(golden_mean_spec)
+
+
+@pytest.fixture(scope="module")
+def golden2_ledrappier():
+    # golden mean at multiplicity 2 times the Ledrappier component
+    return place_spec(parse_spec({"d": 2, "components": [
+        {"multiplicity": 2, "char": 0, "min_poly": [-1, -1, 1],
+         "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]},
+        {"multiplicity": 1, "char": 2,
+         "generators": [{"terms": [{"exp": [0, 0], "coeff": 1},
+                                   {"exp": [1, 0], "coeff": 1},
+                                   {"exp": [0, 1], "coeff": 1}]}]},
+    ]}))
+
+
 # ---------------------------------------------------------------------------
 # phi_v
 # ---------------------------------------------------------------------------
 
 def test_phi_v_branches(pc23):
-    arch = pc23.places[0]
-    v2 = pc23.places[1]
-    assert phi_v(pc23, arch, (1, 1)).coords[0] == Fraction(1, 6)
-    assert phi_v(pc23, v2, (1, 1)).coords[0] == 6
+    # pc23.places: the archimedean place, then the 2-adic one
+    assert phi_v(pc23, (1, 1))[0].coords[0] == Fraction(1, 6)
+    assert phi_v(pc23, (1, 1))[1].coords[0] == 6
     # |xi^(-1,0)|_2 = |1/2|_2 = 2 > 1, so the inverse branch returns 2
-    assert phi_v(pc23, v2, (-1, 0)).coords[0] == 2
+    assert phi_v(pc23, (-1, 0))[1].coords[0] == 2
 
 
 def test_phi_v_rejects_zero(pc23):
     with pytest.raises(MathDomainError):
-        phi_v(pc23, pc23.places[0], (0, 0))
+        phi_v(pc23, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +108,41 @@ def test_point_record_identity(x2x3):
         rec = point_record(x2x3, n, ef)
         assert abs(rec.f - rec.g - rec.h_hat) < 1e-8
         assert rec.count == x2x3_oracle(*n)
+
+
+def test_point_record_checks_the_count_it_reports(golden, monkeypatch):
+    import entrank.counting as counting
+
+    assert point_record(golden, (7, 3)).count == 295
+    true_count = counting.count_prime_char0
+
+    def doubled(pc, n):
+        res = true_count(pc, n)
+        return CountResult(value=2 * res.value, per_component=((2 * res.value, 1),))
+
+    monkeypatch.setattr(counting, "count_prime_char0", doubled)
+    with pytest.raises(ConsistencyError):
+        point_record(golden, (7, 3))
+
+
+def test_point_record_identity_golden_mean(golden):
+    rep = shell_scan(golden, 1.0, 6.5)
+    assert len(rep.records) > 64
+    for rec in rep.records:
+        assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+        assert count_composite(golden, tuple(-v for v in rec.n)).value == rec.count
+
+
+def test_point_record_mixed_spec(golden, golden2_ledrappier, ledrappier):
+    ef = entropy_function_of(golden2_ledrappier)
+    for n in [(1, 1), (3, -2), (7, 3), (4, 0), (-5, 8)]:
+        mixed = point_record(golden2_ledrappier, n, ef)
+        gold = point_record(golden, n)
+        led = point_record(ledrappier, n)
+        assert mixed.count == gold.count**2 * led.count
+        assert abs(mixed.g - 2 * gold.g) < 1e-12
+        assert abs(mixed.h_hat - 2 * gold.h_hat) < 1e-12
+        assert g_value(golden2_ledrappier, n, ef) == mixed.g
 
 
 def test_point_record_charp_has_no_decomposition(ledrappier):
@@ -152,13 +207,13 @@ def test_scan_budget_flags_partial(x2x3):
     assert rep.partial and len(rep.records) == 20
 
 
-def test_scan_parallel_matches_serial(x2x3):
+def test_scan_parallel_matches_serial(x2x3, golden):
     serial = shell_scan(x2x3, 1.0, 4.5, workers=1)
-    # worker path needs > 64 points; force it with a tiny chunk threshold
-    parallel = shell_scan(x2x3, 1.0, 6.5, workers=2)
-    serial_wide = shell_scan(x2x3, 1.0, 6.5, workers=1)
-    assert parallel.records == serial_wide.records
-    assert len(serial.records) < len(serial_wide.records)
+    # the worker path needs > 64 points
+    for ps in (x2x3, golden):
+        parallel = shell_scan(ps, 1.0, 6.5, workers=2)
+        assert parallel.records == shell_scan(ps, 1.0, 6.5, workers=1).records
+        assert len(serial.records) < len(parallel.records)
 
 
 def test_scan_ledrappier_axis_zero_limit(ledrappier):
