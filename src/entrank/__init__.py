@@ -15,9 +15,8 @@ from .action import (
     parse_spec,
     parse_spec_json,
     place_spec,
-    serialize_spec,
 )
-from .algebra import FqMatrix, Poly, fq_rank, ord_p, resultant
+from .algebra import Poly, ord_p, resultant
 from .counting import (
     CountResult,
     WindowOracle,
@@ -61,7 +60,6 @@ from .scan import (
     PointRecord,
     ScanReport,
     convergent_sequence,
-    f_value,
     g_value,
     phi_v,
     point_record,

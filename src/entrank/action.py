@@ -32,7 +32,6 @@ from fractions import Fraction
 from .algebra import factor_int, is_prime
 from .errors import MathDomainError, SpecError
 from .numberfield import (
-    DEFAULT_PREC,
     Element,
     NumberField,
     Place,
@@ -66,9 +65,6 @@ class LaurentPolynomial:
 
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class CharPComponent:
@@ -90,7 +86,7 @@ class ActionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Parsing
 # ---------------------------------------------------------------------------
 
 def parse_spec(doc: dict) -> ActionSpec:
@@ -204,34 +200,6 @@ def load_spec(path: str) -> ActionSpec:
         return parse_spec_json(fh.read())
 
 
-def serialize_spec(spec: ActionSpec) -> dict:
-    comps = []
-    for comp, mult in spec.components:
-        if isinstance(comp, Char0Component):
-            xi = []
-            for el in comp.xi:
-                flat: list[int] = []
-                for c in el.coords:
-                    flat.extend([c.numerator, c.denominator])
-                xi.append(flat)
-            comps.append({
-                "multiplicity": mult,
-                "char": 0,
-                "min_poly": list(comp.field.min_poly),
-                "xi": xi,
-            })
-        else:
-            comps.append({
-                "multiplicity": mult,
-                "char": comp.q,
-                "generators": [
-                    {"terms": [{"exp": list(e), "coeff": c} for e, c in g.terms]}
-                    for g in comp.generators
-                ],
-            })
-    return {"d": spec.d, "noetherian": spec.noetherian, "components": comps}
-
-
 # ---------------------------------------------------------------------------
 # Places and Lyapunov vectors for char-0 components
 # ---------------------------------------------------------------------------
@@ -267,9 +235,9 @@ class PlacedComponent:
         return log_abs_v_ball(place, self.component.xi[coord], prec)
 
 
-def compute_places(comp: Char0Component, prec: int = DEFAULT_PREC) -> PlacedComponent:
+def compute_places(comp: Char0Component) -> PlacedComponent:
     field = comp.field
-    places: list[Place] = list(archimedean_places(field, prec))
+    places: list[Place] = list(archimedean_places(field))
     ord_rows: list[tuple[int, ...] | None] = [None] * len(places)
     # xi is a unit at every place above p iff xi and 1/xi are both integral
     # there, i.e. iff p divides no denominator of charpoly(xi) or of
@@ -297,7 +265,7 @@ def compute_places(comp: Char0Component, prec: int = DEFAULT_PREC) -> PlacedComp
         else:
             row = []
             for el in comp.xi:
-                val, _ = log_abs_v_ball(place, el, prec)
+                val, _ = log_abs_v_ball(place, el)
                 row.append(float(val))
             lyap.append(tuple(row))
     return PlacedComponent(component=comp, places=tuple(places),
@@ -326,11 +294,11 @@ class PlacedSpec:
         return [(c, m) for c, m in self.entries if isinstance(c, CharPComponent)]
 
 
-def place_spec(spec: ActionSpec, prec: int = DEFAULT_PREC) -> PlacedSpec:
+def place_spec(spec: ActionSpec) -> PlacedSpec:
     entries: list[tuple[PlacedComponent | CharPComponent, int]] = []
     for comp, mult in spec.components:
         if isinstance(comp, Char0Component):
-            entries.append((compute_places(comp, prec), mult))
+            entries.append((compute_places(comp), mult))
         else:
             entries.append((comp, mult))
     return PlacedSpec(spec=spec, entries=tuple(entries))

@@ -358,32 +358,6 @@ def factor_int(n: int) -> dict[int, int]:
 # Linear algebra over prime fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FqMatrix:
-    """Dense matrix over F_q, q prime; entries stored reduced into [0, q)."""
-
-    q: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(q: int, data) -> "FqMatrix":
-        if not is_prime(q):
-            raise AlgebraError(f"field size must be prime, got {q}")
-        ent = tuple(tuple(int(x) % q for x in row) for row in data)
-        rows = len(ent)
-        cols = len(ent[0]) if rows else 0
-        if any(len(r) != cols for r in ent):
-            raise AlgebraError("ragged matrix")
-        return FqMatrix(q, rows, cols, ent)
-
-
-def fq_rank(a: FqMatrix) -> int:
-    """Rank over F_q by exact Gaussian elimination."""
-    return rank_mod_q([list(r) for r in a.entries], a.q)
-
-
 def rank_mod_q(rows: list[list[int]], q: int) -> int:
     """Rank of a list-of-lists matrix over F_q (rows are consumed)."""
     if not rows or not rows[0]:

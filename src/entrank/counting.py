@@ -2,8 +2,10 @@
 
 Char-0 prime components: |F| is the product over the support places of
 |xi^n - 1|_v. Under the package's normalization the archimedean part equals
-|N(xi^n - 1)|, so the whole count is assembled from exact integers (norms and
-finite valuations); no floating point touches the result, and integrality is
+|N(xi^n - 1)|, so the whole count is assembled from exact integers: the norm,
+taken once, and the finite valuations. At a prime with one place above it
+that place's share is ord_p of the same norm; ord_v runs only at primes with
+several places. No floating point touches the result, and integrality is
 asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_points
-from .algebra import rank_mod_q
+from .algebra import ord_p, rank_mod_q
 from .errors import ConsistencyError, MathDomainError, ResourceLimitError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import ord_v
@@ -68,9 +70,13 @@ def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
     x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
     if x.is_zero():
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
-    total = abs(field.norm(x))
+    norm = abs(field.norm(x))
+    total = norm
     for place in pc.places:
         if place.kind != "finite":
+            continue
+        if place.siblings == 1:  # the only place above p takes all of ord_p(N)
+            total *= Fraction(place.p) ** (-ord_p(norm, place.p))
             continue
         v = ord_v(place, x)
         if v:

@@ -21,6 +21,7 @@ from .algebra import Poly
 from .errors import MathDomainError, SpecError
 
 _TWO_PI = 2.0 * math.pi
+MAHLER_TARGET_ERROR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +291,8 @@ class MahlerMeasure:
     value: float
     error_bound: float
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def mahler_measure(coeffs, target_error: float = 1e-8) -> MahlerMeasure:
+def mahler_measure(coeffs) -> MahlerMeasure:
     """m(P) = log|lc(P)| + sum over roots of log max(1, |root|).
 
     Roots come from a precision-doubling loop over mpmath polyroots, whose
@@ -337,7 +335,7 @@ def mahler_measure(coeffs, target_error: float = 1e-8) -> MahlerMeasure:
                     if a > 1:
                         total += mp.log(a)
                     bound += 3 * err
-            if bound <= target_error / 2 or dps >= 400:
+            if bound <= MAHLER_TARGET_ERROR / 2 or dps >= 400:
                 return MahlerMeasure(value=float(total), error_bound=float(bound) + 1e-14)
         dps *= 2
 

@@ -15,6 +15,9 @@ from .errors import ResourceLimitError
 Mono = tuple[int, ...]
 GfMPoly = dict[Mono, int]
 
+MAX_BASIS = 4000  # basis elements
+CELL_CAP = 4_000_000  # cells of the standard-monomial box
+
 
 def grevlex_key(m: Mono):
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -63,10 +66,9 @@ class GroebnerBasis:
     """Minimal Groebner basis of an ideal in F_q[x_1..x_n], grevlex."""
 
     def __init__(self, q: int, nvars: int, generators: list[GfMPoly],
-                 max_basis: int = 4000, max_reductions: int = 200_000):
+                 max_reductions: int = 200_000):
         self.q = q
         self.nvars = nvars
-        self.max_basis = max_basis
         self.max_reductions = max_reductions
         self._reductions = 0
         self.basis: list[GfMPoly] = []
@@ -109,7 +111,7 @@ class GroebnerBasis:
         j = len(self.basis)
         self.basis.append(f)
         self.lms.append(lm)
-        if len(self.basis) > self.max_basis:
+        if len(self.basis) > MAX_BASIS:
             raise ResourceLimitError("Groebner basis size cap exceeded")
         for i in range(j):
             lcm = mono_lcm(self.lms[i], lm)
@@ -183,7 +185,7 @@ class GroebnerBasis:
             return None
         return bounds  # type: ignore[return-value]
 
-    def standard_monomial_count(self, cell_cap: int = 4_000_000) -> int | None:
+    def standard_monomial_count(self) -> int | None:
         """Dimension of the quotient as an F_q-space; None if not zero-dimensional."""
         bounds = self.variable_bounds()
         if bounds is None:
@@ -191,7 +193,7 @@ class GroebnerBasis:
         cells = 1
         for b in bounds:
             cells *= max(b, 1)
-        if cells > cell_cap:
+        if cells > CELL_CAP:
             raise ResourceLimitError(f"standard monomial box has {cells} cells")
         lms = self.lms
         count = 0

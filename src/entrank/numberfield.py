@@ -8,9 +8,10 @@ alone equals |N(x)|.
 
 Finite places come from Dedekind factorization of the minimal polynomial
 mod p, guarded by a p-maximality check (explicit error instead of silently
-wrong data when p divides the index). Valuations at a prime with several
-places above it go through Hensel-lifted local factors and resultants;
-the unique-place case reduces to ord_p of the norm.
+wrong data when p divides the index). ord_v has one route: the norm of the
+element's integral part is taken once; at a prime with one place above it
+that norm's ord_p is the whole answer, and at a prime with several places
+the Hensel-lifted local factors split it, checked against the same total.
 
 Archimedean data carries estimated error radii: every embedding evaluation
 has a radius derived from mpmath polyroots' error estimate for the roots,
@@ -173,9 +174,6 @@ class Element:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
 
 @functools.lru_cache(maxsize=200_000)
 def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
@@ -210,7 +208,7 @@ def _theta_traces(min_poly: tuple[int, ...]) -> tuple[int, ...]:
 # Field construction
 # ---------------------------------------------------------------------------
 
-def build_field(min_poly_coeffs, degree_cap: int = DEGREE_CAP) -> NumberField:
+def build_field(min_poly_coeffs) -> NumberField:
     """Validate a monic irreducible integer polynomial and build the field."""
     f = Poly.of(min_poly_coeffs)
     if f.degree < 1:
@@ -219,8 +217,8 @@ def build_field(min_poly_coeffs, degree_cap: int = DEGREE_CAP) -> NumberField:
         raise SpecError("min_poly must have integer coefficients")
     if not f.is_monic():
         raise SpecError("min_poly must be monic")
-    if f.degree > degree_cap:
-        raise SpecError(f"min_poly degree {f.degree} exceeds the cap {degree_cap}")
+    if f.degree > DEGREE_CAP:
+        raise SpecError(f"min_poly degree {f.degree} exceeds the cap {DEGREE_CAP}")
     if f.degree > 1:
         ok, witness = irreducible_over_q(f)
         if not ok:
@@ -336,10 +334,10 @@ class Place:
         return f"finite(p={self.p},f={self.res_degree},e={self.ram_index})"
 
 
-def archimedean_places(field: NumberField, prec: int = DEFAULT_PREC) -> list[Place]:
+def archimedean_places(field: NumberField) -> list[Place]:
     return [
         Place(field=field, kind="arch", embedding_index=e.index, weight=e.weight)
-        for e in embeddings(field, prec)
+        for e in embeddings(field, DEFAULT_PREC)  # _arch_abs_ball's cache key
     ]
 
 
@@ -423,35 +421,33 @@ def _lifted_local_factors(field: NumberField, p: int, exp: int) -> tuple[tuple[i
 
 
 def ord_v(place: Place, x: Element) -> int:
-    """Exact valuation of x at a finite place."""
+    """Exact valuation of x at a finite place.
+
+    With x = A(theta)/c, A integral, the norm N(A) is taken once and
+    v_total = ord_p N(A) is split among the places above p: all of it at a
+    prime with one place, by the Hensel-lifted local factors (whose shares
+    must sum to v_total) at a prime with several. c contributes -e_v ord_p(c).
+    """
     if place.kind != "finite":
         raise MathDomainError("ord_v is defined at finite places only")
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
-    field = place.field
-    if field.degree == 1:
-        return ord_p(x.coords[0], place.p)
-    p = place.p
-    if place.siblings == 1:
-        v = ord_p(field.norm(x), p)
-        if v % place.res_degree:
-            raise ConsistencyError(
-                f"norm valuation {v} not divisible by residue degree {place.res_degree}")
-        return v // place.res_degree
-    return _ord_v_multi(place, x)
-
-
-def _ord_v_multi(place: Place, x: Element) -> int:
     field, p = place.field, place.p
+    if field.degree == 1:
+        return ord_p(x.coords[0], p)
     a_poly, den = _clear_denominators(x)
-    den_ord = ord_p(Fraction(den), p) if den % p == 0 else 0
+    den_part = place.ram_index * ord_p(den, p) if den % p == 0 else 0
     nrm = resultant(field.poly, a_poly)
-    assert nrm.denominator == 1
-    v_total = ord_p(nrm, p) if nrm != 0 else 0
-    if nrm == 0:
-        raise ConsistencyError("integral part of element has zero norm")
+    if nrm == 0 or nrm.denominator != 1:
+        raise ConsistencyError(f"integral part of element has norm {nrm}")
+    v_total = ord_p(nrm, p)
     if v_total == 0:
-        return -place.ram_index * den_ord
+        return -den_part
+    if place.siblings == 1:
+        if v_total % place.res_degree:
+            raise ConsistencyError(
+                f"norm valuation {v_total} not divisible by residue degree {place.res_degree}")
+        return v_total // place.res_degree - den_part
     lifted = _lifted_local_factors(field, p, v_total + 1)
     check = 0
     my_val = None
@@ -472,7 +468,7 @@ def _ord_v_multi(place: Place, x: Element) -> int:
             f"local valuations sum to {check}, expected {v_total} at p={p}")
     if my_val is None:
         raise ConsistencyError("place not found among local factors")
-    return my_val - place.ram_index * den_ord
+    return my_val - den_part
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +486,31 @@ def _arch_abs_ball(place: Place, x: Element, prec: int) -> tuple[mp.mpf, mp.mpf]
     return mag, err
 
 
-def abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
+def _refined_abs_ball(place: Place, x: Element, prec: int,
+                      threshold: int) -> tuple[mp.mpf, mp.mpf, int] | None:
+    """(|x|_v, radius, prec) at the first precision from prec up whose ball
+    excludes threshold; None when it still contains it at MAX_PREC."""
+    while True:
+        val, err = _arch_abs_ball(place, x, prec)
+        if val - err > threshold or val + err < threshold:
+            return val, err, prec
+        if prec >= MAX_PREC:
+            return None
+        prec *= 2
+
+
+def abs_v(place: Place, x: Element) -> float:
     """Normalized absolute value |x|_v (float; archimedean from a ball with an estimated radius)."""
     if x.is_zero():
         raise MathDomainError("absolute value of zero requested")
     if place.kind == "finite":
         v = ord_v(place, x)
         return float(Fraction(place.p**place.res_degree) ** (-v))
-    val, _ = _arch_abs_ball(place, x, prec)
+    val, _ = _arch_abs_ball(place, x, DEFAULT_PREC)
     return float(val)
 
 
-def log_abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
+def log_abs_v(place: Place, x: Element) -> float:
     """log |x|_v; exact combination -ord * f * log(p) at finite places, and
     log |x| of the rational x itself at the archimedean place of Q."""
     if x.is_zero():
@@ -510,26 +519,24 @@ def log_abs_v(place: Place, x: Element, prec: int = DEFAULT_PREC) -> float:
         return -ord_v(place, x) * place.res_degree * math.log(place.p)
     if place.field.degree == 1:
         return log_fraction(abs(x.coords[0]))
-    return float(log_abs_v_ball(place, x, prec)[0])
+    return float(log_abs_v_ball(place, x)[0])
 
 
 def log_abs_v_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> tuple[mp.mpf, mp.mpf]:
     """Archimedean log |x|_v with an error radius, refining precision as needed."""
     if place.kind != "arch":
         raise MathDomainError("ball form is for archimedean places")
-    while True:
-        val, err = _arch_abs_ball(place, x, prec)
-        if val - err > 0:
-            with mp.workprec(prec + 20):
-                lo = mp.log(val - err)
-                hi = mp.log(val + err)
-                return (hi + lo) / 2, (hi - lo) / 2
-        if prec >= MAX_PREC:
-            raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
-        prec *= 2
+    ball = _refined_abs_ball(place, x, prec, 0)
+    if ball is None:
+        raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
+    val, err, prec = ball
+    with mp.workprec(prec + 20):
+        lo = mp.log(val - err)
+        hi = mp.log(val + err)
+        return (hi + lo) / 2, (hi - lo) / 2
 
 
-def compare_abs_to_one(place: Place, x: Element, prec: int = DEFAULT_PREC) -> int:
+def compare_abs_to_one(place: Place, x: Element) -> int:
     """Sign of |x|_v - 1: +1, -1, or 0 (0 when exact or still unresolved at max precision)."""
     if x.is_zero():
         raise MathDomainError("comparison of |0|_v requested")
@@ -539,12 +546,7 @@ def compare_abs_to_one(place: Place, x: Element, prec: int = DEFAULT_PREC) -> in
     if place.field.degree == 1:
         a = abs(x.coords[0])
         return -1 if a < 1 else (1 if a > 1 else 0)
-    while True:
-        val, err = _arch_abs_ball(place, x, prec)
-        if val - err > 1:
-            return 1
-        if val + err < 1:
-            return -1
-        if prec >= MAX_PREC:
-            return 0  # unresolvable tie: treat as exactly 1 (the <= branch downstream)
-        prec *= 2
+    ball = _refined_abs_ball(place, x, DEFAULT_PREC, 1)
+    if ball is None:
+        return 0  # unresolvable tie: treat as exactly 1 (the <= branch downstream)
+    return 1 if ball[0] > 1 else -1

@@ -40,26 +40,24 @@ def phi_v(pc: PlacedComponent, n) -> tuple[Element, ...]:
     """One phi_v(n) per support place, in pc.places order: xi^(-n) where
     |xi^n|_v > 1, else xi^n (ties resolve to the <= branch).
 
-    xi^n is formed once, and its inverse at most once.
+    At a finite place |xi^n|_v > 1 iff ord_v(xi^n) = n . pc.finite_ords[k] < 0,
+    exactly; only archimedean places compare a ball with 1. xi^n is formed
+    once, and xi^(-n) at most once, from the cached inverse powers.
     """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("phi_v needs n != 0")
-    field = pc.component.field
-    xn = field.pow_vector(pc.component.xi, n)
-    above_one = [compare_abs_to_one(place, xn) > 0 for place in pc.places]
-    inverse = field.inv(xn) if any(above_one) else None
+    field, xi = pc.component.field, pc.component.xi
+    xn = field.pow_vector(xi, n)
+    above_one = [compare_abs_to_one(place, xn) > 0 if ords is None
+                 else sum(k * o for k, o in zip(n, ords)) < 0
+                 for place, ords in zip(pc.places, pc.finite_ords)]
+    inverse = field.pow_vector(xi, tuple(-k for k in n)) if any(above_one) else None
     return tuple(inverse if above else xn for above in above_one)
 
 
 def _norm2(n) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in n))
-
-
-def f_value(ps: PlacedSpec, n) -> float:
-    """log |F(alpha^n)| / |n|_2 over the whole spec."""
-    count = count_composite(ps, n).value
-    return math.log(count) / _norm2(n)
 
 
 def g_value(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> float:

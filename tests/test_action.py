@@ -10,7 +10,6 @@ from entrank import (
     mixing_check,
     parse_spec,
     place_spec,
-    serialize_spec,
 )
 from tests.conftest import ratio_shift_spec
 
@@ -68,11 +67,6 @@ def test_parse_rejects_duplicate_exponents():
             {"multiplicity": 1, "char": 2,
              "generators": [{"terms": [{"exp": [1], "coeff": 1},
                                        {"exp": [1], "coeff": 1}]}]}]})
-
-
-def test_serialize_roundtrip(x2x3_spec, ledrappier_spec, golden_mean_spec):
-    for spec in (x2x3_spec, ledrappier_spec, golden_mean_spec):
-        assert parse_spec(serialize_spec(spec)) == spec
 
 
 # ---------------------------------------------------------------------------

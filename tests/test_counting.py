@@ -117,6 +117,24 @@ def test_golden_mean_lucas_counts():
         assert count_prime_char0(pc, (n,)).value == expected
 
 
+def test_count_takes_one_norm(golden_mean_spec, monkeypatch):
+    # the place above 2 is the only one there, so its share of the norm is
+    # read off the norm the count already holds
+    from entrank.numberfield import NumberField
+
+    pc = place_spec(golden_mean_spec).placed_char0()[0][0]
+    calls = []
+    norm = NumberField.norm
+
+    def counting_norm(self, x):
+        calls.append(x)
+        return norm(self, x)
+
+    monkeypatch.setattr(NumberField, "norm", counting_norm)
+    assert count_prime_char0(pc, (7, 3)).value == 295
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("doc, expected", [
     # t^2 + t + 3 = 0, xi = (-2 - 2t/3, -1 - t/2). Confirmed by the product
     # formula: the prime-to-{2,3,5} part of |N(xi^n - 1)| times 5^ord at the

@@ -251,6 +251,20 @@ def test_ord_p_norm_consistency_unique_place():
     v2 = finite_places_above(GOLDEN, 2)[0]
     assert abs_v(v2, GOLDEN.element([2, 0])) == 0.25
     assert ord_p(GOLDEN.norm(GOLDEN.element([2, 0])), 2) == 2
+    # differential against the norm, denominators included: 2 is inert in
+    # Q(sqrt5) (f = 2) and ramified in Q(i) (f = 1), one place above it each
+    rng = random.Random(29)
+    for field in (GOLDEN, GAUSS):
+        place = finite_places_above(field, 2)[0]
+        assert place.siblings == 1
+        for _ in range(40):
+            x = field.element([Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 8, 12]))
+                               for _ in range(2)])
+            if x.is_zero():
+                continue
+            v = ord_p(field.norm(x), 2)
+            assert v % place.res_degree == 0
+            assert ord_v(place, x) == v // place.res_degree
 
 
 @pytest.mark.parametrize("min_poly, coords", [

@@ -11,7 +11,6 @@ from entrank import (
     convergent_sequence,
     count_composite,
     entropy_function_of,
-    f_value,
     g_value,
     nonexpansive_candidates,
     parse_spec,
@@ -28,6 +27,11 @@ from tests.test_counting import x2x3_oracle
 
 LOG2, LOG3 = math.log(2), math.log(3)
 SQRT2 = math.sqrt(2)
+
+
+def f_value(ps, n):
+    """log |F(alpha^n)| / |n|_2 straight from the count, independent of point_record."""
+    return math.log(count_composite(ps, n).value) / math.sqrt(sum(v * v for v in n))
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,24 @@ def test_phi_v_branches(pc23):
 def test_phi_v_rejects_zero(pc23):
     with pytest.raises(MathDomainError):
         phi_v(pc23, (0, 0))
+
+
+def test_phi_v_reads_finite_ords_from_placement(golden, monkeypatch):
+    import entrank.numberfield as numberfield
+
+    pc = golden.placed_char0()[0][0]
+    assert any(place.kind == "finite" for place in pc.places)
+    vectors = [(7, 3), (7, -3), (-2, 5)]
+    expected = [phi_v(pc, n) for n in vectors]
+
+    def no_ord_v(place, x):
+        raise AssertionError("phi_v reached ord_v")
+
+    monkeypatch.setattr(numberfield, "ord_v", no_ord_v)
+    assert [phi_v(pc, n) for n in vectors] == expected
+    # ord_v(xi^(1,0)) = ord_v(theta) = 0 above 2: the <= branch keeps xi^n
+    k = next(i for i, place in enumerate(pc.places) if place.kind == "finite")
+    assert phi_v(pc, (1, 0))[k] == pc.component.xi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +227,23 @@ def test_scan_g_decay(x2x3):
 def test_scan_budget_flags_partial(x2x3):
     rep = shell_scan(x2x3, 1.0, 9.0, budget=20)
     assert rep.partial and len(rep.records) == 20
+
+
+def test_scan_inverts_each_xi_once(golden, monkeypatch):
+    from entrank.numberfield import NumberField, _pow_cached
+
+    calls = []
+    inv = NumberField.inv
+
+    def counting_inv(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    monkeypatch.setattr(NumberField, "inv", counting_inv)
+    _pow_cached.cache_clear()
+    rep = shell_scan(golden, 1.0, 6.5, workers=1)
+    assert len(rep.records) > 64
+    assert len(calls) <= golden.d
 
 
 def test_scan_parallel_matches_serial(x2x3, golden):
