@@ -50,7 +50,6 @@ from .numberfield import (
     Element,
     NumberField,
     Place,
-    abs_v,
     build_field,
     finite_places_above,
     log_abs_v,

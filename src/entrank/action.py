@@ -29,16 +29,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 from .algebra import factor_int, is_prime
 from .errors import MathDomainError, SpecError
 from .numberfield import (
     Element,
+    LogBall,
     NumberField,
     Place,
     archimedean_places,
     build_field,
     finite_places_above,
     log_abs_v_ball,
+    log_sigma_ball,
     ord_v,
 )
 
@@ -217,6 +221,7 @@ class PlacedComponent:
     places: tuple[Place, ...]
     lyapunov: tuple[tuple[float, ...], ...]
     finite_ords: tuple[tuple[int, ...] | None, ...]  # ord_v(xi_i) rows, None at arch
+    arch_logs: tuple[tuple[LogBall, ...] | None, ...]  # log sigma_v(xi_i) balls, None at finite
 
     @property
     def d(self) -> int:
@@ -224,8 +229,6 @@ class PlacedComponent:
 
     def lyapunov_entry_ball(self, place_index: int, coord: int, prec: int):
         """High-precision (value, radius) for one Lyapunov entry."""
-        import mpmath as mp
-
         place = self.places[place_index]
         if place.kind == "finite":
             o = self.finite_ords[place_index][coord]
@@ -258,18 +261,18 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
                 places.append(place)
                 ord_rows.append(ords)
     lyap = []
+    logs: list[tuple[LogBall, ...] | None] = []
     for place, ords in zip(places, ord_rows):
         if place.kind == "finite":
             logp = math.log(place.p)
             lyap.append(tuple(-o * place.res_degree * logp for o in ords))
-        else:
-            row = []
-            for el in comp.xi:
-                val, _ = log_abs_v_ball(place, el)
-                row.append(float(val))
-            lyap.append(tuple(row))
-    return PlacedComponent(component=comp, places=tuple(places),
-                           lyapunov=tuple(lyap), finite_ords=tuple(ord_rows))
+            logs.append(None)
+        else:  # one ball per sigma_v(xi_i): the Lyapunov row and every point's g
+            balls = tuple(log_sigma_ball(place, el) for el in comp.xi)
+            lyap.append(tuple(float(mp.ldexp(b.re, place.weight - 1)) for b in balls))
+            logs.append(balls)
+    return PlacedComponent(component=comp, places=tuple(places), lyapunov=tuple(lyap),
+                           finite_ords=tuple(ord_rows), arch_logs=tuple(logs))
 
 
 @dataclass(frozen=True)

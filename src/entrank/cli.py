@@ -5,7 +5,9 @@ validate. Exit codes: 0 success, 1 usage, 2 mathematical or spec domain
 error, 3 resource or budget limit, 4 internal-consistency failure.
 
 Output is deterministic: fixed iteration orders and floats printed with 12
-significant digits. Scans honor the ENTRANK_WORKERS environment variable.
+significant digits; counts print in full, however many digits they have.
+Scans honor the ENTRANK_WORKERS environment variable (unset or empty: one
+process; anything but an integer >= 1 exits 2).
 """
 
 from __future__ import annotations
@@ -329,6 +331,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # counts are exact: print every digit
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

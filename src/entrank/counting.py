@@ -50,7 +50,7 @@ class CountResult:
     upper_bound_only: bool = False
 
 
-def _require_nonzero(n) -> tuple[int, ...]:
+def require_nonzero(n) -> tuple[int, ...]:
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("n = 0 is the identity map: infinitely many fixed points")
@@ -63,11 +63,16 @@ def _require_nonzero(n) -> tuple[int, ...]:
 
 def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
     """Exact |F| for a char-0 prime component at lattice vector n."""
-    n = _require_nonzero(n)
+    n = require_nonzero(n)
+    return _count_char0_at(pc, n, pc.component.field.pow_vector(pc.component.xi, n))
+
+
+def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
+    """count_prime_char0 from xn = xi^n, formed by the caller."""
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
     field = pc.component.field
-    x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
+    x = field.sub(xn, field.one())
     if x.is_zero():
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
     norm = abs(field.norm(x))
@@ -355,7 +360,7 @@ def _groebner_dim(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
 
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite."""
-    n = _require_nonzero(n)
+    n = require_nonzero(n)
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
     if pc.d == 1:
@@ -411,13 +416,25 @@ def count_composite(ps: PlacedSpec, n) -> CountResult:
     For non-Noetherian specs the product is only an upper bound for the true
     count, and the result says so.
     """
-    n = _require_nonzero(n)
+    n = require_nonzero(n)
+    return count_at_powers(ps, n, char0_powers(ps, n))
+
+
+def char0_powers(ps: PlacedSpec, n: tuple[int, ...]) -> list:
+    """xi^n for each char-0 entry of ps, None for each char-p entry: the one
+    power that a point's count and its g share."""
+    return [c.component.field.pow_vector(c.component.xi, n)
+            if isinstance(c, PlacedComponent) else None for c, _m in ps.entries]
+
+
+def count_at_powers(ps: PlacedSpec, n: tuple[int, ...], powers: list) -> CountResult:
+    """count_composite at a nonzero n from char0_powers(ps, n)."""
     per = []
     value = 1
     factored = None
-    for comp, mult in ps.entries:
-        if isinstance(comp, PlacedComponent):
-            res = count_prime_char0(comp, n)
+    for (comp, mult), xn in zip(ps.entries, powers):
+        if xn is not None:
+            res = _count_char0_at(comp, n, xn)
         else:
             res = count_prime_charp(comp, n)
             if len(ps.entries) == 1:
@@ -490,7 +507,7 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
     sizes plus saturation of the band is the stabilization signal. A
     non-stabilized result is inconclusive, not an error.
     """
-    n = _require_nonzero(n)
+    n = require_nonzero(n)
     if pc.d != 2:
         raise MathDomainError("the window oracle is implemented for d = 2 only")
     g, u, gens_w = _axis_generators(pc, n)  # type: ignore[arg-type]

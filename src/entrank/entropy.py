@@ -17,11 +17,13 @@ import mpmath as mp
 import numpy as np
 
 from .action import PlacedComponent, PlacedSpec
-from .algebra import Poly
+from .algebra import Poly, poly_ext_gcd
 from .errors import MathDomainError, SpecError
+from .numberfield import DEFAULT_PREC, OUTWARD, root_discs
 
 _TWO_PI = 2.0 * math.pi
 MAHLER_TARGET_ERROR = 1e-8
+MAHLER_MAX_PREC = 1 << 11
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +297,15 @@ class MahlerMeasure:
 def mahler_measure(coeffs) -> MahlerMeasure:
     """m(P) = log|lc(P)| + sum over roots of log max(1, |root|).
 
-    Roots come from a precision-doubling loop over mpmath polyroots, whose
-    root error is an estimate, not a proven enclosure; the reported error
-    bound is the sum of per-root log errors plus the requested root tolerance,
-    so it is estimated too.
+    P splits into squarefree parts S_k with P = lc * prod S_k^k (Yun), so
+    every root search is over simple roots. Roots come from mpmath
+    polyroots with proven Weierstrass inclusion discs (numberfield.root_discs,
+    which the embeddings of a field share). A connected union of c discs
+    holds exactly c roots, so the roots and the approximations pair up with
+    |root| - |z_i| at most twice the sum R of the radii; log max(1, .) is
+    1-Lipschitz, so the estimate is off by at most k * 2 deg(S_k) R for each
+    part, a proven error bound. The precision doubles until the bound meets
+    the target.
     """
     p = Poly.of(coeffs)
     if p.is_zero():
@@ -308,34 +315,41 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     low = 0
     while p.coeffs[low] == 0:
         low += 1  # factors of x contribute nothing
-    cs = [int(c) for c in p.coeffs[low:]]
-    lead = abs(cs[-1])
-    value = math.log(lead)
-    if len(cs) == 1:
+    p = Poly.of(p.coeffs[low:])
+    value = math.log(abs(p.leading()))
+    if p.degree == 0:
         return MahlerMeasure(value=value, error_bound=1e-15)
-    dps = 40
+    parts = _squarefree_parts(p)
+    prec = DEFAULT_PREC
     while True:
-        with mp.workdps(dps):
-            roots, err = mp.polyroots([mp.mpf(c) for c in reversed(cs)],
-                                      maxsteps=200, extraprec=200, error=True)
-            err = mp.mpf(err) * 4 + mp.mpf(10) ** (-dps + 2)
-            total = mp.mpf(value)
-            bound = mp.mpf(0)
-            ok = True
-            for r in roots:
-                a = abs(r)
-                if a > 1 + 2 * err:
-                    total += mp.log(a)
-                    bound += err / (a - err)
-                elif a < 1 - 2 * err:
-                    pass
-                else:
-                    # root within err of the unit circle: contributes at most
-                    # log(1 + 2 err) in magnitude
-                    if a > 1:
-                        total += mp.log(a)
-                    bound += 3 * err
-            if bound <= MAHLER_TARGET_ERROR / 2 or dps >= 400:
+        with mp.workprec(prec):
+            total, bound = mp.mpf(value), mp.mpf(0)
+            for cs, k in parts:
+                discs = root_discs(cs, prec)
+                total += k * mp.fsum(mp.log(max(1, abs(z))) for z, _r in discs)
+                bound += k * 2 * len(discs) * mp.fsum(r for _z, r in discs)
+            bound *= OUTWARD
+            if bound <= MAHLER_TARGET_ERROR / 2 or prec >= MAHLER_MAX_PREC:
                 return MahlerMeasure(value=float(total), error_bound=float(bound) + 1e-14)
-        dps *= 2
+        prec *= 2
 
+
+def _squarefree_parts(p: Poly) -> list[tuple[tuple[int, ...], int]]:
+    """(S_k as primitive integer coefficients, k) for the nonconstant S_k of
+    Yun's squarefree decomposition p = lc * prod S_k^k over Q."""
+    def gcd(f, g):
+        return poly_ext_gcd(f, g)[0]
+
+    dp = p.derivative()
+    a = gcd(p, dp)
+    b, c = p.divmod(a)[0], dp.divmod(a)[0]
+    d = c - b.derivative()
+    out, k = [], 1
+    while b.degree > 0:
+        a = gcd(b, d)
+        b, c = b.divmod(a)[0], d.divmod(a)[0]
+        d = c - b.derivative()
+        if a.degree > 0:
+            out.append((tuple(int(v) for v in a.content_and_primitive()[1].coeffs), k))
+        k += 1
+    return out

@@ -13,17 +13,22 @@ element's integral part is taken once; at a prime with one place above it
 that norm's ord_p is the whole answer, and at a prime with several places
 the Hensel-lifted local factors split it, checked against the same total.
 
-Archimedean data carries estimated error radii: every embedding evaluation
-has a radius derived from mpmath polyroots' error estimate for the roots,
-which is not a proven enclosure, and consumers refine precision on demand.
+Archimedean data carries proven error radii. Each root of the minimal
+polynomial sits in a Weierstrass inclusion disc rounded outward in interval
+arithmetic; an embedding's value sigma_v(x) is a ball whose radius covers
+that disc and the rounding of the evaluation, and every ball built from
+these (logarithms, powers, log |1 - e^t|) carries its radius on, rounded
+outward. Consumers refine precision on demand.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -44,6 +49,11 @@ from .polyfactor import (
 DEFAULT_PREC = 128  # bits for embeddings
 MAX_PREC = 1 << 14
 DEGREE_CAP = 8
+# Radii are formed in round-to-nearest at a working precision of at least
+# DEFAULT_PREC bits, each from a few operations; scaling them by this factor
+# rounds them outward.
+OUTWARD = 1 + mp.mpf(2) ** -40
+_HALF, _QUARTER = mp.mpf(0.5), mp.mpf(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +243,7 @@ def build_field(min_poly_coeffs) -> NumberField:
 
 
 # ---------------------------------------------------------------------------
-# Embeddings (ball data with estimated radii)
+# Embeddings (balls with proven radii)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -243,58 +253,127 @@ class Embedding:
     weight: int  # local degree: 1 real, 2 complex
     re: mp.mpf
     im: mp.mpf
-    err: mp.mpf  # radius of the enclosing disc for the root
+    err: mp.mpf  # radius of a disc proven to hold the root
+
+
+class LogBall(NamedTuple):
+    """A ball of radius rad around re + i im in C; at a real place im is
+    instead the parity 0 or 1 of the phase pi * im."""
+
+    re: mp.mpf
+    im: mp.mpf | int
+    rad: mp.mpf
+
+
+@contextlib.contextmanager
+def _iv_prec(prec: int):
+    """mpmath's iv context (outward-rounded intervals) at prec bits."""
+    saved, mp.iv.prec = mp.iv.prec, prec
+    try:
+        yield mp.iv
+    finally:
+        mp.iv.prec = saved
+
+
+def _iv_point(iv, z):
+    return iv.mpc(iv.mpf(mp.re(z)), iv.mpf(mp.im(z)))
+
+
+@functools.lru_cache(maxsize=1024)
+def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpf | mp.mpc, mp.mpf], ...]:
+    """(z_i, r_i): mpmath polyroots' approximations to the roots of the
+    squarefree integer polynomial f with ascending coeffs, each with its
+    Weierstrass inclusion radius n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|.
+
+    By Braess-Hadeler (Numer. Math. 21, 1973) the discs D(z_i, r_i) hold
+    every root, and a connected union of m of them holds exactly m.
+    Interval arithmetic at prec + 40 bits rounds every r_i outward.
+    Embeddings and Mahler measures of the same polynomial share this cache.
+    """
+    with mp.workprec(prec + 60):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(coeffs)], maxsteps=200,
+                             extraprec=prec, error=True)[0]
+    n = len(roots)
+    with _iv_prec(prec + 40) as iv:
+        zs = [_iv_point(iv, z) for z in roots]
+        radii = []
+        for i, zi in enumerate(zs):
+            val = iv.mpc(0)
+            for c in reversed(coeffs):
+                val = val * zi + c
+            den = iv.mpc(coeffs[-1])
+            for j, zj in enumerate(zs):
+                if j != i:
+                    den = den * (zi - zj)
+            radii.append(mp.mpf((n * abs(val) / abs(den)).b))
+    return tuple(zip(roots, radii))
+
+
+def _discs_disjoint(discs, prec: int) -> bool:
+    """Whether the closed discs (centre, radius) are pairwise disjoint,
+    decided in interval arithmetic."""
+    with _iv_prec(prec) as iv:
+        zs = [(_iv_point(iv, c), r) for c, r in discs]
+        return all((abs(zi - zj) - ri - rj).a > 0
+                   for i, (zi, ri) in enumerate(zs) for zj, rj in zs[:i])
 
 
 @functools.lru_cache(maxsize=1024)
 def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding, ...]:
-    """One embedding per real root plus one per conjugate pair (Im > 0)."""
+    """One embedding per real root plus one per conjugate pair (Im > 0).
+
+    Each root carries a disc proven to hold exactly it: the Weierstrass
+    inclusion discs of mpmath polyroots' approximations, with a disc whose
+    radius reaches the real axis widened to one centred on it. When those
+    discs are pairwise disjoint, each holds one zero, and a real-centred
+    one holds a real zero (it holds the conjugate of its zero too). The
+    precision doubles until the discs are disjoint and the count of real
+    ones matches the Sturm count.
+    """
     f = field.poly
-    if field.degree == 1:
-        root = Fraction(-f.coeffs[0])
-        with mp.workprec(prec + 10):
-            re = mp.mpf(root.numerator) / root.denominator
-        return (Embedding(0, True, 1, re, mp.mpf(0), mp.mpf(2) ** (-prec)),)
+    if field.degree == 1:  # the root -f_0 is an integer, exact in any precision
+        return (Embedding(0, True, 1, mp.mpf(-int(f.coeffs[0])), mp.mpf(0), mp.mpf(0)),)
     work = prec
     while True:
-        with mp.workprec(2 * work + 40):
-            coeffs = [mp.mpf(int(c)) for c in reversed(f.coeffs)]
-            roots, err = mp.polyroots(coeffs, maxsteps=200, extraprec=2 * work, error=True)
-            err = mp.mpf(err) * 16 + mp.mpf(2) ** (-2 * work)
-            reals = []
-            complexes = []
-            for r in roots:
-                r = mp.mpc(r)
-                if abs(mp.im(r)) <= err * 4:
-                    reals.append(mp.re(r))
-                elif mp.im(r) > 0:
-                    complexes.append(r)
-            if len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs:
-                reals.sort()
-                complexes.sort(key=lambda z: (mp.re(z), mp.im(z)))
-                out = []
-                for i, r in enumerate(reals):
-                    out.append(Embedding(i, True, 1, r, mp.mpf(0), err))
-                for j, z in enumerate(complexes):
-                    out.append(Embedding(len(reals) + j, False, 2, mp.re(z), mp.im(z), err))
+        with mp.workprec(work + 60):
+            reals, complexes = [], []
+            for z, r in root_discs(field.min_poly, work):
+                y = mp.im(z)
+                if abs(y) <= r:
+                    with _iv_prec(work + 40) as iv:  # widen to a real-centred disc
+                        reals.append((mp.re(z), mp.mpf((iv.mpf(r) + abs(iv.mpf(y))).b)))
+                elif y > 0:
+                    complexes.append((mp.mpc(z), r))
+            discs = reals + complexes + [(mp.conj(z), r) for z, r in complexes]
+            if (len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs
+                    and _discs_disjoint(discs, work + 40)):
+                reals.sort(key=lambda cr: cr[0])
+                complexes.sort(key=lambda cr: (mp.re(cr[0]), mp.im(cr[0])))
+                out = [Embedding(i, True, 1, x, mp.mpf(0), r) for i, (x, r) in enumerate(reals)]
+                out += [Embedding(len(reals) + j, False, 2, mp.re(z), mp.im(z), r)
+                        for j, (z, r) in enumerate(complexes)]
                 return tuple(out)
         if work >= MAX_PREC:
             raise ConsistencyError(
-                f"root classification failed up to {work} bits: found {len(reals)} real / "
-                f"{len(complexes)} complex-pair roots, expected "
+                f"root isolation failed up to {work} bits: found {len(reals)} real / "
+                f"{len(complexes)} complex-pair roots in disjoint discs, expected "
                 f"{field.real_embeddings}/{field.complex_pairs}")
         work *= 2
 
 
 def eval_embedding(field: NumberField, emb: Embedding, x: Element,
-                   prec: int = DEFAULT_PREC) -> tuple[mp.mpc, mp.mpf]:
-    """sigma(x) as a ball (value, radius) at the requested working precision."""
+                   prec: int = DEFAULT_PREC) -> tuple[mp.mpf | mp.mpc, mp.mpf]:
+    """sigma(x) as a ball (value, radius); the value is real at a real embedding.
+
+    The radius bounds the move of x's polynomial across the root's disc
+    (derivative bound times the disc radius) plus the rounding of Horner's
+    rule at prec + 40 bits, which the 2^-(prec + 20) term covers many times.
+    """
     with mp.workprec(prec + 40):
-        root = mp.mpc(emb.re, emb.im)
-        val = mp.mpc(0)
+        root = emb.re if emb.is_real else mp.mpc(emb.re, emb.im)
+        val = mp.mpf(0)
         for c in reversed(x.coords):
             val = val * root + mp.mpf(c.numerator) / c.denominator
-        # first-order error from the root enclosure plus rounding slop
         rad = abs(root) + emb.err
         deriv = mp.mpf(0)
         mag = mp.mpf(0)
@@ -303,7 +382,7 @@ def eval_embedding(field: NumberField, emb: Embedding, x: Element,
             mag += ac * rad**i
             if i >= 1:
                 deriv += ac * i * rad ** (i - 1)
-        err = deriv * emb.err + mag * mp.mpf(2) ** (-(prec + 20)) * (field.degree + 4)
+        err = (deriv * emb.err + mag * mp.mpf(2) ** (-(prec + 20)) * (field.degree + 4)) * OUTWARD
     return val, err
 
 
@@ -337,7 +416,7 @@ class Place:
 def archimedean_places(field: NumberField) -> list[Place]:
     return [
         Place(field=field, kind="arch", embedding_index=e.index, weight=e.weight)
-        for e in embeddings(field, DEFAULT_PREC)  # _arch_abs_ball's cache key
+        for e in embeddings(field, DEFAULT_PREC)  # log_sigma_ball's first lookup
     ]
 
 
@@ -475,41 +554,6 @@ def ord_v(place: Place, x: Element) -> int:
 # Normalized absolute values
 # ---------------------------------------------------------------------------
 
-def _arch_abs_ball(place: Place, x: Element, prec: int) -> tuple[mp.mpf, mp.mpf]:
-    emb = embeddings(place.field, prec)[place.embedding_index]
-    val, err = eval_embedding(place.field, emb, x, prec)
-    mag = abs(val)
-    if place.weight == 2:
-        hi = (mag + err) ** 2
-        lo = max(mp.mpf(0), (mag - err)) ** 2
-        return (hi + lo) / 2, (hi - lo) / 2
-    return mag, err
-
-
-def _refined_abs_ball(place: Place, x: Element, prec: int,
-                      threshold: int) -> tuple[mp.mpf, mp.mpf, int] | None:
-    """(|x|_v, radius, prec) at the first precision from prec up whose ball
-    excludes threshold; None when it still contains it at MAX_PREC."""
-    while True:
-        val, err = _arch_abs_ball(place, x, prec)
-        if val - err > threshold or val + err < threshold:
-            return val, err, prec
-        if prec >= MAX_PREC:
-            return None
-        prec *= 2
-
-
-def abs_v(place: Place, x: Element) -> float:
-    """Normalized absolute value |x|_v (float; archimedean from a ball with an estimated radius)."""
-    if x.is_zero():
-        raise MathDomainError("absolute value of zero requested")
-    if place.kind == "finite":
-        v = ord_v(place, x)
-        return float(Fraction(place.p**place.res_degree) ** (-v))
-    val, _ = _arch_abs_ball(place, x, DEFAULT_PREC)
-    return float(val)
-
-
 def log_abs_v(place: Place, x: Element) -> float:
     """log |x|_v; exact combination -ord * f * log(p) at finite places, and
     log |x| of the rational x itself at the archimedean place of Q."""
@@ -522,31 +566,87 @@ def log_abs_v(place: Place, x: Element) -> float:
     return float(log_abs_v_ball(place, x)[0])
 
 
-def log_abs_v_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> tuple[mp.mpf, mp.mpf]:
-    """Archimedean log |x|_v with an error radius, refining precision as needed."""
+@functools.lru_cache(maxsize=4096)
+def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBall:
+    """A logarithm of sigma_v(x) as a ball, refining precision from prec up
+    until the ball for sigma_v(x) is at most half as wide as its distance to 0.
+
+    With sigma_v(x) = c (1 + d), |d| <= u = radius / |c| < 1, log c + log(1 + d)
+    is a logarithm of sigma_v(x) and |log(1 + d)| <= u / (1 - u). At a real
+    place the imaginary part is the parity 0 or 1 of the sign (phase pi * im).
+    The radius also carries (1 + |re| + |im|) 2^(4 - prec), so that a sum
+    of n_i times such balls, formed at prec bits, stays inside the sum of
+    |n_i| times their radii.
+    """
     if place.kind != "arch":
-        raise MathDomainError("ball form is for archimedean places")
-    ball = _refined_abs_ball(place, x, prec, 0)
-    if ball is None:
-        raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
-    val, err, prec = ball
-    with mp.workprec(prec + 20):
-        lo = mp.log(val - err)
-        hi = mp.log(val + err)
-        return (hi + lo) / 2, (hi - lo) / 2
-
-
-def compare_abs_to_one(place: Place, x: Element) -> int:
-    """Sign of |x|_v - 1: +1, -1, or 0 (0 when exact or still unresolved at max precision)."""
+        raise MathDomainError("log sigma_v is for archimedean places")
     if x.is_zero():
-        raise MathDomainError("comparison of |0|_v requested")
-    if place.kind == "finite":
-        v = ord_v(place, x)
-        return -1 if v > 0 else (1 if v < 0 else 0)
-    if place.field.degree == 1:
-        a = abs(x.coords[0])
-        return -1 if a < 1 else (1 if a > 1 else 0)
-    ball = _refined_abs_ball(place, x, DEFAULT_PREC, 1)
-    if ball is None:
-        return 0  # unresolvable tie: treat as exactly 1 (the <= branch downstream)
-    return 1 if ball[0] > 1 else -1
+        raise MathDomainError("log |0|_v requested")
+    field, work = place.field, prec
+    while True:
+        emb = embeddings(field, work)[place.embedding_index]
+        val, err = eval_embedding(field, emb, x, work)
+        with mp.workprec(work + 20):
+            mag = abs(val)
+            if 2 * err < mag:
+                u = err / mag
+                re = mp.log(mag)
+                im = int(val < 0) if emb.is_real else mp.arg(val)
+                slack = (1 + abs(re) + abs(im)) * mp.ldexp(1, 4 - prec)
+                return LogBall(re, im, (u / (1 - u) + slack) * OUTWARD)
+        if work >= MAX_PREC:
+            raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
+        work *= 2
+
+
+def log_abs_v_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> tuple[mp.mpf, mp.mpf]:
+    """Archimedean log |x|_v with a proven error radius, refining precision as needed."""
+    ball = log_sigma_ball(place, x, prec)
+    return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
+
+
+def compare_abs_to_one(place: Place, log_ball: tuple[mp.mpf, mp.mpf]) -> int:
+    """Sign of |x|_v - 1 at an archimedean place from a ball (mid, rad) for
+    log |x|_v: +1, -1, or 0 while the ball still contains 0."""
+    if place.kind != "arch":
+        raise MathDomainError("ball comparison is for archimedean places")
+    mid, rad = log_ball
+    return 1 if mid > rad else (-1 if mid < -rad else 0)
+
+
+def log_abs_one_minus_exp(place: Place, t: LogBall, prec: int) -> tuple[mp.mpf, mp.mpf] | None:
+    """log |1 - e^t|_v with a proven radius for every t in the ball, Re t <= 0
+    up to ties; None while the ball for |1 - e^t| still contains 0.
+
+    With r = t.rad <= 1/2 and a = Re t0, |e^t| <= q = e^a (1 + 2 r) on the
+    ball. Where e^a <= 1/4, |1 - e^t| >= 1 - q >= 1/2, so log |1 - e^t|
+    moves by at most r q / (1 - q) <= 2 r (1 + 2 r) e^a; the value is
+    log1p(-s e^a) at a real place (s the sign) or log1p(|w|^2 - 2 Re w) / 2
+    at a complex one (w = e^t0), which keeps its relative accuracy when e^a
+    is far below 2^-prec. Elsewhere e^t moves by at most e^a (r + r^2), so
+    |1 - e^t| >= gap = |1 - e^t0| - that - the rounding of 1 - e^t0, and
+    the value log |1 - e^t0| moves by at most r q / gap.
+    """
+    r = t.rad
+    if r > _HALF:
+        return None
+    with mp.workprec(prec):
+        ea = mp.exp(t.re)
+        if place.weight == 1:
+            w = -ea if t.im else ea
+        else:
+            w = mp.exp(mp.mpc(t.re, t.im))
+        if ea <= _QUARTER:
+            value = (mp.log1p(-w) if place.weight == 1
+                     else mp.log1p(ea * ea - 2 * w.real) / 2)
+            rad = ea * (2 * r * (1 + 2 * r) + mp.ldexp(1, 6 - prec))
+        else:
+            d = abs(1 - w)
+            d_err = mp.ldexp(1 + ea, 3 - prec)
+            gap = d - d_err - ea * (r + r * r)
+            if gap <= 0:
+                return None
+            value = mp.log(d)
+            rad = (r * ea * (1 + 2 * r) / gap + d_err / (d - d_err)
+                   + mp.ldexp(1 + abs(value), 2 - prec))
+        return place.weight * value, place.weight * rad * OUTWARD

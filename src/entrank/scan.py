@@ -4,9 +4,28 @@ converging to a non-expansive line.
 
 The identity behind the split: at every support place, |xi^n - 1|_v equals
 |xi^n|_v * |1 - xi^(-n)|_v when |xi^n|_v > 1 and |1 - xi^n|_v otherwise, so
-log count = h(n) + sum of log |1 - phi_v(n)|_v. point_record computes the
-exact count once and checks the direct sum for g against f - h(n_hat) taken
-from the count it reports; disagreement is an internal error, not a warning.
+log count = h(n) + sum of log |1 - phi_v(n)|_v. point_record forms xi^n once
+per component and computes both sides of that identity from it by
+independent routes:
+
+- f comes from the exact count: the norm of xi^n - 1 times the finite
+  valuations, all in exact arithmetic.
+- g comes from balls at the archimedean places and ord_v at the finite ones.
+  Placement caches a ball for log sigma_v(xi_i) at each archimedean place;
+  log sigma_v(xi^n) is then sum n_i log sigma_v(xi_i), whose radius grows
+  with |n_i| only, so the bits needed grow with log |n|, not with the size
+  of xi^n's coordinates. The sign of that ball's real part (n . l_v) picks
+  the branch, and log |1 - sigma_v(phi_v)| comes from a log1p-style
+  evaluation with a proven radius. Precision doubles only while the ball
+  for |1 - sigma_v(phi_v)| still contains 0, up to MAX_PREC, where a
+  ConsistencyError is raised. Finite places use the exact
+  ord_v(1 - xi^(-n)) = ord_v(xi^n - 1) - n . ords.
+- Ties: when the n . l_v ball contains 0, either branch is right to within
+  weight * |n . l_v|, since the two differ by exactly n . l_v. The <= branch
+  is taken and that amount widens the term's radius; nothing escalates.
+
+A mismatch between g and f - h(n_hat) beyond IDENTITY_TOL plus g's radius
+is an internal error, not a warning.
 
 Only char-0 components enter h and g (char-p components have no computed
 places); f always includes every component, so for specs with char-p parts
@@ -24,10 +43,11 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .action import PlacedComponent, PlacedSpec, lattice_shell_points
-from .counting import count_composite
+from .counting import char0_powers, count_at_powers, require_nonzero
 from .entropy import EntropyFunction, Hyperplane, directional_entropy, entropy_function_of
-from .errors import ConsistencyError, MathDomainError
-from .numberfield import Element, compare_abs_to_one, log_abs_v
+from .errors import ConsistencyError, MathDomainError, SpecError
+from .numberfield import (DEFAULT_PREC, MAX_PREC, OUTWARD, LogBall, compare_abs_to_one,
+                          log_abs_one_minus_exp, log_sigma_ball, ord_v)
 
 IDENTITY_TOL = 1e-8
 
@@ -36,24 +56,76 @@ IDENTITY_TOL = 1e-8
 # phi_v, f and g
 # ---------------------------------------------------------------------------
 
-def phi_v(pc: PlacedComponent, n) -> tuple[Element, ...]:
-    """One phi_v(n) per support place, in pc.places order: xi^(-n) where
-    |xi^n|_v > 1, else xi^n (ties resolve to the <= branch).
+def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int) -> tuple[LogBall, mp.mpf]:
+    """(ball for log sigma_v(phi_v(n)), tie widening) at archimedean place k.
 
-    At a finite place |xi^n|_v > 1 iff ord_v(xi^n) = n . pc.finite_ords[k] < 0,
-    exactly; only archimedean places compare a ball with 1. xi^n is formed
-    once, and xi^(-n) at most once, from the cached inverse powers.
+    log sigma_v(xi^n) = sum n_i log sigma_v(xi_i), so each power carries its
+    ball's radius times |n_i|, which also covers the rounding of the sum
+    (see log_sigma_ball). Its real part times the weight is n . l_v, whose
+    sign picks the branch; on a tie the <= branch is taken, and the
+    widening weight * |n . l_v| covers the other branch, which differs from
+    it by exactly n . l_v.
+    """
+    place = pc.places[k]
+    logs = (pc.arch_logs[k] if prec == DEFAULT_PREC
+            else [log_sigma_ball(place, x, prec) for x in pc.component.xi])
+    with mp.workprec(prec):
+        re = sum(v * b.re for v, b in zip(n, logs))
+        im = sum(v * b.im for v, b in zip(n, logs))
+        if place.weight == 1:
+            im %= 2
+        rad = sum(abs(v) * b.rad for v, b in zip(n, logs)) * OUTWARD
+        side = compare_abs_to_one(place, (place.weight * re, place.weight * rad))
+        if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
+            return LogBall(-re, im if place.weight == 1 else -im, rad), mp.mpf(0)
+        widen = place.weight * (abs(re) + rad) * OUTWARD if side == 0 else mp.mpf(0)
+        return LogBall(re, im, rad), widen
+
+
+def phi_v(pc: PlacedComponent, n) -> tuple:
+    """One entry per support place, in pc.places order, for phi_v(n) =
+    xi^(-n) where |xi^n|_v > 1, else xi^n (ties resolve to the <= branch).
+
+    A finite place gets ord_v(phi_v(n)) = |n . pc.finite_ords[k]|, exactly;
+    an archimedean place gets _phi_ball at DEFAULT_PREC, formed from the
+    log sigma_v(xi_i) balls cached at placement.
     """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("phi_v needs n != 0")
-    field, xi = pc.component.field, pc.component.xi
-    xn = field.pow_vector(xi, n)
-    above_one = [compare_abs_to_one(place, xn) > 0 if ords is None
-                 else sum(k * o for k, o in zip(n, ords)) < 0
-                 for place, ords in zip(pc.places, pc.finite_ords)]
-    inverse = field.pow_vector(xi, tuple(-k for k in n)) if any(above_one) else None
-    return tuple(inverse if above else xn for above in above_one)
+    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC) if ords is None
+                 else abs(sum(v * o for v, o in zip(n, ords)))
+                 for k, ords in enumerate(pc.finite_ords))
+
+
+def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> list[tuple[float, float]]:
+    """(log |1 - phi_v(n)|_v, radius) per support place, from xn = xi^n.
+
+    Finite places are exact: ord_v(1 - xi^(-n)) = ord_v(xi^n - 1) - n . ords
+    and ord_v(1 - xi^n) = ord_v(xi^n - 1). Archimedean places evaluate the
+    phi_v ball, doubling the precision while |1 - sigma_v(phi_v)| is not yet
+    separated from 0.
+    """
+    field = pc.component.field
+    x = field.sub(xn, field.one())
+    out = []
+    for k, (place, ords, phi) in enumerate(zip(pc.places, pc.finite_ords, phi_v(pc, n))):
+        if ords is not None:
+            o = sum(v * c for v, c in zip(n, ords))
+            ordv = ord_v(place, x) - min(o, 0)
+            out.append((-ordv * place.res_degree * math.log(place.p), 0.0))
+            continue
+        prec = DEFAULT_PREC
+        ball, widen = phi
+        while (term := log_abs_one_minus_exp(place, ball, prec)) is None:
+            if prec >= MAX_PREC:
+                raise ConsistencyError(
+                    f"cannot separate |1 - sigma(phi_v)| from 0 at n={n}, {place.label()}, "
+                    "at maximum precision")
+            prec *= 2
+            ball, widen = _phi_ball(pc, k, n, prec)
+        out.append((float(term[0]), float(term[1] + widen)))
+    return out
 
 
 def _norm2(n) -> float:
@@ -114,33 +186,48 @@ class ScanReport:
 def point_record(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> PointRecord:
     """count, f, h(n_hat) and g at n, with g computed directly and checked
     against f_char0 - h(n_hat) from the char-0 factors of the reported count;
-    a mismatch beyond IDENTITY_TOL raises ConsistencyError."""
-    n = tuple(int(v) for v in n)
+    a mismatch beyond IDENTITY_TOL plus g's proven radius raises
+    ConsistencyError. Count and g share one xi^n per component."""
+    n = require_nonzero(n)
     norm = _norm2(n)
-    res = count_composite(ps, n)
+    powers = char0_powers(ps, n)
+    res = count_at_powers(ps, n, powers)
     f = math.log(res.value) / norm
     if ef is None:
         ef = entropy_function_of(ps)
     h_hat = directional_entropy(ef, n) / norm
     direct = 0.0
+    radius = 0.0
     f0 = 0.0
-    for (pc, mult), (count, _) in zip(ps.entries, res.per_component):
-        if not isinstance(pc, PlacedComponent):
+    for (pc, mult), xn, (count, _) in zip(ps.entries, powers, res.per_component):
+        if xn is None:
             continue
-        field = pc.component.field
-        for place, phi in zip(pc.places, phi_v(pc, n)):
-            value = field.sub(field.one(), phi)
-            if value.is_zero():
-                raise MathDomainError(f"phi_v = 1 at n={n}: non-mixing direction")
-            direct += mult * log_abs_v(place, value)
+        for value, rad in _log_one_minus_phi(pc, n, xn):
+            direct += mult * value
+            radius += mult * rad
         f0 += mult * math.log(count)
     direct /= norm
     f0 /= norm
-    if abs(direct - (f0 - h_hat)) > IDENTITY_TOL:
+    if abs(direct - (f0 - h_hat)) > IDENTITY_TOL + radius / norm:
         raise ConsistencyError(
             f"decomposition mismatch at n={n}: direct g = {direct!r}, "
             f"f - h = {f0 - h_hat!r}")
     return PointRecord(n=n, count=res.value, f=f, h_hat=h_hat, g=direct)
+
+
+def _env_workers() -> int:
+    """ENTRANK_WORKERS as a worker count: 1 when unset or empty, SpecError
+    unless it is an integer >= 1."""
+    text = os.environ.get("ENTRANK_WORKERS", "").strip()
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SpecError(f"ENTRANK_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
@@ -156,7 +243,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
         partial = True
     ef = entropy_function_of(ps)
     if workers is None:
-        workers = int(os.environ.get("ENTRANK_WORKERS", "1"))
+        workers = _env_workers()
     if workers > 1 and len(points) > 64:
         chunk_size = max(16, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -48,6 +48,18 @@ def test_count_negative_components(capsys):
     assert rc == 0 and out.splitlines()[0] == "5"
 
 
+def test_count_prints_long_counts_in_full(capsys):
+    # |2^15000 - 1| has 4,516 digits, past Python's default int-to-str limit
+    rc, out, err = run(capsys, "count", "--spec", X2X3, "--n", "15000,0")
+    assert rc == 0 and err == ""
+    expected = 2**15000 - 1
+    while expected % 3 == 0:
+        expected //= 3
+    text = out.splitlines()[0]
+    assert len(text) > 4300
+    assert text == str(expected)
+
+
 def test_count_identity_exits_2(capsys):
     rc, _out, err = run(capsys, "count", "--spec", X2X3, "--n", "0,0")
     assert rc == 2
@@ -152,6 +164,20 @@ def test_scan_budget_exit_code(capsys):
                      "--budget", "10")
     assert rc == 3
     assert "partial" in out
+
+
+def test_scan_empty_workers_variable_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("ENTRANK_WORKERS", "")
+    rc, out, _ = run(capsys, "scan", "--spec", X2X3, "--rmin", "1", "--rmax", "5.5")
+    assert rc == 0 and "points 48" in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_scan_malformed_workers_variable_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("ENTRANK_WORKERS", value)
+    rc, out, err = run(capsys, "scan", "--spec", X2X3, "--rmin", "1", "--rmax", "5.5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ENTRANK_WORKERS") and err.count("\n") == 1
 
 
 def test_scan_ledrappier_notes_charp(capsys):

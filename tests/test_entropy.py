@@ -200,6 +200,15 @@ def test_mahler_cyclotomic_vanishes():
         assert abs(mahler_measure(coeffs).value) < 1e-10
 
 
+def test_mahler_repeated_roots():
+    # squarefree parts keep the root search on simple roots
+    assert abs(mahler_measure([-8, 12, -6, 1]).value - 3 * LOG2) < 1e-10  # (x - 2)^3
+    assert abs(mahler_measure([1, 3, 3, 1]).value) < 1e-10  # (x + 1)^3
+    mm = mahler_measure([4, 0, -5, 0, 1])  # (x^2 - 1)(x^2 - 4), then squared
+    sq = mahler_measure([16, 0, -40, 0, 33, 0, -10, 0, 1])
+    assert abs(sq.value - 2 * mm.value) < 1e-10 and sq.error_bound < 1e-8
+
+
 def test_mahler_handles_x_factors_and_leading_coefficient():
     assert abs(mahler_measure([0, 0, -2, 1]).value - LOG2) < 1e-10
     assert abs(mahler_measure([0, 3]).value - LOG3) < 1e-12  # m(3x) = log 3

@@ -8,13 +8,13 @@ from entrank.algebra import factor_int, ord_p
 from entrank.errors import MathDomainError, SpecError
 from entrank.numberfield import (
     Element,
-    abs_v,
     archimedean_places,
     build_field,
     compare_abs_to_one,
     embeddings,
     finite_places_above,
     log_abs_v,
+    log_abs_v_ball,
     ord_v,
 )
 
@@ -39,6 +39,38 @@ def test_build_field_golden_embeddings():
     assert abs(vals[0] + 0.6180339887498949) < 1e-12
     assert abs(vals[1] - 1.6180339887498949) < 1e-12
     assert all(e.is_real for e in embs)
+
+
+@pytest.mark.parametrize("min_poly", [
+    [-1, -1, 1], [1, 0, 1], [-2, 0, 0, 1], [1, -3, 2, 0, 1, 1],
+    [1, 1, 0, -1, -1, -1, -1, -1, 1], [3, 3, 1, -2, 1],
+])
+def test_embedding_discs_hold_the_roots(min_poly):
+    import mpmath as mp
+
+    field = build_field(min_poly)
+    embs = embeddings(field)
+    with mp.workprec(600):
+        roots = mp.polyroots(list(reversed(min_poly)), maxsteps=400, extraprec=600)
+        for e in embs:
+            centre = mp.mpc(e.re, e.im)
+            assert 0 <= e.err < mp.mpf(2) ** -128  # 0 when polyroots hits a root exactly
+            near = [z for z in roots if abs(z - centre) <= e.err]
+            assert len(near) == 1  # the disc is proven to hold exactly this root
+            assert (abs(mp.im(near[0])) < mp.mpf(2) ** -500) == e.is_real
+
+
+def test_log_abs_v_ball_holds_the_value():
+    import mpmath as mp
+
+    field = build_field([-2, 0, 0, 1])
+    x = field.element([Fraction(-3, 7), Fraction(5, 2), Fraction(1, 3)])
+    with mp.workprec(600):
+        t = mp.cbrt(2)
+        for place, z in zip(archimedean_places(field), [t, t * mp.expjpi(mp.mpf(2) / 3)]):
+            mid, rad = log_abs_v_ball(place, x)
+            exact = place.weight * mp.log(abs(-mp.mpf(3) / 7 + mp.mpf(5) / 2 * z + z * z / 3))
+            assert abs(mid - exact) <= rad < mp.mpf(2) ** -100
 
 
 def test_build_field_rejects_reducible():
@@ -177,13 +209,13 @@ def test_ord_v_additive_at_split_prime():
 
 def test_abs_v_examples():
     arch = archimedean_places(Q)[0]
-    assert abs(abs_v(arch, Q.element([Fraction(-5, 32)])) - 5 / 32) < 1e-15
+    assert abs(log_abs_v(arch, Q.element([Fraction(-5, 32)])) - math.log(5 / 32)) < 1e-15
     vq2 = finite_places_above(Q, 2)[0]
-    assert abs_v(vq2, Q.element([Fraction(5, 32)])) == 32.0
+    assert log_abs_v(vq2, Q.element([Fraction(5, 32)])) == math.log(32.0)
     a_golden = archimedean_places(GOLDEN)
     th = GOLDEN.element([0, 1])
-    vals = sorted(abs_v(p, th) for p in a_golden)
-    assert abs(vals[1] - 1.618033988749895) < 1e-12
+    vals = sorted(log_abs_v(p, th) for p in a_golden)
+    assert abs(vals[1] - math.log(1.618033988749895)) < 1e-12
 
 
 def test_log_abs_v_examples():
@@ -201,12 +233,13 @@ def test_log_abs_v_examples():
 
 
 def test_compare_abs_to_one():
-    v2 = finite_places_above(Q, 2)[0]
-    assert compare_abs_to_one(v2, Q.element([2])) == -1
-    assert compare_abs_to_one(v2, Q.element([Fraction(1, 2)])) == 1
-    assert compare_abs_to_one(v2, Q.element([3])) == 0
+    # the archimedean branch test reads a ball for log |x|_v
     arch = archimedean_places(GOLDEN)[1]  # embedding ~1.618
-    assert compare_abs_to_one(arch, GOLDEN.element([0, 1])) == 1
+    assert compare_abs_to_one(arch, log_abs_v_ball(arch, GOLDEN.element([0, 1]))) == 1
+    assert compare_abs_to_one(arch, log_abs_v_ball(arch, GOLDEN.element([1, -1]))) == -1
+    assert compare_abs_to_one(arch, (1e-30, 2e-30)) == 0  # the ball still contains 0
+    with pytest.raises(MathDomainError):
+        compare_abs_to_one(finite_places_above(Q, 2)[0], (1.0, 0.0))
 
 
 def _support_places(field, x):
@@ -240,16 +273,14 @@ def test_archimedean_product_is_norm(field):
         x = field.element(coords)
         if x.is_zero():
             continue
-        prod = 1.0
-        for p in archimedean_places(field):
-            prod *= abs_v(p, x)
-        assert abs(prod - abs(float(field.norm(x)))) < 1e-9 * max(1.0, prod)
+        total = sum(log_abs_v(p, x) for p in archimedean_places(field))
+        assert abs(total - math.log(abs(float(field.norm(x))))) < 1e-9
 
 
 def test_ord_p_norm_consistency_unique_place():
     # f_v = 2 at the inert place: |2|_v = 4^{-1}
     v2 = finite_places_above(GOLDEN, 2)[0]
-    assert abs_v(v2, GOLDEN.element([2, 0])) == 0.25
+    assert log_abs_v(v2, GOLDEN.element([2, 0])) == math.log(0.25)
     assert ord_p(GOLDEN.norm(GOLDEN.element([2, 0])), 2) == 2
     # differential against the norm, denominators included: 2 is inert in
     # Q(sqrt5) (f = 2) and ramified in Q(i) (f = 1), one place above it each

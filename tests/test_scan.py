@@ -1,8 +1,10 @@
 import io
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from entrank import (
@@ -62,11 +64,14 @@ def golden2_ledrappier():
 # ---------------------------------------------------------------------------
 
 def test_phi_v_branches(pc23):
-    # pc23.places: the archimedean place, then the 2-adic one
-    assert phi_v(pc23, (1, 1))[0].coords[0] == Fraction(1, 6)
-    assert phi_v(pc23, (1, 1))[1].coords[0] == 6
+    # pc23.places: the archimedean place, then the 2-adic and 3-adic ones
+    (ball, widen), ord2, _ord3 = phi_v(pc23, (1, 1))
+    with mp.workprec(200):
+        assert abs(ball.re + mp.log(6)) <= ball.rad < 1e-30  # phi = 1/6
+    assert ball.im == 0 and widen == 0
+    assert ord2 == 1  # phi = 6 above 2
     # |xi^(-1,0)|_2 = |1/2|_2 = 2 > 1, so the inverse branch returns 2
-    assert phi_v(pc23, (-1, 0))[1].coords[0] == 2
+    assert phi_v(pc23, (-1, 0))[1] == 1
 
 
 def test_phi_v_rejects_zero(pc23):
@@ -89,7 +94,89 @@ def test_phi_v_reads_finite_ords_from_placement(golden, monkeypatch):
     assert [phi_v(pc, n) for n in vectors] == expected
     # ord_v(xi^(1,0)) = ord_v(theta) = 0 above 2: the <= branch keeps xi^n
     k = next(i for i, place in enumerate(pc.places) if place.kind == "finite")
-    assert phi_v(pc, (1, 0))[k] == pc.component.xi[0]
+    assert phi_v(pc, (1, 0))[k] == 0
+    assert phi_v(pc, (7, -3))[k] == 3  # |xi^n|_v = 4^3 > 1: phi = xi^(-n), ord 3
+
+
+def _precisions_requested(monkeypatch):
+    """Record every precision log_sigma_ball asks embeddings for."""
+    import entrank.numberfield as numberfield
+
+    seen = []
+    inner = numberfield.embeddings
+
+    def recording(field, prec=numberfield.DEFAULT_PREC):
+        seen.append(prec)
+        return inner(field, prec)
+
+    monkeypatch.setattr(numberfield, "embeddings", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [(20000, 12000), (-20000, 12000)])
+def test_point_record_far_out_without_escalation(golden, monkeypatch, n):
+    # the exact coordinates of 1 - xi^(-n) here run to ~14,000 bits; the
+    # balls for sigma_v(xi_i) need only O(log |n|) of them
+    seen = _precisions_requested(monkeypatch)
+    rec = point_record(golden, n)
+    assert rec.count == count_composite(golden, tuple(-v for v in n)).value
+    assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+    assert seen == []  # no precision beyond DEFAULT_PREC
+
+
+def test_point_record_tie_widens_instead_of_escalating(monkeypatch):
+    # |(3 + 4i)/5| = 1, so n . l_v = 0 along the whole n2 = 0 axis
+    ps = place_spec(parse_spec({"d": 2, "components": [
+        {"char": 0, "min_poly": [1, 0, 1], "xi": [[3, 5, 4, 5], [2, 1, 0, 1]]}]}))
+    pc = ps.placed_char0()[0][0]
+    seen = _precisions_requested(monkeypatch)
+    rec = point_record(ps, (5, 0))
+    assert rec.count == 1681
+    assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+    assert seen == []  # the tie does not escalate
+    (ball, widen), *_finite = phi_v(pc, (5, 0))
+    assert 0 < widen <= 5 * ball.rad  # weight 2 times (|Re t| + rad), and |Re t| <= rad
+
+
+def _log_one_minus_phi_exact(pc, place, n):
+    """log |1 - phi_v(n)|_v from the exact element: the pre-ball route."""
+    from entrank.numberfield import log_abs_v_ball
+
+    field, xi = pc.component.field, pc.component.xi
+    xn = field.pow_vector(xi, n)
+    mid, rad = log_abs_v_ball(place, xn)
+    assert abs(mid) > rad  # no ties in these fields
+    phi = field.pow_vector(xi, tuple(-v for v in n)) if mid > 0 else xn
+    return log_abs_v_ball(place, field.sub(field.one(), phi))
+
+
+@pytest.mark.parametrize("doc, weights", [
+    ({"min_poly": [-1, -1, 1], "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]}, {1}),  # golden mean
+    ({"min_poly": [-2, 0, 0, 1], "xi": [[0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 0, 1]]},
+     {1, 2}),  # Q(2^(1/3)), xi = (theta, 1 + theta)
+    ({"min_poly": [1, 0, 1], "xi": [[2, 1, 1, 1], [3, 1, 0, 1]]}, {2}),  # Q(i), (2 + i, 3)
+])
+def test_arch_terms_match_exact_element_route(doc, weights):
+    from entrank.numberfield import DEFAULT_PREC, log_abs_one_minus_exp
+
+    ps = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]}))
+    pc = ps.placed_char0()[0][0]
+    rng = random.Random(len(doc["min_poly"]))
+    checked = set()
+    for _ in range(25):
+        n = (rng.randint(-30, 30), rng.randint(-30, 30))
+        if n == (0, 0):
+            continue
+        for place, phi in zip(pc.places, phi_v(pc, n)):
+            if place.kind != "arch":
+                continue
+            ball, widen = phi
+            value, rad = log_abs_one_minus_exp(place, ball, DEFAULT_PREC)
+            mid, rad_exact = _log_one_minus_phi_exact(pc, place, n)
+            assert widen == 0 and rad < 1e-25
+            assert abs(value - mid) <= rad + rad_exact
+            checked.add(place.weight)
+    assert checked == weights
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +223,13 @@ def test_point_record_checks_the_count_it_reports(golden, monkeypatch):
     import entrank.counting as counting
 
     assert point_record(golden, (7, 3)).count == 295
-    true_count = counting.count_prime_char0
+    true_count = counting._count_char0_at
 
-    def doubled(pc, n):
-        res = true_count(pc, n)
+    def doubled(pc, n, xn):
+        res = true_count(pc, n, xn)
         return CountResult(value=2 * res.value, per_component=((2 * res.value, 1),))
 
-    monkeypatch.setattr(counting, "count_prime_char0", doubled)
+    monkeypatch.setattr(counting, "_count_char0_at", doubled)
     with pytest.raises(ConsistencyError):
         point_record(golden, (7, 3))
 
