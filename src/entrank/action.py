@@ -93,12 +93,17 @@ class ActionSpec:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    """A JSON integer: true and false are not integers here."""
+    return type(v) is int
+
+
 def parse_spec(doc: dict) -> ActionSpec:
     """Validate a spec document; error messages carry the JSON path."""
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
     d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise SpecError("d: must be an integer >= 1")
     noetherian = doc.get("noetherian", True)
     if not isinstance(noetherian, bool):
@@ -112,21 +117,19 @@ def parse_spec(doc: dict) -> ActionSpec:
         if not isinstance(comp, dict):
             raise SpecError(f"{path}: must be an object")
         mult = comp.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not _is_int(mult) or mult < 1:
             raise SpecError(f"{path}.multiplicity: must be an integer >= 1")
         char = comp.get("char")
-        if char == 0:
-            parsed.append((_parse_char0(comp, d, path), mult))
-        elif isinstance(char, int) and char >= 2:
-            parsed.append((_parse_charp(comp, d, path), mult))
-        else:
+        if not _is_int(char) or not (char == 0 or char >= 2):
             raise SpecError(f"{path}.char: must be 0 or a prime")
+        parse = _parse_char0 if char == 0 else _parse_charp
+        parsed.append((parse(comp, d, path), mult))
     return ActionSpec(d=d, noetherian=noetherian, components=tuple(parsed))
 
 
 def _parse_char0(comp: dict, d: int, path: str) -> Char0Component:
     mp_coeffs = comp.get("min_poly")
-    if not isinstance(mp_coeffs, list) or not all(isinstance(c, int) for c in mp_coeffs):
+    if not isinstance(mp_coeffs, list) or not all(_is_int(c) for c in mp_coeffs):
         raise SpecError(f"{path}.min_poly: must be a list of integers")
     try:
         field = build_field(mp_coeffs)
@@ -138,7 +141,7 @@ def _parse_char0(comp: dict, d: int, path: str) -> Char0Component:
     xs = []
     for j, flat in enumerate(xi_raw):
         if (not isinstance(flat, list) or len(flat) != 2 * field.degree
-                or not all(isinstance(v, int) for v in flat)):
+                or not all(_is_int(v) for v in flat)):
             raise SpecError(
                 f"{path}.xi[{j}]: expected {2 * field.degree} integers "
                 f"([num, den] per power-basis coordinate)")
@@ -174,10 +177,10 @@ def _parse_charp(comp: dict, d: int, path: str) -> CharPComponent:
                 raise SpecError(f"{tpath}: must be an object")
             exp = t.get("exp")
             if (not isinstance(exp, list) or len(exp) != d
-                    or not all(isinstance(e, int) for e in exp)):
+                    or not all(_is_int(e) for e in exp)):
                 raise SpecError(f"{tpath}.exp: must be {d} integers")
             coeff = t.get("coeff")
-            if not isinstance(coeff, int):
+            if not _is_int(coeff):
                 raise SpecError(f"{tpath}.coeff: must be an integer")
             c = coeff % q
             key = tuple(exp)
@@ -200,8 +203,13 @@ def parse_spec_json(text: str) -> ActionSpec:
 
 
 def load_spec(path: str) -> ActionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_json(fh.read())
+    """parse_spec_json of a UTF-8 file; a file that cannot be read is a SpecError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SpecError(f"cannot read spec {path}: {e}") from None
+    return parse_spec_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
-Rationals are stdlib ``fractions.Fraction`` (always in lowest terms with a
-positive denominator, which is exactly the canonical form the rest of the
-package relies on). Polynomials are immutable coefficient tuples in
-ascending degree.
+Rationals are stdlib ``fractions.Fraction``. ``Poly`` is an immutable tuple
+of rational coefficients in ascending degree, for the algorithms that need
+division over Q (extended gcd, Sturm chains). Resultants have one integer
+core, the Bareiss determinant of the Sylvester matrix, which number-field
+norms and valuations call directly on integer coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ def ord_p(x: Fraction | int, p: int) -> int:
     """Exponent of the prime p in x (negative when p divides the denominator)."""
     if p < 2 or not is_prime(p):
         raise AlgebraError(f"ord_p requires a prime, got {p}")
-    x = Fraction(x)
     if x == 0:
         raise AlgebraError("ord_p(0) is infinite")
     e = 0
@@ -190,11 +190,9 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
+    """Fraction-free determinant of an integer matrix (Bareiss elimination);
+    the rows are consumed."""
     n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -214,33 +212,34 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def int_resultant(f, g) -> int:
+    """Res(f, g) of two nonzero integer polynomials given as ascending
+    coefficients (trailing zeros allowed): the Sylvester determinant."""
+    f, g = list(f), list(g)
+    while not f[-1]:
+        f.pop()
+    while not g[-1]:
+        g.pop()
+    n, m = len(f) - 1, len(g) - 1
+    if m == 0:  # also the empty matrix when n = 0
+        return g[0] ** n
+    f.reverse()
+    g.reverse()
+    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]  # m rows of f
+    rows += [[0] * i + g + [0] * (n - 1 - i) for i in range(n)]  # n rows of g
+    return _bareiss_det(rows)
+
+
 def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) over Q, computed fraction-free on the Sylvester matrix."""
+    """Res(f, g) over Q: the contents split off, int_resultant on the primitive parts."""
     if f.is_zero() and g.is_zero():
         raise AlgebraError("resultant of two zero polynomials is undefined")
     if f.is_zero() or g.is_zero():
         return Fraction(0)
     cf, F = f.content_and_primitive()
     cg, G = g.content_and_primitive()
-    n, m = F.degree, G.degree
-    if n == 0 and m == 0:
-        return Fraction(1)
-    fi = [int(c) for c in F.coeffs]
-    gi = [int(c) for c in G.coeffs]
-    size = n + m
-    rows: list[list[int]] = []
-    for i in range(m):  # rows of f coefficients
-        row = [0] * size
-        for j, c in enumerate(reversed(fi)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):  # rows of g coefficients
-        row = [0] * size
-        for j, c in enumerate(reversed(gi)):
-            row[i + j] = c
-        rows.append(row)
-    det = _bareiss_det(rows)
-    return det * cf**m * cg**n
+    det = int_resultant([int(c) for c in F.coeffs], [int(c) for c in G.coeffs])
+    return det * cf**G.degree * cg**F.degree
 
 
 def discriminant(f: Poly) -> Fraction:

@@ -145,8 +145,11 @@ def cmd_scan(args) -> int:
     print(f"C2_estimate {_fmt(report.c2_estimate)} at {report.argmin_f}  "
           f"(trimmed {_fmt(report.c2_trimmed)})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_records_csv(report.records, fh, spec.d)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                write_records_csv(report.records, fh, spec.d)
+        except OSError as e:
+            raise SpecError(f"cannot write {args.out}: {e}") from None
         print(f"wrote {args.out}")
     return 3 if report.partial else 0
 
@@ -344,9 +347,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SpecError, MathDomainError, UnsupportedPrimeError, AlgebraError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:

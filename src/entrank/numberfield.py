@@ -1,5 +1,12 @@
 """Number fields K = Q(theta), their places, and normalized absolute values.
 
+An element is integer numerators over one denominator c > 0 in the power
+basis, x = (a_0 + a_1 theta + ... + a_(d-1) theta^(d-1)) / c, in lowest
+terms, so equal values compare and hash equal. Products and characteristic
+polynomials share one integer multiply-and-reduce modulo the monic minimal
+polynomial; norms and valuations share one integer resultant. Only the
+inverse runs over Q (an extended gcd), and powers cache it.
+
 Normalization fixes the Artin-Whaples product formula: real places contribute
 |sigma(x)|, complex places |sigma(x)|^2, and a finite place v above p with
 residue degree f contributes (p^f)^(-ord_v(x)). With this choice the product
@@ -32,8 +39,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .algebra import (Poly, discriminant, is_prime, log_fraction, ord_p, poly_ext_gcd,
-                      real_root_count, resultant)
+from .algebra import (Poly, discriminant, int_resultant, is_prime, log_fraction, ord_p,
+                      poly_ext_gcd, real_root_count)
 from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
 from .polyfactor import (
     gf_divmod,
@@ -74,37 +81,38 @@ class NumberField:
         return Poly.of(self.min_poly)
 
     def element(self, coords) -> "Element":
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise SpecError(f"element needs {self.degree} coordinates, got {len(cs)}")
-        return Element(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        return _element([c.numerator * (den // c.denominator) for c in cs], den)
 
     def one(self) -> "Element":
-        return self.element([1] + [0] * (self.degree - 1))
+        return Element((1,) + (0,) * (self.degree - 1), 1)
 
     def zero(self) -> "Element":
-        return self.element([0] * self.degree)
+        return Element((0,) * self.degree, 1)
 
     # -- arithmetic in Q[t]/(min_poly) --------------------------------------
 
     def add(self, x: "Element", y: "Element") -> "Element":
-        return Element(tuple(a + b for a, b in zip(x.coords, y.coords)))
+        return _element([a * y.den + b * x.den for a, b in zip(x.num, y.num)], x.den * y.den)
 
     def sub(self, x: "Element", y: "Element") -> "Element":
-        return Element(tuple(a - b for a, b in zip(x.coords, y.coords)))
+        return _element([a * y.den - b * x.den for a, b in zip(x.num, y.num)], x.den * y.den)
 
     def mul(self, x: "Element", y: "Element") -> "Element":
-        prod = Poly.of(x.coords) * Poly.of(y.coords)
-        rem = prod.divmod(self.poly)[1]
-        return self._from_poly(rem)
+        return _element(_mul_mod(x.num, y.num, self.min_poly), x.den * y.den)
 
     def inv(self, x: "Element") -> "Element":
+        """1/x = c t for x = A(theta)/c and t A = 1 mod min_poly (deg t < degree)."""
         if x.is_zero():
             raise MathDomainError("inverse of zero")
-        g, t = poly_ext_gcd(self.poly, Poly.of(x.coords))
+        g, t = poly_ext_gcd(self.poly, Poly.of(x.num))
         if g.degree != 0:
             raise ConsistencyError("min_poly not coprime with nonzero element")
-        return self._from_poly(t.divmod(self.poly)[1])
+        cs = [x.den * c for c in t.coeffs]
+        return self.element(cs + [0] * (self.degree - len(cs)))
 
     def pow(self, x: "Element", k: int) -> "Element":
         return _pow_cached(self, x, k)
@@ -117,19 +125,13 @@ class NumberField:
                 acc = self.mul(acc, self.pow(x, int(k)))
         return acc
 
-    def _from_poly(self, p: Poly) -> "Element":
-        cs = list(p.coeffs) + [Fraction(0)] * (self.degree - len(p.coeffs))
-        return Element(tuple(cs[: self.degree]))
-
     # -- invariants ----------------------------------------------------------
 
     def norm(self, x: "Element") -> Fraction:
-        """Field norm N(x), exact via a resultant with the minimal polynomial."""
+        """Field norm N(x) = Res(min_poly, A) / c^degree for x = A(theta)/c."""
         if x.is_zero():
             raise MathDomainError("norm of zero requested")
-        if self.degree == 1:
-            return x.coords[0]
-        return resultant(self.poly, Poly.of(x.coords))
+        return Fraction(int_resultant(self.min_poly, x.num), x.den ** self.degree)
 
     def charpoly(self, x: "Element") -> tuple[Fraction, ...]:
         """Characteristic polynomial of multiplication by x, ascending and monic.
@@ -140,22 +142,10 @@ class NumberField:
         Tr(theta^j) are the power sums of the roots of min_poly.
         """
         n, f = self.degree, self.min_poly
-        num, den = _clear_denominators(x)
-        y = [int(v) for v in num.coeffs] + [0] * (n - len(num.coeffs))
         traces = _theta_traces(f)
         sums, power = [], [1] + [0] * (n - 1)
         for _ in range(n):
-            prod = [0] * (2 * n - 1)
-            for i, a in enumerate(power):
-                if a:
-                    for j, b in enumerate(y):
-                        prod[i + j] += a * b
-            for i in range(2 * n - 2, n - 1, -1):  # reduce mod the monic f
-                if prod[i]:
-                    t = prod[i]
-                    for j in range(n):
-                        prod[i - n + j] -= t * f[j]
-            power = prod[:n]
+            power = _mul_mod(power, x.num, f)
             sums.append(sum(a * t for a, t in zip(power, traces)))
         e = [1]
         for k in range(1, n + 1):
@@ -163,7 +153,7 @@ class NumberField:
             if total % k:
                 raise ConsistencyError("Newton identity gave a non-integral coefficient")
             e.append(total // k)
-        return tuple(Fraction((-1) ** (n - j) * e[n - j], den ** (n - j)) for j in range(n + 1))
+        return tuple(Fraction((-1) ** (n - j) * e[n - j], x.den ** (n - j)) for j in range(n + 1))
 
     def root_of_unity_order(self, x: "Element") -> int | None:
         """Multiplicative order when x is a root of unity, else None."""
@@ -177,12 +167,36 @@ class NumberField:
 
 @dataclass(frozen=True)
 class Element:
-    """Coordinates in the power basis 1, theta, ..., theta^(degree-1)."""
+    """(num[0] + num[1] theta + ... + num[degree-1] theta^(degree-1)) / den
+    with den > 0 and gcd(den, *num) = 1; build it with NumberField.element."""
 
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
+
+
+def _element(num: list[int], den: int) -> Element:
+    """num / den (den > 0) in lowest terms."""
+    g = math.gcd(den, *num)
+    return Element(tuple(num), den) if g == 1 else Element(tuple(a // g for a in num), den // g)
+
+
+def _mul_mod(a, b, f: tuple[int, ...]) -> list[int]:
+    """a * b mod the monic f; integer coefficients, ascending, a and b of length deg f."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for i in range(2 * n - 2, n - 1, -1):
+        t = prod[i]
+        if t:
+            for j in range(n):
+                prod[i - n + j] -= t * f[j]
+    return prod[:n]
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -229,11 +243,10 @@ def build_field(min_poly_coeffs) -> NumberField:
         raise SpecError("min_poly must be monic")
     if f.degree > DEGREE_CAP:
         raise SpecError(f"min_poly degree {f.degree} exceeds the cap {DEGREE_CAP}")
-    if f.degree > 1:
-        ok, witness = irreducible_over_q(f)
-        if not ok:
-            raise SpecError(f"min_poly is reducible; factor found: {witness}")
-    r1 = 1 if f.degree == 1 else real_root_count(f)
+    ok, witness = irreducible_over_q(f)
+    if not ok:
+        raise SpecError(f"min_poly is reducible; factor found: {witness}")
+    r1 = real_root_count(f)
     return NumberField(
         min_poly=tuple(int(c) for c in f.coeffs),
         degree=f.degree,
@@ -330,9 +343,8 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
     precision doubles until the discs are disjoint and the count of real
     ones matches the Sturm count.
     """
-    f = field.poly
     if field.degree == 1:  # the root -f_0 is an integer, exact in any precision
-        return (Embedding(0, True, 1, mp.mpf(-int(f.coeffs[0])), mp.mpf(0), mp.mpf(0)),)
+        return (Embedding(0, True, 1, mp.mpf(-field.min_poly[0]), mp.mpf(0), mp.mpf(0)),)
     work = prec
     while True:
         with mp.workprec(work + 60):
@@ -365,25 +377,24 @@ def eval_embedding(field: NumberField, emb: Embedding, x: Element,
                    prec: int = DEFAULT_PREC) -> tuple[mp.mpf | mp.mpc, mp.mpf]:
     """sigma(x) as a ball (value, radius); the value is real at a real embedding.
 
-    The radius bounds the move of x's polynomial across the root's disc
-    (derivative bound times the disc radius) plus the rounding of Horner's
-    rule at prec + 40 bits, which the 2^-(prec + 20) term covers many times.
+    For x = A(theta)/c the radius is 1/c times a bound on the move of A
+    across the root's disc (derivative bound times the disc radius) plus the
+    rounding at prec + 40 bits, which the 2^-(prec + 20) term covers many times.
     """
     with mp.workprec(prec + 40):
         root = emb.re if emb.is_real else mp.mpc(emb.re, emb.im)
         val = mp.mpf(0)
-        for c in reversed(x.coords):
-            val = val * root + mp.mpf(c.numerator) / c.denominator
+        for a in reversed(x.num):
+            val = val * root + a
         rad = abs(root) + emb.err
         deriv = mp.mpf(0)
         mag = mp.mpf(0)
-        for i, c in enumerate(x.coords):
-            ac = abs(mp.mpf(c.numerator)) / c.denominator
-            mag += ac * rad**i
+        for i, a in enumerate(x.num):
+            mag += abs(a) * rad**i
             if i >= 1:
-                deriv += ac * i * rad ** (i - 1)
-        err = (deriv * emb.err + mag * mp.mpf(2) ** (-(prec + 20)) * (field.degree + 4)) * OUTWARD
-    return val, err
+                deriv += abs(a) * i * rad ** (i - 1)
+        err = deriv * emb.err + mag * mp.mpf(2) ** (-(prec + 20)) * (field.degree + 4)
+        return val / x.den, err / x.den * OUTWARD
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +463,6 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
     """Dedekind factorization of p; errors loudly when p-maximality fails."""
     if not is_prime(p):
         raise SpecError(f"{p} is not prime")
-    if field.degree == 1:
-        return [Place(field=field, kind="finite", p=p, res_degree=1, ram_index=1,
-                      ideal_gen=(), siblings=1)]
     f = field.poly
     factors = _factor_mod_p(field, p)
     disc = discriminant(f)
@@ -479,12 +487,6 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
-
-def _clear_denominators(x: Element) -> tuple[Poly, int]:
-    """x = A(theta)/c with A an integer polynomial and c a positive integer."""
-    den = math.lcm(*(c.denominator for c in x.coords))
-    return Poly.of([c * den for c in x.coords]), den
-
 
 @functools.lru_cache(maxsize=4096)
 def _lifted_local_factors(field: NumberField, p: int, exp: int) -> tuple[tuple[int, ...], ...]:
@@ -512,13 +514,10 @@ def ord_v(place: Place, x: Element) -> int:
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
     field, p = place.field, place.p
-    if field.degree == 1:
-        return ord_p(x.coords[0], p)
-    a_poly, den = _clear_denominators(x)
-    den_part = place.ram_index * ord_p(den, p) if den % p == 0 else 0
-    nrm = resultant(field.poly, a_poly)
-    if nrm == 0 or nrm.denominator != 1:
-        raise ConsistencyError(f"integral part of element has norm {nrm}")
+    den_part = place.ram_index * ord_p(x.den, p) if x.den % p == 0 else 0
+    nrm = int_resultant(field.min_poly, x.num)
+    if nrm == 0:
+        raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
     if v_total == 0:
         return -den_part
@@ -531,8 +530,7 @@ def ord_v(place: Place, x: Element) -> int:
     check = 0
     my_val = None
     for (gbar, _e), block in zip(_factor_mod_p(field, p), lifted):
-        r = resultant(Poly.of(block), a_poly)
-        assert r.denominator == 1
+        r = int_resultant(block, x.num)
         if r == 0:
             raise ConsistencyError("lifted local factor shares a root with the element")
         v = ord_p(r, p)
@@ -562,7 +560,7 @@ def log_abs_v(place: Place, x: Element) -> float:
     if place.kind == "finite":
         return -ord_v(place, x) * place.res_degree * math.log(place.p)
     if place.field.degree == 1:
-        return log_fraction(abs(x.coords[0]))
+        return log_fraction(Fraction(abs(x.num[0]), x.den))
     return float(log_abs_v_ball(place, x)[0])
 
 

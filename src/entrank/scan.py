@@ -18,8 +18,10 @@ independent routes:
   the branch, and log |1 - sigma_v(phi_v)| comes from a log1p-style
   evaluation with a proven radius. Precision doubles only while the ball
   for |1 - sigma_v(phi_v)| still contains 0, up to MAX_PREC, where a
-  ConsistencyError is raised. Finite places use the exact
-  ord_v(1 - xi^(-n)) = ord_v(xi^n - 1) - n . ords.
+  ConsistencyError is raised. Finite places are exact and ultrametric:
+  where n . ords != 0, |phi_v(n)|_v < 1, so |1 - phi_v(n)|_v = 1 and the
+  term is 0; only where n . ords = 0 does ord_v(xi^n - 1) run. The count,
+  built on the norm of xi^n - 1, stays the identity check's other route.
 - Ties: when the n . l_v ball contains 0, either branch is right to within
   weight * |n . l_v|, since the two differ by exactly n . l_v. The <= branch
   is taken and that amount widens the term's radius; nothing escalates.
@@ -101,18 +103,18 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
 def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> list[tuple[float, float]]:
     """(log |1 - phi_v(n)|_v, radius) per support place, from xn = xi^n.
 
-    Finite places are exact: ord_v(1 - xi^(-n)) = ord_v(xi^n - 1) - n . ords
-    and ord_v(1 - xi^n) = ord_v(xi^n - 1). Archimedean places evaluate the
-    phi_v ball, doubling the precision while |1 - sigma_v(phi_v)| is not yet
-    separated from 0.
+    Finite places are exact: where ord_v(phi_v) = |n . ords| > 0,
+    |1 - phi_v|_v = 1 and the term is 0; where n . ords = 0 it is
+    -ord_v(xi^n - 1) f log p. Archimedean places evaluate the phi_v ball,
+    doubling the precision while |1 - sigma_v(phi_v)| is not yet separated
+    from 0.
     """
     field = pc.component.field
     x = field.sub(xn, field.one())
     out = []
     for k, (place, ords, phi) in enumerate(zip(pc.places, pc.finite_ords, phi_v(pc, n))):
-        if ords is not None:
-            o = sum(v * c for v, c in zip(n, ords))
-            ordv = ord_v(place, x) - min(o, 0)
+        if ords is not None:  # phi = |n . ords|
+            ordv = 0 if phi else ord_v(place, x)
             out.append((-ordv * place.res_degree * math.log(place.p), 0.0))
             continue
         prec = DEFAULT_PREC
@@ -236,6 +238,8 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     per unit shell, and estimate C1/C2 from the outer 20 percent of radii."""
     if not (0 < r_min < r_max):
         raise MathDomainError("need 0 < r_min < r_max")
+    if budget < 1:
+        raise MathDomainError(f"budget must be at least 1, got {budget}")
     points = lattice_shell_points(ps.d, r_min, r_max)
     partial = False
     if len(points) > budget:

@@ -61,6 +61,42 @@ def test_parse_rejects_bad_schema():
                                             "min_poly": [-1, 0, 1], "xi": [[2, 1], [0, 1]]}]})
 
 
+def _bool_probe_doc():
+    return {"d": 1, "components": [
+        {"multiplicity": 1, "char": 0, "min_poly": [0, 1], "xi": [[2, 1]]},
+        {"multiplicity": 1, "char": 2,
+         "generators": [{"terms": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}]}]}
+
+
+@pytest.mark.parametrize("path, edit", [
+    (r"^d:", lambda doc: doc.update(d=True)),
+    (r"components\[0\]\.multiplicity", lambda doc: doc["components"][0].update(multiplicity=True)),
+    (r"components\[0\]\.char", lambda doc: doc["components"][0].update(char=False)),
+    (r"components\[0\]\.min_poly", lambda doc: doc["components"][0].update(min_poly=[True, 1])),
+    (r"components\[0\]\.xi\[0\]", lambda doc: doc["components"][0].update(xi=[[2, True]])),
+    (r"components\[1\]\.generators\[0\]\.terms\[1\]\.exp",
+     lambda doc: doc["components"][1]["generators"][0]["terms"][1].update(exp=[True])),
+    (r"components\[1\]\.generators\[0\]\.terms\[0\]\.coeff",
+     lambda doc: doc["components"][1]["generators"][0]["terms"][0].update(coeff=True)),
+])
+def test_parse_rejects_booleans_as_integers(path, edit):
+    parse_spec(_bool_probe_doc())
+    doc = _bool_probe_doc()
+    edit(doc)
+    with pytest.raises(SpecError, match=path):
+        parse_spec(doc)
+
+
+def test_parse_rejects_the_boolean_spec_that_used_to_count():
+    # true read as 1: min_poly t + 1 and xi = 2, which counted 7 at n = 3
+    with pytest.raises(SpecError, match=r"d: must be an integer"):
+        parse_spec({"d": True, "components": [
+            {"char": 0, "min_poly": [True, 1], "xi": [[2, True]]}]})
+    with pytest.raises(SpecError, match=r"min_poly"):
+        parse_spec({"d": 1, "components": [
+            {"char": 0, "min_poly": [True, 1], "xi": [[2, 1]]}]})
+
+
 def test_parse_rejects_duplicate_exponents():
     with pytest.raises(SpecError, match="duplicate"):
         parse_spec({"d": 1, "components": [

@@ -89,6 +89,36 @@ def test_missing_spec_file_exits_2(capsys):
     assert rc == 2
 
 
+def test_spec_directory_exits_2(capsys):
+    rc, _out, err = run(capsys, "count", "--spec", str(SPECS), "--n", "1,1")
+    assert rc == 2
+    assert err.startswith("error: cannot read spec") and err.count("\n") == 1
+
+
+def test_non_utf8_spec_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"d": 1, "note": "caf\u00e9"}'.encode("latin-1"))
+    rc, _out, err = run(capsys, "count", "--spec", str(bad), "--n", "1")
+    assert rc == 2
+    assert err.startswith("error: cannot read spec") and err.count("\n") == 1
+
+
+def test_unwritable_scan_output_exits_2(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "scan.csv"
+    rc, _out, err = run(capsys, "scan", "--spec", X2X3, "--rmin", "1", "--rmax", "3",
+                        "--out", str(out))
+    assert rc == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_scan_budget_below_one_exits_2(capsys, budget):
+    rc, out, err = run(capsys, "scan", "--spec", X2X3, "--rmin", "1", "--rmax", "3",
+                       "--budget", budget)
+    assert rc == 2 and out == ""
+    assert err == f"error: budget must be at least 1, got {budget}\n"
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

@@ -315,3 +315,117 @@ def test_charpoly_annihilates_and_carries_the_norm(min_poly, coords):
         acc = field.add(acc, field.mul(field.element([c] + [0] * (field.degree - 1)), power))
         power = field.mul(power, x)
     assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the element format against a Fraction / Poly reference
+# ---------------------------------------------------------------------------
+
+def _differential_fields():
+    """Degrees 1-8: Q, Q(theta) with theta = -3, golden mean, Q(i), Q(2^(1/3)),
+    and seeded monic irreducibles of degree 4-8 accepted by parse_spec."""
+    from entrank import parse_spec
+
+    fields = [Q, build_field([3, 1]), GOLDEN, GAUSS, build_field([-2, 0, 0, 1])]
+    rng = random.Random(4242)
+    for degree in range(4, 9):
+        while True:
+            min_poly = [rng.randint(-3, 3) for _ in range(degree)] + [1]
+            try:
+                spec = parse_spec({"d": 1, "components": [
+                    {"char": 0, "min_poly": min_poly, "xi": [[1, 1] + [0, 1] * (degree - 1)]}]})
+            except SpecError:
+                continue
+            fields.append(spec.components[0][0].field)
+            break
+    return fields
+
+
+def _coords(x):
+    return [Fraction(a, x.den) for a in x.num]
+
+
+def _ref_elem(field, poly):
+    cs = list(poly.coeffs)
+    return cs + [Fraction(0)] * (field.degree - len(cs))
+
+
+def _ref_mul(field, a, b):
+    from entrank.algebra import Poly
+
+    return _ref_elem(field, (Poly.of(a) * Poly.of(b)).divmod(field.poly)[1])
+
+
+def _ref_inv(field, a):
+    from entrank.algebra import Poly, poly_ext_gcd
+
+    g, t = poly_ext_gcd(field.poly, Poly.of(a))
+    assert g.degree == 0
+    return _ref_elem(field, t.divmod(field.poly)[1])
+
+
+def _ref_pow(field, a, k):
+    base = _ref_inv(field, a) if k < 0 else a
+    acc = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
+    for _ in range(abs(k)):
+        acc = _ref_mul(field, acc, base)
+    return acc
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1 and all(type(a) is int for a in x.num)
+
+
+@pytest.mark.parametrize("field", _differential_fields(), ids=lambda f: f"deg{f.degree}")
+def test_element_arithmetic_matches_fraction_reference(field):
+    from entrank.algebra import Poly, resultant
+
+    rng = random.Random(1000 + sum(field.min_poly) + 17 * field.degree)
+    n = field.degree
+
+    def rand_coords():
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+
+    one = field.one()
+    for _ in range(12):
+        a, b = rand_coords(), rand_coords()
+        x, y = field.element(a), field.element(b)
+        assert _coords(x) == a and _canonical(x)
+        for got, want in [(field.add(x, y), [u + v for u, v in zip(a, b)]),
+                          (field.sub(x, y), [u - v for u, v in zip(a, b)]),
+                          (field.mul(x, y), _ref_mul(field, a, b))]:
+            assert _canonical(got) and _coords(got) == want
+        if x.is_zero():
+            continue
+        inv = field.inv(x)
+        assert _canonical(inv) and _coords(inv) == _ref_inv(field, a)
+        assert field.mul(x, inv) == one
+        for k in (-3, -1, 0, 2, 5):
+            got = field.pow(x, k)
+            assert _canonical(got) and _coords(got) == _ref_pow(field, a, k)
+        assert field.norm(x) == resultant(field.poly, Poly.of(a))
+        # charpoly(X) = N(X - x) = Res(min_poly, X - x) at degree + 1 points
+        cp = field.charpoly(x)
+        for X in range(-1, n + 1):
+            shifted = Poly.of([X - a[0]] + [-c for c in a[1:]])
+            assert sum(c * X**j for j, c in enumerate(cp)) == resultant(field.poly, shifted)
+
+
+@pytest.mark.parametrize("field", [Q, GOLDEN, build_field([-2, 0, 0, 1])],
+                         ids=lambda f: f"deg{f.degree}")
+def test_equal_values_compare_and_hash_equal(field):
+    n = field.degree
+    half = field.element([Fraction(2, 4)] + [Fraction(6, 4)] * (n - 1))
+    same = field.element([Fraction(1, 2)] + [Fraction(3, 2)] * (n - 1))
+    assert half == same and hash(half) == hash(same)
+    assert (half.num, half.den) == ((1,) + (3,) * (n - 1), 2)
+    # numerators with a common factor reach the same lowest terms
+    x = field.element([Fraction(3, 7)] + [Fraction(-9, 14)] * (n - 1))
+    six = field.element([6] + [0] * (n - 1))
+    by_add = field.add(field.add(x, x), field.add(field.add(x, x), field.add(x, x)))
+    by_mul = field.mul(six, x)
+    assert by_add == by_mul and hash(by_add) == hash(by_mul)
+    assert by_mul.den == 7 and math.gcd(by_mul.den, *by_mul.num) == 1
+    assert field.sub(x, x) == field.zero() and field.zero().den == 1
+    assert field.mul(x, field.inv(x)) == field.one()
+    assert len({half, same, field.element(_coords(half))}) == 1

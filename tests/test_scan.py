@@ -316,6 +316,62 @@ def test_scan_budget_flags_partial(x2x3):
     assert rep.partial and len(rep.records) == 20
 
 
+def test_scan_budget_below_one_is_a_domain_error(x2x3):
+    for budget in (0, -1):
+        with pytest.raises(MathDomainError, match="budget"):
+            shell_scan(x2x3, 1.0, 3.0, budget=budget)
+    rep = shell_scan(x2x3, 1.0, 3.0, budget=1)
+    assert rep.partial and len(rep.records) == 1
+
+
+def test_g_runs_ord_v_only_where_n_ords_is_zero(golden, monkeypatch):
+    import entrank.scan as scan
+
+    calls = []
+    inner = scan.ord_v
+
+    def recording(place, x):
+        calls.append(place)
+        return inner(place, x)
+
+    def no_ord_v(place, x):
+        raise AssertionError("g reached ord_v")
+
+    # ords above 2 are (0, 1): at (7, 3) the 2-adic term is 0 without ord_v
+    monkeypatch.setattr(scan, "ord_v", no_ord_v)
+    assert point_record(golden, (7, 3)).count == 295
+    monkeypatch.setattr(scan, "ord_v", recording)
+    # g from ord_v(xi^n - 1) - min(n . ords, 0) at every finite place
+    for n, g in [((7, 0), -0.00016956363296430056), ((3, 0), -0.4812118250596034)]:
+        calls.clear()
+        assert point_record(golden, n).g == pytest.approx(g, rel=1e-12, abs=1e-15)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": 2, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}]},
+    {"d": 2, "components": [{"char": 0, "min_poly": [-1, -1, 1],
+                             "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]}]},
+    {"d": 2, "components": [{"char": 0, "min_poly": [3, 3, 1, -2, 1],
+                             "xi": [[1, 3, 1, 1, 0, 1, 0, 1], [2, 1, 0, 1, 1, 2, 0, 1]]}]},
+])
+def test_finite_g_term_is_zero_where_n_ords_is_nonzero(doc):
+    # ultrametric: ord_v(xi^n) = o != 0 forces ord_v(xi^n - 1) = min(o, 0)
+    from entrank.numberfield import ord_v
+
+    pc = place_spec(parse_spec(doc)).placed_char0()[0][0]
+    field = pc.component.field
+    for n in itertools.product(range(-4, 5), repeat=2):
+        xn = field.pow_vector(pc.component.xi, n)
+        if xn == field.one():
+            continue
+        x = field.sub(xn, field.one())
+        for place, ords in zip(pc.places, pc.finite_ords):
+            o = ords and sum(v * c for v, c in zip(n, ords))
+            if o:  # a finite place with n . ords != 0
+                assert ord_v(place, x) == min(o, 0)
+
+
 def test_scan_inverts_each_xi_once(golden, monkeypatch):
     from entrank.numberfield import NumberField, _pow_cached
 
