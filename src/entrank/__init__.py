@@ -33,7 +33,6 @@ from .entropy import (
     SphereExtrema,
     directional_entropy,
     entropy_function_of,
-    lipschitz_constant,
     mahler_measure,
     nonexpansive_candidates,
     sphere_extrema,
@@ -58,7 +57,6 @@ from .numberfield import (
 from .scan import (
     PointRecord,
     ScanReport,
-    convergent_sequence,
     g_value,
     phi_v,
     point_record,

@@ -41,7 +41,6 @@ from .numberfield import (
     archimedean_places,
     build_field,
     finite_places_above,
-    log_abs_v_ball,
     log_sigma_ball,
     ord_v,
 )
@@ -235,16 +234,6 @@ class PlacedComponent:
     def d(self) -> int:
         return self.component.d
 
-    def lyapunov_entry_ball(self, place_index: int, coord: int, prec: int):
-        """High-precision (value, radius) for one Lyapunov entry."""
-        place = self.places[place_index]
-        if place.kind == "finite":
-            o = self.finite_ords[place_index][coord]
-            with mp.workprec(prec):
-                v = -o * place.res_degree * mp.log(place.p)
-            return v, mp.mpf(2) ** (-prec + 4)
-        return log_abs_v_ball(place, self.component.xi[coord], prec)
-
 
 def compute_places(comp: Char0Component) -> PlacedComponent:
     field = comp.field
@@ -325,7 +314,6 @@ class CheckReport:
     passed: bool
     verified_up_to_radius: float
     violations: tuple[str, ...]
-    notes: tuple[str, ...]
 
 
 def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
@@ -358,7 +346,6 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     This is a bounded verification, not a proof of mixing.
     """
     violations: list[str] = []
-    notes = [f"bounded check: lattice vectors with Euclidean norm <= {radius}"]
     for idx, (comp, _mult) in enumerate(spec.components):
         if isinstance(comp, Char0Component):
             field = comp.field
@@ -380,21 +367,19 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                 violations.append(f"components[{idx}]: u^{n} - 1 lies in the ideal")
     return CheckReport(name="mixing", passed=not violations,
                        verified_up_to_radius=radius,
-                       violations=tuple(violations), notes=tuple(notes))
+                       violations=tuple(violations))
 
 
 def entropy_rank_one_check(spec: ActionSpec) -> CheckReport:
     """Necessary finite-entropy checks: char 0 passes by construction, char p
     is probed through the counting engine on a small set of directions."""
     violations: list[str] = []
-    notes: list[str] = []
     probe: list[tuple[int, ...]] = []
     for i in range(spec.d):
         probe.append(tuple(1 if j == i else 0 for j in range(spec.d)))
     probe.append(tuple(1 for _ in range(spec.d)))
     for idx, (comp, _mult) in enumerate(spec.components):
         if isinstance(comp, Char0Component):
-            notes.append(f"components[{idx}]: number-field component, finite entropy")
             continue
         from .counting import count_prime_charp
 
@@ -403,7 +388,5 @@ def entropy_rank_one_check(spec: ActionSpec) -> CheckReport:
                 count_prime_charp(comp, n)
             except MathDomainError as e:
                 violations.append(f"components[{idx}] at n={n}: {e}")
-        notes.append(f"components[{idx}]: probed directions {probe}")
     return CheckReport(name="entropy-rank-one", passed=not violations,
-                       verified_up_to_radius=0.0,
-                       violations=tuple(violations), notes=tuple(notes))
+                       verified_up_to_radius=0.0, violations=tuple(violations))

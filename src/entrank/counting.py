@@ -75,21 +75,29 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
     x = field.sub(xn, field.one())
     if x.is_zero():
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
-    norm = abs(field.norm(x))
-    total = norm
+    norm = field.norm(x)
+    num, den = abs(norm.numerator), norm.denominator
     for place in pc.places:
         if place.kind != "finite":
             continue
+        p = place.p
         if place.siblings == 1:  # the only place above p takes all of ord_p(N)
-            total *= Fraction(place.p) ** (-ord_p(norm, place.p))
+            e = ord_p(norm, p)
+            if e > 0:
+                num //= p ** e
+            elif e < 0:
+                den //= p ** -e
             continue
         v = ord_v(place, x)
-        if v:
-            total *= Fraction(place.p ** place.res_degree) ** (-v)
-    if total.denominator != 1 or total < 1:
+        if v > 0:
+            den *= p ** (place.res_degree * v)
+        elif v < 0:
+            num *= p ** (-place.res_degree * v)
+    if num % den or num < den:
         raise ConsistencyError(
-            f"place product at n={n} is {total}, expected a positive integer")
-    return CountResult(value=int(total), per_component=((int(total), 1),))
+            f"place product at n={n} is {Fraction(num, den)}, expected a positive integer")
+    total = num // den
+    return CountResult(value=total, per_component=((total, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +465,6 @@ class WindowOracle:
     dims: tuple[tuple[int, int], ...]  # (window, dimension) triples
     stabilized: bool
     count: CountResult | None
-    gcd: int
-    transform: tuple[tuple[int, int], tuple[int, int]]
 
 
 def _relation_rows(q: int, g: int, gens_w: list[dict[tuple[int, int], int]],
@@ -510,7 +516,7 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
     n = require_nonzero(n)
     if pc.d != 2:
         raise MathDomainError("the window oracle is implemented for d = 2 only")
-    g, u, gens_w = _axis_generators(pc, n)  # type: ignore[arg-type]
+    g, _u, gens_w = _axis_generators(pc, n)  # type: ignore[arg-type]
     max_deg = max((max(j for (_a, j) in poly) for poly in gens_w), default=0)
     t_band = max(window, max_deg)
     dims = []
@@ -524,5 +530,4 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
         e = dims[0][1]
         count = CountResult(value=pc.q**e, factored=(pc.q, e),
                             per_component=((pc.q**e, 1),))
-    return WindowOracle(dims=tuple(dims), stabilized=stabilized, count=count,
-                        gcd=g, transform=u)
+    return WindowOracle(dims=tuple(dims), stabilized=stabilized, count=count)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .action import PlacedComponent, PlacedSpec
+from .action import PlacedSpec
 from .algebra import Poly, poly_ext_gcd
 from .errors import MathDomainError, SpecError
 from .numberfield import DEFAULT_PREC, OUTWARD, root_discs
@@ -34,9 +34,6 @@ MAHLER_MAX_PREC = 1 << 11
 class EntropyTerm:
     weight: int
     l: tuple[float, ...]
-    kind: str  # "arch" | "finite"
-    component: PlacedComponent | None = None
-    place_index: int = -1
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,8 @@ def entropy_function_of(ps: PlacedSpec) -> EntropyFunction:
     """
     terms = []
     for pc, mult in ps.placed_char0():
-        for i, l in enumerate(pc.lyapunov):
-            terms.append(EntropyTerm(weight=mult, l=tuple(l), kind=pc.places[i].kind,
-                                     component=pc, place_index=i))
+        for l in pc.lyapunov:
+            terms.append(EntropyTerm(weight=mult, l=tuple(l)))
     return EntropyFunction(d=ps.d, terms=tuple(terms))
 
 
@@ -71,12 +67,6 @@ def directional_entropy(ef: EntropyFunction, x) -> float:
     return total
 
 
-def lipschitz_constant(ef: EntropyFunction) -> float:
-    """Euclidean Lipschitz bound: every cone gradient is a subset sum of the
-    weighted Lyapunov vectors, so sum of m * |l|_2 dominates them all."""
-    return sum(t.weight * math.hypot(*t.l) for t in ef.terms)
-
-
 # ---------------------------------------------------------------------------
 # Sphere extrema
 # ---------------------------------------------------------------------------
@@ -88,7 +78,6 @@ class SphereExtrema:
     argmax: tuple[float, ...]
     argmin: tuple[float, ...]
     method: str
-    breakpoint_count: int
 
 
 def sphere_extrema(ef: EntropyFunction) -> SphereExtrema:
@@ -98,8 +87,8 @@ def sphere_extrema(ef: EntropyFunction) -> SphereExtrema:
         hp = directional_entropy(ef, (1.0,))
         hm = directional_entropy(ef, (-1.0,))
         if hp >= hm:
-            return SphereExtrema(hp, hm, (1.0,), (-1.0,), "endpoints", 0)
-        return SphereExtrema(hm, hp, (-1.0,), (1.0,), "endpoints", 0)
+            return SphereExtrema(hp, hm, (1.0,), (-1.0,), "endpoints")
+        return SphereExtrema(hm, hp, (-1.0,), (1.0,), "endpoints")
     if ef.d == 2:
         return _sphere_extrema_2d(ef)
     return _sphere_extrema_nd(ef)
@@ -132,7 +121,7 @@ def _sphere_extrema_2d(ef: EntropyFunction) -> SphereExtrema:
     angles = _breakpoint_angles(ef)
     if not angles:
         v = directional_entropy(ef, (1.0, 0.0))
-        return SphereExtrema(v, v, (1.0, 0.0), (1.0, 0.0), "exact-arcs", 0)
+        return SphereExtrema(v, v, (1.0, 0.0), (1.0, 0.0), "exact-arcs")
     best_max = (-math.inf, 0.0)
     best_min = (math.inf, 0.0)
 
@@ -163,7 +152,7 @@ def _sphere_extrema_2d(ef: EntropyFunction) -> SphereExtrema:
                 if lo < cand < hi:
                     consider(r, cand)
     return SphereExtrema(best_max[0], best_min[0], _unit(best_max[1]),
-                         _unit(best_min[1]), "exact-arcs", len(angles))
+                         _unit(best_min[1]), "exact-arcs")
 
 
 def _sphere_extrema_nd(ef: EntropyFunction) -> SphereExtrema:
@@ -221,7 +210,7 @@ def _sphere_extrema_nd(ef: EntropyFunction) -> SphereExtrema:
         if val > best_max[0]:
             best_max = (val, y)
     return SphereExtrema(best_max[0], best_min[0], tuple(best_max[1]),
-                         tuple(best_min[1]), "cone-sampling", len(normals))
+                         tuple(best_min[1]), "cone-sampling")
 
 
 def sample_sphere_extrema_2d(ef: EntropyFunction, samples: int = 1_000_000) -> tuple[float, float]:
@@ -256,7 +245,6 @@ class Hyperplane:
     """
 
     normal: tuple[float, ...]
-    term_indices: tuple[int, ...]
 
     def describe(self) -> str:
         coords = " + ".join(f"{c:.12g}*x{i+1}" for i, c in enumerate(self.normal))
@@ -266,8 +254,8 @@ class Hyperplane:
 def nonexpansive_candidates(ef: EntropyFunction) -> list[Hyperplane]:
     if ef.d < 2:
         return []
-    out: list[tuple[tuple[float, ...], list[int]]] = []
-    for idx, t in enumerate(ef.terms):
+    out: list[tuple[float, ...]] = []
+    for t in ef.terms:
         norm = math.hypot(*t.l)
         if norm == 0.0:
             continue
@@ -275,13 +263,9 @@ def nonexpansive_candidates(ef: EntropyFunction) -> list[Hyperplane]:
         lead = next(c for c in unit if abs(c) > 1e-15)
         if lead < 0:
             unit = tuple(-c for c in unit)
-        for existing, idxs in out:
-            if max(abs(a - b) for a, b in zip(existing, unit)) < 1e-10:
-                idxs.append(idx)
-                break
-        else:
-            out.append((unit, [idx]))
-    return [Hyperplane(normal=u, term_indices=tuple(ix)) for u, ix in out]
+        if not any(max(abs(a - b) for a, b in zip(existing, unit)) < 1e-10 for existing in out):
+            out.append(unit)
+    return [Hyperplane(normal=u) for u in out]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Mono = tuple[int, ...]
 GfMPoly = dict[Mono, int]
 
 MAX_BASIS = 4000  # basis elements
+MAX_REDUCTIONS = 200_000  # reduction steps of one normal form
 CELL_CAP = 4_000_000  # cells of the standard-monomial box
 
 
@@ -65,11 +66,9 @@ def make_monic(f: GfMPoly, q: int) -> GfMPoly:
 class GroebnerBasis:
     """Minimal Groebner basis of an ideal in F_q[x_1..x_n], grevlex."""
 
-    def __init__(self, q: int, nvars: int, generators: list[GfMPoly],
-                 max_reductions: int = 200_000):
+    def __init__(self, q: int, nvars: int, generators: list[GfMPoly]):
         self.q = q
         self.nvars = nvars
-        self.max_reductions = max_reductions
         self._reductions = 0
         self.basis: list[GfMPoly] = []
         self.lms: list[Mono] = []
@@ -78,7 +77,7 @@ class GroebnerBasis:
     # -- reduction ---------------------------------------------------------
 
     def normal_form(self, f: GfMPoly) -> GfMPoly:
-        """Normal form of f, within a budget of max_reductions steps of its own."""
+        """Normal form of f, within a budget of MAX_REDUCTIONS steps of its own."""
         self._reductions = 0
         return self._reduce(f)
 
@@ -89,7 +88,7 @@ class GroebnerBasis:
         out: GfMPoly = {}
         while work:
             self._reductions += 1
-            if self._reductions > self.max_reductions:
+            if self._reductions > MAX_REDUCTIONS:
                 raise ResourceLimitError("Groebner reduction budget exceeded")
             m = leading_monomial(work)
             c = work[m]

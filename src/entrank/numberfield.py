@@ -343,8 +343,6 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
     precision doubles until the discs are disjoint and the count of real
     ones matches the Sturm count.
     """
-    if field.degree == 1:  # the root -f_0 is an integer, exact in any precision
-        return (Embedding(0, True, 1, mp.mpf(-field.min_poly[0]), mp.mpf(0), mp.mpf(0)),)
     work = prec
     while True:
         with mp.workprec(work + 60):
@@ -597,9 +595,9 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBal
         work *= 2
 
 
-def log_abs_v_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> tuple[mp.mpf, mp.mpf]:
+def log_abs_v_ball(place: Place, x: Element) -> tuple[mp.mpf, mp.mpf]:
     """Archimedean log |x|_v with a proven error radius, refining precision as needed."""
-    ball = log_sigma_ball(place, x, prec)
+    ball = log_sigma_ball(place, x)
     return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
 
 

@@ -20,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraError, Poly, discriminant, is_prime, poly_ext_gcd
+from .algebra import AlgebraError, Poly, discriminant, factor_int, is_prime, poly_ext_gcd
 
 GfPoly = list[int]
 
@@ -391,15 +391,20 @@ def irreducible_over_q(f: Poly) -> tuple[bool, Poly | None]:
 
 
 def _integer_root_candidates(f: Poly) -> list[int]:
-    c0 = int(f.coeffs[0])
+    """Every divisor of the constant term c0 with its negative, sorted by |.|.
+
+    The divisors d <= sqrt|c0| enter the set in increasing order, each with
+    -d and +-c0/d, so the order of d and -d, and the witness it picks, is
+    fixed for each c0."""
+    c0 = abs(int(f.coeffs[0]))
     if c0 == 0:
         return [0]
+    divisors = [1]
+    for q, e in factor_int(c0).items():
+        divisors = [d * q**k for d in divisors for k in range(e + 1)]
     divs = set()
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            divs.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
-        d += 1
+    for d in sorted(d for d in divisors if d * d <= c0):
+        divs.update({d, -d, c0 // d, -(c0 // d)})
     return sorted(divs, key=abs)
 
 
@@ -408,8 +413,6 @@ def _integer_root_candidates(f: Poly) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _euler_phi(n: int) -> int:
-    from .algebra import factor_int
-
     out = n
     for q in factor_int(n):
         out = out // q * (q - 1)

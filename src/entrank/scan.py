@@ -1,6 +1,5 @@
 """Empirical growth-rate machinery: normalized log-counts f, the split
-f = g + h(n_hat), shell scans with C1/C2 estimates, and lattice sequences
-converging to a non-expansive line.
+f = g + h(n_hat), and shell scans with C1/C2 estimates.
 
 The identity behind the split: at every support place, |xi^n - 1|_v equals
 |xi^n|_v * |1 - xi^(-n)|_v when |xi^n|_v > 1 and |1 - xi^n|_v otherwise, so
@@ -46,7 +45,7 @@ import mpmath as mp
 
 from .action import PlacedComponent, PlacedSpec, lattice_shell_points
 from .counting import char0_powers, count_at_powers, require_nonzero
-from .entropy import EntropyFunction, Hyperplane, directional_entropy, entropy_function_of
+from .entropy import EntropyFunction, directional_entropy, entropy_function_of
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, OUTWARD, LogBall, compare_abs_to_one,
                           log_abs_one_minus_exp, log_sigma_ball, ord_v)
@@ -171,8 +170,6 @@ class ShellStat:
 
 @dataclass(frozen=True)
 class ScanReport:
-    r_min: float
-    r_max: float
     records: tuple[PointRecord, ...]
     shells: tuple[ShellStat, ...]
     c1_estimate: float
@@ -233,9 +230,10 @@ def _env_workers() -> int:
 
 
 def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
-               budget: int = 1_000_000, workers: int | None = None) -> ScanReport:
+               budget: int = 1_000_000) -> ScanReport:
     """Evaluate every representative lattice point in the annulus, aggregate
-    per unit shell, and estimate C1/C2 from the outer 20 percent of radii."""
+    per unit shell, and estimate C1/C2 from the outer 20 percent of radii.
+    ENTRANK_WORKERS > 1 spreads the points over that many processes."""
     if not (0 < r_min < r_max):
         raise MathDomainError("need 0 < r_min < r_max")
     if budget < 1:
@@ -246,8 +244,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
         points = points[:budget]
         partial = True
     ef = entropy_function_of(ps)
-    if workers is None:
-        workers = _env_workers()
+    workers = _env_workers()
     if workers > 1 and len(points) > 64:
         chunk_size = max(16, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -275,7 +272,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     c2_trim = outer_sorted[min(1, len(outer_sorted) - 1)]
     c1_trim = outer_sorted[max(-2, -len(outer_sorted))]
     return ScanReport(
-        r_min=r_min, r_max=r_max, records=tuple(records), shells=tuple(shells),
+        records=tuple(records), shells=tuple(shells),
         c1_estimate=c1.f, c2_estimate=c2.f,
         c1_trimmed=c1_trim.f, c2_trimmed=c2_trim.f,
         argmax_f=c1.n, argmin_f=c2.n, partial=partial,
@@ -290,75 +287,3 @@ def write_records_csv(records, fh, d: int) -> None:
     for r in records:
         w.writerow([*r.n, r.count, f"{r.f:.12g}", f"{r.h_hat:.12g}", f"{r.g:.12g}"])
 
-
-# ---------------------------------------------------------------------------
-# Sequences converging to a non-expansive line
-# ---------------------------------------------------------------------------
-
-def _continued_fraction_convergents(x: mp.mpf, depth: int) -> list[tuple[int, int]]:
-    """Convergents p/q of x > 0 from its continued fraction expansion."""
-    out = []
-    p0, q0, p1, q1 = 1, 0, 0, 1  # p0/q0 = 1/0, p1/q1 = 0/1
-    val = mp.mpf(x)
-    for _ in range(depth):
-        a = int(mp.floor(val))
-        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        out.append((p0, q0))
-        frac = val - a
-        if frac < mp.mpf(10) ** (-mp.mp.dps + 8):
-            break
-        val = 1 / frac
-    return out
-
-
-def convergent_sequence(ps: PlacedSpec, hp: Hyperplane, k: int,
-                        ef: EntropyFunction | None = None) -> list[PointRecord]:
-    """The first k lattice points produced by continued-fraction convergents
-    of the line's slope (axis multiples when the slope is rational).
-
-    Convergents with a zero coordinate are dropped: those directions belong
-    to other candidate hyperplanes.
-    """
-    if ps.d != 2:
-        raise MathDomainError("convergent sequences are implemented for d = 2")
-    if k < 1:
-        raise MathDomainError("need k >= 1")
-    if ef is None:
-        ef = entropy_function_of(ps)
-    term = ef.terms[hp.term_indices[0]]
-    if term.kind == "finite":
-        # both entries are integer multiples of log p: rational slope
-        pc = term.component
-        assert pc is not None
-        ords = pc.finite_ords[term.place_index]
-        a, b = ords  # line: -(a x + b y) log(p^f) = 0
-        if a == 0 and b == 0:
-            raise MathDomainError("degenerate hyperplane")
-        g = math.gcd(abs(a), abs(b))
-        direction = (-b // g, a // g)
-        if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
-            direction = (-direction[0], -direction[1])
-        pts = [(j * direction[0], j * direction[1]) for j in range(1, k + 1)]
-        return [point_record(ps, n, ef) for n in pts]
-    with mp.workdps(80):
-        pc = term.component
-        assert pc is not None
-        a_ball = pc.lyapunov_entry_ball(term.place_index, 0, 300)
-        b_ball = pc.lyapunov_entry_ball(term.place_index, 1, 300)
-        a, b = mp.mpf(a_ball[0]), mp.mpf(b_ball[0])
-        if a < 0:
-            a, b = -a, -b
-        if a == 0 or b == 0:
-            raise MathDomainError("axis hyperplane: use the finite-place route")
-        ratio = abs(b) / a
-        convs = _continued_fraction_convergents(ratio, depth=k + 6)
-    sign = -1 if b > 0 else 1
-    pts = []
-    for p, q in convs:
-        n = (sign * p, q)
-        if n[0] == 0 or n[1] == 0:
-            continue
-        pts.append(n)
-        if len(pts) == k:
-            break
-    return [point_record(ps, n, ef) for n in pts]

@@ -18,7 +18,6 @@ import pytest
 
 from entrank import (
     charp_window_oracle,
-    convergent_sequence,
     count_composite,
     count_prime_char0,
     count_prime_charp,
@@ -26,7 +25,6 @@ from entrank import (
     entropy_function_of,
     ledrappier_axis_closed_form,
     mahler_measure,
-    nonexpansive_candidates,
     place_spec,
     point_record,
     shell_scan,
@@ -175,11 +173,14 @@ def test_criterion_9_identities_on_scanned_points(x2x3, big_scan):
 
 
 def test_criterion_10_convergent_sequence(x2x3):
+    # (-p, q) for the first continued-fraction convergents p/q of log 3 / log 2:
+    # lattice points converging to the balance line x1 log 2 + x2 log 3 = 0
+    pts = [(-1, 1), (-2, 1), (-3, 2), (-8, 5), (-19, 12), (-65, 41)]
+    assert all(abs(-n1 / n2 - LOG3 / LOG2) < 1 / n2**2 for n1, n2 in pts)
     ef = entropy_function_of(x2x3)
-    line = next(hp for hp in nonexpansive_candidates(ef)
-                if all(abs(c) > 1e-9 for c in hp.normal))
-    seq = convergent_sequence(x2x3, line, 6, ef)
+    seq = [point_record(x2x3, n, ef) for n in pts]
     ok = all(r.count == x2x3_oracle(*r.n) for r in seq)
+    ok = ok and [r.count for r in seq][:5] == [1, 1, 1, 13, 7153]
     ok = ok and seq[5].f > seq[3].f
     report(10, ok, f"counts match the strip-2-and-3 oracle along {[r.n for r in seq]}; "
                    f"f[6th]={seq[5].f:.3f} > f[4th]={seq[3].f:.3f}")

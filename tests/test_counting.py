@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from entrank import (
+    ConsistencyError,
     MathDomainError,
     ResourceLimitError,
     charp_window_oracle,
@@ -14,6 +15,7 @@ from entrank import (
     parse_spec,
     place_spec,
 )
+from entrank import groebner
 from entrank.groebner import GroebnerBasis
 
 
@@ -162,6 +164,20 @@ def test_support_prime_selection(doc, expected):
         assert count_prime_char0(pc, tuple(-v for v in n)).value == value, n
 
 
+def test_count_rejects_non_integral_place_product(monkeypatch):
+    # several places above 3 are in the support, so ord_v runs there; one
+    # valuation too many at each such place leaves a fraction in the product
+    import entrank.counting as counting
+
+    pc = place_spec(parse_spec({"d": 2, "components": [
+        {"char": 0, "min_poly": [3, 3, 1, -2, 1],
+         "xi": [[1, 1, 0, 1, 1, 1, 0, 1], [-1, 1, 0, 1, -1, 3, 0, 1]]}]})).placed_char0()[0][0]
+    ord_v = counting.ord_v
+    monkeypatch.setattr(counting, "ord_v", lambda place, x: ord_v(place, x) + 1)
+    with pytest.raises(ConsistencyError, match="expected a positive integer"):
+        count_prime_char0(pc, (1, 1))
+
+
 def test_growth_matches_entropy(x2x3_pc):
     k = 20
     val = count_prime_char0(x2x3_pc, (k, k)).value
@@ -197,10 +213,11 @@ def test_groebner_offaxis_samples(led_pc):
     assert count_prime_charp(led_pc, (-8, 8)).value == 1
 
 
-def test_groebner_membership_budget_is_per_call():
+def test_groebner_membership_budget_is_per_call(monkeypatch):
     # <x + 1> over F_2: the normal form of x^6 + 1 takes 6 steps and that of
     # x^20 + 1 takes 20, against a budget of 10 per call
-    gb = GroebnerBasis(2, 1, [{(1,): 1, (0,): 1}], max_reductions=10)
+    monkeypatch.setattr(groebner, "MAX_REDUCTIONS", 10)
+    gb = GroebnerBasis(2, 1, [{(1,): 1, (0,): 1}])
     for _ in range(3):
         assert gb.normal_form({(6,): 1, (0,): 1}) == {}
     with pytest.raises(ResourceLimitError):

@@ -60,6 +60,40 @@ def test_embedding_discs_hold_the_roots(min_poly):
             assert (abs(mp.im(near[0])) < mp.mpf(2) ** -500) == e.is_real
 
 
+@pytest.mark.parametrize("min_poly", [[0, 1], [-3, 1], [7, 1]])
+def test_degree_one_embedding_is_exact(min_poly, monkeypatch):
+    import entrank.numberfield as nf
+
+    calls = []
+    root_discs = nf.root_discs
+
+    def recording(coeffs, prec):
+        calls.append(coeffs)
+        return root_discs(coeffs, prec)
+
+    monkeypatch.setattr(nf, "root_discs", recording)
+    (emb,) = embeddings.__wrapped__(build_field(min_poly))
+    assert calls == [tuple(min_poly)]  # the general path, no branch of its own
+    assert emb.is_real and emb.weight == 1
+    assert emb.re == -min_poly[0] and emb.im == 0 and emb.err == 0
+
+
+def test_log_abs_v_ball_reads_the_placement_cache():
+    # placement calls log_sigma_ball(place, x); log_abs_v_ball must hit the
+    # same cache entry, not a new one keyed on an explicit precision
+    from entrank.action import Char0Component, compute_places
+    from entrank.numberfield import log_sigma_ball
+
+    xi = GOLDEN.element([Fraction(3, 5), Fraction(-7, 2)])
+    pc = compute_places(Char0Component(field=GOLDEN, xi=(xi,)))
+    before = log_sigma_ball.cache_info()
+    for k, place in enumerate(pc.places):
+        if place.kind == "arch":
+            assert float(log_abs_v_ball(place, xi)[0]) == pc.lyapunov[k][0]
+    after = log_sigma_ball.cache_info()
+    assert after.hits == before.hits + 2 and after.misses == before.misses
+
+
 def test_log_abs_v_ball_holds_the_value():
     import mpmath as mp
 
@@ -76,6 +110,15 @@ def test_log_abs_v_ball_holds_the_value():
 def test_build_field_rejects_reducible():
     with pytest.raises(SpecError):
         build_field([-1, 0, 1])  # t^2 - 1
+
+
+def test_build_field_large_integer_root():
+    # the integer-root candidates come from the factorization of c0, not from
+    # trial division up to sqrt|c0|
+    p = 10**9 + 7
+    with pytest.raises(SpecError, match=f"factor found: x - {p}$"):
+        build_field([-p * p, 0, 1])
+    assert build_field([10**14 + 31, 0, 1]).complex_pairs == 1
 
 
 def test_build_field_rejects_non_monic_and_big_degree():

@@ -10,11 +10,9 @@ import pytest
 from entrank import (
     ConsistencyError,
     MathDomainError,
-    convergent_sequence,
     count_composite,
     entropy_function_of,
     g_value,
-    nonexpansive_candidates,
     parse_spec,
     phi_v,
     place_spec,
@@ -373,6 +371,7 @@ def test_finite_g_term_is_zero_where_n_ords_is_nonzero(doc):
 
 
 def test_scan_inverts_each_xi_once(golden, monkeypatch):
+    monkeypatch.setenv("ENTRANK_WORKERS", "1")
     from entrank.numberfield import NumberField, _pow_cached
 
     calls = []
@@ -384,18 +383,21 @@ def test_scan_inverts_each_xi_once(golden, monkeypatch):
 
     monkeypatch.setattr(NumberField, "inv", counting_inv)
     _pow_cached.cache_clear()
-    rep = shell_scan(golden, 1.0, 6.5, workers=1)
+    rep = shell_scan(golden, 1.0, 6.5)
     assert len(rep.records) > 64
     assert len(calls) <= golden.d
 
 
-def test_scan_parallel_matches_serial(x2x3, golden):
-    serial = shell_scan(x2x3, 1.0, 4.5, workers=1)
+def test_scan_parallel_matches_serial(x2x3, golden, monkeypatch):
+    monkeypatch.setenv("ENTRANK_WORKERS", "1")
+    small = shell_scan(x2x3, 1.0, 4.5)
+    serial = [shell_scan(ps, 1.0, 6.5).records for ps in (x2x3, golden)]
     # the worker path needs > 64 points
-    for ps in (x2x3, golden):
-        parallel = shell_scan(ps, 1.0, 6.5, workers=2)
-        assert parallel.records == shell_scan(ps, 1.0, 6.5, workers=1).records
-        assert len(serial.records) < len(parallel.records)
+    monkeypatch.setenv("ENTRANK_WORKERS", "2")
+    for ps, records in zip((x2x3, golden), serial):
+        parallel = shell_scan(ps, 1.0, 6.5)
+        assert parallel.records == records
+        assert len(small.records) < len(parallel.records)
 
 
 def test_scan_ledrappier_axis_zero_limit(ledrappier):
@@ -416,51 +418,3 @@ def test_csv_format(x2x3):
     assert first[2].isdigit()
     float(first[3]), float(first[4]), float(first[5])
 
-
-# ---------------------------------------------------------------------------
-# convergent sequences
-# ---------------------------------------------------------------------------
-
-def _balance_line(x2x3):
-    ef = entropy_function_of(x2x3)
-    for hp in nonexpansive_candidates(ef):
-        if all(abs(c) > 1e-9 for c in hp.normal):
-            return ef, hp
-    raise AssertionError("balance line not found")
-
-
-def test_convergent_sequence_points(x2x3):
-    ef, hp = _balance_line(x2x3)
-    seq = convergent_sequence(x2x3, hp, 6, ef)
-    assert [r.n for r in seq] == [(-1, 1), (-2, 1), (-3, 2), (-8, 5), (-19, 12), (-65, 41)]
-    assert [r.count for r in seq][:5] == [1, 1, 1, 13, 7153]
-    for r in seq:
-        assert r.count == x2x3_oracle(*r.n)
-
-
-def test_convergent_sequence_f_grows_along_tail(x2x3):
-    ef, hp = _balance_line(x2x3)
-    seq = convergent_sequence(x2x3, hp, 6, ef)
-    assert seq[5].f > seq[3].f
-
-
-def test_convergent_sequence_axis(x2x3):
-    ef = entropy_function_of(x2x3)
-    axes = [hp for hp in nonexpansive_candidates(ef)
-            if any(abs(c) < 1e-9 for c in hp.normal)]
-    assert len(axes) == 2
-    for hp in axes:
-        seq = convergent_sequence(x2x3, hp, 3, ef)
-        pts = [r.n for r in seq]
-        assert pts in ([(0, 1), (0, 2), (0, 3)], [(1, 0), (2, 0), (3, 0)])
-
-
-def test_convergent_sequence_needs_d2(ledrappier):
-    spec = parse_spec({"d": 1, "components": [
-        {"multiplicity": 1, "char": 0, "min_poly": [0, 1], "xi": [[2, 1]]}]})
-    ps = place_spec(spec)
-    ef = entropy_function_of(ps)
-    from entrank.entropy import Hyperplane
-
-    with pytest.raises(MathDomainError):
-        convergent_sequence(ps, Hyperplane(normal=(1.0,), term_indices=(0,)), 3, ef)
