@@ -42,7 +42,7 @@ from .numberfield import (
     build_field,
     finite_places_above,
     log_sigma_ball,
-    ord_v,
+    valuations_above,
 )
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,8 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
     for den in denominators:
         primes.update(factor_int(den))
     for p in sorted(primes):
-        for place in finite_places_above(field, p):
-            ords = tuple(ord_v(place, el) for el in comp.xi)
+        columns = [valuations_above(field, p, el) for el in comp.xi]
+        for place, ords in zip(finite_places_above(field, p), zip(*columns)):
             if any(ords):
                 places.append(place)
                 ord_rows.append(ords)

@@ -320,12 +320,15 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; 0 and ±1 give {}."""
+def trial_factor(n: int) -> tuple[dict[int, int], int]:
+    """({prime: exponent} for the primes below 100,000 dividing |n|, cofactor).
+
+    The cofactor has no prime factor below 100,000; it is 1, a prime, or,
+    only when |n| has two prime factors above that, composite."""
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
-        return out
+        return out, 1
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -339,6 +342,12 @@ def factor_int(n: int) -> dict[int, int]:
             n //= f
         f += wheel[i]
         i = (i + 1) % 8
+    return out, n
+
+
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of |n| as {prime: exponent}; 0 and ±1 give {}."""
+    out, n = trial_factor(n)
     rng = random.Random(n)
     stack = [n] if n > 1 else []
     while stack:

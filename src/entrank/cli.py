@@ -7,7 +7,8 @@ error, 3 resource or budget limit, 4 internal-consistency failure.
 Output is deterministic: fixed iteration orders and floats printed with 12
 significant digits; counts print in full, however many digits they have.
 Scans honor the ENTRANK_WORKERS environment variable (unset or empty: one
-process; anything but an integer >= 1 exits 2).
+process; anything but an integer >= 1 exits 2). Larger values are capped at
+the CPU count, so a scan never starts more worker processes than CPUs.
 """
 
 from __future__ import annotations

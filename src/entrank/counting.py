@@ -4,9 +4,9 @@ Char-0 prime components: |F| is the product over the support places of
 |xi^n - 1|_v. Under the package's normalization the archimedean part equals
 |N(xi^n - 1)|, so the whole count is assembled from exact integers: the norm,
 taken once, and the finite valuations. At a prime with one place above it
-that place's share is ord_p of the same norm; ord_v runs only at primes with
-several places. No floating point touches the result, and integrality is
-asserted rather than assumed.
+that place's share is ord_p of the same norm; at a prime with several places
+one valuations_above call per point gives every place's share. No floating
+point touches the result, and integrality is asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
 Laurent quotient by the generators together with u^n - 1.
@@ -36,7 +36,7 @@ from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_p
 from .algebra import ord_p, rank_mod_q
 from .errors import ConsistencyError, MathDomainError, ResourceLimitError
 from .groebner import GfMPoly, GroebnerBasis
-from .numberfield import ord_v
+from .numberfield import valuations_above
 from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_pow_mod, gf_sub
 
 
@@ -77,6 +77,7 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
     norm = field.norm(x)
     num, den = abs(norm.numerator), norm.denominator
+    columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
     for place in pc.places:
         if place.kind != "finite":
             continue
@@ -88,7 +89,9 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
             elif e < 0:
                 den //= p ** -e
             continue
-        v = ord_v(place, x)
+        if p not in columns:
+            columns[p] = valuations_above(field, p, x)
+        v = columns[p][place.index]
         if v > 0:
             den *= p ** (place.res_degree * v)
         elif v < 0:

@@ -14,11 +14,12 @@ of |x|_v over all places is 1, and the product over the archimedean places
 alone equals |N(x)|.
 
 Finite places come from Dedekind factorization of the minimal polynomial
-mod p, guarded by a p-maximality check (explicit error instead of silently
-wrong data when p divides the index). ord_v has one route: the norm of the
-element's integral part is taken once; at a prime with one place above it
-that norm's ord_p is the whole answer, and at a prime with several places
-the Hensel-lifted local factors split it, checked against the same total.
+mod p. Dedekind's criterion is the one p-maximality test, run at every
+prime; when p divides the index it raises instead of returning wrong data.
+Valuations take one pass per prime: valuations_above takes the norm of the
+element's integral part once and splits its ord_p among the places above p,
+all of it to the only place, or by one resultant per Hensel-lifted local
+factor, checked against the same total. ord_v reads one entry of that pass.
 
 Archimedean data carries proven error radii. Each root of the minimal
 polynomial sits in a Weierstrass inclusion disc rounded outward in interval
@@ -39,8 +40,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .algebra import (Poly, discriminant, int_resultant, is_prime, log_fraction, ord_p,
-                      poly_ext_gcd, real_root_count)
+from .algebra import (Poly, int_resultant, is_prime, log_fraction, ord_p, poly_ext_gcd,
+                      real_root_count)
 from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
 from .polyfactor import (
     gf_divmod,
@@ -48,6 +49,7 @@ from .polyfactor import (
     gf_from_int_poly,
     gf_gcd,
     gf_mul,
+    gf_sub,
     hensel_lift_factors,
     irreducible_over_q,
     unity_order_candidates,
@@ -412,7 +414,7 @@ class Place:
     p: int = 0
     res_degree: int = 1  # f_v
     ram_index: int = 1   # e_v
-    ideal_gen: tuple[int, ...] = ()  # irreducible factor of min_poly mod p
+    index: int = 0       # position among the places above p
     siblings: int = 1    # number of places above p
 
     def label(self) -> str:
@@ -429,23 +431,20 @@ def archimedean_places(field: NumberField) -> list[Place]:
     ]
 
 
-def _dedekind_p_maximal(f: Poly, p: int, factors) -> bool:
-    """Dedekind criterion: Z[theta] is p-maximal iff gcd(T, g*, h*) = 1 mod p."""
+def _dedekind_p_maximal(f: tuple[int, ...], p: int, factors) -> bool:
+    """Dedekind's criterion: Z[theta] is p-maximal iff gcd(T, g*, h*) = 1 mod p,
+    where g* is the product of the distinct irreducible factors of f mod p,
+    h* = f / g* mod p, and T = (g* h* - f) / p, formed in Z/p^2."""
+    p2 = p * p
     gstar = [1]
     for g, _ in factors:
         gstar = gf_mul(gstar, g, p)
-    fbar = gf_from_int_poly(f, p)
-    hstar = gf_divmod(fbar, gstar, p)[0]
-    glift = Poly.of([Fraction(c) for c in gstar])
-    hlift = Poly.of([Fraction(c) for c in hstar])
-    diff = glift * hlift - f
-    t_over_p = [Fraction(c, p) for c in diff.coeffs]
-    if any(c.denominator != 1 for c in t_over_p):
+    hstar = gf_divmod([c % p for c in f], gstar, p)[0]
+    diff = gf_sub(gf_mul(gstar, hstar, p2), [c % p2 for c in f], p2)
+    if any(c % p for c in diff):
         raise ConsistencyError("Dedekind T polynomial is not integral")
-    tbar = gf_from_int_poly(Poly.of(t_over_p), p)
-    g1 = gf_gcd(tbar, gstar, p)
-    g2 = gf_gcd(g1, hstar, p)
-    return len(g2) == 1
+    tbar = [c // p for c in diff]
+    return len(gf_gcd(gf_gcd(tbar, gstar, p), hstar, p)) == 1
 
 
 @functools.lru_cache(maxsize=4096)
@@ -461,22 +460,19 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
     """Dedekind factorization of p; errors loudly when p-maximality fails."""
     if not is_prime(p):
         raise SpecError(f"{p} is not prime")
-    f = field.poly
     factors = _factor_mod_p(field, p)
-    disc = discriminant(f)
-    if int(disc) % (p * p) == 0:
-        if not _dedekind_p_maximal(f, p, factors):
-            raise UnsupportedPrimeError(
-                f"p={p} divides the index [O_K : Z[theta]]; "
-                "valuations at this prime are not supported for this field model"
-            )
+    if not _dedekind_p_maximal(field.min_poly, p, factors):
+        raise UnsupportedPrimeError(
+            f"p={p} divides the index [O_K : Z[theta]]; "
+            "valuations at this prime are not supported for this field model"
+        )
     places = []
     total = 0
-    for gbar, e in factors:
+    for i, (gbar, e) in enumerate(factors):
         fv = len(gbar) - 1
         total += e * fv
         places.append(Place(field=field, kind="finite", p=p, res_degree=fv,
-                            ram_index=e, ideal_gen=gbar, siblings=len(factors)))
+                            ram_index=e, index=i, siblings=len(factors)))
     if total != field.degree:
         raise ConsistencyError(f"sum e_v f_v = {total} != degree {field.degree}")
     return places
@@ -487,63 +483,60 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
-def _lifted_local_factors(field: NumberField, p: int, exp: int) -> tuple[tuple[int, ...], ...]:
-    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^k >= p^exp."""
+def _lifted_local_factors(field: NumberField, p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^k (k a power of two)."""
     blocks = []
     for gbar, e in _factor_mod_p(field, p):
         blk = [1]
         for _ in range(e):
             blk = gf_mul(blk, gbar, p)
         blocks.append(blk)
-    lifted = hensel_lift_factors(field.poly, blocks, p, exp)
-    return tuple(tuple(c for c in blk) for blk in lifted)
+    return tuple(tuple(blk) for blk in hensel_lift_factors(field.poly, blocks, p, k))
 
 
-def ord_v(place: Place, x: Element) -> int:
-    """Exact valuation of x at a finite place.
+def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
+    """ord_v(x) at every place v above p, in finite_places_above order.
 
     With x = A(theta)/c, A integral, the norm N(A) is taken once and
-    v_total = ord_p N(A) is split among the places above p: all of it at a
-    prime with one place, by the Hensel-lifted local factors (whose shares
-    must sum to v_total) at a prime with several. c contributes -e_v ord_p(c).
+    v_total = ord_p N(A) is split among the places above p: all of it to
+    the only place, or one resultant per Hensel-lifted local factor (lifted
+    past p^v_total), whose shares must sum to v_total. A place's share is
+    f_v ord_v(A); c contributes -e_v ord_p(c).
     """
-    if place.kind != "finite":
-        raise MathDomainError("ord_v is defined at finite places only")
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
-    field, p = place.field, place.p
-    den_part = place.ram_index * ord_p(x.den, p) if x.den % p == 0 else 0
+    factors = _factor_mod_p(field, p)
     nrm = int_resultant(field.min_poly, x.num)
     if nrm == 0:
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
-    if v_total == 0:
-        return -den_part
-    if place.siblings == 1:
-        if v_total % place.res_degree:
+    if v_total == 0 or len(factors) == 1:
+        shares = [v_total] + [0] * (len(factors) - 1)
+    else:
+        shares = []
+        for block in _lifted_local_factors(field, p, 1 << v_total.bit_length()):
+            r = int_resultant(block, x.num)
+            if r == 0:
+                raise ConsistencyError("lifted local factor shares a root with the element")
+            shares.append(ord_p(r, p))
+        if sum(shares) != v_total:
             raise ConsistencyError(
-                f"norm valuation {v_total} not divisible by residue degree {place.res_degree}")
-        return v_total // place.res_degree - den_part
-    lifted = _lifted_local_factors(field, p, v_total + 1)
-    check = 0
-    my_val = None
-    for (gbar, _e), block in zip(_factor_mod_p(field, p), lifted):
-        r = int_resultant(block, x.num)
-        if r == 0:
-            raise ConsistencyError("lifted local factor shares a root with the element")
-        v = ord_p(r, p)
-        check += v
-        if gbar == place.ideal_gen:
-            fv = len(gbar) - 1
-            if v % fv:
-                raise ConsistencyError("local valuation not divisible by residue degree")
-            my_val = v // fv
-    if check != v_total:
-        raise ConsistencyError(
-            f"local valuations sum to {check}, expected {v_total} at p={p}")
-    if my_val is None:
-        raise ConsistencyError("place not found among local factors")
-    return my_val - den_part
+                f"local valuations sum to {sum(shares)}, expected {v_total} at p={p}")
+    den_ord = ord_p(x.den, p) if x.den % p == 0 else 0
+    out = []
+    for (gbar, e), v in zip(factors, shares):
+        fv = len(gbar) - 1
+        if v % fv:
+            raise ConsistencyError(f"local valuation {v} not divisible by residue degree {fv}")
+        out.append(v // fv - e * den_ord)
+    return tuple(out)
+
+
+def ord_v(place: Place, x: Element) -> int:
+    """Exact valuation of x at a finite place: its entry of valuations_above."""
+    if place.kind != "finite":
+        raise MathDomainError("ord_v is defined at finite places only")
+    return valuations_above(place.field, place.p, x)[place.index]
 
 
 # ---------------------------------------------------------------------------

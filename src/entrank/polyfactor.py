@@ -20,7 +20,8 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraError, Poly, discriminant, factor_int, is_prime, poly_ext_gcd
+from .algebra import (AlgebraError, Poly, discriminant, factor_int, is_prime, poly_ext_gcd,
+                      trial_factor)
 
 GfPoly = list[int]
 
@@ -387,25 +388,35 @@ def irreducible_over_q(f: Poly) -> tuple[bool, Poly | None]:
     factors = factor_monic_int_poly(f)
     if len(factors) == 1:
         return True, None
+    roots = [-int(g.coeffs[0]) for g in factors if g.degree == 1]
+    if roots:  # the root the candidates would have met first
+        r = min(roots, key=_root_order)
+        return False, Poly.of([-r, 1])
     return False, factors[0]
 
 
-def _integer_root_candidates(f: Poly) -> list[int]:
-    """Every divisor of the constant term c0 with its negative, sorted by |.|.
+def _root_order(r: int) -> tuple[int, bool]:
+    return abs(r), r < 0
 
-    The divisors d <= sqrt|c0| enter the set in increasing order, each with
-    -d and +-c0/d, so the order of d and -d, and the witness it picks, is
-    fixed for each c0."""
+
+def _integer_root_candidates(f: Poly) -> list[int]:
+    """Every divisor of the constant term c0 with its negative, ordered by
+    |.| and then positive first, when trial division leaves at most a prime
+    cofactor of c0. A composite cofactor would need Pollard rho (about
+    sqrt(q) steps for its least prime q), so then there are no candidates
+    and Zassenhaus finds every linear factor instead."""
     c0 = abs(int(f.coeffs[0]))
     if c0 == 0:
         return [0]
+    primes, rest = trial_factor(c0)
+    if rest > 1:
+        if not is_prime(rest):
+            return []
+        primes[rest] = 1
     divisors = [1]
-    for q, e in factor_int(c0).items():
+    for q, e in primes.items():
         divisors = [d * q**k for d in divisors for k in range(e + 1)]
-    divs = set()
-    for d in sorted(d for d in divisors if d * d <= c0):
-        divs.update({d, -d, c0 // d, -(c0 // d)})
-    return sorted(divs, key=abs)
+    return sorted((s * d for d in divisors for s in (1, -1)), key=_root_order)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,8 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
                budget: int = 1_000_000) -> ScanReport:
     """Evaluate every representative lattice point in the annulus, aggregate
     per unit shell, and estimate C1/C2 from the outer 20 percent of radii.
-    ENTRANK_WORKERS > 1 spreads the points over that many processes."""
+    ENTRANK_WORKERS > 1 spreads the points over that many processes, at
+    most one per CPU."""
     if not (0 < r_min < r_max):
         raise MathDomainError("need 0 < r_min < r_max")
     if budget < 1:
@@ -244,7 +245,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
         points = points[:budget]
         partial = True
     ef = entropy_function_of(ps)
-    workers = _env_workers()
+    workers = min(_env_workers(), os.cpu_count() or 1)
     if workers > 1 and len(points) > 64:
         chunk_size = max(16, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

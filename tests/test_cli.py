@@ -144,6 +144,23 @@ def test_table_cells_against_grid(capsys):
     assert parsed == GRID
 
 
+def test_table_gaussian_split_prime(capsys):
+    # Q(i) with xi = 2 + i: one of the two places above 5 is in the support,
+    # so counts take the several-places route; for n != 0 the count is
+    # N((2 + i)^|n| - 1) = (a - 1)^2 + b^2 with a + b i = (2 + i)^|n|
+    rc, out, _ = run(capsys, "table", "--spec", str(SPECS / "gaussian_split.json"),
+                     "--range", "-6:6")
+    assert rc == 0
+    cells = []
+    for n in range(-6, 7):
+        a, b = 1, 0
+        for _ in range(abs(n)):
+            a, b = 2 * a - b, a + 2 * b
+        cells.append(str((a - 1) ** 2 + b * b) if n else "∞")
+    assert out == " ".join(cells) + "\n"
+    assert out == "15860 3202 640 122 20 2 ∞ 2 20 122 640 3202 15860\n"
+
+
 def test_table_single_row(capsys):
     rc, out, _ = run(capsys, "table", "--spec", X2X3, "--range", "1:3,1:1")
     assert rc == 0

@@ -165,15 +165,17 @@ def test_support_prime_selection(doc, expected):
 
 
 def test_count_rejects_non_integral_place_product(monkeypatch):
-    # several places above 3 are in the support, so ord_v runs there; one
-    # valuation too many at each such place leaves a fraction in the product
+    # several places above 3 are in the support, so valuations_above runs
+    # there; one valuation too many at each such place leaves a fraction in
+    # the product
     import entrank.counting as counting
 
     pc = place_spec(parse_spec({"d": 2, "components": [
         {"char": 0, "min_poly": [3, 3, 1, -2, 1],
          "xi": [[1, 1, 0, 1, 1, 1, 0, 1], [-1, 1, 0, 1, -1, 3, 0, 1]]}]})).placed_char0()[0][0]
-    ord_v = counting.ord_v
-    monkeypatch.setattr(counting, "ord_v", lambda place, x: ord_v(place, x) + 1)
+    inner = counting.valuations_above
+    monkeypatch.setattr(counting, "valuations_above",
+                        lambda field, p, x: tuple(v + 1 for v in inner(field, p, x)))
     with pytest.raises(ConsistencyError, match="expected a positive integer"):
         count_prime_char0(pc, (1, 1))
 

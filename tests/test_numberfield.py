@@ -1,13 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from entrank.algebra import factor_int, ord_p
-from entrank.errors import MathDomainError, SpecError
+from entrank.algebra import discriminant, factor_int, is_prime, ord_p
+from entrank.errors import MathDomainError, SpecError, UnsupportedPrimeError
 from entrank.numberfield import (
     Element,
+    _dedekind_p_maximal,
+    _factor_mod_p,
     archimedean_places,
     build_field,
     compare_abs_to_one,
@@ -16,11 +19,26 @@ from entrank.numberfield import (
     log_abs_v,
     log_abs_v_ball,
     ord_v,
+    valuations_above,
 )
 
 GOLDEN = build_field([-1, -1, 1])
 Q = build_field([0, 1])
 GAUSS = build_field([1, 0, 1])
+PRIMES_BELOW_60 = [p for p in range(2, 60) if is_prime(p)]
+
+
+def _seeded_fields(seed: int, count: int, max_degree: int):
+    """count fields of degree 2..max_degree with random monic minimal polynomials."""
+    rng = random.Random(seed)
+    fields = []
+    while len(fields) < count:
+        degree = rng.randint(2, max_degree)
+        try:
+            fields.append(build_field([rng.randint(-5, 5) for _ in range(degree)] + [1]))
+        except SpecError:  # reducible
+            continue
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +137,28 @@ def test_build_field_large_integer_root():
     with pytest.raises(SpecError, match=f"factor found: x - {p}$"):
         build_field([-p * p, 0, 1])
     assert build_field([10**14 + 31, 0, 1]).complex_pairs == 1
+
+
+def test_build_field_two_large_primes_in_constant_term():
+    # c0 = p q with p, q > 10^16: trial division leaves a composite cofactor,
+    # which is not factored (Pollard rho would need about 10^8 steps);
+    # Zassenhaus decides, and the witness is the linear factor of least |r|
+    def next_prime(n):
+        n += 1
+        while not is_prime(n):
+            n += 1
+        return n
+
+    p, q = next_prime(10**16), next_prime(3 * 10**16)
+    start = time.perf_counter()
+    assert build_field([-(p * q), 0, 1]).real_embeddings == 2
+    with pytest.raises(SpecError, match=f"factor found: x - {p}$"):
+        build_field([p * q, -(p + q), 1])
+    with pytest.raises(SpecError, match=f"factor found: x \\+ {p}$"):
+        build_field([-p * q, p - q, 1])  # (x + p)(x - q)
+    with pytest.raises(SpecError, match=f"factor found: x - {p}$"):
+        build_field([-p * p, 0, 1])  # roots +-p: the positive one on a tie
+    assert time.perf_counter() - start < 1
 
 
 def test_build_field_rejects_non_monic_and_big_degree():
@@ -248,6 +288,55 @@ def test_ord_v_additive_at_split_prime():
         xy = GAUSS.mul(x, y)
         for p in places:
             assert ord_v(p, xy) == ord_v(p, x) + ord_v(p, y)
+
+
+def test_valuations_above_split_the_norm():
+    # seeded fields of degree 2..6 at primes below 60 with several places:
+    # sum f_v ord_v(x) = ord_p N(x), ord_v(xy) = ord_v(x) + ord_v(y), ord_v(p) = e_v
+    rng = random.Random(41)
+    split_primes = 0
+    for field in _seeded_fields(41, 30, 6):
+        for p in PRIMES_BELOW_60:
+            try:
+                places = finite_places_above(field, p)
+            except UnsupportedPrimeError:
+                continue
+            if len(places) < 2:
+                continue
+            split_primes += 1
+            zeros = [0] * (field.degree - 1)
+            assert (valuations_above(field, p, field.element([p] + zeros))
+                    == tuple(v.ram_index for v in places))
+            for _ in range(3):
+                x, y = (field.mul(  # times (theta - a)^k to reach positive valuations
+                    field.element([Fraction(rng.randint(-9, 9), rng.choice((1, 2, p)))
+                                   for _ in range(field.degree)]),
+                    field.pow(field.element([-rng.randrange(p), 1] + zeros[1:]),
+                              rng.randint(0, 3)))
+                    for _ in range(2))
+                if x.is_zero() or y.is_zero():
+                    continue
+                vx, vy = valuations_above(field, p, x), valuations_above(field, p, y)
+                assert sum(v.res_degree * o for v, o in zip(places, vx)) == ord_p(field.norm(x), p)
+                assert (valuations_above(field, p, field.mul(x, y))
+                        == tuple(a + b for a, b in zip(vx, vy)))
+                assert tuple(ord_v(v, x) for v in places) == vx
+    assert split_primes >= 20
+
+
+def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
+    # p^2 not dividing disc(f) already makes Z[theta] p-maximal, so running
+    # the criterion at every prime must accept every such p
+    checked = 0
+    for field in _seeded_fields(43, 60, 8):
+        disc = int(discriminant(field.poly))
+        for p in PRIMES_BELOW_60:
+            if disc % (p * p):
+                checked += 1
+                assert _dedekind_p_maximal(field.min_poly, p, _factor_mod_p(field, p))
+    assert checked >= 500
+    with pytest.raises(UnsupportedPrimeError):  # 2 divides [O_K : Z[sqrt -3]]
+        finite_places_above(build_field([3, 0, 1]), 2)
 
 
 def test_abs_v_examples():

@@ -388,6 +388,36 @@ def test_scan_inverts_each_xi_once(golden, monkeypatch):
     assert len(calls) <= golden.d
 
 
+def test_scan_workers_capped_at_cpu_count(golden, monkeypatch):
+    # a stand-in pool records its size and maps serially: no process starts
+    import entrank.scan as scan
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("ENTRANK_WORKERS", "100000")
+    rep = shell_scan(golden, 1.0, 6.5)
+    assert len(rep.records) > 64  # the worker path needs > 64 points
+    assert sizes == [2]
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: None)  # unknown: one process
+    assert shell_scan(golden, 1.0, 6.5).records == rep.records
+    assert sizes == [2]
+
+
 def test_scan_parallel_matches_serial(x2x3, golden, monkeypatch):
     monkeypatch.setenv("ENTRANK_WORKERS", "1")
     small = shell_scan(x2x3, 1.0, 4.5)
