@@ -16,7 +16,7 @@ from .action import (
     parse_spec_json,
     place_spec,
 )
-from .algebra import Poly, ord_p, resultant
+from .algebra import ord_p, resultant
 from .counting import (
     CountResult,
     WindowOracle,

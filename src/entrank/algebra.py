@@ -1,18 +1,21 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
-Rationals are stdlib ``fractions.Fraction``. ``Poly`` is an immutable tuple
-of rational coefficients in ascending degree, for the algorithms that need
-division over Q (extended gcd, Sturm chains). Resultants have one integer
-core, the Bareiss determinant of the Sylvester matrix, which number-field
-norms and valuations call directly on integer coefficients.
+Rationals are stdlib ``fractions.Fraction``. Polynomials have integer
+coefficients, as lists or tuples in ascending degree: minimal polynomials,
+Mahler-measure inputs and the norms behind every count. The Z[x] helpers
+avoid division over Q: gcds and Sturm chains run on primitive
+pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1; Cohen, GTM 138, 3.3), and the
+one resultant is the Bareiss determinant of the Sylvester matrix, which
+norms, valuations and discriminants share.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import ResourceLimitError
 
 
 class AlgebraError(ValueError):
@@ -49,140 +52,81 @@ def log_fraction(x: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Q (coefficients ascending; index i holds the x^i coefficient)
+# Polynomials over Z (ascending int coefficients; index i holds the x^i coefficient)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(seq) -> "Poly":
-        cs = [Fraction(c) for c in seq]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == 1
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly.of(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(())
-        return Poly(tuple(x * c for x in self.coeffs))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.of(out)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise AlgebraError("division by the zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly.of(q), Poly.of(rem)
-
-    def derivative(self) -> "Poly":
-        return Poly.of([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Rational content c > 0 and primitive integer part P with self = c*P."""
-        if self.is_zero():
-            return Fraction(0), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        return content, self.scale(1 / content)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = str(abs(c)) if (abs(c) != 1 or i == 0) else ""
-            if i >= 1:
-                term += "x" if not term else "*x"
-                if i > 1:
-                    term += f"^{i}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+def poly_trim(f) -> list[int]:
+    """f as a list without trailing zero coefficients; [] is the zero polynomial."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """(d, t): d the monic gcd of f and g over Q (zero when both are), and t
-    with t*g = d mod f. The cofactor of f is not formed."""
-    r0, r1 = f, g
-    t0, t1 = Poly.of([]), Poly.of([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, t0
-    inv = 1 / r0.leading()
-    return r0.scale(inv), t0.scale(inv)
+def poly_derivative(f) -> list[int]:
+    return poly_trim([i * c for i, c in enumerate(f)][1:])
+
+
+def _content_free(f: list[int]) -> list[int]:
+    """f divided by the gcd of its coefficients, signs kept."""
+    g = math.gcd(*f)
+    return f if g == 1 else [c // g for c in f]
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """|lc g|^(deg f - deg g + 1) f mod g (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+    The multiplier is positive, so the signs are those of the remainder over Q."""
+    r, lc, s = list(f), abs(g[-1]), (1 if g[-1] > 0 else -1)
+    for k in range(len(f) - len(g), -1, -1):
+        t = s * r[-1]
+        if lc != 1:
+            r = [lc * c for c in r]
+        if t:
+            for i, c in enumerate(g):
+                r[k + i] -= t * c
+        r.pop()
+    return poly_trim(r)
+
+
+def poly_gcd(f, g) -> list[int]:
+    """The gcd of f and g over Q, primitive in Z[x] with a positive leading
+    coefficient ([] when both are zero), by primitive pseudo-remainders."""
+    f, g = poly_trim(f), poly_trim(g)
+    while g:
+        f, g = g, _content_free(_prem(f, g))
+    f = _content_free(f)
+    return [-c for c in f] if f and f[-1] < 0 else f
+
+
+def poly_divexact(f, g) -> list[int] | None:
+    """q in Z[x] with f = q g, or None when there is none (g nonzero)."""
+    r, n = poly_trim(f), len(g)
+    q = [0] * max(0, len(r) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + n - 1], g[-1])
+        if m:
+            return None
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] -= c * b
+    return None if any(r) else q
+
+
+def poly_str(f) -> str:
+    """f as text, leading term first: x^2 - 3*x + 1."""
+    parts = []
+    for i in range(len(f) - 1, -1, -1):
+        c = f[i]
+        if not c:
+            continue
+        term = str(abs(c)) if (abs(c) != 1 or i == 0) else ""
+        if i >= 1:
+            term += "x" if not term else "*x"
+            if i > 1:
+                term += f"^{i}"
+        parts.append(("- " if c < 0 else "+ ") + term)
+    s = " ".join(parts) or "+ 0"  # the zero polynomial prints as 0
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +156,12 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def int_resultant(f, g) -> int:
-    """Res(f, g) of two nonzero integer polynomials given as ascending
-    coefficients (trailing zeros allowed): the Sylvester determinant."""
-    f, g = list(f), list(g)
-    while not f[-1]:
-        f.pop()
-    while not g[-1]:
-        g.pop()
+def resultant(f, g) -> int:
+    """Res(f, g) of two nonzero integer polynomials (trailing zeros
+    allowed): the Sylvester determinant."""
+    f, g = poly_trim(f), poly_trim(g)
+    if not (f and g):
+        raise AlgebraError("resultant with the zero polynomial requested")
     n, m = len(f) - 1, len(g) - 1
     if m == 0:  # also the empty matrix when n = 0
         return g[0] ** n
@@ -230,48 +172,42 @@ def int_resultant(f, g) -> int:
     return _bareiss_det(rows)
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) over Q: the contents split off, int_resultant on the primitive parts."""
-    if f.is_zero() and g.is_zero():
-        raise AlgebraError("resultant of two zero polynomials is undefined")
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    cf, F = f.content_and_primitive()
-    cg, G = g.content_and_primitive()
-    det = int_resultant([int(c) for c in F.coeffs], [int(c) for c in G.coeffs])
-    return det * cf**G.degree * cg**F.degree
-
-
-def discriminant(f: Poly) -> Fraction:
-    if f.degree < 1:
+def discriminant(f) -> int:
+    f = poly_trim(f)
+    n = len(f) - 1
+    if n < 1:
         raise AlgebraError("discriminant needs degree >= 1")
-    n = f.degree
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading()
+    return sign * resultant(f, poly_derivative(f)) // f[-1]
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains (exact count of real roots)
 # ---------------------------------------------------------------------------
 
-def _sign_changes(vals: list[Fraction]) -> int:
+def _sign_changes(vals: list[int]) -> int:
     signs = [1 if v > 0 else -1 for v in vals if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def real_root_count(f: Poly) -> int:
-    """Number of distinct real roots of a squarefree polynomial."""
-    if f.degree < 1:
+def real_root_count(f) -> int:
+    """Number of distinct real roots of a squarefree integer polynomial.
+
+    The Sturm chain f, f', -rem, ... is formed from pseudo-remainders with a
+    positive multiplier, each divided by its positive content, so every
+    member is a positive multiple of the chain over Q."""
+    f = poly_trim(f)
+    if len(f) < 2:
         return 0
-    chain = [f, f.derivative()]
-    while chain[-1].degree >= 1:
-        r = chain[-2].divmod(chain[-1])[1]
-        if r.is_zero():
+    chain = [f, poly_derivative(f)]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(r.scale(-1))
+        chain.append([-c for c in _content_free(r)])
     # leading behavior at -inf / +inf
-    at_pos = [p.leading() for p in chain if not p.is_zero()]
-    at_neg = [p.leading() * (-1 if p.degree % 2 else 1) for p in chain if not p.is_zero()]
+    at_pos = [p[-1] for p in chain]
+    at_neg = [p[-1] * (-1 if len(p) % 2 == 0 else 1) for p in chain]
     return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
@@ -280,6 +216,9 @@ def real_root_count(f: Poly) -> int:
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# Pollard rho needs about sqrt(q) steps for the least prime factor q, so this
+# cap finds factors up to about 10^10 and gives up within about a second.
+POLLARD_MAX_STEPS = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -307,11 +246,18 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
+    """A proper factor of the composite n; ResourceLimitError once the
+    iterations, over all restarts, pass POLLARD_MAX_STEPS."""
+    steps = 0
     while True:
         c = rng.randrange(1, n)
         x = y = rng.randrange(2, n)
         d = 1
         while d == 1:
+            steps += 1
+            if steps > POLLARD_MAX_STEPS:
+                raise ResourceLimitError(
+                    f"Pollard rho found no factor of {n} in {POLLARD_MAX_STEPS} steps")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

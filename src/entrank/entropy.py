@@ -10,6 +10,7 @@ cosine wave, so extrema sit at arc endpoints or at an interior wave peak.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from .action import PlacedSpec
-from .algebra import Poly, poly_ext_gcd
+from .algebra import poly_derivative, poly_divexact, poly_gcd, poly_trim
 from .errors import MathDomainError, SpecError
 from .numberfield import DEFAULT_PREC, OUTWARD, root_discs
 
@@ -291,17 +292,17 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     part, a proven error bound. The precision doubles until the bound meets
     the target.
     """
-    p = Poly.of(coeffs)
-    if p.is_zero():
+    p = poly_trim(coeffs)
+    if not p:
         raise MathDomainError("Mahler measure of the zero polynomial")
-    if not p.is_integral():
+    if any(c != int(c) for c in p):
         raise SpecError("expected integer coefficients")
     low = 0
-    while p.coeffs[low] == 0:
+    while p[low] == 0:
         low += 1  # factors of x contribute nothing
-    p = Poly.of(p.coeffs[low:])
-    value = math.log(abs(p.leading()))
-    if p.degree == 0:
+    p = [int(c) for c in p[low:]]
+    value = math.log(abs(p[-1]))
+    if len(p) == 1:
         return MahlerMeasure(value=value, error_bound=1e-15)
     parts = _squarefree_parts(p)
     prec = DEFAULT_PREC
@@ -318,22 +319,23 @@ def mahler_measure(coeffs) -> MahlerMeasure:
         prec *= 2
 
 
-def _squarefree_parts(p: Poly) -> list[tuple[tuple[int, ...], int]]:
-    """(S_k as primitive integer coefficients, k) for the nonconstant S_k of
-    Yun's squarefree decomposition p = lc * prod S_k^k over Q."""
-    def gcd(f, g):
-        return poly_ext_gcd(f, g)[0]
+def _squarefree_parts(p: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """(S_k, k) for the nonconstant S_k of Yun's squarefree decomposition
+    p = lc * prod S_k^k, each S_k primitive with a positive leading coefficient.
 
-    dp = p.derivative()
-    a = gcd(p, dp)
-    b, c = p.divmod(a)[0], dp.divmod(a)[0]
-    d = c - b.derivative()
+    The gcds are primitive, so every division is exact in Z[x] (Gauss's
+    lemma), and b and c carry the same constant factor as over Q, so
+    d = c - b' does too.
+    """
+    dp = poly_derivative(p)
+    a = poly_gcd(p, dp)
+    b, c = poly_divexact(p, a), poly_divexact(dp, a)
     out, k = [], 1
-    while b.degree > 0:
-        a = gcd(b, d)
-        b, c = b.divmod(a)[0], d.divmod(a)[0]
-        d = c - b.derivative()
-        if a.degree > 0:
-            out.append((tuple(int(v) for v in a.content_and_primitive()[1].coeffs), k))
+    while len(b) > 1:
+        d = [u - v for u, v in itertools.zip_longest(c, poly_derivative(b), fillvalue=0)]
+        a = poly_gcd(b, d)
+        b, c = poly_divexact(b, a), poly_divexact(d, a)
+        if len(a) > 1:
+            out.append((tuple(a), k))
         k += 1
     return out

@@ -4,8 +4,9 @@ An element is integer numerators over one denominator c > 0 in the power
 basis, x = (a_0 + a_1 theta + ... + a_(d-1) theta^(d-1)) / c, in lowest
 terms, so equal values compare and hash equal. Products and characteristic
 polynomials share one integer multiply-and-reduce modulo the monic minimal
-polynomial; norms and valuations share one integer resultant. Only the
-inverse runs over Q (an extended gcd), and powers cache it.
+polynomial; norms and valuations share one integer resultant. The inverse
+comes from the characteristic polynomial by Cayley-Hamilton, in integers,
+and powers cache it.
 
 Normalization fixes the Artin-Whaples product formula: real places contribute
 |sigma(x)|, complex places |sigma(x)|^2, and a finite place v above p with
@@ -40,8 +41,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .algebra import (Poly, int_resultant, is_prime, log_fraction, ord_p, poly_ext_gcd,
-                      real_root_count)
+from .algebra import (is_prime, log_fraction, ord_p, poly_str, poly_trim, real_root_count,
+                      resultant)
 from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
 from .polyfactor import (
     gf_divmod,
@@ -49,6 +50,7 @@ from .polyfactor import (
     gf_from_int_poly,
     gf_gcd,
     gf_mul,
+    gf_prod,
     gf_sub,
     hensel_lift_factors,
     irreducible_over_q,
@@ -78,10 +80,6 @@ class NumberField:
     real_embeddings: int
     complex_pairs: int
 
-    @property
-    def poly(self) -> Poly:
-        return Poly.of(self.min_poly)
-
     def element(self, coords) -> "Element":
         cs = [Fraction(c) for c in coords]
         if len(cs) != self.degree:
@@ -107,14 +105,16 @@ class NumberField:
         return _element(_mul_mod(x.num, y.num, self.min_poly), x.den * y.den)
 
     def inv(self, x: "Element") -> "Element":
-        """1/x = c t for x = A(theta)/c and t A = 1 mod min_poly (deg t < degree)."""
+        """1/x = -c (y^(n-1) + b_(n-1) y^(n-2) + ... + b_1) / b_0 for x = y/c,
+        by Cayley-Hamilton from charpoly(y) = y^n + b_(n-1) y^(n-1) + ... + b_0."""
         if x.is_zero():
             raise MathDomainError("inverse of zero")
-        g, t = poly_ext_gcd(self.poly, Poly.of(x.num))
-        if g.degree != 0:
-            raise ConsistencyError("min_poly not coprime with nonzero element")
-        cs = [x.den * c for c in t.coeffs]
-        return self.element(cs + [0] * (self.degree - len(cs)))
+        b, powers = _charpoly_core(x.num, self.min_poly)
+        if b[0] == 0:
+            raise ConsistencyError("nonzero element has norm 0")
+        s = -x.den if b[0] > 0 else x.den
+        return _element([s * sum(c * y[i] for c, y in zip(b[1:], powers))
+                         for i in range(self.degree)], abs(b[0]))
 
     def pow(self, x: "Element", k: int) -> "Element":
         return _pow_cached(self, x, k)
@@ -133,29 +133,13 @@ class NumberField:
         """Field norm N(x) = Res(min_poly, A) / c^degree for x = A(theta)/c."""
         if x.is_zero():
             raise MathDomainError("norm of zero requested")
-        return Fraction(int_resultant(self.min_poly, x.num), x.den ** self.degree)
+        return Fraction(resultant(self.min_poly, x.num), x.den ** self.degree)
 
     def charpoly(self, x: "Element") -> tuple[Fraction, ...]:
-        """Characteristic polynomial of multiplication by x, ascending and monic.
-
-        With x = y/c for an integral y, Newton's identities turn the traces
-        of y, y^2, ..., y^degree into the coefficients b_j of charpoly(y),
-        all in integer arithmetic; charpoly(x) has coefficients b_j / c^(n-j).
-        Tr(theta^j) are the power sums of the roots of min_poly.
-        """
-        n, f = self.degree, self.min_poly
-        traces = _theta_traces(f)
-        sums, power = [], [1] + [0] * (n - 1)
-        for _ in range(n):
-            power = _mul_mod(power, x.num, f)
-            sums.append(sum(a * t for a, t in zip(power, traces)))
-        e = [1]
-        for k in range(1, n + 1):
-            total = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
-            if total % k:
-                raise ConsistencyError("Newton identity gave a non-integral coefficient")
-            e.append(total // k)
-        return tuple(Fraction((-1) ** (n - j) * e[n - j], x.den ** (n - j)) for j in range(n + 1))
+        """Characteristic polynomial of multiplication by x, ascending and
+        monic: b_j / c^(n-j) for x = y/c and charpoly(y) = sum b_j X^j."""
+        b, _powers = _charpoly_core(x.num, self.min_poly)
+        return tuple(Fraction(c, x.den ** (self.degree - j)) for j, c in enumerate(b))
 
     def root_of_unity_order(self, x: "Element") -> int | None:
         """Multiplicative order when x is a root of unity, else None."""
@@ -201,6 +185,28 @@ def _mul_mod(a, b, f: tuple[int, ...]) -> list[int]:
     return prod[:n]
 
 
+def _charpoly_core(y, f: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+    """(b, powers) for the integral y = y(theta): the ascending coefficients
+    b_0, ..., b_n = 1 of charpoly(y), and y^0, ..., y^(n-1).
+
+    Newton's identities turn the traces of y, y^2, ..., y^n into b, all in
+    integer arithmetic; Tr(theta^j) are the power sums of the roots of f.
+    """
+    n = len(f) - 1
+    traces = _theta_traces(f)
+    powers, sums = [[1] + [0] * (n - 1)], []
+    for _ in range(n):
+        powers.append(_mul_mod(powers[-1], y, f))
+        sums.append(sum(a * t for a, t in zip(powers[-1], traces)))
+    e = [1]
+    for k in range(1, n + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * sums[i - 1] for i in range(1, k + 1))
+        if total % k:
+            raise ConsistencyError("Newton identity gave a non-integral coefficient")
+        e.append(total // k)
+    return [(-1) ** (n - j) * e[n - j] for j in range(n + 1)], powers[:n]
+
+
 @functools.lru_cache(maxsize=200_000)
 def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
     if k == -1:
@@ -236,24 +242,26 @@ def _theta_traces(min_poly: tuple[int, ...]) -> tuple[int, ...]:
 
 def build_field(min_poly_coeffs) -> NumberField:
     """Validate a monic irreducible integer polynomial and build the field."""
-    f = Poly.of(min_poly_coeffs)
-    if f.degree < 1:
+    f = poly_trim(min_poly_coeffs)
+    degree = len(f) - 1
+    if degree < 1:
         raise SpecError("min_poly must have degree >= 1")
-    if not f.is_integral():
+    if any(c != int(c) for c in f):
         raise SpecError("min_poly must have integer coefficients")
-    if not f.is_monic():
+    f = tuple(int(c) for c in f)
+    if f[-1] != 1:
         raise SpecError("min_poly must be monic")
-    if f.degree > DEGREE_CAP:
-        raise SpecError(f"min_poly degree {f.degree} exceeds the cap {DEGREE_CAP}")
+    if degree > DEGREE_CAP:
+        raise SpecError(f"min_poly degree {degree} exceeds the cap {DEGREE_CAP}")
     ok, witness = irreducible_over_q(f)
     if not ok:
-        raise SpecError(f"min_poly is reducible; factor found: {witness}")
+        raise SpecError(f"min_poly is reducible; factor found: {poly_str(witness)}")
     r1 = real_root_count(f)
     return NumberField(
-        min_poly=tuple(int(c) for c in f.coeffs),
-        degree=f.degree,
+        min_poly=f,
+        degree=degree,
         real_embeddings=r1,
-        complex_pairs=(f.degree - r1) // 2,
+        complex_pairs=(degree - r1) // 2,
     )
 
 
@@ -436,9 +444,7 @@ def _dedekind_p_maximal(f: tuple[int, ...], p: int, factors) -> bool:
     where g* is the product of the distinct irreducible factors of f mod p,
     h* = f / g* mod p, and T = (g* h* - f) / p, formed in Z/p^2."""
     p2 = p * p
-    gstar = [1]
-    for g, _ in factors:
-        gstar = gf_mul(gstar, g, p)
+    gstar = gf_prod((g for g, _ in factors), p)
     hstar = gf_divmod([c % p for c in f], gstar, p)[0]
     diff = gf_sub(gf_mul(gstar, hstar, p2), [c % p2 for c in f], p2)
     if any(c % p for c in diff):
@@ -453,7 +459,7 @@ def _factor_mod_p(field: NumberField, p: int) -> tuple[tuple[tuple[int, ...], in
 
     Places, lifted local factors and valuations all read this one factorization.
     """
-    return tuple((tuple(g), e) for g, e in gf_factor(gf_from_int_poly(field.poly, p), p))
+    return tuple((tuple(g), e) for g, e in gf_factor(gf_from_int_poly(field.min_poly, p), p))
 
 
 def finite_places_above(field: NumberField, p: int) -> list[Place]:
@@ -485,13 +491,8 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 @functools.lru_cache(maxsize=4096)
 def _lifted_local_factors(field: NumberField, p: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^k (k a power of two)."""
-    blocks = []
-    for gbar, e in _factor_mod_p(field, p):
-        blk = [1]
-        for _ in range(e):
-            blk = gf_mul(blk, gbar, p)
-        blocks.append(blk)
-    return tuple(tuple(blk) for blk in hensel_lift_factors(field.poly, blocks, p, k))
+    blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
+    return tuple(tuple(blk) for blk in hensel_lift_factors(field.min_poly, blocks, p, k))
 
 
 def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
@@ -506,7 +507,7 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
     factors = _factor_mod_p(field, p)
-    nrm = int_resultant(field.min_poly, x.num)
+    nrm = resultant(field.min_poly, x.num)
     if nrm == 0:
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
@@ -515,7 +516,7 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
     else:
         shares = []
         for block in _lifted_local_factors(field, p, 1 << v_total.bit_length()):
-            r = int_resultant(block, x.num)
+            r = resultant(block, x.num)
             if r == 0:
                 raise ConsistencyError("lifted local factor shares a root with the element")
             shares.append(ord_p(r, p))

@@ -10,18 +10,19 @@ Polynomials over Z/m are plain lists of ints in [0, m), ascending degree,
 trimmed. The gf_* helpers are the one family for Z/m[x]: they take any
 modulus m, and division needs only a unit leading coefficient of the
 divisor. Factoring uses them with m = p; Hensel lifting and recombination
-use them with m = p^k on monic factors. Integer polynomials use algebra.Poly.
+use them with m = p^k on monic factors. Integer polynomials are ascending
+int sequences, with the Z[x] helpers of algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 
-from .algebra import (AlgebraError, Poly, discriminant, factor_int, is_prime, poly_ext_gcd,
-                      trial_factor)
+from .algebra import (AlgebraError, discriminant, factor_int, is_prime, poly_derivative,
+                      poly_divexact, poly_gcd, poly_trim, trial_factor)
 
 GfPoly = list[int]
 
@@ -36,8 +37,8 @@ def gf_trim(f: GfPoly) -> GfPoly:
     return f
 
 
-def gf_from_int_poly(f: Poly, p: int) -> GfPoly:
-    return gf_trim([int(c) % p for c in f.coeffs])
+def gf_from_int_poly(f, p: int) -> GfPoly:
+    return gf_trim([c % p for c in f])
 
 
 def gf_add(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
@@ -69,6 +70,13 @@ def gf_mul(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return gf_trim([c % p for c in out])
+
+
+def gf_prod(fs, p: int) -> GfPoly:
+    out = [1]
+    for f in fs:
+        out = gf_mul(out, f, p)
+    return out
 
 
 def gf_divmod(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
@@ -259,38 +267,26 @@ def _gf_ext_gcd(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def hensel_lift_factors(f: Poly, factors: list[GfPoly], p: int, target_exp: int) -> list[list[int]]:
+def hensel_lift_factors(f, factors: list[GfPoly], p: int, target_exp: int) -> list[list[int]]:
     """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k, k >= target_exp.
 
     Returns factor coefficient lists reduced mod p^k where k is the reached
     power-of-two exponent (>= target_exp); the product of the lifted factors
     is f mod p^k.
     """
-    fz = [int(c) for c in f.coeffs]
     if len(factors) == 1:
-        k = 1
-        while k < target_exp:
-            k *= 2
-        m = p**k
-        return [[c % m for c in fz]]
+        m = p ** (1 << (target_exp - 1).bit_length())
+        return [[c % m for c in f]]
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
-    g: GfPoly = [1]
-    for fac in left:
-        g = gf_mul(g, fac, p)
-    h: GfPoly = [1]
-    for fac in right:
-        h = gf_mul(h, fac, p)
-    s, t = _gf_ext_gcd(g, h, p)
+    G, H = gf_prod(left, p), gf_prod(right, p)
+    S, T = _gf_ext_gcd(G, H, p)
     m, k = p, 1
-    G, H, S, T = g, h, s, t
     while k < target_exp:
-        G, H, S, T = _hensel_step(fz, G, H, S, T, m)
+        G, H, S, T = _hensel_step(f, G, H, S, T, m)
         m, k = m * m, k * 2
-    Gp = Poly.of([Fraction(c) for c in G])
-    Hp = Poly.of([Fraction(c) for c in H])
-    return (hensel_lift_factors(Gp, left, p, target_exp)[: len(left)]
-            + hensel_lift_factors(Hp, right, p, target_exp)[: len(right)])
+    return (hensel_lift_factors(G, left, p, target_exp)[: len(left)]
+            + hensel_lift_factors(H, right, p, target_exp)[: len(right)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +298,12 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _mignotte_bound(f: Poly) -> int:
-    norm = math.isqrt(sum(int(c) ** 2 for c in f.coeffs)) + 1
-    return (1 << (f.degree + 1)) * norm
-
-
-def factor_monic_int_poly(f: Poly) -> list[Poly]:
-    """Irreducible monic factors of a monic squarefree integer polynomial."""
-    if not f.is_monic() or not f.is_integral():
+def factor_monic_int_poly(f) -> list[tuple[int, ...]]:
+    """Irreducible monic factors of a monic squarefree integer polynomial,
+    sorted by degree and then coefficients."""
+    f = tuple(poly_trim(f))
+    if not f or f[-1] != 1:
         raise AlgebraError("expected a monic integer polynomial")
-    if f.degree == 1:
-        return [f]
     disc = discriminant(f)
     if disc == 0:
         raise AlgebraError("input must be squarefree")
@@ -331,41 +322,35 @@ def factor_monic_int_poly(f: Poly) -> list[Poly]:
             best = (p, fac)
     assert best is not None
     p, modular = best
-    bound = _mignotte_bound(f)
+    bound = (1 << len(f)) * (math.isqrt(sum(c * c for c in f)) + 1)  # Mignotte
     target = 1
     while p**target <= 2 * bound:
         target += 1
     lifted = hensel_lift_factors(f, modular, p, target)
-    k = 1
-    while k < target:
-        k *= 2
-    m = p**k
+    m = p ** (1 << (target - 1).bit_length())  # the lifts' modulus
 
     remaining = list(range(len(lifted)))
     current = f
-    found: list[Poly] = []
+    found: list[tuple[int, ...]] = []
     size = 1
     while 2 * size <= len(remaining):
         progress = False
         for subset in itertools.combinations(remaining, size):
-            prod = [1]
-            for i in subset:
-                prod = gf_mul(prod, lifted[i], m)
-            cand = Poly.of([Fraction(_symmetric(c, m)) for c in prod])
-            if cand.degree < 1:
+            cand = [_symmetric(c, m) for c in gf_prod((lifted[i] for i in subset), m)]
+            if len(cand) < 2:
                 continue
-            q, r = current.divmod(cand)
-            if r.is_zero() and q.is_integral() and cand.is_integral():
-                found.append(cand)
+            q = poly_divexact(current, cand)
+            if q is not None:
+                found.append(tuple(cand))
                 current = q
                 remaining = [i for i in remaining if i not in subset]
                 progress = True
                 break
         if not progress:
             size += 1
-    if current.degree >= 1:
-        found.append(current)
-    found.sort(key=lambda g: (g.degree, tuple(g.coeffs)))
+    if len(current) >= 2:
+        found.append(tuple(current))
+    found.sort(key=lambda g: (len(g), g))
     return found
 
 
@@ -376,22 +361,23 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def irreducible_over_q(f: Poly) -> tuple[bool, Poly | None]:
-    """Exact test for a monic integer polynomial; returns (flag, witness factor)."""
-    if f.degree == 1:
+def irreducible_over_q(f) -> tuple[bool, tuple[int, ...] | None]:
+    """Exact test for a monic integer polynomial (ascending coefficients,
+    trimmed); returns (flag, witness factor)."""
+    if len(f) == 2:
         return True, None
     if discriminant(f) == 0:  # not squarefree: the witness is gcd(f, f')
-        return False, poly_ext_gcd(f, f.derivative())[0]
+        return False, tuple(poly_gcd(f, poly_derivative(f)))
     for r in _integer_root_candidates(f):
-        if f(Fraction(r)) == 0:
-            return False, Poly.of([-r, 1])
+        if functools.reduce(lambda acc, c: acc * r + c, reversed(f), 0) == 0:
+            return False, (-r, 1)
     factors = factor_monic_int_poly(f)
     if len(factors) == 1:
         return True, None
-    roots = [-int(g.coeffs[0]) for g in factors if g.degree == 1]
+    roots = [-g[0] for g in factors if len(g) == 2]
     if roots:  # the root the candidates would have met first
         r = min(roots, key=_root_order)
-        return False, Poly.of([-r, 1])
+        return False, (-r, 1)
     return False, factors[0]
 
 
@@ -399,13 +385,13 @@ def _root_order(r: int) -> tuple[int, bool]:
     return abs(r), r < 0
 
 
-def _integer_root_candidates(f: Poly) -> list[int]:
+def _integer_root_candidates(f) -> list[int]:
     """Every divisor of the constant term c0 with its negative, ordered by
     |.| and then positive first, when trial division leaves at most a prime
     cofactor of c0. A composite cofactor would need Pollard rho (about
     sqrt(q) steps for its least prime q), so then there are no candidates
     and Zassenhaus finds every linear factor instead."""
-    c0 = abs(int(f.coeffs[0]))
+    c0 = abs(f[0])
     if c0 == 0:
         return [0]
     primes, rest = trial_factor(c0)

@@ -19,8 +19,9 @@ independent routes:
   for |1 - sigma_v(phi_v)| still contains 0, up to MAX_PREC, where a
   ConsistencyError is raised. Finite places are exact and ultrametric:
   where n . ords != 0, |phi_v(n)|_v < 1, so |1 - phi_v(n)|_v = 1 and the
-  term is 0; only where n . ords = 0 does ord_v(xi^n - 1) run. The count,
-  built on the norm of xi^n - 1, stays the identity check's other route.
+  term is 0; only where n . ords = 0 is ord_v(xi^n - 1) needed, read from
+  one valuations_above pass per prime. The count, built on the norm of
+  xi^n - 1 with its own passes, stays the identity check's other route.
 - Ties: when the n . l_v ball contains 0, either branch is right to within
   weight * |n . l_v|, since the two differ by exactly n . l_v. The <= branch
   is taken and that amount widens the term's radius; nothing escalates.
@@ -48,7 +49,7 @@ from .counting import char0_powers, count_at_powers, require_nonzero
 from .entropy import EntropyFunction, directional_entropy, entropy_function_of
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, OUTWARD, LogBall, compare_abs_to_one,
-                          log_abs_one_minus_exp, log_sigma_ball, ord_v)
+                          log_abs_one_minus_exp, log_sigma_ball, valuations_above)
 
 IDENTITY_TOL = 1e-8
 
@@ -104,16 +105,19 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> list[tupl
 
     Finite places are exact: where ord_v(phi_v) = |n . ords| > 0,
     |1 - phi_v|_v = 1 and the term is 0; where n . ords = 0 it is
-    -ord_v(xi^n - 1) f log p. Archimedean places evaluate the phi_v ball,
-    doubling the precision while |1 - sigma_v(phi_v)| is not yet separated
-    from 0.
+    -ord_v(xi^n - 1) f log p, from at most one valuations_above pass per
+    prime. Archimedean places evaluate the phi_v ball, doubling the
+    precision while |1 - sigma_v(phi_v)| is not yet separated from 0.
     """
     field = pc.component.field
     x = field.sub(xn, field.one())
+    columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
     out = []
     for k, (place, ords, phi) in enumerate(zip(pc.places, pc.finite_ords, phi_v(pc, n))):
         if ords is not None:  # phi = |n . ords|
-            ordv = 0 if phi else ord_v(place, x)
+            if not phi and place.p not in columns:
+                columns[place.p] = valuations_above(field, place.p, x)
+            ordv = 0 if phi else columns[place.p][place.index]
             out.append((-ordv * place.res_degree * math.log(place.p), 0.0))
             continue
         prec = DEFAULT_PREC

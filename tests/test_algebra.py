@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,17 +8,27 @@ from hypothesis import given, strategies as st
 
 from entrank.algebra import (
     AlgebraError,
-    Poly,
     discriminant,
     factor_int,
     is_prime,
     log_fraction,
     ord_p,
-    poly_ext_gcd,
+    poly_derivative,
+    poly_divexact,
+    poly_gcd,
+    poly_str,
     rank_mod_q,
     real_root_count,
     resultant,
 )
+
+
+def _mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -25,41 +36,33 @@ from entrank.algebra import (
 # ---------------------------------------------------------------------------
 
 def test_resultant_linear_pair():
-    assert resultant(Poly.of([-2, 1]), Poly.of([-3, 1])) == -1
+    assert resultant([-2, 1], [-3, 1]) == -1
 
 
 def test_resultant_golden_mean_times_linear():
     # 4 * ((1/2)^2 - 1/2 - 1) = -5
-    assert resultant(Poly.of([-1, -1, 1]), Poly.of([-1, 2])) == -5
+    assert resultant([-1, -1, 1], [-1, 2]) == -5
 
 
 def test_resultant_with_monomial():
-    assert resultant(Poly.of([1, 0, 1]), Poly.of([0, 1])) == 1
+    assert resultant([1, 0, 1], [0, 1]) == 1
 
 
 def test_resultant_both_zero_rejected():
     with pytest.raises(AlgebraError):
-        resultant(Poly.of([]), Poly.of([]))
-
-
-def test_resultant_rational_scaling():
-    f = Poly.of([Fraction(1, 2), Fraction(1, 3), 1])
-    g = Poly.of([Fraction(-2, 5), 1])
-    # Res(f, g) = f(2/5) since g is monic linear
-    assert resultant(f, g) == f(Fraction(2, 5))
+        resultant([], [])
 
 
 def _random_poly(rng, max_deg=4):
     deg = rng.randint(0, max_deg)
-    coeffs = [rng.randint(-5, 5) for _ in range(deg)] + [rng.randint(1, 5)]
-    return Poly.of(coeffs)
+    return [rng.randint(-5, 5) for _ in range(deg)] + [rng.randint(1, 5)]
 
 
 def test_resultant_swap_sign():
     rng = random.Random(7)
     for _ in range(60):
         f, g = _random_poly(rng), _random_poly(rng)
-        sign = -1 if (f.degree * g.degree) % 2 else 1
+        sign = -1 if ((len(f) - 1) * (len(g) - 1)) % 2 else 1
         assert resultant(f, g) == sign * resultant(g, f)
 
 
@@ -67,30 +70,46 @@ def test_resultant_multiplicative_in_first_argument():
     rng = random.Random(11)
     for _ in range(30):
         f1, f2, g = _random_poly(rng, 3), _random_poly(rng, 3), _random_poly(rng, 3)
-        assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
+        assert resultant(_mul(f1, f2), g) == resultant(f1, g) * resultant(f2, g)
 
 
 def test_discriminant_quadratic():
     # b^2 - 4ac for x^2 + bx + c
-    assert discriminant(Poly.of([-1, -1, 1])) == 5
-    assert discriminant(Poly.of([1, 0, 1])) == -4
+    assert discriminant([-1, -1, 1]) == 5
+    assert discriminant([1, 0, 1]) == -4
 
 
-def test_poly_ext_gcd_identity():
-    # d is the monic gcd and t*g = d mod f, on pairs with a planted common factor
+def test_poly_gcd_divides_both_with_planted_factor():
+    # d is primitive with a positive leading coefficient and divides f and g
+    # in Z[x], on pairs with a planted common factor
     rng = random.Random(31)
     for _ in range(40):
-        common = Poly.of([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1])
-        f = common * Poly.of([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
-        g = common * Poly.of([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                              for _ in range(rng.randint(1, 4))])
-        if g.is_zero():
+        common = [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1]
+        f = _mul(common, [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+        g = _mul(common, [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))])
+        if not any(g):
             continue
-        d, t = poly_ext_gcd(f, g)
-        assert d.is_monic() and d.degree >= common.degree
-        assert f.divmod(d)[1].is_zero() and g.divmod(d)[1].is_zero()
-        assert (t * g - d).divmod(f)[1].is_zero()
-    assert poly_ext_gcd(Poly.of([]), Poly.of([])) == (Poly.of([]), Poly.of([]))
+        d = poly_gcd(f, g)
+        assert d[-1] > 0 and math.gcd(*d) == 1 and len(d) >= len(common)
+        assert poly_divexact(f, d) is not None and poly_divexact(g, d) is not None
+    assert poly_gcd([], []) == []
+    assert poly_gcd([0, -6, 0, 0], [0, 0, 4]) == [0, 1]
+
+
+def test_poly_divexact_rejects_inexact_quotients():
+    assert poly_divexact([-4, 0, 1], [-2, 1]) == [2, 1]
+    assert poly_divexact([2, 4, 2], [2, 2]) == [1, 1]
+    assert poly_divexact([1, 0, 1], [1, 1]) is None  # remainder 2
+    assert poly_divexact([1, 1], [0, 2]) is None  # quotient 1/2 over Q only
+    assert poly_divexact([], [3, 1]) == []
+
+
+def test_poly_str():
+    assert poly_str([1, 2, 1]) == "x^2 + 2*x + 1"
+    assert poly_str([0, -1]) == "-x"
+    assert poly_str([-3, 0, 0, 1]) == "x^3 - 3"
+    assert poly_str([0, 0, -2]) == "-2*x^2"
+    assert poly_str([]) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +227,58 @@ def test_factor_int_roundtrip():
 
 
 def test_real_root_count():
-    assert real_root_count(Poly.of([-1, -1, 1])) == 2  # golden mean
-    assert real_root_count(Poly.of([1, 0, 1])) == 0  # x^2 + 1
-    assert real_root_count(Poly.of([0, 1])) == 1
-    assert real_root_count(Poly.of([-2, 0, 0, 1])) == 1  # x^3 - 2
-    assert real_root_count(Poly.of([1, 0, 0, 0, 1])) == 0  # x^4 + 1
+    assert real_root_count([-1, -1, 1]) == 2  # golden mean
+    assert real_root_count([1, 0, 1]) == 0  # x^2 + 1
+    assert real_root_count([0, 1]) == 1
+    assert real_root_count([-2, 0, 0, 1]) == 1  # x^3 - 2
+    assert real_root_count([1, 0, 0, 0, 1]) == 0  # x^4 + 1
+    assert real_root_count([6, -5, 1, 0]) == 2  # trailing zeros are trimmed
+    assert real_root_count([2, -4]) == 1  # a negative leading coefficient
+
+
+# ---------------------------------------------------------------------------
+# the integer helpers against sympy (skipped when sympy is not installed)
+# ---------------------------------------------------------------------------
+
+def _seeded_monic_polys(seed, count):
+    """Monic integer polynomials of degree 1-10; about 30 % carry a planted square factor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            g = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))] + [1]
+            yield _mul(_mul(g, g), [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))] + [1])
+        else:
+            yield [rng.randint(-6, 6) for _ in range(rng.randint(1, 10))] + [1]
+
+
+def test_integer_helpers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from entrank.entropy import _squarefree_parts
+    from entrank.polyfactor import irreducible_over_q
+
+    x = sympy.symbols("x")
+
+    def ascending(g):  # primitive, with a positive leading coefficient
+        cs = [int(c) for c in reversed(g.primitive()[1].all_coeffs())]
+        return cs if cs[-1] > 0 else [-c for c in cs]
+
+    squares = 0
+    for f in _seeded_monic_polys(5150, 300):
+        P = sympy.Poly(f[::-1], x)
+        squares += P.degree() > P.sqf_part().degree()
+        assert real_root_count(f) == P.sqf_part().count_roots()
+        assert poly_gcd(f, poly_derivative(f)) == ascending(sympy.gcd(P, P.diff(x)))
+        parts = sorted((tuple(ascending(g)), k) for g, k in P.sqf_list()[1])
+        assert sorted(_squarefree_parts(f)) == parts
+        assert irreducible_over_q(f)[0] == P.is_irreducible
+    assert squares >= 60
+
+
+def test_factor_int_stops_pollard_rho_at_its_step_cap():
+    from entrank.errors import ResourceLimitError
+
+    p, q = 10**16 + 61, 3 * 10**16 + 29  # the primes after 10^16 and 3 * 10^16
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(ResourceLimitError, match="Pollard rho"):
+        factor_int(p * q)
+    assert factor_int((10**6 + 3) * (10**6 + 33)) == {10**6 + 3: 1, 10**6 + 33: 1}

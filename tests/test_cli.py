@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,20 @@ def test_table_csv_format(capsys):
 def test_table_oversized_range_exits_3(capsys):
     rc, _out, err = run(capsys, "table", "--spec", X2X3, "--range", "-200:200,-200:200")
     assert rc == 3
+
+
+def test_count_with_unfactorable_denominator_exits_3(capsys, tmp_path):
+    # xi = 1/(p q), p and q the primes after 10^16 and 3 * 10^16: Pollard rho
+    # on p q would need about 10^8 steps, so placement stops at its step cap
+    pq = (10**16 + 61) * (3 * 10**16 + 29)
+    spec = tmp_path / "pq.json"
+    spec.write_text(json.dumps(
+        {"d": 1, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[1, pq]]}]}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "count", "--spec", str(spec), "--n", "1")
+    assert time.perf_counter() - start < 10
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
 
 
 def test_table_determinism(capsys):

@@ -130,6 +130,27 @@ def test_build_field_rejects_reducible():
         build_field([-1, 0, 1])  # t^2 - 1
 
 
+@pytest.mark.parametrize("min_poly, witness", [
+    ([1, 2, 1], "x + 1"),  # a square: the witness is gcd(f, f')
+    ([-6, 1, 1], "x - 2"),
+    ([2, 0, 3, 0, 1], "x^2 + 1"),  # no integer root: Zassenhaus
+    ([0, 0, 1], "x"),
+    ([9, -6, 1, 0, 0, 0, 0, 0, 0], "x - 3"),  # trailing zeros are trimmed
+])
+def test_build_field_reducible_witness_text(min_poly, witness):
+    with pytest.raises(SpecError) as err:
+        build_field(min_poly)
+    assert str(err.value) == f"min_poly is reducible; factor found: {witness}"
+
+
+def test_embeddings_accept_seeded_irreducible_fields():
+    # embeddings raises unless the real discs it isolates match the Sturm count
+    for field in _seeded_fields(61, 500, 6):
+        embs = embeddings(field)
+        assert sum(e.is_real for e in embs) == field.real_embeddings
+        assert len(embs) == field.real_embeddings + field.complex_pairs
+
+
 def test_build_field_large_integer_root():
     # the integer-root candidates come from the factorization of c0, not from
     # trial division up to sqrt|c0|
@@ -329,7 +350,7 @@ def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
     # the criterion at every prime must accept every such p
     checked = 0
     for field in _seeded_fields(43, 60, 8):
-        disc = int(discriminant(field.poly))
+        disc = discriminant(field.min_poly)
         for p in PRIMES_BELOW_60:
             if disc % (p * p):
                 checked += 1
@@ -450,7 +471,7 @@ def test_charpoly_annihilates_and_carries_the_norm(min_poly, coords):
 
 
 # ---------------------------------------------------------------------------
-# the element format against a Fraction / Poly reference
+# the element format against a Fraction reference
 # ---------------------------------------------------------------------------
 
 def _differential_fields():
@@ -477,23 +498,48 @@ def _coords(x):
     return [Fraction(a, x.den) for a in x.num]
 
 
-def _ref_elem(field, poly):
-    cs = list(poly.coeffs)
-    return cs + [Fraction(0)] * (field.degree - len(cs))
-
-
 def _ref_mul(field, a, b):
-    from entrank.algebra import Poly
+    """a * b mod min_poly on Fraction coordinates."""
+    n, f = field.degree, field.min_poly
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    for i in range(2 * n - 2, n - 1, -1):  # theta^i = theta^(i-n) (theta^n - min_poly)
+        t = prod.pop()
+        for j in range(n):
+            prod[i - n + j] -= t * f[j]
+    return prod
 
-    return _ref_elem(field, (Poly.of(a) * Poly.of(b)).divmod(field.poly)[1])
+
+def _ref_solve(field, a, X=0):
+    """(det(X - M), solution t of (X - M) t = e_0) for M the matrix of
+    multiplication by a, by Gauss-Jordan elimination over Fractions."""
+    n = field.degree
+    cols = [_ref_mul(field, a, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    rows = [[X * (i == j) - cols[j][i] for j in range(n)] + [Fraction(int(i == 0))]
+            for i in range(n)]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                k = rows[r][c]
+                rows[r] = [v - k * w for v, w in zip(rows[r], rows[c])]
+    return det, [row[n] for row in rows]
 
 
 def _ref_inv(field, a):
-    from entrank.algebra import Poly, poly_ext_gcd
-
-    g, t = poly_ext_gcd(field.poly, Poly.of(a))
-    assert g.degree == 0
-    return _ref_elem(field, t.divmod(field.poly)[1])
+    det, t = _ref_solve(field, a)
+    assert det != 0
+    return [-c for c in t]  # (-M) t = e_0
 
 
 def _ref_pow(field, a, k):
@@ -510,8 +556,6 @@ def _canonical(x):
 
 @pytest.mark.parametrize("field", _differential_fields(), ids=lambda f: f"deg{f.degree}")
 def test_element_arithmetic_matches_fraction_reference(field):
-    from entrank.algebra import Poly, resultant
-
     rng = random.Random(1000 + sum(field.min_poly) + 17 * field.degree)
     n = field.degree
 
@@ -535,12 +579,11 @@ def test_element_arithmetic_matches_fraction_reference(field):
         for k in (-3, -1, 0, 2, 5):
             got = field.pow(x, k)
             assert _canonical(got) and _coords(got) == _ref_pow(field, a, k)
-        assert field.norm(x) == resultant(field.poly, Poly.of(a))
-        # charpoly(X) = N(X - x) = Res(min_poly, X - x) at degree + 1 points
+        assert field.norm(x) == (-1) ** n * _ref_solve(field, a)[0]  # det(-M) = (-1)^n N(x)
+        # charpoly(X) = det(X - M) at degree + 1 points
         cp = field.charpoly(x)
         for X in range(-1, n + 1):
-            shifted = Poly.of([X - a[0]] + [-c for c in a[1:]])
-            assert sum(c * X**j for j, c in enumerate(cp)) == resultant(field.poly, shifted)
+            assert sum(c * X**j for j, c in enumerate(cp)) == _ref_solve(field, a, X)[0]
 
 
 @pytest.mark.parametrize("field", [Q, GOLDEN, build_field([-2, 0, 0, 1])],
