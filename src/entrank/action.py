@@ -24,8 +24,10 @@ is Q).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,8 +36,9 @@ import mpmath as mp
 from .algebra import factor_int, is_prime
 from .errors import MathDomainError, SpecError
 from .numberfield import (
+    DEFAULT_PREC,
+    DyadicBall,
     Element,
-    LogBall,
     NumberField,
     Place,
     archimedean_places,
@@ -228,7 +231,9 @@ class PlacedComponent:
     places: tuple[Place, ...]
     lyapunov: tuple[tuple[float, ...], ...]
     finite_ords: tuple[tuple[int, ...] | None, ...]  # ord_v(xi_i) rows, None at arch
-    arch_logs: tuple[tuple[LogBall, ...] | None, ...]  # log sigma_v(xi_i) balls, None at finite
+    # log sigma_v(xi_i) balls in dyadic form at scale 2^-DEFAULT_PREC, so that a
+    # point's sum n_i log sigma_v(xi_i) is exact in integers; None at finite places
+    arch_logs: tuple[tuple[DyadicBall, ...] | None, ...]
 
     @property
     def d(self) -> int:
@@ -258,7 +263,7 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
                 places.append(place)
                 ord_rows.append(ords)
     lyap = []
-    logs: list[tuple[LogBall, ...] | None] = []
+    logs: list[tuple[DyadicBall, ...] | None] = []
     for place, ords in zip(places, ord_rows):
         if place.kind == "finite":
             logp = math.log(place.p)
@@ -267,7 +272,7 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
         else:  # one ball per sigma_v(xi_i): the Lyapunov row and every point's g
             balls = tuple(log_sigma_ball(place, el) for el in comp.xi)
             lyap.append(tuple(float(mp.ldexp(b.re, place.weight - 1)) for b in balls))
-            logs.append(balls)
+            logs.append(tuple(b.dyadic(DEFAULT_PREC) for b in balls))
     return PlacedComponent(component=comp, places=tuple(places), lyapunov=tuple(lyap),
                            finite_ords=tuple(ord_rows), arch_logs=tuple(logs))
 
@@ -316,28 +321,45 @@ class CheckReport:
     violations: tuple[str, ...]
 
 
-def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
+def iter_shell_points(d: int, r_min: float, r_max: float) -> Iterator[tuple[int, ...]]:
     """One representative of each +-n pair, n != 0, with r_min <= |n|_2 <= r_max:
-    the one whose first nonzero entry is positive. Ordered by (unit shell
-    floor(|n|_2), lexicographic); only points of the r_max ball are visited.
+    the one whose first nonzero entry is positive. Yielded in the order
+    (unit shell floor(|n|_2), lexicographic), one shell at a time, so that
+    taking the first m points visits only the shells they lie in.
     """
     for r in (r_min, r_max):
         if not (r >= 0 and math.isfinite(r * r)):
             raise MathDomainError(f"radius must be a number >= 0 with a finite square, got {r}")
-    lo2, top = r_min * r_min, math.floor(r_max * r_max)  # s <= r_max^2 iff s <= top
-    pts = []
+    lo, top = max(math.ceil(r_min * r_min), 1), math.floor(r_max * r_max)
+    for k in range(math.isqrt(lo), math.isqrt(top) + 1):  # shell k: k^2 <= |n|^2 < (k + 1)^2
+        yield from _points_with_square_norm_in(d, max(lo, k * k), min((k + 1) ** 2 - 1, top))
 
-    def extend(prefix: tuple[int, ...], s: int) -> None:
-        if len(prefix) == d:
-            if s and lo2 <= s:
-                pts.append((math.isqrt(s), prefix))
+
+def _points_with_square_norm_in(d: int, a: int, b: int) -> Iterator[tuple[int, ...]]:
+    """The representatives n with 1 <= a <= |n|^2 <= b, lexicographically;
+    the last entry comes from square roots, not from a search."""
+    def extend(prefix: tuple[int, ...], s: int) -> Iterator[tuple[int, ...]]:
+        hi = math.isqrt(b - s)  # the bound on |v| the earlier entries leave
+        if len(prefix) < d - 1:
+            for v in range(-hi if any(prefix) else 0, hi + 1):
+                yield from extend(prefix + (v,), s + v * v)
             return
-        b = math.isqrt(top - s)  # the bound on |v| the earlier entries leave
-        for v in range(-b if any(prefix) else 0, b + 1):
-            extend(prefix + (v,), s + v * v)
+        low = math.isqrt(a - s - 1) + 1 if a > s else 0  # least v >= 0 with s + v^2 >= a
+        if not any(prefix):
+            values = range(max(low, 1), hi + 1)
+        elif low == 0:
+            values = range(-hi, hi + 1)
+        else:
+            values = itertools.chain(range(-hi, 1 - low), range(low, hi + 1))
+        for v in values:
+            yield prefix + (v,)
 
-    extend((), 0)
-    return [n for _shell, n in sorted(pts)]
+    return extend((), 0)
+
+
+def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
+    """Every point iter_shell_points yields, in its order."""
+    return list(iter_shell_points(d, r_min, r_max))
 
 
 def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:

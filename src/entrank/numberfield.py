@@ -26,8 +26,16 @@ Archimedean data carries proven error radii. Each root of the minimal
 polynomial sits in a Weierstrass inclusion disc rounded outward in interval
 arithmetic; an embedding's value sigma_v(x) is a ball whose radius covers
 that disc and the rounding of the evaluation, and every ball built from
-these (logarithms, powers, log |1 - e^t|) carries its radius on, rounded
-outward. Consumers refine precision on demand.
+these carries its radius on, rounded outward. A logarithm ball for
+sigma_v(x) also has a dyadic form, integers at scale 2^-prec with the
+radius rounded up, so that integer combinations of such balls are exact.
+log |1 - e^t| is evaluated from a dyadic ball at prec - 32 + log2 |t.rad|
+bits (about 100 + log2 |n| at the default precision) on mpmath's raw libmp
+numbers: one exp (and cos/sin at a complex place), then the log of 1 - e^t
+formed at twice that precision, or, in the far tail where |e^t| < 2^-bits,
+the series -w - w^2/2. Its radius bounds are integers, each rounded in its
+safe direction, and leave as floats rounded up. Consumers refine
+precision on demand.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
 
 from .algebra import (is_prime, log_fraction, ord_p, poly_str, poly_trim, real_root_count,
                       resultant)
@@ -64,7 +74,6 @@ DEGREE_CAP = 8
 # DEFAULT_PREC bits, each from a few operations; scaling them by this factor
 # rounds them outward.
 OUTWARD = 1 + mp.mpf(2) ** -40
-_HALF, _QUARTER = mp.mpf(0.5), mp.mpf(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +288,16 @@ class Embedding:
     err: mp.mpf  # radius of a disc proven to hold the root
 
 
+class DyadicBall(NamedTuple):
+    """The ball of radius rad 2^-prec around (re + i im) 2^-prec in C, all
+    integers, for a scale prec the holder keeps; at a real place im is
+    instead the parity 0 or 1 of the phase pi * im."""
+
+    re: int
+    im: int
+    rad: int
+
+
 class LogBall(NamedTuple):
     """A ball of radius rad around re + i im in C; at a real place im is
     instead the parity 0 or 1 of the phase pi * im."""
@@ -286,6 +305,31 @@ class LogBall(NamedTuple):
     re: mp.mpf
     im: mp.mpf | int
     rad: mp.mpf
+
+    def dyadic(self, prec: int) -> DyadicBall:
+        """This ball at scale 2^-prec: re and im rounded to the nearest
+        integer (the parity kept at a real place) and the radius rounded up,
+        plus 1 for the rounding of re and im, which moves the centre by at
+        most 2^-prec / sqrt(2). The dyadic ball holds this one."""
+        def scaled(x, rnd):
+            return to_int(mpf_shift(x._mpf_, prec), rnd)
+
+        im = self.im if isinstance(self.im, int) else scaled(self.im, "n")
+        return DyadicBall(scaled(self.re, "n"), im, scaled(self.rad, "c") + 1)
+
+
+def ldexp_up(m: int, e: int) -> float:
+    """A float at least m 2^e for an integer m >= 0, rounded up so that
+    neither the 53-bit rounding nor an underflow leaves it below m 2^e."""
+    if not m:
+        return 0.0
+    k = m.bit_length() - 53
+    if k > 0:
+        m, e = -(-m >> k), e + k
+    try:
+        return math.nextafter(math.ldexp(m, e), math.inf)
+    except OverflowError:
+        return math.inf
 
 
 @contextlib.contextmanager
@@ -595,48 +639,91 @@ def log_abs_v_ball(place: Place, x: Element) -> tuple[mp.mpf, mp.mpf]:
     return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
 
 
-def compare_abs_to_one(place: Place, log_ball: tuple[mp.mpf, mp.mpf]) -> int:
+def compare_abs_to_one(place: Place, log_ball) -> int:
     """Sign of |x|_v - 1 at an archimedean place from a ball (mid, rad) for
-    log |x|_v: +1, -1, or 0 while the ball still contains 0."""
+    log |x|_v, or for 2^prec log |x|_v in integers: +1, -1, or 0 while the
+    ball still contains 0."""
     if place.kind != "arch":
         raise MathDomainError("ball comparison is for archimedean places")
     mid, rad = log_ball
     return 1 if mid > rad else (-1 if mid < -rad else 0)
 
 
-def log_abs_one_minus_exp(place: Place, t: LogBall, prec: int) -> tuple[mp.mpf, mp.mpf] | None:
-    """log |1 - e^t|_v with a proven radius for every t in the ball, Re t <= 0
-    up to ties; None while the ball for |1 - e^t| still contains 0.
+def _floor_scaled(x, e: int) -> int:
+    """floor(x 2^-e) for a raw mpf x >= 0."""
+    _sign, man, exp, _bc = x
+    return man << (exp - e) if exp >= e else man >> (e - exp)
 
-    With r = t.rad <= 1/2 and a = Re t0, |e^t| <= q = e^a (1 + 2 r) on the
-    ball. Where e^a <= 1/4, |1 - e^t| >= 1 - q >= 1/2, so log |1 - e^t|
-    moves by at most r q / (1 - q) <= 2 r (1 + 2 r) e^a; the value is
-    log1p(-s e^a) at a real place (s the sign) or log1p(|w|^2 - 2 Re w) / 2
-    at a complex one (w = e^t0), which keeps its relative accuracy when e^a
-    is far below 2^-prec. Elsewhere e^t moves by at most e^a (r + r^2), so
-    |1 - e^t| >= gap = |1 - e^t0| - that - the rounding of 1 - e^t0, and
-    the value log |1 - e^t0| moves by at most r q / gap.
+
+def _ceil_shift(m: int, k: int) -> int:
+    """ceil(m 2^-k) for an integer m >= 0 and k >= 0."""
+    return -(-m >> k)
+
+
+def log_abs_one_minus_exp(place: Place, t: DyadicBall, prec: int) -> tuple[mp.mpf, float] | None:
+    """log |1 - e^t|_v for every t in the dyadic ball t at scale 2^-prec,
+    Re t <= 0 up to ties, with a float radius rounded up; None while the
+    ball for |1 - e^t| is not separated from 0.
+
+    With a = Re t0 and r = t.rad 2^-prec <= 1/2, the work runs at
+    wp = prec - 32 + bitlen(t.rad) bits, about 100 + log2 |n| at the
+    default precision, since t.rad is about |n| times the cached radii; the
+    radius then stays near 2^-90 relative (libmp's exp and log cost about
+    the same from 64 to 128 bits). w = e^t0 is found there to within
+    e^a 2^(4 - wp), and e^t moves by at most e^a (r + r^2) on the ball, so
+    every e^t lies within delta = ea f of w, where ea is the computed e^a,
+    eps = 2^(5 - wp) and f = (r + r^2 + eps)(1 + eps); ea (1 + eps) bounds
+    both e^a and |w|.
+
+    - Far tail, ea < 2^-wp: log |1 - w| = -Re w - Re(w^2)/2 to within
+      |w|^3, and with the rounding within ea (1 + eps) eps; |1 - w| - delta
+      >= 1/2, so the value moves by at most 2 delta over the ball. 1 - w
+      would round to 1 here at 2 wp bits, which is why this branch is
+      needed.
+    - Elsewhere: 1 - w (and at a complex place |1 - w|^2) is formed at
+      2 wp bits, within eps^2 relatively, and its log taken at wp bits,
+      within |value| eps. Over the ball the value moves by at most
+      delta / gap, gap = |1 - w| (1 - eps^2) - delta, and gap <= 0
+      returns None.
+
+    The bounds are integers at scale 2^-(prec + 16), each rounded in its
+    safe direction.
     """
-    r = t.rad
-    if r > _HALF:
+    if t.rad > 1 << (prec - 1):
         return None
-    with mp.workprec(prec):
-        ea = mp.exp(t.re)
-        if place.weight == 1:
-            w = -ea if t.im else ea
-        else:
-            w = mp.exp(mp.mpc(t.re, t.im))
-        if ea <= _QUARTER:
-            value = (mp.log1p(-w) if place.weight == 1
-                     else mp.log1p(ea * ea - 2 * w.real) / 2)
-            rad = ea * (2 * r * (1 + 2 * r) + mp.ldexp(1, 6 - prec))
-        else:
-            d = abs(1 - w)
-            d_err = mp.ldexp(1 + ea, 3 - prec)
-            gap = d - d_err - ea * (r + r * r)
-            if gap <= 0:
-                return None
-            value = mp.log(d)
-            rad = (r * ea * (1 + 2 * r) / gap + d_err / (d - d_err)
-                   + mp.ldexp(1 + abs(value), 2 - prec))
-        return place.weight * value, place.weight * rad * OUTWARD
+    wp = prec - 32 + t.rad.bit_length()
+    weight = place.weight
+    ea = mpf_exp(from_man_exp(t.re, -prec), wp)
+    if weight == 1:
+        w_re, w_im = (mpf_neg(ea) if t.im else ea), None
+    else:
+        cos, sin = mpf_cos_sin(from_man_exp(t.im, -prec), wp)
+        w_re, w_im = mpf_mul(ea, cos, wp), mpf_mul(ea, sin, wp)
+    sc = prec + 16
+    r = t.rad << 16
+    eps = 1 << max(sc + 5 - wp, 0)
+    f = _ceil_shift((r + _ceil_shift(r * r, sc) + eps) * ((1 << sc) + eps), sc)
+    _sign, eman, eexp, ebc = ea
+    if eexp + ebc <= -wp:  # ea < 2^-wp
+        sq = mpf_mul(w_re, w_re) if w_im is None else mpf_sub(mpf_mul(w_re, w_re),
+                                                              mpf_mul(w_im, w_im))
+        value = mpf_shift(mpf_sub(mpf_neg(w_re), mpf_shift(sq, -1), wp), weight - 1)
+        tail = 2 * f + eps + _ceil_shift(eps * eps, sc)
+        return mp.make_mpf(value), ldexp_up((eman * tail) << (weight - 1), eexp - sc)
+    delta = eman * f  # at scale 2^(eexp - sc), like d and gap
+    x = mpf_sub(fone, w_re, 2 * wp)
+    if w_im is None:
+        m = mpf_abs(x)
+        d = _floor_scaled(m, eexp - sc)
+    else:
+        m = mpf_add(mpf_mul(x, x, 2 * wp), mpf_mul(w_im, w_im, 2 * wp), 2 * wp)
+        d = math.isqrt(_floor_scaled(m, 2 * (eexp - sc)))
+    gap = d - (d >> (2 * wp - 10)) - 1 - delta
+    if gap <= 0:
+        return None
+    value = mpf_log(m, wp)  # weight log |1 - w|: |1 - w|^2 at a complex place
+    k = max(0, gap.bit_length() - delta.bit_length() + 60)
+    moved = -(-(delta << k) // gap) << (weight - 1)  # >= weight delta / gap, at scale 2^-k
+    rad = math.fsum((ldexp_up(moved, -k), ldexp_up(value[1], value[2] + 5 - wp),
+                     ldexp_up(1, 10 - 2 * wp)))
+    return mp.make_mpf(value), math.nextafter(rad, math.inf)

@@ -304,7 +304,13 @@ def factor_monic_int_poly(f) -> list[tuple[int, ...]]:
     f = tuple(poly_trim(f))
     if not f or f[-1] != 1:
         raise AlgebraError("expected a monic integer polynomial")
-    disc = discriminant(f)
+    return _factor_squarefree(f, discriminant(f))
+
+
+def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
+    """factor_monic_int_poly for a trimmed monic f with disc = discriminant(f):
+    Zassenhaus over the prime with the fewest factors among the first five
+    primes that do not divide disc."""
     if disc == 0:
         raise AlgebraError("input must be squarefree")
     best: tuple[int, list[GfPoly]] | None = None
@@ -366,12 +372,13 @@ def irreducible_over_q(f) -> tuple[bool, tuple[int, ...] | None]:
     trimmed); returns (flag, witness factor)."""
     if len(f) == 2:
         return True, None
-    if discriminant(f) == 0:  # not squarefree: the witness is gcd(f, f')
+    disc = discriminant(f)  # the squarefree test, then Zassenhaus's choice of primes
+    if disc == 0:  # not squarefree: the witness is gcd(f, f')
         return False, tuple(poly_gcd(f, poly_derivative(f)))
     for r in _integer_root_candidates(f):
         if functools.reduce(lambda acc, c: acc * r + c, reversed(f), 0) == 0:
             return False, (-r, 1)
-    factors = factor_monic_int_poly(f)
+    factors = _factor_squarefree(tuple(f), disc)
     if len(factors) == 1:
         return True, None
     roots = [-g[0] for g in factors if len(g) == 2]

@@ -10,21 +10,28 @@ independent routes:
 - f comes from the exact count: the norm of xi^n - 1 times the finite
   valuations, all in exact arithmetic.
 - g comes from balls at the archimedean places and ord_v at the finite ones.
-  Placement caches a ball for log sigma_v(xi_i) at each archimedean place;
-  log sigma_v(xi^n) is then sum n_i log sigma_v(xi_i), whose radius grows
-  with |n_i| only, so the bits needed grow with log |n|, not with the size
-  of xi^n's coordinates. The sign of that ball's real part (n . l_v) picks
-  the branch, and log |1 - sigma_v(phi_v)| comes from a log1p-style
-  evaluation with a proven radius. Precision doubles only while the ball
-  for |1 - sigma_v(phi_v)| still contains 0, up to MAX_PREC, where a
-  ConsistencyError is raised. Finite places are exact and ultrametric:
+  Placement caches a ball for log sigma_v(xi_i) at each archimedean place
+  in dyadic form: integers RE, IM (the parity at a real place) and RAD at
+  scale 2^-DEFAULT_PREC, RAD rounded up. log sigma_v(xi^n) is then the
+  ball around sum n_i (RE_i + i IM_i) of radius sum |n_i| RAD_i, exact
+  integer sums whose radius grows with |n_i| only, so the bits needed grow
+  with log |n|, not with the size of xi^n's coordinates. The sign of its
+  real part (n . l_v) picks the branch, and log |1 - sigma_v(phi_v)| comes
+  from one low-precision evaluation with a proven radius (see
+  log_abs_one_minus_exp: about 100 + log2 |n| bits, with a far-tail series
+  where |sigma_v(phi_v)| < 2^-bits). Precision doubles only while the ball
+  for |1 - sigma_v(phi_v)| still contains 0, rebuilding the integer rows at
+  the doubled scale, up to MAX_PREC, where a ConsistencyError is raised.
+  A component's archimedean terms are summed exactly before one float
+  conversion. Finite places are exact and ultrametric:
   where n . ords != 0, |phi_v(n)|_v < 1, so |1 - phi_v(n)|_v = 1 and the
   term is 0; only where n . ords = 0 is ord_v(xi^n - 1) needed, read from
   one valuations_above pass per prime. The count, built on the norm of
   xi^n - 1 with its own passes, stays the identity check's other route.
 - Ties: when the n . l_v ball contains 0, either branch is right to within
   weight * |n . l_v|, since the two differ by exactly n . l_v. The <= branch
-  is taken and that amount widens the term's radius; nothing escalates.
+  is taken and weight * (|S| + R) 2^-prec, for the integer centre S and
+  radius R of n . l_v, widens the term's radius; nothing escalates.
 
 A mismatch between g and f - h(n_hat) beyond IDENTITY_TOL plus g's radius
 is an internal error, not a warning.
@@ -37,18 +44,20 @@ the decomposition columns cover the char-0 share of f.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, to_float
 
-from .action import PlacedComponent, PlacedSpec, lattice_shell_points
+from .action import (PlacedComponent, PlacedSpec, iter_shell_points,  # noqa: F401
+                     lattice_shell_points)  # callers read the list form from here too
 from .counting import char0_powers, count_at_powers, require_nonzero
 from .entropy import EntropyFunction, directional_entropy, entropy_function_of
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, OUTWARD, LogBall, compare_abs_to_one,
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, compare_abs_to_one, ldexp_up,
                           log_abs_one_minus_exp, log_sigma_ball, valuations_above)
 
 IDENTITY_TOL = 1e-8
@@ -58,30 +67,31 @@ IDENTITY_TOL = 1e-8
 # phi_v, f and g
 # ---------------------------------------------------------------------------
 
-def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int) -> tuple[LogBall, mp.mpf]:
-    """(ball for log sigma_v(phi_v(n)), tie widening) at archimedean place k.
+def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int) -> tuple[DyadicBall, int]:
+    """(dyadic ball for log sigma_v(phi_v(n)), tie widening), both at scale
+    2^-prec, at archimedean place k.
 
-    log sigma_v(xi^n) = sum n_i log sigma_v(xi_i), so each power carries its
-    ball's radius times |n_i|, which also covers the rounding of the sum
-    (see log_sigma_ball). Its real part times the weight is n . l_v, whose
-    sign picks the branch; on a tie the <= branch is taken, and the
-    widening weight * |n . l_v| covers the other branch, which differs from
-    it by exactly n . l_v.
+    log sigma_v(xi^n) = sum n_i log sigma_v(xi_i): S = sum n_i RE_i and
+    R = sum |n_i| RAD_i are exact integers, and the imaginary part sums the
+    same way (mod 2 for the parity at a real place). weight * S is
+    2^prec n . l_v, whose sign picks the branch; on a tie the <= branch is
+    taken, and the widening weight * (|S| + R) covers the other branch,
+    which differs from it by exactly n . l_v.
     """
     place = pc.places[k]
-    logs = (pc.arch_logs[k] if prec == DEFAULT_PREC
-            else [log_sigma_ball(place, x, prec) for x in pc.component.xi])
-    with mp.workprec(prec):
-        re = sum(v * b.re for v, b in zip(n, logs))
-        im = sum(v * b.im for v, b in zip(n, logs))
-        if place.weight == 1:
-            im %= 2
-        rad = sum(abs(v) * b.rad for v, b in zip(n, logs)) * OUTWARD
-        side = compare_abs_to_one(place, (place.weight * re, place.weight * rad))
-        if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
-            return LogBall(-re, im if place.weight == 1 else -im, rad), mp.mpf(0)
-        widen = place.weight * (abs(re) + rad) * OUTWARD if side == 0 else mp.mpf(0)
-        return LogBall(re, im, rad), widen
+    rows = (pc.arch_logs[k] if prec == DEFAULT_PREC
+            else [log_sigma_ball(place, x, prec).dyadic(prec) for x in pc.component.xi])
+    s = im = r = 0
+    for v, (re_i, im_i, rad_i) in zip(n, rows):
+        s += v * re_i
+        im += v * im_i
+        r += abs(v) * rad_i
+    if place.weight == 1:
+        im &= 1
+    side = compare_abs_to_one(place, (place.weight * s, place.weight * r))
+    if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
+        return DyadicBall(-s, im if place.weight == 1 else -im, r), 0
+    return DyadicBall(s, im, r), (place.weight * (abs(s) + r) if side == 0 else 0)
 
 
 def phi_v(pc: PlacedComponent, n) -> tuple:
@@ -90,7 +100,7 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
 
     A finite place gets ord_v(phi_v(n)) = |n . pc.finite_ords[k]|, exactly;
     an archimedean place gets _phi_ball at DEFAULT_PREC, formed from the
-    log sigma_v(xi_i) balls cached at placement.
+    dyadic log sigma_v(xi_i) rows cached at placement.
     """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
@@ -100,25 +110,26 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
                  for k, ords in enumerate(pc.finite_ords))
 
 
-def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> list[tuple[float, float]]:
-    """(log |1 - phi_v(n)|_v, radius) per support place, from xn = xi^n.
+def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> tuple[float, float]:
+    """(sum of log |1 - phi_v(n)|_v over the support places, radius), from xn = xi^n.
 
     Finite places are exact: where ord_v(phi_v) = |n . ords| > 0,
     |1 - phi_v|_v = 1 and the term is 0; where n . ords = 0 it is
     -ord_v(xi^n - 1) f log p, from at most one valuations_above pass per
     prime. Archimedean places evaluate the phi_v ball, doubling the
-    precision while |1 - sigma_v(phi_v)| is not yet separated from 0.
+    precision while |1 - sigma_v(phi_v)| is not yet separated from 0; their
+    terms are added exactly and converted to a float once, so that terms
+    which cancel keep their digits.
     """
     field = pc.component.field
-    x = field.sub(xn, field.one())
     columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
-    out = []
+    arch, finite, radius = fzero, 0.0, 0.0
     for k, (place, ords, phi) in enumerate(zip(pc.places, pc.finite_ords, phi_v(pc, n))):
         if ords is not None:  # phi = |n . ords|
             if not phi and place.p not in columns:
-                columns[place.p] = valuations_above(field, place.p, x)
+                columns[place.p] = valuations_above(field, place.p, field.sub(xn, field.one()))
             ordv = 0 if phi else columns[place.p][place.index]
-            out.append((-ordv * place.res_degree * math.log(place.p), 0.0))
+            finite += -ordv * place.res_degree * math.log(place.p)
             continue
         prec = DEFAULT_PREC
         ball, widen = phi
@@ -129,8 +140,9 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> list[tupl
                     "at maximum precision")
             prec *= 2
             ball, widen = _phi_ball(pc, k, n, prec)
-        out.append((float(term[0]), float(term[1] + widen)))
-    return out
+        arch = mpf_add(arch, term[0]._mpf_)
+        radius = math.nextafter(radius + term[1] + ldexp_up(widen, -prec), math.inf)
+    return to_float(arch, rnd="n") + finite, radius
 
 
 def _norm2(n) -> float:
@@ -205,9 +217,9 @@ def point_record(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> PointR
     for (pc, mult), xn, (count, _) in zip(ps.entries, powers, res.per_component):
         if xn is None:
             continue
-        for value, rad in _log_one_minus_phi(pc, n, xn):
-            direct += mult * value
-            radius += mult * rad
+        value, rad = _log_one_minus_phi(pc, n, xn)
+        direct += mult * value
+        radius += mult * rad
         f0 += mult * math.log(count)
     direct /= norm
     f0 /= norm
@@ -235,19 +247,19 @@ def _env_workers() -> int:
 
 def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
                budget: int = 1_000_000) -> ScanReport:
-    """Evaluate every representative lattice point in the annulus, aggregate
-    per unit shell, and estimate C1/C2 from the outer 20 percent of radii.
+    """Evaluate the representative lattice points of the annulus in (shell,
+    lexicographic) order, at most budget of them (enumerating no further
+    than budget + 1), aggregate per unit shell, and estimate C1/C2 from the
+    outer 20 percent of radii.
     ENTRANK_WORKERS > 1 spreads the points over that many processes, at
     most one per CPU."""
     if not (0 < r_min < r_max):
         raise MathDomainError("need 0 < r_min < r_max")
     if budget < 1:
         raise MathDomainError(f"budget must be at least 1, got {budget}")
-    points = lattice_shell_points(ps.d, r_min, r_max)
-    partial = False
-    if len(points) > budget:
-        points = points[:budget]
-        partial = True
+    points = list(itertools.islice(iter_shell_points(ps.d, r_min, r_max), budget + 1))
+    partial = len(points) > budget
+    del points[budget:]
     ef = entropy_function_of(ps)
     workers = min(_env_workers(), os.cpu_count() or 1)
     if workers > 1 and len(points) > 64:

@@ -90,6 +90,24 @@ def test_factor_x4_plus_1_irreducible():
     assert factor_monic_int_poly([1, 0, 0, 0, 1]) == [(1, 0, 0, 0, 1)]
 
 
+def test_build_field_takes_the_discriminant_once(monkeypatch):
+    # the squarefree test and Zassenhaus's choice of primes share one
+    # discriminant, so x^4 + 1 (which reaches Zassenhaus) costs one resultant
+    import entrank.algebra as algebra
+    from entrank import build_field
+
+    calls = []
+    inner = algebra.resultant
+
+    def counting(f, g):
+        calls.append((tuple(f), tuple(g)))
+        return inner(f, g)
+
+    monkeypatch.setattr(algebra, "resultant", counting)
+    assert build_field([1, 0, 0, 0, 1]).degree == 4
+    assert len(calls) == 1
+
+
 def test_factor_products():
     f = [-1, 0, 1]  # (x-1)(x+1)
     got = factor_monic_int_poly(f)

@@ -63,9 +63,12 @@ def golden2_ledrappier():
 
 def test_phi_v_branches(pc23):
     # pc23.places: the archimedean place, then the 2-adic and 3-adic ones
+    from entrank.numberfield import DEFAULT_PREC
+
     (ball, widen), ord2, _ord3 = phi_v(pc23, (1, 1))
-    with mp.workprec(200):
-        assert abs(ball.re + mp.log(6)) <= ball.rad < 1e-30  # phi = 1/6
+    with mp.workprec(200):  # the ball is integers at scale 2^-DEFAULT_PREC
+        re, rad = (mp.ldexp(v, -DEFAULT_PREC) for v in (ball.re, ball.rad))
+        assert abs(re + mp.log(6)) <= rad < 1e-30  # phi = 1/6
     assert ball.im == 0 and widen == 0
     assert ord2 == 1  # phi = 6 above 2
     # |xi^(-1,0)|_2 = |1/2|_2 = 2 > 1, so the inverse branch returns 2
@@ -136,33 +139,45 @@ def test_point_record_tie_widens_instead_of_escalating(monkeypatch):
     assert 0 < widen <= 5 * ball.rad  # weight 2 times (|Re t| + rad), and |Re t| <= rad
 
 
-def _log_one_minus_phi_exact(pc, place, n):
-    """log |1 - phi_v(n)|_v from the exact element: the pre-ball route."""
-    from entrank.numberfield import log_abs_v_ball
+def _log_one_minus_phi_exact(pc, place, n, prec=1024):
+    """log |1 - phi_v(n)|_v from the exact element: the pre-ball route, at
+    prec bits, so that it resolves terms far below 2^-DEFAULT_PREC."""
+    from entrank.numberfield import log_abs_v_ball, log_sigma_ball
 
     field, xi = pc.component.field, pc.component.xi
     xn = field.pow_vector(xi, n)
     mid, rad = log_abs_v_ball(place, xn)
     assert abs(mid) > rad  # no ties in these fields
     phi = field.pow_vector(xi, tuple(-v for v in n)) if mid > 0 else xn
-    return log_abs_v_ball(place, field.sub(field.one(), phi))
+    ball = log_sigma_ball(place, field.sub(field.one(), phi), prec)
+    return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
+
+
+GOLDEN_DOC = {"min_poly": [-1, -1, 1], "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]}
+
+
+# points whose archimedean terms lie in the far tail, |sigma_v(phi_v)| < 2^-wp
+FAR_TAIL_POINTS = {(-1, -1, 1): [(2000, 1200), (-2000, 1200)],  # golden mean
+                   (0, 1): [(1, -90), (100, 30), (0, 100)]}  # x2x3
 
 
 @pytest.mark.parametrize("doc, weights", [
-    ({"min_poly": [-1, -1, 1], "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]}, {1}),  # golden mean
+    (GOLDEN_DOC, {1}),
     ({"min_poly": [-2, 0, 0, 1], "xi": [[0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 0, 1]]},
      {1, 2}),  # Q(2^(1/3)), xi = (theta, 1 + theta)
     ({"min_poly": [1, 0, 1], "xi": [[2, 1, 1, 1], [3, 1, 0, 1]]}, {2}),  # Q(i), (2 + i, 3)
+    ({"min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}, {1}),  # x2x3
 ])
 def test_arch_terms_match_exact_element_route(doc, weights):
     from entrank.numberfield import DEFAULT_PREC, log_abs_one_minus_exp
 
+    far = FAR_TAIL_POINTS.get(tuple(doc["min_poly"]), [])
     ps = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]}))
     pc = ps.placed_char0()[0][0]
     rng = random.Random(len(doc["min_poly"]))
     checked = set()
-    for _ in range(25):
-        n = (rng.randint(-30, 30), rng.randint(-30, 30))
+    points = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(25)]
+    for n in points + far:
         if n == (0, 0):
             continue
         for place, phi in zip(pc.places, phi_v(pc, n)):
@@ -173,8 +188,105 @@ def test_arch_terms_match_exact_element_route(doc, weights):
             mid, rad_exact = _log_one_minus_phi_exact(pc, place, n)
             assert widen == 0 and rad < 1e-25
             assert abs(value - mid) <= rad + rad_exact
+            if n in far:  # the far tail: |sigma_v(phi_v)| < 2^-wp, so the term is below it
+                assert 0 < abs(value) < 2.0**-100
+                assert rad <= max(abs(value) * 2.0**-80, math.ulp(0.0))  # relative, or underflow
             checked.add(place.weight)
     assert checked == weights
+
+
+def test_escalation_when_the_first_evaluation_cannot_separate(monkeypatch):
+    # log xi ~ 2^-112, so |1 - sigma(phi)| ~ 2^-112: below the rounding of the
+    # first evaluation at DEFAULT_PREC, separated after one doubling
+    from entrank.numberfield import DEFAULT_PREC
+
+    big = 2**112  # 2^112 + 1 has small factors, which placement must find
+    ps = place_spec(parse_spec({"d": 1, "components": [
+        {"char": 0, "min_poly": [0, 1], "xi": [[big + 1, big]]}]}))
+    seen = _precisions_requested(monkeypatch)
+    rec = point_record(ps, (1,))
+    assert 2 * DEFAULT_PREC in seen and max(seen) == 2 * DEFAULT_PREC
+    assert rec.count == 1  # |(2^112 + 1) - 2^112|
+    assert abs(rec.g - (rec.f - rec.h_hat)) <= IDENTITY_TOL
+    # the archimedean term is log |1 - 1/xi| = -log(2^112 + 1); the finite ones are 0
+    assert rec.g == pytest.approx(-math.log(big + 1), rel=1e-15)
+
+
+def _mpf_sign(pc, k, n):
+    """The sign of n . l_v from sums of the mpf balls at DEFAULT_PREC, the
+    radius rounded outward: the reference for the integer sign test."""
+    from entrank.numberfield import DEFAULT_PREC, OUTWARD, compare_abs_to_one, log_sigma_ball
+
+    place = pc.places[k]
+    balls = [log_sigma_ball(place, x) for x in pc.component.xi]
+    with mp.workprec(DEFAULT_PREC):
+        re = sum(v * b.re for v, b in zip(n, balls))
+        rad = sum(abs(v) * b.rad for v, b in zip(n, balls)) * OUTWARD
+        return compare_abs_to_one(place, (place.weight * re, place.weight * rad))
+
+
+@pytest.mark.parametrize("doc", [
+    GOLDEN_DOC,
+    {"min_poly": [-2, 0, 0, 1], "xi": [[0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 0, 1]]},
+    {"min_poly": [1, 0, 1], "xi": [[2, 1, 1, 1], [3, 1, 0, 1]]},
+    {"min_poly": [1, 0, 1], "xi": [[3, 5, 4, 5], [2, 1, 0, 1]]},  # |(3 + 4i)/5| = 1: ties
+])
+def test_integer_sign_matches_mpf_sign(doc):
+    from entrank.numberfield import compare_abs_to_one
+
+    pc = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]})).placed_char0()[0][0]
+    sides = set()
+    for n in itertools.product(range(-6, 7), repeat=2):
+        if n == (0, 0):
+            continue
+        for k, (place, phi) in enumerate(zip(pc.places, phi_v(pc, n))):
+            if place.kind != "arch":
+                continue
+            s = sum(v * row.re for v, row in zip(n, pc.arch_logs[k]))
+            r = sum(abs(v) * row.rad for v, row in zip(n, pc.arch_logs[k]))
+            side = compare_abs_to_one(place, (place.weight * s, place.weight * r))
+            assert side == _mpf_sign(pc, k, n)
+            assert (phi[1] > 0) == (side == 0)  # phi_v widens exactly on ties
+            sides.add(side)
+    assert sides == ({-1, 0, 1} if doc["xi"][0] == [3, 5, 4, 5] else {-1, 1})
+
+
+def _g_reference(ps, n, prec=300):
+    """f - h(n_hat) at prec bits: the log of the exact count minus the
+    Lyapunov maxima, with log |sigma_v(xi_i)| at prec + 20 bits."""
+    from entrank.numberfield import log_sigma_ball
+
+    with mp.workprec(prec):
+        total = mp.log(count_composite(ps, n).value)
+        for pc, mult in ps.placed_char0():
+            for place, ords in zip(pc.places, pc.finite_ords):
+                if ords is None:
+                    row = [mp.ldexp(log_sigma_ball(place, x, prec + 20).re, place.weight - 1)
+                           for x in pc.component.xi]
+                else:
+                    row = [-o * place.res_degree * mp.log(place.p) for o in ords]
+                total -= mult * max(0, sum(v * c for v, c in zip(n, row)))
+        return total / mp.sqrt(sum(v * v for v in n))
+
+
+@pytest.mark.parametrize("n", [(41, 0), (47, 0), (31, -30)])
+def test_g_where_place_terms_cancel_matches_high_precision_reference(golden, n):
+    # on the n2 = 0 axis the two real places give terms near +-1e-9 that
+    # cancel to near 1e-18; (31, -30) is a point without that cancellation
+    from entrank.numberfield import DEFAULT_PREC, log_abs_one_minus_exp
+
+    pc = golden.placed_char0()[0][0]
+    terms = [float(log_abs_one_minus_exp(place, phi[0], DEFAULT_PREC)[0])
+             for place, phi in zip(pc.places, phi_v(pc, n)) if place.kind == "arch"]
+    norm = math.sqrt(sum(v * v for v in n))
+    g = point_record(golden, n).g
+    if n[1] == 0:
+        assert abs(g) < 1e-6 * max(abs(t) for t in terms) / norm
+    ref = _g_reference(golden, n)
+    assert abs(g - ref) <= 4 * math.ulp(max(abs(t) for t in terms)) / norm
+    # the archimedean terms are added before the one float conversion, so g
+    # keeps its own digits, not only those of the terms
+    assert abs(g - ref) <= 4 * math.ulp(g)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +375,45 @@ def test_point_record_charp_has_no_decomposition(ledrappier):
 # shell scans
 # ---------------------------------------------------------------------------
 
+def _brute_force_shell_points(d, r_min, r_max):
+    r = int(r_max)
+    return sorted((n for n in itertools.product(range(-r, r + 1), repeat=d)
+                   if any(n) and next(v for v in n if v) > 0
+                   and r_min**2 <= sum(v * v for v in n) <= r_max**2),
+                  key=lambda n: (math.isqrt(sum(v * v for v in n)), n))
+
+
 def test_lattice_shell_points_structure():
     # against a brute-force filter of the cube: one representative per +-n
-    # pair (first nonzero entry positive), ordered by (unit shell, lexicographic)
-    for d, r_min, r_max in [(1, 0, 6.5), (2, 0, 4.0), (2, 1.0, 3.5), (3, 0, 3.0),
-                            (3, 1.5, 3.2)]:
-        pts = lattice_shell_points(d, r_min, r_max)
-        r = int(r_max)
-        expected = [n for n in itertools.product(range(-r, r + 1), repeat=d)
-                    if any(n) and next(v for v in n if v) > 0
-                    and r_min**2 <= sum(v * v for v in n) <= r_max**2]
-        assert len(pts) == len(set(pts)) and set(pts) == set(expected)
-        assert pts == sorted(expected, key=lambda n: (math.isqrt(sum(v * v for v in n)), n))
+    # pair (first nonzero entry positive), ordered by (unit shell, lexicographic),
+    # whether taken lazily or as a list
+    from entrank.action import iter_shell_points
+
+    for d, r_min, r_max in [(1, 0, 6.5), (1, 2.5, 9.0), (1, 3, 3), (1, 0, 0.5),
+                            (2, 0, 4.0), (2, 1.0, 3.5), (2, 2.2, 7.1), (2, 5, 5),
+                            (2, math.sqrt(8), 6), (3, 0, 3.0), (3, 1.5, 3.2), (3, 2, 4.6),
+                            (3, 3.9, 4.1)]:
+        expected = _brute_force_shell_points(d, r_min, r_max)
+        assert list(iter_shell_points(d, r_min, r_max)) == expected
+        assert lattice_shell_points(d, r_min, r_max) == expected
+
+
+def test_scan_budget_bounds_the_enumeration(x2x3, monkeypatch):
+    # a huge r_max costs only the shells the budget reaches
+    import entrank.action as action
+
+    shells = []
+    inner = action._points_with_square_norm_in
+
+    def recording(d, a, b):
+        shells.append(a)
+        return inner(d, a, b)
+
+    monkeypatch.setattr(action, "_points_with_square_norm_in", recording)
+    rep = shell_scan(x2x3, 1.0, 100000.0, budget=5)
+    assert rep.partial
+    assert [r.n for r in rep.records] == _brute_force_shell_points(2, 1.0, 2.5)[:5]
+    assert shells == [1, 4]  # shell 1 holds 4 points, shell 2 the fifth and sixth
 
 
 def test_scan_small_annulus(x2x3):
