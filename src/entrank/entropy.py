@@ -284,13 +284,17 @@ def mahler_measure(coeffs) -> MahlerMeasure:
 
     P splits into squarefree parts S_k with P = lc * prod S_k^k (Yun), so
     every root search is over simple roots. Roots come from mpmath
-    polyroots with proven Weierstrass inclusion discs (numberfield.root_discs,
+    polyroots, started from a double-precision solve of S_k scaled by its
+    root bound, with proven Weierstrass inclusion discs (numberfield.root_discs,
     which the embeddings of a field share). A connected union of c discs
     holds exactly c roots, so the roots and the approximations pair up with
     |root| - |z_i| at most twice the sum R of the radii; log max(1, .) is
     1-Lipschitz, so the estimate is off by at most k * 2 deg(S_k) R for each
     part, a proven error bound. The precision doubles until the bound meets
-    the target.
+    the target. Huge roots (10^400 + x^2) carry wide discs until the
+    precision exceeds their size; roots too small for polyroots' absolute
+    tolerance (1 + 10^400 x^2) come back as 0 with infinite radii until
+    then. A part whose roots do not converge raises ResourceLimitError.
     """
     p = poly_trim(coeffs)
     if not p:

@@ -18,17 +18,21 @@ Finite places come from Dedekind factorization of the minimal polynomial
 mod p. Dedekind's criterion is the one p-maximality test, run at every
 prime; when p divides the index it raises instead of returning wrong data.
 Valuations take one pass per prime: valuations_above takes the norm of the
-element's integral part once and splits its ord_p among the places above p,
-all of it to the only place, or by one resultant per Hensel-lifted local
-factor, checked against the same total. ord_v reads one entry of that pass.
+element's integral part, shared with NumberField.norm through one small
+cache, and splits its ord_p among the places above p, all of it to the only
+place, or by one resultant per Hensel-lifted local factor, checked against
+the same total. Each prime keeps the highest lift of its local factors
+asked for so far, and lower precisions reuse it. ord_v reads one entry of
+that pass.
 
 Archimedean data carries proven error radii. Each root of the minimal
-polynomial sits in a Weierstrass inclusion disc rounded outward in interval
-arithmetic; an embedding's value sigma_v(x) is a ball whose radius covers
-that disc and the rounding of the evaluation, and every ball built from
-these carries its radius on, rounded outward. A logarithm ball for
-sigma_v(x) also has a dyadic form, integers at scale 2^-prec with the
-radius rounded up, so that integer combinations of such balls are exact.
+polynomial, found by mpmath's polyroots from a double-precision start, sits
+in a Weierstrass inclusion disc rounded outward in interval arithmetic; an
+embedding's value sigma_v(x) is a ball whose radius covers that disc and
+the rounding of the evaluation, and every ball built from these carries its
+radius on, rounded outward. A logarithm ball for sigma_v(x) also has a
+dyadic form, integers at scale 2^-prec with the radius rounded up, so that
+integer combinations of such balls are exact.
 log |1 - e^t| is evaluated from a dyadic ball at prec - 32 + log2 |t.rad|
 bits (about 100 + log2 |n| at the default precision) on mpmath's raw libmp
 numbers: one exp (and cos/sin at a complex place), then the log of 1 - e^t
@@ -40,6 +44,7 @@ precision on demand.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import math
@@ -48,12 +53,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp, mpf_log,
-                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
+from mpmath.libmp import (NoConvergence, fone, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin,
+                          mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
 
 from .algebra import (is_prime, log_fraction, ord_p, poly_str, poly_trim, real_root_count,
                       resultant)
-from .errors import ConsistencyError, MathDomainError, SpecError, UnsupportedPrimeError
+from .errors import (ConsistencyError, MathDomainError, ResourceLimitError, SpecError,
+                     UnsupportedPrimeError)
 from .polyfactor import (
     gf_divmod,
     gf_factor,
@@ -142,7 +148,7 @@ class NumberField:
         """Field norm N(x) = Res(min_poly, A) / c^degree for x = A(theta)/c."""
         if x.is_zero():
             raise MathDomainError("norm of zero requested")
-        return Fraction(resultant(self.min_poly, x.num), x.den ** self.degree)
+        return Fraction(_integral_norm(self.min_poly, x.num), x.den ** self.degree)
 
     def charpoly(self, x: "Element") -> tuple[Fraction, ...]:
         """Characteristic polynomial of multiplication by x, ascending and
@@ -231,6 +237,14 @@ def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
     if k & 1:
         out = field.mul(out, x)
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _integral_norm(min_poly: tuple[int, ...], num: tuple[int, ...]) -> int:
+    """N(A(theta)) = Res(min_poly, A). The count takes the norm of xi^n - 1
+    and then valuations_above needs it again at each prime, as placement
+    does for each xi; this cache makes that one resultant."""
+    return resultant(min_poly, num)
 
 
 @functools.lru_cache(maxsize=256)
@@ -346,20 +360,78 @@ def _iv_point(iv, z):
     return iv.mpc(iv.mpf(mp.re(z)), iv.mpf(mp.im(z)))
 
 
+def _root_scale(coeffs: tuple[int, ...]) -> int:
+    """s = max_k ceil((bitlen c_(n-k) - bitlen lc + 1) / k), so that 2^s
+    exceeds every |c_(n-k) / lc|^(1/k), by less than a factor 4; Fujiwara's
+    bound then puts every root of f below 2^(s + 1)."""
+    lb = abs(coeffs[-1]).bit_length()
+    return max((-((lb - 1 - abs(c).bit_length()) // k)
+                for k, c in enumerate(reversed(coeffs[:-1]), 1) if c), default=0)
+
+
+def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[mp.mpc]:
+    """Starting points for polyroots: Durand-Kerner in double precision on
+    g(y) = f(2^s y) / (lc 2^(s n)) for s = _root_scale(f), whose coefficients
+    are below 1 in size and whose roots are below 2, so that huge or tiny
+    roots of f neither overflow nor underflow. Only the starts come from
+    floats; polyroots refines them."""
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    b = [(c << (s * (i - n))) / lead if s < 0 else c / (lead << (s * (n - i)))
+         for i, c in enumerate(coeffs)]
+    zs = [(0.4 + 0.9j) ** k for k in range(n)]
+    for _ in range(100):
+        moved = 0.0
+        for i, z in enumerate(zs):
+            num = 0j
+            for c in reversed(b):
+                num = num * z + c
+            den = 1 + 0j
+            for j, w in enumerate(zs):
+                if j != i:
+                    den *= z - w
+            if den:
+                step = num / den
+                zs[i] = z - step
+                moved = max(moved, abs(step))
+        if moved < 2.0 ** -40:  # the last step, quadratic, left about 2^-53
+            break
+    if not all(cmath.isfinite(z) for z in zs):
+        zs = [(0.4 + 0.9j) ** k for k in range(n)]
+    return [mp.mpc(mp.ldexp(z.real, s), mp.ldexp(z.imag, s)) for z in zs]
+
+
 @functools.lru_cache(maxsize=1024)
 def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpf | mp.mpc, mp.mpf], ...]:
     """(z_i, r_i): mpmath polyroots' approximations to the roots of the
     squarefree integer polynomial f with ascending coeffs, each with its
     Weierstrass inclusion radius n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|.
 
-    By Braess-Hadeler (Numer. Math. 21, 1973) the discs D(z_i, r_i) hold
-    every root, and a connected union of m of them holds exactly m.
+    polyroots runs Durand-Kerner at 2 prec + 60 bits until every step is
+    below 2^-(prec + 60). It starts from a double-precision Durand-Kerner
+    solve of f scaled by its root bound 2^s, so it needs a few quadratic
+    steps rather than the many from its own fixed start. The step bound is
+    absolute, so roots near 2^s with s large need s more bits: when the
+    first call does not converge, a second one runs with prec + s more.
+    If that fails too, ResourceLimitError. By Braess-Hadeler (Numer. Math.
+    21, 1973) the discs D(z_i, r_i) hold every root, and a connected union
+    of m of them holds exactly m, however the approximations were found.
     Interval arithmetic at prec + 40 bits rounds every r_i outward.
     Embeddings and Mahler measures of the same polynomial share this cache.
     """
+    s = _root_scale(coeffs)
+    starts = _float_root_starts(coeffs, s)
     with mp.workprec(prec + 60):
-        roots = mp.polyroots([mp.mpf(c) for c in reversed(coeffs)], maxsteps=200,
-                             extraprec=prec, error=True)[0]
+        cs = [mp.mpf(c) for c in reversed(coeffs)]
+        try:
+            roots = mp.polyroots(cs, maxsteps=200, extraprec=prec, error=True,
+                                 roots_init=starts)[0]
+        except NoConvergence:
+            try:
+                roots = mp.polyroots(cs, maxsteps=200, extraprec=2 * prec + max(s, 0),
+                                     error=True, roots_init=starts)[0]
+            except NoConvergence:
+                raise ResourceLimitError(f"root isolation of {poly_str(coeffs)} did not "
+                                         f"converge at {prec} bits") from None
     n = len(roots)
     with _iv_prec(prec + 40) as iv:
         zs = [_iv_point(iv, z) for z in roots]
@@ -533,10 +605,25 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
+def _local_lift(field: NumberField, p: int) -> list:
+    """[k, blocks]: the highest lift of _lifted_local_factors made so far at p."""
+    return [0, ()]
+
+
 def _lifted_local_factors(field: NumberField, p: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^k (k a power of two)."""
-    blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
-    return tuple(tuple(blk) for blk in hensel_lift_factors(field.min_poly, blocks, p, k))
+    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^K for
+    some K >= k (k a power of two).
+
+    One lift per (field, p) is kept, the highest asked for so far, and any
+    smaller k reuses it: for F_i lifted mod p^K and A integral,
+    Res(F_i + p^K G, A) = Res(F_i, A) mod p^K, so a resultant whose ord_p is
+    below k <= K has the same ord_p from either lift.
+    """
+    held = _local_lift(field, p)
+    if held[0] < k:
+        blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
+        held[:] = k, tuple(tuple(blk) for blk in hensel_lift_factors(field.min_poly, blocks, p, k))
+    return held[1]
 
 
 def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
@@ -551,7 +638,7 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
     factors = _factor_mod_p(field, p)
-    nrm = resultant(field.min_poly, x.num)
+    nrm = _integral_norm(field.min_poly, x.num)
     if nrm == 0:
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)

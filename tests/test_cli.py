@@ -287,6 +287,28 @@ def test_mahler_lehmer(capsys):
     assert abs(float(out.split()[0]) - 0.162357) < 1e-4
 
 
+@pytest.mark.parametrize("poly", [f"{10**400},0,1", f"1,0,{10**400}"])
+def test_mahler_huge_roots_and_tiny_roots(capsys, poly):
+    # roots +-10^200 i and +-10^-200 i: m = 400 log 10 either way
+    rc, out, err = run(capsys, "mahler", f"--poly={poly}")
+    assert rc == 0 and err == ""
+    assert out == "921.034037198 (error bound 1e-14)\n"
+    assert abs(float(out.split()[0]) - 400 * math.log(10)) < 1e-9
+
+
+def test_mahler_without_convergence_exits_3(capsys, monkeypatch):
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
+
+    def stuck(*_args, **_kwargs):
+        raise NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    monkeypatch.setattr(mp, "polyroots", stuck)
+    rc, out, err = run(capsys, "mahler", "--poly", "7,-5,3,1,2")
+    assert rc == 3 and out == ""
+    assert err.startswith("resource limit: root isolation of 2*x^4 + x^3 + 3*x^2 - 5*x + 7")
+
+
 @pytest.mark.parametrize("poly", ["1,a", ""])
 def test_mahler_unparsable_poly_exits_2(capsys, poly):
     rc, out, err = run(capsys, "mahler", "--poly", poly)

@@ -96,6 +96,56 @@ def test_degree_one_embedding_is_exact(min_poly, monkeypatch):
     assert emb.re == -min_poly[0] and emb.im == 0 and emb.err == 0
 
 
+def _root_disc_cases():
+    """Seeded squarefree integer polynomials of degree 2..12 (leading
+    coefficient not always 1), a clustered one, and ones with coefficients
+    near 10^90 whose roots are moderate: products of (a x - b), a and b
+    near 10^30."""
+    rng = random.Random(2024)
+    cases = [(-2, 200, -5000, 0, 0, 0, 0, 0, 1)]  # x^8 - 2(50x - 1)^2: roots 1/50 +- 6e-9
+    while len(cases) < 25:
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))] + [rng.choice((1, -2, 3))]
+        if f[0] and discriminant(f):
+            cases.append(tuple(f))
+    for degree in (2, 3, 5):
+        f = [1]
+        for _ in range(degree):
+            a, b = rng.randint(10**29, 10**31), rng.randint(-10**31, 10**31)
+            f = [x - y for x, y in zip([0] + [a * c for c in f], [b * c for c in f] + [0])]
+        cases.append(tuple(f))
+    return cases
+
+
+ROOT_DISC_CASES = _root_disc_cases()
+
+
+@pytest.mark.parametrize("coeffs", ROOT_DISC_CASES,
+                         ids=[f"{i}-deg{len(f) - 1}" for i, f in enumerate(ROOT_DISC_CASES)])
+def test_root_discs_hold_one_root_each(coeffs):
+    import mpmath as mp
+
+    from entrank.numberfield import DEFAULT_PREC, root_discs
+
+    discs = root_discs(coeffs, DEFAULT_PREC)
+    assert len(discs) == len(coeffs) - 1
+    with mp.workprec(600):
+        ref = mp.polyroots(list(reversed(coeffs)), maxsteps=2000, extraprec=600)
+        for z, r in discs:
+            assert 0 <= r < mp.mpf(2) ** -DEFAULT_PREC
+            assert sum(abs(w - z) <= r for w in ref) == 1
+        # and each reference root lies in one disc
+        assert all(sum(abs(w - z) <= r for z, r in discs) == 1 for w in ref)
+
+
+@pytest.mark.parametrize("coeffs, root", [((-7, 1), 7), ((12, -3), 4), ((0, 5), 0),
+                                          ((-(3 << 200), 1), 3 << 200)])
+def test_root_discs_degree_one_is_exact(coeffs, root):
+    from entrank.numberfield import DEFAULT_PREC, root_discs
+
+    ((z, r),) = root_discs(coeffs, DEFAULT_PREC)
+    assert z == root and r == 0
+
+
 def test_log_abs_v_ball_reads_the_placement_cache():
     # placement calls log_sigma_ball(place, x); log_abs_v_ball must hit the
     # same cache entry, not a new one keyed on an explicit precision
@@ -343,6 +393,47 @@ def test_valuations_above_split_the_norm():
                         == tuple(a + b for a, b in zip(vx, vy)))
                 assert tuple(ord_v(v, x) for v in places) == vx
     assert split_primes >= 20
+
+
+def test_reused_lift_gives_the_same_valuations():
+    # (2 + i)^k (2 - i)^j at p = 5 in a seeded order, so v_total = k + j and
+    # the lift precision it asks for go up and down; a lift kept from a
+    # higher request must give what a fresh lift gives
+    import entrank.numberfield as nf
+
+    pairs = [(k, j) for k in range(13) for j in range(13)]
+    random.Random(5).shuffle(pairs)
+    a, b = GAUSS.element([2, 1]), GAUSS.element([2, -1])
+    places = finite_places_above(GAUSS, 5)  # theta = 3, then theta = 2 mod 5
+    nf._local_lift.cache_clear()
+    reused = 0
+    for k, j in pairs:
+        x = GAUSS.mul(GAUSS.pow(a, k), GAUSS.pow(b, j))
+        reused += 0 < k + j and 1 << (k + j).bit_length() < nf._local_lift(GAUSS, 5)[0]
+        got = valuations_above(GAUSS, 5, x)
+        assert got == (k, j)
+        assert sum(v.res_degree * o for v, o in zip(places, got)) == ord_p(GAUSS.norm(x), 5)
+        held = list(nf._local_lift(GAUSS, 5))
+        nf._local_lift.cache_clear()
+        nf._integral_norm.cache_clear()
+        assert valuations_above(GAUSS, 5, x) == got  # from a fresh lift
+        nf._local_lift(GAUSS, 5)[:] = held
+    assert reused > 50
+
+
+def test_one_lift_serves_every_lower_precision(monkeypatch):
+    import entrank.numberfield as nf
+
+    lifts = []
+    inner = nf.hensel_lift_factors
+    monkeypatch.setattr(nf, "hensel_lift_factors",
+                        lambda *args: lifts.append(args[-1]) or inner(*args))
+    nf._local_lift.cache_clear()
+    top = nf._lifted_local_factors(GAUSS, 5, 16)
+    assert [nf._lifted_local_factors(GAUSS, 5, k) for k in (8, 2, 16, 4)] == [top] * 4
+    assert lifts == [16]
+    nf._lifted_local_factors(GAUSS, 5, 32)
+    assert lifts == [16, 32]
 
 
 def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
