@@ -378,7 +378,8 @@ def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[mp.mpc]:
     n, lead = len(coeffs) - 1, coeffs[-1]
     b = [(c << (s * (i - n))) / lead if s < 0 else c / (lead << (s * (n - i)))
          for i, c in enumerate(coeffs)]
-    zs = [(0.4 + 0.9j) ** k for k in range(n)]
+    fixed = [(0.4 + 0.9j) ** k for k in range(n)]  # polyroots' own start
+    zs = fixed[:]
     for _ in range(100):
         moved = 0.0
         for i, z in enumerate(zs):
@@ -396,7 +397,7 @@ def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[mp.mpc]:
         if moved < 2.0 ** -40:  # the last step, quadratic, left about 2^-53
             break
     if not all(cmath.isfinite(z) for z in zs):
-        zs = [(0.4 + 0.9j) ** k for k in range(n)]
+        zs = fixed
     return [mp.mpc(mp.ldexp(z.real, s), mp.ldexp(z.imag, s)) for z in zs]
 
 
