@@ -2,7 +2,8 @@
 
 Subcommands: count, table, scan, extrema, nonexpansive, mahler, oracle,
 validate. Exit codes: 0 success, 1 usage, 2 mathematical or spec domain
-error, 3 resource or budget limit, 4 internal-consistency failure.
+error, 3 resource or budget limit, 4 internal-consistency failure, 141
+(128 + SIGPIPE, with nothing on stderr) when the reader closes stdout early.
 
 Output is deterministic: fixed iteration orders and floats printed with 12
 significant digits; counts print in full, however many digits they have.
@@ -14,6 +15,7 @@ the CPU count, so a scan never starts more worker processes than CPUs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .action import (Char0Component, CharPComponent, entropy_rank_one_check, load_spec,
@@ -346,7 +348,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        print(end="", flush=True)  # a closed pipe raises here, not at interpreter exit
+        return rc
+    except BrokenPipeError:  # what is still buffered goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SpecError, MathDomainError, UnsupportedPrimeError, AlgebraError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

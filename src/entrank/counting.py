@@ -12,12 +12,12 @@ Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
 Laurent quotient by the generators together with u^n - 1.
 
 - d <= 2: the Fitting ideal (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A
-  unimodular change of coordinates sends n to (g, 0), so the quotient is a
-  finitely generated module over the PID A = F_q[w2^+-], presented over
-  A[w1]/(m) = A^D for a modulus m monic in w1. dim is the Laurent span of
-  the gcd of the maximal minors, read off a column Hermite form over
-  F_q[w2]; the count is infinite exactly when that gcd is 0. For d = 1 the
-  ring is A itself and the matrix has one row.
+  unimodular change of coordinates, sheared if need be, sends n to (g, 0),
+  so the quotient is a finitely generated module over the PID
+  A = F_q[w2^+-], presented over A[w1]/(m) = A^D for a modulus m monic in
+  w1. dim is the Laurent span of the gcd of the maximal minors, read off a
+  column Hermite form over F_q[w2]; the count is infinite exactly when that
+  gcd is 0. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0).
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check and is the
   tests' cross-check for the Fitting-ideal route.
@@ -29,15 +29,16 @@ linear algebra) cross-checks d = 2 counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_points
 from .algebra import ord_p, rank_mod_q
-from .errors import ConsistencyError, MathDomainError, ResourceLimitError
+from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import valuations_above
-from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_pow_mod, gf_sub
+from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_sub
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,6 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
 # Char p, d <= 2: the Fitting ideal over A = F_q[w2^+-]
 # ---------------------------------------------------------------------------
 
-# entries of the g x (g * generators) matrix built when the modulus is w1^g - 1
-_FALLBACK_ENTRY_CAP = 1 << 18
-
 AxisPoly = dict[tuple[int, int], int]  # (w1 exponent mod g, w2 exponent) -> coefficient
 W1Poly = list[GfPoly]  # polynomial in w1, ascending, with coefficients in F_q[w2]
 
@@ -136,18 +134,24 @@ def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int],
     return g, u
 
 
-def _axis_generators(pc: CharPComponent, n: tuple[int, int]):
-    """(g, U, generators) in the coordinates w = u^U that send n to (g, 0).
+def _axis_generators(pc: CharPComponent, n: tuple[int, ...]) -> tuple[int, list[AxisPoly]]:
+    """(g, generators) in the coordinates w = u^U that send n to (g, 0).
 
     There u^n - 1 becomes w1^g - 1, so w1 exponents are reduced mod g and
     w2 exponents shifted to start at 0 (both are multiplications by units
     of the quotient). Generators that vanish after the reduction are dropped.
+    For d = 1 the ring is the d = 2 ring modulo u2 - 1, taken at (n, 0).
     """
+    gens = [gen.terms for gen in pc.generators]
+    if pc.d == 1:
+        n = (n[0], 0)
+        gens = [[((e, 0), c) for (e,), c in terms] for terms in gens]
+        gens.append([((0, 0), pc.q - 1), ((0, 1), 1)])
     g, u = _unimodular_to_axis(n)
     gens_w: list[AxisPoly] = []
-    for gen in pc.generators:
+    for terms in gens:
         mapped: AxisPoly = {}
-        for (e1, e2), c in gen.terms:
+        for (e1, e2), c in terms:
             a = u[0][0] * e1 + u[0][1] * e2
             b = u[1][0] * e1 + u[1][1] * e2
             key = (a % g, b)
@@ -157,7 +161,7 @@ def _axis_generators(pc: CharPComponent, n: tuple[int, int]):
             continue
         low = min(j for (_a, j) in mapped)
         gens_w.append({(a, j - low): c for (a, j), c in mapped.items()})
-    return g, u, gens_w
+    return g, gens_w
 
 
 def _w1_poly(poly: AxisPoly) -> W1Poly:
@@ -265,66 +269,56 @@ def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
     return dim
 
 
-def _fitting_dim_d1(pc: CharPComponent, n: int) -> int | None:
-    """F_q[u^+-]/(generators, u^n - 1) is A/(gcd) with A = F_q[u^+-]: one row."""
-    q = pc.q
-    gens = []
-    for gen in pc.generators:
-        low = min(e for (e,), _c in gen.terms)
-        f = [0] * (max(e for (e,), _c in gen.terms) - low + 1)
-        for (e,), c in gen.terms:
-            f[e - low] = c
-        gens.append(f)
-    if gens:
-        relation = gf_sub(gf_pow_mod([0, 1], abs(n), gens[0], q), [1], q)
-    else:
-        relation = [q - 1] + [0] * (abs(n) - 1) + [1]
-    return _fitting_dim([[f] for f in gens + [relation]], 1, q)
+def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
+    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1): the Laurent span of
+    its Fitting ideal over A = F_q[w2^+-], presented over A[w1]/(m) = A^D.
 
-
-def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, int]) -> int | None:
-    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1) as the Laurent span
-    of its Fitting ideal over A = F_q[w2^+-].
-
-    The quotient is presented over A[w1]/(m) = A^D for the smallest m among
-    the generators whose leading w1-coefficient is a unit of A, falling back
-    to w1^g - 1 itself; its columns are "multiply by each remaining relation"
-    on the basis 1, w1, ..., w1^(D-1). Any lift of a generator's w1 exponents
-    mod g spans the same ideal, and so does the whole presentation under
-    w1 -> 1/w1 (which fixes (w1^g - 1)), so every cyclic lift is tried in
-    both orientations.
+    m is the shortest of w1^g - 1 and the generator lifts whose top w1-class
+    is one term, a unit of A. Each cyclic lift spans the same ideal; with the
+    classes sorted, the one cut at r_i has top r_(i-1) and degree
+    (r_(i-1) - r_i) mod g, and top r_i after w1 -> 1/w1. When k = 0 gives no
+    lift and g > 1, the shears w1^a w2^b -> w1^(a + kb) w2^b, k < t (the most
+    terms of a generator), are tried too: U's second row added k times to its
+    first keeps U n = (g, 0). Bound: fix a term w1^a0 w2^b0 of a generator of
+    t terms and w2-span B. Another term w1^a w2^b joins its class under shear
+    k iff k (b - b0) = a0 - a mod g: never if b = b0, else for k spaced at
+    least g / B apart. If g >= t B, each rules out at most one k < t, so some
+    k < t leaves the fixed term alone, the top class of a lift. So w1^g - 1
+    wins only when g < t B, and then g^2 < t |n|_1 (exponent span).
     """
     q = pc.q
-    g, _u, gens_w = _axis_generators(pc, n)
-    best = None  # (index, flipped, modulus)
-    for i, poly in enumerate(gens_w):
-        for cut in {a for a, _j in poly}:
-            lift = _w1_poly({((a - cut) % g, j): c for (a, j), c in poly.items()})
-            for flip, f in ((False, lift), (True, lift[::-1])):
-                if sum(1 for c in f[-1] if c) == 1 and (best is None or len(f) < len(best[2])):
-                    best = (i, flip, f)
-    polys = [_w1_poly(p) for p in gens_w]
-    if best is not None:
-        i, flip, m = best
+    g, gens_w = _axis_generators(pc, n)
+    # (degree, generators, index of m, class sent to w1^0, direction): w1^g - 1 first
+    best = (g, gens_w, None, 0, 1)
+    for k in range(max(map(len, gens_w), default=1)):
+        if k == 1 and (best[2] is not None or g == 1):
+            break
+        sheared = [{((a + k * j) % g, j): c for (a, j), c in p.items()} for p in gens_w]
+        for i, poly in enumerate(sheared):
+            sizes = Counter(a for a, _j in poly)
+            classes = sorted(sizes)
+            for prev, cut in zip(classes[-1:] + classes[:-1], classes):
+                deg = (prev - cut) % g
+                for top, origin, sign in ((prev, cut, 1), (cut, prev, -1)):
+                    if sizes[top] == 1 and deg < best[0]:
+                        best = (deg, sheared, i, origin, sign)
+    _deg, sheared, i, origin, sign = best
+    relations = [_w1_poly({(sign * (a - origin) % g, j): c for (a, j), c in p.items()})
+                 for p in sheared]
+    if i is None:  # the modulus is w1^g - 1
+        m = [[q - 1]] + [[] for _ in range(g - 1)] + [[1]]
+    else:
+        m = relations.pop(i)
         if len(m) == 1:
             return 0  # m is a monomial, a unit: the quotient is zero
-        relations = [f[::-1] if flip else f for j, f in enumerate(polys) if j != i]
         relations.append(_w1_power_minus_one(g, m, q))
-    else:
-        if g * g * len(polys) > _FALLBACK_ENTRY_CAP:
-            raise ResourceLimitError(
-                f"no generator has a unit leading w1-coefficient, and the "
-                f"w1^{g} - 1 presentation needs {g * g * len(polys)} matrix "
-                f"entries (cap {_FALLBACK_ENTRY_CAP})")
-        m = [[q - 1]] + [[] for _ in range(g - 1)] + [[1]]
-        relations = polys
     rows = len(m) - 1
     columns = []
-    for h in relations:
-        col = _reduce(h, m, q)[0]
-        for _j in range(rows):
-            columns.append(col + [[] for _ in range(rows - len(col))])
-            col = _reduce([[]] + col, m, q)[0]
+    for h in relations:  # h, w1 h, ..., w1^(rows - 1) h mod m
+        cols = [_reduce(h, m, q)[0]]
+        while len(cols) < rows:
+            cols.append(_reduce([[]] + cols[-1], m, q)[0])
+        columns += [c + [[] for _ in range(rows - len(c))] for c in cols]
     return _fitting_dim(columns, rows, q)
 
 
@@ -374,10 +368,8 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     n = require_nonzero(n)
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
-    if pc.d == 1:
-        dim = _fitting_dim_d1(pc, n[0])
-    elif pc.d == 2:
-        dim = _fitting_dim_d2(pc, n)  # type: ignore[arg-type]
+    if pc.d <= 2:
+        dim = _fitting_dim_d2(pc, n)
     else:
         dim = _groebner_dim(pc, n)
     if dim is None:
@@ -519,7 +511,7 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
     n = require_nonzero(n)
     if pc.d != 2:
         raise MathDomainError("the window oracle is implemented for d = 2 only")
-    g, _u, gens_w = _axis_generators(pc, n)  # type: ignore[arg-type]
+    g, gens_w = _axis_generators(pc, n)
     max_deg = max((max(j for (_a, j) in poly) for poly in gens_w), default=0)
     t_band = max(window, max_deg)
     dims = []

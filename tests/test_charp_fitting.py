@@ -1,6 +1,7 @@
 """Char-p counts for d <= 2 come from the Fitting ideal; Groebner bases and
 the window oracle are the independent references here."""
 
+import math
 import random
 import time
 
@@ -11,7 +12,6 @@ from entrank import (
     CharPComponent,
     LaurentPolynomial,
     MathDomainError,
-    ResourceLimitError,
     charp_window_oracle,
     count_composite,
     count_prime_charp,
@@ -85,7 +85,7 @@ def test_fitting_matches_groebner_seeded():
 
 
 @pytest.mark.parametrize("q, d, terms, n", [
-    # neither end of any cyclic lift has a unit coefficient: modulus w1^g - 1
+    # neither end of any cyclic lift has a unit coefficient until the shear k = 1
     (3, 2, [[((1, 1), 1), ((1, 0), 1), ((0, 0), 1), ((0, 1), 1), ((0, 2), 1)]], (4, 0)),
     # unit only at the low end: the presentation is flipped by w1 -> 1/w1
     (3, 2, [[((1, 1), 1), ((1, 0), 1), ((0, 0), 2)]], (4, 0)),
@@ -99,6 +99,8 @@ def test_fitting_matches_groebner_seeded():
     (3, 1, [[((0,), 1), ((2,), 1)], [((-1,), 2), ((3,), 1)]], (12,)),
     (5, 1, [], (7,)),
     (2, 2, [], (2, 1)),
+    # every shear leaves two terms in each w1-class: the modulus is w1^g - 1
+    (5, 2, [[((0, 0), 1), ((0, 1), 1), ((1, 0), 2), ((1, 1), 2)]], (2, 0)),
 ])
 def test_fitting_matches_groebner_chosen(q, d, terms, n):
     pc = CharPComponent(q=q, d=d, generators=tuple(
@@ -106,15 +108,58 @@ def test_fitting_matches_groebner_chosen(q, d, terms, n):
     assert fitting_dim(pc, n) == groebner_dim(pc, n)
 
 
-def test_w1_power_modulus_is_capped():
+F3_IDEAL = CharPComponent(q=3, d=2, generators=(LaurentPolynomial(terms=(
+    ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), 1), ((1, 1), 1))),))
+
+
+def test_shear_gives_a_modulus_where_no_lift_does():
     # (1 + u2) u1 + 1 + u2 + u2^2 over F_3: no cyclic lift has a unit leading
-    # w1-coefficient, so the modulus is w1^g - 1 and the matrix is g x g
-    pc = CharPComponent(q=3, d=2, generators=(LaurentPolynomial(terms=(
-        ((0, 0), 1), ((0, 1), 1), ((0, 2), 1), ((1, 0), 1), ((1, 1), 1))),))
-    assert fitting_dim(pc, (4, 0)) == groebner_dim(pc, (4, 0))
-    count_prime_charp(pc, (64, 0))
-    with pytest.raises(ResourceLimitError, match="w1\\^20000 - 1"):
-        count_prime_charp(pc, (20000, 0))
+    # w1-coefficient, but after the shear k = 1 one has w1-degree 2
+    assert fitting_dim(F3_IDEAL, (4, 0)) == groebner_dim(F3_IDEAL, (4, 0))
+    assert count_prime_charp(F3_IDEAL, (513, 0)).factored == (3, 1026)
+
+
+def image(v, e) -> tuple[int, ...]:
+    return tuple(sum(r * x for r, x in zip(row, e)) for row in v)
+
+
+def transformed(pc: CharPComponent, v) -> CharPComponent:
+    """The component under the ring automorphism u^e -> u^(V e)."""
+    return CharPComponent(q=pc.q, d=pc.d, generators=tuple(
+        LaurentPolynomial(terms=tuple(sorted((image(v, e), c) for e, c in gen.terms)))
+        for gen in pc.generators))
+
+
+def test_count_is_invariant_under_unimodular_maps():
+    rng = random.Random(1990)
+    cases = 0
+    while cases < 200:
+        pc, n = random_case(rng)
+        if pc.d != 2:
+            continue
+        while True:
+            v = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+            if abs(v[0][0] * v[1][1] - v[0][1] * v[1][0]) == 1:
+                break
+        assert fitting_dim(transformed(pc, v), image(v, n)) == fitting_dim(pc, n), (pc, n, v)
+        cases += 1
+    for v in ([[0, -1], [1, 0]], [[2, 1], [1, 1]], [[1, 0], [3, 1]]):
+        res = count_prime_charp(transformed(F3_IDEAL, v), image(v, (513, 0)))
+        assert res.factored == (3, 1026), v
+
+
+def test_d1_closed_forms_at_large_n():
+    rng = random.Random(2005)
+    for q in (2, 3, 5):
+        n = rng.randint(1, 10**5) * rng.choice([-1, 1])
+        zero = CharPComponent(q=q, d=1, generators=())
+        assert count_prime_charp(zero, (n,)).factored == (q, abs(n))
+        for _ in range(4):
+            k = rng.randint(1, 12)
+            n = rng.randint(1, 10**5) * rng.choice([-1, 1])
+            pc = CharPComponent(q=q, d=1, generators=(
+                LaurentPolynomial(terms=(((0,), q - 1), ((k,), 1))),))
+            assert count_prime_charp(pc, (n,)).factored == (q, math.gcd(k, n)), (q, k, n)
 
 
 @pytest.mark.parametrize("n", [96, 100, 1024])

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from entrank.cli import main
 
 DATA = Path(__file__).parent / "data"
 SPECS = Path(__file__).parent.parent / "specs"
+SRC = Path(__file__).parent.parent / "src"
 
 X2X3 = str(SPECS / "x2x3.json")
 LED = str(SPECS / "ledrappier.json")
@@ -246,6 +250,26 @@ def test_scan_ledrappier_notes_charp(capsys):
     rc, out, _ = run(capsys, "scan", "--spec", LED, "--rmin", "1", "--rmax", "2.5")
     assert rc == 0
     assert "char-p" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # the summary fits the stdout buffer: the closed pipe shows at the final flush
+    ["scan", "--spec", str(SPECS / "golden_mean.json"), "--rmin", "3", "--rmax", "9"],
+    # about 30 kB of rows: the closed pipe shows inside a print
+    ["table", "--spec", str(SPECS / "gaussian_split.json"), "--range=-200:200",
+     "--format", "csv"],
+])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "entrank.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
 
 
 # ---------------------------------------------------------------------------
