@@ -294,7 +294,7 @@ def trial_factor(n: int) -> tuple[dict[int, int], int]:
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; 0 and ±1 give {}."""
     out, n = trial_factor(n)
-    rng = random.Random(n)
+    rng = None  # seeded from the cofactor n, and only when Pollard rho runs
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -303,6 +303,8 @@ def factor_int(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = random.Random(n)
         d = _pollard_rho(m, rng)
         stack.extend([d, m // d])
     return dict(sorted(out.items()))

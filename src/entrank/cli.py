@@ -7,6 +7,10 @@ error, 3 resource or budget limit, 4 internal-consistency failure, 141
 
 Output is deterministic: fixed iteration orders and floats printed with 12
 significant digits; counts print in full, however many digits they have.
+`table --format csv` prints its header, then each line as its count
+finishes; if a count fails, the lines printed stay and the exit code is the
+error's. The ascii table needs every count for its widths, so it prints
+nothing until all have finished.
 Scans honor the ENTRANK_WORKERS environment variable (unset or empty: one
 process; anything but an integer >= 1 exits 2). Larger values are capped at
 the CPU count, so a scan never starts more worker processes than CPUs.
@@ -106,29 +110,25 @@ def cmd_table(args) -> int:
     if cells > TABLE_CELL_CAP:
         print(f"error: range has {cells} cells, cap is {TABLE_CELL_CAP}", file=sys.stderr)
         return 3
-    grid: list[list[str]] = []
-    for n2 in range(d_hi, c - 1, -1):
-        row = []
-        for n1 in range(a, b + 1):
-            n = (n1,) if spec.d == 1 else (n1, n2)
-            if all(v == 0 for v in n):
-                row.append(None)
-            else:
-                row.append(count_composite(ps, n).value)
-        grid.append(row)
-    if args.format == "csv":
-        print(",".join(["n1", "n2", "count"][: spec.d + 1]))
-        for i, n2 in enumerate(range(d_hi, c - 1, -1)):
-            for j, n1 in enumerate(range(a, b + 1)):
-                val = "inf" if grid[i][j] is None else str(grid[i][j])
+
+    def count_at(n1: int, n2: int) -> int | None:
+        n = (n1,) if spec.d == 1 else (n1, n2)
+        return None if all(v == 0 for v in n) else count_composite(ps, n).value
+
+    rows = range(d_hi, c - 1, -1)
+    if args.format == "csv":  # needs no widths: stream
+        print(",".join(["n1", "n2", "count"][: spec.d + 1]), flush=True)
+        for n2 in rows:
+            for n1 in range(a, b + 1):
+                val = count_at(n1, n2)
                 cols = [str(n1)] if spec.d == 1 else [str(n1), str(n2)]
-                print(",".join(cols + [val]))
-    else:
-        text = [["∞" if v is None else str(v) for v in row] for row in grid]
-        widths = [max(len(text[i][j]) for i in range(len(text)))
-                  for j in range(len(text[0]))]
-        for row in text:
-            print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+                print(",".join(cols + ["inf" if val is None else str(val)]), flush=True)
+        return 0
+    text = [["∞" if v is None else str(v) for v in (count_at(n1, n2) for n1 in range(a, b + 1))]
+            for n2 in rows]
+    widths = [max(len(row[j]) for row in text) for j in range(len(text[0]))]
+    for row in text:
+        print(" ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return 0
 
 

@@ -21,18 +21,19 @@ Valuations take one pass per prime: valuations_above takes the norm of the
 element's integral part, shared with NumberField.norm through one small
 cache, and splits its ord_p among the places above p, all of it to the only
 place, or by one resultant per Hensel-lifted local factor, checked against
-the same total. Each prime keeps the highest lift of its local factors
-asked for so far, and lower precisions reuse it. ord_v reads one entry of
-that pass.
+the same total. Each (field, prime) lifts its local factors from p once and
+keeps that lift with its Bezout cofactors: a lower precision reuses it, a
+higher one continues it. ord_v reads one entry of that pass.
 
 Archimedean data carries proven error radii. Each root of the minimal
 polynomial, found by mpmath's polyroots from a double-precision start, sits
-in a Weierstrass inclusion disc rounded outward in interval arithmetic; an
-embedding's value sigma_v(x) is a ball whose radius covers that disc and
-the rounding of the evaluation, and every ball built from these carries its
-radius on, rounded outward. A logarithm ball for sigma_v(x) also has a
-dyadic form, integers at scale 2^-prec with the radius rounded up, so that
-integer combinations of such balls are exact.
+in a Weierstrass inclusion disc whose radius is formed in exact integers and
+rounded up once, and discs are told apart exactly; an embedding's value
+sigma_v(x) is a ball whose radius covers that disc and the rounding of the
+evaluation, and every ball built from these carries its radius on, rounded
+outward. A logarithm ball for sigma_v(x) also has a dyadic form, integers
+at scale 2^-prec with the radius rounded up, so that integer combinations
+of such balls are exact.
 log |1 - e^t| is evaluated from a dyadic ball at prec - 32 + log2 |t.rad|
 bits (about 100 + log2 |n| at the default precision) on mpmath's raw libmp
 numbers: one exp (and cos/sin at a complex place), then the log of 1 - e^t
@@ -45,7 +46,6 @@ precision on demand.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -346,18 +346,24 @@ def ldexp_up(m: int, e: int) -> float:
         return math.inf
 
 
-@contextlib.contextmanager
-def _iv_prec(prec: int):
-    """mpmath's iv context (outward-rounded intervals) at prec bits."""
-    saved, mp.iv.prec = mp.iv.prec, prec
-    try:
-        yield mp.iv
-    finally:
-        mp.iv.prec = saved
+def _at_common_scale(xs) -> tuple[int, list[int]]:
+    """(E, [m]) with each finite mpf x = m 2^-E exactly, for the least E >= 0."""
+    mes = [(-man if sign else man, e) for sign, man, e, _bc in (x._mpf_ for x in xs)]
+    scale = max([-e for m, e in mes if m] + [0])
+    return scale, [m << (e + scale) for m, e in mes]
 
 
-def _iv_point(iv, z):
-    return iv.mpc(iv.mpf(mp.re(z)), iv.mpf(mp.im(z)))
+def _sqrt_ratio_up(num: int, den: int, bits: int) -> mp.mpf:
+    """An mpf at least sqrt(num / den), by a relative 2^-bits at most, from
+    one ceiling division and one ceiling isqrt at scale 2^-t; den = 0 gives
+    an infinite one."""
+    if not den:
+        return mp.inf
+    t = bits + 1 - (num.bit_length() - den.bit_length()) // 2
+    q = -(-(num << 2 * t) // den) if t >= 0 else -(-num // (den << -2 * t))
+    root = math.isqrt(q)
+    root += root * root < q
+    return mp.make_mpf(from_man_exp(root, -t))
 
 
 def _root_scale(coeffs: tuple[int, ...]) -> int:
@@ -416,8 +422,11 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpf | mp.mp
     If that fails too, ResourceLimitError. By Braess-Hadeler (Numer. Math.
     21, 1973) the discs D(z_i, r_i) hold every root, and a connected union
     of m of them holds exactly m, however the approximations were found.
-    Interval arithmetic at prec + 40 bits rounds every r_i outward.
-    Embeddings and Mahler measures of the same polynomial share this cache.
+    The z_i are exact dyadics, Gaussian integers at their common scale, so
+    f(z_i) and the product are exact, and r_i, from one ceiling division and
+    one ceiling isqrt, exceeds the exact radius by a relative 2^-(prec + 40)
+    at most; a product of exactly 0 gives r_i = inf. Embeddings and Mahler
+    measures of the same polynomial share this cache.
     """
     s = _root_scale(coeffs)
     starts = _float_root_starts(coeffs, s)
@@ -433,29 +442,34 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpf | mp.mp
             except NoConvergence:
                 raise ResourceLimitError(f"root isolation of {poly_str(coeffs)} did not "
                                          f"converge at {prec} bits") from None
-    n = len(roots)
-    with _iv_prec(prec + 40) as iv:
-        zs = [_iv_point(iv, z) for z in roots]
-        radii = []
-        for i, zi in enumerate(zs):
-            val = iv.mpc(0)
-            for c in reversed(coeffs):
-                val = val * zi + c
-            den = iv.mpc(coeffs[-1])
-            for j, zj in enumerate(zs):
-                if j != i:
-                    den = den * (zi - zj)
-            radii.append(mp.mpf((n * abs(val) / abs(den)).b))
+    n, lead = len(roots), coeffs[-1]
+    scale, parts = _at_common_scale([x for z in roots for x in (mp.re(z), mp.im(z))])
+    ws = list(zip(parts[::2], parts[1::2]))  # z_i = w_i 2^-scale, w_i Gaussian integers
+    radii = []
+    for i, (a, b) in enumerate(ws):
+        fr, fi = lead, 0  # 2^(scale n) f(z_i), by Horner
+        for k, c in enumerate(reversed(coeffs[:-1]), 1):
+            fr, fi = fr * a - fi * b + (c << scale * k), fr * b + fi * a
+        pr, pi = lead, 0  # 2^(scale (n - 1)) lc prod_{j != i} (z_i - z_j)
+        for j, (c, d) in enumerate(ws):
+            if j != i:
+                pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
+        radii.append(_sqrt_ratio_up(n * n * (fr * fr + fi * fi),
+                                    (pr * pr + pi * pi) << 2 * scale, prec + 40))
     return tuple(zip(roots, radii))
 
 
-def _discs_disjoint(discs, prec: int) -> bool:
-    """Whether the closed discs (centre, radius) are pairwise disjoint,
-    decided in interval arithmetic."""
-    with _iv_prec(prec) as iv:
-        zs = [(_iv_point(iv, c), r) for c, r in discs]
-        return all((abs(zi - zj) - ri - rj).a > 0
-                   for i, (zi, ri) in enumerate(zs) for zj, rj in zs[:i])
+def _discs_disjoint(discs) -> bool:
+    """Whether the closed discs (centre, radius) are pairwise disjoint:
+    |z_i - z_j|^2 > (r_i + r_j)^2, decided exactly on the dyadic centres and
+    radii put at one scale, so discs that touch are not disjoint. An
+    infinite radius meets every other disc."""
+    if any(mp.isinf(r) for _z, r in discs):
+        return len(discs) < 2
+    _, xs = _at_common_scale([x for z, r in discs for x in (mp.re(z), mp.im(z), r)])
+    ds = [xs[k:k + 3] for k in range(0, len(xs), 3)]
+    return all((a - c) ** 2 + (b - d) ** 2 > (r + t) ** 2
+               for i, (a, b, r) in enumerate(ds) for c, d, t in ds[:i])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -464,11 +478,12 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
 
     Each root carries a disc proven to hold exactly it: the Weierstrass
     inclusion discs of mpmath polyroots' approximations, with a disc whose
-    radius reaches the real axis widened to one centred on it. When those
-    discs are pairwise disjoint, each holds one zero, and a real-centred
-    one holds a real zero (it holds the conjugate of its zero too). The
-    precision doubles until the discs are disjoint and the count of real
-    ones matches the Sturm count.
+    radius r reaches the real axis widened to one centred on it, of radius
+    r + |Im z| rounded up at work + 40 bits. When those discs are pairwise
+    disjoint (an exact test, so touching discs meet), each holds one zero,
+    and a real-centred one holds a real zero (it holds the conjugate of its
+    zero too). The precision doubles until the discs are disjoint and the
+    count of real ones matches the Sturm count.
     """
     work = prec
     while True:
@@ -477,13 +492,13 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
             for z, r in root_discs(field.min_poly, work):
                 y = mp.im(z)
                 if abs(y) <= r:
-                    with _iv_prec(work + 40) as iv:  # widen to a real-centred disc
-                        reals.append((mp.re(z), mp.mpf((iv.mpf(r) + abs(iv.mpf(y))).b)))
+                    widened = mpf_add(r._mpf_, mpf_abs(y._mpf_), work + 40, "c")
+                    reals.append((mp.re(z), mp.make_mpf(widened)))
                 elif y > 0:
                     complexes.append((mp.mpc(z), r))
             discs = reals + complexes + [(mp.conj(z), r) for z, r in complexes]
             if (len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs
-                    and _discs_disjoint(discs, work + 40)):
+                    and _discs_disjoint(discs)):
                 reals.sort(key=lambda cr: cr[0])
                 complexes.sort(key=lambda cr: (mp.re(cr[0]), mp.im(cr[0])))
                 out = [Embedding(i, True, 1, x, mp.mpf(0), r) for i, (x, r) in enumerate(reals)]
@@ -607,24 +622,24 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 
 @functools.lru_cache(maxsize=4096)
 def _local_lift(field: NumberField, p: int) -> list:
-    """[k, blocks]: the highest lift of _lifted_local_factors made so far at p."""
-    return [0, ()]
+    """[lift]: the local factors at p, mod p to begin with, then the highest
+    HenselLift of them asked for so far."""
+    return [[gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]]
 
 
-def _lifted_local_factors(field: NumberField, p: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _lifted_local_factors(field: NumberField, p: int, k: int) -> list[tuple[int, ...]]:
     """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^K for
     some K >= k (k a power of two).
 
-    One lift per (field, p) is kept, the highest asked for so far, and any
-    smaller k reuses it: for F_i lifted mod p^K and A integral,
+    Each (field, p) lifts from p once: its lift is held, with the product
+    tree's cofactors, and a request above its K continues it from p^K.
+    Any smaller k reuses it: for F_i lifted mod p^K and A integral,
     Res(F_i + p^K G, A) = Res(F_i, A) mod p^K, so a resultant whose ord_p is
     below k <= K has the same ord_p from either lift.
     """
     held = _local_lift(field, p)
-    if held[0] < k:
-        blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
-        held[:] = k, tuple(tuple(blk) for blk in hensel_lift_factors(field.min_poly, blocks, p, k))
-    return held[1]
+    held[0] = hensel_lift_factors(field.min_poly, held[0], p, k)
+    return held[0]
 
 
 def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:

@@ -6,6 +6,11 @@ The Z path is Zassenhaus: factor mod a good prime, Hensel-lift past the
 Mignotte bound, recombine subsets. Degrees stay small here (field degree is
 capped at 8), so subset recombination is never a cost concern.
 
+One Hensel lift serves Zassenhaus and number fields' local factors: quadratic
+steps p^k -> p^2k on a product tree whose nodes keep their Bezout cofactors
+(von zur Gathen-Gerhard, Modern Computer Algebra, 15.5). Its result keeps
+the tree, so a higher power continues from p^k rather than from p.
+
 Polynomials over Z/m are plain lists of ints in [0, m), ascending degree,
 trimmed. The gf_* helpers are the one family for Z/m[x]: they take any
 modulus m, and division needs only a unit leading coefficient of the
@@ -21,8 +26,8 @@ import itertools
 import math
 import random
 
-from .algebra import (AlgebraError, discriminant, factor_int, is_prime, poly_derivative,
-                      poly_divexact, poly_gcd, poly_trim, trial_factor)
+from .algebra import (AlgebraError, discriminant, is_prime, poly_derivative, poly_divexact,
+                      poly_gcd, poly_trim, trial_factor)
 
 GfPoly = list[int]
 
@@ -267,26 +272,65 @@ def _gf_ext_gcd(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def hensel_lift_factors(f, factors: list[GfPoly], p: int, target_exp: int) -> list[list[int]]:
-    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k, k >= target_exp.
+class HenselLift(list):
+    """hensel_lift_factors' result: the lifted factors mod p^k as tuples, in
+    input order, with k and the product tree at p^k. A node is (G, H, S, T,
+    left, right), G H = F and S G + T H = 1 mod p^k for the node's
+    polynomial F, its factors halved into G and H; a single factor is None."""
 
-    Returns factor coefficient lists reduced mod p^k where k is the reached
-    power-of-two exponent (>= target_exp); the product of the lifted factors
-    is f mod p^k.
-    """
+    __slots__ = ("k", "tree")
+
+    def __init__(self, factors, k: int, tree):
+        super().__init__(factors)
+        self.k, self.tree = k, tree
+
+
+def _hensel_tree(factors: list[GfPoly], p: int):
+    """The product tree of pairwise-coprime factors mod p (k = 1)."""
     if len(factors) == 1:
-        m = p ** (1 << (target_exp - 1).bit_length())
-        return [[c % m for c in f]]
+        return None
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
     G, H = gf_prod(left, p), gf_prod(right, p)
-    S, T = _gf_ext_gcd(G, H, p)
-    m, k = p, 1
-    while k < target_exp:
+    return (*map(tuple, (G, H, *_gf_ext_gcd(G, H, p))),
+            _hensel_tree(left, p), _hensel_tree(right, p))
+
+
+def _lift_tree(f, node, p: int, k: int, target: int, out: list):
+    """node, valid mod p^k for f, lifted to p^target; appends the factors,
+    f at a leaf, to out. A step reads f mod m^2 only, so a node continued
+    from p^k takes the very steps a lift from p takes past k."""
+    if node is None:
+        out.append(f)
+        return None
+    G, H, S, T, left, right = node
+    m = p ** k
+    for _ in range((target // k).bit_length() - 1):
         G, H, S, T = _hensel_step(f, G, H, S, T, m)
-        m, k = m * m, k * 2
-    return (hensel_lift_factors(G, left, p, target_exp)[: len(left)]
-            + hensel_lift_factors(H, right, p, target_exp)[: len(right)])
+        m *= m
+    G, H, S, T = map(tuple, (G, H, S, T))
+    return (G, H, S, T, _lift_tree(G, left, p, k, target, out),
+            _lift_tree(H, right, p, k, target, out))
+
+
+def hensel_lift_factors(f, factors: list[GfPoly] | HenselLift, p: int,
+                        target_exp: int) -> HenselLift:
+    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k,
+    k the least power of two >= target_exp; the product of the lifted
+    factors is f mod p^k.
+
+    factors may be an earlier result for the same f and p: returned as it
+    is at k >= target_exp, else continued from its k. Monic lifts are
+    unique, so the factors equal a lift from p reduced mod p^k.
+    """
+    k = 1 << (target_exp - 1).bit_length()
+    if not isinstance(factors, HenselLift):
+        factors = HenselLift(map(tuple, factors), 1, _hensel_tree(factors, p))
+    if factors.k >= k:
+        return factors
+    out: list[tuple[int, ...]] = []
+    tree = _lift_tree(tuple(c % p**k for c in f), factors.tree, p, factors.k, k, out)
+    return HenselLift(out, k, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +377,7 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
     while p**target <= 2 * bound:
         target += 1
     lifted = hensel_lift_factors(f, modular, p, target)
-    m = p ** (1 << (target - 1).bit_length())  # the lifts' modulus
+    m = p ** lifted.k
 
     remaining = list(range(len(lifted)))
     current = f
@@ -416,18 +460,17 @@ def _integer_root_candidates(f) -> list[int]:
 # Roots of unity
 # ---------------------------------------------------------------------------
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for q in factor_int(n):
-        out = out // q * (q - 1)
-    return out
-
-
 def unity_order_candidates(degree: int) -> list[int]:
     """Possible orders of a root of unity inside a number field of this degree.
 
     An order n forces phi(n) to divide the degree; phi(n) >= sqrt(n/2) bounds
-    the scan range.
+    the scan range. phi(1..limit) comes from one sieve over the primes q:
+    phi(m) loses phi(m)/q for each prime q dividing m.
     """
     limit = 2 * degree * degree + 2
-    return [n for n in range(1, limit + 1) if degree % _euler_phi(n) == 0]
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # untouched, so prime
+            for m in range(q, limit + 1, q):
+                phi[m] -= phi[m] // q
+    return [n for n in range(1, limit + 1) if degree % phi[n] == 0]

@@ -184,6 +184,28 @@ def test_table_csv_format(capsys):
     assert len(lines) == 7
 
 
+def test_table_csv_keeps_the_lines_printed_before_a_failure(capsys, monkeypatch):
+    # csv streams, so a count failing after the first row leaves the header
+    # and that row on stdout, and exits with the error's code
+    import entrank.cli as cli
+    from entrank.errors import MathDomainError
+
+    inner, calls = cli.count_composite, []
+
+    def failing(ps, n):
+        calls.append(n)
+        if len(calls) > 1:
+            raise MathDomainError("injected failure")
+        return inner(ps, n)
+
+    monkeypatch.setattr(cli, "count_composite", failing)
+    rc, out, err = run(capsys, "table", "--spec", X2X3, "--range", "-1:1,0:1",
+                       "--format", "csv")
+    assert rc == 2
+    assert out.splitlines() == ["n1,n2,count", f"-1,1,{GRID[4][4]}"]
+    assert err == "error: injected failure\n"
+
+
 def test_table_oversized_range_exits_3(capsys):
     rc, _out, err = run(capsys, "table", "--spec", X2X3, "--range", "-200:200,-200:200")
     assert rc == 3

@@ -137,6 +137,60 @@ def test_root_discs_hold_one_root_each(coeffs):
         assert all(sum(abs(w - z) <= r for z, r in discs) == 1 for w in ref)
 
 
+def _sweep_polys(count: int = 40):
+    """Seeded monic irreducible polynomials of degree 2..8 with coefficients
+    in [-3, 3], drawn as the benchmark's spec sweep draws them."""
+    rng = random.Random(1)
+    out = []
+    while len(out) < count:
+        f = [rng.randint(-3, 3) for _ in range(rng.randint(2, 8))] + [1]
+        try:
+            build_field(f)
+        except SpecError:
+            continue
+        out.append(tuple(f))
+    return out
+
+
+def test_root_disc_radii_are_tight_upper_bounds():
+    # the integer radius is at least the Weierstrass value computed at 600
+    # bits from the same centres, and above it by a relative 2^-100 at most
+    import mpmath as mp
+
+    from entrank.numberfield import DEFAULT_PREC, root_discs
+
+    for coeffs in ROOT_DISC_CASES + _sweep_polys():
+        discs = root_discs(coeffs, DEFAULT_PREC)
+        n = len(discs)
+        with mp.workprec(600):
+            for z, r in discs:
+                val = mp.mpf(0)
+                for c in reversed(coeffs):
+                    val = val * z + c
+                den = mp.mpf(coeffs[-1])
+                for w, _r in discs:
+                    if w is not z:
+                        den *= z - w
+                ref = n * abs(val) / abs(den)
+                assert ref <= r <= ref * (1 + mp.mpf(2) ** -100), coeffs
+
+
+def test_touching_discs_are_not_disjoint():
+    import mpmath as mp
+
+    from entrank.numberfield import _discs_disjoint
+
+    with mp.workprec(400):
+        one, tiny = mp.mpf(1), mp.mpf(2) ** -300
+        assert not _discs_disjoint([(mp.mpf(0), one), (mp.mpf(2), one)])
+        assert _discs_disjoint([(mp.mpf(0), one), (2 + tiny, one)])
+        # |(4 + 5i) - (1 + i)| = 5 = 2 + 3
+        assert not _discs_disjoint([(mp.mpc(1, 1), mp.mpf(2)), (mp.mpc(4, 5), mp.mpf(3))])
+        assert _discs_disjoint([(mp.mpc(1, 1), mp.mpf(2)), (mp.mpc(4, 5), 3 - tiny)])
+        assert not _discs_disjoint([(mp.mpf(0), mp.inf), (mp.mpf(100), one)])
+        assert _discs_disjoint([(mp.mpf(0), mp.inf)])
+
+
 @pytest.mark.parametrize("coeffs, root", [((-7, 1), 7), ((12, -3), 4), ((0, 5), 0),
                                           ((-(3 << 200), 1), 3 << 200)])
 def test_root_discs_degree_one_is_exact(coeffs, root):
@@ -395,10 +449,28 @@ def test_valuations_above_split_the_norm():
     assert split_primes >= 20
 
 
-def test_reused_lift_gives_the_same_valuations():
+def _record_lifts(monkeypatch) -> list:
+    """(k held before, k returned) of every hensel_lift_factors call from
+    numberfield; k held is 0 for a lift from p."""
+    import entrank.numberfield as nf
+
+    calls = []
+    inner = nf.hensel_lift_factors
+
+    def recording(f, factors, p, k):
+        out = inner(f, factors, p, k)
+        calls.append((getattr(factors, "k", 0), out.k))
+        return out
+
+    monkeypatch.setattr(nf, "hensel_lift_factors", recording)
+    return calls
+
+
+def test_reused_lift_gives_the_same_valuations(monkeypatch):
     # (2 + i)^k (2 - i)^j at p = 5 in a seeded order, so v_total = k + j and
     # the lift precision it asks for go up and down; a lift kept from a
-    # higher request must give what a fresh lift gives
+    # higher request must give what a fresh lift gives, and the held lift
+    # is made from p once and only continued after that
     import entrank.numberfield as nf
 
     pairs = [(k, j) for k in range(13) for j in range(13)]
@@ -406,34 +478,65 @@ def test_reused_lift_gives_the_same_valuations():
     a, b = GAUSS.element([2, 1]), GAUSS.element([2, -1])
     places = finite_places_above(GAUSS, 5)  # theta = 3, then theta = 2 mod 5
     nf._local_lift.cache_clear()
+    lifts = _record_lifts(monkeypatch)
     reused = 0
     for k, j in pairs:
         x = GAUSS.mul(GAUSS.pow(a, k), GAUSS.pow(b, j))
-        reused += 0 < k + j and 1 << (k + j).bit_length() < nf._local_lift(GAUSS, 5)[0]
+        held_k = getattr(nf._local_lift(GAUSS, 5)[0], "k", 0)
+        reused += 0 < k + j and 1 << (k + j).bit_length() < held_k
         got = valuations_above(GAUSS, 5, x)
         assert got == (k, j)
         assert sum(v.res_degree * o for v, o in zip(places, got)) == ord_p(GAUSS.norm(x), 5)
         held = list(nf._local_lift(GAUSS, 5))
         nf._local_lift.cache_clear()
         nf._integral_norm.cache_clear()
+        made = len(lifts)
         assert valuations_above(GAUSS, 5, x) == got  # from a fresh lift
+        del lifts[made:]
         nf._local_lift(GAUSS, 5)[:] = held
     assert reused > 50
+    assert [before for before, _after in lifts].count(0) == 1
 
 
 def test_one_lift_serves_every_lower_precision(monkeypatch):
     import entrank.numberfield as nf
 
-    lifts = []
-    inner = nf.hensel_lift_factors
-    monkeypatch.setattr(nf, "hensel_lift_factors",
-                        lambda *args: lifts.append(args[-1]) or inner(*args))
+    lifts = _record_lifts(monkeypatch)
     nf._local_lift.cache_clear()
     top = nf._lifted_local_factors(GAUSS, 5, 16)
     assert [nf._lifted_local_factors(GAUSS, 5, k) for k in (8, 2, 16, 4)] == [top] * 4
-    assert lifts == [16]
     nf._lifted_local_factors(GAUSS, 5, 32)
-    assert lifts == [16, 32]
+    assert [(before, after) for before, after in lifts if before < after] == [(0, 16), (16, 32)]
+
+
+@pytest.mark.parametrize("steps", [(2, 8, 16), (4, 16, 32), (1, 2, 4, 8, 16)])
+def test_continued_lifts_match_a_lift_from_p(steps, monkeypatch):
+    # the held local lift, continued through a sequence of requests, equals
+    # a lift from p to a higher precision reduced mod p^k, byte for byte;
+    # each (field, p) lifts from p exactly once
+    import entrank.numberfield as nf
+    from entrank.polyfactor import gf_prod, hensel_lift_factors
+
+    nf._local_lift.cache_clear()
+    lifts = _record_lifts(monkeypatch)
+    pairs = 0
+    for field in [GAUSS, GOLDEN] + _seeded_fields(41, 8, 6):
+        for p in (2, 3, 5, 7, 11, 13):
+            try:
+                factors = nf._factor_mod_p(field, p)
+                finite_places_above(field, p)
+            except UnsupportedPrimeError:
+                continue
+            blocks = [gf_prod([g] * e, p) for g, e in factors]
+            ref = hensel_lift_factors(field.min_poly, blocks, p, 2 * steps[-1])
+            made = len(lifts)
+            for k in steps:
+                got = nf._lifted_local_factors(field, p, k)
+                assert got.k == k
+                assert got == [tuple(c % p**k for c in blk) for blk in ref]
+            assert [before for before, _after in lifts[made:]].count(0) == 1
+            pairs += len(factors) > 1
+    assert pairs >= 20
 
 
 def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
