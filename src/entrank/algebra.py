@@ -158,18 +158,33 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def resultant(f, g) -> int:
     """Res(f, g) of two nonzero integer polynomials (trailing zeros
-    allowed): the Sylvester determinant."""
+    allowed): the Sylvester determinant, or, when one side is linear, its
+    value by Horner: Res(ax + b, g) = sum g_k (-b)^k a^(m-k) for g of
+    degree m, and Res(g, f) = (-1)^(nm) Res(f, g)."""
     f, g = poly_trim(f), poly_trim(g)
     if not (f and g):
         raise AlgebraError("resultant with the zero polynomial requested")
     n, m = len(f) - 1, len(g) - 1
     if m == 0:  # also the empty matrix when n = 0
         return g[0] ** n
+    if n == 1:
+        return _linear_resultant(f, g)
+    if m == 1:
+        return (-1) ** n * _linear_resultant(g, f)
     f.reverse()
     g.reverse()
     rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]  # m rows of f
     rows += [[0] * i + g + [0] * (n - 1 - i) for i in range(n)]  # n rows of g
     return _bareiss_det(rows)
+
+
+def _linear_resultant(f: list[int], g: list[int]) -> int:
+    """Res(b + ax, g) = sum g_k (-b)^k a^(m-k), by Horner in -b."""
+    (b, a), acc, apow = f, g[-1], 1
+    for c in reversed(g[:-1]):
+        apow *= a
+        acc = acc * -b + c * apow
+    return acc
 
 
 def discriminant(f) -> int:

@@ -283,18 +283,21 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     """m(P) = log|lc(P)| + sum over roots of log max(1, |root|).
 
     P splits into squarefree parts S_k with P = lc * prod S_k^k (Yun), so
-    every root search is over simple roots. Roots come from mpmath
-    polyroots, started from a double-precision solve of S_k scaled by its
-    root bound, with proven Weierstrass inclusion discs (numberfield.root_discs,
-    which the embeddings of a field share). A connected union of c discs
-    holds exactly c roots, so the roots and the approximations pair up with
-    |root| - |z_i| at most twice the sum R of the radii; log max(1, .) is
-    1-Lipschitz, so the estimate is off by at most k * 2 deg(S_k) R for each
-    part, a proven error bound. The precision doubles until the bound meets
-    the target. Huge roots (10^400 + x^2) carry wide discs until the
-    precision exceeds their size; roots too small for polyroots' absolute
-    tolerance (1 + 10^400 x^2) come back as 0 with infinite radii until
-    then. A part whose roots do not converge raises ResourceLimitError.
+    every root search is over simple roots. Roots come from an exact-integer
+    Durand-Kerner iteration, started from a double-precision solve of S_k
+    scaled by its root bound 2^s, with proven Weierstrass inclusion discs
+    (numberfield.root_discs, which the embeddings of a field share). A
+    connected union of c discs holds exactly c roots, so the roots and the
+    approximations pair up with |root| - |z_i| at most twice the sum R of the
+    radii; log max(1, .) is 1-Lipschitz, so the estimate is off by at most
+    k * 2 deg(S_k) R for each part, a proven error bound. The precision
+    doubles until the bound meets the target. The iteration's grid is
+    2^-(prec + 60) for roots of any size up to 2^s and as many bits below
+    the bound when s < 0, so huge roots (10^400 + x^2) and tiny ones
+    (1 + 10^400 x^2) both come with tight discs at the first precision;
+    a root far below the bound of a part with larger roots (x^2 - 10^400 x + 1)
+    may sit at 0 with a radius of its own size. A part whose roots do not
+    converge raises ResourceLimitError.
     """
     p = poly_trim(coeffs)
     if not p:

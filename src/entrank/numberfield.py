@@ -25,12 +25,14 @@ the same total. Each (field, prime) lifts its local factors from p once and
 keeps that lift with its Bezout cofactors: a lower precision reuses it, a
 higher one continues it. ord_v reads one entry of that pass.
 
-Archimedean data carries proven error radii. Each root of the minimal
-polynomial, found by mpmath's polyroots from a double-precision start, sits
-in a Weierstrass inclusion disc whose radius is formed in exact integers and
-rounded up once, and discs are told apart exactly; an embedding's value
-sigma_v(x) is a ball whose radius covers that disc and the rounding of the
-evaluation, and every ball built from these carries its radius on, rounded
+Archimedean data carries proven error radii. The roots of the minimal
+polynomial are Gaussian integers at one dyadic scale, refined from a
+double-precision start by Durand-Kerner sweeps in exact integers until no
+root moves by more than one unit; each sits in a Weierstrass inclusion disc
+whose radius comes from the last sweep, rounded up once, and discs are told
+apart exactly. An embedding's value sigma_v(x) is A(z) / c, with A(z) from
+integer Horner at the exact centre z in a ball whose integer radius covers
+that disc, and every ball built from these carries its radius on, rounded
 outward. A logarithm ball for sigma_v(x) also has a dyadic form, integers
 at scale 2^-prec with the radius rounded up, so that integer combinations
 of such balls are exact.
@@ -53,8 +55,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (NoConvergence, fone, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin,
-                          mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub, to_int)
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan2,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_shift,
+                          mpf_sub, to_int)
 
 from .algebra import (is_prime, log_fraction, ord_p, poly_str, poly_trim, real_root_count,
                       resultant)
@@ -375,16 +378,17 @@ def _root_scale(coeffs: tuple[int, ...]) -> int:
                 for k, c in enumerate(reversed(coeffs[:-1]), 1) if c), default=0)
 
 
-def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[mp.mpc]:
-    """Starting points for polyroots: Durand-Kerner in double precision on
-    g(y) = f(2^s y) / (lc 2^(s n)) for s = _root_scale(f), whose coefficients
-    are below 1 in size and whose roots are below 2, so that huge or tiny
-    roots of f neither overflow nor underflow. Only the starts come from
-    floats; polyroots refines them."""
+def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[complex]:
+    """y_i with z_i = 2^s y_i starting points for the roots z_i of f:
+    Durand-Kerner in double precision on g(y) = f(2^s y) / (lc 2^(s n)) for
+    s = _root_scale(f), whose coefficients are below 1 in size and whose
+    roots are below 2, so that huge or tiny roots of f neither overflow nor
+    underflow. Only the starts come from floats; root_discs refines them in
+    exact integers."""
     n, lead = len(coeffs) - 1, coeffs[-1]
     b = [(c << (s * (i - n))) / lead if s < 0 else c / (lead << (s * (n - i)))
          for i, c in enumerate(coeffs)]
-    fixed = [(0.4 + 0.9j) ** k for k in range(n)]  # polyroots' own start
+    fixed = [(0.4 + 0.9j) ** k for k in range(n)]  # the classical Durand-Kerner start
     zs = fixed[:]
     for _ in range(100):
         moved = 0.0
@@ -402,61 +406,81 @@ def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[mp.mpc]:
                 moved = max(moved, abs(step))
         if moved < 2.0 ** -40:  # the last step, quadratic, left about 2^-53
             break
-    if not all(cmath.isfinite(z) for z in zs):
-        zs = fixed
-    return [mp.mpc(mp.ldexp(z.real, s), mp.ldexp(z.imag, s)) for z in zs]
+    return zs if all(cmath.isfinite(z) for z in zs) else fixed
+
+
+def _scaled_float(x: float, k: int) -> int:
+    """x 2^k rounded to an integer, exactly, for a finite float x."""
+    num, den = x.as_integer_ratio()  # den a power of two
+    shift = k - den.bit_length() + 1
+    return num << shift if shift >= 0 else (num + (1 << (-shift - 1))) >> -shift
+
+
+def _horner(coeffs, a: int, b: int, scale: int) -> tuple[int, int]:
+    """2^(scale m) p(w 2^-scale) for w = a + ib and p of degree m with
+    ascending coeffs, as (real, imaginary) integers."""
+    fr, fi = coeffs[-1], 0
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        fr, fi = fr * a - fi * b + (c << scale * k), fr * b + fi * a
+    return fr, fi
+
+
+MAX_SWEEPS = 200  # Durand-Kerner sweeps before root isolation gives up
 
 
 @functools.lru_cache(maxsize=1024)
-def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpf | mp.mpc, mp.mpf], ...]:
-    """(z_i, r_i): mpmath polyroots' approximations to the roots of the
-    squarefree integer polynomial f with ascending coeffs, each with its
-    Weierstrass inclusion radius n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|.
+def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf], ...]:
+    """(z_i, r_i): approximations to the roots of the squarefree integer
+    polynomial f with ascending coeffs, each with its Weierstrass inclusion
+    radius n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|.
 
-    polyroots runs Durand-Kerner at 2 prec + 60 bits until every step is
-    below 2^-(prec + 60). It starts from a double-precision Durand-Kerner
-    solve of f scaled by its root bound 2^s, so it needs a few quadratic
-    steps rather than the many from its own fixed start. The step bound is
-    absolute, so roots near 2^s with s large need s more bits: when the
-    first call does not converge, a second one runs with prec + s more.
-    If that fails too, ResourceLimitError. By Braess-Hadeler (Numer. Math.
-    21, 1973) the discs D(z_i, r_i) hold every root, and a connected union
-    of m of them holds exactly m, however the approximations were found.
-    The z_i are exact dyadics, Gaussian integers at their common scale, so
-    f(z_i) and the product are exact, and r_i, from one ceiling division and
-    one ceiling isqrt, exceeds the exact radius by a relative 2^-(prec + 40)
-    at most; a product of exactly 0 gives r_i = inf. Embeddings and Mahler
-    measures of the same polynomial share this cache.
+    The z_i are Gaussian integers w_i at one scale 2^-E, E = prec + 60 -
+    min(s, 0) for s = _root_scale(f): huge roots get prec + 60 bits
+    absolute and tiny ones (below 2^(s + 1)) as many relative to their
+    bound. Durand-Kerner (Kerner, Numer. Math. 8, 1966) runs on them in
+    exact integers from _float_root_starts: each sweep forms F_i =
+    2^(E n) f(z_i) and P_i = 2^(E (n - 1)) lc prod_{j != i} (z_i - z_j) and
+    moves every w_i by the nearest Gaussian integer to F_i / P_i, so the
+    Weierstrass step is exact up to that rounding; P_i = 0 leaves w_i where
+    it is. The sweep in which no root would move by more than one unit in
+    either coordinate moves none and is the last. After MAX_SWEEPS sweeps,
+    ResourceLimitError. By Braess-Hadeler (Numer. Math. 21, 1973) the discs
+    D(z_i, r_i) hold every root, and a connected union of m of them holds
+    exactly m, however the approximations were found; the last sweep's F_i
+    and P_i give r_i, from one ceiling division and one ceiling isqrt, at
+    most a relative 2^-(prec + 40) above the exact radius, and P_i = 0
+    gives r_i = inf. Embeddings and Mahler measures of the same polynomial
+    share this cache.
     """
+    n, lead = len(coeffs) - 1, coeffs[-1]
     s = _root_scale(coeffs)
-    starts = _float_root_starts(coeffs, s)
-    with mp.workprec(prec + 60):
-        cs = [mp.mpf(c) for c in reversed(coeffs)]
-        try:
-            roots = mp.polyroots(cs, maxsteps=200, extraprec=prec, error=True,
-                                 roots_init=starts)[0]
-        except NoConvergence:
-            try:
-                roots = mp.polyroots(cs, maxsteps=200, extraprec=2 * prec + max(s, 0),
-                                     error=True, roots_init=starts)[0]
-            except NoConvergence:
-                raise ResourceLimitError(f"root isolation of {poly_str(coeffs)} did not "
-                                         f"converge at {prec} bits") from None
-    n, lead = len(roots), coeffs[-1]
-    scale, parts = _at_common_scale([x for z in roots for x in (mp.re(z), mp.im(z))])
-    ws = list(zip(parts[::2], parts[1::2]))  # z_i = w_i 2^-scale, w_i Gaussian integers
-    radii = []
-    for i, (a, b) in enumerate(ws):
-        fr, fi = lead, 0  # 2^(scale n) f(z_i), by Horner
-        for k, c in enumerate(reversed(coeffs[:-1]), 1):
-            fr, fi = fr * a - fi * b + (c << scale * k), fr * b + fi * a
-        pr, pi = lead, 0  # 2^(scale (n - 1)) lc prod_{j != i} (z_i - z_j)
-        for j, (c, d) in enumerate(ws):
-            if j != i:
-                pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
-        radii.append(_sqrt_ratio_up(n * n * (fr * fr + fi * fi),
-                                    (pr * pr + pi * pi) << 2 * scale, prec + 40))
-    return tuple(zip(roots, radii))
+    scale = prec + 60 - min(s, 0)
+    ws = [(_scaled_float(y.real, s + scale), _scaled_float(y.imag, s + scale))
+          for y in _float_root_starts(coeffs, s)]
+    for _ in range(MAX_SWEEPS):
+        fps, steps = [], []
+        for i, (a, b) in enumerate(ws):
+            fr, fi = _horner(coeffs, a, b, scale)
+            pr, pi = lead, 0
+            for j, (c, d) in enumerate(ws):
+                if j != i:
+                    pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
+            den = pr * pr + pi * pi
+            fps.append((fr * fr + fi * fi, den))
+            if den:  # nearest Gaussian integer to F_i conj(P_i) / |P_i|^2
+                steps.append(((2 * (fr * pr + fi * pi) + den) // (2 * den),
+                              (2 * (fi * pr - fr * pi) + den) // (2 * den)))
+            else:
+                steps.append((0, 0))
+        if all(-1 <= u <= 1 and -1 <= v <= 1 for u, v in steps):
+            break
+        ws = [(a - u, b - v) for (a, b), (u, v) in zip(ws, steps)]
+    else:
+        raise ResourceLimitError(f"root isolation of {poly_str(coeffs)} did not "
+                                 f"converge at {prec} bits")
+    return tuple((mp.make_mpc((from_man_exp(a, -scale), from_man_exp(b, -scale))),
+                  _sqrt_ratio_up(n * n * f2, p2 << 2 * scale, prec + 40))
+                 for (a, b), (f2, p2) in zip(ws, fps))
 
 
 def _discs_disjoint(discs) -> bool:
@@ -477,34 +501,35 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
     """One embedding per real root plus one per conjugate pair (Im > 0).
 
     Each root carries a disc proven to hold exactly it: the Weierstrass
-    inclusion discs of mpmath polyroots' approximations, with a disc whose
-    radius r reaches the real axis widened to one centred on it, of radius
-    r + |Im z| rounded up at work + 40 bits. When those discs are pairwise
-    disjoint (an exact test, so touching discs meet), each holds one zero,
-    and a real-centred one holds a real zero (it holds the conjugate of its
-    zero too). The precision doubles until the discs are disjoint and the
-    count of real ones matches the Sturm count.
+    inclusion discs of root_discs' exact dyadic approximations, with a disc
+    whose radius r reaches the real axis widened to one centred on it, of
+    radius r + |Im z| rounded up at work + 40 bits. When those discs are
+    pairwise disjoint (an exact test, so touching discs meet), each holds
+    one zero, and a real-centred one holds a real zero (it holds the
+    conjugate of its zero too). The precision doubles until the discs are
+    disjoint and the count of real ones matches the Sturm count; an
+    infinite radius, from approximations that coincide, meets every disc.
     """
     work = prec
     while True:
-        with mp.workprec(work + 60):
-            reals, complexes = [], []
-            for z, r in root_discs(field.min_poly, work):
-                y = mp.im(z)
-                if abs(y) <= r:
-                    widened = mpf_add(r._mpf_, mpf_abs(y._mpf_), work + 40, "c")
-                    reals.append((mp.re(z), mp.make_mpf(widened)))
-                elif y > 0:
-                    complexes.append((mp.mpc(z), r))
-            discs = reals + complexes + [(mp.conj(z), r) for z, r in complexes]
-            if (len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs
-                    and _discs_disjoint(discs)):
-                reals.sort(key=lambda cr: cr[0])
-                complexes.sort(key=lambda cr: (mp.re(cr[0]), mp.im(cr[0])))
-                out = [Embedding(i, True, 1, x, mp.mpf(0), r) for i, (x, r) in enumerate(reals)]
-                out += [Embedding(len(reals) + j, False, 2, mp.re(z), mp.im(z), r)
-                        for j, (z, r) in enumerate(complexes)]
-                return tuple(out)
+        reals, complexes = [], []
+        for z, r in root_discs(field.min_poly, work):
+            y = z.imag
+            if -r <= y <= r:
+                widened = mpf_add(r._mpf_, mpf_abs(y._mpf_), work + 40, "c")
+                reals.append((z.real, mp.make_mpf(widened)))
+            elif y > 0:
+                complexes.append((z, r))
+        conjugates = [(mp.make_mpc((z.real._mpf_, mpf_neg(z.imag._mpf_))), r)
+                      for z, r in complexes]
+        if (len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs
+                and _discs_disjoint(reals + complexes + conjugates)):
+            reals.sort(key=lambda cr: cr[0])
+            complexes.sort(key=lambda cr: (cr[0].real, cr[0].imag))
+            out = [Embedding(i, True, 1, x, mp.mpf(0), r) for i, (x, r) in enumerate(reals)]
+            out += [Embedding(len(reals) + j, False, 2, z.real, z.imag, r)
+                    for j, (z, r) in enumerate(complexes)]
+            return tuple(out)
         if work >= MAX_PREC:
             raise ConsistencyError(
                 f"root isolation failed up to {work} bits: found {len(reals)} real / "
@@ -513,28 +538,25 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
         work *= 2
 
 
-def eval_embedding(field: NumberField, emb: Embedding, x: Element,
-                   prec: int = DEFAULT_PREC) -> tuple[mp.mpf | mp.mpc, mp.mpf]:
-    """sigma(x) as a ball (value, radius); the value is real at a real embedding.
+def eval_embedding(emb: Embedding, x: Element) -> tuple[int, int, int, int]:
+    """(vr, vi, rad, T): A(sigma(theta)) for x = A(theta)/c lies in the ball
+    of radius rad 2^-T around (vr + i vi) 2^-T, all integers.
 
-    For x = A(theta)/c the radius is 1/c times a bound on the move of A
-    across the root's disc (derivative bound times the disc radius) plus the
-    rounding at prec + 40 bits, which the 2^-(prec + 20) term covers many times.
+    The embedding's centre is an exact dyadic w 2^-t, w = a + ib, with t
+    at least 30 bits finer than its radius r, so integer Horner gives
+    2^(t m) A(w 2^-t) exactly (m = deg A, T = t m). Across the disc A moves
+    by at most r sum_k k |A_k| rho^(k-1) for rho >= |z| + r, bounded by
+    Horner in integers with R = ceil(r 2^t) and rho 2^t = ceil(|w|) + R.
     """
-    with mp.workprec(prec + 40):
-        root = emb.re if emb.is_real else mp.mpc(emb.re, emb.im)
-        val = mp.mpf(0)
-        for a in reversed(x.num):
-            val = val * root + a
-        rad = abs(root) + emb.err
-        deriv = mp.mpf(0)
-        mag = mp.mpf(0)
-        for i, a in enumerate(x.num):
-            mag += abs(a) * rad**i
-            if i >= 1:
-                deriv += abs(a) * i * rad ** (i - 1)
-        err = deriv * emb.err + mag * mp.mpf(2) ** (-(prec + 20)) * (field.degree + 4)
-        return val / x.den, err / x.den * OUTWARD
+    _sign, man, exp, bc = emb.err._mpf_
+    t = max(0, -emb.re._mpf_[2], -emb.im._mpf_[2], 30 - exp - bc if man else 0)
+    a, b = (to_int(mpf_shift(v._mpf_, t)) for v in (emb.re, emb.im))
+    big_r = to_int(mpf_shift(emb.err._mpf_, t), "c")
+    rho = math.isqrt(a * a + b * b - 1) + 1 + big_r if a or b else big_r
+    num = x.num
+    vr, vi = _horner(num, a, b, t)
+    slope = _horner([k * abs(c) for k, c in enumerate(num)][1:] or [0], rho, 0, t)[0]
+    return vr, vi, big_r * slope, t * (len(num) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +730,13 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBal
     """A logarithm of sigma_v(x) as a ball, refining precision from prec up
     until the ball for sigma_v(x) is at most half as wide as its distance to 0.
 
-    With sigma_v(x) = c (1 + d), |d| <= u = radius / |c| < 1, log c + log(1 + d)
-    is a logarithm of sigma_v(x) and |log(1 + d)| <= u / (1 - u). At a real
-    place the imaginary part is the parity 0 or 1 of the sign (phase pi * im).
-    The radius also carries (1 + |re| + |im|) 2^(4 - prec), so that a sum
+    eval_embedding's integer ball gives sigma_v(x) = (V / den) (1 + d) with
+    |d| <= u = radius / |V| < 1/2, so log(V / den) + log(1 + d) is a
+    logarithm of sigma_v(x) and |log(1 + d)| <= u / (1 - u); its real part
+    is one libmp log of |V|^2 / den^2 and, at a complex place, its
+    imaginary part one atan2, each rounded to nearest at work + 20 bits.
+    At a real place the imaginary part is the parity 0 or 1 of the sign
+    (phase pi * im). The radius also carries (1 + |re| + |im|) 2^(4 - prec), so that a sum
     of n_i times such balls, formed at prec bits, stays inside the sum of
     |n_i| times their radii.
     """
@@ -722,15 +747,18 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBal
     field, work = place.field, prec
     while True:
         emb = embeddings(field, work)[place.embedding_index]
-        val, err = eval_embedding(field, emb, x, work)
-        with mp.workprec(work + 20):
-            mag = abs(val)
-            if 2 * err < mag:
-                u = err / mag
-                re = mp.log(mag)
-                im = int(val < 0) if emb.is_real else mp.arg(val)
+        vr, vi, rad, t = eval_embedding(emb, x)
+        m2 = vr * vr + vi * vi  # |V|^2 2^(2t)
+        if 4 * rad * rad < m2:  # 2 rad < |V|, so u / (1 - u) <= rad / (isqrt(m2) - rad)
+            wp = work + 20
+            square = mpf_div(from_man_exp(m2, -2 * t), from_int(x.den ** 2), wp, "n")
+            re = mp.make_mpf(mpf_shift(mpf_log(square, wp, "n"), -1))
+            im = (int(vr < 0) if emb.is_real
+                  else mp.make_mpf(mpf_atan2(from_int(vi), from_int(vr), wp, "n")))
+            u = mp.make_mpf(mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c"))
+            with mp.workprec(wp):
                 slack = (1 + abs(re) + abs(im)) * mp.ldexp(1, 4 - prec)
-                return LogBall(re, im, (u / (1 - u) + slack) * OUTWARD)
+                return LogBall(re, im, (u + slack) * OUTWARD)
         if work >= MAX_PREC:
             raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
         work *= 2

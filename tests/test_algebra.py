@@ -66,6 +66,30 @@ def test_resultant_swap_sign():
         assert resultant(f, g) == sign * resultant(g, f)
 
 
+def _sylvester_resultant(f, g):
+    """Res(f, g) by the Bareiss determinant of the Sylvester matrix."""
+    from entrank.algebra import _bareiss_det, poly_trim
+
+    f, g = poly_trim(f)[::-1], poly_trim(g)[::-1]
+    n, m = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + g + [0] * (n - 1 - i) for i in range(n)]
+    return _bareiss_det(rows)
+
+
+def test_linear_resultant_matches_the_sylvester_determinant():
+    # a linear side takes the Horner route; both orders, non-monic sides,
+    # zero constant terms and zero high coefficients (trimmed)
+    rng = random.Random(17)
+    for _ in range(400):
+        f = [rng.randint(-9, 9), rng.choice((-7, -2, -1, 1, 3, 10**12))] + [0] * rng.randint(0, 2)
+        g = ([rng.choice((0, rng.randint(-99, 99)))]
+             + [rng.randint(-99, 99) for _ in range(rng.randint(0, 8))]
+             + [rng.choice((-5, -1, 1, 2, 9))] + [0] * rng.randint(0, 2))
+        assert resultant(f, g) == _sylvester_resultant(f, g), (f, g)
+        assert resultant(g, f) == _sylvester_resultant(g, f), (g, f)
+
+
 def test_resultant_multiplicative_in_first_argument():
     rng = random.Random(11)
     for _ in range(30):

@@ -343,13 +343,13 @@ def test_mahler_huge_roots_and_tiny_roots(capsys, poly):
 
 
 def test_mahler_without_convergence_exits_3(capsys, monkeypatch):
-    import mpmath as mp
-    from mpmath.libmp import NoConvergence
+    # one Durand-Kerner sweep cannot take the double-precision starts to
+    # 188 bits, so a cap of one sweep stands for an iteration that stalls
+    import entrank.entropy as entropy
+    import entrank.numberfield as nf
 
-    def stuck(*_args, **_kwargs):
-        raise NoConvergence("Didn't converge in maxsteps=200 steps.")
-
-    monkeypatch.setattr(mp, "polyroots", stuck)
+    monkeypatch.setattr(nf, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(entropy, "root_discs", nf.root_discs.__wrapped__)  # past the cache
     rc, out, err = run(capsys, "mahler", "--poly", "7,-5,3,1,2")
     assert rc == 3 and out == ""
     assert err.startswith("resource limit: root isolation of 2*x^4 + x^3 + 3*x^2 - 5*x + 7")

@@ -98,9 +98,9 @@ def test_degree_one_embedding_is_exact(min_poly, monkeypatch):
 
 def _root_disc_cases():
     """Seeded squarefree integer polynomials of degree 2..12 (leading
-    coefficient not always 1), a clustered one, and ones with coefficients
+    coefficient not always 1), a clustered one, ones with coefficients
     near 10^90 whose roots are moderate: products of (a x - b), a and b
-    near 10^30."""
+    near 10^30, a tighter cluster and (x - 1)(x - 2)...(x - 12)."""
     rng = random.Random(2024)
     cases = [(-2, 200, -5000, 0, 0, 0, 0, 0, 1)]  # x^8 - 2(50x - 1)^2: roots 1/50 +- 6e-9
     while len(cases) < 25:
@@ -113,6 +113,11 @@ def _root_disc_cases():
             a, b = rng.randint(10**29, 10**31), rng.randint(-10**31, 10**31)
             f = [x - y for x, y in zip([0] + [a * c for c in f], [b * c for c in f] + [0])]
         cases.append(tuple(f))
+    cases.append((-2, 800, -80000) + (0,) * 9 + (1,))  # x^12 - 2(200x - 1)^2: 1/200 +- 6e-17
+    f = [1]
+    for k in range(1, 13):
+        f = [x - y for x, y in zip([0] + f, [k * c for c in f] + [0])]
+    cases.append(tuple(f))
     return cases
 
 
@@ -135,6 +140,90 @@ def test_root_discs_hold_one_root_each(coeffs):
             assert sum(abs(w - z) <= r for w in ref) == 1
         # and each reference root lies in one disc
         assert all(sum(abs(w - z) <= r for z, r in discs) == 1 for w in ref)
+
+
+def test_coincident_starts_give_infinite_radii_and_embeddings_double(monkeypatch):
+    # two equal starts make both products exactly 0: neither moves and both
+    # radii are infinite, so embeddings doubles the precision and isolates.
+    # x^3 - 100x^2 - 1 has roots near +-0.1i and 100; with both near starts
+    # on 0.1i the far root still converges, fast since 0.2 << 100
+    import mpmath as mp
+
+    import entrank.numberfield as nf
+
+    field = build_field([-1, 0, -100, 1])
+    starts, root_discs = nf._float_root_starts, nf.root_discs.__wrapped__
+    precs, coinciding = [], [2]  # the direct call below and embeddings' first
+
+    def near_pair_coincides(coeffs, s):
+        ys = sorted(starts(coeffs, s), key=abs)
+        coinciding[0] -= 1
+        return [ys[0], ys[0], ys[2]] if coinciding[0] >= 0 else ys
+
+    def recording(coeffs, prec):
+        precs.append(prec)
+        return root_discs(coeffs, prec)
+
+    monkeypatch.setattr(nf, "_float_root_starts", near_pair_coincides)
+    monkeypatch.setattr(nf, "root_discs", recording)
+    discs = root_discs(field.min_poly, nf.DEFAULT_PREC)
+    assert [mp.isinf(r) for _z, r in discs] == [True, True, False]
+    assert discs[0][0] == discs[1][0] and abs(discs[2][0] - 100) < 1e-3
+    embs = embeddings.__wrapped__(field)
+    assert precs == [nf.DEFAULT_PREC, 2 * nf.DEFAULT_PREC]
+    with mp.workprec(600):
+        roots = mp.polyroots([1, -100, 0, -1], maxsteps=400, extraprec=600)
+        for e in embs:
+            assert sum(abs(z - mp.mpc(e.re, e.im)) <= e.err for z in roots) == 1
+
+
+def test_tiny_roots_resolve_at_the_default_precision(monkeypatch):
+    # 1 + 10^400 x^2 has roots +-10^-200 i: the scale follows the root bound,
+    # so its discs are finite and tight at 128 bits and Mahler needs no doubling
+    import mpmath as mp
+
+    import entrank.entropy as entropy
+    from entrank.numberfield import DEFAULT_PREC, root_discs
+
+    coeffs = (1, 0, 10**400)
+    discs = root_discs(coeffs, DEFAULT_PREC)
+    with mp.workprec(1000):
+        tiny = mp.mpf(10) ** -200
+        for (z, r), root in zip(sorted(discs, key=lambda d: d[0].imag), (-tiny, tiny)):
+            assert abs(z - mp.mpc(0, root)) <= r < tiny * mp.mpf(2) ** -DEFAULT_PREC
+    precs = []
+
+    def recording(cs, prec):
+        precs.append(prec)
+        return root_discs.__wrapped__(cs, prec)
+
+    monkeypatch.setattr(entropy, "root_discs", recording)
+    mm = entropy.mahler_measure(coeffs)
+    assert precs == [DEFAULT_PREC] and mm.error_bound == 1e-14  # radii far below the 1e-14 floor
+
+
+def test_eval_embedding_ball_holds_the_value():
+    # the integer ball for A(sigma(theta)) holds A at the 600-bit root its
+    # disc isolates, and is far below the default precision
+    import mpmath as mp
+
+    from entrank.numberfield import eval_embedding
+
+    rng = random.Random(7)
+    for field in _seeded_fields(7, 30, 8):
+        with mp.workprec(600):
+            roots = mp.polyroots(list(reversed(field.min_poly)), maxsteps=400, extraprec=600)
+        for emb in embeddings(field):
+            x = field.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                               for _ in range(field.degree)])
+            vr, vi, rad, t = eval_embedding(emb, x)
+            with mp.workprec(600):
+                (root,) = [z for z in roots if abs(z - mp.mpc(emb.re, emb.im)) <= emb.err]
+                val = mp.mpf(0)
+                for a in reversed(x.num):
+                    val = val * root + a
+                assert abs(val * 2**t - mp.mpc(vr, vi)) <= rad
+                assert mp.ldexp(rad, -t) < mp.mpf(2) ** -128
 
 
 def _sweep_polys(count: int = 40):
