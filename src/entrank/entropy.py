@@ -3,26 +3,26 @@ extrema, candidate non-expansive hyperplanes, and logarithmic Mahler measure.
 
 The entropy function is h(x) = sum of m * max(l . x, 0) over all weighted
 Lyapunov vectors of the placed char-0 components: convex and positively
-homogeneous of degree 1. In d = 2 the sphere extrema are located exactly by
-splitting the circle at the hyperplane angles; on each arc h is a single
-cosine wave, so extrema sit at arc endpoints or at an interior wave peak.
+homogeneous of degree 1. Each float l is a dyadic rational, so at one scale
+2^-E the vectors are integer rows, and the sphere extrema come exactly from
+the arrangement of hyperplanes l . x = 0 in every dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .action import PlacedSpec
-from .algebra import poly_derivative, poly_divexact, poly_gcd, poly_trim
+from .algebra import _bareiss_det, poly_derivative, poly_divexact, poly_gcd, poly_trim
 from .errors import MathDomainError, SpecError
 from .numberfield import DEFAULT_PREC, OUTWARD, root_discs
 
-_TWO_PI = 2.0 * math.pi
 MAHLER_TARGET_ERROR = 1e-8
 MAHLER_MAX_PREC = 1 << 11
 
@@ -41,6 +41,16 @@ class EntropyTerm:
 class EntropyFunction:
     d: int
     terms: tuple[EntropyTerm, ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(E, ((m, l * 2^E), ...)) over the terms with l != 0: integer rows,
+        exact at the common scale 2^-E since every float is a dyadic rational."""
+        ratios = [[c.as_integer_ratio() for c in t.l] for t in self.terms]
+        scale = max((den.bit_length() - 1 for r in ratios for _n, den in r), default=0)
+        rows = ((t.weight, tuple(n << (scale - den.bit_length() + 1) for n, den in r))
+                for t, r in zip(self.terms, ratios))
+        return scale, tuple((m, row) for m, row in rows if any(row))
 
 
 def entropy_function_of(ps: PlacedSpec) -> EntropyFunction:
@@ -82,153 +92,140 @@ class SphereExtrema:
 
 
 def sphere_extrema(ef: EntropyFunction) -> SphereExtrema:
+    """Maximum and minimum of h on the unit sphere, exact for every d >= 1.
+
+    h is linear on each cell of the arrangement of hyperplanes l . x = 0,
+    with gradient c_S = sum of m * l over the sign set S = {i : l_i . x > 0}.
+    Minimum: h / |x| is quasi-concave on a cell, so on a pointed cell it is
+    least at an extreme ray, on a line where d - 1 independent hyperplanes
+    meet (spanned by the signed minors of their normals). Maximum: c_S . x
+    <= h(x) for every S and the closed cells cover the sphere, so it is the
+    largest |c_S| over the cells' sign sets: at an extreme ray r of a cell,
+    {i : l_i . r > 0} plus one side of each hyperplane through r (l and -l
+    can share one). If the rows do not span R^d, weight-0 unit rows complete
+    their span, so every cell is pointed and neither h nor any c_S changes;
+    no cell lies in the kernel, so a line where every row vanishes only
+    gives the minimum, 0. Every decision is made in the integers of
+    `ef.rows`; exact ties go to the lexicographically greatest c_S, and r / |r|.
+    """
     if not ef.terms:
         raise MathDomainError("entropy function has no terms (no char-0 places)")
-    if ef.d == 1:
-        hp = directional_entropy(ef, (1.0,))
-        hm = directional_entropy(ef, (-1.0,))
-        if hp >= hm:
-            return SphereExtrema(hp, hm, (1.0,), (-1.0,), "endpoints")
-        return SphereExtrema(hm, hp, (-1.0,), (1.0,), "endpoints")
-    if ef.d == 2:
-        return _sphere_extrema_2d(ef)
-    return _sphere_extrema_nd(ef)
-
-
-def _unit(theta: float) -> tuple[float, float]:
-    return (math.cos(theta), math.sin(theta))
-
-
-def _breakpoint_angles(ef: EntropyFunction) -> list[float]:
-    angles = []
-    for t in ef.terms:
-        a, b = t.l
-        if a == 0.0 and b == 0.0:
-            continue
-        base = math.atan2(b, a) + 0.5 * math.pi
-        for k in (0, 1):
-            angles.append((base + k * math.pi) % _TWO_PI)
-    angles.sort()
-    merged: list[float] = []
-    for th in angles:
-        if not merged or th - merged[-1] > 1e-12:
-            merged.append(th)
-    if merged and (merged[0] + _TWO_PI) - merged[-1] <= 1e-12:
-        merged.pop()
-    return merged
-
-
-def _sphere_extrema_2d(ef: EntropyFunction) -> SphereExtrema:
-    angles = _breakpoint_angles(ef)
-    if not angles:
-        v = directional_entropy(ef, (1.0, 0.0))
-        return SphereExtrema(v, v, (1.0, 0.0), (1.0, 0.0), "exact-arcs")
-    best_max = (-math.inf, 0.0)
-    best_min = (math.inf, 0.0)
-
-    def consider(value: float, theta: float):
-        nonlocal best_max, best_min
-        if value > best_max[0]:
-            best_max = (value, theta)
-        if value < best_min[0]:
-            best_min = (value, theta)
-
-    m = len(angles)
-    for i in range(m):
-        lo = angles[i]
-        hi = angles[(i + 1) % m] + (0.0 if i + 1 < m else _TWO_PI)
-        mid = 0.5 * (lo + hi)
-        xm = _unit(mid)
-        c1 = c2 = 0.0
-        for t in ef.terms:
-            if t.l[0] * xm[0] + t.l[1] * xm[1] > 0.0:
-                c1 += t.weight * t.l[0]
-                c2 += t.weight * t.l[1]
-        consider(directional_entropy(ef, _unit(lo)), lo)
-        consider(directional_entropy(ef, _unit(hi)), hi)
-        r = math.hypot(c1, c2)
-        if r > 0.0:
-            phi = math.atan2(c2, c1)
-            for cand in (phi, phi + _TWO_PI, phi - _TWO_PI):
-                if lo < cand < hi:
-                    consider(r, cand)
-    return SphereExtrema(best_max[0], best_min[0], _unit(best_max[1]),
-                         _unit(best_min[1]), "exact-arcs")
-
-
-def _sphere_extrema_nd(ef: EntropyFunction) -> SphereExtrema:
-    """d >= 3: extreme rays of the hyperplane arrangement for the minimum,
-    cone-gradient fixpoint iteration for the maximum, sampling as a safety
-    net. Exact for generic arrangements; labeled accordingly."""
     d = ef.d
-    normals = [np.array(t.l) for t in ef.terms if any(t.l)]
-    candidates: list[np.ndarray] = []
-    import itertools
+    scale, rows = ef.rows
+    planes: dict[tuple[int, ...], int] = {}  # merged hyperplanes by primitive normal
+    signed = []  # (m * l, its hyperplane, 1 if l and the normal point to opposite sides)
+    for m, row in rows:
+        plane = planes.setdefault(_primitive(row), len(planes))
+        signed.append((tuple(m * c for c in row), plane, int(next(c for c in row if c) < 0)))
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    normals = list(planes) + [u for u in _independent(list(planes) + units, d) if u not in planes]
+    zero = (0,) * d
+    best_max = (0, zero)  # (|c_S|^2, c_S)
+    best_min = None  # (H, r, |r|^2) with h(r / |r|) = H / (2^scale |r|)
+    lines = set()
+    for subset in itertools.combinations(normals, d - 1):
+        r = _minor_vector(subset, d)
+        if not any(r) or (r := _primitive(r)) in lines:
+            continue
+        lines.add(r)
+        above, below, h_pos, h_neg = [], [], 0, 0
+        sides: dict[int, tuple[list, list]] = {}  # the rows on each hyperplane through r
+        for wrow, plane, side in signed:
+            t = sum(map(operator.mul, wrow, r))
+            if t > 0:
+                h_pos += t
+                above.append(wrow)
+            elif t < 0:
+                h_neg -= t
+                below.append(wrow)
+            else:
+                sides.setdefault(plane, ([], []))[side].append(wrow)
+        rr = sum(x * x for x in r)
+        for h, ray, base in ((h_pos, r, above), (h_neg, tuple(-x for x in r), below)):
+            if best_min is None or _before((h, ray, rr), best_min):
+                best_min = (h, ray, rr)
+            if h_pos or h_neg:
+                for choice in itertools.product(*sides.values()):
+                    c = tuple(map(sum, zip(zero, *base, *itertools.chain(*choice))))
+                    best_max = max(best_max, (sum(x * x for x in c), c))
+    (norm2, c), (h, r, rr) = best_max, best_min
+    argmin = _unit(r, rr)
+    return SphereExtrema(_sqrt_ratio(norm2, 1, scale), _sqrt_ratio(h * h, rr, scale),
+                         _unit(c, norm2) if norm2 else argmin, argmin, "exact")
 
-    for subset in itertools.combinations(range(len(normals)), d - 1):
-        mat = np.stack([normals[i] for i in subset])
-        _u, s, vt = np.linalg.svd(mat)
-        rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 1.0)))
-        for row in vt[rank:]:
-            nrm = np.linalg.norm(row)
-            if nrm > 1e-12:
-                candidates.append(row / nrm)
-                candidates.append(-row / nrm)
-    rng = np.random.default_rng(20259)
-    samples = rng.normal(size=(4096, d))
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    candidates.extend(samples)
-    for v in normals:
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            candidates.append(v / nv)
-            candidates.append(-v / nv)
 
-    def h(x: np.ndarray) -> float:
-        return directional_entropy(ef, tuple(x))
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    """v / gcd(v), signed so that its first nonzero entry is positive."""
+    g = math.gcd(*v) if next(c for c in v if c) > 0 else -math.gcd(*v)
+    return tuple(c // g for c in v)
 
-    best_max = (-math.inf, None)
-    best_min = (math.inf, None)
-    for x in candidates:
-        val = h(x)
-        if val < best_min[0]:
-            best_min = (val, x)
-        y = x
-        for _ in range(40):  # gradient fixpoint: climb toward the cone gradient
-            grad = np.zeros(d)
-            for t in ef.terms:
-                l = np.array(t.l)
-                if float(l @ y) > 0.0:
-                    grad += t.weight * l
-            ng = np.linalg.norm(grad)
-            if ng < 1e-15:
+
+def _minor_vector(rows, d: int) -> tuple[int, ...]:
+    """The signed (d-1)-minors of d - 1 integer rows: orthogonal to each
+    row, and zero iff the rows are dependent."""
+    if d == 1:
+        return (1,)
+    if d == 2:
+        (a, b), = rows
+        return (-b, a)
+    return tuple((-1) ** k * _bareiss_det([list(r[:k] + r[k + 1:]) for r in rows])
+                 for k in range(d))
+
+
+def _independent(rows, d: int) -> list[tuple[int, ...]]:
+    """A maximal independent subset of integer rows in R^d, taken greedily in
+    order by fraction-free elimination against the rows already kept."""
+    kept, reduced = [], []
+    for row in rows:
+        v = row
+        for piv, b in reduced:
+            if a := v[piv]:
+                v = tuple(b[piv] * x - a * y for x, y in zip(v, b))
+        if any(v):
+            kept.append(row)
+            reduced.append((next(i for i, x in enumerate(v) if x), v))
+            if len(kept) == d:
                 break
-            y2 = grad / ng
-            if np.allclose(y2, y, atol=1e-15):
-                break
-            y = y2
-        val = h(y)
-        if val > best_max[0]:
-            best_max = (val, y)
-    return SphereExtrema(best_max[0], best_min[0], tuple(best_max[1]),
-                         tuple(best_min[1]), "cone-sampling")
+    return kept
+
+
+def _before(a, b) -> bool:
+    """For (H, r, |r|^2) triples: whether a comes before b as the minimum,
+    by H / |r| and then by the lexicographically greater r / |r|, in integers."""
+    (ha, ra, na), (hb, rb, nb) = a, b
+    if ha * ha * nb != hb * hb * na:
+        return ha * ha * nb < hb * hb * na
+    for x, y in zip(ra, rb):  # x / |r_a| against y / |r_b|, squared with signs
+        if x * abs(x) * nb != y * abs(y) * na:
+            return x * abs(x) * nb > y * abs(y) * na
+    return False
+
+
+def _sqrt_ratio(num: int, den: int, scale: int = 0) -> float:
+    """sqrt(num / den) / 2^scale as a float, for integers num >= 0, den > 0,
+    from an integer square root carrying at least 63 bits."""
+    k = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    return math.isqrt((num << 2 * k) // den) / (1 << (scale + k))
+
+
+def _unit(v: tuple[int, ...], norm2: int) -> tuple[float, ...]:
+    return tuple(math.copysign(_sqrt_ratio(x * x, norm2), -1 if x < 0 else 1) for x in v)
 
 
 def sample_sphere_extrema_2d(ef: EntropyFunction, samples: int = 1_000_000) -> tuple[float, float]:
-    """Sampling oracle: a uniform angle grid plus each term's boundary angles.
+    """Sampling oracle for tests and benchmarks (numpy, from the test extra):
+    a uniform angle grid plus each term's boundary angles, where h has its
+    kinks, so it resolves both extrema to grid-curvature accuracy."""
+    import numpy as np
 
-    Including the boundary angles makes kink minima exactly representable, so
-    the oracle resolves both extrema to grid-curvature accuracy.
-    """
     if ef.d != 2:
         raise MathDomainError("sampling oracle is for d = 2")
-    thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    extra = np.array(_breakpoint_angles(ef), dtype=float)
-    if extra.size:
-        thetas = np.concatenate([thetas, extra])
-    xs = np.stack([np.cos(thetas), np.sin(thetas)])
     weights = np.array([t.weight for t in ef.terms], dtype=float)
     lmat = np.array([t.l for t in ef.terms], dtype=float)
+    kinks = np.arctan2(lmat[:, 1], lmat[:, 0]) + 0.5 * np.pi
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False),
+                             kinks, kinks + np.pi])
+    xs = np.stack([np.cos(thetas), np.sin(thetas)])
     vals = weights @ np.clip(lmat @ xs, 0.0, None)
     return float(vals.max()), float(vals.min())
 
@@ -308,21 +305,21 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     while p[low] == 0:
         low += 1  # factors of x contribute nothing
     p = [int(c) for c in p[low:]]
-    value = math.log(abs(p[-1]))
-    if len(p) == 1:
-        return MahlerMeasure(value=value, error_bound=1e-15)
-    parts = _squarefree_parts(p)
+    parts = _squarefree_parts(p) if len(p) > 1 else []
     prec = DEFAULT_PREC
     while True:
         with mp.workprec(prec):
-            total, bound = mp.mpf(value), mp.mpf(0)
+            total, bound = mp.log(abs(p[-1])), mp.mpf(0)
             for cs, k in parts:
                 discs = root_discs(cs, prec)
                 total += k * mp.fsum(mp.log(max(1, abs(z))) for z, _r in discs)
                 bound += k * 2 * len(discs) * mp.fsum(r for _z, r in discs)
             bound *= OUTWARD
             if bound <= MAHLER_TARGET_ERROR / 2 or prec >= MAHLER_MAX_PREC:
-                return MahlerMeasure(value=float(total), error_bound=float(bound) + 1e-14)
+                # one ulp of the double covers its rounding and, as every
+                # summand is >= 0, the far smaller rounding at prec bits
+                value = float(total)
+                return MahlerMeasure(value=value, error_bound=float(bound) + math.ulp(value))
         prec *= 2
 
 

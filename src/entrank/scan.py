@@ -47,7 +47,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from mpmath.libmp import fzero, mpf_add, to_float
@@ -263,6 +262,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     ef = entropy_function_of(ps)
     workers = min(_env_workers(), os.cpu_count() or 1)
     if workers > 1 and len(points) > 64:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
         chunk_size = max(16, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(functools.partial(point_record, ps, ef=ef), points,

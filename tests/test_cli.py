@@ -294,6 +294,19 @@ def test_closed_stdout_pipe_exits_141_quietly(argv):
     assert proc.returncode == 141 and proc.stderr == b""
 
 
+def test_runtime_path_loads_no_numpy():
+    # numpy is a test-only dependency: neither the import nor an extrema run loads it
+    code = ("import sys, entrank; assert 'numpy' not in sys.modules; "
+            "from entrank.cli import main; rc = main(['extrema', '--spec', sys.argv[1]]); "
+            "sys.exit(rc or 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, X2X3], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"max 1.29900037519")
+
+
 # ---------------------------------------------------------------------------
 # extrema / nonexpansive / mahler / oracle / validate
 # ---------------------------------------------------------------------------
@@ -338,7 +351,7 @@ def test_mahler_huge_roots_and_tiny_roots(capsys, poly):
     # roots +-10^200 i and +-10^-200 i: m = 400 log 10 either way
     rc, out, err = run(capsys, "mahler", f"--poly={poly}")
     assert rc == 0 and err == ""
-    assert out == "921.034037198 (error bound 1e-14)\n"
+    assert out == "921.034037198 (error bound 1.13686837722e-13)\n"
     assert abs(float(out.split()[0]) - 400 * math.log(10)) < 1e-9
 
 

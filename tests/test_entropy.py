@@ -1,9 +1,13 @@
+import json
 import math
 import random
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from entrank import (
+    EntropyFunction,
     MathDomainError,
     directional_entropy,
     entropy_function_of,
@@ -13,8 +17,10 @@ from entrank import (
     place_spec,
     sphere_extrema,
 )
-from entrank.entropy import sample_sphere_extrema_2d
+from entrank.entropy import EntropyTerm, sample_sphere_extrema_2d
 from tests.conftest import ratio_shift_spec
+
+SWEEP_EXTREMA = Path(__file__).with_name("data") / "sweep_extrema.json"
 
 LOG2, LOG3 = math.log(2), math.log(3)
 EMAX = math.hypot(LOG2, LOG3)
@@ -121,24 +127,140 @@ def test_sphere_extrema_empty_rejected(ledrappier):
         sphere_extrema(ef)
 
 
+def _sampled_extrema(ef, count, seed):
+    """max and min of h over seeded uniform points of the sphere."""
+    np = pytest.importorskip("numpy")
+    pts = np.random.default_rng(seed).normal(size=(count, ef.d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    weights = np.array([t.weight for t in ef.terms], dtype=float)
+    lmat = np.array([t.l for t in ef.terms], dtype=float)
+    vals = weights @ np.clip(lmat @ pts.T, 0.0, None)
+    return float(vals.max()), float(vals.min())
+
+
+def _ef(d, rows):
+    return EntropyFunction(d, tuple(EntropyTerm(m, tuple(float(c) for c in l)) for m, l in rows))
+
+
+def _assert_attained(ef, ex):
+    # the extrema are h at the returned unit vectors
+    tol = 1e-12 * (1.0 + ex.max_value)
+    for x, value in ((ex.argmax, ex.max_value), (ex.argmin, ex.min_value)):
+        assert abs(math.hypot(*x) - 1.0) < 1e-12
+        assert abs(directional_entropy(ef, x) - value) <= tol
+    assert ex.method == "exact"
+
+
 def test_sphere_extrema_d3_matches_sampling():
     spec = parse_spec({"d": 3, "components": [
         {"multiplicity": 1, "char": 0, "min_poly": [0, 1],
          "xi": [[2, 1], [3, 1], [5, 1]]}]})
     ef = entropy_function_of(place_spec(spec))
     ex = sphere_extrema(ef)
-    import numpy as np
+    _assert_attained(ef, ex)
+    # max at the archimedean row (log 2, log 3, log 5); min on the x3 = 0 plane
+    assert abs(ex.max_value - math.sqrt(LOG2**2 + LOG3**2 + math.log(5) ** 2)) < 1e-12
+    assert abs(ex.min_value - EMIN) < 1e-12
+    smax, smin = _sampled_extrema(ef, 200_000, 4)
+    assert ex.max_value >= smax - 1e-12 and ex.min_value <= smin + 1e-12
+    assert ex.max_value - smax < 0.05 and smin - ex.min_value < 0.05
 
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(200_000, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    weights = np.array([t.weight for t in ef.terms], dtype=float)
-    lmat = np.array([t.l for t in ef.terms])
-    vals = weights @ np.clip(lmat @ pts.T, 0.0, None)
-    assert ex.max_value >= vals.max() - 1e-9
-    assert ex.min_value <= vals.min() + 1e-9
-    assert ex.max_value - vals.max() < 0.05
-    assert vals.min() - ex.min_value < 0.05
+
+def test_sphere_extrema_random_d2_against_sampling():
+    rng = random.Random(2026)
+    for _ in range(40):
+        ef = _ef(2, [(rng.randint(1, 3), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                     for _ in range(rng.randint(1, 7))])
+        ex = sphere_extrema(ef)
+        _assert_attained(ef, ex)
+        smax, smin = sample_sphere_extrema_2d(ef, samples=20_000)
+        # the grid holds every kink, so the minimum is sampled exactly and
+        # the maximum to the grid's curvature error
+        assert smax - 1e-12 <= ex.max_value <= smax + 1e-6 * (1 + smax)
+        assert abs(ex.min_value - smin) <= 1e-12 * (1 + smax)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sphere_extrema_random_high_d_against_sampling(d):
+    rng = random.Random(300 + d)
+    for k in range(12):
+        ef = _ef(d, [(rng.randint(1, 3), tuple(rng.uniform(-2, 2) for _ in range(d)))
+                     for _ in range(rng.randint(2, 7))])
+        ex = sphere_extrema(ef)
+        _assert_attained(ef, ex)
+        smax, smin = _sampled_extrema(ef, 20_000, k)
+        assert ex.max_value >= smax - 1e-12 and ex.min_value <= smin + 1e-12
+
+
+def test_sphere_extrema_opposite_rows():
+    # l and -l share one hyperplane, whose two sides give opposite c_S:
+    # h = 2 |l . x| has max 2 |l| and min 0
+    l = (0.75, -1.25)
+    ex = sphere_extrema(_ef(2, [(2, l), (2, (-l[0], -l[1]))]))
+    assert ex.max_value == 2 * math.hypot(*l) and ex.min_value == 0.0
+    assert abs(ex.argmin[0] * l[0] + ex.argmin[1] * l[1]) < 1e-15
+    # x^2 + x + 2: the complex place and one place above 2 have opposite rows
+    spec = parse_spec({"d": 2, "components": [
+        {"multiplicity": 1, "char": 0, "min_poly": [2, 1, 1], "xi": [[0, 1, 1, 1], [0, 1, 1, 1]]}]})
+    ef = entropy_function_of(place_spec(spec))
+    ex = sphere_extrema(ef)
+    _assert_attained(ef, ex)
+    assert abs(ex.max_value - math.sqrt(2) * LOG2) < 1e-12 and ex.min_value == 0.0
+    # with a third row in d = 3: h = |l . x| + max(u . x, 0)
+    l, u = (1.0, -0.5, 0.25), (0.5, 2.0, -1.0)
+    ef = _ef(3, [(1, l), (1, tuple(-c for c in l)), (1, u)])
+    ex = sphere_extrema(ef)
+    _assert_attained(ef, ex)
+    top = max(math.dist(u, l), math.dist(u, tuple(-c for c in l)))  # |u - l|, |u + l|
+    assert abs(ex.max_value - top) < 1e-12 and ex.min_value == 0.0
+
+
+def test_sphere_extrema_merges_coincident_hyperplanes():
+    # rows along one direction add up within each side of their hyperplane
+    l, u = (0.5, -1.5), (1.25, 0.75)
+    split = sphere_extrema(_ef(2, [(1, l), (1, (2 * l[0], 2 * l[1])), (3, (-l[0], -l[1])), (1, u)]))
+    merged = sphere_extrema(_ef(2, [(3, l), (3, (-l[0], -l[1])), (1, u)]))
+    assert split == merged
+
+
+def test_sphere_extrema_rank_deficient_d3():
+    # the rows sum to 0 and span only a plane: the minimum is exactly 0, on
+    # the kernel line (1, 1, -1)
+    ef = _ef(3, [(1, (1.0, 0.5, 1.5)), (1, (-1.0, 0.0, -1.0)), (1, (0.0, -0.5, -0.5))])
+    ex = sphere_extrema(ef)
+    _assert_attained(ef, ex)
+    assert ex.min_value == 0.0
+    assert max(abs(a - b / math.sqrt(3)) for a, b in zip(ex.argmin, (1, 1, -1))) < 1e-15
+    smax, _smin = _sampled_extrema(ef, 20_000, 9)
+    assert smax - 1e-12 <= ex.max_value <= smax + 0.05
+
+
+def test_sphere_extrema_d1_weights_ties_and_zero_rows():
+    ex = sphere_extrema(_ef(1, [(2, (0.5,)), (1, (-0.75,))]))
+    assert (ex.max_value, ex.argmax, ex.min_value, ex.argmin) == (1.0, (1.0,), 0.75, (-1.0,))
+    # an exact tie goes to the lexicographically greatest direction
+    ex = sphere_extrema(_ef(1, [(1, (0.5,)), (1, (-0.5,))]))
+    assert (ex.max_value, ex.argmax, ex.min_value, ex.argmin) == (0.5, (1.0,), 0.5, (1.0,))
+    for d in (1, 2, 3):
+        ex = sphere_extrema(_ef(d, [(1, (0.0,) * d)]))
+        assert ex.max_value == ex.min_value == 0.0
+
+
+def test_sphere_extrema_extreme_magnitudes():
+    # one scale 2^-E holds a subnormal and 1e300 alike; only the results are rounded
+    ef = _ef(2, [(1, (1e300, 5e-324)), (1, (-1e-300, 2.0)), (2, (0.0, -3e-310))])
+    ex = sphere_extrema(ef)
+    _assert_attained(ef, ex)
+    assert ex.max_value == 1e300 and ex.argmax == (1.0, 2e-300) and ex.min_value == 0.0
+
+
+def test_sphere_extrema_match_the_float_route_on_sweep_specs():
+    # sweep seeds 1.0-3.0; values of the route this one replaced
+    specs = json.loads(SWEEP_EXTREMA.read_text(encoding="utf-8"))["specs"]
+    assert len(specs) == 330
+    for s in specs:
+        ex = sphere_extrema(_ef(2, [(t[0], t[1:]) for t in s["terms"]]))
+        assert abs(ex.max_value - s["max"]) <= 1e-12 and abs(ex.min_value - s["min"]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +325,27 @@ def test_mahler_handles_x_factors_and_leading_coefficient():
     assert abs(mahler_measure([0, 3]).value - LOG3) < 1e-12  # m(3x) = log 3
     with pytest.raises(MathDomainError):
         mahler_measure([0])
+
+
+def test_mahler_bound_holds_with_huge_coefficients():
+    # c * prod (a x - b) has m = log|c| + sum log max(|a|, |b|), taken here
+    # at 300 bits; at these sizes one ulp of the double is far above 1e-14
+    rng = random.Random(400)
+
+    def draw(*exponents):
+        return rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.choice(exponents))
+
+    for _ in range(16):
+        c = draw(1, 200, 400)
+        poly, sizes = [c], [abs(c)]
+        for _k in range(rng.randint(0, 3)):
+            a, b = draw(1, 6, 12), draw(1, 6, 12)
+            poly = [-b * u + a * v for u, v in zip(poly + [0], [0] + poly)]
+            sizes.append(max(abs(a), abs(b)))
+        mm = mahler_measure(poly)
+        with mp.workprec(300):
+            want = mp.fsum(mp.log(v) for v in sizes)
+            assert abs(mm.value - want) <= mm.error_bound <= 1e-8
 
 
 def test_mahler_multiplicative():

@@ -548,6 +548,8 @@ def test_scan_inverts_each_xi_once(golden, monkeypatch):
 
 def test_scan_workers_capped_at_cpu_count(golden, monkeypatch):
     # a stand-in pool records its size and maps serially: no process starts
+    import concurrent.futures
+
     import entrank.scan as scan
 
     sizes = []
@@ -565,7 +567,7 @@ def test_scan_workers_capped_at_cpu_count(golden, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("ENTRANK_WORKERS", "100000")
     rep = shell_scan(golden, 1.0, 6.5)
