@@ -44,13 +44,12 @@ class EntropyFunction:
 
     @functools.cached_property
     def rows(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """(E, ((m, l * 2^E), ...)) over the terms with l != 0: integer rows,
-        exact at the common scale 2^-E since every float is a dyadic rational."""
+        """(E, ((m, l * 2^E), ...)), one per term: integer rows, exact at the
+        common scale 2^-E since every float is a dyadic rational."""
         ratios = [[c.as_integer_ratio() for c in t.l] for t in self.terms]
         scale = max((den.bit_length() - 1 for r in ratios for _n, den in r), default=0)
-        rows = ((t.weight, tuple(n << (scale - den.bit_length() + 1) for n, den in r))
-                for t, r in zip(self.terms, ratios))
-        return scale, tuple((m, row) for m, row in rows if any(row))
+        return scale, tuple((t.weight, tuple(n << (scale - den.bit_length() + 1) for n, den in r))
+                            for t, r in zip(self.terms, ratios))
 
 
 def entropy_function_of(ps: PlacedSpec) -> EntropyFunction:
@@ -115,6 +114,8 @@ def sphere_extrema(ef: EntropyFunction) -> SphereExtrema:
     planes: dict[tuple[int, ...], int] = {}  # merged hyperplanes by primitive normal
     signed = []  # (m * l, its hyperplane, 1 if l and the normal point to opposite sides)
     for m, row in rows:
+        if not any(row):
+            continue
         plane = planes.setdefault(_primitive(row), len(planes))
         signed.append((tuple(m * c for c in row), plane, int(next(c for c in row if c) < 0)))
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
@@ -250,20 +251,18 @@ class Hyperplane:
 
 
 def nonexpansive_candidates(ef: EntropyFunction) -> list[Hyperplane]:
+    """One hyperplane per Lyapunov direction, in first-seen order: terms merge
+    when their rows in `ef.rows` have the same primitive normal, as in
+    sphere_extrema. The normal is the first such l over its length, signed
+    so that its first nonzero entry is positive."""
     if ef.d < 2:
         return []
-    out: list[tuple[float, ...]] = []
-    for t in ef.terms:
-        norm = math.hypot(*t.l)
-        if norm == 0.0:
-            continue
-        unit = tuple(c / norm for c in t.l)
-        lead = next(c for c in unit if abs(c) > 1e-15)
-        if lead < 0:
-            unit = tuple(-c for c in unit)
-        if not any(max(abs(a - b) for a, b in zip(existing, unit)) < 1e-10 for existing in out):
-            out.append(unit)
-    return [Hyperplane(normal=u) for u in out]
+    planes: dict[tuple[int, ...], Hyperplane] = {}
+    for t, (_m, row) in zip(ef.terms, ef.rows[1]):
+        if any(row) and (key := _primitive(row)) not in planes:
+            norm = math.copysign(math.hypot(*t.l), next(c for c in row if c))
+            planes[key] = Hyperplane(normal=tuple(c / norm for c in t.l))
+    return list(planes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,36 @@
 """Empirical growth-rate machinery: normalized log-counts f, the split
 f = g + h(n_hat), and shell scans with C1/C2 estimates.
 
-The identity behind the split: at every support place, |xi^n - 1|_v equals
-|xi^n|_v * |1 - xi^(-n)|_v when |xi^n|_v > 1 and |1 - xi^n|_v otherwise, so
-log count = h(n) + sum of log |1 - phi_v(n)|_v. point_record forms xi^n once
-per component and computes both sides of that identity from it by
-independent routes:
+At every support place |xi^n - 1|_v is |xi^n|_v |1 - xi^(-n)|_v when
+|xi^n|_v > 1 and |1 - xi^n|_v otherwise, so log count = h(n) + g(n) with
+h(n) the sum of the positive log |xi^n|_v and g(n) that of
+log |1 - phi_v(n)|_v. point_record forms xi^n once per component; the count
+comes from it exactly, and one pass over the places forms h and g:
 
-- f comes from the exact count: the norm of xi^n - 1 times the finite
-  valuations, all in exact arithmetic.
-- g comes from balls at the archimedean places and ord_v at the finite ones.
-  Placement caches a ball for log sigma_v(xi_i) at each archimedean place
-  in dyadic form: integers RE, IM (the parity at a real place) and RAD at
-  scale 2^-DEFAULT_PREC, RAD rounded up. log sigma_v(xi^n) is then the
-  ball around sum n_i (RE_i + i IM_i) of radius sum |n_i| RAD_i, exact
-  integer sums whose radius grows with |n_i| only, so the bits needed grow
-  with log |n|, not with the size of xi^n's coordinates. The sign of its
-  real part (n . l_v) picks the branch, and log |1 - sigma_v(phi_v)| comes
-  from one low-precision evaluation with a proven radius (see
-  log_abs_one_minus_exp: about 100 + log2 |n| bits, with a far-tail series
-  where |sigma_v(phi_v)| < 2^-bits). Precision doubles only while the ball
-  for |1 - sigma_v(phi_v)| still contains 0, rebuilding the integer rows at
-  the doubled scale, up to MAX_PREC, where a ConsistencyError is raised.
-  A component's archimedean terms are summed exactly before one float
-  conversion. Finite places are exact and ultrametric:
-  where n . ords != 0, |phi_v(n)|_v < 1, so |1 - phi_v(n)|_v = 1 and the
-  term is 0; only where n . ords = 0 is ord_v(xi^n - 1) needed, read from
-  one valuations_above pass per prime. The count, built on the norm of
-  xi^n - 1 with its own passes, stays the identity check's other route.
-- Ties: when the n . l_v ball contains 0, either branch is right to within
-  weight * |n . l_v|, since the two differ by exactly n . l_v. The <= branch
-  is taken and weight * (|S| + R) 2^-prec, for the integer centre S and
-  radius R of n . l_v, widens the term's radius; nothing escalates.
+- Archimedean places. Placement caches log sigma_v(xi_i) as dyadic balls:
+  integers RE, IM (the parity at a real place) and RAD at scale
+  2^-DEFAULT_PREC. log sigma_v(xi^n) is then the ball around S + i IM,
+  S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
+  bits grow with log |n| only. weight * S is 2^prec n . l_v; its sign picks
+  the branch, and where |xi^n|_v > 1, h_v = weight * S 2^-prec within
+  weight * R 2^-prec (else h_v = 0). log |1 - sigma_v(phi_v)| comes from
+  one evaluation with a proven radius (log_abs_one_minus_exp), doubling the
+  precision, rows rebuilt at the new scale, only while the ball for
+  |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
+  The terms are summed exactly before one float conversion.
+- Finite places are exact. With t = n . ords, h_v = max(-t, 0) f_v log p;
+  where t != 0, |1 - phi_v(n)|_v = 1, and only where t = 0 is
+  ord_v(xi^n - 1) read, from one valuations_above pass per prime.
+- Ties: when the n . l_v ball contains 0, the <= branch is taken (h_v = 0),
+  and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
+  which differs by exactly n . l_v; nothing escalates.
 
-A mismatch between g and f - h(n_hat) beyond IDENTITY_TOL plus g's radius
-is an internal error, not a warning.
+On the branch taken g_v + h_v = log |xi^n - 1|_v exactly, so a component's
+g + h is the log of its count. point_record checks that in integers at the
+one scale 2^-DEFAULT_PREC, each input rounded outward to it: the exact sum
+of the archimedean terms and their float radii, the S sums, log p (one
+cached libmp log per prime) and log count (one libmp log per component).
+A difference beyond the summed radii raises ConsistencyError.
 
 Only char-0 components enter h and g (char-p components have no computed
 places); f always includes every component, so for specs with char-p parts
@@ -49,34 +45,28 @@ import math
 import os
 from dataclasses import dataclass
 
-from mpmath.libmp import fzero, mpf_add, to_float
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log, mpf_shift, to_float,
+                          to_int)
 
 from .action import (PlacedComponent, PlacedSpec, iter_shell_points,  # noqa: F401
                      lattice_shell_points)  # callers read the list form from here too
 from .counting import char0_powers, count_at_powers, require_nonzero
-from .entropy import EntropyFunction, directional_entropy, entropy_function_of
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, compare_abs_to_one, ldexp_up,
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, compare_abs_to_one,
                           log_abs_one_minus_exp, log_sigma_ball, valuations_above)
-
-IDENTITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # phi_v, f and g
 # ---------------------------------------------------------------------------
 
-def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int) -> tuple[DyadicBall, int]:
-    """(dyadic ball for log sigma_v(phi_v(n)), tie widening), both at scale
-    2^-prec, at archimedean place k.
-
-    log sigma_v(xi^n) = sum n_i log sigma_v(xi_i): S = sum n_i RE_i and
-    R = sum |n_i| RAD_i are exact integers, and the imaginary part sums the
-    same way (mod 2 for the parity at a real place). weight * S is
-    2^prec n . l_v, whose sign picks the branch; on a tie the <= branch is
-    taken, and the widening weight * (|S| + R) covers the other branch,
-    which differs from it by exactly n . l_v.
-    """
+def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...],
+              prec: int) -> tuple[DyadicBall, int, int]:
+    """(dyadic ball for log sigma_v(phi_v(n)), tie widening, 2^prec h_v), all
+    at scale 2^-prec, at archimedean place k, from the integer sums S, IM and
+    R of the module docstring (IM mod 2 at a real place): h_v is weight * S
+    within weight * R where |xi^n|_v > 1, else 0, and on a tie the widening
+    is weight * (|S| + R)."""
     place = pc.places[k]
     rows = (pc.arch_logs[k] if prec == DEFAULT_PREC
             else [log_sigma_ball(place, x, prec).dyadic(prec) for x in pc.component.xi])
@@ -89,73 +79,89 @@ def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int) -> tup
         im &= 1
     side = compare_abs_to_one(place, (place.weight * s, place.weight * r))
     if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
-        return DyadicBall(-s, im if place.weight == 1 else -im, r), 0
-    return DyadicBall(s, im, r), (place.weight * (abs(s) + r) if side == 0 else 0)
+        return DyadicBall(-s, im if place.weight == 1 else -im, r), 0, place.weight * s
+    return DyadicBall(s, im, r), (place.weight * (abs(s) + r) if side == 0 else 0), 0
 
 
 def phi_v(pc: PlacedComponent, n) -> tuple:
     """One entry per support place, in pc.places order, for phi_v(n) =
-    xi^(-n) where |xi^n|_v > 1, else xi^n (ties resolve to the <= branch).
-
-    A finite place gets ord_v(phi_v(n)) = |n . pc.finite_ords[k]|, exactly;
-    an archimedean place gets _phi_ball at DEFAULT_PREC, formed from the
-    dyadic log sigma_v(xi_i) rows cached at placement.
+    xi^(-n) where |xi^n|_v > 1, else xi^n (ties resolve to the <= branch):
+    ord_v(phi_v(n)) = |n . pc.finite_ords[k]| at a finite place, and the
+    (ball, tie widening) of _phi_ball at DEFAULT_PREC at an archimedean one.
     """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("phi_v needs n != 0")
-    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC) if ords is None
+    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if ords is None
                  else abs(sum(v * o for v, o in zip(n, ords)))
                  for k, ords in enumerate(pc.finite_ords))
 
 
-def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn) -> tuple[float, float]:
-    """(sum of log |1 - phi_v(n)|_v over the support places, radius), from xn = xi^n.
+def _scaled_log(m: int) -> int:
+    """2^DEFAULT_PREC log m for an integer m >= 1, rounded to the nearest
+    integer and so within 1: one libmp log of the top wp bits of m,
+    wp = DEFAULT_PREC + 20 + bitlen(bitlen(m)), which is within a few ulp,
+    2^-16 at this scale."""
+    wp = DEFAULT_PREC + 20 + m.bit_length().bit_length()
+    return to_int(mpf_shift(mpf_log(from_int(m, wp, "n"), wp, "n"), DEFAULT_PREC), "n")
 
-    Finite places are exact: where ord_v(phi_v) = |n . ords| > 0,
-    |1 - phi_v|_v = 1 and the term is 0; where n . ords = 0 it is
-    -ord_v(xi^n - 1) f log p, from at most one valuations_above pass per
-    prime. Archimedean places evaluate the phi_v ball, doubling the
-    precision while |1 - sigma_v(phi_v)| is not yet separated from 0; their
-    terms are added exactly and converted to a float once, so that terms
-    which cancel keep their digits.
-    """
+
+_prime_log = functools.lru_cache(maxsize=None)(_scaled_log)
+
+
+def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn,
+                       count: int) -> tuple[float, int, int, int]:
+    """(g, h, miss, radius) for one component at n, from xn = xi^n and its count:
+    g as a float; h and miss = g + h - log count, whose exact value is 0, as
+    integers at scale 2^-DEFAULT_PREC, with radius bounding miss's error."""
     field = pc.component.field
     columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
-    arch, finite, radius = fzero, 0.0, 0.0
-    for k, (place, ords, phi) in enumerate(zip(pc.places, pc.finite_ords, phi_v(pc, n))):
-        if ords is not None:  # phi = |n . ords|
-            if not phi and place.p not in columns:
-                columns[place.p] = valuations_above(field, place.p, field.sub(xn, field.one()))
-            ordv = 0 if phi else columns[place.p][place.index]
-            finite += -ordv * place.res_degree * math.log(place.p)
+    total = fzero  # g's terms, summed exactly
+    h = 0  # at scale 2^-DEFAULT_PREC
+    radius = 2  # the rounding of total and of log count
+    for k, (place, ords) in enumerate(zip(pc.places, pc.finite_ords)):
+        if ords is not None:
+            if t := sum(v * o for v, o in zip(n, ords)):
+                c = max(-t, 0) * place.res_degree  # h_v = c log p
+                h += c * _prime_log(place.p)
+            else:
+                if place.p not in columns:
+                    columns[place.p] = valuations_above(field, place.p, field.sub(xn, field.one()))
+                c = columns[place.p][place.index] * place.res_degree  # the term is -c log p
+                total = mpf_add(total, from_man_exp(-c * _prime_log(place.p), -DEFAULT_PREC))
+            radius += abs(c)  # each log p is within 1
             continue
         prec = DEFAULT_PREC
-        ball, widen = phi
+        ball, widen, lift = _phi_ball(pc, k, n, prec)
         while (term := log_abs_one_minus_exp(place, ball, prec)) is None:
             if prec >= MAX_PREC:
                 raise ConsistencyError(
                     f"cannot separate |1 - sigma(phi_v)| from 0 at n={n}, {place.label()}, "
                     "at maximum precision")
             prec *= 2
-            ball, widen = _phi_ball(pc, k, n, prec)
-        arch = mpf_add(arch, term[0]._mpf_)
-        radius = math.nextafter(radius + term[1] + ldexp_up(widen, -prec), math.inf)
-    return to_float(arch, rnd="n") + finite, radius
+            ball, widen, lift = _phi_ball(pc, k, n, prec)
+        total = mpf_add(total, term[0]._mpf_)
+        shift = prec - DEFAULT_PREC
+        radius += math.ceil(math.ldexp(term[1], DEFAULT_PREC)) + _ceil_shift(widen, shift)
+        if lift:  # within weight * R, plus 1 for the floor
+            h += lift >> shift
+            radius += _ceil_shift(place.weight * ball.rad, shift) + 1
+    miss = to_int(mpf_shift(total, DEFAULT_PREC), "n") + h - _scaled_log(count)
+    return to_float(total), h, miss, radius
 
 
 def _norm2(n) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in n))
 
 
-def g_value(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> float:
+def g_value(ps: PlacedSpec, n) -> float:
     """(1/|n|) sum of log |1 - phi_v(n)|_v over char-0 components.
 
-    This is point_record(ps, n, ef).g: the identity check runs on the full
+    This is point_record(ps, n).g: the f = g + h check runs on the full
     point record, so for a mixed spec the char-p part is counted too, and
     g_value raises wherever point_record raises.
     """
-    return point_record(ps, n, ef).g
+    return point_record(ps, n).g
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +203,27 @@ class ScanReport:
     has_charp: bool
 
 
-def point_record(ps: PlacedSpec, n, ef: EntropyFunction | None = None) -> PointRecord:
-    """count, f, h(n_hat) and g at n, with g computed directly and checked
-    against f_char0 - h(n_hat) from the char-0 factors of the reported count;
-    a mismatch beyond IDENTITY_TOL plus g's proven radius raises
-    ConsistencyError. Count and g share one xi^n per component."""
+def point_record(ps: PlacedSpec, n) -> PointRecord:
+    """count, f, h(n_hat) and g at n, from one xi^n per component.
+
+    h and g come from one pass over each char-0 component's support places,
+    which also checks f = g + h with proven radii only: in integers at scale
+    2^-DEFAULT_PREC, a sum over components of mult * (g + h - log count)
+    beyond the sum of mult * its radius raises ConsistencyError.
+    """
     n = require_nonzero(n)
     norm = _norm2(n)
     powers = char0_powers(ps, n)
     res = count_at_powers(ps, n, powers)
-    f = math.log(res.value) / norm
-    if ef is None:
-        ef = entropy_function_of(ps)
-    h_hat = directional_entropy(ef, n) / norm
-    direct = 0.0
-    radius = 0.0
-    f0 = 0.0
-    for (pc, mult), xn, (count, _) in zip(ps.entries, powers, res.per_component):
-        if xn is None:
-            continue
-        value, rad = _log_one_minus_phi(pc, n, xn)
-        direct += mult * value
-        radius += mult * rad
-        f0 += mult * math.log(count)
-    direct /= norm
-    f0 /= norm
-    if abs(direct - (f0 - h_hat)) > IDENTITY_TOL + radius / norm:
-        raise ConsistencyError(
-            f"decomposition mismatch at n={n}: direct g = {direct!r}, "
-            f"f - h = {f0 - h_hat!r}")
-    return PointRecord(n=n, count=res.value, f=f, h_hat=h_hat, g=direct)
+    parts = [(mult, _log_one_minus_phi(pc, n, xn, count))
+             for (pc, mult), xn, (count, _) in zip(ps.entries, powers, res.per_component)
+             if xn is not None]
+    g, h, miss, radius = (sum(m * part[i] for m, part in parts) for i in range(4))
+    if abs(miss) > radius:
+        raise ConsistencyError(f"decomposition mismatch at n={n}: g + h - log count = "
+                               f"{miss} beyond its radius {radius}, at scale 2^-{DEFAULT_PREC}")
+    return PointRecord(n=n, count=res.value, f=math.log(res.value) / norm,
+                       h_hat=math.ldexp(h, -DEFAULT_PREC) / norm, g=g / norm)
 
 
 def _env_workers() -> int:
@@ -249,9 +246,10 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     """Evaluate the representative lattice points of the annulus in (shell,
     lexicographic) order, at most budget of them (enumerating no further
     than budget + 1), aggregate per unit shell, and estimate C1/C2 from the
-    outer 20 percent of radii.
+    outer 20 percent of radii. Each point is point_record(ps, n), so each
+    passes the proven f = g + h check or the scan raises ConsistencyError.
     ENTRANK_WORKERS > 1 spreads the points over that many processes, at
-    most one per CPU."""
+    most one per CPU; each receives ps and nothing else."""
     if not (0 < r_min < r_max):
         raise MathDomainError("need 0 < r_min < r_max")
     if budget < 1:
@@ -259,16 +257,15 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     points = list(itertools.islice(iter_shell_points(ps.d, r_min, r_max), budget + 1))
     partial = len(points) > budget
     del points[budget:]
-    ef = entropy_function_of(ps)
     workers = min(_env_workers(), os.cpu_count() or 1)
     if workers > 1 and len(points) > 64:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
         chunk_size = max(16, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(functools.partial(point_record, ps, ef=ef), points,
+            records = list(pool.map(functools.partial(point_record, ps), points,
                                     chunksize=chunk_size))
     else:
-        records = [point_record(ps, n, ef) for n in points]
+        records = [point_record(ps, n) for n in points]
 
     by_shell: dict[int, list[PointRecord]] = {}
     for rec in records:

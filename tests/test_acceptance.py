@@ -177,8 +177,7 @@ def test_criterion_10_convergent_sequence(x2x3):
     # lattice points converging to the balance line x1 log 2 + x2 log 3 = 0
     pts = [(-1, 1), (-2, 1), (-3, 2), (-8, 5), (-19, 12), (-65, 41)]
     assert all(abs(-n1 / n2 - LOG3 / LOG2) < 1 / n2**2 for n1, n2 in pts)
-    ef = entropy_function_of(x2x3)
-    seq = [point_record(x2x3, n, ef) for n in pts]
+    seq = [point_record(x2x3, n) for n in pts]
     ok = all(r.count == x2x3_oracle(*r.n) for r in seq)
     ok = ok and [r.count for r in seq][:5] == [1, 1, 1, 13, 7153]
     ok = ok and seq[5].f > seq[3].f

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrank.cli import main
 
@@ -446,3 +450,60 @@ def test_validate_rejects_bad_spec(capsys, tmp_path):
     rc, _out, err = run(capsys, "validate", "--spec", str(p))
     assert rc == 2
     assert "xi[0]" in err
+
+
+# ---------------------------------------------------------------------------
+# Every admitted or malformed input: an answer or a typed exit code
+# ---------------------------------------------------------------------------
+
+MIN_POLYS = [
+    [0, 1], [-1, -1, 1], [1, 0, 1], [-2, 0, 0, 1],  # degrees 1-3
+    [5], [-1, 0, 1], [1, 0, 2],  # degree 0, reducible, non-monic
+]
+
+
+@st.composite
+def _char0(draw, d):
+    poly = draw(st.sampled_from(MIN_POLYS))
+    width = 2 * max(len(poly) - 1, 1)
+    # small numerators and denominators: zero and unit coordinates are drawn too
+    coord = st.tuples(st.integers(-3, 3), st.integers(1, 2))
+    xi = [[v for pair in draw(st.lists(coord, min_size=width // 2, max_size=width // 2))
+           for v in pair] for _ in range(d)]
+    return {"multiplicity": draw(st.integers(1, 2)), "char": 0, "min_poly": poly, "xi": xi}
+
+
+@st.composite
+def _charp(draw, d):
+    term = st.fixed_dictionaries({"exp": st.lists(st.integers(-1, 2), min_size=d, max_size=d),
+                                  "coeff": st.integers(1, 3)})
+    gens = draw(st.lists(st.fixed_dictionaries({"terms": st.lists(term, min_size=1, max_size=3)}),
+                         max_size=2))
+    return {"char": draw(st.sampled_from([2, 3, 4])), "generators": gens}
+
+
+@st.composite
+def _cli_case(draw, command):
+    d = draw(st.integers(1, 2))
+    comps = draw(st.lists(st.one_of(_char0(d), _charp(d)), min_size=1, max_size=2))
+    vector = ",".join(str(draw(st.integers(-3, 3))) for _ in range(d))
+    argv = {"count": ["--n", vector], "table": ["--range", ",".join(["-2:2"] * d)],
+            "scan": ["--rmin", "1", "--rmax", "3"], "validate": ["--radius", "2"]}
+    return {"d": d, "components": comps}, [command, *argv.get(command, [])]
+
+
+@pytest.mark.parametrize("command", ["count", "table", "scan", "extrema", "nonexpansive",
+                                     "validate"])
+@settings(max_examples=8, derandomize=True, deadline=None)  # 48 seeded examples in all
+@given(data=st.data())
+def test_cli_answers_or_exits_with_a_typed_code(command, data):
+    doc, argv = data.draw(_cli_case(command))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([argv[0], "--spec", spec, *argv[1:]])
+    assert rc in (0, 1, 2, 3), (doc, argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -294,6 +294,37 @@ def test_nonexpansive_merges_parallel_directions():
     assert max(abs(a - b) for a, b in zip(planes[0].normal, (2 / 5**0.5, 1 / 5**0.5))) < 1e-12
 
 
+def _float_merged_normals(ef):
+    """The unit normals merged within 1e-10, leading entry above 1e-15 made
+    positive: the float rule that the exact primitive-normal merge replaced."""
+    out = []
+    for t in ef.terms:
+        norm = math.hypot(*t.l)
+        if norm == 0.0:
+            continue
+        unit = tuple(c / norm for c in t.l)
+        if next(c for c in unit if abs(c) > 1e-15) < 0:
+            unit = tuple(-c for c in unit)
+        if not any(max(abs(a - b) for a, b in zip(u, unit)) < 1e-10 for u in out):
+            out.append(unit)
+    return out
+
+
+def test_nonexpansive_exact_merge_matches_the_float_rule():
+    # sweep seeds 1.0-3.0 and every shipped spec with char-0 places in d >= 2
+    efs = [_ef(2, [(t[0], t[1:]) for t in s["terms"]])
+           for s in json.loads(SWEEP_EXTREMA.read_text(encoding="utf-8"))["specs"]]
+    specs = Path(__file__).parent.parent / "specs"
+    for path in sorted(specs.glob("*.json")):
+        ef = entropy_function_of(place_spec(parse_spec(json.loads(path.read_text()))))
+        if ef.d >= 2 and ef.terms:
+            efs.append(ef)
+    assert len(efs) == 330 + 5
+    for ef in efs:
+        planes = nonexpansive_candidates(ef)
+        assert [hp.normal for hp in planes] == _float_merged_normals(ef)
+
+
 # ---------------------------------------------------------------------------
 # Mahler measure
 # ---------------------------------------------------------------------------

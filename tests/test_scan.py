@@ -21,7 +21,7 @@ from entrank import (
     write_records_csv,
 )
 from entrank.counting import CountResult
-from entrank.scan import IDENTITY_TOL, lattice_shell_points
+from entrank.scan import lattice_shell_points
 
 from tests.test_counting import x2x3_oracle
 
@@ -121,7 +121,7 @@ def test_point_record_far_out_without_escalation(golden, monkeypatch, n):
     seen = _precisions_requested(monkeypatch)
     rec = point_record(golden, n)
     assert rec.count == count_composite(golden, tuple(-v for v in n)).value
-    assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+    assert abs(rec.f - (rec.h_hat + rec.g)) <= 1e-12
     assert seen == []  # no precision beyond DEFAULT_PREC
 
 
@@ -133,7 +133,7 @@ def test_point_record_tie_widens_instead_of_escalating(monkeypatch):
     seen = _precisions_requested(monkeypatch)
     rec = point_record(ps, (5, 0))
     assert rec.count == 1681
-    assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+    assert abs(rec.f - (rec.h_hat + rec.g)) <= 1e-12
     assert seen == []  # the tie does not escalate
     (ball, widen), *_finite = phi_v(pc, (5, 0))
     assert 0 < widen <= 5 * ball.rad  # weight 2 times (|Re t| + rad), and |Re t| <= rad
@@ -207,7 +207,7 @@ def test_escalation_when_the_first_evaluation_cannot_separate(monkeypatch):
     rec = point_record(ps, (1,))
     assert 2 * DEFAULT_PREC in seen and max(seen) == 2 * DEFAULT_PREC
     assert rec.count == 1  # |(2^112 + 1) - 2^112|
-    assert abs(rec.g - (rec.f - rec.h_hat)) <= IDENTITY_TOL
+    assert abs(rec.g - (rec.f - rec.h_hat)) <= 1e-12
     # the archimedean term is log |1 - 1/xi| = -log(2^112 + 1); the finite ones are 0
     assert rec.g == pytest.approx(-math.log(big + 1), rel=1e-15)
 
@@ -307,11 +307,10 @@ def test_g_value_both_routes(x2x3):
     assert abs(g - (-math.log(Fraction(6, 5)) / SQRT2)) < 1e-12
     # deep diagonal: g is numerically zero at double precision
     assert abs(g_value(x2x3, (20, 20))) < 1e-13
-    ef = entropy_function_of(x2x3)
     n = (-5, 3)
     h_hat = (5 * LOG2) / math.sqrt(34)  # only the 2-adic term is active
     expected = f_value(x2x3, n) - h_hat
-    assert abs(g_value(x2x3, n, ef) - expected) < 1e-12
+    assert abs(g_value(x2x3, n) - expected) < 1e-12
 
 
 def test_g_bounded_by_place_count(x2x3):
@@ -322,10 +321,9 @@ def test_g_bounded_by_place_count(x2x3):
 
 
 def test_point_record_identity(x2x3):
-    ef = entropy_function_of(x2x3)
     for n in [(1, 1), (3, -2), (-5, 3), (6, 0)]:
-        rec = point_record(x2x3, n, ef)
-        assert abs(rec.f - rec.g - rec.h_hat) < 1e-8
+        rec = point_record(x2x3, n)
+        assert abs(rec.f - rec.g - rec.h_hat) < 1e-12
         assert rec.count == x2x3_oracle(*n)
 
 
@@ -344,24 +342,70 @@ def test_point_record_checks_the_count_it_reports(golden, monkeypatch):
         point_record(golden, (7, 3))
 
 
+@pytest.mark.parametrize("bump", [0.0, 1e-20])
+def test_point_record_catches_a_tiny_error_in_one_term(golden, monkeypatch, bump):
+    # a float tolerance on f = g + h would let 1e-20 through; proven radii do not
+    import entrank.scan as scan
+    from mpmath.libmp import from_float, mpf_add
+
+    inner = scan.log_abs_one_minus_exp
+    bumped = []
+
+    def perturbed(place, ball, prec):
+        out = inner(place, ball, prec)
+        if out is None or bumped:
+            return out
+        bumped.append(place)
+        return mp.make_mpf(mpf_add(out[0]._mpf_, from_float(bump))), out[1]
+
+    monkeypatch.setattr(scan, "log_abs_one_minus_exp", perturbed)
+    if bump:
+        with pytest.raises(ConsistencyError):
+            point_record(golden, (7, 3))
+    else:
+        assert point_record(golden, (7, 3)).count == 295
+    assert bumped[0].kind == "arch"
+
+
+SHIPPED_CHAR0 = ["gaussian_split", "golden_mean", "ratio_shift_k1", "ratio_shift_k2",
+                 "ratio_shift_k5", "times2_rationals", "x2x3"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_CHAR0 + ["golden2_ledrappier"])
+def test_h_hat_matches_the_float_entropy_function(name, golden2_ledrappier):
+    # h_hat comes from the integer sums that g forms; directional_entropy is
+    # the float reference, l . n summed term by term
+    from pathlib import Path
+
+    from entrank import directional_entropy, load_spec
+
+    ps = (golden2_ledrappier if name == "golden2_ledrappier" else
+          place_spec(load_spec(str(Path(__file__).parent.parent / "specs" / f"{name}.json"))))
+    ef = entropy_function_of(ps)
+    rng = random.Random(name)
+    points = {tuple(rng.randint(-40, 40) for _ in range(ps.d)) for _ in range(40)} - {(0,) * ps.d}
+    for n in sorted(points):
+        ref = directional_entropy(ef, n) / math.sqrt(sum(v * v for v in n))
+        assert abs(point_record(ps, n).h_hat - ref) <= 1e-14
+
+
 def test_point_record_identity_golden_mean(golden):
     rep = shell_scan(golden, 1.0, 6.5)
     assert len(rep.records) > 64
     for rec in rep.records:
-        assert abs(rec.f - (rec.h_hat + rec.g)) <= IDENTITY_TOL
+        assert abs(rec.f - (rec.h_hat + rec.g)) <= 1e-12
         assert count_composite(golden, tuple(-v for v in rec.n)).value == rec.count
 
 
 def test_point_record_mixed_spec(golden, golden2_ledrappier, ledrappier):
-    ef = entropy_function_of(golden2_ledrappier)
     for n in [(1, 1), (3, -2), (7, 3), (4, 0), (-5, 8)]:
-        mixed = point_record(golden2_ledrappier, n, ef)
+        mixed = point_record(golden2_ledrappier, n)
         gold = point_record(golden, n)
         led = point_record(ledrappier, n)
         assert mixed.count == gold.count**2 * led.count
         assert abs(mixed.g - 2 * gold.g) < 1e-12
         assert abs(mixed.h_hat - 2 * gold.h_hat) < 1e-12
-        assert g_value(golden2_ledrappier, n, ef) == mixed.g
+        assert g_value(golden2_ledrappier, n) == mixed.g
 
 
 def test_point_record_charp_has_no_decomposition(ledrappier):
