@@ -3,9 +3,8 @@
 Char-0 prime components: |F| is the product over the support places of
 |xi^n - 1|_v. Under the package's normalization the archimedean part equals
 |N(xi^n - 1)|, so the whole count is assembled from exact integers: the norm,
-taken once, and the finite valuations. At a prime with one place above it
-that place's share is ord_p of the same norm; at a prime with several places
-one valuations_above call per point gives every place's share. No floating
+taken once, and ord_v(xi^n - 1) at the finite support places, which
+char0_point reads once per point for the count and g alike. No floating
 point touches the result, and integrality is asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
@@ -32,6 +31,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_points
 from .algebra import ord_p, rank_mod_q
@@ -62,41 +63,89 @@ def require_nonzero(n) -> tuple[int, ...]:
 # Char 0
 # ---------------------------------------------------------------------------
 
+class Char0Point(NamedTuple):
+    """What a point's count and its g share for one char-0 component."""
+
+    norm: Fraction  # N(xi^n - 1)
+    ords: tuple[int | None, ...]  # ord_v(xi^n - 1) per place, None at archimedean ones
+
+
 def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
     """Exact |F| for a char-0 prime component at lattice vector n."""
     n = require_nonzero(n)
-    return _count_char0_at(pc, n, pc.component.field.pow_vector(pc.component.xi, n))
+    return _count_char0_at(pc, n, char0_point(pc, n))
 
 
-def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], xn) -> CountResult:
-    """count_prime_char0 from xn = xi^n, formed by the caller."""
+def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
+    """N(x) and ord_v(x) at each place of pc (None at archimedean ones) for
+    x = xi^n - 1, xi^n formed once.
+
+    With t = n . pc.finite_ords[k], ord_v(xi^n) = t, so where t != 0 the
+    ultrametric inequality gives ord_v(x) = min(t, 0) outright. Where t = 0
+    the only place above p takes ord_p N(x) / f_v, and at a prime with
+    several places one valuations_above pass serves all of them.
+
+    Guard: the places above p outside the support hold units, where x is
+    integral, so sum over support v | p of f_v ord_v(x) <= ord_p N(x), with
+    equality when every place above p is in the support; ConsistencyError
+    otherwise.
+    """
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
     field = pc.component.field
-    x = field.sub(xn, field.one())
+    x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
     if x.is_zero():
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
     norm = field.norm(x)
-    num, den = abs(norm.numerator), norm.denominator
-    columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
-    for place in pc.places:
-        if place.kind != "finite":
+    ords: list[int | None] = []
+    passes: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
+    sums: dict[int, tuple[int, int]] = {}  # p -> (sum of f_v ord_v, places left out)
+    for place, row in zip(pc.places, pc.finite_ords):
+        if row is None:
+            ords.append(None)
             continue
-        p = place.p
-        if place.siblings == 1:  # the only place above p takes all of ord_p(N)
+        p, f = place.p, place.res_degree
+        t = sum(map(mul, n, row))
+        if place.siblings == 1:
             e = ord_p(norm, p)
-            if e > 0:
-                num //= p ** e
-            elif e < 0:
-                den //= p ** -e
-            continue
-        if p not in columns:
-            columns[p] = valuations_above(field, p, x)
-        v = columns[p][place.index]
-        if v > 0:
-            den *= p ** (place.res_degree * v)
-        elif v < 0:
-            num *= p ** (-place.res_degree * v)
+            o = min(t, 0) if t else e // f
+            _check_share(n, p, f * o, e, 0)
+        else:
+            if t:
+                o = min(t, 0)
+            else:
+                if p not in passes:
+                    passes[p] = valuations_above(field, p, x)
+                o = passes[p][place.index]
+            s, left = sums.get(p, (0, place.siblings))
+            sums[p] = (s + f * o, left - 1)
+        ords.append(o)
+    for p, (s, left) in sums.items():
+        _check_share(n, p, s, ord_p(norm, p), left)
+    return Char0Point(norm, tuple(ords))
+
+
+def _check_share(n: tuple[int, ...], p: int, s: int, e: int, left: int) -> None:
+    """char0_point's guard at p: the support's share s of e = ord_p N(xi^n - 1)."""
+    if s > e or (s != e and not left):
+        raise ConsistencyError(
+            f"at n={n} the support places above {p} carry {s} of ord_{p} N(xi^n - 1) = {e}")
+
+
+def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) -> CountResult:
+    """count_prime_char0 from the char0_point at n: |N(xi^n - 1)| times
+    p^(-f_v ord_v(xi^n - 1)) over the finite support places, the orders
+    from one rule (char0_point: min(t, 0) where t = n . ord_v(xi) != 0,
+    ord_p N / f_v at a sole place, else one valuations_above pass per prime).
+    Its per-prime guard already makes each prime's factor an integer; the
+    product's integrality is asserted once more here."""
+    num, den = abs(point.norm.numerator), point.norm.denominator
+    for place, o in zip(pc.places, point.ords):
+        if o:
+            if o > 0:
+                den *= place.p ** (place.res_degree * o)
+            else:
+                num *= place.p ** (-place.res_degree * o)
     if num % den or num < den:
         raise ConsistencyError(
             f"place product at n={n} is {Fraction(num, den)}, expected a positive integer")
@@ -420,24 +469,24 @@ def count_composite(ps: PlacedSpec, n) -> CountResult:
     count, and the result says so.
     """
     n = require_nonzero(n)
-    return count_at_powers(ps, n, char0_powers(ps, n))
+    return count_at_points(ps, n, char0_points(ps, n))
 
 
-def char0_powers(ps: PlacedSpec, n: tuple[int, ...]) -> list:
-    """xi^n for each char-0 entry of ps, None for each char-p entry: the one
-    power that a point's count and its g share."""
-    return [c.component.field.pow_vector(c.component.xi, n)
-            if isinstance(c, PlacedComponent) else None for c, _m in ps.entries]
+def char0_points(ps: PlacedSpec, n: tuple[int, ...]) -> list[Char0Point | None]:
+    """char0_point(pc, n) for each char-0 entry of ps, None for each char-p
+    entry: the per-point data that a point's count and its g share."""
+    return [char0_point(c, n) if isinstance(c, PlacedComponent) else None
+            for c, _m in ps.entries]
 
 
-def count_at_powers(ps: PlacedSpec, n: tuple[int, ...], powers: list) -> CountResult:
-    """count_composite at a nonzero n from char0_powers(ps, n)."""
+def count_at_points(ps: PlacedSpec, n: tuple[int, ...], points: list) -> CountResult:
+    """count_composite at a nonzero n from char0_points(ps, n)."""
     per = []
     value = 1
     factored = None
-    for (comp, mult), xn in zip(ps.entries, powers):
-        if xn is not None:
-            res = _count_char0_at(comp, n, xn)
+    for (comp, mult), point in zip(ps.entries, points):
+        if point is not None:
+            res = _count_char0_at(comp, n, point)
         else:
             res = count_prime_charp(comp, n)
             if len(ps.entries) == 1:

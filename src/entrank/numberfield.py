@@ -19,11 +19,13 @@ mod p. Dedekind's criterion is the one p-maximality test, run at every
 prime; when p divides the index it raises instead of returning wrong data.
 Valuations take one pass per prime: valuations_above takes the norm of the
 element's integral part, shared with NumberField.norm through one small
-cache, and splits its ord_p among the places above p, all of it to the only
-place, or by one resultant per Hensel-lifted local factor, checked against
-the same total. Each (field, prime) lifts its local factors from p once and
-keeps that lift with its Bezout cofactors: a lower precision reuses it, a
-higher one continues it. ord_v reads one entry of that pass.
+cache, and splits its ord_p among the places above p: all of it to the
+only place, or to the only one whose residue factor divides the integral
+part mod p, or else by one resultant per Hensel-lifted local factor,
+checked against the same total. Each (field, prime) lifts its local
+factors from p once and keeps that lift with its Bezout cofactors: a lower
+precision reuses it, a higher one continues it. ord_v reads one entry of
+that pass.
 
 Archimedean data carries proven error radii. The roots of the minimal
 polynomial are Gaussian integers at one dyadic scale, refined from a
@@ -668,10 +670,14 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
     """ord_v(x) at every place v above p, in finite_places_above order.
 
     With x = A(theta)/c, A integral, the norm N(A) is taken once and
-    v_total = ord_p N(A) is split among the places above p: all of it to
-    the only place, or one resultant per Hensel-lifted local factor (lifted
-    past p^v_total), whose shares must sum to v_total. A place's share is
-    f_v ord_v(A); c contributes -e_v ord_p(c).
+    v_total = ord_p N(A) is split among the places above p. A place's share
+    is f_v ord_v(A) = ord_p Res(F_v, A), F_v its local factor, and
+    Res(F_v, A) = Res(g_v^e_v, A) mod p is a unit iff g_v does not divide
+    A mod p. So all of v_total goes to the only place, or to the only g_v
+    that divides A mod p (none dividing contradicts p | N(A)); when several
+    divide, one resultant per Hensel-lifted local factor (lifted past
+    p^v_total) gives the shares, which must sum to v_total. c contributes
+    -e_v ord_p(c).
     """
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
@@ -680,8 +686,12 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
     if nrm == 0:
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
-    if v_total == 0 or len(factors) == 1:
-        shares = [v_total] + [0] * (len(factors) - 1)
+    abar = gf_from_int_poly(x.num, p)
+    divides = [v_total > 0 and not gf_divmod(abar, list(gbar), p)[1] for gbar, _e in factors]
+    if v_total == 0 or sum(divides) == 1:
+        shares = [v_total if d else 0 for d in divides]
+    elif not any(divides):
+        raise ConsistencyError(f"p={p} divides N(A) but no local factor divides A mod p")
     else:
         shares = []
         for block in _lifted_local_factors(field, p, 1 << v_total.bit_length()):

@@ -4,7 +4,8 @@ f = g + h(n_hat), and shell scans with C1/C2 estimates.
 At every support place |xi^n - 1|_v is |xi^n|_v |1 - xi^(-n)|_v when
 |xi^n|_v > 1 and |1 - xi^n|_v otherwise, so log count = h(n) + g(n) with
 h(n) the sum of the positive log |xi^n|_v and g(n) that of
-log |1 - phi_v(n)|_v. point_record forms xi^n once per component; the count
+log |1 - phi_v(n)|_v. point_record takes one counting.char0_point per
+component (the norm of xi^n - 1 and its finite place orders); the count
 comes from it exactly, and one pass over the places forms h and g:
 
 - Archimedean places. Placement caches log sigma_v(xi_i) as dyadic balls:
@@ -18,9 +19,11 @@ comes from it exactly, and one pass over the places forms h and g:
   precision, rows rebuilt at the new scale, only while the ball for
   |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
   The terms are summed exactly before one float conversion.
-- Finite places are exact. With t = n . ords, h_v = max(-t, 0) f_v log p;
-  where t != 0, |1 - phi_v(n)|_v = 1, and only where t = 0 is
-  ord_v(xi^n - 1) read, from one valuations_above pass per prime.
+- Finite places are exact, from the ord_v(xi^n - 1) that the count reads
+  (counting.char0_point: min(t, 0) wherever t = n . ords != 0, so
+  only places with t = 0 cost a valuation). ord_v < 0 means t < 0, where
+  |1 - phi_v(n)|_v = 1 and h_v = -ord_v f_v log p; ord_v > 0 means t = 0,
+  where h_v = 0 and the g term is -ord_v f_v log p.
 - Ties: when the n . l_v ball contains 0, the <= branch is taken (h_v = 0),
   and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
   which differs by exactly n . l_v; nothing escalates.
@@ -50,10 +53,10 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log, mpf_s
 
 from .action import (PlacedComponent, PlacedSpec, iter_shell_points,  # noqa: F401
                      lattice_shell_points)  # callers read the list form from here too
-from .counting import char0_powers, count_at_powers, require_nonzero
+from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, compare_abs_to_one,
-                          log_abs_one_minus_exp, log_sigma_ball, valuations_above)
+                          log_abs_one_minus_exp, log_sigma_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +112,21 @@ def _scaled_log(m: int) -> int:
 _prime_log = functools.lru_cache(maxsize=None)(_scaled_log)
 
 
-def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], xn,
+def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point,
                        count: int) -> tuple[float, int, int, int]:
-    """(g, h, miss, radius) for one component at n, from xn = xi^n and its count:
-    g as a float; h and miss = g + h - log count, whose exact value is 0, as
-    integers at scale 2^-DEFAULT_PREC, with radius bounding miss's error."""
-    field = pc.component.field
-    columns: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
+    """(g, h, miss, radius) for one component at n, from the char0_point its
+    count read and that count: g as a float; h and miss = g + h - log count,
+    whose exact value is 0, as integers at scale 2^-DEFAULT_PREC, with radius
+    bounding miss's error."""
     total = fzero  # g's terms, summed exactly
     h = 0  # at scale 2^-DEFAULT_PREC
     radius = 2  # the rounding of total and of log count
-    for k, (place, ords) in enumerate(zip(pc.places, pc.finite_ords)):
-        if ords is not None:
-            if t := sum(v * o for v, o in zip(n, ords)):
-                c = max(-t, 0) * place.res_degree  # h_v = c log p
-                h += c * _prime_log(place.p)
-            else:
-                if place.p not in columns:
-                    columns[place.p] = valuations_above(field, place.p, field.sub(xn, field.one()))
-                c = columns[place.p][place.index] * place.res_degree  # the term is -c log p
+    for k, (place, o) in enumerate(zip(pc.places, point.ords)):
+        if o is not None:
+            c = o * place.res_degree  # log |xi^n - 1|_v = -c log p
+            if c < 0:
+                h -= c * _prime_log(place.p)
+            elif c:
                 total = mpf_add(total, from_man_exp(-c * _prime_log(place.p), -DEFAULT_PREC))
             radius += abs(c)  # each log p is within 1
             continue
@@ -204,7 +203,7 @@ class ScanReport:
 
 
 def point_record(ps: PlacedSpec, n) -> PointRecord:
-    """count, f, h(n_hat) and g at n, from one xi^n per component.
+    """count, f, h(n_hat) and g at n, from one char0_point per component.
 
     h and g come from one pass over each char-0 component's support places,
     which also checks f = g + h with proven radii only: in integers at scale
@@ -213,11 +212,11 @@ def point_record(ps: PlacedSpec, n) -> PointRecord:
     """
     n = require_nonzero(n)
     norm = _norm2(n)
-    powers = char0_powers(ps, n)
-    res = count_at_powers(ps, n, powers)
-    parts = [(mult, _log_one_minus_phi(pc, n, xn, count))
-             for (pc, mult), xn, (count, _) in zip(ps.entries, powers, res.per_component)
-             if xn is not None]
+    points = char0_points(ps, n)
+    res = count_at_points(ps, n, points)
+    parts = [(mult, _log_one_minus_phi(pc, n, point, count))
+             for (pc, mult), point, (count, _) in zip(ps.entries, points, res.per_component)
+             if point is not None]
     g, h, miss, radius = (sum(m * part[i] for m, part in parts) for i in range(4))
     if abs(miss) > radius:
         raise ConsistencyError(f"decomposition mismatch at n={n}: g + h - log count = "

@@ -482,19 +482,33 @@ def _charp(draw, d):
     return {"char": draw(st.sampled_from([2, 3, 4])), "generators": gens}
 
 
+SPEC_ARG = "<spec>"  # replaced by the drawn spec's path
+
+
 @st.composite
 def _cli_case(draw, command):
     d = draw(st.integers(1, 2))
     comps = draw(st.lists(st.one_of(_char0(d), _charp(d)), min_size=1, max_size=2))
     vector = ",".join(str(draw(st.integers(-3, 3))) for _ in range(d))
-    argv = {"count": ["--n", vector], "table": ["--range", ",".join(["-2:2"] * d)],
-            "scan": ["--rmin", "1", "--rmax", "3"], "validate": ["--radius", "2"]}
-    return {"d": d, "components": comps}, [command, *argv.get(command, [])]
+    if command == "mahler":
+        coeff = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+        argv = ["--poly", ",".join(map(str, draw(st.lists(coeff, max_size=6))))]
+    elif command == "oracle":
+        argv = draw(st.sampled_from([
+            ["ledrappier", "--n", str(draw(st.integers(-3, 40)))],
+            ["window", "--spec", SPEC_ARG, "--n", vector,
+             "--window", str(draw(st.integers(-1, 4)))]]))
+    else:
+        argv = ["--spec", SPEC_ARG] + {
+            "count": ["--n", vector], "table": ["--range", ",".join(["-2:2"] * d)],
+            "scan": ["--rmin", "1", "--rmax", "3"], "validate": ["--radius", "2"]
+        }.get(command, [])
+    return {"d": d, "components": comps}, [command, *argv]
 
 
 @pytest.mark.parametrize("command", ["count", "table", "scan", "extrema", "nonexpansive",
-                                     "validate"])
-@settings(max_examples=8, derandomize=True, deadline=None)  # 48 seeded examples in all
+                                     "validate", "mahler", "oracle"])
+@settings(max_examples=8, derandomize=True, deadline=None)  # 64 seeded examples in all
 @given(data=st.data())
 def test_cli_answers_or_exits_with_a_typed_code(command, data):
     doc, argv = data.draw(_cli_case(command))
@@ -503,7 +517,8 @@ def test_cli_answers_or_exits_with_a_typed_code(command, data):
         spec = os.path.join(tmp, "spec.json")
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        argv = [spec if a == SPEC_ARG else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([argv[0], "--spec", spec, *argv[1:]])
+            rc = main(argv)
     assert rc in (0, 1, 2, 3), (doc, argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

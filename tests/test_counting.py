@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from entrank import (
 )
 from entrank import groebner
 from entrank.groebner import GroebnerBasis
+from entrank.numberfield import finite_places_above
 
 
 def strip_23(x: Fraction) -> int:
@@ -164,20 +166,139 @@ def test_support_prime_selection(doc, expected):
         assert count_prime_char0(pc, tuple(-v for v in n)).value == value, n
 
 
+# two support places above 3, where xi_2 has ords (2, -2)
+TWO_ABOVE_3 = {"d": 2, "components": [{"char": 0, "min_poly": [3, 3, 1, -2, 1],
+                                       "xi": [[1, 1, 0, 1, 1, 1, 0, 1],
+                                              [-1, 1, 0, 1, -1, 3, 0, 1]]}]}
+
+
 def test_count_rejects_non_integral_place_product(monkeypatch):
-    # several places above 3 are in the support, so valuations_above runs
-    # there; one valuation too many at each such place leaves a fraction in
-    # the product
+    # at (1, 0) both places above 3 have n . ords = 0, so valuations_above
+    # runs there; one valuation too many at each such place leaves 3^-2 in
+    # the product, which the per-prime guard reports
     import entrank.counting as counting
 
-    pc = place_spec(parse_spec({"d": 2, "components": [
-        {"char": 0, "min_poly": [3, 3, 1, -2, 1],
-         "xi": [[1, 1, 0, 1, 1, 1, 0, 1], [-1, 1, 0, 1, -1, 3, 0, 1]]}]})).placed_char0()[0][0]
+    pc = place_spec(parse_spec(TWO_ABOVE_3)).placed_char0()[0][0]
+    assert count_prime_char0(pc, (1, 0)).value > 0
     inner = counting.valuations_above
     monkeypatch.setattr(counting, "valuations_above",
                         lambda field, p, x: tuple(v + 1 for v in inner(field, p, x)))
-    with pytest.raises(ConsistencyError, match="expected a positive integer"):
-        count_prime_char0(pc, (1, 1))
+    with pytest.raises(ConsistencyError, match="support places above 3 carry"):
+        count_prime_char0(pc, (1, 0))
+
+
+@pytest.mark.parametrize("doc, n", [
+    (TWO_ABOVE_3, (1, 1)),  # both places above 3 have n . ords != 0
+    ({"d": 2, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}]},
+     (3, -2)),  # the only place above 3
+])
+def test_count_guard_catches_a_corrupt_ord_row(doc, n):
+    # no valuation is taken at 3, so a wrong ord_v(xi_2) row there still
+    # gives an integer product, but its share of ord_3 N(xi^n - 1) is off
+    import dataclasses
+
+    pc = place_spec(parse_spec(doc)).placed_char0()[0][0]
+    rows = list(pc.finite_ords)
+    k = next(k for k, place in enumerate(pc.places) if place.p == 3 and rows[k][1] * n[1] < 0)
+    rows[k] = (rows[k][0], rows[k][1] + (1 if rows[k][1] > 0 else -1))
+    bad = dataclasses.replace(pc, finite_ords=tuple(rows))
+    assert count_prime_char0(pc, n).value > 0
+    with pytest.raises(ConsistencyError, match="support places above 3 carry"):
+        count_prime_char0(bad, n)
+
+
+SWEEP_VECTORS = ((1, 0), (0, 1), (1, 1), (-1, -1), (1, -1), (2, -1), (-2, 1), (2, 1),
+                 (1, 2), (3, 0), (0, 2))
+
+
+def _sweep_like_docs(seed: int, count: int):
+    """Seeded d = 2 docs shaped like the spec-sweep benchmark's: monic
+    minimal polynomials of degree 2..8 with coefficients in [-3, 3], and
+    xi coordinates p/q with p in [-2, 2], q in {1, 2, 3}."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(2, 8)
+        yield {"d": 2, "components": [{
+            "char": 0, "min_poly": [rng.randint(-3, 3) for _ in range(degree)] + [1],
+            "xi": [[x for _ in range(degree)
+                    for x in (rng.randint(-2, 2), rng.choice((1, 1, 1, 2, 3)))]
+                   for _ in range(2)]}]}
+
+
+def _lifted_shares(field, p: int, x) -> tuple[list[int], tuple[int, ...]]:
+    """(ord_p Res(F_v, A) per place above p, ord_v(x) per place above p)
+    from one resultant per Hensel-lifted local factor F_v, x = A(theta)/c."""
+    from entrank.algebra import ord_p, resultant
+    from entrank.numberfield import _integral_norm, _lifted_local_factors
+
+    v_total = ord_p(_integral_norm(field.min_poly, x.num), p)
+    blocks = _lifted_local_factors(field, p, 1 << v_total.bit_length())
+    shares = [ord_p(resultant(block, x.num), p) for block in blocks]
+    den_ord = ord_p(x.den, p) if x.den % p == 0 else 0
+    return shares, tuple(v // place.res_degree - place.ram_index * den_ord
+                         for v, place in zip(shares, finite_places_above(field, p)))
+
+
+def test_count_route_matches_valuations_on_sweep_specs(monkeypatch):
+    # counts from the n . ords rule, the sole-place norm rule and the shared
+    # pass equal counts with every ord read from valuations_above, and
+    # valuations_above equals one lifted resultant per place, lifting only
+    # where more than one place above p takes a share
+    import entrank.numberfield as numberfield
+    from entrank.errors import SpecError, UnsupportedPrimeError
+
+    lifts = []
+    inner = numberfield._lifted_local_factors
+    monkeypatch.setattr(numberfield, "_lifted_local_factors",
+                        lambda *args: lifts.append(args) or inner(*args))
+    specs = counts = index_primes = 0
+    unlifted = set()  # (e > 1, f > 1) of places that took all of v_total without a lift
+    for doc in _sweep_like_docs(20261, 90):
+        try:
+            spec = parse_spec(doc)
+        except SpecError:
+            continue
+        try:
+            pc = place_spec(spec).placed_char0()[0][0]
+        except UnsupportedPrimeError:
+            index_primes += 1
+            continue
+        specs += 1
+        field = pc.component.field
+        primes = sorted({place.p for place in pc.places if place.kind == "finite"})
+        for n in SWEEP_VECTORS:
+            x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
+            if x.is_zero():
+                continue
+            expected = abs(field.norm(x))
+            for place in pc.places:
+                if place.kind == "finite":
+                    o = numberfield.valuations_above(field, place.p, x)[place.index]
+                    expected *= Fraction(place.p) ** (-place.res_degree * o)
+            assert count_prime_char0(pc, n).value == expected, (doc, n)
+            counts += 1
+            for p in primes:
+                lifts.clear()
+                got = numberfield.valuations_above(field, p, x)
+                lifted = bool(lifts)
+                shares, ords = _lifted_shares(field, p, x)
+                assert got == ords, (doc, n, p)
+                takers = [i for i, v in enumerate(shares) if v]
+                assert lifted == (len(takers) > 1), (doc, n, p)
+                if len(takers) == 1 and len(shares) > 1:
+                    place = finite_places_above(field, p)[takers[0]]
+                    unlifted.add((place.ram_index > 1, place.res_degree > 1))
+    assert specs >= 40 and counts >= 400 and index_primes >= 1
+    assert {(True, False), (False, True)} <= unlifted
+
+
+def test_index_prime_raises_unsupported_not_consistency():
+    from entrank.errors import UnsupportedPrimeError
+
+    # 2 divides [O_K : Z[sqrt(-3)]], and xi = 2 puts 2 in the support
+    with pytest.raises(UnsupportedPrimeError):
+        place_spec(parse_spec({"d": 1, "components": [
+            {"char": 0, "min_poly": [3, 0, 1], "xi": [[2, 1, 0, 1]]}]}))
 
 
 def test_growth_matches_entropy(x2x3_pc):

@@ -506,46 +506,37 @@ def test_scan_budget_below_one_is_a_domain_error(x2x3):
 
 
 def test_g_runs_ord_v_only_where_n_ords_is_zero(golden, monkeypatch):
-    import entrank.scan as scan
-
-    calls = []
-    inner = scan.valuations_above
-
-    def recording(field, p, x):
-        calls.append(p)
-        return inner(field, p, x)
+    import entrank.counting as counting
 
     def no_pass(field, p, x):
-        raise AssertionError("g reached valuations_above")
+        raise AssertionError("the point reached valuations_above")
 
     # ords above 2 are (0, 1): at (7, 3) the 2-adic term is 0 without a valuation pass
-    monkeypatch.setattr(scan, "valuations_above", no_pass)
+    monkeypatch.setattr(counting, "valuations_above", no_pass)
     assert point_record(golden, (7, 3)).count == 295
-    monkeypatch.setattr(scan, "valuations_above", recording)
-    # g from ord_v(xi^n - 1) - min(n . ords, 0) at every finite place
+    # g from ord_v(xi^n - 1) - min(n . ords, 0) at every finite place; the
+    # only place above 2 reads ord_2 N(xi^n - 1) / f_v, still without a pass
     for n, g in [((7, 0), -0.00016956363296430056), ((3, 0), -0.4812118250596034)]:
-        calls.clear()
         assert point_record(golden, n).g == pytest.approx(g, rel=1e-12, abs=1e-15)
-        assert calls == [2]
 
 
 def test_g_takes_one_valuation_pass_per_prime(monkeypatch):
-    # two places above 3 have n . ords = 0 at (0, 1); g reads both from one pass
+    # at (0, 1) n . ords = 0 at both places above 3 and at the one above 89
+    # in the support; count and g share one pass at each of those primes
     import entrank.counting as counting
-    import entrank.scan as scan
 
     ps = place_spec(parse_spec({"d": 2, "components": [
         {"char": 0, "min_poly": [3, 3, 1, -2, 1],
          "xi": [[1, 3, 1, 1, 0, 1, 0, 1], [2, 1, 0, 1, 1, 2, 0, 1]]}]}))
-    g_side, count_side = [], []
-    for module, calls in ((scan, g_side), (counting, count_side)):
-        def recording(field, p, x, inner=module.valuations_above, calls=calls):
-            calls.append(p)
-            return inner(field, p, x)
-        monkeypatch.setattr(module, "valuations_above", recording)
+    calls = []
+
+    def recording(field, p, x, inner=counting.valuations_above):
+        calls.append(p)
+        return inner(field, p, x)
+
+    monkeypatch.setattr(counting, "valuations_above", recording)
     point_record(ps, (0, 1))
-    assert g_side == [3, 89]  # one pass at 3 serves both places above it
-    assert count_side.count(89) == 1  # the count keeps its own pass
+    assert calls == [3, 89]  # one pass per prime per point, count and g together
 
 
 @pytest.mark.parametrize("doc", [
