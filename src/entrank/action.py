@@ -31,8 +31,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .algebra import factor_int, is_prime
 from .errors import MathDomainError, SpecError
 from .numberfield import (
@@ -220,30 +218,42 @@ def load_spec(path: str) -> ActionSpec:
 
 @dataclass(frozen=True)
 class PlacedComponent:
-    """A char-0 component with its support places and Lyapunov vectors.
+    """A char-0 component with its support places and one row per place.
 
     The place set is every archimedean place plus every finite place where
-    some coordinate of xi has nonzero valuation; with that choice the rows
-    of `lyapunov` sum to zero coordinate-wise (product formula).
+    some coordinate of xi has nonzero valuation. A finite place's row holds
+    the integers ord_v(xi_i); an archimedean place's holds the balls
+    log_sigma_ball(v, xi_i) at scale 2^-DEFAULT_PREC, so that a point's sum
+    n_i log sigma_v(xi_i) is exact in integers. `lyapunov` is the float view
+    of the rows, which sum to zero coordinate-wise (product formula).
     """
 
     component: Char0Component
     places: tuple[Place, ...]
-    lyapunov: tuple[tuple[float, ...], ...]
-    finite_ords: tuple[tuple[int, ...] | None, ...]  # ord_v(xi_i) rows, None at arch
-    # log sigma_v(xi_i) balls in dyadic form at scale 2^-DEFAULT_PREC, so that a
-    # point's sum n_i log sigma_v(xi_i) is exact in integers; None at finite places
-    arch_logs: tuple[tuple[DyadicBall, ...] | None, ...]
+    rows: tuple[tuple[int, ...] | tuple[DyadicBall, ...], ...]
 
     @property
     def d(self) -> int:
         return self.component.d
 
+    @property
+    def lyapunov(self) -> tuple[tuple[float, ...], ...]:
+        """l_v = (log |xi_i|_v)_i per place: -ord_v(xi_i) f_v log p at a finite
+        place, weight Re log sigma_v(xi_i) from the ball's centre otherwise."""
+        out = []
+        for place, row in zip(self.places, self.rows):
+            if place.kind == "finite":
+                logp = math.log(place.p)
+                out.append(tuple(-o * place.res_degree * logp for o in row))
+            else:
+                out.append(tuple(math.ldexp(b.re, place.weight - 1 - DEFAULT_PREC) for b in row))
+        return tuple(out)
+
 
 def compute_places(comp: Char0Component) -> PlacedComponent:
     field = comp.field
-    places: list[Place] = list(archimedean_places(field))
-    ord_rows: list[tuple[int, ...] | None] = [None] * len(places)
+    places: list[Place] = archimedean_places(field)
+    rows: list = [tuple(log_sigma_ball(place, el) for el in comp.xi) for place in places]
     # xi is a unit at every place above p iff xi and 1/xi are both integral
     # there, i.e. iff p divides no denominator of charpoly(xi) or of
     # charpoly(1/xi) = reversed charpoly(xi) / its constant term. The norm
@@ -261,20 +271,8 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
         for place, ords in zip(finite_places_above(field, p), zip(*columns)):
             if any(ords):
                 places.append(place)
-                ord_rows.append(ords)
-    lyap = []
-    logs: list[tuple[DyadicBall, ...] | None] = []
-    for place, ords in zip(places, ord_rows):
-        if place.kind == "finite":
-            logp = math.log(place.p)
-            lyap.append(tuple(-o * place.res_degree * logp for o in ords))
-            logs.append(None)
-        else:  # one ball per sigma_v(xi_i): the Lyapunov row and every point's g
-            balls = tuple(log_sigma_ball(place, el) for el in comp.xi)
-            lyap.append(tuple(float(mp.ldexp(b.re, place.weight - 1)) for b in balls))
-            logs.append(tuple(b.dyadic(DEFAULT_PREC) for b in balls))
-    return PlacedComponent(component=comp, places=tuple(places), lyapunov=tuple(lyap),
-                           finite_ords=tuple(ord_rows), arch_logs=tuple(logs))
+                rows.append(ords)
+    return PlacedComponent(component=comp, places=tuple(places), rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -357,11 +355,6 @@ def _points_with_square_norm_in(d: int, a: int, b: int) -> Iterator[tuple[int, .
     return extend((), 0)
 
 
-def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
-    """Every point iter_shell_points yields, in its order."""
-    return list(iter_shell_points(d, r_min, r_max))
-
-
 def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     """Verify xi^n != 1 (char 0) / u^n - 1 not in the ideal (char p) up to a radius.
 
@@ -379,7 +372,7 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                     violations.append(
                         f"components[{idx}]: xi[{j}] is a root of unity of order {order}")
             one = field.one()
-            for n in lattice_shell_points(spec.d, 0, radius):
+            for n in iter_shell_points(spec.d, 0, radius):
                 if field.pow_vector(comp.xi, n) == one:
                     violations.append(f"components[{idx}]: xi^{n} = 1")
         else:

@@ -7,6 +7,8 @@ error, 3 resource or budget limit, 4 internal-consistency failure, 141
 
 Output is deterministic: fixed iteration orders and floats printed with 12
 significant digits; counts print in full, however many digits they have.
+h is even, so `extrema` prints each direction as the one of +-x whose first
+nonzero coordinate is positive.
 `table --format csv` prints its header, then each line as its count
 finishes; if a count fails, the lines printed stay and the exit code is the
 error's. The ascii table needs every count for its widths, so it prints
@@ -165,11 +167,20 @@ def cmd_extrema(args) -> int:
         print("not available: no char-0 components, so no computed places")
         return 0
     ex = sphere_extrema(ef)
-    print(f"max {_fmt(ex.max_value)} at ({', '.join(_fmt(v) for v in ex.argmax)})")
-    print(f"min {_fmt(ex.min_value)} at ({', '.join(_fmt(v) for v in ex.argmin)})")
+    for name, value, x in (("max", ex.max_value, ex.argmax), ("min", ex.min_value, ex.argmin)):
+        print(f"{name} {_fmt(value)} at ({', '.join(_fmt(v) for v in _first_positive(x))})")
     print(f"method {ex.method}; theoretical C1 = max; sphere min is the "
           "C2 candidate (empirical liminf direction)")
     return 0
+
+
+def _first_positive(x: tuple[float, ...]) -> tuple[float, ...]:
+    """x or -x, whichever has a positive first nonzero entry: each component's
+    Lyapunov rows sum to zero (product formula), so h(x) = h(-x), and which of
+    the two sphere_extrema returns is up to the rounding of the float rows."""
+    if next((v for v in x if v), 0.0) >= 0:
+        return x
+    return tuple(0.0 - v for v in x)
 
 
 def cmd_nonexpansive(args) -> int:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .action import CharPComponent, PlacedComponent, PlacedSpec, lattice_shell_points
+from .action import CharPComponent, PlacedComponent, PlacedSpec, iter_shell_points
 from .algebra import ord_p, rank_mod_q
 from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
@@ -80,10 +80,10 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     """N(x) and ord_v(x) at each place of pc (None at archimedean ones) for
     x = xi^n - 1, xi^n formed once.
 
-    With t = n . pc.finite_ords[k], ord_v(xi^n) = t, so where t != 0 the
-    ultrametric inequality gives ord_v(x) = min(t, 0) outright. Where t = 0
-    the only place above p takes ord_p N(x) / f_v, and at a prime with
-    several places one valuations_above pass serves all of them.
+    At a finite place, with t = n . pc.rows[k], ord_v(xi^n) = t, so where
+    t != 0 the ultrametric inequality gives ord_v(x) = min(t, 0) outright.
+    Where t = 0 the only place above p takes ord_p N(x) / f_v, and at a
+    prime with several places one valuations_above pass serves all of them.
 
     Guard: the places above p outside the support hold units, where x is
     integral, so sum over support v | p of f_v ord_v(x) <= ord_p N(x), with
@@ -100,8 +100,8 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     ords: list[int | None] = []
     passes: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
     sums: dict[int, tuple[int, int]] = {}  # p -> (sum of f_v ord_v, places left out)
-    for place, row in zip(pc.places, pc.finite_ords):
-        if row is None:
+    for place, row in zip(pc.places, pc.rows):
+        if place.kind == "arch":
             ords.append(None)
             continue
         p, f = place.p, place.res_degree
@@ -431,11 +431,10 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
     """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal."""
-    points = lattice_shell_points(pc.d, 0, radius)
     nvars, gens = _charp_base_generators(pc)
     gb = GroebnerBasis(pc.q, nvars, gens)
     out = []
-    for n in points:
+    for n in iter_shell_points(pc.d, 0, radius):
         if not gb.normal_form(_relation_for(pc, n)):
             out.append(n)
     return out

@@ -106,6 +106,9 @@ def sphere_extrema(ef: EntropyFunction) -> SphereExtrema:
     no cell lies in the kernel, so a line where every row vanishes only
     gives the minimum, 0. Every decision is made in the integers of
     `ef.rows`; exact ties go to the lexicographically greatest c_S, and r / |r|.
+    For a placed spec h is even up to the rounding of the float rows, so
+    which of r and -r is returned can rest on that rounding; the cli prints
+    the one whose first nonzero entry is positive.
     """
     if not ef.terms:
         raise MathDomainError("entropy function has no terms (no char-0 places)")
@@ -261,7 +264,8 @@ def nonexpansive_candidates(ef: EntropyFunction) -> list[Hyperplane]:
     for t, (_m, row) in zip(ef.terms, ef.rows[1]):
         if any(row) and (key := _primitive(row)) not in planes:
             norm = math.copysign(math.hypot(*t.l), next(c for c in row if c))
-            planes[key] = Hyperplane(normal=tuple(c / norm for c in t.l))
+            # + 0.0 turns the -0.0 of a zero entry over a negative norm into 0.0
+            planes[key] = Hyperplane(normal=tuple(c / norm + 0.0 for c in t.l))
     return list(planes.values())
 
 

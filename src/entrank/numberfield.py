@@ -22,9 +22,8 @@ element's integral part, shared with NumberField.norm through one small
 cache, and splits its ord_p among the places above p: all of it to the
 only place, or to the only one whose residue factor divides the integral
 part mod p, or else by one resultant per Hensel-lifted local factor,
-checked against the same total. Each (field, prime) lifts its local
-factors from p once and keeps that lift with its Bezout cofactors: a lower
-precision reuses it, a higher one continues it. ord_v reads one entry of
+checked against the same total. Each (field, prime, precision) lifts its
+local factors from p once, and the lift is cached. ord_v reads one entry of
 that pass.
 
 Archimedean data carries proven error radii. The roots of the minimal
@@ -35,9 +34,9 @@ whose radius comes from the last sweep, rounded up once, and discs are told
 apart exactly. An embedding's value sigma_v(x) is A(z) / c, with A(z) from
 integer Horner at the exact centre z in a ball whose integer radius covers
 that disc, and every ball built from these carries its radius on, rounded
-outward. A logarithm ball for sigma_v(x) also has a dyadic form, integers
-at scale 2^-prec with the radius rounded up, so that integer combinations
-of such balls are exact.
+outward. A logarithm ball for sigma_v(x) is held in one form, integers at
+scale 2^-prec with the radius rounded up, so that integer combinations of
+such balls are exact; log |x|_v and its float are views of that ball.
 log |1 - e^t| is evaluated from a dyadic ball at prec - 32 + log2 |t.rad|
 bits (about 100 + log2 |n| at the default precision) on mpmath's raw libmp
 numbers: one exp (and cos/sin at a complex place), then the log of 1 - e^t
@@ -315,26 +314,6 @@ class DyadicBall(NamedTuple):
     re: int
     im: int
     rad: int
-
-
-class LogBall(NamedTuple):
-    """A ball of radius rad around re + i im in C; at a real place im is
-    instead the parity 0 or 1 of the phase pi * im."""
-
-    re: mp.mpf
-    im: mp.mpf | int
-    rad: mp.mpf
-
-    def dyadic(self, prec: int) -> DyadicBall:
-        """This ball at scale 2^-prec: re and im rounded to the nearest
-        integer (the parity kept at a real place) and the radius rounded up,
-        plus 1 for the rounding of re and im, which moves the centre by at
-        most 2^-prec / sqrt(2). The dyadic ball holds this one."""
-        def scaled(x, rnd):
-            return to_int(mpf_shift(x._mpf_, prec), rnd)
-
-        im = self.im if isinstance(self.im, int) else scaled(self.im, "n")
-        return DyadicBall(scaled(self.re, "n"), im, scaled(self.rad, "c") + 1)
 
 
 def ldexp_up(m: int, e: int) -> float:
@@ -645,25 +624,13 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
-def _local_lift(field: NumberField, p: int) -> list:
-    """[lift]: the local factors at p, mod p to begin with, then the highest
-    HenselLift of them asked for so far."""
-    return [[gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]]
-
-
 def _lifted_local_factors(field: NumberField, p: int, k: int) -> list[tuple[int, ...]]:
-    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted to precision p^K for
-    some K >= k (k a power of two).
-
-    Each (field, p) lifts from p once: its lift is held, with the product
-    tree's cofactors, and a request above its K continues it from p^K.
-    Any smaller k reuses it: for F_i lifted mod p^K and A integral,
-    Res(F_i + p^K G, A) = Res(F_i, A) mod p^K, so a resultant whose ord_p is
-    below k <= K has the same ord_p from either lift.
-    """
-    held = _local_lift(field, p)
-    held[0] = hensel_lift_factors(field.min_poly, held[0], p, k)
-    return held[0]
+    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted from p to p^k (k a
+    power of two). For F_i lifted mod p^k and A integral,
+    Res(F_i + p^k G, A) = Res(F_i, A) mod p^k, so a resultant whose ord_p is
+    below k has the ord_p of the true local factor's."""
+    blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
+    return hensel_lift_factors(field.min_poly, blocks, p, k)
 
 
 def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
@@ -736,9 +703,10 @@ def log_abs_v(place: Place, x: Element) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBall:
-    """A logarithm of sigma_v(x) as a ball, refining precision from prec up
-    until the ball for sigma_v(x) is at most half as wide as its distance to 0.
+def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> DyadicBall:
+    """A logarithm of sigma_v(x) as a ball at scale 2^-prec, refining the
+    working precision from prec up until the ball for sigma_v(x) is at most
+    half as wide as its distance to 0.
 
     eval_embedding's integer ball gives sigma_v(x) = (V / den) (1 + d) with
     |d| <= u = radius / |V| < 1/2, so log(V / den) + log(1 + d) is a
@@ -746,9 +714,11 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBal
     is one libmp log of |V|^2 / den^2 and, at a complex place, its
     imaginary part one atan2, each rounded to nearest at work + 20 bits.
     At a real place the imaginary part is the parity 0 or 1 of the sign
-    (phase pi * im). The radius also carries (1 + |re| + |im|) 2^(4 - prec), so that a sum
-    of n_i times such balls, formed at prec bits, stays inside the sum of
-    |n_i| times their radii.
+    (phase pi * im). The radius also carries (1 + |re| + |im|) 2^(4 - prec),
+    so that a sum of n_i times such balls, formed at prec bits, stays inside
+    the sum of |n_i| times their radii. At scale 2^-prec re and im are
+    rounded to the nearest integer and the radius up, plus 1 for that
+    rounding, which moves the centre by at most 2^-prec / sqrt(2).
     """
     if place.kind != "arch":
         raise MathDomainError("log sigma_v is for archimedean places")
@@ -768,16 +738,26 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> LogBal
             u = mp.make_mpf(mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c"))
             with mp.workprec(wp):
                 slack = (1 + abs(re) + abs(im)) * mp.ldexp(1, 4 - prec)
-                return LogBall(re, im, (u + slack) * OUTWARD)
+                radius = (u + slack) * OUTWARD
+            return DyadicBall(_scaled(re, prec, "n"),
+                              im if emb.is_real else _scaled(im, prec, "n"),
+                              _scaled(radius, prec, "c") + 1)
         if work >= MAX_PREC:
             raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
         work *= 2
 
 
+def _scaled(x: mp.mpf, prec: int, rnd: str) -> int:
+    """x 2^prec rounded to an integer in the direction rnd."""
+    return to_int(mpf_shift(x._mpf_, prec), rnd)
+
+
 def log_abs_v_ball(place: Place, x: Element) -> tuple[mp.mpf, mp.mpf]:
-    """Archimedean log |x|_v with a proven error radius, refining precision as needed."""
-    ball = log_sigma_ball(place, x)
-    return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
+    """Archimedean log |x|_v with a proven error radius: log_sigma_ball's
+    ball at DEFAULT_PREC, read as exact mpf values."""
+    ball, shift = log_sigma_ball(place, x), place.weight - 1 - DEFAULT_PREC
+    return (mp.make_mpf(from_man_exp(ball.re, shift)),
+            mp.make_mpf(from_man_exp(ball.rad, shift)))
 
 
 def compare_abs_to_one(place: Place, log_ball) -> int:

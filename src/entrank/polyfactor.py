@@ -7,9 +7,8 @@ Mignotte bound, recombine subsets. Degrees stay small here (field degree is
 capped at 8), so subset recombination is never a cost concern.
 
 One Hensel lift serves Zassenhaus and number fields' local factors: quadratic
-steps p^k -> p^2k on a product tree whose nodes keep their Bezout cofactors
-(von zur Gathen-Gerhard, Modern Computer Algebra, 15.5). Its result keeps
-the tree, so a higher power continues from p^k rather than from p.
+steps p^k -> p^2k on a product tree whose nodes carry their Bezout cofactors
+(von zur Gathen-Gerhard, Modern Computer Algebra, 15.5), always from p.
 
 Polynomials over Z/m are plain lists of ints in [0, m), ascending degree,
 trimmed. The gf_* helpers are the one family for Z/m[x]: they take any
@@ -272,65 +271,28 @@ def _gf_ext_gcd(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-class HenselLift(list):
-    """hensel_lift_factors' result: the lifted factors mod p^k as tuples, in
-    input order, with k and the product tree at p^k. A node is (G, H, S, T,
-    left, right), G H = F and S G + T H = 1 mod p^k for the node's
-    polynomial F, its factors halved into G and H; a single factor is None."""
+def hensel_lift_factors(f, factors: list[GfPoly], p: int,
+                        target_exp: int) -> list[tuple[int, ...]]:
+    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k,
+    k the least power of two >= target_exp, as tuples in input order; the
+    product of the lifted factors is f mod p^k. Monic lifts are unique, so
+    a lift to p^k is a lift to any higher power reduced mod p^k.
 
-    __slots__ = ("k", "tree")
-
-    def __init__(self, factors, k: int, tree):
-        super().__init__(factors)
-        self.k, self.tree = k, tree
-
-
-def _hensel_tree(factors: list[GfPoly], p: int):
-    """The product tree of pairwise-coprime factors mod p (k = 1)."""
+    f's two halves G, H and their Bezout cofactors S, T mod p are lifted by
+    quadratic steps, then each half with its own factors."""
+    k = 1 << (target_exp - 1).bit_length()
+    f = [c % p**k for c in f]
     if len(factors) == 1:
-        return None
+        return [tuple(f)]
     half = len(factors) // 2
-    left, right = factors[:half], factors[half:]
-    G, H = gf_prod(left, p), gf_prod(right, p)
-    return (*map(tuple, (G, H, *_gf_ext_gcd(G, H, p))),
-            _hensel_tree(left, p), _hensel_tree(right, p))
-
-
-def _lift_tree(f, node, p: int, k: int, target: int, out: list):
-    """node, valid mod p^k for f, lifted to p^target; appends the factors,
-    f at a leaf, to out. A step reads f mod m^2 only, so a node continued
-    from p^k takes the very steps a lift from p takes past k."""
-    if node is None:
-        out.append(f)
-        return None
-    G, H, S, T, left, right = node
-    m = p ** k
-    for _ in range((target // k).bit_length() - 1):
+    G, H = gf_prod(factors[:half], p), gf_prod(factors[half:], p)
+    S, T = _gf_ext_gcd(G, H, p)
+    m = p
+    for _ in range(k.bit_length() - 1):
         G, H, S, T = _hensel_step(f, G, H, S, T, m)
         m *= m
-    G, H, S, T = map(tuple, (G, H, S, T))
-    return (G, H, S, T, _lift_tree(G, left, p, k, target, out),
-            _lift_tree(H, right, p, k, target, out))
-
-
-def hensel_lift_factors(f, factors: list[GfPoly] | HenselLift, p: int,
-                        target_exp: int) -> HenselLift:
-    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k,
-    k the least power of two >= target_exp; the product of the lifted
-    factors is f mod p^k.
-
-    factors may be an earlier result for the same f and p: returned as it
-    is at k >= target_exp, else continued from its k. Monic lifts are
-    unique, so the factors equal a lift from p reduced mod p^k.
-    """
-    k = 1 << (target_exp - 1).bit_length()
-    if not isinstance(factors, HenselLift):
-        factors = HenselLift(map(tuple, factors), 1, _hensel_tree(factors, p))
-    if factors.k >= k:
-        return factors
-    out: list[tuple[int, ...]] = []
-    tree = _lift_tree(tuple(c % p**k for c in f), factors.tree, p, factors.k, k, out)
-    return HenselLift(out, k, tree)
+    return (hensel_lift_factors(G, factors[:half], p, k)
+            + hensel_lift_factors(H, factors[half:], p, k))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +335,11 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
     assert best is not None
     p, modular = best
     bound = (1 << len(f)) * (math.isqrt(sum(c * c for c in f)) + 1)  # Mignotte
-    target = 1
-    while p**target <= 2 * bound:
-        target += 1
-    lifted = hensel_lift_factors(f, modular, p, target)
-    m = p ** lifted.k
+    k = 1
+    while p**k <= 2 * bound:
+        k *= 2
+    lifted = hensel_lift_factors(f, modular, p, k)
+    m = p**k
 
     remaining = list(range(len(lifted)))
     current = f

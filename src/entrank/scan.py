@@ -8,7 +8,7 @@ log |1 - phi_v(n)|_v. point_record takes one counting.char0_point per
 component (the norm of xi^n - 1 and its finite place orders); the count
 comes from it exactly, and one pass over the places forms h and g:
 
-- Archimedean places. Placement caches log sigma_v(xi_i) as dyadic balls:
+- Archimedean places. Placement holds log sigma_v(xi_i) as dyadic balls:
   integers RE, IM (the parity at a real place) and RAD at scale
   2^-DEFAULT_PREC. log sigma_v(xi^n) is then the ball around S + i IM,
   S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
@@ -51,8 +51,7 @@ from dataclasses import dataclass
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log, mpf_shift, to_float,
                           to_int)
 
-from .action import (PlacedComponent, PlacedSpec, iter_shell_points,  # noqa: F401
-                     lattice_shell_points)  # callers read the list form from here too
+from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, compare_abs_to_one,
@@ -71,8 +70,8 @@ def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...],
     within weight * R where |xi^n|_v > 1, else 0, and on a tie the widening
     is weight * (|S| + R)."""
     place = pc.places[k]
-    rows = (pc.arch_logs[k] if prec == DEFAULT_PREC
-            else [log_sigma_ball(place, x, prec).dyadic(prec) for x in pc.component.xi])
+    rows = (pc.rows[k] if prec == DEFAULT_PREC
+            else [log_sigma_ball(place, x, prec) for x in pc.component.xi])
     s = im = r = 0
     for v, (re_i, im_i, rad_i) in zip(n, rows):
         s += v * re_i
@@ -89,15 +88,15 @@ def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...],
 def phi_v(pc: PlacedComponent, n) -> tuple:
     """One entry per support place, in pc.places order, for phi_v(n) =
     xi^(-n) where |xi^n|_v > 1, else xi^n (ties resolve to the <= branch):
-    ord_v(phi_v(n)) = |n . pc.finite_ords[k]| at a finite place, and the
+    ord_v(phi_v(n)) = |n . pc.rows[k]| at a finite place, and the
     (ball, tie widening) of _phi_ball at DEFAULT_PREC at an archimedean one.
     """
     n = tuple(int(v) for v in n)
     if all(v == 0 for v in n):
         raise MathDomainError("phi_v needs n != 0")
-    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if ords is None
-                 else abs(sum(v * o for v, o in zip(n, ords)))
-                 for k, ords in enumerate(pc.finite_ords))
+    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if place.kind == "arch"
+                 else abs(sum(v * o for v, o in zip(n, row)))
+                 for k, (place, row) in enumerate(zip(pc.places, pc.rows)))
 
 
 def _scaled_log(m: int) -> int:
@@ -238,6 +237,12 @@ def _env_workers() -> int:
     if workers < 1:
         raise SpecError(f"ENTRANK_WORKERS must be an integer >= 1, got {text!r}")
     return workers
+
+
+def lattice_shell_points(d: int, r_min: float, r_max: float) -> list[tuple[int, ...]]:
+    """Every point iter_shell_points yields, in its order, as a list: the
+    name perfbench's scans and tracer read."""
+    return list(iter_shell_points(d, r_min, r_max))
 
 
 def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,

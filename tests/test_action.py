@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,30 @@ def test_compute_places_deterministic(x2x3_spec):
     assert a.lyapunov == b.lyapunov
 
 
+PINS = json.loads((Path(__file__).parent / "data" / "placement_pins.json").read_text())
+SPECS = Path(__file__).parent.parent / "specs"
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_placed_rows_match_pinned_values(name):
+    # every lyapunov float as float.hex, and the (re, im, rad) integers of
+    # each archimedean row at DEFAULT_PREC and at twice it, as recorded when
+    # placement still held an mpf ball, its dyadic copy and a float row
+    from entrank import load_spec
+    from entrank.numberfield import DEFAULT_PREC, log_sigma_ball
+
+    pc = place_spec(load_spec(str(SPECS / name))).placed_char0()[0][0]
+    assert [[x.hex() for x in row] for row in pc.lyapunov] == PINS[name]["lyapunov"]
+    got = []
+    for place, row in zip(pc.places, pc.rows):
+        if place.kind == "arch":
+            assert row == tuple(log_sigma_ball(place, x) for x in pc.component.xi)
+            got += [[place.label(), prec, [list(log_sigma_ball(place, x, prec))
+                                           for x in pc.component.xi]]
+                    for prec in (DEFAULT_PREC, 2 * DEFAULT_PREC)]
+    assert got == PINS[name]["arch_rows"]
+
+
 # xi = (-2 - 2t/3, -1 - t/2) in Q(t), t^2 + t + 3 = 0: 3 splits and xi_1 has
 # valuations +1 and -1 at the two places above it, so 3 divides no norm
 SPLIT_CANCEL_DOC = {"d": 2, "components": [
@@ -163,7 +189,7 @@ SPLIT_CANCEL_DOC = {"d": 2, "components": [
 
 def test_compute_places_keeps_primes_cancelled_in_the_norm():
     pc = compute_places(parse_spec(SPLIT_CANCEL_DOC).components[0][0])
-    above_3 = sorted(o for p, o in zip(pc.places, pc.finite_ords)
+    above_3 = sorted(o for p, o in zip(pc.places, pc.rows)
                      if p.kind == "finite" and p.p == 3)
     assert above_3 == [(-1, 0), (1, 0)]
 

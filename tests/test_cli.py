@@ -326,6 +326,68 @@ def test_extrema_output(capsys):
     assert abs(float(minline.split()[1]) - emin) < 1e-9
 
 
+def _directions(out: str) -> list[list[str]]:
+    """The coordinates printed after 'at' on extrema's max and min lines."""
+    return [line.split(" at (")[1].rstrip(")").split(", ")
+            for line in out.splitlines()[:2]]
+
+
+def _check_extrema_directions(capsys, path: str) -> None:
+    # each printed direction is the sphere_extrema one or its negation, with
+    # a positive first nonzero coordinate
+    from entrank import entropy_function_of, load_spec, place_spec, sphere_extrema
+
+    rc, out, _ = run(capsys, "extrema", "--spec", path)
+    assert rc == 0
+    ex = sphere_extrema(entropy_function_of(place_spec(load_spec(path))))
+    for printed, v in zip(_directions(out), (ex.argmax, ex.argmin)):
+        first = next(c for c in printed if c != "0")
+        assert not first.startswith("-")
+        assert "-0" not in printed
+        assert printed in ([format(c + 0.0, ".12g") for c in v],
+                           [format(0.0 - c, ".12g") for c in v])
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")
+                                        if p.name != "ledrappier.json"))
+def test_extrema_prints_the_direction_with_a_positive_first_entry(capsys, name):
+    _check_extrema_directions(capsys, str(SPECS / name))
+
+
+def test_extrema_sign_rule_on_sweep_specs(capsys, tmp_path):
+    from entrank import parse_spec, place_spec
+    from entrank.errors import SpecError, UnsupportedPrimeError
+    from tests.test_counting import _sweep_like_docs
+
+    checked = 0
+    for i, doc in enumerate(_sweep_like_docs(20262, 60)):
+        try:
+            place_spec(parse_spec(doc))
+        except (SpecError, UnsupportedPrimeError):
+            continue
+        path = tmp_path / f"sweep{i}.json"
+        path.write_text(json.dumps(doc))
+        _check_extrema_directions(capsys, str(path))
+        checked += 1
+    assert checked >= 25
+
+
+def test_extrema_ratio_shift_k1_max_direction(capsys):
+    # h is even, so the maximum at (0, -1) is printed as (0, 1)
+    rc, out, _ = run(capsys, "extrema", "--spec", str(SPECS / "ratio_shift_k1.json"))
+    assert rc == 0 and out.splitlines()[0] == "max 1.09861228867 at (0, 1)"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_no_shipped_spec_prints_negative_zero(capsys, name):
+    import re
+
+    for command in ("nonexpansive", "extrema", "validate"):
+        rc, out, _ = run(capsys, command, "--spec", str(SPECS / name))
+        assert rc == 0
+        assert not re.search(r"(^|[\s(])-0(?![\d.])", out), (command, out)
+
+
 def test_extrema_charp_not_available(capsys):
     rc, out, _ = run(capsys, "extrema", "--spec", LED)
     assert rc == 0 and "not available" in out

@@ -198,10 +198,10 @@ def test_count_guard_catches_a_corrupt_ord_row(doc, n):
     import dataclasses
 
     pc = place_spec(parse_spec(doc)).placed_char0()[0][0]
-    rows = list(pc.finite_ords)
+    rows = list(pc.rows)
     k = next(k for k, place in enumerate(pc.places) if place.p == 3 and rows[k][1] * n[1] < 0)
     rows[k] = (rows[k][0], rows[k][1] + (1 if rows[k][1] > 0 else -1))
-    bad = dataclasses.replace(pc, finite_ords=tuple(rows))
+    bad = dataclasses.replace(pc, rows=tuple(rows))
     assert count_prime_char0(pc, n).value > 0
     with pytest.raises(ConsistencyError, match="support places above 3 carry"):
         count_prime_char0(bad, n)

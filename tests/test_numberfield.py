@@ -539,76 +539,49 @@ def test_valuations_above_split_the_norm():
     assert split_primes >= 20
 
 
-def _record_lifts(monkeypatch) -> list:
-    """(k held before, k returned) of every hensel_lift_factors call from
-    numberfield; k held is 0 for a lift from p."""
-    import entrank.numberfield as nf
-
-    calls = []
-    inner = nf.hensel_lift_factors
-
-    def recording(f, factors, p, k):
-        out = inner(f, factors, p, k)
-        calls.append((getattr(factors, "k", 0), out.k))
-        return out
-
-    monkeypatch.setattr(nf, "hensel_lift_factors", recording)
-    return calls
+def _gauss_point(k: int, j: int):
+    return GAUSS.mul(GAUSS.pow(GAUSS.element([2, 1]), k), GAUSS.pow(GAUSS.element([2, -1]), j))
 
 
-def test_reused_lift_gives_the_same_valuations(monkeypatch):
+def test_reused_lift_gives_the_same_valuations():
     # (2 + i)^k (2 - i)^j at p = 5 in a seeded order, so v_total = k + j and
-    # the lift precision it asks for go up and down; a lift kept from a
-    # higher request must give what a fresh lift gives, and the held lift
-    # is made from p once and only continued after that
+    # the lift precision it asks for go up and down; valuations read from
+    # the cached lifts must be what fresh lifts give
     import entrank.numberfield as nf
 
     pairs = [(k, j) for k in range(13) for j in range(13)]
     random.Random(5).shuffle(pairs)
-    a, b = GAUSS.element([2, 1]), GAUSS.element([2, -1])
     places = finite_places_above(GAUSS, 5)  # theta = 3, then theta = 2 mod 5
-    nf._local_lift.cache_clear()
-    lifts = _record_lifts(monkeypatch)
-    reused = 0
+    nf._lifted_local_factors.cache_clear()
     for k, j in pairs:
-        x = GAUSS.mul(GAUSS.pow(a, k), GAUSS.pow(b, j))
-        held_k = getattr(nf._local_lift(GAUSS, 5)[0], "k", 0)
-        reused += 0 < k + j and 1 << (k + j).bit_length() < held_k
+        x = _gauss_point(k, j)
         got = valuations_above(GAUSS, 5, x)
         assert got == (k, j)
         assert sum(v.res_degree * o for v, o in zip(places, got)) == ord_p(GAUSS.norm(x), 5)
-        held = list(nf._local_lift(GAUSS, 5))
-        nf._local_lift.cache_clear()
+    for k, j in pairs:
+        nf._lifted_local_factors.cache_clear()
         nf._integral_norm.cache_clear()
-        made = len(lifts)
-        assert valuations_above(GAUSS, 5, x) == got  # from a fresh lift
-        del lifts[made:]
-        nf._local_lift(GAUSS, 5)[:] = held
-    assert reused > 50
-    assert [before for before, _after in lifts].count(0) == 1
+        assert valuations_above(GAUSS, 5, _gauss_point(k, j)) == (k, j)  # from a fresh lift
 
 
-def test_one_lift_serves_every_lower_precision(monkeypatch):
+def test_one_lift_serves_every_lower_precision():
+    # a lift to 5^k is the lift to 5^16 reduced mod 5^k
     import entrank.numberfield as nf
 
-    lifts = _record_lifts(monkeypatch)
-    nf._local_lift.cache_clear()
     top = nf._lifted_local_factors(GAUSS, 5, 16)
-    assert [nf._lifted_local_factors(GAUSS, 5, k) for k in (8, 2, 16, 4)] == [top] * 4
-    nf._lifted_local_factors(GAUSS, 5, 32)
-    assert [(before, after) for before, after in lifts if before < after] == [(0, 16), (16, 32)]
+    for k in (8, 2, 16, 4, 1):
+        assert nf._lifted_local_factors(GAUSS, 5, k) == [tuple(c % 5**k for c in blk)
+                                                          for blk in top]
 
 
 @pytest.mark.parametrize("steps", [(2, 8, 16), (4, 16, 32), (1, 2, 4, 8, 16)])
-def test_continued_lifts_match_a_lift_from_p(steps, monkeypatch):
-    # the held local lift, continued through a sequence of requests, equals
-    # a lift from p to a higher precision reduced mod p^k, byte for byte;
-    # each (field, p) lifts from p exactly once
+def test_continued_lifts_match_a_lift_from_p(steps):
+    # the local lifts asked for in a sequence of precisions each equal a
+    # lift from p to a higher precision reduced mod p^k, byte for byte
     import entrank.numberfield as nf
     from entrank.polyfactor import gf_prod, hensel_lift_factors
 
-    nf._local_lift.cache_clear()
-    lifts = _record_lifts(monkeypatch)
+    nf._lifted_local_factors.cache_clear()
     pairs = 0
     for field in [GAUSS, GOLDEN] + _seeded_fields(41, 8, 6):
         for p in (2, 3, 5, 7, 11, 13):
@@ -619,12 +592,9 @@ def test_continued_lifts_match_a_lift_from_p(steps, monkeypatch):
                 continue
             blocks = [gf_prod([g] * e, p) for g, e in factors]
             ref = hensel_lift_factors(field.min_poly, blocks, p, 2 * steps[-1])
-            made = len(lifts)
             for k in steps:
                 got = nf._lifted_local_factors(field, p, k)
-                assert got.k == k
                 assert got == [tuple(c % p**k for c in blk) for blk in ref]
-            assert [before for before, _after in lifts[made:]].count(0) == 1
             pairs += len(factors) > 1
     assert pairs >= 20
 

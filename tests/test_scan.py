@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
 from entrank import (
     ConsistencyError,
@@ -150,7 +151,12 @@ def _log_one_minus_phi_exact(pc, place, n, prec=1024):
     assert abs(mid) > rad  # no ties in these fields
     phi = field.pow_vector(xi, tuple(-v for v in n)) if mid > 0 else xn
     ball = log_sigma_ball(place, field.sub(field.one(), phi), prec)
-    return mp.ldexp(ball.re, place.weight - 1), mp.ldexp(ball.rad, place.weight - 1)
+    return (_exact(ball.re, place.weight - 1 - prec), _exact(ball.rad, place.weight - 1 - prec))
+
+
+def _exact(m: int, e: int) -> mp.mpf:
+    """m 2^e as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(m, e))
 
 
 GOLDEN_DOC = {"min_poly": [-1, -1, 1], "xi": [[0, 1, 1, 1], [2, 1, 0, 1]]}
@@ -212,17 +218,16 @@ def test_escalation_when_the_first_evaluation_cannot_separate(monkeypatch):
     assert rec.g == pytest.approx(-math.log(big + 1), rel=1e-15)
 
 
-def _mpf_sign(pc, k, n):
-    """The sign of n . l_v from sums of the mpf balls at DEFAULT_PREC, the
-    radius rounded outward: the reference for the integer sign test."""
-    from entrank.numberfield import DEFAULT_PREC, OUTWARD, compare_abs_to_one, log_sigma_ball
+def _fine_sign(pc, k, n):
+    """The sign of n . l_v from sums of the balls at 4 DEFAULT_PREC bits: the
+    reference for the integer sign test at DEFAULT_PREC."""
+    from entrank.numberfield import DEFAULT_PREC, compare_abs_to_one, log_sigma_ball
 
     place = pc.places[k]
-    balls = [log_sigma_ball(place, x) for x in pc.component.xi]
-    with mp.workprec(DEFAULT_PREC):
-        re = sum(v * b.re for v, b in zip(n, balls))
-        rad = sum(abs(v) * b.rad for v, b in zip(n, balls)) * OUTWARD
-        return compare_abs_to_one(place, (place.weight * re, place.weight * rad))
+    balls = [log_sigma_ball(place, x, 4 * DEFAULT_PREC) for x in pc.component.xi]
+    re = sum(v * b.re for v, b in zip(n, balls))
+    rad = sum(abs(v) * b.rad for v, b in zip(n, balls))
+    return compare_abs_to_one(place, (place.weight * re, place.weight * rad))
 
 
 @pytest.mark.parametrize("doc", [
@@ -242,10 +247,10 @@ def test_integer_sign_matches_mpf_sign(doc):
         for k, (place, phi) in enumerate(zip(pc.places, phi_v(pc, n))):
             if place.kind != "arch":
                 continue
-            s = sum(v * row.re for v, row in zip(n, pc.arch_logs[k]))
-            r = sum(abs(v) * row.rad for v, row in zip(n, pc.arch_logs[k]))
+            s = sum(v * row.re for v, row in zip(n, pc.rows[k]))
+            r = sum(abs(v) * row.rad for v, row in zip(n, pc.rows[k]))
             side = compare_abs_to_one(place, (place.weight * s, place.weight * r))
-            assert side == _mpf_sign(pc, k, n)
+            assert side == _fine_sign(pc, k, n)
             assert (phi[1] > 0) == (side == 0)  # phi_v widens exactly on ties
             sides.add(side)
     assert sides == ({-1, 0, 1} if doc["xi"][0] == [3, 5, 4, 5] else {-1, 1})
@@ -259,10 +264,10 @@ def _g_reference(ps, n, prec=300):
     with mp.workprec(prec):
         total = mp.log(count_composite(ps, n).value)
         for pc, mult in ps.placed_char0():
-            for place, ords in zip(pc.places, pc.finite_ords):
-                if ords is None:
-                    row = [mp.ldexp(log_sigma_ball(place, x, prec + 20).re, place.weight - 1)
-                           for x in pc.component.xi]
+            for place, ords in zip(pc.places, pc.rows):
+                if place.kind == "arch":
+                    row = [_exact(log_sigma_ball(place, x, prec + 20).re,
+                                  place.weight - 1 - prec - 20) for x in pc.component.xi]
                 else:
                     row = [-o * place.res_degree * mp.log(place.p) for o in ords]
                 total -= mult * max(0, sum(v * c for v, c in zip(n, row)))
@@ -557,8 +562,8 @@ def test_finite_g_term_is_zero_where_n_ords_is_nonzero(doc):
         if xn == field.one():
             continue
         x = field.sub(xn, field.one())
-        for place, ords in zip(pc.places, pc.finite_ords):
-            o = ords and sum(v * c for v, c in zip(n, ords))
+        for place, ords in zip(pc.places, pc.rows):
+            o = place.kind == "finite" and sum(v * c for v, c in zip(n, ords))
             if o:  # a finite place with n . ords != 0
                 assert ord_v(place, x) == min(o, 0)
 
