@@ -43,6 +43,7 @@ from .numberfield import (
     build_field,
     finite_places_above,
     log_sigma_ball,
+    support_mod_p,
     valuations_above,
 )
 
@@ -267,8 +268,10 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
     for den in denominators:
         primes.update(factor_int(den))
     for p in sorted(primes):
-        columns = [valuations_above(field, p, el) for el in comp.xi]
-        for place, ords in zip(finite_places_above(field, p), zip(*columns)):
+        # only the places where some xi may not be a unit are split off
+        support = support_mod_p(field, p, comp.xi)
+        columns = [valuations_above(field, p, el, support) for el in comp.xi]
+        for place, ords in zip(finite_places_above(field, p, support), zip(*columns)):
             if any(ords):
                 places.append(place)
                 rows.append(ords)

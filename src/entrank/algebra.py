@@ -11,6 +11,7 @@ norms, valuations and discriminants share.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -28,19 +29,29 @@ class AlgebraError(ValueError):
 
 def ord_p(x: Fraction | int, p: int) -> int:
     """Exponent of the prime p in x (negative when p divides the denominator)."""
-    if p < 2 or not is_prime(p):
+    if not _is_prime_cached(p):
         raise AlgebraError(f"ord_p requires a prime, got {p}")
     if x == 0:
         raise AlgebraError("ord_p(0) is infinite")
+    num, den = abs(x.numerator), x.denominator  # in lowest terms: p divides one at most
+    if num % p == 0:
+        return _multiplicity(num, p)
+    return -_multiplicity(den, p) if den % p == 0 else 0
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The exponent of p in n, for p dividing n > 0, by binary descent: with
+    p^(2^K) the last of p, p^2, p^4, ... to divide n, the exponent is below
+    2^(K + 1), and dividing by each power that still divides, largest
+    first, reads it off bit by bit."""
+    powers = [p]
+    while n % (sq := powers[-1] * powers[-1]) == 0:
+        powers.append(sq)
     e = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        e += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        e -= 1
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
     return e
 
 
@@ -258,6 +269,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# ord_p runs at every support prime of every counted point: the primes
+# repeat, so their Miller-Rabin tests are kept.
+_is_prime_cached = functools.lru_cache(maxsize=4096)(is_prime)
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -83,12 +83,13 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     At a finite place, with t = n . pc.rows[k], ord_v(xi^n) = t, so where
     t != 0 the ultrametric inequality gives ord_v(x) = min(t, 0) outright.
     Where t = 0 the only place above p takes ord_p N(x) / f_v, and at a
-    prime with several places one valuations_above pass serves all of them.
+    prime with several local blocks one valuations_above pass, under the
+    split placement used, serves all of its places.
 
     Guard: the places above p outside the support hold units, where x is
     integral, so sum over support v | p of f_v ord_v(x) <= ord_p N(x), with
-    equality when every place above p is in the support; ConsistencyError
-    otherwise.
+    equality when every place above p is in the support (no block is left
+    over); ConsistencyError otherwise.
     """
     if len(n) != pc.d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
@@ -115,7 +116,7 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
                 o = min(t, 0)
             else:
                 if p not in passes:
-                    passes[p] = valuations_above(field, p, x)
+                    passes[p] = valuations_above(field, p, x, place.support)
                 o = passes[p][place.index]
             s, left = sums.get(p, (0, place.siblings))
             sums[p] = (s + f * o, left - 1)

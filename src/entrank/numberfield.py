@@ -14,17 +14,21 @@ residue degree f contributes (p^f)^(-ord_v(x)). With this choice the product
 of |x|_v over all places is 1, and the product over the archimedean places
 alone equals |N(x)|.
 
-Finite places come from Dedekind factorization of the minimal polynomial
-mod p. Dedekind's criterion is the one p-maximality test, run at every
-prime; when p divides the index it raises instead of returning wrong data.
-Valuations take one pass per prime: valuations_above takes the norm of the
-element's integral part, shared with NumberField.norm through one small
-cache, and splits its ord_p among the places above p: all of it to the
-only place, or to the only one whose residue factor divides the integral
-part mod p, or else by one resultant per Hensel-lifted local factor,
-checked against the same total. Each (field, prime, precision) lifts its
-local factors from p once, and the lift is cached. ord_v reads one entry of
-that pass.
+Finite places come from Dedekind factorization of f = min_poly mod p, split
+only as far as a support asks, in one cached local split per (field, p,
+support). Its squarefree decomposition gives every e_v and the radical that
+Dedekind's criterion, the one p-maximality test, reads on the whole of f at
+every prime; when p divides the index it raises instead of returning wrong
+data. Only the gcd of each squarefree part with the support (support_mod_p,
+or None for all of f) is split into places; the rest of f is one cofactor
+block that yields no place. Valuations take one pass per prime:
+valuations_above takes the norm of the element's integral part, shared with
+NumberField.norm through one small cache, and splits its ord_p among the
+split's blocks: all of it to the only block, or to the only one that meets
+the integral part mod p, or else by one resultant per Hensel-lifted block,
+checked against the same total. Each (field, prime, precision, support)
+lifts its blocks from p once, and the lift is cached. ord_v reads one entry
+of that pass, under the support its place was found with.
 
 Archimedean data carries proven error radii. The roots of the minimal
 polynomial are Gaussian integers at one dyadic scale, refined from a
@@ -71,6 +75,7 @@ from .polyfactor import (
     gf_gcd,
     gf_mul,
     gf_prod,
+    gf_squarefree_parts,
     gf_sub,
     hensel_lift_factors,
     irreducible_over_q,
@@ -557,8 +562,9 @@ class Place:
     p: int = 0
     res_degree: int = 1  # f_v
     ram_index: int = 1   # e_v
-    index: int = 0       # position among the places above p
-    siblings: int = 1    # number of places above p
+    index: int = 0       # position among the places of its split above p
+    siblings: int = 1    # local blocks above p: the split's places and its cofactor
+    support: tuple[int, ...] | None = None  # the _local_split key it was found with
 
     def label(self) -> str:
         if self.kind == "arch":
@@ -574,12 +580,14 @@ def archimedean_places(field: NumberField) -> list[Place]:
     ]
 
 
-def _dedekind_p_maximal(f: tuple[int, ...], p: int, factors) -> bool:
+def _dedekind_p_maximal(f: tuple[int, ...], p: int, parts) -> bool:
     """Dedekind's criterion: Z[theta] is p-maximal iff gcd(T, g*, h*) = 1 mod p,
     where g* is the product of the distinct irreducible factors of f mod p,
-    h* = f / g* mod p, and T = (g* h* - f) / p, formed in Z/p^2."""
+    h* = f / g* mod p, and T = (g* h* - f) / p, formed in Z/p^2. parts are
+    coprime squarefree (g, e) with f = prod g^e mod p, such as the squarefree
+    decomposition, so that g* is the product of their g."""
     p2 = p * p
-    gstar = gf_prod((g for g, _ in factors), p)
+    gstar = gf_prod((g for g, _ in parts), p)
     hstar = gf_divmod([c % p for c in f], gstar, p)[0]
     diff = gf_sub(gf_mul(gstar, hstar, p2), [c % p2 for c in f], p2)
     if any(c % p for c in diff):
@@ -588,35 +596,74 @@ def _dedekind_p_maximal(f: tuple[int, ...], p: int, factors) -> bool:
     return len(gf_gcd(gf_gcd(tbar, gstar, p), hstar, p)) == 1
 
 
+class LocalSplit(NamedTuple):
+    """min_poly mod p split as far as a support needs (see _local_split)."""
+
+    factors: tuple[tuple[tuple[int, ...], int], ...]  # (g_v, e_v) per place, sorted
+    blocks: tuple[tuple[int, ...], ...]  # g_v^e_v per place, then the cofactor unless it is 1
+
+
+def support_mod_p(field: NumberField, p: int, xs) -> tuple[int, ...] | None:
+    """The support of the elements xs at p, as _local_split keys it: the
+    product of their integral parts A_i mod (p, min_poly), or None when p
+    divides a denominator c_i. At a p-maximal p that divides no c_i, ord_v
+    of xs_i is positive iff g_v divides A_i mod p and zero otherwise, so the
+    places above p where some xs_i is not a unit are those whose g_v divides
+    the product."""
+    if any(x.den % p == 0 for x in xs):
+        return None
+    fbar = gf_from_int_poly(field.min_poly, p)
+    acc = [1]
+    for x in xs:
+        acc = gf_divmod(gf_mul(acc, gf_from_int_poly(x.num, p), p), fbar, p)[1]
+    return tuple(acc)
+
+
 @functools.lru_cache(maxsize=4096)
-def _factor_mod_p(field: NumberField, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """gf_factor of min_poly mod p: sorted (monic irreducible, multiplicity) pairs.
+def _local_split(field: NumberField, p: int, support: tuple[int, ...] | None) -> LocalSplit:
+    """The places above p whose residue factor divides support, and one
+    cofactor block for the rest of min_poly mod p.
 
-    Places, lifted local factors and valuations all read this one factorization.
+    The squarefree decomposition f = prod part_e^e of min_poly mod p gives
+    every e_v and the radical that Dedekind's criterion reads, on the whole
+    of f. Only gcd(part_e, support) is split into irreducibles g_v, one
+    place each with e_v = e; what is left of each part_e^e is multiplied
+    into the cofactor, which yields no place. support=None splits all of f.
+    Places, lifted local factors and valuations all read this one split.
     """
-    return tuple((tuple(g), e) for g, e in gf_factor(gf_from_int_poly(field.min_poly, p), p))
-
-
-def finite_places_above(field: NumberField, p: int) -> list[Place]:
-    """Dedekind factorization of p; errors loudly when p-maximality fails."""
-    if not is_prime(p):
-        raise SpecError(f"{p} is not prime")
-    factors = _factor_mod_p(field, p)
-    if not _dedekind_p_maximal(field.min_poly, p, factors):
+    parts = gf_squarefree_parts(gf_from_int_poly(field.min_poly, p), p)
+    if not _dedekind_p_maximal(field.min_poly, p, parts):
         raise UnsupportedPrimeError(
             f"p={p} divides the index [O_K : Z[theta]]; "
             "valuations at this prime are not supported for this field model"
         )
-    places = []
-    total = 0
-    for i, (gbar, e) in enumerate(factors):
-        fv = len(gbar) - 1
-        total += e * fv
-        places.append(Place(field=field, kind="finite", p=p, res_degree=fv,
-                            ram_index=e, index=i, siblings=len(factors)))
+    factors, cofactor = [], [1]
+    for part, e in parts:
+        seen = part if support is None else gf_gcd(part, list(support), p)
+        if len(seen) > 1:
+            factors += [(tuple(g), e) for g, _ in gf_factor(seen, p)]
+        cofactor = gf_mul(cofactor, gf_prod([gf_divmod(part, seen, p)[0]] * e, p), p)
+    factors.sort(key=lambda ge: (len(ge[0]), ge[0]))
+    total = sum(e * (len(g) - 1) for g, e in factors) + len(cofactor) - 1
     if total != field.degree:
-        raise ConsistencyError(f"sum e_v f_v = {total} != degree {field.degree}")
-    return places
+        raise ConsistencyError(f"sum e_v f_v + deg cofactor = {total} != degree {field.degree}")
+    blocks = [tuple(gf_prod([list(g)] * e, p)) for g, e in factors]
+    if len(cofactor) > 1:
+        blocks.append(tuple(cofactor))
+    return LocalSplit(tuple(factors), tuple(blocks))
+
+
+def finite_places_above(field: NumberField, p: int,
+                        support: tuple[int, ...] | None = None) -> list[Place]:
+    """The places above p of _local_split(field, p, support): every place
+    for support=None; errors loudly when p-maximality fails. siblings counts
+    the split's blocks, the cofactor included."""
+    if not is_prime(p):
+        raise SpecError(f"{p} is not prime")
+    split = _local_split(field, p, support)
+    return [Place(field=field, kind="finite", p=p, res_degree=len(gbar) - 1, ram_index=e,
+                  index=i, siblings=len(split.blocks), support=support)
+            for i, (gbar, e) in enumerate(split.factors)]
 
 
 # ---------------------------------------------------------------------------
@@ -624,44 +671,51 @@ def finite_places_above(field: NumberField, p: int) -> list[Place]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
-def _lifted_local_factors(field: NumberField, p: int, k: int) -> list[tuple[int, ...]]:
-    """Blocks g_i^{e_i} of min_poly mod p, Hensel-lifted from p to p^k (k a
-    power of two). For F_i lifted mod p^k and A integral,
-    Res(F_i + p^k G, A) = Res(F_i, A) mod p^k, so a resultant whose ord_p is
-    below k has the ord_p of the true local factor's."""
-    blocks = [gf_prod([gbar] * e, p) for gbar, e in _factor_mod_p(field, p)]
+def _lifted_local_factors(field: NumberField, p: int, k: int,
+                          support: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
+    """The blocks of _local_split(field, p, support), g_v^e_v per place and
+    then the cofactor, Hensel-lifted from p to p^k (k a power of two). For
+    F lifted mod p^k and A integral, Res(F + p^k G, A) = Res(F, A) mod p^k,
+    so a resultant whose ord_p is below k has the ord_p of the true local
+    factor's; the cofactor's is the sum over the places it holds."""
+    blocks = [list(b) for b in _local_split(field, p, support).blocks]
     return hensel_lift_factors(field.min_poly, blocks, p, k)
 
 
-def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
-    """ord_v(x) at every place v above p, in finite_places_above order.
+def valuations_above(field: NumberField, p: int, x: Element,
+                     support: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """ord_v(x) at every place v of finite_places_above(field, p, support),
+    in that order.
 
     With x = A(theta)/c, A integral, the norm N(A) is taken once and
-    v_total = ord_p N(A) is split among the places above p. A place's share
+    v_total = ord_p N(A) is split among the split's blocks. A place's share
     is f_v ord_v(A) = ord_p Res(F_v, A), F_v its local factor, and
     Res(F_v, A) = Res(g_v^e_v, A) mod p is a unit iff g_v does not divide
-    A mod p. So all of v_total goes to the only place, or to the only g_v
-    that divides A mod p (none dividing contradicts p | N(A)); when several
-    divide, one resultant per Hensel-lifted local factor (lifted past
-    p^v_total) gives the shares, which must sum to v_total. c contributes
-    -e_v ord_p(c).
+    A mod p; the cofactor block's share, the sum over the places it holds,
+    is a unit iff it is coprime to A mod p. So all of v_total goes to the
+    only block, or to the only one that meets A mod p (none meeting
+    contradicts p | N(A)); when several meet, one resultant per
+    Hensel-lifted block (lifted past p^v_total) gives the shares, which must
+    sum to v_total. c contributes -e_v ord_p(c).
     """
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")
-    factors = _factor_mod_p(field, p)
+    split = _local_split(field, p, support)
     nrm = _integral_norm(field.min_poly, x.num)
     if nrm == 0:
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
     abar = gf_from_int_poly(x.num, p)
-    divides = [v_total > 0 and not gf_divmod(abar, list(gbar), p)[1] for gbar, _e in factors]
-    if v_total == 0 or sum(divides) == 1:
-        shares = [v_total if d else 0 for d in divides]
-    elif not any(divides):
+    meets = [v_total > 0 and not gf_divmod(abar, list(gbar), p)[1] for gbar, _e in split.factors]
+    meets += [v_total > 0 and len(gf_gcd(list(cof), abar, p)) > 1
+              for cof in split.blocks[len(split.factors):]]
+    if v_total == 0 or sum(meets) == 1:
+        shares = [v_total if m else 0 for m in meets]
+    elif not any(meets):
         raise ConsistencyError(f"p={p} divides N(A) but no local factor divides A mod p")
     else:
         shares = []
-        for block in _lifted_local_factors(field, p, 1 << v_total.bit_length()):
+        for block in _lifted_local_factors(field, p, 1 << v_total.bit_length(), support):
             r = resultant(block, x.num)
             if r == 0:
                 raise ConsistencyError("lifted local factor shares a root with the element")
@@ -671,7 +725,7 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
                 f"local valuations sum to {sum(shares)}, expected {v_total} at p={p}")
     den_ord = ord_p(x.den, p) if x.den % p == 0 else 0
     out = []
-    for (gbar, e), v in zip(factors, shares):
+    for (gbar, e), v in zip(split.factors, shares):
         fv = len(gbar) - 1
         if v % fv:
             raise ConsistencyError(f"local valuation {v} not divisible by residue degree {fv}")
@@ -680,10 +734,11 @@ def valuations_above(field: NumberField, p: int, x: Element) -> tuple[int, ...]:
 
 
 def ord_v(place: Place, x: Element) -> int:
-    """Exact valuation of x at a finite place: its entry of valuations_above."""
+    """Exact valuation of x at a finite place: its entry of valuations_above
+    under the support the place was found with."""
     if place.kind != "finite":
         raise MathDomainError("ord_v is defined at finite places only")
-    return valuations_above(place.field, place.p, x)[place.index]
+    return valuations_above(place.field, place.p, x, place.support)[place.index]
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,8 @@ def gf_factor(f: GfPoly, p: int) -> list[tuple[GfPoly, int]]:
         raise AlgebraError(f"modulus must be prime, got {p}")
     if len(f) <= 1:
         raise AlgebraError("cannot factor a constant")
+    if len(f) == 2:  # placement's support is often one root of min_poly mod p
+        return [(gf_monic(f, p), 1)]
     seed = hash((p, tuple(f))) & 0xFFFFFFFF
     rng = random.Random(seed)
     out: list[tuple[GfPoly, int]] = []

@@ -153,6 +153,24 @@ def test_ord_p_rejects_zero_and_composite():
         ord_p(Fraction(1), 4)
 
 
+def test_ord_p_keeps_rejecting_composites_once_primes_are_cached():
+    # the primality test is cached per modulus: a composite still raises on
+    # every call, before and after its prime factors have been used
+    for _ in range(2):
+        for composite in (1, 0, -7, 4, 709 * 719, 3**40):
+            with pytest.raises(AlgebraError, match="requires a prime"):
+                ord_p(Fraction(709 * 719), composite)
+        assert ord_p(Fraction(709 * 719), 709) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 709, 2**61 - 1])
+def test_ord_p_binary_descent_reads_every_exponent(p):
+    for k in range(70):
+        for m in (1, p - 1, p + 1):
+            assert ord_p(Fraction(p**k * m, 7), p) == k
+            assert ord_p(Fraction(-m, p**k), p) == -k
+
+
 @given(st.integers(-999, 999).filter(bool), st.integers(1, 999),
        st.integers(-999, 999).filter(bool), st.integers(1, 999),
        st.sampled_from([2, 3, 5, 7]))

@@ -182,7 +182,7 @@ def test_count_rejects_non_integral_place_product(monkeypatch):
     assert count_prime_char0(pc, (1, 0)).value > 0
     inner = counting.valuations_above
     monkeypatch.setattr(counting, "valuations_above",
-                        lambda field, p, x: tuple(v + 1 for v in inner(field, p, x)))
+                        lambda field, p, x, support: tuple(v + 1 for v in inner(field, p, x, support)))
     with pytest.raises(ConsistencyError, match="support places above 3 carry"):
         count_prime_char0(pc, (1, 0))
 
@@ -225,25 +225,26 @@ def _sweep_like_docs(seed: int, count: int):
                    for _ in range(2)]}]}
 
 
-def _lifted_shares(field, p: int, x) -> tuple[list[int], tuple[int, ...]]:
-    """(ord_p Res(F_v, A) per place above p, ord_v(x) per place above p)
-    from one resultant per Hensel-lifted local factor F_v, x = A(theta)/c."""
+def _lifted_shares(field, p: int, x, support) -> tuple[list[int], tuple[int, ...]]:
+    """(ord_p Res(F, A) per block F of the split above p, the cofactor block
+    last when there is one, and ord_v(x) per place of the split) from one
+    resultant per Hensel-lifted block, x = A(theta)/c."""
     from entrank.algebra import ord_p, resultant
     from entrank.numberfield import _integral_norm, _lifted_local_factors
 
     v_total = ord_p(_integral_norm(field.min_poly, x.num), p)
-    blocks = _lifted_local_factors(field, p, 1 << v_total.bit_length())
+    blocks = _lifted_local_factors(field, p, 1 << v_total.bit_length(), support)
     shares = [ord_p(resultant(block, x.num), p) for block in blocks]
     den_ord = ord_p(x.den, p) if x.den % p == 0 else 0
     return shares, tuple(v // place.res_degree - place.ram_index * den_ord
-                         for v, place in zip(shares, finite_places_above(field, p)))
+                         for v, place in zip(shares, finite_places_above(field, p, support)))
 
 
 def test_count_route_matches_valuations_on_sweep_specs(monkeypatch):
     # counts from the n . ords rule, the sole-place norm rule and the shared
-    # pass equal counts with every ord read from valuations_above, and
-    # valuations_above equals one lifted resultant per place, lifting only
-    # where more than one place above p takes a share
+    # pass equal counts with every ord read through ord_v, and
+    # valuations_above equals one lifted resultant per block of the split
+    # placement used, lifting only where more than one block takes a share
     import entrank.numberfield as numberfield
     from entrank.errors import SpecError, UnsupportedPrimeError
 
@@ -265,7 +266,7 @@ def test_count_route_matches_valuations_on_sweep_specs(monkeypatch):
             continue
         specs += 1
         field = pc.component.field
-        primes = sorted({place.p for place in pc.places if place.kind == "finite"})
+        supports = {place.p: place.support for place in pc.places if place.kind == "finite"}
         for n in SWEEP_VECTORS:
             x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
             if x.is_zero():
@@ -273,20 +274,20 @@ def test_count_route_matches_valuations_on_sweep_specs(monkeypatch):
             expected = abs(field.norm(x))
             for place in pc.places:
                 if place.kind == "finite":
-                    o = numberfield.valuations_above(field, place.p, x)[place.index]
+                    o = numberfield.ord_v(place, x)
                     expected *= Fraction(place.p) ** (-place.res_degree * o)
             assert count_prime_char0(pc, n).value == expected, (doc, n)
             counts += 1
-            for p in primes:
+            for p, support in sorted(supports.items()):
                 lifts.clear()
-                got = numberfield.valuations_above(field, p, x)
+                got = numberfield.valuations_above(field, p, x, support)
                 lifted = bool(lifts)
-                shares, ords = _lifted_shares(field, p, x)
+                shares, ords = _lifted_shares(field, p, x, support)
                 assert got == ords, (doc, n, p)
                 takers = [i for i, v in enumerate(shares) if v]
                 assert lifted == (len(takers) > 1), (doc, n, p)
-                if len(takers) == 1 and len(shares) > 1:
-                    place = finite_places_above(field, p)[takers[0]]
+                if len(takers) == 1 and len(shares) > 1 and takers[0] < len(ords):
+                    place = finite_places_above(field, p, support)[takers[0]]
                     unlifted.add((place.ram_index > 1, place.res_degree > 1))
     assert specs >= 40 and counts >= 400 and index_primes >= 1
     assert {(True, False), (False, True)} <= unlifted

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from entrank.algebra import discriminant, factor_int, is_prime, ord_p
+from entrank.algebra import discriminant, factor_int, is_prime, ord_p, resultant
 from entrank.errors import MathDomainError, SpecError, UnsupportedPrimeError
 from entrank.numberfield import (
     Element,
     _dedekind_p_maximal,
-    _factor_mod_p,
     archimedean_places,
     build_field,
     compare_abs_to_one,
@@ -19,8 +18,10 @@ from entrank.numberfield import (
     log_abs_v,
     log_abs_v_ball,
     ord_v,
+    support_mod_p,
     valuations_above,
 )
+from entrank.polyfactor import gf_from_int_poly, gf_squarefree_parts
 
 GOLDEN = build_field([-1, -1, 1])
 Q = build_field([0, 1])
@@ -539,6 +540,72 @@ def test_valuations_above_split_the_norm():
     assert split_primes >= 20
 
 
+def _check_support_split(field, p: int, xs, ys) -> tuple[bool, bool]:
+    """Checks the split keyed by support_mod_p(field, p, xs) against the
+    full split at p, on the valuations of ys too; returns (the support is
+    None, the split left a cofactor block)."""
+    import entrank.numberfield as nf
+
+    support = support_mod_p(field, p, xs)
+    full = finite_places_above(field, p)
+    places = finite_places_above(field, p, support)
+    if support is None:
+        kept = full
+    else:  # the full split's places where some x is not a unit
+        columns = [valuations_above(field, p, x) for x in xs]
+        kept = [v for v, ords in zip(full, zip(*columns)) if any(ords)]
+    assert [v.label() for v in places] == [v.label() for v in kept]
+    split, whole = nf._local_split(field, p, support), nf._local_split(field, p, None)
+    assert split.factors == tuple(whole.factors[v.index] for v in kept)
+    cofactor = len(split.blocks) > len(places)
+    assert all(v.siblings == len(places) + cofactor for v in places)
+    outside = [v for v in full if v not in kept]
+    for y in ys:
+        vals = valuations_above(field, p, y)
+        assert valuations_above(field, p, y, support) == tuple(vals[v.index] for v in kept)
+        assert [ord_v(v, y) for v in places] == [vals[v.index] for v in kept]
+        if cofactor:  # shares of the integral part a: one lifted resultant per block
+            a = field.element(y.num)
+            va = valuations_above(field, p, a)
+            k = 1 << ord_p(field.norm(a), p).bit_length()
+            shares = [ord_p(resultant(block, a.num), p)
+                      for block in nf._lifted_local_factors(field, p, k, support)]
+            assert shares[:-1] == [v.res_degree * va[v.index] for v in kept]
+            assert shares[-1] == sum(v.res_degree * va[v.index] for v in outside)
+    return support is None, cofactor
+
+
+def test_support_split_is_the_full_split_restricted():
+    # seeded fields of degree 2..8 at the primes below 60 and at the large
+    # primes of their elements' norms; p dividing a denominator of xs keys
+    # the full split, and the support split of the others must be the full
+    # split restricted to the places where some xs_i is not a unit
+    rng = random.Random(53)
+    kinds = set()
+    large = 0
+    for field in _seeded_fields(53, 16, 8):
+        zeros = [0] * (field.degree - 1)
+        x0, x1 = (field.element([Fraction(rng.randint(-2, 2), rng.choice((1, 1, 1, 2, 3)))
+                                 for _ in range(field.degree)]) for _ in range(2))
+        if x0.is_zero() or x1.is_zero():
+            continue
+        norm_primes = {q for x in (x0, x1) for q in factor_int(field.norm(x).numerator)}
+        for p in PRIMES_BELOW_60 + sorted(q for q in norm_primes if q > 60):
+            try:
+                finite_places_above(field, p)
+            except UnsupportedPrimeError:
+                continue
+            large += p > 60
+            over_p = field.element([Fraction(1, p)] + zeros)
+            xs = [field.mul(x0, field.pow(field.element([-rng.randrange(p), 1] + zeros[1:]),
+                                          rng.randint(0, 2))), x1]
+            ys = xs + [field.sub(field.mul(x0, x1), field.one()), field.sub(x0, x1),
+                       field.mul(x0, over_p)]
+            kinds.add(_check_support_split(field, p, xs, ys))
+            kinds.add(_check_support_split(field, p, [field.mul(x1, over_p), x0], ys))
+    assert {(True, False), (False, True), (False, False)} <= kinds and large >= 10
+
+
 def _gauss_point(k: int, j: int):
     return GAUSS.mul(GAUSS.pow(GAUSS.element([2, 1]), k), GAUSS.pow(GAUSS.element([2, -1]), j))
 
@@ -579,23 +646,21 @@ def test_continued_lifts_match_a_lift_from_p(steps):
     # the local lifts asked for in a sequence of precisions each equal a
     # lift from p to a higher precision reduced mod p^k, byte for byte
     import entrank.numberfield as nf
-    from entrank.polyfactor import gf_prod, hensel_lift_factors
+    from entrank.polyfactor import hensel_lift_factors
 
     nf._lifted_local_factors.cache_clear()
     pairs = 0
     for field in [GAUSS, GOLDEN] + _seeded_fields(41, 8, 6):
         for p in (2, 3, 5, 7, 11, 13):
             try:
-                factors = nf._factor_mod_p(field, p)
-                finite_places_above(field, p)
+                blocks = [list(b) for b in nf._local_split(field, p, None).blocks]
             except UnsupportedPrimeError:
                 continue
-            blocks = [gf_prod([g] * e, p) for g, e in factors]
             ref = hensel_lift_factors(field.min_poly, blocks, p, 2 * steps[-1])
             for k in steps:
                 got = nf._lifted_local_factors(field, p, k)
                 assert got == [tuple(c % p**k for c in blk) for blk in ref]
-            pairs += len(factors) > 1
+            pairs += len(blocks) > 1
     assert pairs >= 20
 
 
@@ -608,7 +673,8 @@ def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
         for p in PRIMES_BELOW_60:
             if disc % (p * p):
                 checked += 1
-                assert _dedekind_p_maximal(field.min_poly, p, _factor_mod_p(field, p))
+                parts = gf_squarefree_parts(gf_from_int_poly(field.min_poly, p), p)
+                assert _dedekind_p_maximal(field.min_poly, p, parts)
     assert checked >= 500
     with pytest.raises(UnsupportedPrimeError):  # 2 divides [O_K : Z[sqrt -3]]
         finite_places_above(build_field([3, 0, 1]), 2)

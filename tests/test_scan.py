@@ -513,7 +513,7 @@ def test_scan_budget_below_one_is_a_domain_error(x2x3):
 def test_g_runs_ord_v_only_where_n_ords_is_zero(golden, monkeypatch):
     import entrank.counting as counting
 
-    def no_pass(field, p, x):
+    def no_pass(field, p, x, support):
         raise AssertionError("the point reached valuations_above")
 
     # ords above 2 are (0, 1): at (7, 3) the 2-adic term is 0 without a valuation pass
@@ -535,9 +535,9 @@ def test_g_takes_one_valuation_pass_per_prime(monkeypatch):
          "xi": [[1, 3, 1, 1, 0, 1, 0, 1], [2, 1, 0, 1, 1, 2, 0, 1]]}]}))
     calls = []
 
-    def recording(field, p, x, inner=counting.valuations_above):
+    def recording(field, p, x, support, inner=counting.valuations_above):
         calls.append(p)
-        return inner(field, p, x)
+        return inner(field, p, x, support)
 
     monkeypatch.setattr(counting, "valuations_above", recording)
     point_record(ps, (0, 1))
