@@ -361,22 +361,36 @@ def _points_with_square_norm_in(d: int, a: int, b: int) -> Iterator[tuple[int, .
 def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     """Verify xi^n != 1 (char 0) / u^n - 1 not in the ideal (char p) up to a radius.
 
-    This is a bounded verification, not a proof of mixing.
+    This is a bounded verification, not a proof of mixing. In char 0,
+    xi^n = 1 forces prod N(xi_i)^n_i = 1, with the norms read from the
+    cached characteristic polynomials, so only the n that pass this exact
+    test are tried: by the orders root_of_unity_order found when n has one
+    nonzero entry, by the exact power xi^n otherwise.
     """
     violations: list[str] = []
     for idx, (comp, _mult) in enumerate(spec.components):
         if isinstance(comp, Char0Component):
             field = comp.field
-            for j, el in enumerate(comp.xi):
-                order = field.root_of_unity_order(el)
+            orders = [field.root_of_unity_order(el) for el in comp.xi]
+            for j, order in enumerate(orders):
                 if order == 1:
                     violations.append(f"components[{idx}]: xi[{j}] = 1")
                 elif order is not None:
                     violations.append(
                         f"components[{idx}]: xi[{j}] is a root of unity of order {order}")
+            sign = (-1) ** field.degree
+            norms = [sign * field.charpoly(el)[0] for el in comp.xi]
             one = field.one()
             for n in iter_shell_points(spec.d, 0, radius):
-                if field.pow_vector(comp.xi, n) == one:
+                if math.prod(nrm ** k for nrm, k in zip(norms, n) if k) != 1:
+                    continue
+                axes = [j for j, k in enumerate(n) if k]
+                if len(axes) == 1:
+                    order = orders[axes[0]]
+                    unity = order is not None and n[axes[0]] % order == 0
+                else:
+                    unity = field.pow_vector(comp.xi, n) == one
+                if unity:
                     violations.append(f"components[{idx}]: xi^{n} = 1")
         else:
             from .counting import charp_membership_violations

@@ -199,7 +199,14 @@ def _linear_resultant(f: list[int], g: list[int]) -> int:
 
 
 def discriminant(f) -> int:
-    f = poly_trim(f)
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), cached by f, so that the
+    irreducibility test that builds a field and that field's local splits
+    share one resultant."""
+    return _discriminant(tuple(poly_trim(f)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _discriminant(f: tuple[int, ...]) -> int:
     n = len(f) - 1
     if n < 1:
         raise AlgebraError("discriminant needs degree >= 1")
@@ -241,7 +248,11 @@ def real_root_count(f) -> int:
 # Primality and integer factorization (desk scale)
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+# The least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson-Webster
+# 2017): below it is_prime is a proof. 318665857834031151167461, the least to
+# the bases up to 37, is why 41 is among them.
+MILLER_RABIN_PROVEN_BELOW = 3317044064679887385961981
 # Pollard rho needs about sqrt(q) steps for the least prime factor q, so this
 # cap finds factors up to about 10^10 and gives up within about a second.
 POLLARD_MAX_STEPS = 1 << 18
@@ -257,7 +268,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic Miller-Rabin below 3.3e24 with these bases
+    # deterministic Miller-Rabin below MILLER_RABIN_PROVEN_BELOW with these bases
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -301,7 +312,9 @@ def trial_factor(n: int) -> tuple[dict[int, int], int]:
     """({prime: exponent} for the primes below 100,000 dividing |n|, cofactor).
 
     The cofactor has no prime factor below 100,000; it is 1, a prime, or,
-    only when |n| has two prime factors above that, composite."""
+    only when |n| has two prime factors above that, composite. Once the
+    cofactor exceeds 2^20 and is proven prime, no further trial divides it,
+    so the wheel stops there rather than running on to its square root."""
     n = abs(n)
     out: dict[int, int] = {}
     if n <= 1:
@@ -313,10 +326,13 @@ def trial_factor(n: int) -> tuple[dict[int, int], int]:
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
+    prime_rest = 1 << 20 < n < MILLER_RABIN_PROVEN_BELOW and is_prime(n)
+    while not prime_rest and f * f <= n and f < 100_000:
+        if n % f == 0:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            prime_rest = 1 << 20 < n < MILLER_RABIN_PROVEN_BELOW and is_prime(n)
         f += wheel[i]
         i = (i + 1) % 8
     return out, n

@@ -4,9 +4,11 @@ An element is integer numerators over one denominator c > 0 in the power
 basis, x = (a_0 + a_1 theta + ... + a_(d-1) theta^(d-1)) / c, in lowest
 terms, so equal values compare and hash equal. Products and characteristic
 polynomials share one integer multiply-and-reduce modulo the monic minimal
-polynomial; norms and valuations share one integer resultant. The inverse
-comes from the characteristic polynomial by Cayley-Hamilton, in integers,
-and powers cache it.
+polynomial. Each element's characteristic polynomial is computed once and
+cached; placement's support primes, the inverse (by Cayley-Hamilton, in
+integers, which powers cache), root_of_unity_order's norm test and
+mixing_check's norms all read it. Norms and valuations share one integer
+norm, the d x d Bareiss determinant of multiplication by the element.
 
 Normalization fixes the Artin-Whaples product formula: real places contribute
 |sigma(x)|, complex places |sigma(x)|^2, and a finite place v above p with
@@ -16,19 +18,21 @@ alone equals |N(x)|.
 
 Finite places come from Dedekind factorization of f = min_poly mod p, split
 only as far as a support asks, in one cached local split per (field, p,
-support). Its squarefree decomposition gives every e_v and the radical that
-Dedekind's criterion, the one p-maximality test, reads on the whole of f at
-every prime; when p divides the index it raises instead of returning wrong
-data. Only the gcd of each squarefree part with the support (support_mod_p,
-or None for all of f) is split into places; the rest of f is one cofactor
-block that yields no place. Valuations take one pass per prime:
-valuations_above takes the norm of the element's integral part, shared with
-NumberField.norm through one small cache, and splits its ord_p among the
-split's blocks: all of it to the only block, or to the only one that meets
-the integral part mod p, or else by one resultant per Hensel-lifted block,
-checked against the same total. Each (field, prime, precision, support)
-lifts its blocks from p once, and the lift is cached. ord_v reads one entry
-of that pass, under the support its place was found with.
+support). Its squarefree decomposition, taken only where p divides
+disc(min_poly) (elsewhere f is squarefree), gives every e_v and the radical
+that Dedekind's criterion, the one p-maximality test, reads on the whole of
+f at every prime; when p divides the index it raises instead of returning
+wrong data. Only the gcd of each squarefree part with the support
+(support_mod_p, or None for all of f) is split into places; the rest of f
+is one cofactor block that yields no place. Valuations take one pass per
+prime: valuations_above takes the norm of the element's integral part,
+shared with NumberField.norm through one small cache, and splits its ord_p
+among the split's blocks: all of it to the only block, or to the only one
+that meets the integral part mod p, or else by one resultant per
+Hensel-lifted block, checked against the same total. Each (field, prime,
+precision, support) lifts its blocks from p once, and the lift is cached.
+ord_v reads one entry of that pass, under the support its place was found
+with.
 
 Archimedean data carries proven error radii. The roots of the minimal
 polynomial are Gaussian integers at one dyadic scale, refined from a
@@ -64,13 +68,13 @@ from mpmath.libmp import (fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_at
                           mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_shift,
                           mpf_sub, to_int)
 
-from .algebra import (is_prime, log_fraction, ord_p, poly_str, poly_trim, real_root_count,
-                      resultant)
+from .algebra import (_bareiss_det, discriminant, is_prime, log_fraction, ord_p, poly_str,
+                      poly_trim, real_root_count, resultant)
 from .errors import (ConsistencyError, MathDomainError, ResourceLimitError, SpecError,
                      UnsupportedPrimeError)
 from .polyfactor import (
     gf_divmod,
-    gf_factor,
+    gf_factor_squarefree,
     gf_from_int_poly,
     gf_gcd,
     gf_mul,
@@ -166,8 +170,16 @@ class NumberField:
         return tuple(Fraction(c, x.den ** (self.degree - j)) for j, c in enumerate(b))
 
     def root_of_unity_order(self, x: "Element") -> int | None:
-        """Multiplicative order when x is a root of unity, else None."""
+        """Multiplicative order when x is a root of unity, else None.
+
+        A root of unity is an algebraic integer of norm +-1, so x is none
+        when charpoly(x), read from the one cached computation, is not
+        integral or has a constant term other than +-1; otherwise the
+        candidate orders are tried by exact powers."""
         if x.is_zero():
+            return None
+        cp = self.charpoly(x)
+        if abs(cp[0]) != 1 or any(c.denominator != 1 for c in cp):
             return None
         for n in unity_order_candidates(self.degree):
             if self.pow(x, n) == self.one():
@@ -209,18 +221,21 @@ def _mul_mod(a, b, f: tuple[int, ...]) -> list[int]:
     return prod[:n]
 
 
-def _charpoly_core(y, f: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+@functools.lru_cache(maxsize=1024)
+def _charpoly_core(y: tuple[int, ...], f: tuple[int, ...]
+                   ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(b, powers) for the integral y = y(theta): the ascending coefficients
     b_0, ..., b_n = 1 of charpoly(y), and y^0, ..., y^(n-1).
 
     Newton's identities turn the traces of y, y^2, ..., y^n into b, all in
     integer arithmetic; Tr(theta^j) are the power sums of the roots of f.
+    Cached, so that each element's is computed once.
     """
     n = len(f) - 1
     traces = _theta_traces(f)
-    powers, sums = [[1] + [0] * (n - 1)], []
+    powers, sums = [(1,) + (0,) * (n - 1)], []
     for _ in range(n):
-        powers.append(_mul_mod(powers[-1], y, f))
+        powers.append(tuple(_mul_mod(powers[-1], y, f)))
         sums.append(sum(a * t for a, t in zip(powers[-1], traces)))
     e = [1]
     for k in range(1, n + 1):
@@ -228,7 +243,7 @@ def _charpoly_core(y, f: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
         if total % k:
             raise ConsistencyError("Newton identity gave a non-integral coefficient")
         e.append(total // k)
-    return [(-1) ** (n - j) * e[n - j] for j in range(n + 1)], powers[:n]
+    return tuple((-1) ** (n - j) * e[n - j] for j in range(n + 1)), tuple(powers[:n])
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -250,10 +265,24 @@ def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
 
 @functools.lru_cache(maxsize=256)
 def _integral_norm(min_poly: tuple[int, ...], num: tuple[int, ...]) -> int:
-    """N(A(theta)) = Res(min_poly, A). The count takes the norm of xi^n - 1
-    and then valuations_above needs it again at each prime, as placement
-    does for each xi; this cache makes that one resultant."""
-    return resultant(min_poly, num)
+    """N(A(theta)) = Res(min_poly, A): for A of degree 2 to d - 1, the
+    Bareiss determinant of multiplication by A on the power basis, d x d
+    rather than the 2d x 2d Sylvester matrix; otherwise (A linear, say)
+    the resultant. The count takes the norm of xi^n - 1 and then
+    valuations_above needs it again at each prime, as placement does for
+    each xi; this cache makes that one determinant."""
+    a, n = poly_trim(num), len(min_poly) - 1
+    if not 2 < len(a) <= n:
+        return resultant(min_poly, a)
+    a += [0] * (n - len(a))
+    rows = []
+    for _ in range(n):  # A, A theta, ..., A theta^(n-1) mod min_poly
+        rows.append(a)
+        t = a[-1]
+        a = [0] + a[:-1]
+        if t:
+            a = [c - t * m for c, m in zip(a, min_poly)]
+    return _bareiss_det(rows)
 
 
 @functools.lru_cache(maxsize=256)
@@ -462,8 +491,9 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf
             break
         ws = [(a - u, b - v) for (a, b), (u, v) in zip(ws, steps)]
     else:
-        raise ResourceLimitError(f"root isolation of {poly_str(coeffs)} did not "
-                                 f"converge at {prec} bits")
+        bits = max(abs(c).bit_length() for c in coeffs)
+        raise ResourceLimitError(f"root isolation of a degree-{n} polynomial with coefficients "
+                                 f"of up to {bits} bits did not converge at {prec} bits")
     return tuple((mp.make_mpc((from_man_exp(a, -scale), from_man_exp(b, -scale))),
                   _sqrt_ratio_up(n * n * f2, p2 << 2 * scale, prec + 40))
                  for (a, b), (f2, p2) in zip(ws, fps))
@@ -581,11 +611,13 @@ def archimedean_places(field: NumberField) -> list[Place]:
 
 
 def _dedekind_p_maximal(f: tuple[int, ...], p: int, parts) -> bool:
-    """Dedekind's criterion: Z[theta] is p-maximal iff gcd(T, g*, h*) = 1 mod p,
+    """Dedekind's criterion: Z[theta] is p-maximal iff gcd(T, h*, g*) = 1 mod p,
     where g* is the product of the distinct irreducible factors of f mod p,
     h* = f / g* mod p, and T = (g* h* - f) / p, formed in Z/p^2. parts are
     coprime squarefree (g, e) with f = prod g^e mod p, such as the squarefree
-    decomposition, so that g* is the product of their g."""
+    decomposition, so that g* is the product of their g. The gcd with h*
+    comes first: where f mod p is squarefree, h* = 1 and both steps are
+    trivial."""
     p2 = p * p
     gstar = gf_prod((g for g, _ in parts), p)
     hstar = gf_divmod([c % p for c in f], gstar, p)[0]
@@ -593,7 +625,7 @@ def _dedekind_p_maximal(f: tuple[int, ...], p: int, parts) -> bool:
     if any(c % p for c in diff):
         raise ConsistencyError("Dedekind T polynomial is not integral")
     tbar = [c // p for c in diff]
-    return len(gf_gcd(gf_gcd(tbar, gstar, p), hstar, p)) == 1
+    return len(gf_gcd(gf_gcd(tbar, hstar, p), gstar, p)) == 1
 
 
 class LocalSplit(NamedTuple):
@@ -626,12 +658,16 @@ def _local_split(field: NumberField, p: int, support: tuple[int, ...] | None) ->
 
     The squarefree decomposition f = prod part_e^e of min_poly mod p gives
     every e_v and the radical that Dedekind's criterion reads, on the whole
-    of f. Only gcd(part_e, support) is split into irreducibles g_v, one
-    place each with e_v = e; what is left of each part_e^e is multiplied
-    into the cofactor, which yields no place. support=None splits all of f.
-    Places, lifted local factors and valuations all read this one split.
+    of f. Where p does not divide disc(min_poly) (cached since build_field's
+    irreducibility test), f is squarefree and is its one part, with e = 1.
+    Only gcd(part_e, support) is split into irreducibles g_v, one place
+    each with e_v = e; what is left of each part_e^e is multiplied into the
+    cofactor, which yields no place. support=None splits all of f. Places,
+    lifted local factors and valuations all read this one split.
     """
-    parts = gf_squarefree_parts(gf_from_int_poly(field.min_poly, p), p)
+    fbar = gf_from_int_poly(field.min_poly, p)
+    parts = ([(fbar, 1)] if discriminant(field.min_poly) % p
+             else gf_squarefree_parts(fbar, p))
     if not _dedekind_p_maximal(field.min_poly, p, parts):
         raise UnsupportedPrimeError(
             f"p={p} divides the index [O_K : Z[theta]]; "
@@ -641,7 +677,7 @@ def _local_split(field: NumberField, p: int, support: tuple[int, ...] | None) ->
     for part, e in parts:
         seen = part if support is None else gf_gcd(part, list(support), p)
         if len(seen) > 1:
-            factors += [(tuple(g), e) for g, _ in gf_factor(seen, p)]
+            factors += [(tuple(g), e) for g in gf_factor_squarefree(seen, p)]
         cofactor = gf_mul(cofactor, gf_prod([gf_divmod(part, seen, p)[0]] * e, p), p)
     factors.sort(key=lambda ge: (len(ge[0]), ge[0]))
     total = sum(e * (len(g) - 1) for g, e in factors) + len(cofactor) - 1

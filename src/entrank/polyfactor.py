@@ -2,6 +2,8 @@
 
 The F_p path is squarefree decomposition + distinct-degree + Cantor-Zassenhaus
 splitting (randomized, but seeded from the input so results are deterministic).
+Callers that know their input is squarefree, as at a prime that does not
+divide the discriminant, start at the distinct-degree step.
 The Z path is Zassenhaus: factor mod a good prime, Hensel-lift past the
 Mignotte bound, recombine subsets. Degrees stay small here (field degree is
 capped at 8), so subset recombination is never a cost concern.
@@ -223,16 +225,22 @@ def gf_factor(f: GfPoly, p: int) -> list[tuple[GfPoly, int]]:
         raise AlgebraError(f"modulus must be prime, got {p}")
     if len(f) <= 1:
         raise AlgebraError("cannot factor a constant")
-    if len(f) == 2:  # placement's support is often one root of min_poly mod p
-        return [(gf_monic(f, p), 1)]
-    seed = hash((p, tuple(f))) & 0xFFFFFFFF
-    rng = random.Random(seed)
-    out: list[tuple[GfPoly, int]] = []
-    for part, mult in gf_squarefree_parts(f, p):
-        for block, d in gf_distinct_degree(part, p):
-            for irr in gf_equal_degree_split(block, d, p, rng):
-                out.append((irr, mult))
+    out = [(irr, mult) for part, mult in gf_squarefree_parts(f, p)
+           for irr in gf_factor_squarefree(part, p)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
+    return out
+
+
+def gf_factor_squarefree(f: GfPoly, p: int) -> list[GfPoly]:
+    """The irreducible factors of a monic squarefree f over F_p, sorted, for
+    callers that already know f is squarefree: distinct-degree, then
+    Cantor-Zassenhaus seeded from f."""
+    if len(f) == 2:  # placement's support is often one root of min_poly mod p
+        return [gf_monic(f, p)]
+    rng = random.Random(hash((p, tuple(f))) & 0xFFFFFFFF)
+    out = [irr for block, d in gf_distinct_degree(f, p)
+           for irr in gf_equal_degree_split(block, d, p, rng)]
+    out.sort(key=lambda g: (len(g), g))
     return out
 
 
@@ -329,7 +337,7 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
         if disc % p == 0:
             continue
         tried += 1
-        fac = [g for g, _ in gf_factor(gf_from_int_poly(f, p), p)]
+        fac = gf_factor_squarefree(gf_from_int_poly(f, p), p)
         if len(fac) == 1:
             return [f]
         if best is None or len(fac) < len(best[1]):

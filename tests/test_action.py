@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,11 +10,13 @@ from entrank import (
     CharPComponent,
     SpecError,
     compute_places,
+    count_composite,
     entropy_rank_one_check,
     mixing_check,
     parse_spec,
     place_spec,
 )
+from entrank.action import iter_shell_points
 from tests.conftest import ratio_shift_spec
 
 LOG2, LOG3 = math.log(2), math.log(3)
@@ -218,6 +222,116 @@ def test_mixing_detects_minus_one():
     assert not rep.passed
     assert any("root of unity of order 2" in v for v in rep.violations)
     assert any("xi^(2,) = 1" in v for v in rep.violations)
+
+
+def _char0_spec(min_poly, xi) -> dict:
+    """A one-component char-0 spec document; xi as lists of Fractions."""
+    return {"d": len(xi), "components": [{"char": 0, "min_poly": min_poly, "xi": [
+        [v for c in x for v in (Fraction(c).numerator, Fraction(c).denominator)] for x in xi]}]}
+
+
+def _brute_force_violations(spec, radius: float) -> list[str]:
+    """mixing_check's char-0 report by scanning without any gate: each xi_j
+    multiplied up to the largest order a root of unity can have in its
+    field, then xi^n == 1 at every representative n in the ball."""
+    out = []
+    for idx, (comp, _mult) in enumerate(spec.components):
+        field, one = comp.field, comp.field.one()
+        for j, x in enumerate(comp.xi):
+            acc = x
+            for k in range(1, 2 * field.degree ** 2 + 3):
+                if acc == one:
+                    out.append(f"components[{idx}]: xi[{j}] = 1" if k == 1 else
+                               f"components[{idx}]: xi[{j}] is a root of unity of order {k}")
+                    break
+                acc = field.mul(acc, x)
+        for n in iter_shell_points(spec.d, 0, radius):
+            if field.pow_vector(comp.xi, n) == one:
+                out.append(f"components[{idx}]: xi^{n} = 1")
+    return out
+
+
+@pytest.mark.parametrize("min_poly, xi, first", [
+    ([1, 0, 1], [[0, 1], [2, 0]], "components[0]: xi[0] is a root of unity of order 4"),
+    # (-1 + theta) / 2 with theta^2 = -3 is a cube root of unity with denominator 2
+    ([3, 0, 1], [[Fraction(-1, 2), Fraction(1, 2)], [2, 0]],
+     "components[0]: xi[0] is a root of unity of order 3"),
+    # theta (theta - 1) = 1 in the golden-mean field: both are units of norm -1
+    ([-1, -1, 1], [[0, 1], [-1, 1]], "components[0]: xi^(1, 1) = 1"),
+])
+def test_mixing_check_finds_every_planted_relation(min_poly, xi, first):
+    spec = parse_spec(_char0_spec(min_poly, xi))
+    rep = mixing_check(spec, radius=8)
+    assert not rep.passed and rep.violations[0] == first
+    assert list(rep.violations) == _brute_force_violations(spec, 8)
+
+
+def test_mixing_check_matches_a_brute_force_scan_on_seeded_specs():
+    # sweep-like specs with relations planted in most of them: xi_2 = +-xi_1^k,
+    # a root of unity, or an independent draw
+    rng = random.Random(2106)
+    specs = planted = 0
+    while specs < 200:
+        degree, d = rng.randint(1, 6), rng.choice((1, 2, 2, 3))
+        min_poly = [rng.randint(-3, 3) for _ in range(degree)] + [1]
+        first = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 1, 2, 3))) for _ in range(degree)]
+        try:
+            field = parse_spec(_char0_spec(min_poly, [first])).components[0][0].field
+        except SpecError:
+            continue
+        x = field.element(first)
+        if x.is_zero():
+            continue
+        xs = [x]
+        for _ in range(d - 1):
+            kind = rng.randrange(4)
+            if kind == 0:
+                y = field.element([Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                                   for _ in range(degree)])
+                if y.is_zero():
+                    y = field.one()
+            elif kind == 1:
+                y = field.element([rng.choice((-1, 1))] + [0] * (degree - 1))
+            else:
+                y = field.pow(rng.choice(xs), rng.choice((-2, -1, 1, 2)))
+                if rng.random() < 0.5:
+                    y = field.sub(field.zero(), y)
+            xs.append(y)
+        rng.shuffle(xs)
+        spec = parse_spec(_char0_spec(min_poly, [
+            [Fraction(a, y.den) for a in y.num] for y in xs]))
+        rep = mixing_check(spec, radius=4)
+        assert list(rep.violations) == _brute_force_violations(spec, 4)
+        specs += 1
+        planted += not rep.passed
+    assert planted >= 80
+
+
+def test_golden_mean_mixing_check_takes_no_power(golden_mean_spec, monkeypatch):
+    # N(theta) = -1 and N(2) = 4, so only n = (k, 0) passes the norm test,
+    # and theta is not a root of unity
+    from entrank.numberfield import NumberField
+
+    calls = []
+    monkeypatch.setattr(NumberField, "pow_vector", lambda self, xs, n: calls.append(n))
+    rep = mixing_check(golden_mean_spec, radius=8)
+    assert rep.passed and calls == []
+
+
+def test_one_charpoly_per_xi_on_a_cold_spec_op():
+    # placement's support primes, mixing_check's orders and norms, and the
+    # inverses behind four counts all read one computation per xi_i
+    import entrank.numberfield as nf
+
+    spec = parse_spec({"d": 2, "components": [{"char": 0, "min_poly": [-3, 2, 1, 1], "xi": [
+        [-1, 2, -2, 3, -2, 1], [-1, 3, 1, 1, 1, 2]]}]})
+    nf._charpoly_core.cache_clear()
+    nf._pow_cached.cache_clear()
+    ps = place_spec(spec)
+    assert mixing_check(spec, radius=3).passed
+    for n in ((1, 1), (-1, -1), (2, -1), (-2, 1)):
+        assert count_composite(ps, n).value >= 1
+    assert nf._charpoly_core.cache_info().misses == 2
 
 
 def test_mixing_ledrappier_clean(ledrappier_spec):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entrank.algebra import (
+    MILLER_RABIN_PROVEN_BELOW,
     AlgebraError,
     discriminant,
     factor_int,
@@ -20,6 +21,7 @@ from entrank.algebra import (
     rank_mod_q,
     real_root_count,
     resultant,
+    trial_factor,
 )
 
 
@@ -254,6 +256,9 @@ def test_is_prime_small_and_carmichael():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**31 - 1)
+    # the least strong pseudoprimes to the prime bases up to 37 and up to 41
+    assert not is_prime(399165290221 * 798330580441)
+    assert 1287836182261 * 2575672364521 == MILLER_RABIN_PROVEN_BELOW
 
 
 def test_factor_int_roundtrip():
@@ -266,6 +271,51 @@ def test_factor_int_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def _wheel_to_the_end(n):
+    """trial_factor's answer by the wheel alone, run to min(sqrt(n), 100,000)."""
+    n, out = abs(n), {}
+    if n <= 1:
+        return out, 1
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f, i, wheel = 7, 0, (4, 2, 4, 2, 4, 6, 2, 6)
+    while f * f <= n and f < 100_000:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += wheel[i]
+        i = (i + 1) % 8
+    return out, n
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            return p
+
+
+def test_trial_factor_stopping_at_a_prime_cofactor_changes_nothing():
+    # below 2^20, at squares of primes near 10^5 (so near 10^10), at two
+    # primes above 10^5 (a composite cofactor), and at smooth parts times a
+    # large prime, the early exit gives the full wheel's answer
+    rng = random.Random(2020)
+    pseudoprime = 399165290221 * 798330580441  # to the bases up to 37, not 41
+    cases = [0, 1, -1, 2, 1 << 20, (1 << 20) + 7, -(10**6 + 3) * 4, pseudoprime,
+             7 * pseudoprime, 11 * MILLER_RABIN_PROVEN_BELOW]
+    cases += [rng.randrange(1 << 20) for _ in range(300)]
+    for _ in range(12):
+        p = _random_prime(rng, 90_000, 110_000)
+        q = _random_prime(rng, 10**5, 10**7)
+        r = _random_prime(rng, 1 << 20, 1 << 40)
+        smooth = rng.choice((1, 2, 12, 7**3 * 11, 99_991))
+        cases += [p * p, smooth * p * p, p * q, smooth * p * q, smooth * r, -smooth * r * r]
+    for n in cases:
+        assert trial_factor(n) == _wheel_to_the_end(n), n
 
 
 def test_real_root_count():

@@ -431,7 +431,21 @@ def test_mahler_without_convergence_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(entropy, "root_discs", nf.root_discs.__wrapped__)  # past the cache
     rc, out, err = run(capsys, "mahler", "--poly", "7,-5,3,1,2")
     assert rc == 3 and out == ""
-    assert err.startswith("resource limit: root isolation of 2*x^4 + x^3 + 3*x^2 - 5*x + 7")
+    assert err == ("resource limit: root isolation of a degree-4 polynomial with coefficients "
+                   "of up to 3 bits did not converge at 128 bits\n")
+
+
+def test_mahler_resource_limit_names_the_size_not_the_polynomial(capsys):
+    # (x - 10^30)(10^300 x - 1)(10^300 x - 3): its simple roots are not yet
+    # isolated, and the message gives the degree and the coefficient size
+    # rather than the 600-digit coefficients
+    a, b = 10 ** 30, 10 ** 300
+    coeffs = [-3 * a, 3 + 4 * a * b, -4 * b - a * b * b, b * b]  # ascending
+    rc, out, err = run(capsys, "mahler", "--poly", ",".join(map(str, coeffs)))
+    assert rc == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource limit: ")
+    assert len(lines[0]) < 200 and "degree-3" in lines[0]
 
 
 @pytest.mark.parametrize("poly", ["1,a", ""])

@@ -447,6 +447,48 @@ def test_root_of_unity_order():
     assert Q.root_of_unity_order(Q.element([1])) == 1
     assert Q.root_of_unity_order(Q.element([2])) is None
     assert GOLDEN.root_of_unity_order(GOLDEN.element([0, 1])) is None
+    x = GAUSS.element([Fraction(3, 5), Fraction(4, 5)])  # (3 + 4i) / 5: norm 1, not integral
+    assert GAUSS.norm(x) == 1 and GAUSS.root_of_unity_order(x) is None
+
+
+@pytest.mark.parametrize("min_poly, root, m, unit", [
+    # -zeta_5 generates the roots of unity of Q(zeta_5); 1 + zeta_5 is a unit
+    ([1, 1, 1, 1, 1], [0, -1, 0, 0], 10, [1, 1, 0, 0]),
+    ([1, 0, 0, 0, 1], [0, 1, 0, 0], 8, [1, 1, 0, -1]),  # zeta_8; 1 + sqrt 2
+    ([1, 0, -1, 0, 1], [0, 1, 0, 0], 12, [1, 1, 0, 0]),  # zeta_12; 1 + zeta_12
+])
+def test_root_of_unity_order_finds_every_root_of_unity(min_poly, root, m, unit):
+    field = build_field(min_poly)
+    zeta = field.element(root)
+    powers = [field.pow(zeta, k) for k in range(m)]
+    assert len(set(powers)) == m
+    assert [field.root_of_unity_order(x) for x in powers] == [m // math.gcd(m, k)
+                                                              for k in range(m)]
+    # an integral unit of norm 1 passes the norm test and takes the full route
+    u = field.element(unit)
+    assert field.norm(u) == 1 and all(c.denominator == 1 for c in field.charpoly(u))
+    assert field.root_of_unity_order(u) is None
+
+
+def test_integral_norm_is_the_resultant():
+    # A of degree 1..8 over monic f of degree 1..8, zero constant terms
+    # included, coefficients up to 10^30: the determinant route where
+    # 2 <= deg A < deg f, the resultant elsewhere, must both give Res(f, A)
+    import entrank.numberfield as nf
+
+    rng = random.Random(1902)
+    determinants = 0
+    for _ in range(600):
+        big = rng.choice((3, 10**6, 10**30))
+        f = [rng.randint(-big, big) for _ in range(rng.randint(1, 8))] + [1]
+        a = [rng.randint(-big, big) for _ in range(rng.randint(1, 8))] + [rng.randint(1, big)]
+        if rng.random() < 0.3:
+            f[0] = 0
+        if rng.random() < 0.3:
+            a[0] = 0
+        determinants += 2 < len(a) < len(f)
+        assert nf._integral_norm.__wrapped__(tuple(f), tuple(a)) == resultant(f, a)
+    assert determinants >= 150
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +704,67 @@ def test_continued_lifts_match_a_lift_from_p(steps):
                 assert got == [tuple(c % p**k for c in blk) for blk in ref]
             pairs += len(blocks) > 1
     assert pairs >= 20
+
+
+def _sweep_components(seed: str):
+    """(field, xi) of the benchmark's spec-sweep specs for one seed: the same
+    draws as perfbench's generator, kept where the field parses."""
+    from entrank import parse_spec
+
+    rng = random.Random(seed)
+    out = []
+    for degree, wanted in {2: 12, 3: 12, 4: 12, 5: 48, 6: 12, 7: 12, 8: 12}.items():
+        kept = 0
+        while kept < wanted:
+            min_poly = [rng.randint(-3, 3) for _ in range(degree)] + [1]
+            xi = [[x for _ in range(degree)
+                   for x in (rng.randint(-2, 2), rng.choice((1, 1, 1, 2, 3)))]
+                  for _ in range(2)]
+            try:
+                comp = parse_spec({"d": 2, "components": [
+                    {"char": 0, "min_poly": min_poly, "xi": xi}]}).components[0][0]
+            except SpecError:
+                continue
+            out.append((comp.field, comp.xi))
+            kept += 1
+    return out
+
+
+def _split_or_error(field, p, support):
+    import entrank.numberfield as nf
+
+    try:
+        return nf._local_split.__wrapped__(field, p, support)
+    except UnsupportedPrimeError:
+        return "unsupported"
+
+
+def test_squarefree_shortcut_is_the_full_split(monkeypatch):
+    # where p does not divide disc(min_poly) the split takes f mod p as its
+    # one squarefree part; with the discriminant read as 0 every prime takes
+    # the squarefree decomposition, and the two must agree on factors, e_v,
+    # f_v and blocks, on the fields of the sweep's seeds 1.0-2.0: at every
+    # support prime keyed by its support as placement keys it, and at every
+    # prime up to 50 with support=None (on seed 1.0, to keep the time down)
+    import entrank.numberfield as nf
+
+    cases = []
+    for seed in ("1.0", "1.1", "2.0"):
+        for field, xs in _sweep_components(seed):
+            if seed == "1.0":
+                cases += [(field, p, None) for p in range(2, 51) if is_prime(p)]
+            denominators = {c.denominator for x in xs for c in field.charpoly(x)}
+            denominators |= {(c / field.charpoly(x)[0]).denominator
+                             for x in xs for c in field.charpoly(x)}
+            for p in sorted({q for den in denominators for q in factor_int(den)}):
+                cases.append((field, p, support_mod_p(field, p, xs)))
+    shortcut = [_split_or_error(field, p, support) for field, p, support in cases]
+    monkeypatch.setattr(nf, "discriminant", lambda f: 0)
+    assert [_split_or_error(field, p, support) for field, p, support in cases] == shortcut
+    squarefree = sum(discriminant(field.min_poly) % p != 0 for field, p, _s in cases)
+    assert squarefree >= 0.8 * len(cases) and shortcut.count("unsupported") >= 20
+    with pytest.raises(UnsupportedPrimeError):  # 2 divides [O_K : Z[sqrt -3]]
+        nf._local_split.__wrapped__(build_field([3, 0, 1]), 2, None)
 
 
 def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():

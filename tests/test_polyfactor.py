@@ -93,9 +93,11 @@ def test_factor_x4_plus_1_irreducible():
 def test_build_field_takes_the_discriminant_once(monkeypatch):
     # the squarefree test and Zassenhaus's choice of primes share one
     # discriminant, so x^4 + 1 (which reaches Zassenhaus) costs one resultant
+    # from a cold discriminant cache
     import entrank.algebra as algebra
     from entrank import build_field
 
+    algebra._discriminant.cache_clear()
     calls = []
     inner = algebra.resultant
 
