@@ -55,13 +55,6 @@ def _multiplicity(n: int, p: int) -> int:
     return e
 
 
-def log_fraction(x: Fraction) -> float:
-    """log of a positive rational, accurate for huge numerators/denominators."""
-    if x <= 0:
-        raise AlgebraError("log_fraction requires a positive rational")
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Z (ascending int coefficients; index i holds the x^i coefficient)
 # ---------------------------------------------------------------------------
@@ -282,6 +275,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_proven_prime(p: int) -> None:
+    """ResourceLimitError unless is_prime(p) is a proof: p < MILLER_RABIN_PROVEN_BELOW."""
+    if p >= MILLER_RABIN_PROVEN_BELOW:
+        raise ResourceLimitError(f"a probable prime of {p.bit_length()} bits is not proven prime")
+
+
 # ord_p runs at every support prime of every counted point: the primes
 # repeat, so their Miller-Rabin tests are kept.
 _is_prime_cached = functools.lru_cache(maxsize=4096)(is_prime)
@@ -339,15 +338,15 @@ def trial_factor(n: int) -> tuple[dict[int, int], int]:
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; 0 and ±1 give {}."""
+    """Prime factorization of |n| as {prime: exponent}; 0 and ±1 give {}; a
+    probable prime factor that is_prime does not prove is a ResourceLimitError."""
     out, n = trial_factor(n)
     rng = None  # seeded from the cofactor n, and only when Pollard rho runs
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
+            require_proven_prime(m)
             out[m] = out.get(m, 0) + 1
             continue
         if rng is None:

@@ -237,10 +237,8 @@ def cmd_validate(args) -> int:
     ps = place_spec(spec)
     print(f"d = {spec.d}, components = {len(spec.components)}, "
           f"noetherian = {str(spec.noetherian).lower()}")
-    for i, (comp, mult) in enumerate(spec.components):
+    for i, ((comp, mult), (pc, _m)) in enumerate(zip(spec.components, ps.entries)):
         if isinstance(comp, Char0Component):
-            pc = next(p for p, _m in ps.placed_char0()
-                      if p.component is comp)
             print(f"component {i}: char 0, degree {comp.field.degree}, "
                   f"multiplicity {mult}, places {len(pc.places)}")
             for place, l in zip(pc.places, pc.lyapunov):

@@ -449,12 +449,7 @@ def ledrappier_axis_closed_form(n: int) -> CountResult:
     """2^(n - 2^ord_2(n)): the axis count for the ideal <2, 1 + u1 + u2>."""
     if n <= 0:
         raise MathDomainError("the closed form needs n >= 1")
-    k = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        k += 1
-    e = n - 2**k
+    e = n - 2 ** ord_p(n, 2)
     return CountResult(value=2**e, factored=(2, e), per_component=((2**e, 1),))
 
 

@@ -124,10 +124,7 @@ class GroebnerBasis:
                 self._add_to_basis(g, heap)
         while heap:
             _, i, j, lcm = heapq.heappop(heap)
-            li, lj = self.lms[i], self.lms[j]
-            if mono_lcm(li, lj) != lcm:
-                continue
-            if mono_mul(li, lj) == lcm:
+            if mono_mul(self.lms[i], self.lms[j]) == lcm:
                 continue  # coprime leading terms: S-poly reduces to zero
             if self._chain_criterion(i, j, lcm):
                 continue
@@ -166,12 +163,9 @@ class GroebnerBasis:
 
     # -- quotient dimension ------------------------------------------------
 
-    def contains_one(self) -> bool:
-        return any(lm == (0,) * self.nvars for lm in self.lms)
-
     def variable_bounds(self) -> list[int] | None:
         """Per-variable pure-power degrees in the leading-term ideal, or None."""
-        if self.contains_one():
+        if (0,) * self.nvars in self.lms:  # the ideal contains 1
             return [0] * self.nvars
         bounds: list[int | None] = [None] * self.nvars
         for lm in self.lms:

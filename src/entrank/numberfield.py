@@ -64,12 +64,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan2,
-                          mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_shift,
-                          mpf_sub, to_int)
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_abs, mpf_add,
+                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+                          mpf_shift, mpf_sub, to_int)
 
-from .algebra import (_bareiss_det, discriminant, is_prime, log_fraction, ord_p, poly_str,
-                      poly_trim, real_root_count, resultant)
+from .algebra import (_bareiss_det, discriminant, is_prime, ord_p, poly_str, poly_trim,
+                      real_root_count, resultant)
 from .errors import (ConsistencyError, MathDomainError, ResourceLimitError, SpecError,
                      UnsupportedPrimeError)
 from .polyfactor import (
@@ -176,8 +176,6 @@ class NumberField:
         when charpoly(x), read from the one cached computation, is not
         integral or has a constant term other than +-1; otherwise the
         candidate orders are tried by exact powers."""
-        if x.is_zero():
-            return None
         cp = self.charpoly(x)
         if abs(cp[0]) != 1 or any(c.denominator != 1 for c in cp):
             return None
@@ -364,13 +362,6 @@ def ldexp_up(m: int, e: int) -> float:
         return math.inf
 
 
-def _at_common_scale(xs) -> tuple[int, list[int]]:
-    """(E, [m]) with each finite mpf x = m 2^-E exactly, for the least E >= 0."""
-    mes = [(-man if sign else man, e) for sign, man, e, _bc in (x._mpf_ for x in xs)]
-    scale = max([-e for m, e in mes if m] + [0])
-    return scale, [m << (e + scale) for m, e in mes]
-
-
 def _sqrt_ratio_up(num: int, den: int, bits: int) -> mp.mpf:
     """An mpf at least sqrt(num / den), by a relative 2^-bits at most, from
     one ceiling division and one ceiling isqrt at scale 2^-t; den = 0 gives
@@ -424,13 +415,6 @@ def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[complex]:
     return zs if all(cmath.isfinite(z) for z in zs) else fixed
 
 
-def _scaled_float(x: float, k: int) -> int:
-    """x 2^k rounded to an integer, exactly, for a finite float x."""
-    num, den = x.as_integer_ratio()  # den a power of two
-    shift = k - den.bit_length() + 1
-    return num << shift if shift >= 0 else (num + (1 << (-shift - 1))) >> -shift
-
-
 def _horner(coeffs, a: int, b: int, scale: int) -> tuple[int, int]:
     """2^(scale m) p(w 2^-scale) for w = a + ib and p of degree m with
     ascending coeffs, as (real, imaginary) integers."""
@@ -470,7 +454,7 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf
     n, lead = len(coeffs) - 1, coeffs[-1]
     s = _root_scale(coeffs)
     scale = prec + 60 - min(s, 0)
-    ws = [(_scaled_float(y.real, s + scale), _scaled_float(y.imag, s + scale))
+    ws = [tuple(_scaled(from_float(c), s + scale, "n") for c in (y.real, y.imag))
           for y in _float_root_starts(coeffs, s)]
     for _ in range(MAX_SWEEPS):
         fps, steps = [], []
@@ -502,12 +486,14 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf
 def _discs_disjoint(discs) -> bool:
     """Whether the closed discs (centre, radius) are pairwise disjoint:
     |z_i - z_j|^2 > (r_i + r_j)^2, decided exactly on the dyadic centres and
-    radii put at one scale, so discs that touch are not disjoint. An
-    infinite radius meets every other disc."""
+    radii put at one scale 2^-E, the least E >= 0 at which each is an
+    integer, so discs that touch are not disjoint. An infinite radius meets
+    every other disc."""
     if any(mp.isinf(r) for _z, r in discs):
         return len(discs) < 2
-    _, xs = _at_common_scale([x for z, r in discs for x in (mp.re(z), mp.im(z), r)])
-    ds = [xs[k:k + 3] for k in range(0, len(xs), 3)]
+    xs = [x._mpf_ for z, r in discs for x in (mp.re(z), mp.im(z), r)]
+    scale = max([-e for _sign, man, e, _bc in xs if man] + [0])
+    ds = [[_scaled(x, scale, "f") for x in xs[k:k + 3]] for k in range(0, len(xs), 3)]
     return all((a - c) ** 2 + (b - d) ** 2 > (r + t) ** 2
                for i, (a, b, r) in enumerate(ds) for c, d, t in ds[:i])
 
@@ -566,8 +552,8 @@ def eval_embedding(emb: Embedding, x: Element) -> tuple[int, int, int, int]:
     """
     _sign, man, exp, bc = emb.err._mpf_
     t = max(0, -emb.re._mpf_[2], -emb.im._mpf_[2], 30 - exp - bc if man else 0)
-    a, b = (to_int(mpf_shift(v._mpf_, t)) for v in (emb.re, emb.im))
-    big_r = to_int(mpf_shift(emb.err._mpf_, t), "c")
+    a, b = (_scaled(v._mpf_, t, "d") for v in (emb.re, emb.im))
+    big_r = _scaled(emb.err._mpf_, t, "c")
     rho = math.isqrt(a * a + b * b - 1) + 1 + big_r if a or b else big_r
     num = x.num
     vr, vi = _horner(num, a, b, t)
@@ -782,14 +768,12 @@ def ord_v(place: Place, x: Element) -> int:
 # ---------------------------------------------------------------------------
 
 def log_abs_v(place: Place, x: Element) -> float:
-    """log |x|_v; exact combination -ord * f * log(p) at finite places, and
-    log |x| of the rational x itself at the archimedean place of Q."""
+    """log |x|_v: exactly -ord * f * log(p) at a finite place, and at every
+    archimedean place, Q's too (sigma(x) = x), the float of log_abs_v_ball."""
     if x.is_zero():
         raise MathDomainError("log |0|_v requested")
     if place.kind == "finite":
         return -ord_v(place, x) * place.res_degree * math.log(place.p)
-    if place.field.degree == 1:
-        return log_fraction(Fraction(abs(x.num[0]), x.den))
     return float(log_abs_v_ball(place, x)[0])
 
 
@@ -830,17 +814,18 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
             with mp.workprec(wp):
                 slack = (1 + abs(re) + abs(im)) * mp.ldexp(1, 4 - prec)
                 radius = (u + slack) * OUTWARD
-            return DyadicBall(_scaled(re, prec, "n"),
-                              im if emb.is_real else _scaled(im, prec, "n"),
-                              _scaled(radius, prec, "c") + 1)
+            return DyadicBall(_scaled(re._mpf_, prec, "n"),
+                              im if emb.is_real else _scaled(im._mpf_, prec, "n"),
+                              _scaled(radius._mpf_, prec, "c") + 1)
         if work >= MAX_PREC:
             raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
         work *= 2
 
 
-def _scaled(x: mp.mpf, prec: int, rnd: str) -> int:
-    """x 2^prec rounded to an integer in the direction rnd."""
-    return to_int(mpf_shift(x._mpf_, prec), rnd)
+def _scaled(x: tuple, k: int, rnd: str) -> int:
+    """x 2^k rounded in the libmp direction rnd, for a finite raw mpf x: the one
+    route from a dyadic, or from a float through from_float, to an integer."""
+    return to_int(mpf_shift(x, k), rnd)
 
 
 def log_abs_v_ball(place: Place, x: Element) -> tuple[mp.mpf, mp.mpf]:
@@ -859,12 +844,6 @@ def compare_abs_to_one(place: Place, log_ball) -> int:
         raise MathDomainError("ball comparison is for archimedean places")
     mid, rad = log_ball
     return 1 if mid > rad else (-1 if mid < -rad else 0)
-
-
-def _floor_scaled(x, e: int) -> int:
-    """floor(x 2^-e) for a raw mpf x >= 0."""
-    _sign, man, exp, _bc = x
-    return man << (exp - e) if exp >= e else man >> (e - exp)
 
 
 def _ceil_shift(m: int, k: int) -> int:
@@ -926,10 +905,10 @@ def log_abs_one_minus_exp(place: Place, t: DyadicBall, prec: int) -> tuple[mp.mp
     x = mpf_sub(fone, w_re, 2 * wp)
     if w_im is None:
         m = mpf_abs(x)
-        d = _floor_scaled(m, eexp - sc)
+        d = _scaled(m, sc - eexp, "f")
     else:
         m = mpf_add(mpf_mul(x, x, 2 * wp), mpf_mul(w_im, w_im, 2 * wp), 2 * wp)
-        d = math.isqrt(_floor_scaled(m, 2 * (eexp - sc)))
+        d = math.isqrt(_scaled(m, 2 * (sc - eexp), "f"))
     gap = d - (d >> (2 * wp - 10)) - 1 - delta
     if gap <= 0:
         return None

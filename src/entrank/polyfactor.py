@@ -359,8 +359,6 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
         progress = False
         for subset in itertools.combinations(remaining, size):
             cand = [_symmetric(c, m) for c in gf_prod((lifted[i] for i in subset), m)]
-            if len(cand) < 2:
-                continue
             q = poly_divexact(current, cand)
             if q is not None:
                 found.append(tuple(cand))

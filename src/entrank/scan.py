@@ -48,14 +48,13 @@ import math
 import os
 from dataclasses import dataclass
 
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_log, mpf_shift, to_float,
-                          to_int)
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_log, to_float
 
 from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, compare_abs_to_one,
-                          log_abs_one_minus_exp, log_sigma_ball)
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _scaled,
+                          compare_abs_to_one, log_abs_one_minus_exp, log_sigma_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +90,7 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
     ord_v(phi_v(n)) = |n . pc.rows[k]| at a finite place, and the
     (ball, tie widening) of _phi_ball at DEFAULT_PREC at an archimedean one.
     """
-    n = tuple(int(v) for v in n)
-    if all(v == 0 for v in n):
-        raise MathDomainError("phi_v needs n != 0")
+    n = require_nonzero(n)
     return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if place.kind == "arch"
                  else abs(sum(v * o for v, o in zip(n, row)))
                  for k, (place, row) in enumerate(zip(pc.places, pc.rows)))
@@ -105,7 +102,7 @@ def _scaled_log(m: int) -> int:
     wp = DEFAULT_PREC + 20 + bitlen(bitlen(m)), which is within a few ulp,
     2^-16 at this scale."""
     wp = DEFAULT_PREC + 20 + m.bit_length().bit_length()
-    return to_int(mpf_shift(mpf_log(from_int(m, wp, "n"), wp, "n"), DEFAULT_PREC), "n")
+    return _scaled(mpf_log(from_int(m, wp, "n"), wp, "n"), DEFAULT_PREC, "n")
 
 
 _prime_log = functools.lru_cache(maxsize=None)(_scaled_log)
@@ -144,7 +141,7 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
         if lift:  # within weight * R, plus 1 for the floor
             h += lift >> shift
             radius += _ceil_shift(place.weight * ball.rad, shift) + 1
-    miss = to_int(mpf_shift(total, DEFAULT_PREC), "n") + h - _scaled_log(count)
+    miss = _scaled(total, DEFAULT_PREC, "n") + h - _scaled_log(count)
     return to_float(total), h, miss, radius
 
 

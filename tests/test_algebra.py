@@ -12,7 +12,6 @@ from entrank.algebra import (
     discriminant,
     factor_int,
     is_prime,
-    log_fraction,
     ord_p,
     poly_derivative,
     poly_divexact,
@@ -188,11 +187,14 @@ def test_fraction_inverse_is_exact(a, b):
 
 
 def test_log_fraction_huge_values():
-    import math
+    # log |x| of a rational is log_abs_v at the archimedean place of Q
+    from entrank.numberfield import archimedean_places, build_field, log_abs_v
 
-    x = Fraction(6**200 - 1, 6**200)
-    assert abs(log_fraction(x)) < 1e-150
-    assert abs(log_fraction(Fraction(2**5000)) - 5000 * math.log(2)) < 1e-9
+    q = build_field([0, 1])
+    arch = archimedean_places(q)[0]
+    x = q.element([Fraction(6**200 - 1, 6**200)])
+    assert abs(log_abs_v(arch, x)) < 1e-150
+    assert abs(log_abs_v(arch, q.element([2**5000])) - 5000 * math.log(2)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,18 @@ def test_integer_helpers_match_sympy():
         assert sorted(_squarefree_parts(f)) == parts
         assert irreducible_over_q(f)[0] == P.is_irreducible
     assert squares >= 60
+
+
+def test_factor_int_raises_on_an_unproven_prime():
+    from entrank.errors import ResourceLimitError
+
+    # the bound itself is a strong pseudoprime to every base is_prime tries
+    assert is_prime(MILLER_RABIN_PROVEN_BELOW)
+    for n in (MILLER_RABIN_PROVEN_BELOW, 12 * MILLER_RABIN_PROVEN_BELOW):
+        with pytest.raises(ResourceLimitError, match="probable prime of 82 bits"):
+            factor_int(n)
+    p = 3317044064679887385961813  # the largest prime below the bound
+    assert factor_int(4 * p) == {2: 2, p: 1}
 
 
 def test_factor_int_stops_pollard_rho_at_its_step_cap():

@@ -528,6 +528,66 @@ def test_validate_rejects_bad_spec(capsys, tmp_path):
     assert "xi[0]" in err
 
 
+# Each typed-error path of the spec parser and the argument parsers: the
+# exit code, nothing on stdout, and one stderr line naming the JSON path or
+# the argument. A spec given as text is written to a file, whose path
+# replaces the None in argv.
+VALIDATE = ("validate", "--spec", None)
+TYPED_ERRORS = [
+    ("[1, 2]", VALIDATE, 2, "spec document must be a JSON object"),
+    ('{"d": 1, "noetherian": 1, "components": []}', VALIDATE, 2, "noetherian:"),
+    ('{"d": 1, "components": [5]}', VALIDATE, 2, "components[0]: must be an object"),
+    ('{"d": 1, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[1, 0]]}]}',
+     VALIDATE, 2, "components[0].xi[0]: zero denominator"),
+    ('{"d": 1, "components": [{"char": 2, "generators": 5}]}',
+     VALIDATE, 2, "components[0].generators: must be a list"),
+    ('{"d": 1, "components": [{"char": 2, "generators": [{"terms": 5}]}]}',
+     VALIDATE, 2, "components[0].generators[0]: must be an object with a 'terms' list"),
+    ('{"d": 1, "components": [{"char": 2, "generators": [{"terms": [5]}]}]}',
+     VALIDATE, 2, "components[0].generators[0].terms[0]: must be an object"),
+    ('{"d": 1,', VALIDATE, 2, "invalid JSON"),
+    (X2X3, ("count", "--spec", None, "--n", "1,x"), 2, "could not parse lattice vector '1,x'"),
+    (X2X3, ("count", "--spec", None, "--n", "1"), 2, "vector '1' has 1 entries, spec has d=2"),
+    (LED, ("oracle", "window", "--spec", None, "--n", "1,2,3"), 2,
+     "vector '1,2,3' has 3 entries"),
+    (X2X3, ("table", "--spec", None, "--range", "1:x,0:1"), 2, "bad range component '1:x'"),
+    (X2X3, ("table", "--spec", None, "--range", "3:1,0:1"), 2, "empty range '3:1'"),
+    (X2X3, ("table", "--spec", None, "--range=-1:1"), 1, "table needs a d-dimensional range"),
+]
+
+
+@pytest.mark.parametrize("spec, argv, code, named", TYPED_ERRORS)
+def test_typed_error_paths(capsys, tmp_path, spec, argv, code, named):
+    if not spec.endswith(".json"):
+        (tmp_path / "spec.json").write_text(spec)
+        spec = str(tmp_path / "spec.json")
+    rc, out, err = run(capsys, *(spec if a is None else a for a in argv))
+    assert rc == code and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+
+
+def test_oracle_window_not_stabilized_is_inconclusive(capsys):
+    # a deep axis point and a small window: the oracle declines, exit 0
+    rc, out, err = run(capsys, "oracle", "window", "--spec", LED, "--n", "32,0", "--window", "8")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1] == "not stabilized: inconclusive (raise --window)"
+
+
+@pytest.mark.parametrize("component", [
+    # xi = 1 / B, B = MILLER_RABIN_PROVEN_BELOW: a composite that passes every
+    # Miller-Rabin base is_prime tries, so no place above it is proven
+    {"char": 0, "min_poly": [0, 1], "xi": [[1, 3317044064679887385961981]]},
+    {"char": 3317044064679887385961981,
+     "generators": [{"terms": [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]}]},
+])
+def test_unproven_prime_exits_3(capsys, tmp_path, component):
+    spec = tmp_path / "unproven.json"
+    spec.write_text(json.dumps({"d": 1, "components": [component]}))
+    rc, out, err = run(capsys, "validate", "--spec", str(spec))
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
+
+
 # ---------------------------------------------------------------------------
 # Every admitted or malformed input: an answer or a typed exit code
 # ---------------------------------------------------------------------------

@@ -390,3 +390,24 @@ def test_mahler_multiplicative():
         mq = mahler_measure(q)
         mpq = mahler_measure(pq)
         assert abs(mpq.value - mp_.value - mq.value) < 1e-8
+
+
+@pytest.mark.parametrize("poly", [[-1, -1, 1], [1, 1, 1, 1, 1, 1, 1]])  # x^2 - x - 1, Phi_7
+def test_mahler_doubles_precision_until_the_bound_meets_the_target(monkeypatch, poly):
+    import entrank.entropy as entropy
+
+    precs, root_discs = [], entropy.root_discs
+
+    def spy(coeffs, prec):
+        precs.append(prec)
+        return root_discs(coeffs, prec)
+
+    monkeypatch.setattr(entropy, "MAHLER_TARGET_ERROR", 1e-70)
+    monkeypatch.setattr(entropy, "root_discs", spy)
+    mm = mahler_measure(poly)
+    assert precs == [128, 256]
+    assert mm.error_bound - math.ulp(mm.value) <= 1e-70 / 2
+    with mp.workprec(600):
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(poly)], maxsteps=200, extraprec=600)
+        want = mp.fsum(mp.log(max(1, abs(r))) for r in roots)
+        assert abs(mm.value - want) <= mm.error_bound

@@ -1027,3 +1027,14 @@ def test_equal_values_compare_and_hash_equal(field):
     assert field.sub(x, x) == field.zero() and field.zero().den == 1
     assert field.mul(x, field.inv(x)) == field.one()
     assert len({half, same, field.element(_coords(half))}) == 1
+
+
+def test_log_abs_one_minus_exp_declines_a_ball_wider_than_half():
+    # t = -1 +- r at scale 2^-128: r = 1/2 is evaluated, any wider ball is not
+    from entrank.numberfield import DyadicBall, log_abs_one_minus_exp
+
+    for place in (archimedean_places(GOLDEN)[0], archimedean_places(GAUSS)[0]):
+        value, rad = log_abs_one_minus_exp(place, DyadicBall(-(1 << 128), 0, 1 << 127), 128)
+        assert abs(float(value) - place.weight * math.log(1 - math.exp(-1))) <= rad
+        wide = DyadicBall(-(1 << 128), 0, (1 << 127) + 1)
+        assert log_abs_one_minus_exp(place, wide, 128) is None

@@ -618,6 +618,30 @@ def test_scan_workers_capped_at_cpu_count(golden, monkeypatch):
     assert sizes == [2]
 
 
+def test_scan_process_pool_matches_serial(golden, monkeypatch):
+    # two real worker processes, so the PlacedSpec (places, DyadicBall rows,
+    # field) is pickled to each; 114 points are above the 64-point cut-over
+    import concurrent.futures
+
+    import entrank.scan as scan
+
+    monkeypatch.delenv("ENTRANK_WORKERS", raising=False)
+    serial = shell_scan(golden, 3.0, 9.0)
+    sizes = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("ENTRANK_WORKERS", "2")
+    pooled = shell_scan(golden, 3.0, 9.0)
+    assert sizes == [2] and len(pooled.records) == 114
+    assert pooled.records == serial.records and pooled.shells == serial.shells
+
+
 def test_scan_parallel_matches_serial(x2x3, golden, monkeypatch):
     monkeypatch.setenv("ENTRANK_WORKERS", "1")
     small = shell_scan(x2x3, 1.0, 4.5)
