@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import factor_int, is_prime, require_proven_prime
+from .algebra import factor_int, proven_prime
 from .errors import MathDomainError, SpecError
 from .numberfield import (
     DEFAULT_PREC,
@@ -161,9 +161,8 @@ def _parse_char0(comp: dict, d: int, path: str) -> Char0Component:
 
 def _parse_charp(comp: dict, d: int, path: str) -> CharPComponent:
     q = comp["char"]
-    if not is_prime(q):
+    if not proven_prime(q):
         raise SpecError(f"{path}.char: {q} is not prime")
-    require_proven_prime(q)
     gens_raw = comp.get("generators")
     if not isinstance(gens_raw, list):
         raise SpecError(f"{path}.generators: must be a list")

@@ -16,11 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import ResourceLimitError
-
-
-class AlgebraError(ValueError):
-    """Invalid input to an exact-arithmetic operation."""
+from .errors import MathDomainError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +25,10 @@ class AlgebraError(ValueError):
 
 def ord_p(x: Fraction | int, p: int) -> int:
     """Exponent of the prime p in x (negative when p divides the denominator)."""
-    if not _is_prime_cached(p):
-        raise AlgebraError(f"ord_p requires a prime, got {p}")
+    if not proven_prime(p):
+        raise MathDomainError(f"ord_p requires a prime, got {p}")
     if x == 0:
-        raise AlgebraError("ord_p(0) is infinite")
+        raise MathDomainError("ord_p(0) is infinite")
     num, den = abs(x.numerator), x.denominator  # in lowest terms: p divides one at most
     if num % p == 0:
         return _multiplicity(num, p)
@@ -167,7 +163,7 @@ def resultant(f, g) -> int:
     degree m, and Res(g, f) = (-1)^(nm) Res(f, g)."""
     f, g = poly_trim(f), poly_trim(g)
     if not (f and g):
-        raise AlgebraError("resultant with the zero polynomial requested")
+        raise MathDomainError("resultant with the zero polynomial requested")
     n, m = len(f) - 1, len(g) - 1
     if m == 0:  # also the empty matrix when n = 0
         return g[0] ** n
@@ -202,7 +198,7 @@ def discriminant(f) -> int:
 def _discriminant(f: tuple[int, ...]) -> int:
     n = len(f) - 1
     if n < 1:
-        raise AlgebraError("discriminant needs degree >= 1")
+        raise MathDomainError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, poly_derivative(f)) // f[-1]
 
@@ -275,15 +271,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_proven_prime(p: int) -> None:
-    """ResourceLimitError unless is_prime(p) is a proof: p < MILLER_RABIN_PROVEN_BELOW."""
-    if p >= MILLER_RABIN_PROVEN_BELOW:
-        raise ResourceLimitError(f"a probable prime of {p.bit_length()} bits is not proven prime")
-
-
 # ord_p runs at every support prime of every counted point: the primes
 # repeat, so their Miller-Rabin tests are kept.
-_is_prime_cached = functools.lru_cache(maxsize=4096)(is_prime)
+@functools.lru_cache(maxsize=4096)
+def proven_prime(p: int) -> bool:
+    """The gate for every prime the program relies on: is_prime(p), a
+    ResourceLimitError at a probable prime >= MILLER_RABIN_PROVEN_BELOW."""
+    if not is_prime(p):
+        return False
+    if p >= MILLER_RABIN_PROVEN_BELOW:
+        raise ResourceLimitError(f"a probable prime of {p.bit_length()} bits is not proven prime")
+    return True
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
@@ -325,6 +323,7 @@ def trial_factor(n: int) -> tuple[dict[int, int], int]:
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
+    # plain is_prime: below the proof bound it is a proof, and the bound is tested first
     prime_rest = 1 << 20 < n < MILLER_RABIN_PROVEN_BELOW and is_prime(n)
     while not prime_rest and f * f <= n and f < 100_000:
         if n % f == 0:
@@ -345,8 +344,7 @@ def factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
-            require_proven_prime(m)
+        if proven_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         if rng is None:

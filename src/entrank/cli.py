@@ -4,6 +4,8 @@ Subcommands: count, table, scan, extrema, nonexpansive, mahler, oracle,
 validate. Exit codes: 0 success, 1 usage, 2 mathematical or spec domain
 error, 3 resource or budget limit, 4 internal-consistency failure, 141
 (128 + SIGPIPE, with nothing on stderr) when the reader closes stdout early.
+`main` prints every error the commands raise, as one stderr line; only
+usage errors are printed where found (the parser, `table`'s range check).
 
 Output is deterministic: fixed iteration orders and floats printed with 12
 significant digits; counts print in full, however many digits they have.
@@ -26,7 +28,6 @@ import sys
 
 from .action import (Char0Component, CharPComponent, entropy_rank_one_check, load_spec,
                      mixing_check, place_spec)
-from .algebra import AlgebraError
 from .counting import (
     charp_window_oracle,
     count_composite,
@@ -85,11 +86,7 @@ def _parse_range(text: str) -> list[tuple[int, int]]:
 def cmd_count(args) -> int:
     spec = load_spec(args.spec)
     ps = place_spec(spec)
-    n = _parse_vector(args.n, spec.d)
-    if all(v == 0 for v in n):
-        print("error: identity direction: infinitely many fixed points", file=sys.stderr)
-        return 2
-    res = count_composite(ps, n)
+    res = count_composite(ps, _parse_vector(args.n, spec.d))
     print(res.value)
     for i, (c, m) in enumerate(res.per_component):
         print(f"component {i}: {c} (multiplicity {m})")
@@ -110,8 +107,7 @@ def cmd_table(args) -> int:
     (a, b), (c, d_hi) = ranges
     cells = (b - a + 1) * (d_hi - c + 1)
     if cells > TABLE_CELL_CAP:
-        print(f"error: range has {cells} cells, cap is {TABLE_CELL_CAP}", file=sys.stderr)
-        return 3
+        raise ResourceLimitError(f"range has {cells} cells, cap is {TABLE_CELL_CAP}")
 
     def count_at(n1: int, n2: int) -> int | None:
         n = (n1,) if spec.d == 1 else (n1, n2)
@@ -219,8 +215,7 @@ def cmd_oracle(args) -> int:
     spec = load_spec(args.spec)
     charp = [c for c, _m in spec.components if isinstance(c, CharPComponent)]
     if not charp:
-        print("error: window oracle needs a char-p component", file=sys.stderr)
-        return 2
+        raise MathDomainError("window oracle needs a char-p component")
     n = _parse_vector(args.n, spec.d)
     w = charp_window_oracle(charp[0], n, window=args.window)
     for t, dim in w.dims:
@@ -363,7 +358,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # what is still buffered goes to devnull, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (SpecError, MathDomainError, UnsupportedPrimeError, AlgebraError) as e:
+    except (SpecError, MathDomainError, UnsupportedPrimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:

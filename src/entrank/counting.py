@@ -52,10 +52,14 @@ class CountResult:
     upper_bound_only: bool = False
 
 
-def require_nonzero(n) -> tuple[int, ...]:
+def require_nonzero(n, d: int) -> tuple[int, ...]:
+    """n as a tuple of d integers, the gate of every lattice-vector entry
+    point: counts are defined for n != 0 in Z^d only (MathDomainError)."""
     n = tuple(int(v) for v in n)
-    if all(v == 0 for v in n):
-        raise MathDomainError("n = 0 is the identity map: infinitely many fixed points")
+    if len(n) != d:
+        raise MathDomainError(f"n has {len(n)} entries, component expects {d}")
+    if not any(n):
+        raise MathDomainError("identity direction: infinitely many fixed points")
     return n
 
 
@@ -72,7 +76,7 @@ class Char0Point(NamedTuple):
 
 def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
     """Exact |F| for a char-0 prime component at lattice vector n."""
-    n = require_nonzero(n)
+    n = require_nonzero(n, pc.d)
     return _count_char0_at(pc, n, char0_point(pc, n))
 
 
@@ -91,8 +95,6 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     equality when every place above p is in the support (no block is left
     over); ConsistencyError otherwise.
     """
-    if len(n) != pc.d:
-        raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
     field = pc.component.field
     x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
     if x.is_zero():
@@ -415,9 +417,7 @@ def _groebner_dim(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
 
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite."""
-    n = require_nonzero(n)
-    if len(n) != pc.d:
-        raise MathDomainError(f"n has {len(n)} entries, component expects {pc.d}")
+    n = require_nonzero(n, pc.d)
     if pc.d <= 2:
         dim = _fitting_dim_d2(pc, n)
     else:
@@ -463,7 +463,7 @@ def count_composite(ps: PlacedSpec, n) -> CountResult:
     For non-Noetherian specs the product is only an upper bound for the true
     count, and the result says so.
     """
-    n = require_nonzero(n)
+    n = require_nonzero(n, ps.d)
     return count_at_points(ps, n, char0_points(ps, n))
 
 
@@ -552,7 +552,7 @@ def charp_window_oracle(pc: CharPComponent, n, window: int = 8) -> WindowOracle:
     sizes plus saturation of the band is the stabilization signal. A
     non-stabilized result is inconclusive, not an error.
     """
-    n = require_nonzero(n)
+    n = require_nonzero(n, pc.d)
     if pc.d != 2:
         raise MathDomainError("the window oracle is implemented for d = 2 only")
     g, gens_w = _axis_generators(pc, n)

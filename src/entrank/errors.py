@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: SpecError and MathDomainError to 2,
-ResourceLimitError to 3, ConsistencyError to 4.
+The CLI maps these onto exit codes: SpecError, MathDomainError and
+UnsupportedPrimeError to 2, ResourceLimitError to 3, ConsistencyError to 4.
+Two input conditions have one gate each: algebra.proven_prime (is p a
+proven prime) and counting.require_nonzero (is n a nonzero vector of Z^d).
 """
 
 
@@ -14,7 +16,7 @@ class SpecError(EntrankError):
 
 
 class MathDomainError(EntrankError):
-    """Mathematically undefined request (n = 0, non-mixing direction, x = 0)."""
+    """Mathematically undefined request (n = 0, non-mixing direction, x = 0, bad algebra input)."""
 
 
 class UnsupportedPrimeError(EntrankError):

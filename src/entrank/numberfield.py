@@ -68,7 +68,7 @@ from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_abs, mpf
                           mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg,
                           mpf_shift, mpf_sub, to_int)
 
-from .algebra import (_bareiss_det, discriminant, is_prime, ord_p, poly_str, poly_trim,
+from .algebra import (_bareiss_det, discriminant, ord_p, poly_str, poly_trim, proven_prime,
                       real_root_count, resultant)
 from .errors import (ConsistencyError, MathDomainError, ResourceLimitError, SpecError,
                      UnsupportedPrimeError)
@@ -424,7 +424,10 @@ def _horner(coeffs, a: int, b: int, scale: int) -> tuple[int, int]:
     return fr, fi
 
 
-MAX_SWEEPS = 200  # Durand-Kerner sweeps before root isolation gives up
+# Durand-Kerner sweeps before root isolation gives up. Roots below the grid
+# close in linearly, one halving a sweep: at 128 bits (x - 10^30)(10^300 x - 1)
+# (10^300 x - 3) takes 246 sweeps, and (x - 2*10^300)(10^300 x - 1)(10^300 x - 2) 1,145.
+MAX_SWEEPS = 2048
 
 
 @functools.lru_cache(maxsize=1024)
@@ -680,7 +683,7 @@ def finite_places_above(field: NumberField, p: int,
     """The places above p of _local_split(field, p, support): every place
     for support=None; errors loudly when p-maximality fails. siblings counts
     the split's blocks, the cofactor included."""
-    if not is_prime(p):
+    if not proven_prime(p):
         raise SpecError(f"{p} is not prime")
     split = _local_split(field, p, support)
     return [Place(field=field, kind="finite", p=p, res_degree=len(gbar) - 1, ram_index=e,

@@ -27,8 +27,9 @@ import itertools
 import math
 import random
 
-from .algebra import (AlgebraError, discriminant, is_prime, poly_derivative, poly_divexact,
-                      poly_gcd, poly_trim, trial_factor)
+from .algebra import (discriminant, is_prime, poly_derivative, poly_divexact, poly_gcd,
+                      poly_trim, proven_prime, trial_factor)
+from .errors import MathDomainError
 
 GfPoly = list[int]
 
@@ -87,7 +88,7 @@ def gf_prod(fs, p: int) -> GfPoly:
 
 def gf_divmod(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
     if not g:
-        raise AlgebraError("division by zero polynomial")
+        raise MathDomainError("division by zero polynomial")
     f = f[:]
     q = [0] * max(0, len(f) - len(g) + 1)
     inv = pow(g[-1], -1, p)
@@ -221,10 +222,10 @@ def gf_equal_degree_split(f: GfPoly, d: int, p: int, rng: random.Random) -> list
 
 def gf_factor(f: GfPoly, p: int) -> list[tuple[GfPoly, int]]:
     """Full monic factorization over F_p: sorted list of (irreducible, multiplicity)."""
-    if not is_prime(p):
-        raise AlgebraError(f"modulus must be prime, got {p}")
+    if not proven_prime(p):
+        raise MathDomainError(f"modulus must be prime, got {p}")
     if len(f) <= 1:
-        raise AlgebraError("cannot factor a constant")
+        raise MathDomainError("cannot factor a constant")
     out = [(irr, mult) for part, mult in gf_squarefree_parts(f, p)
            for irr in gf_factor_squarefree(part, p)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
@@ -276,7 +277,7 @@ def _gf_ext_gcd(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
         s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
         t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
     if len(r0) != 1:
-        raise AlgebraError("polynomials are not coprime")
+        raise MathDomainError("polynomials are not coprime")
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
@@ -319,7 +320,7 @@ def factor_monic_int_poly(f) -> list[tuple[int, ...]]:
     sorted by degree and then coefficients."""
     f = tuple(poly_trim(f))
     if not f or f[-1] != 1:
-        raise AlgebraError("expected a monic integer polynomial")
+        raise MathDomainError("expected a monic integer polynomial")
     return _factor_squarefree(f, discriminant(f))
 
 
@@ -328,7 +329,7 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
     Zassenhaus over the prime with the fewest factors among the first five
     primes that do not divide disc."""
     if disc == 0:
-        raise AlgebraError("input must be squarefree")
+        raise MathDomainError("input must be squarefree")
     best: tuple[int, list[GfPoly]] | None = None
     p = 1
     tried = 0
@@ -375,7 +376,7 @@ def _factor_squarefree(f: tuple[int, ...], disc: int) -> list[tuple[int, ...]]:
 
 
 def _next_prime(n: int) -> int:
-    n += 1
+    n += 1  # plain is_prime: Zassenhaus asks only for small primes, far below the proof bound
     while not is_prime(n):
         n += 1
     return n
@@ -417,6 +418,8 @@ def _integer_root_candidates(f) -> list[int]:
         return [0]
     primes, rest = trial_factor(c0)
     if rest > 1:
+        # plain is_prime: a fast path, so a pseudoprime cofactor only hides a
+        # root that Zassenhaus then finds, where proven_prime would raise
         if not is_prime(rest):
             return []
         primes[rest] = 1

@@ -90,7 +90,7 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
     ord_v(phi_v(n)) = |n . pc.rows[k]| at a finite place, and the
     (ball, tie widening) of _phi_ball at DEFAULT_PREC at an archimedean one.
     """
-    n = require_nonzero(n)
+    n = require_nonzero(n, pc.d)
     return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if place.kind == "arch"
                  else abs(sum(v * o for v, o in zip(n, row)))
                  for k, (place, row) in enumerate(zip(pc.places, pc.rows)))
@@ -206,7 +206,7 @@ def point_record(ps: PlacedSpec, n) -> PointRecord:
     2^-DEFAULT_PREC, a sum over components of mult * (g + h - log count)
     beyond the sum of mult * its radius raises ConsistencyError.
     """
-    n = require_nonzero(n)
+    n = require_nonzero(n, ps.d)
     norm = _norm2(n)
     points = char0_points(ps, n)
     res = count_at_points(ps, n, points)

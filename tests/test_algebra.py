@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from entrank.algebra import (
     MILLER_RABIN_PROVEN_BELOW,
-    AlgebraError,
     discriminant,
     factor_int,
     is_prime,
@@ -22,6 +21,7 @@ from entrank.algebra import (
     resultant,
     trial_factor,
 )
+from entrank.errors import MathDomainError
 
 
 def _mul(f, g):
@@ -50,7 +50,7 @@ def test_resultant_with_monomial():
 
 
 def test_resultant_both_zero_rejected():
-    with pytest.raises(AlgebraError):
+    with pytest.raises(MathDomainError):
         resultant([], [])
 
 
@@ -148,9 +148,9 @@ def test_ord_p_examples():
 
 
 def test_ord_p_rejects_zero_and_composite():
-    with pytest.raises(AlgebraError):
+    with pytest.raises(MathDomainError):
         ord_p(Fraction(0), 2)
-    with pytest.raises(AlgebraError):
+    with pytest.raises(MathDomainError):
         ord_p(Fraction(1), 4)
 
 
@@ -159,7 +159,7 @@ def test_ord_p_keeps_rejecting_composites_once_primes_are_cached():
     # every call, before and after its prime factors have been used
     for _ in range(2):
         for composite in (1, 0, -7, 4, 709 * 719, 3**40):
-            with pytest.raises(AlgebraError, match="requires a prime"):
+            with pytest.raises(MathDomainError, match="requires a prime"):
                 ord_p(Fraction(709 * 719), composite)
         assert ord_p(Fraction(709 * 719), 709) == 1
 
@@ -378,6 +378,32 @@ def test_factor_int_raises_on_an_unproven_prime():
             factor_int(n)
     p = 3317044064679887385961813  # the largest prime below the bound
     assert factor_int(4 * p) == {2: 2, p: 1}
+
+
+_ONE_PLUS_U = [{"exp": [0], "coeff": 1}, {"exp": [1], "coeff": 1}]
+
+
+@pytest.mark.parametrize("route", [
+    "finite_places_above", "ord_p", "gf_factor", "factor_int", "spec char"])
+def test_every_prime_route_shares_the_proof_gate(route):
+    # the bound is a strong pseudoprime to every base is_prime tries: each
+    # route that goes on to use a modulus as prime refuses it the same way
+    from entrank.action import parse_spec
+    from entrank.errors import ResourceLimitError
+    from entrank.numberfield import build_field, finite_places_above
+    from entrank.polyfactor import gf_factor
+
+    b = MILLER_RABIN_PROVEN_BELOW
+    call = {
+        "finite_places_above": lambda: finite_places_above(build_field([0, 1]), b),
+        "ord_p": lambda: ord_p(3 * b, b),
+        "gf_factor": lambda: gf_factor([1, 0, 1], b),
+        "factor_int": lambda: factor_int(b),
+        "spec char": lambda: parse_spec({"d": 1, "components": [
+            {"char": b, "generators": [{"terms": _ONE_PLUS_U}]}]}),
+    }[route]
+    with pytest.raises(ResourceLimitError, match="probable prime of 82 bits is not proven prime"):
+        call()
 
 
 def test_factor_int_stops_pollard_rho_at_its_step_cap():

@@ -435,13 +435,28 @@ def test_mahler_without_convergence_exits_3(capsys, monkeypatch):
                    "of up to 3 bits did not converge at 128 bits\n")
 
 
-def test_mahler_resource_limit_names_the_size_not_the_polynomial(capsys):
-    # (x - 10^30)(10^300 x - 1)(10^300 x - 3): its simple roots are not yet
-    # isolated, and the message gives the degree and the coefficient size
-    # rather than the 600-digit coefficients
-    a, b = 10 ** 30, 10 ** 300
-    coeffs = [-3 * a, 3 + 4 * a * b, -4 * b - a * b * b, b * b]  # ascending
-    rc, out, err = run(capsys, "mahler", "--poly", ",".join(map(str, coeffs)))
+# (x - 10^30)(10^300 x - 1)(10^300 x - 3), ascending: two simple roots below
+# the grid 2^-188, which Durand-Kerner closes in on one halving a sweep
+_TINY_PAIR = ",".join(map(str, [-3 * 10**30, 3 + 4 * 10**330, -4 * 10**300 - 10**630, 10**600]))
+
+
+def test_mahler_isolates_two_tiny_roots_below_the_grid(capsys):
+    # m = log 10^30 + 2 log 10^300 = log 10^630; 246 sweeps at 128 bits
+    rc, out, err = run(capsys, "mahler", "--poly", _TINY_PAIR)
+    assert rc == 0 and err == ""
+    assert out == "1450.62860859 (error bound 2.27373675443e-13)\n"
+    assert abs(float(out.split()[0]) - 630 * math.log(10)) < 1e-8  # 12 digits printed
+
+
+def test_mahler_resource_limit_names_the_size_not_the_polynomial(capsys, monkeypatch):
+    # the message gives the degree and the coefficient size rather than the
+    # 600-digit coefficients
+    import entrank.entropy as entropy
+    import entrank.numberfield as nf
+
+    monkeypatch.setattr(nf, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(entropy, "root_discs", nf.root_discs.__wrapped__)  # past the cache
+    rc, out, err = run(capsys, "mahler", "--poly", _TINY_PAIR)
     assert rc == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource limit: ")
@@ -455,12 +470,12 @@ def test_mahler_unparsable_poly_exits_2(capsys, poly):
     assert err.startswith("error: could not parse polynomial coefficients")
 
 
-def test_algebra_error_exits_2(capsys, monkeypatch):
+def test_algebra_layer_error_exits_2(capsys, monkeypatch):
     import entrank.cli
-    from entrank.algebra import AlgebraError
+    from entrank.errors import MathDomainError
 
     def fail(_coeffs):
-        raise AlgebraError("division by zero polynomial")
+        raise MathDomainError("division by zero polynomial")
 
     monkeypatch.setattr(entrank.cli, "mahler_measure", fail)
     rc, _out, err = run(capsys, "mahler", "--poly", "1,1")
@@ -658,3 +673,23 @@ def test_cli_answers_or_exits_with_a_typed_code(command, data):
             rc = main(argv)
     assert rc in (0, 1, 2, 3), (doc, argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_package_namespace_is_what_its_callers_import():
+    # the names the CLI's tests, the other tests and the benchmark import
+    # from the package; everything else is reached through its submodule
+    import types
+
+    import entrank
+
+    public = {k for k, v in vars(entrank).items()
+              if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == {
+        "CharPComponent", "ConsistencyError", "EntropyFunction", "LaurentPolynomial",
+        "MathDomainError", "ResourceLimitError", "SpecError", "build_field",
+        "charp_window_oracle", "compute_places", "count_composite", "count_prime_char0",
+        "count_prime_charp", "directional_entropy", "entropy_function_of",
+        "entropy_rank_one_check", "g_value", "ledrappier_axis_closed_form", "load_spec",
+        "mahler_measure", "mixing_check", "nonexpansive_candidates", "parse_spec", "phi_v",
+        "place_spec", "point_record", "shell_scan", "sphere_extrema", "write_records_csv",
+    }

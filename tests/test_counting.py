@@ -16,7 +16,7 @@ from entrank import (
     parse_spec,
     place_spec,
 )
-from entrank import groebner
+from entrank import groebner, phi_v, point_record
 from entrank.groebner import GroebnerBasis
 from entrank.numberfield import finite_places_above
 
@@ -438,3 +438,31 @@ def test_log_count_upper_bound(x2x3):
     for n in [(1, 1), (-5, 3), (7, -2), (8, 8)]:
         cnt = count_composite(x2x3, n).value
         assert math.log(cnt) <= bound_coeff * max(abs(v) for v in n) + 1e-9
+
+
+@pytest.fixture(scope="module")
+def golden_ps(golden_mean_spec):
+    return place_spec(golden_mean_spec)
+
+
+@pytest.mark.parametrize("n, text", [
+    ((0, 0), "identity direction: infinitely many fixed points"),
+    ((3,), "n has 1 entries, component expects 2"),
+    ((3, 0, 5), "n has 3 entries, component expects 2"),
+])
+@pytest.mark.parametrize("entry", ["count_prime_char0", "count_prime_charp", "count_composite",
+                                   "charp_window_oracle", "phi_v", "point_record"])
+def test_every_lattice_vector_entry_point_shares_the_gate(entry, n, text, golden_ps, ledrappier):
+    # zip would truncate a long vector and unpacking would fail on a short
+    # one: each entry point refuses both, and n = 0, with the gate's text
+    fn, target = {
+        "count_prime_char0": (count_prime_char0, golden_ps.placed_char0()[0][0]),
+        "count_prime_charp": (count_prime_charp, ledrappier.charp()[0][0]),
+        "count_composite": (count_composite, golden_ps),
+        "charp_window_oracle": (charp_window_oracle, ledrappier.charp()[0][0]),
+        "phi_v": (phi_v, golden_ps.placed_char0()[0][0]),
+        "point_record": (point_record, golden_ps),
+    }[entry]
+    with pytest.raises(MathDomainError) as e:
+        fn(target, n)
+    assert str(e.value) == text
