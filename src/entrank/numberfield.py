@@ -45,13 +45,14 @@ that disc, and every ball built from these carries its radius on, rounded
 outward. A logarithm ball for sigma_v(x) is held in one form, integers at
 scale 2^-prec with the radius rounded up, so that integer combinations of
 such balls are exact; log |x|_v and its float are views of that ball.
-log |1 - e^t| is evaluated from a dyadic ball at prec - 32 + log2 |t.rad|
-bits (about 100 + log2 |n| at the default precision) on mpmath's raw libmp
-numbers: one exp (and cos/sin at a complex place), then the log of 1 - e^t
-formed at twice that precision, or, in the far tail where |e^t| < 2^-bits,
-the series -w - w^2/2. Its radius bounds are integers, each rounded in its
-safe direction, and leave as floats rounded up. Consumers refine
-precision on demand.
+|1 - e^t| over a dyadic ball t, whose centre is a sum of per-generator
+parts, is formed at about 100 + log2 |n| bits from cached entries: e^Re t
+as a product of e^(Re part), and at a complex place e^(i Im t) as one of
+(cos, sin)(Im part). |1 - e^t| (|1 - e^t|^2 at a complex place) is then an
+exact dyadic, or, in the far tail where |e^t| < 2^-bits, the log term
+-w - w^2/2 stands in for it. Its radius bounds are integers, each rounded
+in its safe direction. safe_mpf_log is the one route to libmp's log, around an
+mpmath 1.3.0 defect near 1/4. Consumers refine precision on demand.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_abs, mpf_add,
-                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_ln2, mpf_log, mpf_neg,
                           mpf_shift, mpf_sub, to_int)
 
 from .algebra import (_bareiss_det, discriminant, ord_p, poly_str, poly_trim, proven_prime,
@@ -346,20 +347,6 @@ class DyadicBall(NamedTuple):
     re: int
     im: int
     rad: int
-
-
-def ldexp_up(m: int, e: int) -> float:
-    """A float at least m 2^e for an integer m >= 0, rounded up so that
-    neither the 53-bit rounding nor an underflow leaves it below m 2^e."""
-    if not m:
-        return 0.0
-    k = m.bit_length() - 53
-    if k > 0:
-        m, e = -(-m >> k), e + k
-    try:
-        return math.nextafter(math.ldexp(m, e), math.inf)
-    except OverflowError:
-        return math.inf
 
 
 def _sqrt_ratio_up(num: int, den: int, bits: int) -> mp.mpf:
@@ -810,7 +797,7 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
         if 4 * rad * rad < m2:  # 2 rad < |V|, so u / (1 - u) <= rad / (isqrt(m2) - rad)
             wp = work + 20
             square = mpf_div(from_man_exp(m2, -2 * t), from_int(x.den ** 2), wp, "n")
-            re = mp.make_mpf(mpf_shift(mpf_log(square, wp, "n"), -1))
+            re = mp.make_mpf(mpf_shift(safe_mpf_log(square, wp, "n"), -1))
             im = (int(vr < 0) if emb.is_real
                   else mp.make_mpf(mpf_atan2(from_int(vi), from_int(vr), wp, "n")))
             u = mp.make_mpf(mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c"))
@@ -823,6 +810,21 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
         if work >= MAX_PREC:
             raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
         work *= 2
+
+
+def safe_mpf_log(x: tuple, prec: int, rnd: str) -> tuple:
+    """libmp's log of a positive raw mpf x at prec bits, rounded rnd.
+
+    mpmath 1.3.0's mpf_log reads any x in [1/4, 1/2) as if it were near 1:
+    within a relative 2^-(prec + 20) of 1/4 it returns about x - 1/4 (so
+    log of (2^100 + 1) 2^-102 comes out as 7.9e-31). Such an x is doubled
+    into [1/2, 1) first and log 2 subtracted, both at prec + 10 bits, where
+    the two logs have one sign and the sum no cancellation."""
+    _sign, man, exp, bc = x
+    if exp + bc == -1 and bc - (man - (1 << (bc - 1))).bit_length() > prec + 20:
+        wp = prec + 10
+        return mpf_sub(mpf_log(mpf_shift(x, 1), wp), mpf_ln2(wp), prec, rnd)
+    return mpf_log(x, prec, rnd)
 
 
 def _scaled(x: tuple, k: int, rnd: str) -> int:
@@ -854,70 +856,119 @@ def _ceil_shift(m: int, k: int) -> int:
     return -(-m >> k)
 
 
-def log_abs_one_minus_exp(place: Place, t: DyadicBall, prec: int) -> tuple[mp.mpf, float] | None:
-    """log |1 - e^t|_v for every t in the dyadic ball t at scale 2^-prec,
-    Re t <= 0 up to ties, with a float radius rounded up; None while the
-    ball for |1 - e^t| is not separated from 0.
+@functools.lru_cache(maxsize=4096)
+def _exp_entry(x: int, prec: int, wq: int) -> tuple[int, int]:
+    """e^(x 2^-prec) as (m, e), m of wq bits, within a relative 2^(1 - wq):
+    one libmp exp at wq + 8 bits, rounded to nearest at wq."""
+    _sign, man, exp, bc = mpf_exp(from_man_exp(x, -prec), wq + 8)
+    k = bc - wq
+    if k <= 0:
+        return man << -k, exp + k
+    return (man + (1 << (k - 1))) >> k, exp + k
+
+
+@functools.lru_cache(maxsize=4096)
+def _cos_sin_entry(y: int, prec: int, wq: int) -> tuple[int, int]:
+    """(cos, sin)(y 2^-prec) as integers at scale 2^-wq, each within 1: one
+    libmp cos_sin at wq + 8 bits, rounded to nearest."""
+    cos, sin = mpf_cos_sin(from_man_exp(y, -prec), wq + 8)
+    return _scaled(cos, wq, "n"), _scaled(sin, wq, "n")
+
+
+class ExpFactor(NamedTuple):
+    """|1 - e^t|_v over a ball t, from one_minus_exp_factor. Pairs (m, e)
+    stand for m 2^e. For every t in the ball, weight log |1 - e^t| lies
+    within rad of log(man 2^exp) + tail; ea is the computed e^(Re t0), with
+    |log ea - Re t0| <= ea_rad."""
+
+    man: int  # man 2^exp = |1 - w|^weight exactly, or 1 in the far tail
+    exp: int
+    tail: tuple  # raw mpf: weight log |1 - w| in the far tail, else fzero
+    ea: tuple[int, int]
+    rad: tuple[int, int]
+    ea_rad: tuple[int, int]
+
+
+def one_minus_exp_factor(place: Place, t: DyadicBall, parts: list[tuple[int, int]],
+                         prec: int) -> ExpFactor | None:
+    """|1 - e^t|_v for every t in the dyadic ball t at scale 2^-prec,
+    Re t <= 0 up to ties, as an exact dyadic factor, or as an additive log
+    term in the far tail; None while the ball for |1 - e^t| is not
+    separated from 0. parts are integer pairs (re, im), one per generator,
+    that sum to t's centre (re + i im); at a real place only t.im, the
+    parity, is read.
 
     With a = Re t0 and r = t.rad 2^-prec <= 1/2, the work runs at
     wp = prec - 32 + bitlen(t.rad) bits, about 100 + log2 |n| at the
-    default precision, since t.rad is about |n| times the cached radii; the
-    radius then stays near 2^-90 relative (libmp's exp and log cost about
-    the same from 64 to 128 bits). w = e^t0 is found there to within
-    e^a 2^(4 - wp), and e^t moves by at most e^a (r + r^2) on the ball, so
-    every e^t lies within delta = ea f of w, where ea is the computed e^a,
-    eps = 2^(5 - wp) and f = (r + r^2 + eps)(1 + eps); ea (1 + eps) bounds
-    both e^a and |w|.
+    default precision, since t.rad is about |n| times the cached radii.
+    w = e^t0 is the product over the parts of cached exponentials at
+    wq >= wp + 8 + bitlen(#parts) bits, wq a multiple of 32 so that nearby
+    wp share entries: e^(part.re 2^-prec) (_exp_entry, each within a
+    relative 2^(1 - wq)), their product cut to wq bits, which leaves the
+    computed ea within a relative 2^(-wp - 5) of e^a, and at a complex place
+    (cos, sin)(part.im 2^-prec) (_cos_sin_entry, each coordinate within
+    2^-wq), multiplied and floored at scale 2^-wq. So w is within
+    e^a 2^(4 - wp) of e^t0, and e^t moves by at most e^a (r + r^2) on the
+    ball; every e^t lies within delta = ea f of w, eps = 2^(5 - wp) and
+    f = (r + r^2 + eps)(1 + eps), and ea (1 + eps) bounds both e^a and |w|.
 
     - Far tail, ea < 2^-wp: log |1 - w| = -Re w - Re(w^2)/2 to within
-      |w|^3, and with the rounding within ea (1 + eps) eps; |1 - w| - delta
-      >= 1/2, so the value moves by at most 2 delta over the ball. 1 - w
-      would round to 1 here at 2 wp bits, which is why this branch is
-      needed.
-    - Elsewhere: 1 - w (and at a complex place |1 - w|^2) is formed at
-      2 wp bits, within eps^2 relatively, and its log taken at wp bits,
-      within |value| eps. Over the ball the value moves by at most
-      delta / gap, gap = |1 - w| (1 - eps^2) - delta, and gap <= 0
-      returns None.
+      |w|^3, and with w's own error within ea (1 + eps) eps; |1 - w| -
+      delta >= 1/2, so the value moves by at most 2 delta over the ball.
+      The term is returned as tail, with man 2^exp = 1.
+    - Elsewhere |1 - w| (at a complex place |1 - w|^2) is formed exactly
+      as an integer at w's scale. Over the ball the log moves by at most
+      weight delta / gap, gap = |1 - w| - delta, with |1 - w| floored at
+      scale 2^(e - prec - 16), e the exponent of ea = (m, e), and one unit
+      off; gap <= 0 returns None.
 
     The bounds are integers at scale 2^-(prec + 16), each rounded in its
-    safe direction.
+    safe direction; moved leaves at scale 2^-prec, rounded up.
     """
-    if t.rad > 1 << (prec - 1):
+    rad = t.rad
+    if rad > 1 << (prec - 1):
         return None
-    wp = prec - 32 + t.rad.bit_length()
+    wp = prec - 32 + rad.bit_length()
+    wq = -(-(wp + 8 + len(parts).bit_length()) // 32) * 32
+    em, ee = 1, 0
+    for x, _y in parts:
+        if x:
+            m, e = _exp_entry(x, prec, wq)
+            em, ee = em * m, ee + e
+    k = em.bit_length() - wq
+    if k > 0:
+        em, ee = em >> k, ee + k
     weight = place.weight
-    ea = mpf_exp(from_man_exp(t.re, -prec), wp)
     if weight == 1:
-        w_re, w_im = (mpf_neg(ea) if t.im else ea), None
+        xr, xi, s = (-em if t.im else em), 0, ee
     else:
-        cos, sin = mpf_cos_sin(from_man_exp(t.im, -prec), wp)
-        w_re, w_im = mpf_mul(ea, cos, wp), mpf_mul(ea, sin, wp)
+        ur, ui = 1 << wq, 0
+        for _x, y in parts:
+            if y:
+                c, si = _cos_sin_entry(y, prec, wq)
+                ur, ui = (ur * c - ui * si) >> wq, (ur * si + ui * c) >> wq
+        xr, xi, s = em * ur, em * ui, ee - wq  # w = (xr + i xi) 2^s
     sc = prec + 16
-    r = t.rad << 16
+    r = rad << 16
     eps = 1 << max(sc + 5 - wp, 0)
     f = _ceil_shift((r + _ceil_shift(r * r, sc) + eps) * ((1 << sc) + eps), sc)
-    _sign, eman, eexp, ebc = ea
-    if eexp + ebc <= -wp:  # ea < 2^-wp
-        sq = mpf_mul(w_re, w_re) if w_im is None else mpf_sub(mpf_mul(w_re, w_re),
-                                                              mpf_mul(w_im, w_im))
-        value = mpf_shift(mpf_sub(mpf_neg(w_re), mpf_shift(sq, -1), wp), weight - 1)
+    ea_rad = (1, -wp - 4)  # |log(1 + x)| <= 2 |x| for |x| <= 2^(-wp - 5)
+    if em.bit_length() + ee <= -wp:  # ea < 2^-wp
+        # -Re w - Re(w^2)/2 = (-2 xr 2^-s - xr^2 + xi^2) 2^(2s - 1)
+        value = from_man_exp(xi * xi - xr * xr - (xr << (1 - s)), 2 * s + weight - 2)
         tail = 2 * f + eps + _ceil_shift(eps * eps, sc)
-        return mp.make_mpf(value), ldexp_up((eman * tail) << (weight - 1), eexp - sc)
-    delta = eman * f  # at scale 2^(eexp - sc), like d and gap
-    x = mpf_sub(fone, w_re, 2 * wp)
-    if w_im is None:
-        m = mpf_abs(x)
-        d = _scaled(m, sc - eexp, "f")
+        return ExpFactor(1, 0, value, (em, ee), ((em * tail) << (weight - 1), ee - sc), ea_rad)
+    delta = em * f  # at scale 2^(ee - sc), like d and gap
+    one = 1 << -s
+    if weight == 1:
+        man, exp = abs(one - xr), s
+        d = man << (sc + s - ee)
     else:
-        m = mpf_add(mpf_mul(x, x, 2 * wp), mpf_mul(w_im, w_im, 2 * wp), 2 * wp)
-        d = math.isqrt(_scaled(m, 2 * (sc - eexp), "f"))
-    gap = d - (d >> (2 * wp - 10)) - 1 - delta
+        man, exp = (one - xr) ** 2 + xi * xi, 2 * s
+        k = sc + s - ee  # |1 - w| = sqrt(man) 2^s, at scale 2^(ee - sc)
+        d = math.isqrt(man << 2 * k if k >= 0 else man >> -2 * k)
+    gap = d - 1 - delta
     if gap <= 0:
         return None
-    value = mpf_log(m, wp)  # weight log |1 - w|: |1 - w|^2 at a complex place
-    k = max(0, gap.bit_length() - delta.bit_length() + 60)
-    moved = -(-(delta << k) // gap) << (weight - 1)  # >= weight delta / gap, at scale 2^-k
-    rad = math.fsum((ldexp_up(moved, -k), ldexp_up(value[1], value[2] + 5 - wp),
-                     ldexp_up(1, 10 - 2 * wp)))
-    return mp.make_mpf(value), math.nextafter(rad, math.inf)
+    moved = -(-(weight * delta << prec) // gap)  # >= weight delta / gap, at scale 2^-prec
+    return ExpFactor(man, exp, fzero, (em, ee), (moved, -prec), ea_rad)

@@ -2,38 +2,54 @@
 f = g + h(n_hat), and shell scans with C1/C2 estimates.
 
 At every support place |xi^n - 1|_v is |xi^n|_v |1 - xi^(-n)|_v when
-|xi^n|_v > 1 and |1 - xi^n|_v otherwise, so log count = h(n) + g(n) with
-h(n) the sum of the positive log |xi^n|_v and g(n) that of
-log |1 - phi_v(n)|_v. point_record takes one counting.char0_point per
-component (the norm of xi^n - 1 and its finite place orders); the count
-comes from it exactly, and one pass over the places forms h and g:
+|xi^n|_v > 1 (the place is lifted) and |1 - xi^n|_v otherwise, so
+log count = h(n) + g(n) with h(n) the sum of the positive log |xi^n|_v and
+g(n) that of log |1 - phi_v(n)|_v. point_record takes one
+counting.char0_point per component (the norm of xi^n - 1 and its finite
+place orders); the count comes from it exactly, and one pass over the
+places forms h, g and a check of both against the count:
 
 - Archimedean places. Placement holds log sigma_v(xi_i) as dyadic balls:
   integers RE, IM (the parity at a real place) and RAD at scale
-  2^-DEFAULT_PREC. log sigma_v(xi^n) is then the ball around S + i IM,
+  2^-DEFAULT_PREC. The balls n_i log sigma_v(xi_i), negated where the place
+  is lifted, sum to the ball for log sigma_v(phi_v(n)) around S + i IM,
   S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
   bits grow with log |n| only. weight * S is 2^prec n . l_v; its sign picks
-  the branch, and where |xi^n|_v > 1, h_v = weight * S 2^-prec within
-  weight * R 2^-prec (else h_v = 0). log |1 - sigma_v(phi_v)| comes from
-  one evaluation with a proven radius (log_abs_one_minus_exp), doubling the
+  the branch, and on a lifted place h_v = weight * S 2^-prec within
+  weight * R 2^-prec (else h_v = 0). numberfield.one_minus_exp_factor turns
+  the balls into w = sigma_v(phi_v(n)) from cached per-generator
+  exponentials, with ea = |w|, and |1 - w|^weight as an exact dyadic with a
+  proven log radius (moved), or in the far tail a log term; it doubles the
   precision, rows rebuilt at the new scale, only while the ball for
   |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
-  The terms are summed exactly before one float conversion.
 - Finite places are exact, from the ord_v(xi^n - 1) that the count reads
   (counting.char0_point: min(t, 0) wherever t = n . ords != 0, so
-  only places with t = 0 cost a valuation). ord_v < 0 means t < 0, where
-  |1 - phi_v(n)|_v = 1 and h_v = -ord_v f_v log p; ord_v > 0 means t = 0,
-  where h_v = 0 and the g term is -ord_v f_v log p.
+  only places with t = 0 cost a valuation). With c = ord_v f_v, c < 0 means
+  t < 0, where |1 - phi_v(n)|_v = 1 and h_v = -c log p; c > 0 means t = 0,
+  where h_v = 0 and the g term is -c log p.
 - Ties: when the n . l_v ball contains 0, the <= branch is taken (h_v = 0),
   and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
   which differs by exactly n . l_v; nothing escalates.
 
-On the branch taken g_v + h_v = log |xi^n - 1|_v exactly, so a component's
-g + h is the log of its count. point_record checks that in integers at the
-one scale 2^-DEFAULT_PREC, each input rounded outward to it: the exact sum
-of the archimedean terms and their float radii, the S sums, log p (one
-cached libmp log per prime) and log count (one libmp log per component).
-A difference beyond the summed radii raises ConsistencyError.
+The check is the product formula in integers. With M the product of the
+exact archimedean factors |1 - w|^weight, A that of ea^weight over the
+lifted places, and P+ and P- the products of p^|c| over the finite places
+with c > 0 and c < 0, count = (M / A) P- / P+ up to the far-tail factors,
+so point_record raises ConsistencyError where
+
+    |M P- - A count P+| > (e^rho - 1) A count P+.
+
+M and A are exact products and the check takes no logarithm, so rho, an
+integer at scale 2^-DEFAULT_PREC rounded up, sums only every place's
+moved, its tie widening and its far-tail term with that term's radius,
+and on a lifted place weight * R plus the rounding of ea inside A, and 1
+for the floor of h. g is one log per component,
+log(M / P+) plus the far-tail terms at DEFAULT_PREC bits (safe_mpf_log),
+converted to a float once; h is the integer sum of weight * S and of
+-c log p (one cached libmp log per prime) at scale 2^-DEFAULT_PREC. A
+float guard, |g + h - log count| <= 2^-30 max(1, log count) per
+component, catches a fault in that last conversion, which the product
+check does not see.
 
 Only char-0 components enter h and g (char-p components have no computed
 places); f always includes every component, so for specs with char-p parts
@@ -48,40 +64,47 @@ import math
 import os
 from dataclasses import dataclass
 
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_log, to_float
+from mpmath.libmp import fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, to_float
 
 from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _scaled,
-                          compare_abs_to_one, log_abs_one_minus_exp, log_sigma_ball)
+                          compare_abs_to_one, log_sigma_ball, one_minus_exp_factor,
+                          safe_mpf_log)
 
 
 # ---------------------------------------------------------------------------
 # phi_v, f and g
 # ---------------------------------------------------------------------------
 
-def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...],
-              prec: int) -> tuple[DyadicBall, int, int]:
-    """(dyadic ball for log sigma_v(phi_v(n)), tie widening, 2^prec h_v), all
-    at scale 2^-prec, at archimedean place k, from the integer sums S, IM and
-    R of the module docstring (IM mod 2 at a real place): h_v is weight * S
-    within weight * R where |xi^n|_v > 1, else 0, and on a tie the widening
-    is weight * (|S| + R)."""
+def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int
+              ) -> tuple[DyadicBall, list[tuple[int, int]], int, int]:
+    """(ball, parts, tie widening, 2^prec h_v), all at scale 2^-prec, at
+    archimedean place k: the ball for log sigma_v(phi_v(n)) from the integer
+    sums S, IM and R of the module docstring (IM mod 2 at a real place),
+    and parts the terms (n_i RE_i, n_i IM_i) of its centre, negated where
+    |xi^n|_v > 1; h_v is weight * S within weight * R there, else 0, and on
+    a tie the widening is weight * (|S| + R)."""
     place = pc.places[k]
     rows = (pc.rows[k] if prec == DEFAULT_PREC
             else [log_sigma_ball(place, x, prec) for x in pc.component.xi])
     s = im = r = 0
+    parts = []
     for v, (re_i, im_i, rad_i) in zip(n, rows):
-        s += v * re_i
-        im += v * im_i
+        x, y = v * re_i, v * im_i
+        s += x
+        im += y
         r += abs(v) * rad_i
-    if place.weight == 1:
+        parts.append((x, y))
+    weight = place.weight
+    if weight == 1:
         im &= 1
-    side = compare_abs_to_one(place, (place.weight * s, place.weight * r))
+    side = compare_abs_to_one(place, (weight * s, weight * r))
     if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
-        return DyadicBall(-s, im if place.weight == 1 else -im, r), 0, place.weight * s
-    return DyadicBall(s, im, r), (place.weight * (abs(s) + r) if side == 0 else 0), 0
+        return (DyadicBall(-s, im if weight == 1 else -im, r),
+                [(-x, -y) for x, y in parts], 0, weight * s)
+    return DyadicBall(s, im, r), parts, (weight * (abs(s) + r) if side == 0 else 0), 0
 
 
 def phi_v(pc: PlacedComponent, n) -> tuple:
@@ -91,58 +114,105 @@ def phi_v(pc: PlacedComponent, n) -> tuple:
     (ball, tie widening) of _phi_ball at DEFAULT_PREC at an archimedean one.
     """
     n = require_nonzero(n, pc.d)
-    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[:2] if place.kind == "arch"
+    return tuple(_phi_ball(pc, k, n, DEFAULT_PREC)[::2] if place.kind == "arch"  # ball, widening
                  else abs(sum(v * o for v, o in zip(n, row)))
                  for k, (place, row) in enumerate(zip(pc.places, pc.rows)))
 
 
-def _scaled_log(m: int) -> int:
-    """2^DEFAULT_PREC log m for an integer m >= 1, rounded to the nearest
-    integer and so within 1: one libmp log of the top wp bits of m,
-    wp = DEFAULT_PREC + 20 + bitlen(bitlen(m)), which is within a few ulp,
+@functools.lru_cache(maxsize=None)
+def _prime_log(p: int) -> int:
+    """2^DEFAULT_PREC log p for a prime p, rounded to the nearest integer and
+    so within 1: one libmp log of the top wp bits of p,
+    wp = DEFAULT_PREC + 20 + bitlen(bitlen(p)), which is within a few ulp,
     2^-16 at this scale."""
-    wp = DEFAULT_PREC + 20 + m.bit_length().bit_length()
-    return _scaled(mpf_log(from_int(m, wp, "n"), wp, "n"), DEFAULT_PREC, "n")
+    wp = DEFAULT_PREC + 20 + p.bit_length().bit_length()
+    return _scaled(safe_mpf_log(from_int(p, wp, "n"), wp, "n"), DEFAULT_PREC, "n")
 
 
-_prime_log = functools.lru_cache(maxsize=None)(_scaled_log)
+@functools.lru_cache(maxsize=4096)
+def _prime_power(p: int, k: int) -> int:
+    """p^k: a finite place's exact factor in the product check."""
+    return p**k
+
+
+def _up(m: int, e: int) -> int:
+    """ceil(m 2^(e + DEFAULT_PREC)) for an integer m >= 0: m 2^e at the
+    check's scale, rounded up."""
+    e += DEFAULT_PREC
+    return m << e if e >= 0 else _ceil_shift(m, -e)
 
 
 def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point,
-                       count: int) -> tuple[float, int, int, int]:
-    """(g, h, miss, radius) for one component at n, from the char0_point its
-    count read and that count: g as a float; h and miss = g + h - log count,
-    whose exact value is 0, as integers at scale 2^-DEFAULT_PREC, with radius
-    bounding miss's error."""
-    total = fzero  # g's terms, summed exactly
-    h = 0  # at scale 2^-DEFAULT_PREC
-    radius = 2  # the rounding of total and of log count
+                       count: int) -> tuple[float, int]:
+    """(g, h) for one component at n, from the char0_point its count read
+    and that count: g as a float and h as an integer at scale
+    2^-DEFAULT_PREC, after the product check and the float guard of the
+    module docstring (ConsistencyError)."""
+    m_man, m_exp = 1, 0  # M = m_man 2^m_exp
+    a_man, a_exp = 1, 0  # A
+    p_neg = p_pos = 1
+    tails = fzero
+    h = 0  # at scale 2^-DEFAULT_PREC, like rho
+    rho = 0
     for k, (place, o) in enumerate(zip(pc.places, point.ords)):
         if o is not None:
-            c = o * place.res_degree  # log |xi^n - 1|_v = -c log p
+            c = o * place.res_degree  # |xi^n - 1|_v = p^-c
             if c < 0:
                 h -= c * _prime_log(place.p)
+                p_neg *= _prime_power(place.p, -c)
             elif c:
-                total = mpf_add(total, from_man_exp(-c * _prime_log(place.p), -DEFAULT_PREC))
-            radius += abs(c)  # each log p is within 1
+                p_pos *= _prime_power(place.p, c)
             continue
         prec = DEFAULT_PREC
-        ball, widen, lift = _phi_ball(pc, k, n, prec)
-        while (term := log_abs_one_minus_exp(place, ball, prec)) is None:
+        ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
+        while (term := one_minus_exp_factor(place, ball, parts, prec)) is None:
             if prec >= MAX_PREC:
                 raise ConsistencyError(
                     f"cannot separate |1 - sigma(phi_v)| from 0 at n={n}, {place.label()}, "
                     "at maximum precision")
             prec *= 2
-            ball, widen, lift = _phi_ball(pc, k, n, prec)
-        total = mpf_add(total, term[0]._mpf_)
-        shift = prec - DEFAULT_PREC
-        radius += math.ceil(math.ldexp(term[1], DEFAULT_PREC)) + _ceil_shift(widen, shift)
-        if lift:  # within weight * R, plus 1 for the floor
-            h += lift >> shift
-            radius += _ceil_shift(place.weight * ball.rad, shift) + 1
-    miss = _scaled(total, DEFAULT_PREC, "n") + h - _scaled_log(count)
-    return to_float(total), h, miss, radius
+            ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
+        m_man, m_exp = m_man * term.man, m_exp + term.exp
+        rho += _up(*term.rad) + _up(widen, -prec)
+        if term.tail != fzero:
+            tails = mpf_add(tails, term.tail)
+            rho += _scaled(mpf_abs(term.tail), DEFAULT_PREC, "c")
+        if lift:  # within weight * R and ea's rounding, plus 1 for the floor
+            weight, (em, ee) = place.weight, term.ea
+            h += lift >> (prec - DEFAULT_PREC)
+            a_man, a_exp = a_man * em**weight, a_exp + weight * ee
+            rho += weight * (_up(ball.rad, -prec) + _up(*term.ea_rad)) + 1
+    _check_product(n, (m_man, m_exp), (a_man, a_exp), count * p_pos, p_neg, rho)
+    ratio = from_man_exp(m_man, m_exp)
+    if p_pos > 1:
+        ratio = mpf_div(ratio, from_int(p_pos), max(m_man.bit_length(), 2 * DEFAULT_PREC))
+    g = to_float(mpf_add(safe_mpf_log(ratio, DEFAULT_PREC, "n"), tails))
+    log_count = math.log(count)
+    if not abs(g + math.ldexp(h, -DEFAULT_PREC) - log_count) <= 2.0**-30 * max(1.0, log_count):
+        raise ConsistencyError(f"decomposition mismatch at n={n}: g = {g!r} and h = "
+                               f"{math.ldexp(h, -DEFAULT_PREC)!r} do not sum to log count = "
+                               f"{log_count!r}")
+    return g, h
+
+
+def _check_product(n, m: tuple[int, int], a: tuple[int, int], count_p_pos: int, p_neg: int,
+                   rho: int) -> None:
+    """ConsistencyError unless |M P- - A count P+| <= (e^rho - 1) A count P+
+    for M = m[0] 2^m[1], A = a[0] 2^a[1] and rho at scale 2^-DEFAULT_PREC,
+    decided in integers with e^x - 1 <= x + x^2 for 0 <= x <= 1 and
+    e^x - 1 < 4^ceil(x) beyond, a shift capped where it already exceeds
+    any difference."""
+    e0 = min(m[1], a[1])
+    lhs = (m[0] * p_neg) << (m[1] - e0)
+    rhs = (a[0] * count_p_pos) << (a[1] - e0)
+    if rho <= 1 << DEFAULT_PREC:
+        ok = abs(lhs - rhs) << 2 * DEFAULT_PREC <= ((rho << DEFAULT_PREC) + rho * rho) * rhs
+    else:
+        ok = abs(lhs - rhs) <= rhs << min(2 * _ceil_shift(rho, DEFAULT_PREC), lhs.bit_length() + 1)
+    if not ok:
+        raise ConsistencyError(
+            f"decomposition mismatch at n={n}: the archimedean product and the count differ "
+            f"beyond the radius {rho} at scale 2^-{DEFAULT_PREC} of their log")
 
 
 def _norm2(n) -> float:
@@ -202,9 +272,9 @@ def point_record(ps: PlacedSpec, n) -> PointRecord:
     """count, f, h(n_hat) and g at n, from one char0_point per component.
 
     h and g come from one pass over each char-0 component's support places,
-    which also checks f = g + h with proven radii only: in integers at scale
-    2^-DEFAULT_PREC, a sum over components of mult * (g + h - log count)
-    beyond the sum of mult * its radius raises ConsistencyError.
+    which also checks f = g + h against that component's count: in
+    integers by the product formula with proven radii only, and then the
+    float guard (ConsistencyError); see the module docstring.
     """
     n = require_nonzero(n, ps.d)
     norm = _norm2(n)
@@ -213,10 +283,7 @@ def point_record(ps: PlacedSpec, n) -> PointRecord:
     parts = [(mult, _log_one_minus_phi(pc, n, point, count))
              for (pc, mult), point, (count, _) in zip(ps.entries, points, res.per_component)
              if point is not None]
-    g, h, miss, radius = (sum(m * part[i] for m, part in parts) for i in range(4))
-    if abs(miss) > radius:
-        raise ConsistencyError(f"decomposition mismatch at n={n}: g + h - log count = "
-                               f"{miss} beyond its radius {radius}, at scale 2^-{DEFAULT_PREC}")
+    g, h = (sum(m * part[i] for m, part in parts) for i in range(2))
     return PointRecord(n=n, count=res.value, f=math.log(res.value) / norm,
                        h_hat=math.ldexp(h, -DEFAULT_PREC) / norm, g=g / norm)
 

@@ -1031,10 +1031,36 @@ def test_equal_values_compare_and_hash_equal(field):
 
 def test_log_abs_one_minus_exp_declines_a_ball_wider_than_half():
     # t = -1 +- r at scale 2^-128: r = 1/2 is evaluated, any wider ball is not
-    from entrank.numberfield import DyadicBall, log_abs_one_minus_exp
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
+
+    from entrank.numberfield import DyadicBall, one_minus_exp_factor
 
     for place in (archimedean_places(GOLDEN)[0], archimedean_places(GAUSS)[0]):
-        value, rad = log_abs_one_minus_exp(place, DyadicBall(-(1 << 128), 0, 1 << 127), 128)
-        assert abs(float(value) - place.weight * math.log(1 - math.exp(-1))) <= rad
+        t = DyadicBall(-(1 << 128), 0, 1 << 127)
+        term = one_minus_exp_factor(place, t, [(t.re, t.im)], 128)
+        with mp.workprec(200):
+            value = mp.log(mp.make_mpf(from_man_exp(term.man, term.exp)))
+            rad = mp.make_mpf(from_man_exp(*term.rad))
+            assert abs(value - place.weight * mp.log(1 - mp.exp(-1))) <= rad
         wide = DyadicBall(-(1 << 128), 0, (1 << 127) + 1)
-        assert log_abs_one_minus_exp(place, wide, 128) is None
+        assert one_minus_exp_factor(place, wide, [(wide.re, wide.im)], 128) is None
+
+
+def test_safe_mpf_log_near_a_quarter():
+    # mpmath 1.3.0's mpf_log gives 7.9e-31 here; log((2^100 + 1) 2^-102)
+    # is -log 4 + 2^-100 to within 2^-200
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp, mpf_log, to_float
+
+    from entrank.numberfield import safe_mpf_log
+
+    x = from_man_exp(2**100 + 1, -102)
+    assert to_float(safe_mpf_log(x, 53, "n"), rnd="n") == -math.log(4)
+    with mp.workprec(300):
+        exact = mp.log(mp.make_mpf(x))
+        got = mp.make_mpf(safe_mpf_log(x, 200, "n"))
+        assert abs(got - exact) <= abs(exact) * mp.mpf(2) ** -199
+    # away from 1/4 it is libmp's own log
+    for y in (from_man_exp(3, -3), from_man_exp(2**60 + 1, -61), from_man_exp(7, 5)):
+        assert safe_mpf_log(y, 100, "n") == mpf_log(y, 100, "n")

@@ -1,8 +1,10 @@
 import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -175,7 +177,7 @@ FAR_TAIL_POINTS = {(-1, -1, 1): [(2000, 1200), (-2000, 1200)],  # golden mean
     ({"min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}, {1}),  # x2x3
 ])
 def test_arch_terms_match_exact_element_route(doc, weights):
-    from entrank.numberfield import DEFAULT_PREC, log_abs_one_minus_exp
+    from entrank.numberfield import DEFAULT_PREC
 
     far = FAR_TAIL_POINTS.get(tuple(doc["min_poly"]), [])
     ps = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]}))
@@ -186,11 +188,10 @@ def test_arch_terms_match_exact_element_route(doc, weights):
     for n in points + far:
         if n == (0, 0):
             continue
-        for place, phi in zip(pc.places, phi_v(pc, n)):
+        for k, place in enumerate(pc.places):
             if place.kind != "arch":
                 continue
-            ball, widen = phi
-            value, rad = log_abs_one_minus_exp(place, ball, DEFAULT_PREC)
+            value, rad, widen = _arch_term(pc, k, n, DEFAULT_PREC)
             mid, rad_exact = _log_one_minus_phi_exact(pc, place, n)
             assert widen == 0 and rad < 1e-25
             assert abs(value - mid) <= rad + rad_exact
@@ -199,6 +200,20 @@ def test_arch_terms_match_exact_element_route(doc, weights):
                 assert rad <= max(abs(value) * 2.0**-80, math.ulp(0.0))  # relative, or underflow
             checked.add(place.weight)
     assert checked == weights
+
+
+def _arch_term(pc, k, n, prec):
+    """(value, rad, widen) for archimedean place k at n, as mpfs at 400 bits
+    (rad exact): weight log |1 - sigma_v(phi_v(n))| from the exact factor
+    and far-tail term of one_minus_exp_factor, and its radius."""
+    from entrank.numberfield import one_minus_exp_factor
+    from entrank.scan import _phi_ball
+
+    ball, parts, widen, _lift = _phi_ball(pc, k, n, prec)
+    term = one_minus_exp_factor(pc.places[k], ball, parts, prec)
+    with mp.workprec(400):
+        value = mp.log(_exact(term.man, term.exp)) + mp.make_mpf(term.tail)
+    return value, _exact(*term.rad), widen
 
 
 def test_escalation_when_the_first_evaluation_cannot_separate(monkeypatch):
@@ -278,19 +293,19 @@ def _g_reference(ps, n, prec=300):
 def test_g_where_place_terms_cancel_matches_high_precision_reference(golden, n):
     # on the n2 = 0 axis the two real places give terms near +-1e-9 that
     # cancel to near 1e-18; (31, -30) is a point without that cancellation
-    from entrank.numberfield import DEFAULT_PREC, log_abs_one_minus_exp
+    from entrank.numberfield import DEFAULT_PREC
 
     pc = golden.placed_char0()[0][0]
-    terms = [float(log_abs_one_minus_exp(place, phi[0], DEFAULT_PREC)[0])
-             for place, phi in zip(pc.places, phi_v(pc, n)) if place.kind == "arch"]
+    terms = [float(_arch_term(pc, k, n, DEFAULT_PREC)[0])
+             for k, place in enumerate(pc.places) if place.kind == "arch"]
     norm = math.sqrt(sum(v * v for v in n))
     g = point_record(golden, n).g
     if n[1] == 0:
         assert abs(g) < 1e-6 * max(abs(t) for t in terms) / norm
     ref = _g_reference(golden, n)
     assert abs(g - ref) <= 4 * math.ulp(max(abs(t) for t in terms)) / norm
-    # the archimedean terms are added before the one float conversion, so g
-    # keeps its own digits, not only those of the terms
+    # the archimedean factors are multiplied before the one log and float
+    # conversion, so g keeps its own digits, not only those of the terms
     assert abs(g - ref) <= 4 * math.ulp(g)
 
 
@@ -347,33 +362,134 @@ def test_point_record_checks_the_count_it_reports(golden, monkeypatch):
         point_record(golden, (7, 3))
 
 
+def _bump_first(monkeypatch, name, field, bump, place=None):
+    """Wrap entrank.scan's name so that its first result other than None
+    (at place, when one is given), an ExpFactor, has field (an integer, or
+    the mantissa of a pair) off by a relative bump; returns the list that
+    records the wrapped call's arguments."""
+    import entrank.scan as scan
+
+    inner = getattr(scan, name)
+    calls = []
+
+    def perturbed(*args):
+        out = inner(*args)
+        if out is None or calls or place not in (None, args[0]):
+            return out
+        calls.append(args)
+        value = getattr(out, field)
+        m = value[0] if isinstance(value, tuple) else value
+        m += int(m * Fraction(bump))
+        return out._replace(**{field: (m, value[1]) if isinstance(value, tuple) else m})
+
+    monkeypatch.setattr(scan, name, perturbed)
+    return calls
+
+
 @pytest.mark.parametrize("bump", [0.0, 1e-20])
 def test_point_record_catches_a_tiny_error_in_one_term(golden, monkeypatch, bump):
     # a float tolerance on f = g + h would let 1e-20 through; proven radii do not
-    import entrank.scan as scan
-    from mpmath.libmp import from_float, mpf_add
-
-    inner = scan.log_abs_one_minus_exp
-    bumped = []
-
-    def perturbed(place, ball, prec):
-        out = inner(place, ball, prec)
-        if out is None or bumped:
-            return out
-        bumped.append(place)
-        return mp.make_mpf(mpf_add(out[0]._mpf_, from_float(bump))), out[1]
-
-    monkeypatch.setattr(scan, "log_abs_one_minus_exp", perturbed)
+    calls = _bump_first(monkeypatch, "one_minus_exp_factor", "man", bump)
     if bump:
         with pytest.raises(ConsistencyError):
             point_record(golden, (7, 3))
     else:
         assert point_record(golden, (7, 3)).count == 295
-    assert bumped[0].kind == "arch"
+    assert calls[0][0].kind == "arch"
+
+
+@pytest.mark.parametrize("bump", [0.0, 1e-20])
+def test_point_record_catches_a_tiny_error_in_a_lifted_ea(golden, monkeypatch, bump):
+    # at (7, 3) the real place at 1.618... is lifted, so its ea enters A
+    from entrank.numberfield import DEFAULT_PREC
+    from entrank.scan import _phi_ball
+
+    pc = golden.placed_char0()[0][0]
+    assert [_phi_ball(pc, k, (7, 3), DEFAULT_PREC)[3] > 0 for k in (0, 1)] == [False, True]
+    calls = _bump_first(monkeypatch, "one_minus_exp_factor", "ea", bump, pc.places[1])
+    if bump:
+        with pytest.raises(ConsistencyError):
+            point_record(golden, (7, 3))
+    else:
+        assert point_record(golden, (7, 3)).count == 295
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bump", [0.0, 1e-20])
+def test_point_record_catches_a_tiny_error_in_a_prime_power(golden, monkeypatch, bump):
+    # at (7, -40) |xi^n|_v = 4^40 above 2, so the count has the factor 2^80
+    import entrank.scan as scan
+
+    inner, seen = scan._prime_power, []
+
+    def perturbed(p, k):
+        seen.append((p, k))
+        q = inner(p, k)
+        return q + int(q * Fraction(bump))
+
+    monkeypatch.setattr(scan, "_prime_power", perturbed)
+    n = (7, -40)
+    if bump:
+        with pytest.raises(ConsistencyError):
+            point_record(golden, n)
+    else:
+        assert point_record(golden, n).count == count_composite(golden, n).value
+    assert seen == [(2, 80)]
+
+
+def test_float_guard_catches_a_wrong_final_log(golden, monkeypatch):
+    # the product check reads M exactly; only the float guard sees g's log
+    import entrank.scan as scan
+    from mpmath.libmp import from_float, mpf_add
+
+    inner = scan.safe_mpf_log
+    monkeypatch.setattr(scan, "safe_mpf_log",
+                        lambda x, prec, rnd: mpf_add(inner(x, prec, rnd), from_float(1e-6)))
+    with pytest.raises(ConsistencyError, match="do not sum to log count"):
+        point_record(golden, (7, 3))
+
+
+def test_product_check_in_integers():
+    from entrank.numberfield import DEFAULT_PREC
+    from entrank.scan import _check_product
+
+    one = 1 << DEFAULT_PREC
+    # M = 3/4, A = 1, count * P+ = 3, P- = 4: exact, so rho = 0 passes
+    _check_product((1,), (3, -2), (1, 0), 3, 4, 0)
+    with pytest.raises(ConsistencyError):
+        _check_product((1,), (3, -2), (1, 0), 4, 4, 0)
+    # off by 1/4 relatively: e^rho - 1 >= 1/4 from rho = log(5/4) = 0.223
+    _check_product((1,), (3, -2), (1, 0), 4, 4, int(0.23 * one))
+    with pytest.raises(ConsistencyError):
+        _check_product((1,), (3, -2), (1, 0), 4, 4, int(0.2 * one))
+    # a radius of 2^200 nats passes at once, building no 4^(2^200)
+    _check_product((1,), (1, 0), (1, 0), 10**9, 1, one << 200)
+
+
+def test_g_where_the_archimedean_product_is_a_quarter(golden):
+    # at (1, -1) the exact M is |N(theta/2 - 1)| = 1/4, beside the mpmath
+    # 1.3.0 log defect that safe_mpf_log guards (test_safe_mpf_log_near_a_quarter)
+    rec = point_record(golden, (1, -1))
+    assert rec.count == 1
+    assert rec.g == -0.9802581434685471
 
 
 SHIPPED_CHAR0 = ["gaussian_split", "golden_mean", "ratio_shift_k1", "ratio_shift_k2",
                  "ratio_shift_k5", "times2_rationals", "x2x3"]
+
+
+SCAN_PIN = json.loads((Path(__file__).parent / "data" / "scan_records_pin.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_PIN["specs"]))
+def test_scan_records_match_the_recorded_pin(name):
+    # (n, count, f, h_hat, g) bit for bit over r in [1, 12]: the shipped
+    # char-0 specs, three fields with complex places (one with ties) and a
+    # cubic whose places above 5, 179 and 2347 leave a cofactor block
+    pin = SCAN_PIN["specs"][name]
+    rep = shell_scan(place_spec(parse_spec(pin["spec"])), SCAN_PIN["r_min"], SCAN_PIN["r_max"])
+    got = [[list(r.n), r.count, r.f.hex(), r.h_hat.hex(), r.g.hex()] for r in rep.records]
+    assert got == pin["records"]
 
 
 @pytest.mark.parametrize("name", SHIPPED_CHAR0 + ["golden2_ledrappier"])
