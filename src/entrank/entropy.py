@@ -16,12 +16,13 @@ import math
 import operator
 from dataclasses import dataclass
 
-import mpmath as mp
+from mpmath.libmp import (finf, fone, from_float, from_int, from_man_exp, fzero, mpc_abs,
+                          mpf_add, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_sum, to_float)
 
 from .action import PlacedSpec
 from .algebra import _bareiss_det, poly_derivative, poly_divexact, poly_gcd, poly_trim
 from .errors import MathDomainError, SpecError
-from .numberfield import DEFAULT_PREC, OUTWARD, root_discs
+from .numberfield import DEFAULT_PREC, OUTWARD, root_discs, safe_mpf_log
 
 MAHLER_TARGET_ERROR = 1e-8
 MAHLER_MAX_PREC = 1 << 11
@@ -286,18 +287,21 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     every root search is over simple roots. Roots come from an exact-integer
     Durand-Kerner iteration, started from a double-precision solve of S_k
     scaled by its root bound 2^s, with proven Weierstrass inclusion discs
-    (numberfield.root_discs, which the embeddings of a field share). A
-    connected union of c discs holds exactly c roots, so the roots and the
-    approximations pair up with |root| - |z_i| at most twice the sum R of the
-    radii; log max(1, .) is 1-Lipschitz, so the estimate is off by at most
+    (numberfield.root_discs, which the embeddings of a field share): centre
+    (a + ib) 2^-E and radius r 2^-E in integers. All sums are raw libmp at
+    prec bits, rounded to nearest, with |z_i| rounded to prec bits before
+    max(1, |z_i|) and its log taken through safe_mpf_log. A connected union
+    of c discs holds exactly c roots, so the roots and the approximations
+    pair up with |root| - |z_i| at most twice the sum R of the radii;
+    log max(1, .) is 1-Lipschitz, so the estimate is off by at most
     k * 2 deg(S_k) R for each part, a proven error bound. The precision
     doubles until the bound meets the target. The iteration's grid is
     2^-(prec + 60) for roots of any size up to 2^s and as many bits below
     the bound when s < 0, so huge roots (10^400 + x^2) and tiny ones
-    (1 + 10^400 x^2) both come with tight discs at the first precision;
-    a root far below the bound of a part with larger roots (x^2 - 10^400 x + 1)
-    may sit at 0 with a radius of its own size. A part whose roots do not
-    converge raises ResourceLimitError.
+    (1 + 10^400 x^2) both come with tight discs at the first precision; a
+    root far below the bound of a part with larger roots
+    (x^2 - 10^400 x + 1) may sit at 0 with a radius of its own size. A part
+    whose roots do not converge raises ResourceLimitError.
     """
     p = poly_trim(coeffs)
     if not p:
@@ -311,18 +315,22 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     parts = _squarefree_parts(p) if len(p) > 1 else []
     prec = DEFAULT_PREC
     while True:
-        with mp.workprec(prec):
-            total, bound = mp.log(abs(p[-1])), mp.mpf(0)
-            for cs, k in parts:
-                discs = root_discs(cs, prec)
-                total += k * mp.fsum(mp.log(max(1, abs(z))) for z, _r in discs)
-                bound += k * 2 * len(discs) * mp.fsum(r for _z, r in discs)
-            bound *= OUTWARD
-            if bound <= MAHLER_TARGET_ERROR / 2 or prec >= MAHLER_MAX_PREC:
-                # one ulp of the double covers its rounding and, as every
-                # summand is >= 0, the far smaller rounding at prec bits
-                value = float(total)
-                return MahlerMeasure(value=value, error_bound=float(bound) + math.ulp(value))
+        total, bound = safe_mpf_log(from_int(abs(p[-1])), prec, "n"), fzero
+        for cs, k in parts:
+            scale, discs = root_discs(cs, prec)
+            sizes = [mpc_abs((from_man_exp(a, -scale), from_man_exp(b, -scale)), prec, "n")
+                     for a, b, _r in discs]
+            logs = [safe_mpf_log(z, prec, "n") for z in sizes if mpf_gt(z, fone)]
+            radii = [finf if r is None else from_man_exp(r, -scale) for _a, _b, r in discs]
+            total = mpf_add(total, mpf_mul_int(mpf_sum(logs, prec, "n"), k, prec, "n"), prec, "n")
+            bound = mpf_add(bound, mpf_mul_int(mpf_sum(radii, prec, "n"), 2 * k * len(discs),
+                                               prec, "n"), prec, "n")
+        bound = mpf_mul(bound, OUTWARD, prec, "n")
+        if mpf_le(bound, from_float(MAHLER_TARGET_ERROR / 2)) or prec >= MAHLER_MAX_PREC:
+            # one ulp of the double covers its rounding and, as every
+            # summand is >= 0, the far smaller rounding at prec bits
+            value = to_float(total, rnd="n")
+            return MahlerMeasure(value, to_float(bound, rnd="n") + math.ulp(value))
         prec *= 2
 
 

@@ -34,25 +34,28 @@ precision, support) lifts its blocks from p once, and the lift is cached.
 ord_v reads one entry of that pass, under the support its place was found
 with.
 
-Archimedean data carries proven error radii. The roots of the minimal
-polynomial are Gaussian integers at one dyadic scale, refined from a
-double-precision start by Durand-Kerner sweeps in exact integers until no
-root moves by more than one unit; each sits in a Weierstrass inclusion disc
-whose radius comes from the last sweep, rounded up once, and discs are told
-apart exactly. An embedding's value sigma_v(x) is A(z) / c, with A(z) from
-integer Horner at the exact centre z in a ball whose integer radius covers
-that disc, and every ball built from these carries its radius on, rounded
-outward. A logarithm ball for sigma_v(x) is held in one form, integers at
-scale 2^-prec with the radius rounded up, so that integer combinations of
-such balls are exact; log |x|_v and its float are views of that ball.
-|1 - e^t| over a dyadic ball t, whose centre is a sum of per-generator
-parts, is formed at about 100 + log2 |n| bits from cached entries: e^Re t
-as a product of e^(Re part), and at a complex place e^(i Im t) as one of
-(cos, sin)(Im part). |1 - e^t| (|1 - e^t|^2 at a complex place) is then an
-exact dyadic, or, in the far tail where |e^t| < 2^-bits, the log term
--w - w^2/2 stands in for it. Its radius bounds are integers, each rounded
-in its safe direction. safe_mpf_log is the one route to libmp's log, around an
-mpmath 1.3.0 defect near 1/4. Consumers refine precision on demand.
+Archimedean data carries proven error radii, in integers from root isolation
+on. The roots of the minimal polynomial, refined from a double-precision
+start by Durand-Kerner sweeps on Gaussian integers until no root moves by
+more than one unit, sit in Weierstrass inclusion discs told apart exactly:
+centre (a + ib) 2^-E and radius r 2^-E, integers at the finest scale E their
+radii need, each radius rounded up once. An Embedding keeps those integers,
+and embedding i names one root at every precision. An embedding's value
+sigma_v(x) is A(z) / c, with A(z) from integer Horner at the exact centre z
+in a ball whose integer radius covers that disc, and every ball built from
+these carries its radius on, rounded outward, in integers or raw libmp
+numbers, never an mpmath number or context. A logarithm ball for sigma_v(x)
+is held in one form, integers at scale 2^-prec with the radius rounded up,
+so that integer combinations of such balls are exact; log |x|_v and its
+float are views of that ball. |1 - e^t| over a dyadic ball t, whose centre
+is a sum of per-generator parts, is formed at about 100 + log2 |n| bits from
+cached entries: e^Re t as a product of e^(Re part), and at a complex place
+e^(i Im t) as one of (cos, sin)(Im part). |1 - e^t| (|1 - e^t|^2 at a
+complex place) is then an exact dyadic, or, in the far tail where |e^t| <
+2^-bits, the log term -w - w^2/2 stands in for it. Its radius bounds are
+integers, each rounded in its safe direction. safe_mpf_log is the one route
+to libmp's log, around an mpmath 1.3.0 defect near 1/4. Consumers refine
+precision on demand.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_ln2, mpf_log, mpf_neg,
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
+                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_ln2, mpf_log, mpf_mul,
                           mpf_shift, mpf_sub, to_int)
 
 from .algebra import (_bareiss_det, discriminant, ord_p, poly_str, poly_trim, proven_prime,
@@ -91,9 +94,9 @@ DEFAULT_PREC = 128  # bits for embeddings
 MAX_PREC = 1 << 14
 DEGREE_CAP = 8
 # Radii are formed in round-to-nearest at a working precision of at least
-# DEFAULT_PREC bits, each from a few operations; scaling them by this factor
-# rounds them outward.
-OUTWARD = 1 + mp.mpf(2) ** -40
+# DEFAULT_PREC bits, each from a few operations; scaling them by this factor,
+# 1 + 2^-40 as a raw mpf, rounds them outward.
+OUTWARD = from_man_exp((1 << 40) + 1, -40)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +334,15 @@ def build_field(min_poly_coeffs) -> NumberField:
 
 @dataclass(frozen=True)
 class Embedding:
-    index: int
+    """The one root in the closed disc of radius rad 2^-scale around
+    (re + i im) 2^-scale, all integers (im = 0 if real); its position in
+    embeddings(field, prec) names that root at every precision."""
+
     is_real: bool
-    weight: int  # local degree: 1 real, 2 complex
-    re: mp.mpf
-    im: mp.mpf
-    err: mp.mpf  # radius of a disc proven to hold the root
+    re: int
+    im: int
+    rad: int
+    scale: int
 
 
 class DyadicBall(NamedTuple):
@@ -349,17 +355,16 @@ class DyadicBall(NamedTuple):
     rad: int
 
 
-def _sqrt_ratio_up(num: int, den: int, bits: int) -> mp.mpf:
-    """An mpf at least sqrt(num / den), by a relative 2^-bits at most, from
-    one ceiling division and one ceiling isqrt at scale 2^-t; den = 0 gives
-    an infinite one."""
-    if not den:
-        return mp.inf
+def _sqrt_ratio_up(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(root, t) with root 2^-t at least sqrt(num / den), by a relative
+    2^-bits at most, from one ceiling division and one ceiling isqrt at
+    scale 2^-t; num = 0 gives (0, 0)."""
+    if not num:
+        return 0, 0
     t = bits + 1 - (num.bit_length() - den.bit_length()) // 2
     q = -(-(num << 2 * t) // den) if t >= 0 else -(-num // (den << -2 * t))
     root = math.isqrt(q)
-    root += root * root < q
-    return mp.make_mpf(from_man_exp(root, -t))
+    return root + (root * root < q), t
 
 
 def _root_scale(coeffs: tuple[int, ...]) -> int:
@@ -418,28 +423,31 @@ MAX_SWEEPS = 2048
 
 
 @functools.lru_cache(maxsize=1024)
-def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf], ...]:
-    """(z_i, r_i): approximations to the roots of the squarefree integer
-    polynomial f with ascending coeffs, each with its Weierstrass inclusion
-    radius n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|.
+def root_discs(coeffs: tuple[int, ...], prec: int
+               ) -> tuple[int, tuple[tuple[int, int, int | None], ...]]:
+    """(E, ((a_i, b_i, r_i), ...)): approximations z_i = (a_i + i b_i) 2^-E
+    to the roots of the squarefree integer polynomial f with ascending
+    coeffs, each in its Weierstrass inclusion disc, of radius r_i 2^-E at
+    least n |f(z_i)| / |lc prod_{j != i} (z_i - z_j)|; all integers.
 
-    The z_i are Gaussian integers w_i at one scale 2^-E, E = prec + 60 -
-    min(s, 0) for s = _root_scale(f): huge roots get prec + 60 bits
+    The z_i are Gaussian integers w_i on the grid 2^-scale, scale = prec +
+    60 - min(s, 0) for s = _root_scale(f): huge roots get prec + 60 bits
     absolute and tiny ones (below 2^(s + 1)) as many relative to their
     bound. Durand-Kerner (Kerner, Numer. Math. 8, 1966) runs on them in
     exact integers from _float_root_starts: each sweep forms F_i =
-    2^(E n) f(z_i) and P_i = 2^(E (n - 1)) lc prod_{j != i} (z_i - z_j) and
-    moves every w_i by the nearest Gaussian integer to F_i / P_i, so the
-    Weierstrass step is exact up to that rounding; P_i = 0 leaves w_i where
-    it is. The sweep in which no root would move by more than one unit in
-    either coordinate moves none and is the last. After MAX_SWEEPS sweeps,
-    ResourceLimitError. By Braess-Hadeler (Numer. Math. 21, 1973) the discs
-    D(z_i, r_i) hold every root, and a connected union of m of them holds
+    2^(scale n) f(z_i) and P_i = 2^(scale (n - 1)) lc prod_{j != i} (z_i -
+    z_j) and moves every w_i by the nearest Gaussian integer to F_i / P_i,
+    so the Weierstrass step is exact up to that rounding; P_i = 0 leaves w_i
+    where it is. The sweep in which no root would move by more than one unit
+    in either coordinate moves none and is the last. After MAX_SWEEPS
+    sweeps, ResourceLimitError. By Braess-Hadeler (Numer. Math. 21, 1973)
+    the discs hold every root, and a connected union of m of them holds
     exactly m, however the approximations were found; the last sweep's F_i
     and P_i give r_i, from one ceiling division and one ceiling isqrt, at
     most a relative 2^-(prec + 40) above the exact radius, and P_i = 0
-    gives r_i = inf. Embeddings and Mahler measures of the same polynomial
-    share this cache.
+    gives r_i = None, infinite. E is the finest scale at which every r_i is
+    exact. Embeddings and Mahler measures of the same polynomial share this
+    cache.
     """
     n, lead = len(coeffs) - 1, coeffs[-1]
     s = _root_scale(coeffs)
@@ -468,24 +476,23 @@ def root_discs(coeffs: tuple[int, ...], prec: int) -> tuple[tuple[mp.mpc, mp.mpf
         bits = max(abs(c).bit_length() for c in coeffs)
         raise ResourceLimitError(f"root isolation of a degree-{n} polynomial with coefficients "
                                  f"of up to {bits} bits did not converge at {prec} bits")
-    return tuple((mp.make_mpc((from_man_exp(a, -scale), from_man_exp(b, -scale))),
-                  _sqrt_ratio_up(n * n * f2, p2 << 2 * scale, prec + 40))
-                 for (a, b), (f2, p2) in zip(ws, fps))
+    radii = [_sqrt_ratio_up(n * n * f2, p2 << 2 * scale, prec + 40) if p2 else None
+             for f2, p2 in fps]
+    fine = max([scale] + [t for _root, t in filter(None, radii)])
+    return fine, tuple((a << (fine - scale), b << (fine - scale),
+                        None if r is None else r[0] << (fine - r[1]))
+                       for (a, b), r in zip(ws, radii))
 
 
 def _discs_disjoint(discs) -> bool:
-    """Whether the closed discs (centre, radius) are pairwise disjoint:
-    |z_i - z_j|^2 > (r_i + r_j)^2, decided exactly on the dyadic centres and
-    radii put at one scale 2^-E, the least E >= 0 at which each is an
-    integer, so discs that touch are not disjoint. An infinite radius meets
-    every other disc."""
-    if any(mp.isinf(r) for _z, r in discs):
+    """Whether the closed discs (a, b, r), centre (a + ib) 2^-E and radius
+    r 2^-E at one scale, are pairwise disjoint: |z_i - z_j|^2 > (r_i +
+    r_j)^2, decided exactly, so discs that touch are not disjoint. An
+    infinite radius (None) meets every other disc."""
+    if any(r is None for _a, _b, r in discs):
         return len(discs) < 2
-    xs = [x._mpf_ for z, r in discs for x in (mp.re(z), mp.im(z), r)]
-    scale = max([-e for _sign, man, e, _bc in xs if man] + [0])
-    ds = [[_scaled(x, scale, "f") for x in xs[k:k + 3]] for k in range(0, len(xs), 3)]
     return all((a - c) ** 2 + (b - d) ** 2 > (r + t) ** 2
-               for i, (a, b, r) in enumerate(ds) for c, d, t in ds[:i])
+               for i, (a, b, r) in enumerate(discs) for c, d, t in discs[:i])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -493,57 +500,67 @@ def embeddings(field: NumberField, prec: int = DEFAULT_PREC) -> tuple[Embedding,
     """One embedding per real root plus one per conjugate pair (Im > 0).
 
     Each root carries a disc proven to hold exactly it: the Weierstrass
-    inclusion discs of root_discs' exact dyadic approximations, with a disc
-    whose radius r reaches the real axis widened to one centred on it, of
-    radius r + |Im z| rounded up at work + 40 bits. When those discs are
-    pairwise disjoint (an exact test, so touching discs meet), each holds
-    one zero, and a real-centred one holds a real zero (it holds the
-    conjugate of its zero too). The precision doubles until the discs are
-    disjoint and the count of real ones matches the Sturm count; an
-    infinite radius, from approximations that coincide, meets every disc.
+    inclusion discs of root_discs, with a disc whose radius r reaches the
+    real axis widened to one centred on it, of radius r + |Im z| rounded up
+    to work + 40 bits. When those discs are pairwise disjoint (an exact
+    test, so touching discs meet), each holds one zero, and a real-centred
+    one holds a real zero (it holds the conjugate of its zero too). The
+    precision doubles until the discs are disjoint and the count of real
+    ones matches the Sturm count; an infinite radius, from approximations
+    that coincide, meets every disc. Real roots come first, by centre, then
+    complex ones by (Re, Im); at another precision index i is the root of
+    embedding i at DEFAULT_PREC, whose disc, alone of its kind, each one
+    must meet (ConsistencyError otherwise).
     """
     work = prec
     while True:
+        scale, discs = root_discs(field.min_poly, work)
         reals, complexes = [], []
-        for z, r in root_discs(field.min_poly, work):
-            y = z.imag
-            if -r <= y <= r:
-                widened = mpf_add(r._mpf_, mpf_abs(y._mpf_), work + 40, "c")
-                reals.append((z.real, mp.make_mpf(widened)))
-            elif y > 0:
-                complexes.append((z, r))
-        conjugates = [(mp.make_mpc((z.real._mpf_, mpf_neg(z.imag._mpf_))), r)
-                      for z, r in complexes]
+        for a, b, r in discs:
+            if r is None:  # coinciding approximations: this disc isolates nothing
+                reals.append((a, 0, None))
+            elif abs(b) <= r:  # widened to r + |b|, rounded up to work + 40 bits
+                k = max((r + abs(b)).bit_length() - work - 40, 0)
+                reals.append((a, 0, _ceil_shift(r + abs(b), k) << k))
+            elif b > 0:
+                complexes.append((a, b, r))
         if (len(reals) == field.real_embeddings and len(complexes) == field.complex_pairs
-                and _discs_disjoint(reals + complexes + conjugates)):
-            reals.sort(key=lambda cr: cr[0])
-            complexes.sort(key=lambda cr: (cr[0].real, cr[0].imag))
-            out = [Embedding(i, True, 1, x, mp.mpf(0), r) for i, (x, r) in enumerate(reals)]
-            out += [Embedding(len(reals) + j, False, 2, z.real, z.imag, r)
-                    for j, (z, r) in enumerate(complexes)]
-            return tuple(out)
+                and _discs_disjoint(reals + complexes + [(a, -b, r) for a, b, r in complexes])):
+            break
         if work >= MAX_PREC:
             raise ConsistencyError(
                 f"root isolation failed up to {work} bits: found {len(reals)} real / "
                 f"{len(complexes)} complex-pair roots in disjoint discs, expected "
                 f"{field.real_embeddings}/{field.complex_pairs}")
         work *= 2
+    found = sorted(reals + complexes, key=lambda d: (d[1] != 0, d))  # im = 0: real
+    if prec != DEFAULT_PREC:  # each disc meets the one base disc of its own root
+        base = embeddings(field)
+        up, down = max(base[0].scale - scale, 0), max(scale - base[0].scale, 0)
+        hits = [[i for i, e in enumerate(base) if e.is_real == (d[1] == 0) and not _discs_disjoint(
+            [[v << up for v in d], [v << down for v in (e.re, e.im, e.rad)]])] for d in found]
+        if sorted(hits) != [[i] for i in range(len(found))]:
+            raise ConsistencyError(f"{work}-bit root discs meet the {DEFAULT_PREC}-bit ones "
+                                   f"{hits}, not one to one")
+        found = [d for _h, d in sorted(zip(hits, found))]
+    return tuple(Embedding(b == 0, a, b, r, scale) for a, b, r in found)
 
 
 def eval_embedding(emb: Embedding, x: Element) -> tuple[int, int, int, int]:
     """(vr, vi, rad, T): A(sigma(theta)) for x = A(theta)/c lies in the ball
     of radius rad 2^-T around (vr + i vi) 2^-T, all integers.
 
-    The embedding's centre is an exact dyadic w 2^-t, w = a + ib, with t
-    at least 30 bits finer than its radius r, so integer Horner gives
-    2^(t m) A(w 2^-t) exactly (m = deg A, T = t m). Across the disc A moves
-    by at most r sum_k k |A_k| rho^(k-1) for rho >= |z| + r, bounded by
-    Horner in integers with R = ceil(r 2^t) and rho 2^t = ceil(|w|) + R.
+    The centre is read as w 2^-t, w = a + ib, at the least t >= 0 at which
+    it is exact and at least 30 bits finer than the radius r, never finer
+    than its own scale, so integer Horner gives 2^(t m) A(w 2^-t) exactly
+    (m = deg A, T = t m). Across the disc A moves by at most r sum_k
+    k |A_k| rho^(k-1) for rho >= |z| + r, bounded by Horner in integers with
+    R = ceil(r 2^t) and rho 2^t = ceil(|w|) + R.
     """
-    _sign, man, exp, bc = emb.err._mpf_
-    t = max(0, -emb.re._mpf_[2], -emb.im._mpf_[2], 30 - exp - bc if man else 0)
-    a, b = (_scaled(v._mpf_, t, "d") for v in (emb.re, emb.im))
-    big_r = _scaled(emb.err._mpf_, t, "c")
+    e = emb.scale
+    t = max([0, 30 + e - emb.rad.bit_length() if emb.rad else 0]
+            + [e + 1 - (v & -v).bit_length() for v in (emb.re, emb.im) if v])
+    a, b, big_r = emb.re >> (e - t), emb.im >> (e - t), _ceil_shift(emb.rad, e - t)
     rho = math.isqrt(a * a + b * b - 1) + 1 + big_r if a or b else big_r
     num = x.num
     vr, vi = _horner(num, a, b, t)
@@ -581,8 +598,8 @@ class Place:
 
 def archimedean_places(field: NumberField) -> list[Place]:
     return [
-        Place(field=field, kind="arch", embedding_index=e.index, weight=e.weight)
-        for e in embeddings(field, DEFAULT_PREC)  # log_sigma_ball's first lookup
+        Place(field=field, kind="arch", embedding_index=i, weight=2 - e.is_real)
+        for i, e in enumerate(embeddings(field, DEFAULT_PREC))  # log_sigma_ball's first lookup
     ]
 
 
@@ -797,16 +814,15 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
         if 4 * rad * rad < m2:  # 2 rad < |V|, so u / (1 - u) <= rad / (isqrt(m2) - rad)
             wp = work + 20
             square = mpf_div(from_man_exp(m2, -2 * t), from_int(x.den ** 2), wp, "n")
-            re = mp.make_mpf(mpf_shift(safe_mpf_log(square, wp, "n"), -1))
-            im = (int(vr < 0) if emb.is_real
-                  else mp.make_mpf(mpf_atan2(from_int(vi), from_int(vr), wp, "n")))
-            u = mp.make_mpf(mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c"))
-            with mp.workprec(wp):
-                slack = (1 + abs(re) + abs(im)) * mp.ldexp(1, 4 - prec)
-                radius = (u + slack) * OUTWARD
-            return DyadicBall(_scaled(re._mpf_, prec, "n"),
-                              im if emb.is_real else _scaled(im._mpf_, prec, "n"),
-                              _scaled(radius._mpf_, prec, "c") + 1)
+            re = mpf_shift(safe_mpf_log(square, wp, "n"), -1)
+            im = (from_int(int(vr < 0)) if emb.is_real
+                  else mpf_atan2(from_int(vi), from_int(vr), wp, "n"))
+            u = mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c")
+            slack = mpf_shift(mpf_add(mpf_add(fone, mpf_abs(re), wp, "n"), mpf_abs(im), wp, "n"),
+                              4 - prec)
+            radius = mpf_mul(mpf_add(u, slack, wp, "n"), OUTWARD, wp, "n")
+            return DyadicBall(_scaled(re, prec, "n"), int(vr < 0) if emb.is_real
+                              else _scaled(im, prec, "n"), _scaled(radius, prec, "c") + 1)
         if work >= MAX_PREC:
             raise ConsistencyError("cannot separate |sigma(x)| from 0 at maximum precision")
         work *= 2

@@ -221,3 +221,36 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
         LaurentPolynomial(terms=(((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1))),))
     with pytest.raises(AssertionError, match="GroebnerBasis built"):
         count_prime_charp(d3, (1, 0, 0))
+
+
+def _one_generator_components(seed: int, count: int):
+    """Ledrappier, the F_3 ideal, and count seeded one-generator ideals over
+    F_2, F_3 or F_5 with 3-6 terms whose exponents lie in [0, 3]^2."""
+    rng = random.Random(seed)
+    out = [CharPComponent(q=2, d=2, generators=(LaurentPolynomial(
+        terms=(((0, 0), 1), ((0, 1), 1), ((1, 0), 1))),)), F3_IDEAL]
+    while len(out) < count + 2:
+        q = rng.choice([2, 3, 5])
+        terms = {(rng.randint(0, 3), rng.randint(0, 3)): rng.randrange(1, q)
+                 for _ in range(rng.randint(3, 6))}
+        if len(terms) >= 3:
+            out.append(CharPComponent(q=q, d=2, generators=(
+                LaurentPolynomial(terms=tuple(sorted(terms.items()))),)))
+    return out
+
+
+def test_frobenius_scales_the_exponent():
+    # in characteristic p, u^(q^j m) - 1 = (u^m - 1)^(q^j). A = R/(f) is
+    # Cohen-Macaulay of dimension 1, so where the count at m is finite x =
+    # u^m - 1 is a nonzerodivisor on A, each x^i A / x^(i+1) A is A / xA,
+    # and the exponent at q^j m is q^j times the exponent at m
+    checked = 0
+    for pc in _one_generator_components(478, 18):
+        for m in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]:
+            dim = fitting_dim(pc, m)
+            if dim is None:
+                continue
+            for j in (1, 2):
+                assert fitting_dim(pc, tuple(pc.q**j * v for v in m)) == pc.q**j * dim, (pc, m, j)
+                checked += 1
+    assert checked >= 150, checked

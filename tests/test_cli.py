@@ -634,6 +634,7 @@ def _charp(draw, d):
 
 
 SPEC_ARG = "<spec>"  # replaced by the drawn spec's path
+TMP_ARG = "<tmp>"  # replaced by the temporary directory: an unwritable --out
 
 
 @st.composite
@@ -654,6 +655,8 @@ def _cli_case(draw, command):
             "count": ["--n", vector], "table": ["--range", ",".join(["-2:2"] * d)],
             "scan": ["--rmin", "1", "--rmax", "3"], "validate": ["--radius", "2"]
         }.get(command, [])
+        if command == "scan":  # into the temporary directory, or onto it (exit 2)
+            argv += ["--out", draw(st.sampled_from([TMP_ARG, os.path.join(TMP_ARG, "o.csv")]))]
     return {"d": d, "components": comps}, [command, *argv]
 
 
@@ -662,17 +665,24 @@ def _cli_case(draw, command):
 @settings(max_examples=8, derandomize=True, deadline=None)  # 64 seeded examples in all
 @given(data=st.data())
 def test_cli_answers_or_exits_with_a_typed_code(command, data):
-    doc, argv = data.draw(_cli_case(command))
+    doc, drawn = data.draw(_cli_case(command))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         spec = os.path.join(tmp, "spec.json")
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        argv = [spec if a == SPEC_ARG else a for a in argv]
+        argv = [spec if a == SPEC_ARG else a.replace(TMP_ARG, tmp) for a in drawn]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
+        csv_path = os.path.join(tmp, "o.csv")
+        if rc == 0 and csv_path in argv:  # a header, then one row per point the scan printed
+            with open(csv_path, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            assert out.getvalue().startswith(f"points {len(rows)} "), (doc, argv)
     assert rc in (0, 1, 2, 3), (doc, argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if drawn[-2:] == ["--out", TMP_ARG]:  # a scan that answers cannot write its CSV
+        assert rc != 0, (doc, argv)
 
 
 def test_package_namespace_is_what_its_callers_import():

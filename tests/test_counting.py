@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from entrank import (
 from entrank import groebner, phi_v, point_record
 from entrank.groebner import GroebnerBasis
 from entrank.numberfield import finite_places_above
+
+SPECS = Path(__file__).parent.parent / "specs"
 
 
 def strip_23(x: Fraction) -> int:
@@ -466,3 +469,30 @@ def test_every_lattice_vector_entry_point_shares_the_gate(entry, n, text, golden
     with pytest.raises(MathDomainError) as e:
         fn(target, n)
     assert str(e.value) == text
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_dold_congruences_along_rays(name):
+    # a_k = |F(alpha^(k m))|; alpha^m has O_m(k) = (1/k) sum_{j | k} mu(k/j) a_j
+    # closed orbits of length exactly k, a nonnegative integer for every k
+    from entrank import load_spec
+
+    ps = place_spec(load_spec(str(SPECS / name)))
+    rays = {tuple(int(i == j) for j in range(ps.d)) for i in range(ps.d)} | {(1,) * ps.d}
+    for m in sorted(rays):
+        a = [count_composite(ps, tuple(k * v for v in m)).value for k in range(1, 13)]
+        for k in range(1, 13):
+            total = sum(_mobius(k // j) * a[j - 1] for j in range(1, k + 1) if k % j == 0)
+            assert total >= 0 and total % k == 0, (name, m, k)

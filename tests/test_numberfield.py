@@ -42,6 +42,17 @@ def _seeded_fields(seed: int, count: int, max_degree: int):
     return fields
 
 
+def _mp_disc(scale: int, a: int, b: int, r: int | None):
+    """The disc of radius r 2^-scale around (a + ib) 2^-scale, as root_discs
+    and Embedding hold it in integers, read back as an exact mpc centre and
+    mpf radius (mp.inf for r = None)."""
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
+
+    centre = mp.make_mpc((from_man_exp(a, -scale), from_man_exp(b, -scale)))
+    return centre, mp.inf if r is None else mp.make_mpf(from_man_exp(r, -scale))
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -54,7 +65,7 @@ def test_build_field_rationals():
 def test_build_field_golden_embeddings():
     assert GOLDEN.degree == 2
     embs = embeddings(GOLDEN)
-    vals = sorted(float(e.re) for e in embs)
+    vals = sorted(float(_mp_disc(e.scale, e.re, e.im, e.rad)[0].real) for e in embs)
     assert abs(vals[0] + 0.6180339887498949) < 1e-12
     assert abs(vals[1] - 1.6180339887498949) < 1e-12
     assert all(e.is_real for e in embs)
@@ -72,9 +83,9 @@ def test_embedding_discs_hold_the_roots(min_poly):
     with mp.workprec(600):
         roots = mp.polyroots(list(reversed(min_poly)), maxsteps=400, extraprec=600)
         for e in embs:
-            centre = mp.mpc(e.re, e.im)
-            assert 0 <= e.err < mp.mpf(2) ** -128  # 0 when polyroots hits a root exactly
-            near = [z for z in roots if abs(z - centre) <= e.err]
+            centre, err = _mp_disc(e.scale, e.re, e.im, e.rad)
+            assert 0 <= err < mp.mpf(2) ** -128  # 0 when polyroots hits a root exactly
+            near = [z for z in roots if abs(z - centre) <= err]
             assert len(near) == 1  # the disc is proven to hold exactly this root
             assert (abs(mp.im(near[0])) < mp.mpf(2) ** -500) == e.is_real
 
@@ -93,8 +104,8 @@ def test_degree_one_embedding_is_exact(min_poly, monkeypatch):
     monkeypatch.setattr(nf, "root_discs", recording)
     (emb,) = embeddings.__wrapped__(build_field(min_poly))
     assert calls == [tuple(min_poly)]  # the general path, no branch of its own
-    assert emb.is_real and emb.weight == 1
-    assert emb.re == -min_poly[0] and emb.im == 0 and emb.err == 0
+    assert emb.is_real
+    assert (emb.re, emb.im, emb.rad) == (-min_poly[0] << emb.scale, 0, 0)
 
 
 def _root_disc_cases():
@@ -132,8 +143,9 @@ def test_root_discs_hold_one_root_each(coeffs):
 
     from entrank.numberfield import DEFAULT_PREC, root_discs
 
-    discs = root_discs(coeffs, DEFAULT_PREC)
-    assert len(discs) == len(coeffs) - 1
+    scale, found = root_discs(coeffs, DEFAULT_PREC)
+    assert len(found) == len(coeffs) - 1
+    discs = [_mp_disc(scale, *d) for d in found]
     with mp.workprec(600):
         ref = mp.polyroots(list(reversed(coeffs)), maxsteps=2000, extraprec=600)
         for z, r in discs:
@@ -167,15 +179,17 @@ def test_coincident_starts_give_infinite_radii_and_embeddings_double(monkeypatch
 
     monkeypatch.setattr(nf, "_float_root_starts", near_pair_coincides)
     monkeypatch.setattr(nf, "root_discs", recording)
-    discs = root_discs(field.min_poly, nf.DEFAULT_PREC)
-    assert [mp.isinf(r) for _z, r in discs] == [True, True, False]
-    assert discs[0][0] == discs[1][0] and abs(discs[2][0] - 100) < 1e-3
+    scale, discs = root_discs(field.min_poly, nf.DEFAULT_PREC)
+    assert [r is None for _a, _b, r in discs] == [True, True, False]
+    assert discs[0][:2] == discs[1][:2]
+    assert abs(_mp_disc(scale, *discs[2])[0] - 100) < 1e-3
     embs = embeddings.__wrapped__(field)
     assert precs == [nf.DEFAULT_PREC, 2 * nf.DEFAULT_PREC]
     with mp.workprec(600):
         roots = mp.polyroots([1, -100, 0, -1], maxsteps=400, extraprec=600)
         for e in embs:
-            assert sum(abs(z - mp.mpc(e.re, e.im)) <= e.err for z in roots) == 1
+            centre, err = _mp_disc(e.scale, e.re, e.im, e.rad)
+            assert sum(abs(z - centre) <= err for z in roots) == 1
 
 
 def test_tiny_roots_resolve_at_the_default_precision(monkeypatch):
@@ -187,7 +201,8 @@ def test_tiny_roots_resolve_at_the_default_precision(monkeypatch):
     from entrank.numberfield import DEFAULT_PREC, root_discs
 
     coeffs = (1, 0, 10**400)
-    discs = root_discs(coeffs, DEFAULT_PREC)
+    scale, found = root_discs(coeffs, DEFAULT_PREC)
+    discs = [_mp_disc(scale, *d) for d in found]
     with mp.workprec(1000):
         tiny = mp.mpf(10) ** -200
         for (z, r), root in zip(sorted(discs, key=lambda d: d[0].imag), (-tiny, tiny)):
@@ -219,8 +234,9 @@ def test_eval_embedding_ball_holds_the_value():
             x = field.element([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                                for _ in range(field.degree)])
             vr, vi, rad, t = eval_embedding(emb, x)
+            centre, err = _mp_disc(emb.scale, emb.re, emb.im, emb.rad)
             with mp.workprec(600):
-                (root,) = [z for z in roots if abs(z - mp.mpc(emb.re, emb.im)) <= emb.err]
+                (root,) = [z for z in roots if abs(z - centre) <= err]
                 val = mp.mpf(0)
                 for a in reversed(x.num):
                     val = val * root + a
@@ -251,35 +267,33 @@ def test_root_disc_radii_are_tight_upper_bounds():
     from entrank.numberfield import DEFAULT_PREC, root_discs
 
     for coeffs in ROOT_DISC_CASES + _sweep_polys():
-        discs = root_discs(coeffs, DEFAULT_PREC)
+        scale, found = root_discs(coeffs, DEFAULT_PREC)
+        discs = [_mp_disc(scale, *d) for d in found]
         n = len(discs)
         with mp.workprec(600):
-            for z, r in discs:
+            for i, (z, r) in enumerate(discs):
                 val = mp.mpf(0)
                 for c in reversed(coeffs):
                     val = val * z + c
                 den = mp.mpf(coeffs[-1])
-                for w, _r in discs:
-                    if w is not z:
+                for j, (w, _r) in enumerate(discs):
+                    if j != i:
                         den *= z - w
                 ref = n * abs(val) / abs(den)
                 assert ref <= r <= ref * (1 + mp.mpf(2) ** -100), coeffs
 
 
 def test_touching_discs_are_not_disjoint():
-    import mpmath as mp
-
     from entrank.numberfield import _discs_disjoint
 
-    with mp.workprec(400):
-        one, tiny = mp.mpf(1), mp.mpf(2) ** -300
-        assert not _discs_disjoint([(mp.mpf(0), one), (mp.mpf(2), one)])
-        assert _discs_disjoint([(mp.mpf(0), one), (2 + tiny, one)])
-        # |(4 + 5i) - (1 + i)| = 5 = 2 + 3
-        assert not _discs_disjoint([(mp.mpc(1, 1), mp.mpf(2)), (mp.mpc(4, 5), mp.mpf(3))])
-        assert _discs_disjoint([(mp.mpc(1, 1), mp.mpf(2)), (mp.mpc(4, 5), 3 - tiny)])
-        assert not _discs_disjoint([(mp.mpf(0), mp.inf), (mp.mpf(100), one)])
-        assert _discs_disjoint([(mp.mpf(0), mp.inf)])
+    one = 1 << 300  # discs (a, b, r) at the scale 2^-300, where 1 stands for 2^-300
+    assert not _discs_disjoint([(0, 0, one), (2 * one, 0, one)])
+    assert _discs_disjoint([(0, 0, one), (2 * one + 1, 0, one)])
+    # |(4 + 5i) - (1 + i)| = 5 = 2 + 3
+    assert not _discs_disjoint([(one, one, 2 * one), (4 * one, 5 * one, 3 * one)])
+    assert _discs_disjoint([(one, one, 2 * one), (4 * one, 5 * one, 3 * one - 1)])
+    assert not _discs_disjoint([(0, 0, None), (100 * one, 0, one)])
+    assert _discs_disjoint([(0, 0, None)])
 
 
 @pytest.mark.parametrize("coeffs, root", [((-7, 1), 7), ((12, -3), 4), ((0, 5), 0),
@@ -287,8 +301,8 @@ def test_touching_discs_are_not_disjoint():
 def test_root_discs_degree_one_is_exact(coeffs, root):
     from entrank.numberfield import DEFAULT_PREC, root_discs
 
-    ((z, r),) = root_discs(coeffs, DEFAULT_PREC)
-    assert z == root and r == 0
+    scale, (disc,) = root_discs(coeffs, DEFAULT_PREC)
+    assert disc == (root << scale, 0, 0)
 
 
 def test_log_abs_v_ball_reads_the_placement_cache():
@@ -344,6 +358,30 @@ def test_embeddings_accept_seeded_irreducible_fields():
         embs = embeddings(field)
         assert sum(e.is_real for e in embs) == field.real_embeddings
         assert len(embs) == field.real_embeddings + field.complex_pairs
+
+
+@pytest.mark.parametrize("min_poly", [
+    # two roots above the real axis share a real part; a sort by the centres
+    # found at 256 bits put them in the other order than at 128
+    (15, 58, 121, 164, 147, 86, 33, 8, 1), (25, -96, 180, -212, 169, -92, 34, -8, 1),
+] + [field.min_poly for field in _seeded_fields(83, 12, 8)])
+def test_an_embedding_index_names_one_root_at_every_precision(min_poly):
+    from entrank.numberfield import DEFAULT_PREC, log_sigma_ball
+
+    field = build_field(list(min_poly))
+    theta = field.element([0, 1] + [0] * (field.degree - 2))
+    for place in archimedean_places(field):  # a log at 128 and 256 bits, one root
+        lo, hi = log_sigma_ball(place, theta), log_sigma_ball(place, theta, 2 * DEFAULT_PREC)
+        slack = (lo.rad << DEFAULT_PREC) + hi.rad  # at the scale 2^-256
+        assert abs((lo.re << DEFAULT_PREC) - hi.re) <= slack
+        assert place.weight == 1 or abs((lo.im << DEFAULT_PREC) - hi.im) <= slack
+    base = embeddings(field)
+    for prec in (2 * DEFAULT_PREC, 4 * DEFAULT_PREC):
+        for e, f in zip(base, embeddings(field, prec), strict=True):
+            k = f.scale - e.scale  # the finer disc meets the base disc of its index
+            assert k >= 0 and e.is_real == f.is_real
+            gap = ((e.re << k) - f.re) ** 2 + ((e.im << k) - f.im) ** 2
+            assert gap <= ((e.rad << k) + f.rad) ** 2
 
 
 def test_build_field_large_integer_root():
