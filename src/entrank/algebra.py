@@ -5,8 +5,8 @@ coefficients, as lists or tuples in ascending degree: minimal polynomials,
 Mahler-measure inputs and the norms behind every count. The Z[x] helpers
 avoid division over Q: gcds and Sturm chains run on primitive
 pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1; Cohen, GTM 138, 3.3), and the
-one resultant is the Bareiss determinant of the Sylvester matrix, which
-norms, valuations and discriminants share.
+one resultant, which norms, valuations and discriminants share, is the
+Bareiss determinant of multiplication by g modulo the monic f.
 """
 
 from __future__ import annotations
@@ -158,23 +158,31 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def resultant(f, g) -> int:
     """Res(f, g) of two nonzero integer polynomials (trailing zeros
-    allowed): the Sylvester determinant, or, when one side is linear, its
-    value by Horner: Res(ax + b, g) = sum g_k (-b)^k a^(m-k) for g of
-    degree m, and Res(g, f) = (-1)^(nm) Res(f, g)."""
+    allowed): c^deg for a constant side c; by Horner for a linear side,
+    Res(ax + b, g) = sum g_k (-b)^k a^(m-k) for g of degree m, and
+    Res(g, f) = (-1)^(nm) Res(f, g); otherwise, for a monic f only, the norm
+    of g(theta) in Z[x]/(f), the Bareiss determinant of multiplication by g."""
     f, g = poly_trim(f), poly_trim(g)
     if not (f and g):
         raise MathDomainError("resultant with the zero polynomial requested")
     n, m = len(f) - 1, len(g) - 1
-    if m == 0:  # also the empty matrix when n = 0
-        return g[0] ** n
+    if n == 0 or m == 0:
+        return f[0] ** m if n == 0 else g[0] ** n
     if n == 1:
         return _linear_resultant(f, g)
     if m == 1:
         return (-1) ** n * _linear_resultant(g, f)
-    f.reverse()
-    g.reverse()
-    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]  # m rows of f
-    rows += [[0] * i + g + [0] * (n - 1 - i) for i in range(n)]  # n rows of g
+    if f[-1] != 1:
+        raise MathDomainError("resultant of degree >= 2 sides needs a monic first argument")
+    g = _prem(g, f)  # g mod f
+    g += [0] * (n - len(g))
+    rows = []
+    for _ in range(n):  # g, g x, ..., g x^(n-1) mod f
+        rows.append(g)
+        t = g[-1]
+        g = [0] + g[:-1]
+        if t:
+            g = [c - t * a for c, a in zip(g, f)]
     return _bareiss_det(rows)
 
 
@@ -188,9 +196,9 @@ def _linear_resultant(f: list[int], g: list[int]) -> int:
 
 
 def discriminant(f) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), cached by f, so that the
-    irreducibility test that builds a field and that field's local splits
-    share one resultant."""
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f monic from degree 3
+    on, cached by f, so that the irreducibility test that builds a field and
+    that field's local splits share one resultant."""
     return _discriminant(tuple(poly_trim(f)))
 
 

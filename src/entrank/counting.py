@@ -501,7 +501,7 @@ def count_at_points(ps: PlacedSpec, n: tuple[int, ...], points: list) -> CountRe
 class WindowOracle:
     """Result of the truncated-window dimension computation."""
 
-    dims: tuple[tuple[int, int], ...]  # (window, dimension) triples
+    dims: tuple[tuple[int, int], ...]  # (window, dimension) pairs
     stabilized: bool
     count: CountResult | None
 

@@ -8,7 +8,8 @@ polynomial. Each element's characteristic polynomial is computed once and
 cached; placement's support primes, the inverse (by Cayley-Hamilton, in
 integers, which powers cache), root_of_unity_order's norm test and
 mixing_check's norms all read it. Norms and valuations share one integer
-norm, the d x d Bareiss determinant of multiplication by the element.
+norm, algebra.resultant: the d x d determinant of multiplication by the
+element, and for each lifted block's share the deg F_v x deg F_v one.
 
 Normalization fixes the Artin-Whaples product formula: real places contribute
 |sigma(x)|, complex places |sigma(x)|^2, and a finite place v above p with
@@ -72,8 +73,8 @@ from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_a
                           mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_ln2, mpf_log, mpf_mul,
                           mpf_shift, mpf_sub, to_int)
 
-from .algebra import (_bareiss_det, discriminant, ord_p, poly_str, poly_trim, proven_prime,
-                      real_root_count, resultant)
+from .algebra import (discriminant, ord_p, poly_str, poly_trim, proven_prime, real_root_count,
+                      resultant)
 from .errors import (ConsistencyError, MathDomainError, ResourceLimitError, SpecError,
                      UnsupportedPrimeError)
 from .polyfactor import (
@@ -267,24 +268,10 @@ def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
 
 @functools.lru_cache(maxsize=256)
 def _integral_norm(min_poly: tuple[int, ...], num: tuple[int, ...]) -> int:
-    """N(A(theta)) = Res(min_poly, A): for A of degree 2 to d - 1, the
-    Bareiss determinant of multiplication by A on the power basis, d x d
-    rather than the 2d x 2d Sylvester matrix; otherwise (A linear, say)
-    the resultant. The count takes the norm of xi^n - 1 and then
-    valuations_above needs it again at each prime, as placement does for
-    each xi; this cache makes that one determinant."""
-    a, n = poly_trim(num), len(min_poly) - 1
-    if not 2 < len(a) <= n:
-        return resultant(min_poly, a)
-    a += [0] * (n - len(a))
-    rows = []
-    for _ in range(n):  # A, A theta, ..., A theta^(n-1) mod min_poly
-        rows.append(a)
-        t = a[-1]
-        a = [0] + a[:-1]
-        if t:
-            a = [c - t * m for c, m in zip(a, min_poly)]
-    return _bareiss_det(rows)
+    """N(A(theta)) = Res(min_poly, A). The count takes the norm of xi^n - 1
+    and then valuations_above needs it again at each prime, as placement
+    does for each xi; this cache makes that one resultant."""
+    return resultant(min_poly, num)
 
 
 @functools.lru_cache(maxsize=256)
@@ -725,7 +712,8 @@ def valuations_above(field: NumberField, p: int, x: Element,
     only block, or to the only one that meets A mod p (none meeting
     contradicts p | N(A)); when several meet, one resultant per
     Hensel-lifted block (lifted past p^v_total) gives the shares, which must
-    sum to v_total. c contributes -e_v ord_p(c).
+    sum to v_total: a lifted block is monic, so its resultant is the
+    determinant of multiplication by A modulo it. c contributes -e_v ord_p(c).
     """
     if x.is_zero():
         raise MathDomainError("ord_v(0) is infinite")

@@ -45,11 +45,13 @@ moved, its tie widening and its far-tail term with that term's radius,
 and on a lifted place weight * R plus the rounding of ea inside A, and 1
 for the floor of h. g is one log per component,
 log(M / P+) plus the far-tail terms at DEFAULT_PREC bits (safe_mpf_log),
-converted to a float once; h is the integer sum of weight * S and of
--c log p (one cached libmp log per prime) at scale 2^-DEFAULT_PREC. A
-float guard, |g + h - log count| <= 2^-30 max(1, log count) per
-component, catches a fault in that last conversion, which the product
-check does not see.
+converted to a float once, and exactly 0.0 where g = log(count A / P-) is
+0 by one integer comparison: count = P- when no archimedean place is
+lifted (A = 1), or count = |N(xi^n)| P- when every one is (ties count as
+not lifted). h is the integer sum of weight * S and of -c log p (one
+cached libmp log per prime) at scale 2^-DEFAULT_PREC. A float guard,
+|g + h - log count| <= 2^-30 max(1, log count) per component, catches a
+fault in that last conversion, which the product check does not see.
 
 Only char-0 components enter h and g (char-p components have no computed
 places); f always includes every component, so for specs with char-p parts
@@ -69,8 +71,8 @@ from mpmath.libmp import fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_di
 from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _scaled,
-                          compare_abs_to_one, log_sigma_ball, one_minus_exp_factor,
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _charpoly_core,
+                          _scaled, compare_abs_to_one, log_sigma_ball, one_minus_exp_factor,
                           safe_mpf_log)
 
 
@@ -154,6 +156,7 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     tails = fzero
     h = 0  # at scale 2^-DEFAULT_PREC, like rho
     rho = 0
+    lifted = 0
     for k, (place, o) in enumerate(zip(pc.places, point.ords)):
         if o is not None:
             c = o * place.res_degree  # |xi^n - 1|_v = p^-c
@@ -178,6 +181,7 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
             tails = mpf_add(tails, term.tail)
             rho += _scaled(mpf_abs(term.tail), DEFAULT_PREC, "c")
         if lift:  # within weight * R and ea's rounding, plus 1 for the floor
+            lifted += 1
             weight, (em, ee) = place.weight, term.ea
             h += lift >> (prec - DEFAULT_PREC)
             a_man, a_exp = a_man * em**weight, a_exp + weight * ee
@@ -187,12 +191,29 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     if p_pos > 1:
         ratio = mpf_div(ratio, from_int(p_pos), max(m_man.bit_length(), 2 * DEFAULT_PREC))
     g = to_float(mpf_add(safe_mpf_log(ratio, DEFAULT_PREC, "n"), tails))
+    if not lifted and count == p_neg or (lifted == point.ords.count(None)
+                                         and _is_abs_norm_times(pc, n, count, p_neg)):
+        g = 0.0
     log_count = math.log(count)
     if not abs(g + math.ldexp(h, -DEFAULT_PREC) - log_count) <= 2.0**-30 * max(1.0, log_count):
         raise ConsistencyError(f"decomposition mismatch at n={n}: g = {g!r} and h = "
                                f"{math.ldexp(h, -DEFAULT_PREC)!r} do not sum to log count = "
                                f"{log_count!r}")
     return g, h
+
+
+def _is_abs_norm_times(pc: PlacedComponent, n: tuple[int, ...], count: int, p_neg: int) -> bool:
+    """count == |N(xi^n)| p_neg in integers, with |N(xi^n)| = prod |N(xi_i)|^n_i
+    and |N(a / c)| = |b_0| / c^d, b_0 the cached charpoly's constant term."""
+    field = pc.component.field
+    num = den = 1
+    for v, x in zip(n, pc.component.xi):
+        a, b = abs(_charpoly_core(x.num, field.min_poly)[0][0]), x.den ** field.degree
+        if v < 0:
+            a, b, v = b, a, -v
+        num *= a**v
+        den *= b**v
+    return count * den == p_neg * num
 
 
 def _check_product(n, m: tuple[int, int], a: tuple[int, int], count_p_pos: int, p_neg: int,

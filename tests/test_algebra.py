@@ -54,15 +54,16 @@ def test_resultant_both_zero_rejected():
         resultant([], [])
 
 
-def _random_poly(rng, max_deg=4):
+def _random_poly(rng, max_deg=4, monic=False):
     deg = rng.randint(0, max_deg)
-    return [rng.randint(-5, 5) for _ in range(deg)] + [rng.randint(1, 5)]
+    return [rng.randint(-5, 5) for _ in range(deg)] + [1 if monic else rng.randint(1, 5)]
 
 
 def test_resultant_swap_sign():
+    # both sides are a first argument once, so both are monic
     rng = random.Random(7)
     for _ in range(60):
-        f, g = _random_poly(rng), _random_poly(rng)
+        f, g = _random_poly(rng, monic=True), _random_poly(rng, monic=True)
         sign = -1 if ((len(f) - 1) * (len(g) - 1)) % 2 else 1
         assert resultant(f, g) == sign * resultant(g, f)
 
@@ -94,8 +95,59 @@ def test_linear_resultant_matches_the_sylvester_determinant():
 def test_resultant_multiplicative_in_first_argument():
     rng = random.Random(11)
     for _ in range(30):
-        f1, f2, g = _random_poly(rng, 3), _random_poly(rng, 3), _random_poly(rng, 3)
+        f1, f2 = _random_poly(rng, 3, monic=True), _random_poly(rng, 3, monic=True)
+        g = _random_poly(rng, 3)
         assert resultant(_mul(f1, f2), g) == resultant(f1, g) * resultant(f2, g)
+
+
+def _lifted_blocks():
+    """Hensel-lifted local factors of degree >= 2 (monic, coefficients up
+    to p^k): of x^4 - 3x^3 - x^2 + 3x - 2 at 2, lifted to 2^8 as its
+    placement lifts them, and of seeded monic fields at 2, 3, 5 and 7."""
+    from entrank.errors import SpecError, UnsupportedPrimeError
+    from entrank.numberfield import _lifted_local_factors, build_field
+
+    rng = random.Random(2708)
+    cases = [((-2, 3, -1, -3, 1), 2, 8)]
+    while len(cases) < 60:
+        f = tuple(rng.randint(-3, 3) for _ in range(rng.randint(3, 8))) + (1,)
+        cases.append((f, rng.choice((2, 3, 5, 7)), rng.choice((2, 8, 32))))
+    blocks = set()
+    for f, p, k in cases:
+        try:
+            lifted = _lifted_local_factors(build_field(f), p, k)
+        except (SpecError, UnsupportedPrimeError):
+            continue
+        blocks.update(b for b in lifted if len(b) > 2)
+    return sorted(blocks)
+
+
+def test_resultant_is_the_sylvester_determinant():
+    # the determinant of multiplication by g mod the monic f: f of degree
+    # 2..8 with coefficients up to 10^30, or a lifted local factor; g of
+    # degree 0..9, deg g >= deg f (reduced mod f first) and zero constant
+    # terms included. A non-monic f of degree >= 2 against g of degree >= 2
+    # is refused.
+    rng = random.Random(2707)
+    lifted = _lifted_blocks()
+    assert len(lifted) >= 40
+    reduced = 0
+    for i in range(2000):
+        big = rng.choice((3, 10**6, 10**30))
+        if i % 4 == 0:
+            f = list(lifted[i // 4 % len(lifted)])
+        else:
+            f = [rng.randint(-big, big) for _ in range(rng.randint(2, 8))] + [1]
+        g = [rng.randint(-big, big) for _ in range(rng.randint(0, 9))] + [rng.randint(1, big)]
+        if len(g) > 1 and rng.random() < 0.3:
+            g[0] = 0
+        reduced += len(g) >= len(f)
+        assert resultant(f, g) == _sylvester_resultant(f, g), (f, g)
+        if len(g) > 2:
+            f[-1] = rng.choice((-1, 2, big))
+            with pytest.raises(MathDomainError):
+                resultant(f, g)
+    assert reduced >= 600
 
 
 def test_discriminant_quadratic():

@@ -483,6 +483,30 @@ def _mobius(n: int) -> int:
     return -out if n > 1 else out
 
 
+def test_lifting_the_exponent_on_golden_mean_at_two(golden_mean_spec):
+    # phi^3 - 1 = 2 phi and phi^3 + 1 = 2 phi^2 have ord 1 at the inert 2,
+    # so ord_v(phi^(3 2^j) - 1) = 1 + 1 + j - 1 = j + 1 (phi^6 - 1 = 4(2 phi + 1))
+    from entrank.counting import char0_point
+
+    pc = place_spec(golden_mean_spec).placed_char0()[0][0]
+    assert pc.places[2].p == 2
+    assert [char0_point(pc, (3 << j, 0)).ords[2] for j in range(1, 8)] == list(range(2, 9))
+
+
+def test_lifting_the_exponent_on_two_plus_i_at_five():
+    # eta = 2 + i is -1 mod the place theta = 2 above 5 and eta^2 - 1 =
+    # 2(1 + 2i) has ord 1 there, so ord(eta^(2k) - 1) = 1 + ord_5(k); at
+    # the place theta = -2, which holds eta, eta^(2k) - 1 is a unit
+    from entrank.algebra import ord_p
+    from entrank.numberfield import build_field, valuations_above
+
+    field = build_field([1, 0, 1])
+    eta = field.element([2, 1])
+    for k in range(1, 126):
+        x = field.sub(field.pow(eta, 2 * k), field.one())
+        assert valuations_above(field, 5, x) == (0, 1 + ord_p(k, 5)), k
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
 def test_dold_congruences_along_rays(name):
     # a_k = |F(alpha^(k m))|; alpha^m has O_m(k) = (1/k) sum_{j | k} mu(k/j) a_j
@@ -496,3 +520,27 @@ def test_dold_congruences_along_rays(name):
         for k in range(1, 13):
             total = sum(_mobius(k // j) * a[j - 1] for j in range(1, k + 1) if k % j == 0)
             assert total >= 0 and total % k == 0, (name, m, k)
+
+
+def test_dold_congruences_on_sweep_like_specs():
+    # the congruences of test_dold_congruences_along_rays on each axis and
+    # (1, 1) of seeded sweep-shaped specs; specs refused by parse_spec or
+    # placement (reducible, index divisor) and non-mixing rays are skipped
+    from entrank.errors import SpecError, UnsupportedPrimeError
+
+    checked = 0
+    for doc in _sweep_like_docs(20263, 240):
+        try:
+            ps = place_spec(parse_spec(doc))
+        except (SpecError, UnsupportedPrimeError):
+            continue
+        for m in ((1, 0), (0, 1), (1, 1)):
+            try:
+                a = [count_composite(ps, (k * m[0], k * m[1])).value for k in range(1, 13)]
+            except MathDomainError:  # some xi^(k m) = 1: not mixing along m
+                continue
+            checked += 1
+            for k in range(1, 13):
+                total = sum(_mobius(k // j) * a[j - 1] for j in range(1, k + 1) if k % j == 0)
+                assert total >= 0 and total % k == 0, (doc, m, k)
+    assert checked == 463

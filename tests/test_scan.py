@@ -474,6 +474,79 @@ def test_g_where_the_archimedean_product_is_a_quarter(golden):
     assert rec.g == -0.9802581434685471
 
 
+def _one_component(d, min_poly, xi):
+    return place_spec(parse_spec({"d": d, "components": [
+        {"char": 0, "min_poly": min_poly, "xi": xi}]}))
+
+
+@pytest.mark.parametrize("min_poly, xi, zero_at, count", [
+    ([4, -3, 1], [1, 1, -1, 1], 4, 16),  # 1 - theta, theta^2 - 3 theta + 4 = 0
+    ([3, 4, -4, 1], [-2, 1, 3, 1, -1, 1], 1, 12),  # -2 + 3 theta - theta^2
+])
+def test_g_is_exactly_zero_where_one_integer_comparison_decides_it(min_poly, xi, zero_at, count):
+    # every archimedean place lifted (or none) and count = |N(xi^n)| P-
+    # (or P-): g is 0.0, not a last-bit residue near 1e-40
+    ps = _one_component(1, min_poly, [xi])
+    for k in range(1, 6):
+        for n in ((k,), (-k,)):
+            rec = point_record(ps, n)
+            assert (rec.g == 0.0) == (k == zero_at), (n, rec.g)
+            if k == zero_at:
+                assert rec.count == count
+
+
+def _exact_zero_identity(ps, n, count, thetas) -> bool:
+    """Whether g = 0 at n is decided by count = P- |N(xi^n)|^[all lifted]
+    with no archimedean place lifted or every one (thetas: the roots of
+    min_poly at 60 digits), in exact arithmetic apart from the lifting:
+    P- = prod over finite v of max(1, |xi^n|_v) is the leading coefficient
+    of the primitive integer multiple of charpoly(xi^n) (Gauss's lemma)."""
+    (pc, _), = ps.entries
+    field = pc.component.field
+    x = field.pow_vector(pc.component.xi, n)
+    cp = field.charpoly(x)
+    den = math.lcm(*(c.denominator for c in cp))
+    p_neg = den // math.gcd(*(int(c * den) for c in cp))
+    with mp.workdps(60):
+        lifted = [abs(mp.polyval(x.num[::-1], z)) > x.den * (1 + mp.mpf(10) ** -40)
+                  for z in thetas]
+    if not any(lifted):
+        return count == p_neg
+    return all(lifted) and count == p_neg * abs(cp[0])
+
+
+def test_g_is_zero_only_where_the_exact_identity_holds():
+    # seeded one-component specs of degree 2..4: g is 0.0 at exactly the
+    # points where _exact_zero_identity holds
+    from entrank.errors import SpecError, UnsupportedPrimeError
+
+    rng = random.Random(2)
+    zeros = points = 0
+    for d, radius, specs in ((1, 8, 90), (2, 2, 30)):
+        while specs:
+            degree = rng.randint(2, 4)
+            min_poly = [rng.randint(-4, 4) for _ in range(degree)] + [1]
+            xi = [[c for _ in range(degree) for c in (rng.randint(-2, 2), rng.choice((1, 1, 2)))]
+                  for _ in range(d)]
+            try:
+                ps = _one_component(d, min_poly, xi)
+            except (SpecError, UnsupportedPrimeError):
+                continue
+            specs -= 1
+            with mp.workdps(60):
+                thetas = mp.polyroots(min_poly[::-1], maxsteps=100, extraprec=200)
+            for n in itertools.product(range(-radius, radius + 1), repeat=d):
+                try:
+                    rec = point_record(ps, n)
+                except MathDomainError:  # n = 0, or xi^n = 1
+                    continue
+                points += 1
+                zeros += rec.g == 0.0
+                assert (rec.g == 0.0) == _exact_zero_identity(ps, n, rec.count, thetas), (
+                    min_poly, xi, n, rec.g)
+    assert points > 2000 and zeros >= 25
+
+
 SHIPPED_CHAR0 = ["gaussian_split", "golden_mean", "ratio_shift_k1", "ratio_shift_k2",
                  "ratio_shift_k5", "times2_rationals", "x2x3"]
 
