@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import factor_int, proven_prime
-from .errors import MathDomainError, SpecError
+from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (
     DEFAULT_PREC,
     DyadicBall,
@@ -252,6 +252,10 @@ class PlacedComponent:
 
 
 def compute_places(comp: Char0Component) -> PlacedComponent:
+    """comp with its support places and one row per place. ConsistencyError
+    unless, for every xi_i, |N(xi_i)| is the product of p^(f_v ord_v(xi_i))
+    over the placed finite v: the count and g's exact zero read |N(xi^n)|
+    off these rows by the product formula."""
     field = comp.field
     places: list[Place] = archimedean_places(field)
     rows: list = [tuple(log_sigma_ball(place, el) for el in comp.xi) for place in places]
@@ -275,6 +279,13 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
             if any(ords):
                 places.append(place)
                 rows.append(ords)
+    for i, el in enumerate(comp.xi):
+        nrm = abs(field.norm(el))
+        placed = math.prod(Fraction(place.p) ** (place.res_degree * row[i])
+                           for place, row in zip(places, rows) if place.kind == "finite")
+        if nrm != placed:
+            raise ConsistencyError(f"|N(xi[{i}])| = {nrm}, but the placed finite places give "
+                                   f"{placed}")
     return PlacedComponent(component=comp, places=tuple(places), rows=tuple(rows))
 
 
@@ -362,10 +373,11 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     """Verify xi^n != 1 (char 0) / u^n - 1 not in the ideal (char p) up to a radius.
 
     This is a bounded verification, not a proof of mixing. In char 0,
-    xi^n = 1 forces prod N(xi_i)^n_i = 1, with the norms read from the
-    cached characteristic polynomials, so only the n that pass this exact
-    test are tried: by the orders root_of_unity_order found when n has one
-    nonzero entry, by the exact power xi^n otherwise.
+    xi^n = 1 forces prod N(xi_i)^n_i = 1, with the norms from
+    NumberField.norm (cached where placement's guard read them), so only
+    the n that pass this exact test are tried: by the orders
+    root_of_unity_order found when n has one nonzero entry, by the exact
+    power xi^n otherwise.
     """
     violations: list[str] = []
     for idx, (comp, _mult) in enumerate(spec.components):
@@ -378,8 +390,7 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                 elif order is not None:
                     violations.append(
                         f"components[{idx}]: xi[{j}] is a root of unity of order {order}")
-            sign = (-1) ** field.degree
-            norms = [sign * field.charpoly(el)[0] for el in comp.xi]
+            norms = [field.norm(el) for el in comp.xi]
             one = field.one()
             for n in iter_shell_points(spec.d, 0, radius):
                 if math.prod(nrm ** k for nrm, k in zip(norms, n) if k) != 1:

@@ -170,9 +170,6 @@ def _minor_vector(rows, d: int) -> tuple[int, ...]:
     row, and zero iff the rows are dependent."""
     if d == 1:
         return (1,)
-    if d == 2:
-        (a, b), = rows
-        return (-b, a)
     return tuple((-1) ** k * _bareiss_det([list(r[:k] + r[k + 1:]) for r in rows])
                  for k in range(d))
 

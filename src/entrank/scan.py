@@ -46,9 +46,13 @@ and on a lifted place weight * R plus the rounding of ea inside A, and 1
 for the floor of h. g is one log per component,
 log(M / P+) plus the far-tail terms at DEFAULT_PREC bits (safe_mpf_log),
 converted to a float once, and exactly 0.0 where g = log(count A / P-) is
-0 by one integer comparison: count = P- when no archimedean place is
-lifted (A = 1), or count = |N(xi^n)| P- when every one is (ties count as
-not lifted). h is the integer sum of weight * S and of -c log p (one
+0 by one integer comparison. With no archimedean place lifted, A = 1 and
+the test is count = P-. With every one lifted (ties count as not lifted),
+1/A = |N(xi^n)|, which the product formula reads off the finite rows:
+with t_v = n . ord_v(xi), |N(xi^n)| P- = P^, the product of p^(f_v t_v)
+over the places with t_v > 0, so the test is count = P^ (placement checks
+that its rows carry every |N(xi_i)|). Otherwise nothing is decided
+exactly. h is the integer sum of weight * S and of -c log p (one
 cached libmp log per prime) at scale 2^-DEFAULT_PREC. A float guard,
 |g + h - log count| <= 2^-30 max(1, log count) per component, catches a
 fault in that last conversion, which the product check does not see.
@@ -71,9 +75,8 @@ from mpmath.libmp import fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_di
 from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _charpoly_core,
-                          _scaled, compare_abs_to_one, log_sigma_ball, one_minus_exp_factor,
-                          safe_mpf_log)
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _scaled,
+                          compare_abs_to_one, log_sigma_ball, one_minus_exp_factor, safe_mpf_log)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +152,11 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     """(g, h) for one component at n, from the char0_point its count read
     and that count: g as a float and h as an integer at scale
     2^-DEFAULT_PREC, after the product check and the float guard of the
-    module docstring (ConsistencyError)."""
+    module docstring (ConsistencyError), and g exactly 0.0 where count = P-
+    (no archimedean place lifted) or count = P^ (every one lifted)."""
     m_man, m_exp = 1, 0  # M = m_man 2^m_exp
     a_man, a_exp = 1, 0  # A
-    p_neg = p_pos = 1
+    p_neg = p_pos = p_up = 1
     tails = fzero
     h = 0  # at scale 2^-DEFAULT_PREC, like rho
     rho = 0
@@ -165,6 +169,8 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
                 p_neg *= _prime_power(place.p, -c)
             elif c:
                 p_pos *= _prime_power(place.p, c)
+            elif (t := sum(v * r for v, r in zip(n, pc.rows[k]))) > 0:  # |xi^n|_v = p^(-f t)
+                p_up *= _prime_power(place.p, t * place.res_degree)
             continue
         prec = DEFAULT_PREC
         ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
@@ -191,8 +197,7 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     if p_pos > 1:
         ratio = mpf_div(ratio, from_int(p_pos), max(m_man.bit_length(), 2 * DEFAULT_PREC))
     g = to_float(mpf_add(safe_mpf_log(ratio, DEFAULT_PREC, "n"), tails))
-    if not lifted and count == p_neg or (lifted == point.ords.count(None)
-                                         and _is_abs_norm_times(pc, n, count, p_neg)):
+    if not lifted and count == p_neg or lifted == point.ords.count(None) and count == p_up:
         g = 0.0
     log_count = math.log(count)
     if not abs(g + math.ldexp(h, -DEFAULT_PREC) - log_count) <= 2.0**-30 * max(1.0, log_count):
@@ -200,20 +205,6 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
                                f"{math.ldexp(h, -DEFAULT_PREC)!r} do not sum to log count = "
                                f"{log_count!r}")
     return g, h
-
-
-def _is_abs_norm_times(pc: PlacedComponent, n: tuple[int, ...], count: int, p_neg: int) -> bool:
-    """count == |N(xi^n)| p_neg in integers, with |N(xi^n)| = prod |N(xi_i)|^n_i
-    and |N(a / c)| = |b_0| / c^d, b_0 the cached charpoly's constant term."""
-    field = pc.component.field
-    num = den = 1
-    for v, x in zip(n, pc.component.xi):
-        a, b = abs(_charpoly_core(x.num, field.min_poly)[0][0]), x.den ** field.degree
-        if v < 0:
-            a, b, v = b, a, -v
-        num *= a**v
-        den *= b**v
-    return count * den == p_neg * num
 
 
 def _check_product(n, m: tuple[int, int], a: tuple[int, int], count_p_pos: int, p_neg: int,

@@ -8,6 +8,7 @@ import pytest
 
 from entrank import (
     CharPComponent,
+    ConsistencyError,
     SpecError,
     compute_places,
     count_composite,
@@ -196,6 +197,25 @@ def test_compute_places_keeps_primes_cancelled_in_the_norm():
     above_3 = sorted(o for p, o in zip(pc.places, pc.rows)
                      if p.kind == "finite" and p.p == 3)
     assert above_3 == [(-1, 0), (1, 0)]
+
+
+X2X3_DOC = {"d": 2, "components": [{"char": 0, "min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}]}
+COFACTOR_DOC = {"d": 2, "components": [{"char": 0, "min_poly": [-3, 2, 1, 1], "xi": [
+    [-1, 2, -2, 3, -2, 1], [-1, 3, 1, 1, 1, 2]]}]}
+
+
+@pytest.mark.parametrize("doc, p", [(X2X3_DOC, 2), (X2X3_DOC, 3), (COFACTOR_DOC, 3),
+                                    (COFACTOR_DOC, 2347), (SPLIT_CANCEL_DOC, 3)])
+def test_placement_raises_when_a_finite_place_is_dropped(doc, p, monkeypatch):
+    # the last place above p goes missing: the rows no longer carry some
+    # |N(xi_i)|, which the count and g's exact zero read off them
+    import entrank.action as action
+
+    full = action.finite_places_above
+    monkeypatch.setattr(action, "finite_places_above", lambda field, q, support=None: (
+        full(field, q, support)[:-1] if q == p else full(field, q, support)))
+    with pytest.raises(ConsistencyError, match="placed finite places give"):
+        place_spec(parse_spec(doc))
 
 
 def test_ratio_shift_places():

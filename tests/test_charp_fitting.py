@@ -254,3 +254,24 @@ def test_frobenius_scales_the_exponent():
                 assert fitting_dim(pc, tuple(pc.q**j * v for v in m)) == pc.q**j * dim, (pc, m, j)
                 checked += 1
     assert checked >= 150, checked
+
+
+def test_frobenius_scales_the_groebner_exponent():
+    # the same identity read from the Groebner oracle: dim at q m is q times
+    # dim at m, and both equal the Fitting exponent
+    rng = random.Random(2828)
+    checked = 0
+    for i in range(10):
+        q = (2, 3)[i % 2]
+        terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randrange(1, q) for _ in range(4)}
+        pc = CharPComponent(q=q, d=2, generators=(
+            LaurentPolynomial(terms=tuple(sorted(terms.items()))),))
+        for m in [(1, 0), (0, 1), (1, 1), (1, -1)]:
+            qm = tuple(q * v for v in m)
+            dim = groebner_dim(pc, m)
+            assert dim == fitting_dim(pc, m), (pc, m)
+            if dim is None:
+                continue
+            assert groebner_dim(pc, qm) == q * dim == fitting_dim(pc, qm), (pc, m)
+            checked += 1
+    assert checked >= 30, checked

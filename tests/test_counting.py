@@ -507,6 +507,53 @@ def test_lifting_the_exponent_on_two_plus_i_at_five():
         assert valuations_above(field, 5, x) == (0, 1 + ord_p(k, 5)), k
 
 
+def test_lifting_the_exponent_on_seeded_fields():
+    # eta integral and a unit at v above p <= 7, o the least k with
+    # ord_v(eta^k - 1) > 0 (a divisor of p^f_v - 1): eta^k - 1 is a unit at v
+    # for o not dividing k, and where a = ord_v(eta^o - 1) > e_v / (p - 1),
+    # ord_v(eta^(o k') - 1) = a + e_v ord_p(k') for k' <= 2 p^2
+    from entrank.algebra import ord_p
+    from entrank.errors import SpecError, UnsupportedPrimeError
+    from entrank.numberfield import build_field, ord_v
+
+    rng = random.Random(2828)
+    fields, units, lifted = 16, 0, 0
+    while fields:
+        degree = rng.randint(2, 4)
+        try:
+            field = build_field([rng.randint(-5, 5) for _ in range(degree)] + [1])
+        except SpecError:  # reducible
+            continue
+        eta = field.element([rng.randint(-3, 3) for _ in range(degree)])
+        if eta.is_zero() or field.root_of_unity_order(eta) is not None:
+            continue
+        fields -= 1
+        for p in (2, 3, 5, 7):
+            try:
+                places = finite_places_above(field, p)
+            except UnsupportedPrimeError:  # p divides the index
+                continue
+            for v in places:
+                def ord_minus_one(k):
+                    return ord_v(v, field.sub(field.pow(eta, k), field.one()))
+
+                if ord_v(v, eta):
+                    continue  # not a unit at v
+                q = p**v.res_degree - 1
+                o = min(k for k in range(1, q + 1) if q % k == 0 and ord_minus_one(k))
+                if 2 * p * p * o > 1000:
+                    continue  # powers too large for a quick test
+                assert all(ord_minus_one(k) == 0 for k in range(1, 3 * o) if k % o), (field, eta, v)
+                units += 1
+                a = ord_minus_one(o)
+                if a * (p - 1) > v.ram_index:
+                    for k in range(1, 2 * p * p + 1):
+                        assert ord_minus_one(o * k) == a + v.ram_index * ord_p(k, p), (
+                            field, eta, v, k)
+                    lifted += 1
+    assert (units, lifted) == (68, 54)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
 def test_dold_congruences_along_rays(name):
     # a_k = |F(alpha^(k m))|; alpha^m has O_m(k) = (1/k) sum_{j | k} mu(k/j) a_j
