@@ -17,6 +17,17 @@ Laurent quotient by the generators together with u^n - 1.
   w1. dim is the Laurent span of the gcd of the maximal minors, read off a
   column Hermite form over F_q[w2]; the count is infinite exactly when that
   gcd is 0. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0).
+- d = 2 with one generator f: Frobenius scaling. Over F_q (q prime),
+  u^(q^j m) - 1 = (u^m - 1)^(q^j), so with q^j the largest power of q
+  dividing gcd(n) the Fitting ideal is taken at m = n / q^j and the exponent
+  multiplied by q^j. Let x = u^m - 1 and R the Laurent ring, a UFD of Krull
+  dimension 2. If R/(f, x) is finite, gcd(f, x) is a unit, since a common
+  non-unit factor h would leave R/(h), of dimension 1, as a quotient; so x
+  is a non-zero-divisor on M = R/(f) and each x^i M / x^(i+1) M is M / xM.
+  If R/(f, x) is infinite, (f, x^(q^j)) lies in (h) and the count at n is
+  infinite too. Neither step holds elsewhere: in d = 1, (1 + u)^2 over F_2
+  has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
+  1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check and is the
   tests' cross-check for the Fitting-ideal route.
@@ -416,16 +427,29 @@ def _groebner_dim(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
 
 
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
-    """|F| = q^dim for a char-p prime component; errors if the count is infinite."""
+    """|F| = q^dim for a char-p prime component; errors if the count is infinite.
+
+    A one-generator component in d = 2 is counted at the q-free part m of n,
+    and dim(n) = q^j dim(m) for n = q^j m: u^m - 1 is a non-zero-divisor
+    modulo f wherever the count at m is finite (the module docstring has the
+    proof). Every other component is counted at n itself, since the scaling
+    fails there: (1 + u)^2 over F_2 in d = 1, and 1 + u1, 1 + u2 over F_2.
+    """
     n = require_nonzero(n, pc.d)
+    m, scale = n, 1
+    if pc.d == 2 and len(pc.generators) == 1:
+        while all(v % pc.q == 0 for v in m):
+            m = tuple(v // pc.q for v in m)
+            scale *= pc.q
     if pc.d <= 2:
-        dim = _fitting_dim_d2(pc, n)
+        dim = _fitting_dim_d2(pc, m)
     else:
-        dim = _groebner_dim(pc, n)
+        dim = _groebner_dim(pc, m)
     if dim is None:
         raise MathDomainError(
             f"count at n={n} is infinite (quotient not zero-dimensional); "
             "the component violates entropy rank one in this direction")
+    dim *= scale
     return CountResult(value=pc.q**dim, factored=(pc.q, dim),
                        per_component=((pc.q**dim, 1),))
 

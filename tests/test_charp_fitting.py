@@ -19,6 +19,7 @@ from entrank import (
     parse_spec,
     place_spec,
 )
+from entrank.counting import _fitting_dim_d2 as fitting_dim_d2
 from entrank.counting import _groebner_dim as groebner_dim
 
 
@@ -275,3 +276,40 @@ def test_frobenius_scales_the_groebner_exponent():
             assert groebner_dim(pc, qm) == q * dim == fitting_dim(pc, qm), (pc, m)
             checked += 1
     assert checked >= 30, checked
+
+
+def test_reduced_count_matches_the_direct_route():
+    # count_prime_charp counts a one-generator d = 2 component at the q-free
+    # part m of n and scales by q^j; the Fitting ideal taken at q^j m itself
+    # must agree, finite or infinite
+    seen = {"finite": 0, "infinite": 0}
+    for pc in _one_generator_components(478, 18):
+        for m in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]:
+            dim = fitting_dim_d2(pc, m)
+            for j in (1, 2):
+                n = tuple(pc.q**j * v for v in m)
+                scaled = None if dim is None else pc.q**j * dim
+                assert fitting_dim(pc, n) == fitting_dim_d2(pc, n) == scaled, (pc, m, j)
+                seen["infinite" if dim is None else "finite"] += 1
+    assert seen["finite"] >= 190 and seen["infinite"] >= 2, seen
+
+
+@pytest.mark.parametrize("d, terms, exponents", [
+    # d = 1: (1 + u)^2 over F_2, where u - 1 is not a non-zero-divisor
+    (1, [[((0,), 1), ((2,), 1)]], {(1,): 1, (2,): 2, (4,): 2, (8,): 2}),
+    # two generators: the quotient by 1 + u1, 1 + u2 is F_2 in every direction
+    (2, [[((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), 1)]],
+     {(1, 0): 1, (2, 0): 1, (4, 0): 1}),
+])
+def test_frobenius_scaling_needs_one_generator_in_d2(d, terms, exponents):
+    pc = CharPComponent(q=2, d=d, generators=tuple(
+        LaurentPolynomial(terms=tuple(t)) for t in terms))
+    for n, e in exponents.items():
+        assert fitting_dim(pc, n) == e == groebner_dim(pc, n), n
+
+
+def test_reduced_infinite_count_names_the_callers_n():
+    pc = CharPComponent(q=2, d=2, generators=(
+        LaurentPolynomial(terms=(((0, 0), 1), ((1, 0), 1))),))
+    with pytest.raises(MathDomainError, match=r"n=\(4, 0\)"):
+        count_prime_charp(pc, (4, 0))
