@@ -48,15 +48,9 @@ these carries its radius on, rounded outward, in integers or raw libmp
 numbers, never an mpmath number or context. A logarithm ball for sigma_v(x)
 is held in one form, integers at scale 2^-prec with the radius rounded up,
 so that integer combinations of such balls are exact; log |x|_v and its
-float are views of that ball. |1 - e^t| over a dyadic ball t, whose centre
-is a sum of per-generator parts, is formed at about 100 + log2 |n| bits from
-cached entries: e^Re t as a product of e^(Re part), and at a complex place
-e^(i Im t) as one of (cos, sin)(Im part). |1 - e^t| (|1 - e^t|^2 at a
-complex place) is then an exact dyadic, or, in the far tail where |e^t| <
-2^-bits, the log term -w - w^2/2 stands in for it. Its radius bounds are
-integers, each rounded in its safe direction. safe_mpf_log is the one route
-to libmp's log, around an mpmath 1.3.0 defect near 1/4. Consumers refine
-precision on demand.
+float are views of that ball. safe_mpf_log is the one route to libmp's log,
+around an mpmath 1.3.0 defect near 1/4. Consumers refine precision on
+demand.
 """
 
 from __future__ import annotations
@@ -68,10 +62,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath as mp
-from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add,
-                          mpf_atan2, mpf_cos_sin, mpf_div, mpf_exp, mpf_ln2, mpf_log, mpf_mul,
-                          mpf_shift, mpf_sub, to_int)
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan2,
+                          mpf_div, mpf_ln2, mpf_log, mpf_mul, mpf_shift, mpf_sub, to_int)
 
 from .algebra import (discriminant, ord_p, poly_str, poly_trim, proven_prime, real_root_count,
                       resultant)
@@ -272,8 +264,9 @@ def _integral_norm(min_poly: tuple[int, ...], num: tuple[int, ...]) -> int:
     pays where a norm is read again: each xi_i's by placement's
     valuations_above at every support prime, its norm guard and
     mixing_check, and N(xi^n - 1) by a point's pass at a prime with several
-    places. From cold: 1,260 hits, 666 misses on spec-sweep unit 1.0; 0 hits
-    in 1,416 calls on scan-golden, whose sole finite place takes no pass."""
+    places. From cold: 1,260 hits, 666 misses on spec-sweep unit 1.0; 2
+    hits, 1,418 misses on scan-golden, placement's 2 and 2 and then one miss
+    per point, whose sole finite place takes no pass."""
     return resultant(min_poly, num)
 
 
@@ -406,10 +399,18 @@ def _horner(coeffs, a: int, b: int, scale: int) -> tuple[int, int]:
     return fr, fi
 
 
-# Durand-Kerner sweeps before root isolation gives up. Roots below the grid
-# close in linearly, one halving a sweep: at 128 bits (x - 10^30)(10^300 x - 1)
-# (10^300 x - 3) takes 246 sweeps, and (x - 2*10^300)(10^300 x - 1)(10^300 x - 2) 1,145.
-MAX_SWEEPS = 2048
+def _sweep_cap(n: int, s: int, scale: int) -> int:
+    """Durand-Kerner sweeps before root isolation of a degree-n polynomial
+    with root scale s gives up on the grid 2^-scale. A start lies within
+    about 2^(max(s, 0) + 1) of its root, so a root closes in over at most
+    max(s, 0) + scale + 1 halvings. Near a cluster of m roots (roots below
+    the grid, or not yet told apart) the iteration is linear, the error
+    shrinking by (m - 1)/m a sweep (Fraigniaud, BIT 31, 1991), which is at
+    most m - 1 <= n - 1 sweeps a halving, as (m - 1) log(m / (m - 1)) >=
+    log 2; 64 sweeps more cover the rest. At 128 bits (x - B)(10^300 x -
+    1)(10^300 x - 2) takes about s + 146 sweeps: 2,141 of this cap's 4,430
+    at B = 2 10^600 (s = 1,995)."""
+    return (n - 1) * (max(s, 0) + scale) + 64
 
 
 @functools.lru_cache(maxsize=1024)
@@ -429,7 +430,7 @@ def root_discs(coeffs: tuple[int, ...], prec: int
     z_j) and moves every w_i by the nearest Gaussian integer to F_i / P_i,
     so the Weierstrass step is exact up to that rounding; P_i = 0 leaves w_i
     where it is. The sweep in which no root would move by more than one unit
-    in either coordinate moves none and is the last. After MAX_SWEEPS
+    in either coordinate moves none and is the last. After _sweep_cap
     sweeps, ResourceLimitError. By Braess-Hadeler (Numer. Math. 21, 1973)
     the discs hold every root, and a connected union of m of them holds
     exactly m, however the approximations were found; the last sweep's F_i
@@ -444,7 +445,7 @@ def root_discs(coeffs: tuple[int, ...], prec: int
     scale = prec + 60 - min(s, 0)
     ws = [tuple(_scaled(from_float(c), s + scale, "n") for c in (y.real, y.imag))
           for y in _float_root_starts(coeffs, s)]
-    for _ in range(MAX_SWEEPS):
+    for _ in range(_sweep_cap(n, s, scale)):
         fps, steps = [], []
         for i, (a, b) in enumerate(ws):
             fr, fi = _horner(coeffs, a, b, scale)
@@ -840,12 +841,11 @@ def _scaled(x: tuple, k: int, rnd: str) -> int:
     return to_int(mpf_shift(x, k), rnd)
 
 
-def log_abs_v_ball(place: Place, x: Element) -> tuple[mp.mpf, mp.mpf]:
+def log_abs_v_ball(place: Place, x: Element) -> tuple[Fraction, Fraction]:
     """Archimedean log |x|_v with a proven error radius: log_sigma_ball's
-    ball at DEFAULT_PREC, read as exact mpf values."""
-    ball, shift = log_sigma_ball(place, x), place.weight - 1 - DEFAULT_PREC
-    return (mp.make_mpf(from_man_exp(ball.re, shift)),
-            mp.make_mpf(from_man_exp(ball.rad, shift)))
+    ball at DEFAULT_PREC, read as exact fractions."""
+    ball, den = log_sigma_ball(place, x), 1 << (DEFAULT_PREC + 1 - place.weight)
+    return Fraction(ball.re, den), Fraction(ball.rad, den)
 
 
 def compare_abs_to_one(place: Place, log_ball) -> int:
@@ -861,121 +861,3 @@ def compare_abs_to_one(place: Place, log_ball) -> int:
 def _ceil_shift(m: int, k: int) -> int:
     """ceil(m 2^-k) for an integer m >= 0 and k >= 0."""
     return -(-m >> k)
-
-
-@functools.lru_cache(maxsize=4096)
-def _exp_entry(x: int, prec: int, wq: int) -> tuple[int, int]:
-    """e^(x 2^-prec) as (m, e), m of wq bits, within a relative 2^(1 - wq):
-    one libmp exp at wq + 8 bits, rounded to nearest at wq."""
-    _sign, man, exp, bc = mpf_exp(from_man_exp(x, -prec), wq + 8)
-    k = bc - wq
-    if k <= 0:
-        return man << -k, exp + k
-    return (man + (1 << (k - 1))) >> k, exp + k
-
-
-@functools.lru_cache(maxsize=4096)
-def _cos_sin_entry(y: int, prec: int, wq: int) -> tuple[int, int]:
-    """(cos, sin)(y 2^-prec) as integers at scale 2^-wq, each within 1: one
-    libmp cos_sin at wq + 8 bits, rounded to nearest."""
-    cos, sin = mpf_cos_sin(from_man_exp(y, -prec), wq + 8)
-    return _scaled(cos, wq, "n"), _scaled(sin, wq, "n")
-
-
-class ExpFactor(NamedTuple):
-    """|1 - e^t|_v over a ball t, from one_minus_exp_factor. Pairs (m, e)
-    stand for m 2^e. For every t in the ball, weight log |1 - e^t| lies
-    within rad of log(man 2^exp) + tail; ea is the computed e^(Re t0), with
-    |log ea - Re t0| <= ea_rad."""
-
-    man: int  # man 2^exp = |1 - w|^weight exactly, or 1 in the far tail
-    exp: int
-    tail: tuple  # raw mpf: weight log |1 - w| in the far tail, else fzero
-    ea: tuple[int, int]
-    rad: tuple[int, int]
-    ea_rad: tuple[int, int]
-
-
-def one_minus_exp_factor(place: Place, t: DyadicBall, parts: list[tuple[int, int]],
-                         prec: int) -> ExpFactor | None:
-    """|1 - e^t|_v for every t in the dyadic ball t at scale 2^-prec,
-    Re t <= 0 up to ties, as an exact dyadic factor, or as an additive log
-    term in the far tail; None while the ball for |1 - e^t| is not
-    separated from 0. parts are integer pairs (re, im), one per generator,
-    that sum to t's centre (re + i im); at a real place only t.im, the
-    parity, is read.
-
-    With a = Re t0 and r = t.rad 2^-prec <= 1/2, the work runs at
-    wp = prec - 32 + bitlen(t.rad) bits, about 100 + log2 |n| at the
-    default precision, since t.rad is about |n| times the cached radii.
-    w = e^t0 is the product over the parts of cached exponentials at
-    wq >= wp + 8 + bitlen(#parts) bits, wq a multiple of 32 so that nearby
-    wp share entries: e^(part.re 2^-prec) (_exp_entry, each within a
-    relative 2^(1 - wq)), their product cut to wq bits, which leaves the
-    computed ea within a relative 2^(-wp - 5) of e^a, and at a complex place
-    (cos, sin)(part.im 2^-prec) (_cos_sin_entry, each coordinate within
-    2^-wq), multiplied and floored at scale 2^-wq. So w is within
-    e^a 2^(4 - wp) of e^t0, and e^t moves by at most e^a (r + r^2) on the
-    ball; every e^t lies within delta = ea f of w, eps = 2^(5 - wp) and
-    f = (r + r^2 + eps)(1 + eps), and ea (1 + eps) bounds both e^a and |w|.
-
-    - Far tail, ea < 2^-wp: log |1 - w| = -Re w - Re(w^2)/2 to within
-      |w|^3, and with w's own error within ea (1 + eps) eps; |1 - w| -
-      delta >= 1/2, so the value moves by at most 2 delta over the ball.
-      The term is returned as tail, with man 2^exp = 1.
-    - Elsewhere |1 - w| (at a complex place |1 - w|^2) is formed exactly
-      as an integer at w's scale. Over the ball the log moves by at most
-      weight delta / gap, gap = |1 - w| - delta, with |1 - w| floored at
-      scale 2^(e - prec - 16), e the exponent of ea = (m, e), and one unit
-      off; gap <= 0 returns None.
-
-    The bounds are integers at scale 2^-(prec + 16), each rounded in its
-    safe direction; moved leaves at scale 2^-prec, rounded up.
-    """
-    rad = t.rad
-    if rad > 1 << (prec - 1):
-        return None
-    wp = prec - 32 + rad.bit_length()
-    wq = -(-(wp + 8 + len(parts).bit_length()) // 32) * 32
-    em, ee = 1, 0
-    for x, _y in parts:
-        if x:
-            m, e = _exp_entry(x, prec, wq)
-            em, ee = em * m, ee + e
-    k = em.bit_length() - wq
-    if k > 0:
-        em, ee = em >> k, ee + k
-    weight = place.weight
-    if weight == 1:
-        xr, xi, s = (-em if t.im else em), 0, ee
-    else:
-        ur, ui = 1 << wq, 0
-        for _x, y in parts:
-            if y:
-                c, si = _cos_sin_entry(y, prec, wq)
-                ur, ui = (ur * c - ui * si) >> wq, (ur * si + ui * c) >> wq
-        xr, xi, s = em * ur, em * ui, ee - wq  # w = (xr + i xi) 2^s
-    sc = prec + 16
-    r = rad << 16
-    eps = 1 << max(sc + 5 - wp, 0)
-    f = _ceil_shift((r + _ceil_shift(r * r, sc) + eps) * ((1 << sc) + eps), sc)
-    ea_rad = (1, -wp - 4)  # |log(1 + x)| <= 2 |x| for |x| <= 2^(-wp - 5)
-    if em.bit_length() + ee <= -wp:  # ea < 2^-wp
-        # -Re w - Re(w^2)/2 = (-2 xr 2^-s - xr^2 + xi^2) 2^(2s - 1)
-        value = from_man_exp(xi * xi - xr * xr - (xr << (1 - s)), 2 * s + weight - 2)
-        tail = 2 * f + eps + _ceil_shift(eps * eps, sc)
-        return ExpFactor(1, 0, value, (em, ee), ((em * tail) << (weight - 1), ee - sc), ea_rad)
-    delta = em * f  # at scale 2^(ee - sc), like d and gap
-    one = 1 << -s
-    if weight == 1:
-        man, exp = abs(one - xr), s
-        d = man << (sc + s - ee)
-    else:
-        man, exp = (one - xr) ** 2 + xi * xi, 2 * s
-        k = sc + s - ee  # |1 - w| = sqrt(man) 2^s, at scale 2^(ee - sc)
-        d = math.isqrt(man << 2 * k if k >= 0 else man >> -2 * k)
-    gap = d - 1 - delta
-    if gap <= 0:
-        return None
-    moved = -(-(weight * delta << prec) // gap)  # >= weight delta / gap, at scale 2^-prec
-    return ExpFactor(man, exp, fzero, (em, ee), (moved, -prec), ea_rad)

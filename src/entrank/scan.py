@@ -1,5 +1,6 @@
 """Empirical growth-rate machinery: normalized log-counts f, the split
-f = g + h(n_hat), and shell scans with C1/C2 estimates.
+f = g + h(n_hat), and shell scans with C1/C2 estimates. The per-point
+kernel and its one error budget live here.
 
 At every support place |xi^n - 1|_v is |xi^n|_v |1 - xi^(-n)|_v when
 |xi^n|_v > 1 (the place is lifted) and |1 - xi^n|_v otherwise, so
@@ -12,14 +13,12 @@ places forms h, g and a check of both against the count:
 - Archimedean places. Placement holds log sigma_v(xi_i) as dyadic balls:
   integers RE, IM (the parity at a real place) and RAD at scale
   2^-DEFAULT_PREC. The balls n_i log sigma_v(xi_i), negated where the place
-  is lifted, sum to the ball for log sigma_v(phi_v(n)) around S + i IM,
+  is lifted, sum to the ball t for log sigma_v(phi_v(n)) around S + i IM,
   S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
   bits grow with log |n| only. weight * S is 2^prec n . l_v; its sign picks
   the branch, and on a lifted place h_v = weight * S 2^-prec within
-  weight * R 2^-prec (else h_v = 0). numberfield.one_minus_exp_factor turns
-  the balls into w = sigma_v(phi_v(n)) from cached per-generator
-  exponentials, with ea = |w|, and |1 - w|^weight as an exact dyadic with a
-  proven log radius (moved), or in the far tail a log term; it doubles the
+  weight * R 2^-prec (else h_v = 0). one_minus_exp_factor turns t into
+  w = sigma_v(phi_v(n)) and |1 - w|^weight (below); it doubles the
   precision, rows rebuilt at the new scale, only while the ball for
   |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
 - Finite places are exact, from the ord_v(xi^n - 1) that the count reads
@@ -31,20 +30,47 @@ places forms h, g and a check of both against the count:
   and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
   which differs by exactly n . l_v; nothing escalates.
 
+The factor |1 - e^t|_v, for t in the ball t at scale 2^-prec with Re t <= 0
+up to ties. With a = Re t0 and r = t.rad 2^-prec <= 1/2 (a wider ball is
+declined), the work runs at wp = prec - 32 + bitlen(t.rad) bits, about
+100 + log2 |n| at the default precision, since t.rad is about |n| times the
+cached radii. w = e^t0 is the product over the generators' parts of t0 of
+cached exponentials at wq >= wp + 8 + bitlen(#parts) bits, wq a multiple of
+32 so that nearby wp share entries: e^(part.re 2^-prec) (_exp_entry, each
+within a relative 2^(1 - wq)), their product cut to wq bits, which leaves
+the computed ea within a relative 2^(-wp - 5) of e^a, and at a complex
+place (cos, sin)(part.im 2^-prec) (_cos_sin_entry, each coordinate within
+2^-wq), multiplied and floored at scale 2^-wq. So w is within e^a 2^(4 - wp)
+of e^t0, and e^t moves by at most e^a (r + r^2) on the ball; every e^t lies
+within delta = ea f of w, eps = 2^(5 - wp) and f = (r + r^2 + eps)(1 + eps),
+and ea (1 + eps) bounds both e^a and |w|. These bounds are integers at
+scale 2^-(prec + 16), each rounded in its safe direction.
+
+- Far tail, ea < 2^-wp: log |1 - w| = -Re w - Re(w^2)/2 to within |w|^3,
+  and with w's own error within ea (1 + eps) eps; |1 - w| - delta >= 1/2, so
+  the value moves by at most 2 delta over the ball. weight times that
+  term is the place's tail, and its exact factor is 1.
+- Elsewhere |1 - w| (at a complex place |1 - w|^2) is formed exactly as an
+  integer at w's scale, the place's exact factor. Over the ball the log
+  moves by at most moved = weight delta / gap, gap = |1 - w| - delta, with
+  |1 - w| floored at scale 2^(e - prec - 16), e the exponent of ea, and one
+  unit off; gap <= 0 declines the ball, and the precision doubles.
+
 The check is the product formula in integers. With M the product of the
-exact archimedean factors |1 - w|^weight, A that of ea^weight over the
-lifted places, and P+ and P- the products of p^|c| over the finite places
-with c > 0 and c < 0, count = (M / A) P- / P+ up to the far-tail factors,
-so point_record raises ConsistencyError where
+exact archimedean factors, A that of ea^weight over the lifted places, and
+P+ and P- the products of p^|c| over the finite places with c > 0 and
+c < 0, count = (M / A) P- / P+ up to the tails, so point_record raises
+ConsistencyError where
 
     |M P- - A count P+| > (e^rho - 1) A count P+.
 
 M and A are exact products and the check takes no logarithm, so rho, an
-integer at scale 2^-DEFAULT_PREC rounded up, sums only every place's
-moved, its tie widening and its far-tail term with that term's radius,
-and on a lifted place weight * R plus the rounding of ea inside A, and 1
-for the floor of h. g is one log per component,
-log(M / P+) plus the far-tail terms at DEFAULT_PREC bits (safe_mpf_log),
+integer at scale 2^-DEFAULT_PREC, sums only bounds, each rounded up to that
+scale once: every place's moved, or in the far tail the tail's radius and
+|tail| (two ceilings), which one_minus_exp_factor hands over as rho, its tie
+widening, and on a lifted place weight * R and weight times ea's log
+radius, |log ea - a| <= 2^(-wp - 4), plus 1 for the floor of h. g is one log per component,
+log(M / P+) plus the tails at DEFAULT_PREC bits (safe_mpf_log),
 converted to a float once, and exactly 0.0 where g = log(count A / P-) is
 0 by one integer comparison. With no archimedean place lifted, A = 1 and
 the test is count = P-. With every one lifted (ties count as not lifted),
@@ -69,14 +95,16 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from mpmath.libmp import fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, to_float
+from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_add, mpf_cos_sin, mpf_div, mpf_exp,
+                          to_float)
 
 from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
-from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, _ceil_shift, _scaled,
-                          compare_abs_to_one, log_sigma_ball, one_minus_exp_factor, safe_mpf_log)
+from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, Place, _ceil_shift, _scaled,
+                          compare_abs_to_one, log_sigma_ball, safe_mpf_log)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +168,96 @@ def _prime_power(p: int, k: int) -> int:
     return p**k
 
 
-def _up(m: int, e: int) -> int:
-    """ceil(m 2^(e + DEFAULT_PREC)) for an integer m >= 0: m 2^e at the
-    check's scale, rounded up."""
-    e += DEFAULT_PREC
-    return m << e if e >= 0 else _ceil_shift(m, -e)
+@functools.lru_cache(maxsize=4096)
+def _exp_entry(x: int, prec: int, wq: int) -> tuple[int, int]:
+    """e^(x 2^-prec) as (m, e), m of wq bits, within a relative 2^(1 - wq):
+    one libmp exp at wq + 8 bits, rounded to nearest at wq."""
+    _sign, man, exp, bc = mpf_exp(from_man_exp(x, -prec), wq + 8)
+    k = bc - wq
+    if k <= 0:
+        return man << -k, exp + k
+    return (man + (1 << (k - 1))) >> k, exp + k
+
+
+@functools.lru_cache(maxsize=4096)
+def _cos_sin_entry(y: int, prec: int, wq: int) -> tuple[int, int]:
+    """(cos, sin)(y 2^-prec) as integers at scale 2^-wq, each within 1: one
+    libmp cos_sin at wq + 8 bits, rounded to nearest."""
+    cos, sin = mpf_cos_sin(from_man_exp(y, -prec), wq + 8)
+    return _scaled(cos, wq, "n"), _scaled(sin, wq, "n")
+
+
+class ExpFactor(NamedTuple):
+    """|1 - e^t|_v over a ball t, from one_minus_exp_factor: for every t in
+    the ball, weight log |1 - e^t| lies within rho 2^-DEFAULT_PREC of
+    log(man 2^exp) + tail, and ea = ea[0] 2^ea[1] has |log ea - Re t0| <=
+    ea_rad 2^-DEFAULT_PREC."""
+
+    man: int  # man 2^exp = |1 - w|^weight exactly, or 1 in the far tail
+    exp: int
+    tail: tuple  # raw mpf: weight log |1 - w| in the far tail, else fzero
+    ea: tuple[int, int]
+    rho: int  # moved, or the tail's radius plus |tail|; both rounded up
+    ea_rad: int
+
+
+def one_minus_exp_factor(place: Place, t: DyadicBall, parts: list[tuple[int, int]],
+                         prec: int) -> ExpFactor | None:
+    """The factor |1 - e^t|_v of the module docstring for the dyadic ball t
+    at scale 2^-prec, or None while the ball for |1 - e^t| is not separated
+    from 0. parts are integer pairs (re, im), one per generator, that sum to
+    t's centre (re + i im); at a real place only t.im, the parity, is read.
+    Its bounds leave at scale 2^-DEFAULT_PREC, rounded up."""
+    rad = t.rad
+    if rad > 1 << (prec - 1):
+        return None
+    wp = prec - 32 + rad.bit_length()
+    wq = -(-(wp + 8 + len(parts).bit_length()) // 32) * 32
+    em, ee = 1, 0
+    for x, _y in parts:
+        if x:
+            m, e = _exp_entry(x, prec, wq)
+            em, ee = em * m, ee + e
+    k = em.bit_length() - wq
+    if k > 0:
+        em, ee = em >> k, ee + k
+    weight = place.weight
+    if weight == 1:
+        xr, xi, s = (-em if t.im else em), 0, ee
+    else:
+        ur, ui = 1 << wq, 0
+        for _x, y in parts:
+            if y:
+                c, si = _cos_sin_entry(y, prec, wq)
+                ur, ui = (ur * c - ui * si) >> wq, (ur * si + ui * c) >> wq
+        xr, xi, s = em * ur, em * ui, ee - wq  # w = (xr + i xi) 2^s
+    sc = prec + 16
+    r = rad << 16
+    eps = 1 << max(sc + 5 - wp, 0)
+    f = _ceil_shift((r + _ceil_shift(r * r, sc) + eps) * ((1 << sc) + eps), sc)
+    ea_rad = 1 << max(DEFAULT_PREC - 4 - wp, 0)  # |log(1 + x)| <= 2 |x| for |x| <= 2^(-wp - 5)
+    if em.bit_length() + ee <= -wp:  # ea < 2^-wp
+        # weight (-Re w - Re(w^2)/2) = v 2^(2s + weight - 2), within moved 2^(ee - sc)
+        v = xi * xi - xr * xr - (xr << (1 - s))
+        moved = (2 * f + eps + _ceil_shift(eps * eps, sc)) * em << (weight - 1)
+        rho = (_ceil_shift(moved, sc - ee - DEFAULT_PREC)
+               + _ceil_shift(abs(v), 2 - weight - 2 * s - DEFAULT_PREC))
+        return ExpFactor(1, 0, from_man_exp(v, 2 * s + weight - 2), (em, ee), rho, ea_rad)
+    delta = em * f  # at scale 2^(ee - sc), like d and gap
+    one = 1 << -s
+    if weight == 1:
+        man, exp = abs(one - xr), s
+        d = man << (sc + s - ee)
+    else:
+        man, exp = (one - xr) ** 2 + xi * xi, 2 * s
+        k = sc + s - ee  # |1 - w| = sqrt(man) 2^s, at scale 2^(ee - sc)
+        d = math.isqrt(man << 2 * k if k >= 0 else man >> -2 * k)
+    gap = d - 1 - delta
+    if gap <= 0:
+        return None
+    # weight delta / gap rounded up once, as rounding up at 2^-prec first would give
+    moved = -(-(weight * delta << DEFAULT_PREC) // gap)
+    return ExpFactor(man, exp, fzero, (em, ee), moved, ea_rad)
 
 
 def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point,
@@ -182,16 +295,15 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
             prec *= 2
             ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
         m_man, m_exp = m_man * term.man, m_exp + term.exp
-        rho += _up(*term.rad) + _up(widen, -prec)
-        if term.tail != fzero:
-            tails = mpf_add(tails, term.tail)
-            rho += _scaled(mpf_abs(term.tail), DEFAULT_PREC, "c")
+        tails = mpf_add(tails, term.tail)
+        shift = prec - DEFAULT_PREC
+        rho += term.rho + _ceil_shift(widen, shift)
         if lift:  # within weight * R and ea's rounding, plus 1 for the floor
             lifted += 1
             weight, (em, ee) = place.weight, term.ea
-            h += lift >> (prec - DEFAULT_PREC)
+            h += lift >> shift
             a_man, a_exp = a_man * em**weight, a_exp + weight * ee
-            rho += weight * (_up(ball.rad, -prec) + _up(*term.ea_rad)) + 1
+            rho += weight * (_ceil_shift(ball.rad, shift) + term.ea_rad) + 1
     _check_product(n, (m_man, m_exp), (a_man, a_exp), count * p_pos, p_neg, rho)
     ratio = from_man_exp(m_man, m_exp)
     if p_pos > 1:

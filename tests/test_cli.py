@@ -427,7 +427,7 @@ def test_mahler_without_convergence_exits_3(capsys, monkeypatch):
     import entrank.entropy as entropy
     import entrank.numberfield as nf
 
-    monkeypatch.setattr(nf, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(nf, "_sweep_cap", lambda n, s, scale: 1)
     monkeypatch.setattr(entropy, "root_discs", nf.root_discs.__wrapped__)  # past the cache
     rc, out, err = run(capsys, "mahler", "--poly", "7,-5,3,1,2")
     assert rc == 3 and out == ""
@@ -448,13 +448,28 @@ def test_mahler_isolates_two_tiny_roots_below_the_grid(capsys):
     assert abs(float(out.split()[0]) - 630 * math.log(10)) < 1e-8  # 12 digits printed
 
 
+# (x - 2*10^600)(10^300 x - 1)(10^300 x - 2), ascending: the tiny pair closes
+# in from the huge root's scale, one halving a sweep
+_HUGE_AND_TINY = ",".join(map(str, [-4 * 10**600, 2 + 6 * 10**900, -3 * 10**300 - 2 * 10**1200,
+                                    10**600]))
+
+
+def test_mahler_isolates_tiny_roots_beside_a_huge_one(capsys):
+    # m = log(2 10^600) + 2 log 10^300; 2,141 sweeps at 128 bits, under half
+    # of the cap that the degree and the root scale give
+    rc, out, err = run(capsys, "mahler", "--poly", _HUGE_AND_TINY)
+    assert rc == 0 and err == ""
+    assert out == "2763.79525877 (error bound 4.54747350886e-13)\n"
+    assert abs(float(out.split()[0]) - math.log(2) - 1200 * math.log(10)) < 1e-8
+
+
 def test_mahler_resource_limit_names_the_size_not_the_polynomial(capsys, monkeypatch):
     # the message gives the degree and the coefficient size rather than the
     # 600-digit coefficients
     import entrank.entropy as entropy
     import entrank.numberfield as nf
 
-    monkeypatch.setattr(nf, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(nf, "_sweep_cap", lambda n, s, scale: 1)
     monkeypatch.setattr(entropy, "root_discs", nf.root_discs.__wrapped__)  # past the cache
     rc, out, err = run(capsys, "mahler", "--poly", _TINY_PAIR)
     assert rc == 3 and out == ""

@@ -323,6 +323,8 @@ def test_log_abs_v_ball_reads_the_placement_cache():
 
 
 def test_log_abs_v_ball_holds_the_value():
+    # the ball is exact fractions with power-of-two denominators, so the
+    # mpf reads below are exact at 600 bits
     import mpmath as mp
 
     field = build_field([-2, 0, 0, 1])
@@ -330,7 +332,7 @@ def test_log_abs_v_ball_holds_the_value():
     with mp.workprec(600):
         t = mp.cbrt(2)
         for place, z in zip(archimedean_places(field), [t, t * mp.expjpi(mp.mpf(2) / 3)]):
-            mid, rad = log_abs_v_ball(place, x)
+            mid, rad = (mp.mpf(v.numerator) / v.denominator for v in log_abs_v_ball(place, x))
             exact = place.weight * mp.log(abs(-mp.mpf(3) / 7 + mp.mpf(5) / 2 * z + z * z / 3))
             assert abs(mid - exact) <= rad < mp.mpf(2) ** -100
 
@@ -1074,14 +1076,15 @@ def test_log_abs_one_minus_exp_declines_a_ball_wider_than_half():
     import mpmath as mp
     from mpmath.libmp import from_man_exp
 
-    from entrank.numberfield import DyadicBall, one_minus_exp_factor
+    from entrank.numberfield import DyadicBall
+    from entrank.scan import one_minus_exp_factor
 
     for place in (archimedean_places(GOLDEN)[0], archimedean_places(GAUSS)[0]):
         t = DyadicBall(-(1 << 128), 0, 1 << 127)
         term = one_minus_exp_factor(place, t, [(t.re, t.im)], 128)
         with mp.workprec(200):
             value = mp.log(mp.make_mpf(from_man_exp(term.man, term.exp)))
-            rad = mp.make_mpf(from_man_exp(*term.rad))
+            rad = mp.ldexp(term.rho, -128)
             assert abs(value - place.weight * mp.log(1 - mp.exp(-1))) <= rad
         wide = DyadicBall(-(1 << 128), 0, (1 << 127) + 1)
         assert one_minus_exp_factor(place, wide, [(wide.re, wide.im)], 128) is None

@@ -191,29 +191,199 @@ def test_arch_terms_match_exact_element_route(doc, weights):
         for k, place in enumerate(pc.places):
             if place.kind != "arch":
                 continue
-            value, rad, widen = _arch_term(pc, k, n, DEFAULT_PREC)
+            value, rho, widen = _arch_term(pc, k, n, DEFAULT_PREC)
             mid, rad_exact = _log_one_minus_phi_exact(pc, place, n)
-            assert widen == 0 and rad < 1e-25
-            assert abs(value - mid) <= rad + rad_exact
+            assert widen == 0 and rho < 1e-25
+            assert abs(value - mid) <= rho + rad_exact
             if n in far:  # the far tail: |sigma_v(phi_v)| < 2^-wp, so the term is below it
                 assert 0 < abs(value) < 2.0**-100
-                assert rad <= max(abs(value) * 2.0**-80, math.ulp(0.0))  # relative, or underflow
+                # the term is good to a relative 2^-80 (or underflow) against the exact route,
+                # and rho is |term| and its radius, each rounded up to one unit at the most
+                assert abs(value - mid) <= rad_exact + max(abs(value) * 2.0**-80, math.ulp(0.0))
+                assert rho <= mp.ldexp(mp.ceil(mp.ldexp(abs(value), DEFAULT_PREC)) + 1,
+                                       -DEFAULT_PREC)
             checked.add(place.weight)
     assert checked == weights
 
 
 def _arch_term(pc, k, n, prec):
-    """(value, rad, widen) for archimedean place k at n, as mpfs at 400 bits
-    (rad exact): weight log |1 - sigma_v(phi_v(n))| from the exact factor
-    and far-tail term of one_minus_exp_factor, and its radius."""
-    from entrank.numberfield import one_minus_exp_factor
-    from entrank.scan import _phi_ball
+    """(value, rho, widen) for archimedean place k at n, as mpfs at 400 bits
+    (rho exact): weight log |1 - sigma_v(phi_v(n))| from the exact factor
+    and far-tail term of one_minus_exp_factor, and the rho it adds to the
+    product check."""
+    from entrank.numberfield import DEFAULT_PREC
+    from entrank.scan import _phi_ball, one_minus_exp_factor
 
     ball, parts, widen, _lift = _phi_ball(pc, k, n, prec)
     term = one_minus_exp_factor(pc.places[k], ball, parts, prec)
     with mp.workprec(400):
         value = mp.log(_exact(term.man, term.exp)) + mp.make_mpf(term.tail)
-    return value, _exact(*term.rad), widen
+    return value, _exact(term.rho, -DEFAULT_PREC), widen
+
+
+def _pair_factor(place, t, parts, prec):
+    """one_minus_exp_factor as it was when it returned its radii as pairs
+    (m, e), m 2^e, for the product check to convert: (man, exp, tail, ea,
+    rad, ea_rad), or None. The oracle for the integer bounds."""
+    from mpmath.libmp import fzero
+
+    from entrank.numberfield import _ceil_shift
+    from entrank.scan import _cos_sin_entry, _exp_entry
+
+    rad = t.rad
+    if rad > 1 << (prec - 1):
+        return None
+    wp = prec - 32 + rad.bit_length()
+    wq = -(-(wp + 8 + len(parts).bit_length()) // 32) * 32
+    em, ee = 1, 0
+    for x, _y in parts:
+        if x:
+            m, e = _exp_entry(x, prec, wq)
+            em, ee = em * m, ee + e
+    k = em.bit_length() - wq
+    if k > 0:
+        em, ee = em >> k, ee + k
+    weight = place.weight
+    if weight == 1:
+        xr, xi, s = (-em if t.im else em), 0, ee
+    else:
+        ur, ui = 1 << wq, 0
+        for _x, y in parts:
+            if y:
+                c, si = _cos_sin_entry(y, prec, wq)
+                ur, ui = (ur * c - ui * si) >> wq, (ur * si + ui * c) >> wq
+        xr, xi, s = em * ur, em * ui, ee - wq
+    sc = prec + 16
+    r = rad << 16
+    eps = 1 << max(sc + 5 - wp, 0)
+    f = _ceil_shift((r + _ceil_shift(r * r, sc) + eps) * ((1 << sc) + eps), sc)
+    ea_rad = (1, -wp - 4)
+    if em.bit_length() + ee <= -wp:
+        value = from_man_exp(xi * xi - xr * xr - (xr << (1 - s)), 2 * s + weight - 2)
+        tail = 2 * f + eps + _ceil_shift(eps * eps, sc)
+        return 1, 0, value, (em, ee), ((em * tail) << (weight - 1), ee - sc), ea_rad
+    delta = em * f
+    one = 1 << -s
+    if weight == 1:
+        man, exp = abs(one - xr), s
+        d = man << (sc + s - ee)
+    else:
+        man, exp = (one - xr) ** 2 + xi * xi, 2 * s
+        k = sc + s - ee
+        d = math.isqrt(man << 2 * k if k >= 0 else man >> -2 * k)
+    gap = d - 1 - delta
+    if gap <= 0:
+        return None
+    moved = -(-(weight * delta << prec) // gap)
+    return man, exp, fzero, (em, ee), (moved, -prec), ea_rad
+
+
+def _pair_up(m, e):
+    """ceil(m 2^(e + DEFAULT_PREC)): a pair at the product check's scale, as
+    the check converted it."""
+    from entrank.numberfield import DEFAULT_PREC, _ceil_shift
+
+    e += DEFAULT_PREC
+    return m << e if e >= 0 else _ceil_shift(m, -e)
+
+
+def _pair_rho(place, prec, ball, widen, lift, term):
+    """One archimedean place's share of rho, converted from the pairs."""
+    from mpmath.libmp import fzero, mpf_abs
+
+    from entrank.numberfield import DEFAULT_PREC, _scaled
+
+    _man, _exp, tail, _ea, rad, ea_rad = term
+    rho = _pair_up(*rad) + _pair_up(widen, -prec)
+    if tail != fzero:
+        rho += _scaled(mpf_abs(tail), DEFAULT_PREC, "c")
+    if lift:
+        rho += place.weight * (_pair_up(ball.rad, -prec) + _pair_up(*ea_rad)) + 1
+    return rho
+
+
+DIFFERENTIAL_DOCS = [
+    GOLDEN_DOC,  # two real places
+    {"min_poly": [1, 0, 1], "xi": [[2, 1, 1, 1], [3, 1, 0, 1]]},  # Q(i): one complex place
+    {"min_poly": [-2, 0, 0, 1], "xi": [[0, 1, 1, 1, 0, 1], [1, 1, 1, 1, 0, 1]]},  # both kinds
+]
+
+
+def test_integer_bounds_equal_the_pair_conversion():
+    # seeded: rho and ea_rad at scale 2^-DEFAULT_PREC equal the pairs of the
+    # pair-returning kernel converted as the product check converted them,
+    # at real and complex places, in both branches, at three precisions,
+    # lifted and not; every other field is unchanged
+    from entrank.numberfield import DEFAULT_PREC
+    from entrank.scan import _phi_ball, one_minus_exp_factor
+
+    rng = random.Random(20300)
+    covered = set()
+    for doc in DIFFERENTIAL_DOCS:
+        pc = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]})
+                        ).placed_char0()[0][0]
+        points = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(12)]
+        points += [(v * a, v * b) for a, b in [(2000, 1200), (100, 30)] for v in (1, -1)]
+        for n, prec in itertools.product(points, (128, 256, 512)):
+            if n == (0, 0):
+                continue
+            for k, place in enumerate(pc.places):
+                if place.kind != "arch":
+                    continue
+                ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
+                term, pair = (f(place, ball, parts, prec)
+                              for f in (one_minus_exp_factor, _pair_factor))
+                if pair is None:
+                    assert term is None
+                    continue
+                assert tuple(term[:4]) == pair[:4]
+                assert term.ea_rad == _pair_up(*pair[5])
+                shift = prec - DEFAULT_PREC
+                rho = term.rho + -(-widen >> shift)
+                if lift:
+                    rho += place.weight * (-(-ball.rad >> shift) + term.ea_rad) + 1
+                assert rho == _pair_rho(place, prec, ball, widen, lift, pair)
+                covered.add((place.weight, term.man == 1, prec, lift > 0))
+    assert covered == set(itertools.product((1, 2), (False, True), (128, 256, 512),
+                                            (False, True)))
+
+
+@pytest.mark.parametrize("doc, top", [(doc, 128) for doc in DIFFERENTIAL_DOCS] + [
+    ({"min_poly": [0, 1], "xi": [[2 ** 112, 2 ** 112 + 1], [3, 1]]}, 256)])  # escalates
+def test_point_rho_equals_the_pair_conversion(doc, top, monkeypatch):
+    # the whole rho that point_record hands the product check, against the
+    # sum of _pair_rho over the places, with the pair kernel's escalation
+    import entrank.scan as scan
+    from entrank.numberfield import DEFAULT_PREC
+
+    ps = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]}))
+    pc = ps.placed_char0()[0][0]
+    seen, reached = [], set()
+    check, log_term = scan._check_product, scan._log_one_minus_phi
+    monkeypatch.setattr(scan, "_check_product", lambda *args: seen.append(args[-1]) or check(*args))
+    monkeypatch.setattr(scan, "_log_one_minus_phi",
+                        lambda *args: seen.append(args[2]) or log_term(*args))
+    rng = random.Random(20301)
+    for n in [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(20)] + [(1, 0)]:
+        if n == (0, 0):
+            continue
+        seen.clear()
+        point_record(ps, n)
+        point, rho = seen
+        want = 0
+        for k, (place, o) in enumerate(zip(pc.places, point.ords)):
+            if o is not None:
+                continue
+            prec = DEFAULT_PREC // 2
+            while True:
+                prec *= 2
+                ball, parts, widen, lift = scan._phi_ball(pc, k, n, prec)
+                if (pair := _pair_factor(place, ball, parts, prec)) is not None:
+                    break
+            reached.add(prec)
+            want += _pair_rho(place, prec, ball, widen, lift, pair)
+        assert rho == want
+    assert max(reached) == top
 
 
 def test_escalation_when_the_first_evaluation_cannot_separate(monkeypatch):
