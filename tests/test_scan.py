@@ -177,7 +177,9 @@ FAR_TAIL_POINTS = {(-1, -1, 1): [(2000, 1200), (-2000, 1200)],  # golden mean
     ({"min_poly": [0, 1], "xi": [[2, 1], [3, 1]]}, {1}),  # x2x3
 ])
 def test_arch_terms_match_exact_element_route(doc, weights):
-    from entrank.numberfield import DEFAULT_PREC
+    from mpmath.libmp import mpf_abs
+
+    from entrank.numberfield import DEFAULT_PREC, _scaled
 
     far = FAR_TAIL_POINTS.get(tuple(doc["min_poly"]), [])
     ps = place_spec(parse_spec({"d": 2, "components": [dict(doc, char=0)]}))
@@ -191,34 +193,32 @@ def test_arch_terms_match_exact_element_route(doc, weights):
         for k, place in enumerate(pc.places):
             if place.kind != "arch":
                 continue
-            value, rho, widen = _arch_term(pc, k, n, DEFAULT_PREC)
+            value, term, widen = _arch_term(pc, k, n, DEFAULT_PREC)
+            rho = _exact(term.rho, -DEFAULT_PREC)
             mid, rad_exact = _log_one_minus_phi_exact(pc, place, n)
             assert widen == 0 and rho < 1e-25
             assert abs(value - mid) <= rho + rad_exact
             if n in far:  # the far tail: |sigma_v(phi_v)| < 2^-wp, so the term is below it
                 assert 0 < abs(value) < 2.0**-100
-                # the term is good to a relative 2^-80 (or underflow) against the exact route,
-                # and rho is |term| and its radius, each rounded up to one unit at the most
+                # the term is good to a relative 2^-80 (or underflow) against the exact route
                 assert abs(value - mid) <= rad_exact + max(abs(value) * 2.0**-80, math.ulp(0.0))
-                assert rho <= mp.ldexp(mp.ceil(mp.ldexp(abs(value), DEFAULT_PREC)) + 1,
-                                       -DEFAULT_PREC)
+                # rho is |tail| rounded up, plus the tail's radius, which rounds up to one unit
+                assert term.rho - _scaled(mpf_abs(term.tail), DEFAULT_PREC, "c") == 1
             checked.add(place.weight)
     assert checked == weights
 
 
 def _arch_term(pc, k, n, prec):
-    """(value, rho, widen) for archimedean place k at n, as mpfs at 400 bits
-    (rho exact): weight log |1 - sigma_v(phi_v(n))| from the exact factor
-    and far-tail term of one_minus_exp_factor, and the rho it adds to the
-    product check."""
-    from entrank.numberfield import DEFAULT_PREC
+    """(value, term, widen) for archimedean place k at n: value is weight
+    log |1 - sigma_v(phi_v(n))| as an mpf at 400 bits, from the exact factor
+    and far-tail term of the ExpFactor term that one_minus_exp_factor gives."""
     from entrank.scan import _phi_ball, one_minus_exp_factor
 
     ball, parts, widen, _lift = _phi_ball(pc, k, n, prec)
     term = one_minus_exp_factor(pc.places[k], ball, parts, prec)
     with mp.workprec(400):
         value = mp.log(_exact(term.man, term.exp)) + mp.make_mpf(term.tail)
-    return value, _exact(term.rho, -DEFAULT_PREC), widen
+    return value, term, widen
 
 
 def _pair_factor(place, t, parts, prec):
@@ -314,7 +314,9 @@ def test_integer_bounds_equal_the_pair_conversion():
     # pair-returning kernel converted as the product check converted them,
     # at real and complex places, in both branches, at three precisions,
     # lifted and not; every other field is unchanged
-    from entrank.numberfield import DEFAULT_PREC
+    from mpmath.libmp import mpf_abs
+
+    from entrank.numberfield import DEFAULT_PREC, _scaled
     from entrank.scan import _phi_ball, one_minus_exp_factor
 
     rng = random.Random(20300)
@@ -330,19 +332,16 @@ def test_integer_bounds_equal_the_pair_conversion():
             for k, place in enumerate(pc.places):
                 if place.kind != "arch":
                     continue
-                ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
+                ball, parts, _widen, lift = _phi_ball(pc, k, n, prec)
                 term, pair = (f(place, ball, parts, prec)
                               for f in (one_minus_exp_factor, _pair_factor))
                 if pair is None:
                     assert term is None
                     continue
                 assert tuple(term[:4]) == pair[:4]
+                assert term.rho == (_pair_up(*pair[4])
+                                    + _scaled(mpf_abs(pair[2]), DEFAULT_PREC, "c"))
                 assert term.ea_rad == _pair_up(*pair[5])
-                shift = prec - DEFAULT_PREC
-                rho = term.rho + -(-widen >> shift)
-                if lift:
-                    rho += place.weight * (-(-ball.rad >> shift) + term.ea_rad) + 1
-                assert rho == _pair_rho(place, prec, ball, widen, lift, pair)
                 covered.add((place.weight, term.man == 1, prec, lift > 0))
     assert covered == set(itertools.product((1, 2), (False, True), (128, 256, 512),
                                             (False, True)))
