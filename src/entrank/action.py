@@ -221,12 +221,13 @@ def load_spec(path: str) -> ActionSpec:
 class PlacedComponent:
     """A char-0 component with its support places and one row per place.
 
-    The place set is every archimedean place plus every finite place where
-    some coordinate of xi has nonzero valuation. A finite place's row holds
-    the integers ord_v(xi_i); an archimedean place's holds the balls
-    log_sigma_ball(v, xi_i) at scale 2^-DEFAULT_PREC, so that a point's sum
-    n_i log sigma_v(xi_i) is exact in integers. `lyapunov` is the float view
-    of the rows, which sum to zero coordinate-wise (product formula).
+    The place set is every archimedean place, in embedding order and first,
+    then every finite place where some coordinate of xi has nonzero
+    valuation. A finite place's row holds the integers ord_v(xi_i); an
+    archimedean place's holds the balls log_sigma_ball(v, xi_i) at scale
+    2^-DEFAULT_PREC, so that a point's sum n_i log sigma_v(xi_i) is exact
+    in integers. `lyapunov` is the float view of the rows, which sum to
+    zero coordinate-wise (product formula).
     """
 
     component: Char0Component

@@ -29,6 +29,12 @@ def ord_p(x: Fraction | int, p: int) -> int:
         raise MathDomainError(f"ord_p requires a prime, got {p}")
     if x == 0:
         raise MathDomainError("ord_p(0) is infinite")
+    return ord_proven(x, p)
+
+
+def ord_proven(x: Fraction | int, p: int) -> int:
+    """ord_p(x) for a nonzero x and a p that the caller has already proven
+    prime, as placement proves each support prime, without ord_p's gate."""
     num, den = abs(x.numerator), x.denominator  # in lowest terms: p divides one at most
     if num % p == 0:
         return _multiplicity(num, p)
@@ -279,8 +285,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ord_p runs at every support prime of every counted point: the primes
-# repeat, so their Miller-Rabin tests are kept.
+# ord_p runs at every prime a caller names, and the primes repeat, so their
+# Miller-Rabin tests are kept.
 @functools.lru_cache(maxsize=4096)
 def proven_prime(p: int) -> bool:
     """The gate for every prime the program relies on: is_prime(p), a

@@ -46,10 +46,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .action import CharPComponent, PlacedComponent, PlacedSpec, iter_shell_points
-from .algebra import ord_p, rank_mod_q
+from .algebra import ord_p, ord_proven, rank_mod_q
 from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
-from .numberfield import valuations_above
+from .numberfield import Element, valuations_above
 from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_sub
 
 
@@ -83,23 +83,28 @@ class Char0Point(NamedTuple):
 
     norm: Fraction  # N(xi^n - 1)
     ords: tuple[int | None, ...]  # ord_v(xi^n - 1) per place, None at archimedean ones
+    ts: tuple[int | None, ...]  # t = n . ord_v(xi) = ord_v(xi^n) per place, None likewise
 
 
 def count_prime_char0(pc: PlacedComponent, n) -> CountResult:
     """Exact |F| for a char-0 prime component at lattice vector n."""
     n = require_nonzero(n, pc.d)
-    return _count_char0_at(pc, n, char0_point(pc, n))
+    total = _count_char0_at(pc, n, char0_point(pc, n))
+    return CountResult(value=total, per_component=((total, 1),))
 
 
 def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
-    """N(x) and ord_v(x) at each place of pc (None at archimedean ones) for
-    x = xi^n - 1, xi^n formed once.
+    """N(x), ord_v(x) and t = ord_v(xi^n) at each place of pc (None at
+    archimedean ones) for x = xi^n - 1, xi^n formed once. x is xi^n with
+    its denominator c subtracted from the constant numerator: gcd(c, a_0 -
+    c, a_1, ...) = gcd(c, a_0, a_1, ...) = 1, so x is in lowest terms.
 
     At a finite place, with t = n . pc.rows[k], ord_v(xi^n) = t, so where
     t != 0 the ultrametric inequality gives ord_v(x) = min(t, 0) outright.
     Where t = 0 the only place above p takes ord_p N(x) / f_v, and at a
     prime with several local blocks one valuations_above pass, under the
-    split placement used, serves all of its places.
+    split placement used, serves all of its places. Placement proved every
+    p prime, so the orders skip ord_p's gate.
 
     Guard: the places above p outside the support hold units, where x is
     integral, so sum over support v | p of f_v ord_v(x) <= ord_p N(x), with
@@ -107,21 +112,26 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     over); ConsistencyError otherwise.
     """
     field = pc.component.field
-    x = field.sub(field.pow_vector(pc.component.xi, n), field.one())
+    xn = field.pow_vector(pc.component.xi, n)
+    x = Element((xn.num[0] - xn.den,) + xn.num[1:], xn.den)
     if x.is_zero():
         raise MathDomainError(f"xi^{n} = 1: the action is not mixing in this direction")
     norm = field.norm(x)
+    if not norm:
+        raise ConsistencyError(f"xi^{n} - 1 is nonzero but has norm 0")
     ords: list[int | None] = []
+    ts: list[int | None] = []
     passes: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
     sums: dict[int, tuple[int, int]] = {}  # p -> (sum of f_v ord_v, places left out)
     for place, row in zip(pc.places, pc.rows):
         if place.kind == "arch":
             ords.append(None)
+            ts.append(None)
             continue
         p, f = place.p, place.res_degree
         t = sum(map(mul, n, row))
         if place.siblings == 1:
-            e = ord_p(norm, p)
+            e = ord_proven(norm, p)
             o = min(t, 0) if t else e // f
             _check_share(n, p, f * o, e, 0)
         else:
@@ -134,9 +144,10 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
             s, left = sums.get(p, (0, place.siblings))
             sums[p] = (s + f * o, left - 1)
         ords.append(o)
+        ts.append(t)
     for p, (s, left) in sums.items():
-        _check_share(n, p, s, ord_p(norm, p), left)
-    return Char0Point(norm, tuple(ords))
+        _check_share(n, p, s, ord_proven(norm, p), left)
+    return Char0Point(norm, tuple(ords), tuple(ts))
 
 
 def _check_share(n: tuple[int, ...], p: int, s: int, e: int, left: int) -> None:
@@ -146,13 +157,13 @@ def _check_share(n: tuple[int, ...], p: int, s: int, e: int, left: int) -> None:
             f"at n={n} the support places above {p} carry {s} of ord_{p} N(xi^n - 1) = {e}")
 
 
-def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) -> CountResult:
-    """count_prime_char0 from the char0_point at n: |N(xi^n - 1)| times
-    p^(-f_v ord_v(xi^n - 1)) over the finite support places, the orders
-    from one rule (char0_point: min(t, 0) where t = n . ord_v(xi) != 0,
-    ord_p N / f_v at a sole place, else one valuations_above pass per prime).
-    Its per-prime guard already makes each prime's factor an integer; the
-    product's integrality is asserted once more here."""
+def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) -> int:
+    """count_prime_char0's value from the char0_point at n: |N(xi^n - 1)|
+    times p^(-f_v ord_v(xi^n - 1)) over the finite support places, the
+    orders from one rule (char0_point: min(t, 0) where t = n . ord_v(xi) !=
+    0, ord_p N / f_v at a sole place, else one valuations_above pass per
+    prime). Its per-prime guard already makes each prime's factor an
+    integer; the product's integrality is asserted once more here."""
     num, den = abs(point.norm.numerator), point.norm.denominator
     for place, o in zip(pc.places, point.ords):
         if o:
@@ -163,8 +174,7 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) 
     if num % den or num < den:
         raise ConsistencyError(
             f"place product at n={n} is {Fraction(num, den)}, expected a positive integer")
-    total = num // den
-    return CountResult(value=total, per_component=((total, 1),))
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +515,15 @@ def count_at_points(ps: PlacedSpec, n: tuple[int, ...], points: list) -> CountRe
     factored = None
     for (comp, mult), point in zip(ps.entries, points):
         if point is not None:
-            res = _count_char0_at(comp, n, point)
+            count = _count_char0_at(comp, n, point)
         else:
             res = count_prime_charp(comp, n)
+            count = res.value
             if len(ps.entries) == 1:
                 q, e = res.factored
                 factored = (q, e * mult)
-        per.append((res.value, mult))
-        value *= res.value**mult
+        per.append((count, mult))
+        value *= count**mult
     return CountResult(value=value, factored=factored, per_component=tuple(per),
                        upper_bound_only=not ps.noetherian)
 

@@ -19,21 +19,21 @@ alone equals |N(x)|.
 
 Finite places come from Dedekind factorization of f = min_poly mod p, split
 only as far as a support asks, in one cached local split per (field, p,
-support). Its squarefree decomposition, taken only where p divides
-disc(min_poly) (elsewhere f is squarefree), gives every e_v and the radical
-that Dedekind's criterion, the one p-maximality test, reads on the whole of
-f at every prime; when p divides the index it raises instead of returning
-wrong data. Only the gcd of each squarefree part with the support
-(support_mod_p, or None for all of f) is split into places; the rest of f
-is one cofactor block that yields no place. Valuations take one pass per
-prime: valuations_above takes the norm of the element's integral part,
-shared with NumberField.norm through one small cache, and splits its ord_p
-among the split's blocks: all of it to the only block, or to the only one
-that meets the integral part mod p, or else by one resultant per
-Hensel-lifted block, checked against the same total. Each (field, prime,
-precision, support) lifts its blocks from p once, and the lift is cached.
-ord_v reads one entry of that pass, under the support its place was found
-with.
+support). Where p divides disc(min_poly), f's squarefree decomposition
+gives every e_v and the radical that Dedekind's criterion, the one
+p-maximality test, reads on the whole of f; when p divides the index it
+raises instead of returning wrong data. Elsewhere f is squarefree and p
+divides no index, since disc(min_poly) = index^2 disc(K). Only the gcd of
+each squarefree part with the support (support_mod_p, or None for all of f)
+is split into places; the rest of f is one cofactor block that yields no
+place. Valuations take one pass per prime: valuations_above takes the norm
+of the element's integral part, shared with NumberField.norm through one
+small cache, and splits its ord_p among the split's blocks: all of it to
+the only block, or to the only one that meets the integral part mod p, or
+else by one resultant per Hensel-lifted block, checked against the same
+total. Each (field, prime, precision, support) lifts its blocks from p
+once, and the lift is cached. ord_v reads one entry of that pass, under the
+support its place was found with.
 
 Archimedean data carries proven error radii, in integers from root isolation
 on. The roots of the minimal polynomial, refined from a double-precision
@@ -145,12 +145,13 @@ class NumberField:
         return _pow_cached(self, x, k)
 
     def pow_vector(self, xs: tuple["Element", ...], n) -> "Element":
-        """xs[0]^n[0] * ... * xs[d-1]^n[d-1]."""
-        acc = self.one()
+        """xs[0]^n[0] * ... * xs[d-1]^n[d-1], from the first nonzero power on."""
+        acc = None
         for x, k in zip(xs, n):
             if k:
-                acc = self.mul(acc, self.pow(x, int(k)))
-        return acc
+                y = self.pow(x, int(k))
+                acc = y if acc is None else self.mul(acc, y)
+        return self.one() if acc is None else acc
 
     # -- invariants ----------------------------------------------------------
 
@@ -640,23 +641,27 @@ def _local_split(field: NumberField, p: int, support: tuple[int, ...] | None) ->
     """The places above p whose residue factor divides support, and one
     cofactor block for the rest of min_poly mod p.
 
-    The squarefree decomposition f = prod part_e^e of min_poly mod p gives
-    every e_v and the radical that Dedekind's criterion reads, on the whole
-    of f. Where p does not divide disc(min_poly) (cached since build_field's
-    irreducibility test), f is squarefree and is its one part, with e = 1.
+    Where p divides disc(min_poly) (cached since build_field's
+    irreducibility test), the squarefree decomposition f = prod part_e^e of
+    min_poly mod p gives every e_v and the radical that Dedekind's criterion
+    reads, on the whole of f. Elsewhere f is squarefree and is its one part,
+    with e = 1, and Z[theta] is p-maximal without the test: disc(min_poly)
+    = [O_K : Z[theta]]^2 disc(K), so p divides no index.
     Only gcd(part_e, support) is split into irreducibles g_v, one place
     each with e_v = e; what is left of each part_e^e is multiplied into the
     cofactor, which yields no place. support=None splits all of f. Places,
     lifted local factors and valuations all read this one split.
     """
     fbar = gf_from_int_poly(field.min_poly, p)
-    parts = ([(fbar, 1)] if discriminant(field.min_poly) % p
-             else gf_squarefree_parts(fbar, p))
-    if not _dedekind_p_maximal(field.min_poly, p, parts):
-        raise UnsupportedPrimeError(
-            f"p={p} divides the index [O_K : Z[theta]]; "
-            "valuations at this prime are not supported for this field model"
-        )
+    if discriminant(field.min_poly) % p:
+        parts = [(fbar, 1)]
+    else:
+        parts = gf_squarefree_parts(fbar, p)
+        if not _dedekind_p_maximal(field.min_poly, p, parts):
+            raise UnsupportedPrimeError(
+                f"p={p} divides the index [O_K : Z[theta]]; "
+                "valuations at this prime are not supported for this field model"
+            )
     factors, cofactor = [], [1]
     for part, e in parts:
         seen = part if support is None else gf_gcd(part, list(support), p)
@@ -793,6 +798,14 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
     the sum of |n_i| times their radii. At scale 2^-prec re and im are
     rounded to the nearest integer and the radius up, plus 1 for that
     rounding, which moves the centre by at most 2^-prec / sqrt(2).
+
+    The libmp calls read only work + 20 bits of V, whose exact integers run
+    to thousands of bits, so V is cut first: with k = max(bitlen vr, bitlen
+    vi) - work - 64 > 0, V' = (floor(vr / 2^k), floor(vi / 2^k)) at scale
+    2^-(T - k) lies within sqrt(2) units of V / 2^k, each coordinate moving
+    by less than 1, so the ball of radius ceil(rad / 2^k) + 2 around V'
+    holds the ball of radius rad around V, and everything above reads the
+    cut ball instead.
     """
     if place.kind != "arch":
         raise MathDomainError("log sigma_v is for archimedean places")
@@ -802,6 +815,9 @@ def log_sigma_ball(place: Place, x: Element, prec: int = DEFAULT_PREC) -> Dyadic
     while True:
         emb = embeddings(field, work)[place.embedding_index]
         vr, vi, rad, t = eval_embedding(emb, x)
+        k = max(vr.bit_length(), vi.bit_length()) - work - 64
+        if k > 0:
+            vr, vi, rad, t = vr >> k, vi >> k, _ceil_shift(rad, k) + 2, t - k
         m2 = vr * vr + vi * vi  # |V|^2 2^(2t)
         if 4 * rad * rad < m2:  # 2 rad < |V|, so u / (1 - u) <= rad / (isqrt(m2) - rad)
             wp = work + 20

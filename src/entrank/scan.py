@@ -6,26 +6,27 @@ At every support place |xi^n - 1|_v is |xi^n|_v |1 - xi^(-n)|_v when
 |xi^n|_v > 1 (the place is lifted) and |1 - xi^n|_v otherwise, so
 log count = h(n) + g(n) with h(n) the sum of the positive log |xi^n|_v and
 g(n) that of log |1 - phi_v(n)|_v. point_record takes one
-counting.char0_point per component (the norm of xi^n - 1 and its finite
-place orders); the count comes from it exactly, and one pass over the
-places forms h, g and a check of both against the count:
+counting.char0_point per component (the norm of xi^n - 1 and, at each
+finite place, ord_v(xi^n - 1) and t = ord_v(xi^n)); the count comes from it
+exactly as an integer, and one pass over the archimedean places, then one
+over the finite places, forms h, g and a check of both against the count:
 
 - Archimedean places. Placement holds log sigma_v(xi_i) as dyadic balls:
   integers RE, IM (the parity at a real place) and RAD at scale
   2^-DEFAULT_PREC. The balls n_i log sigma_v(xi_i), negated where the place
   is lifted, sum to the ball t for log sigma_v(phi_v(n)) around S + i IM,
   S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
-  bits grow with log |n| only. weight * S is 2^prec n . l_v; its sign picks
-  the branch, and on a lifted place h_v = weight * S 2^-prec within
-  weight * R 2^-prec (else h_v = 0). one_minus_exp_factor turns t into
+  bits grow with log |n| only. weight * S is 2^prec n . l_v; the sign of
+  S, decided where |S| > R, picks the branch, and on a lifted place h_v =
+  weight * S 2^-prec within weight * R 2^-prec (else h_v = 0). one_minus_exp_factor turns t into
   w = sigma_v(phi_v(n)) and |1 - w|^weight (below); it doubles the
   precision, rows rebuilt at the new scale, only while the ball for
   |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
 - Finite places are exact, from the ord_v(xi^n - 1) that the count reads
-  (counting.char0_point: min(t, 0) wherever t = n . ords != 0, so
-  only places with t = 0 cost a valuation). With c = ord_v f_v, c < 0 means
-  t < 0, where |1 - phi_v(n)|_v = 1 and h_v = -c log p; c > 0 means t = 0,
-  where h_v = 0 and the g term is -c log p.
+  and the t beside it (counting.char0_point: min(t, 0) wherever t = n .
+  ords != 0, so only places with t = 0 cost a valuation). With c = ord_v
+  f_v, c < 0 means t < 0, where |1 - phi_v(n)|_v = 1 and h_v = -c log p;
+  c > 0 means t = 0, where h_v = 0 and the g term is -c log p.
 - Ties: when the n . l_v ball contains 0, the <= branch is taken (h_v = 0),
   and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
   which differs by exactly n . l_v; nothing escalates.
@@ -104,7 +105,7 @@ from .action import PlacedComponent, PlacedSpec, iter_shell_points
 from .counting import Char0Point, char0_points, count_at_points, require_nonzero
 from .errors import ConsistencyError, MathDomainError, SpecError
 from .numberfield import (DEFAULT_PREC, MAX_PREC, DyadicBall, Place, _ceil_shift, _scaled,
-                          compare_abs_to_one, log_sigma_ball, safe_mpf_log)
+                          log_sigma_ball, safe_mpf_log)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +134,10 @@ def _phi_ball(pc: PlacedComponent, k: int, n: tuple[int, ...], prec: int
     weight = place.weight
     if weight == 1:
         im &= 1
-    side = compare_abs_to_one(place, (weight * s, weight * r))
-    if side > 0:  # |xi^n|_v > 1: phi_v = xi^(-n)
+    if s > r:  # |xi^n|_v > 1: phi_v = xi^(-n)
         return (DyadicBall(-s, im if weight == 1 else -im, r),
                 [(-x, -y) for x, y in parts], 0, weight * s)
-    return DyadicBall(s, im, r), parts, (weight * (abs(s) + r) if side == 0 else 0), 0
+    return DyadicBall(s, im, r), parts, (weight * (abs(s) + r) if s >= -r else 0), 0
 
 
 def phi_v(pc: PlacedComponent, n) -> tuple:
@@ -267,24 +267,16 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     2^-DEFAULT_PREC, after the product check and the float guard of the
     module docstring (ConsistencyError), and g exactly 0.0 where count = P-
     (no archimedean place lifted) or count = P^ (every one lifted)."""
+    field = pc.component.field
+    arch = field.real_embeddings + field.complex_pairs  # pc.places starts with these
     m_man, m_exp = 1, 0  # M = m_man 2^m_exp
     a_man, a_exp = 1, 0  # A
-    p_neg = p_pos = p_up = 1
     tails = fzero
     h = 0  # at scale 2^-DEFAULT_PREC, like rho
     rho = 0
     lifted = 0
-    for k, (place, o) in enumerate(zip(pc.places, point.ords)):
-        if o is not None:
-            c = o * place.res_degree  # |xi^n - 1|_v = p^-c
-            if c < 0:
-                h -= c * _prime_log(place.p)
-                p_neg *= _prime_power(place.p, -c)
-            elif c:
-                p_pos *= _prime_power(place.p, c)
-            elif (t := sum(v * r for v, r in zip(n, pc.rows[k]))) > 0:  # |xi^n|_v = p^(-f t)
-                p_up *= _prime_power(place.p, t * place.res_degree)
-            continue
+    for k in range(arch):
+        place = pc.places[k]
         prec = DEFAULT_PREC
         ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
         while (term := one_minus_exp_factor(place, ball, parts, prec)) is None:
@@ -304,12 +296,22 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
             h += lift >> shift
             a_man, a_exp = a_man * em**weight, a_exp + weight * ee
             rho += weight * (_ceil_shift(ball.rad, shift) + term.ea_rad) + 1
+    p_neg = p_pos = p_up = 1
+    for place, o, t in zip(pc.places[arch:], point.ords[arch:], point.ts[arch:]):
+        c = o * place.res_degree  # |xi^n - 1|_v = p^-c
+        if c < 0:
+            h -= c * _prime_log(place.p)
+            p_neg *= _prime_power(place.p, -c)
+        elif c:
+            p_pos *= _prime_power(place.p, c)
+        elif t > 0:  # |xi^n|_v = p^(-f t)
+            p_up *= _prime_power(place.p, t * place.res_degree)
     _check_product(n, (m_man, m_exp), (a_man, a_exp), count * p_pos, p_neg, rho)
     ratio = from_man_exp(m_man, m_exp)
     if p_pos > 1:
         ratio = mpf_div(ratio, from_int(p_pos), max(m_man.bit_length(), 2 * DEFAULT_PREC))
     g = to_float(mpf_add(safe_mpf_log(ratio, DEFAULT_PREC, "n"), tails))
-    if not lifted and count == p_neg or lifted == point.ords.count(None) and count == p_up:
+    if not lifted and count == p_neg or lifted == arch and count == p_up:
         g = 0.0
     log_count = math.log(count)
     if not abs(g + math.ldexp(h, -DEFAULT_PREC) - log_count) <= 2.0**-30 * max(1.0, log_count):
@@ -404,10 +406,12 @@ def point_record(ps: PlacedSpec, n) -> PointRecord:
     norm = _norm2(n)
     points = char0_points(ps, n)
     res = count_at_points(ps, n, points)
-    parts = [(mult, _log_one_minus_phi(pc, n, point, count))
-             for (pc, mult), point, (count, _) in zip(ps.entries, points, res.per_component)
-             if point is not None]
-    g, h = (sum(m * part[i] for m, part in parts) for i in range(2))
+    g = h = 0
+    for (pc, mult), point, (count, _) in zip(ps.entries, points, res.per_component):
+        if point is not None:
+            g_c, h_c = _log_one_minus_phi(pc, n, point, count)
+            g += mult * g_c
+            h += mult * h_c
     return PointRecord(n=n, count=res.value, f=math.log(res.value) / norm,
                        h_hat=math.ldexp(h, -DEFAULT_PREC) / norm, g=g / norm)
 
@@ -459,9 +463,10 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
     else:
         records = [point_record(ps, n) for n in points]
 
+    norms = [_norm2(rec.n) for rec in records]
     by_shell: dict[int, list[PointRecord]] = {}
-    for rec in records:
-        by_shell.setdefault(int(math.floor(_norm2(rec.n))), []).append(rec)
+    for rec, norm in zip(records, norms):
+        by_shell.setdefault(int(math.floor(norm)), []).append(rec)
     shells = []
     for k in sorted(by_shell):
         rs = by_shell[k]
@@ -472,7 +477,7 @@ def shell_scan(ps: PlacedSpec, r_min: float, r_max: float,
                                 g_abs_max=max(abs(r.g) for r in rs),
                                 argmin_f=fmin.n, argmax_f=fmax.n))
     cut = r_max - 0.2 * (r_max - r_min)
-    outer = [r for r in records if _norm2(r.n) >= cut] or records
+    outer = [r for r, norm in zip(records, norms) if norm >= cut] or records
     outer_sorted = sorted(outer, key=lambda r: r.f)
     c2, c1 = outer_sorted[0], outer_sorted[-1]
     c2_trim = outer_sorted[min(1, len(outer_sorted) - 1)]

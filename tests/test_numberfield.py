@@ -337,6 +337,62 @@ def test_log_abs_v_ball_holds_the_value():
             assert abs(mid - exact) <= rad < mp.mpf(2) ** -100
 
 
+def _uncut_log_sigma_ball(place, x, prec):
+    """log_sigma_ball as it was before the centre was cut to work + 64 bits:
+    the same libmp calls on eval_embedding's exact integers."""
+    from mpmath.libmp import fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan2, mpf_div
+    from mpmath.libmp import mpf_mul, mpf_shift
+
+    from entrank.numberfield import (MAX_PREC, OUTWARD, DyadicBall, _scaled, eval_embedding,
+                                     safe_mpf_log)
+
+    work = prec
+    while True:
+        emb = embeddings(place.field, work)[place.embedding_index]
+        vr, vi, rad, t = eval_embedding(emb, x)
+        m2 = vr * vr + vi * vi
+        if 4 * rad * rad < m2:
+            wp = work + 20
+            square = mpf_div(from_man_exp(m2, -2 * t), from_int(x.den ** 2), wp, "n")
+            re = mpf_shift(safe_mpf_log(square, wp, "n"), -1)
+            im = (from_int(int(vr < 0)) if emb.is_real
+                  else mpf_atan2(from_int(vi), from_int(vr), wp, "n"))
+            u = mpf_div(from_int(rad), from_int(math.isqrt(m2) - rad), wp, "c")
+            slack = mpf_shift(mpf_add(mpf_add(fone, mpf_abs(re), wp, "n"), mpf_abs(im), wp, "n"),
+                              4 - prec)
+            radius = mpf_mul(mpf_add(u, slack, wp, "n"), OUTWARD, wp, "n")
+            return DyadicBall(_scaled(re, prec, "n"), int(vr < 0) if emb.is_real
+                              else _scaled(im, prec, "n"), _scaled(radius, prec, "c") + 1)
+        assert work < MAX_PREC
+        work *= 2
+
+
+def test_log_sigma_ball_cut_matches_the_uncut_ball():
+    # seeded: the cut centre is read at work + 20 bits as the full one was,
+    # so on fields of degree 2..8, random elements and their powers, at 128
+    # and 256 bits, every ball equals the uncut computation's; the cut is
+    # taken in at least 90 percent of them
+    from entrank.numberfield import eval_embedding, log_sigma_ball
+
+    rng = random.Random(3117)
+    cut = total = 0
+    for field in _seeded_fields(3117, 40, 8):
+        base = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(field.degree)])
+        if base.is_zero():
+            continue
+        for x in (base, field.pow(base, rng.randint(2, 40)), field.pow(base, -rng.randint(1, 9))):
+            for place in archimedean_places(field):
+                for prec in (128, 256):
+                    assert log_sigma_ball.__wrapped__(place, x, prec) == _uncut_log_sigma_ball(
+                        place, x, prec)
+                    vr, vi, _rad, _t = eval_embedding(embeddings(field, prec)[
+                        place.embedding_index], x)
+                    cut += max(vr.bit_length(), vi.bit_length()) > prec + 64
+                    total += 1
+    assert total >= 700 and cut >= 0.9 * total
+
+
 def test_build_field_rejects_reducible():
     with pytest.raises(SpecError):
         build_field([-1, 0, 1])  # t^2 - 1

@@ -23,7 +23,6 @@ from entrank import (
     shell_scan,
     write_records_csv,
 )
-from entrank.counting import CountResult
 from entrank.scan import lattice_shell_points
 
 from tests.test_counting import x2x3_oracle
@@ -103,9 +102,13 @@ def test_phi_v_reads_finite_ords_from_placement(golden, monkeypatch):
 
 
 def _precisions_requested(monkeypatch):
-    """Record every precision log_sigma_ball asks embeddings for."""
+    """Record every precision log_sigma_ball asks embeddings for, from cold
+    caches: both are cleared first, so that no answer an earlier test left
+    in log_sigma_ball's cache hides a request."""
     import entrank.numberfield as numberfield
 
+    numberfield.log_sigma_ball.cache_clear()
+    numberfield.embeddings.cache_clear()
     seen = []
     inner = numberfield.embeddings
 
@@ -522,13 +525,30 @@ def test_point_record_checks_the_count_it_reports(golden, monkeypatch):
     assert point_record(golden, (7, 3)).count == 295
     true_count = counting._count_char0_at
 
-    def doubled(pc, n, xn):
-        res = true_count(pc, n, xn)
-        return CountResult(value=2 * res.value, per_component=((2 * res.value, 1),))
+    def doubled(pc, n, point):
+        return 2 * true_count(pc, n, point)
 
     monkeypatch.setattr(counting, "_count_char0_at", doubled)
     with pytest.raises(ConsistencyError):
         point_record(golden, (7, 3))
+
+
+def test_shell_scan_calls_point_record_once_per_point_in_order(golden, monkeypatch):
+    # the benchmark times each point by wrapping this module global
+    import entrank.scan as scan
+    from entrank.action import iter_shell_points
+
+    inner, seen = scan.point_record, []
+
+    def recording(ps, n):
+        seen.append(n)
+        return inner(ps, n)
+
+    monkeypatch.setattr(scan, "point_record", recording)
+    monkeypatch.delenv("ENTRANK_WORKERS", raising=False)
+    report = scan.shell_scan(golden, 3.0, 9.0)
+    assert seen == list(iter_shell_points(2, 3.0, 9.0)) == [r.n for r in report.records]
+    assert len(seen) == 114
 
 
 def _bump_first(monkeypatch, name, field, bump, place=None):
