@@ -239,6 +239,12 @@ class PlacedComponent:
         return self.component.d
 
     @property
+    def arch(self) -> int:
+        """The number of archimedean places, which lead places and rows."""
+        field = self.component.field
+        return field.real_embeddings + field.complex_pairs
+
+    @property
     def lyapunov(self) -> tuple[tuple[float, ...], ...]:
         """l_v = (log |xi_i|_v)_i per place: -ord_v(xi_i) f_v log p at a finite
         place, weight Re log sigma_v(xi_i) from the ball's centre otherwise."""

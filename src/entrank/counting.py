@@ -53,8 +53,7 @@ from .numberfield import Element, valuations_above
 from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_sub
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """|F(alpha^n)| with provenance: value = prod(count^mult) over components."""
 
     value: int
@@ -66,7 +65,7 @@ class CountResult:
 def require_nonzero(n, d: int) -> tuple[int, ...]:
     """n as a tuple of d integers, the gate of every lattice-vector entry
     point: counts are defined for n != 0 in Z^d only (MathDomainError)."""
-    n = tuple(int(v) for v in n)
+    n = tuple(map(int, n))
     if len(n) != d:
         raise MathDomainError(f"n has {len(n)} entries, component expects {d}")
     if not any(n):
@@ -119,15 +118,12 @@ def char0_point(pc: PlacedComponent, n: tuple[int, ...]) -> Char0Point:
     norm = field.norm(x)
     if not norm:
         raise ConsistencyError(f"xi^{n} - 1 is nonzero but has norm 0")
-    ords: list[int | None] = []
-    ts: list[int | None] = []
+    arch = pc.arch
+    ords: list[int | None] = [None] * arch
+    ts: list[int | None] = [None] * arch
     passes: dict[int, tuple[int, ...]] = {}  # valuations above p, one pass per prime
     sums: dict[int, tuple[int, int]] = {}  # p -> (sum of f_v ord_v, places left out)
-    for place, row in zip(pc.places, pc.rows):
-        if place.kind == "arch":
-            ords.append(None)
-            ts.append(None)
-            continue
+    for place, row in zip(pc.places[arch:], pc.rows[arch:]):
         p, f = place.p, place.res_degree
         t = sum(map(mul, n, row))
         if place.siblings == 1:

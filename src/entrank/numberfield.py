@@ -149,7 +149,7 @@ class NumberField:
         acc = None
         for x, k in zip(xs, n):
             if k:
-                y = self.pow(x, int(k))
+                y = _pow_cached(self, x, int(k))
                 acc = y if acc is None else self.mul(acc, y)
         return self.one() if acc is None else acc
 
@@ -183,8 +183,7 @@ class NumberField:
         return None
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """(num[0] + num[1] theta + ... + num[degree-1] theta^(degree-1)) / den
     with den > 0 and gcd(den, *num) = 1; build it with NumberField.element."""
 

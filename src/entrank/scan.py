@@ -267,8 +267,7 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     2^-DEFAULT_PREC, after the product check and the float guard of the
     module docstring (ConsistencyError), and g exactly 0.0 where count = P-
     (no archimedean place lifted) or count = P^ (every one lifted)."""
-    field = pc.component.field
-    arch = field.real_embeddings + field.complex_pairs  # pc.places starts with these
+    arch = pc.arch
     m_man, m_exp = 1, 0  # M = m_man 2^m_exp
     a_man, a_exp = 1, 0  # A
     tails = fzero
@@ -287,7 +286,8 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
             prec *= 2
             ball, parts, widen, lift = _phi_ball(pc, k, n, prec)
         m_man, m_exp = m_man * term.man, m_exp + term.exp
-        tails = mpf_add(tails, term.tail)
+        if term.tail != fzero:
+            tails = mpf_add(tails, term.tail)
         shift = prec - DEFAULT_PREC
         rho += term.rho + _ceil_shift(widen, shift)
         if lift:  # within weight * R and ea's rounding, plus 1 for the floor
@@ -310,7 +310,8 @@ def _log_one_minus_phi(pc: PlacedComponent, n: tuple[int, ...], point: Char0Poin
     ratio = from_man_exp(m_man, m_exp)
     if p_pos > 1:
         ratio = mpf_div(ratio, from_int(p_pos), max(m_man.bit_length(), 2 * DEFAULT_PREC))
-    g = to_float(mpf_add(safe_mpf_log(ratio, DEFAULT_PREC, "n"), tails))
+    g = safe_mpf_log(ratio, DEFAULT_PREC, "n")
+    g = to_float(mpf_add(g, tails) if tails != fzero else g)
     if not lifted and count == p_neg or lifted == arch and count == p_up:
         g = 0.0
     log_count = math.log(count)
@@ -342,7 +343,7 @@ def _check_product(n, m: tuple[int, int], a: tuple[int, int], count_p_pos: int, 
 
 
 def _norm2(n) -> float:
-    return math.sqrt(sum(float(v) ** 2 for v in n))
+    return math.sqrt(sum([float(v) ** 2 for v in n]))
 
 
 def g_value(ps: PlacedSpec, n) -> float:
@@ -359,8 +360,7 @@ def g_value(ps: PlacedSpec, n) -> float:
 # Point records and shell scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     n: tuple[int, ...]
     count: int
     f: float
