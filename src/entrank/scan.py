@@ -16,17 +16,19 @@ over the finite places, forms h, g and a check of both against the count:
   2^-DEFAULT_PREC. The balls n_i log sigma_v(xi_i), negated where the place
   is lifted, sum to the ball t for log sigma_v(phi_v(n)) around S + i IM,
   S = sum n_i RE_i, of radius R = sum |n_i| RAD_i, exact integer sums whose
-  bits grow with log |n| only. weight * S is 2^prec n . l_v; the sign of
-  S, decided where |S| > R, picks the branch, and on a lifted place h_v =
-  weight * S 2^-prec within weight * R 2^-prec (else h_v = 0). one_minus_exp_factor turns t into
-  w = sigma_v(phi_v(n)) and |1 - w|^weight (below); it doubles the
-  precision, rows rebuilt at the new scale, only while the ball for
-  |1 - sigma_v(phi_v)| contains 0, up to MAX_PREC (ConsistencyError).
+  bits grow with log |n| only. weight * S is 2^prec n . l_v; the sign of S,
+  decided where |S| > R, picks the branch, and on a lifted place
+  h_v = weight * S 2^-prec within weight * R 2^-prec (else h_v = 0).
+  one_minus_exp_factor turns t into w = sigma_v(phi_v(n)) and
+  |1 - w|^weight (below); it doubles the precision, rows rebuilt at the new
+  scale, only while the ball for |1 - sigma_v(phi_v)| contains 0, up to
+  MAX_PREC (ConsistencyError).
 - Finite places are exact, from the ord_v(xi^n - 1) that the count reads
-  and the t beside it (counting.char0_point: min(t, 0) wherever t = n .
-  ords != 0, so only places with t = 0 cost a valuation). With c = ord_v
-  f_v, c < 0 means t < 0, where |1 - phi_v(n)|_v = 1 and h_v = -c log p;
-  c > 0 means t = 0, where h_v = 0 and the g term is -c log p.
+  and the t beside it (counting.char0_point: min(t, 0) wherever
+  t = n . ords != 0, so only places with t = 0 cost a valuation). With
+  c = ord_v f_v, c < 0 means t < 0, where |1 - phi_v(n)|_v = 1 and
+  h_v = -c log p; c > 0 means t = 0, where h_v = 0 and the g term is
+  -c log p.
 - Ties: when the n . l_v ball contains 0, the <= branch is taken (h_v = 0),
   and weight * (|S| + R) 2^-prec widens g's radius to cover the other one,
   which differs by exactly n . l_v; nothing escalates.
