@@ -8,18 +8,13 @@ char0_point reads once per point for the count and g alike. No floating
 point touches the result, and integrality is asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
-Laurent quotient by the generators together with u^n - 1.
+Laurent quotient by the generators together with u^n - 1. In d = 2 the
+route depends on the number of generators and on gcd(n); every route is
+exact, an isomorphism of quotients followed by exact arithmetic over F_q.
 
-- d <= 2: the Fitting ideal (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A
-  unimodular change of coordinates, sheared if need be, sends n to (g, 0),
-  so the quotient is a finitely generated module over the PID
-  A = F_q[w2^+-], presented over A[w1]/(m) = A^D for a modulus m monic in
-  w1. dim is the Laurent span of the gcd of the maximal minors, read off a
-  column Hermite form over F_q[w2]; the count is infinite exactly when that
-  gcd is 0. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0).
-- d = 2 with one generator f: Frobenius scaling. Over F_q (q prime),
+- d = 2 with one generator f: Frobenius scaling first. Over F_q (q prime),
   u^(q^j m) - 1 = (u^m - 1)^(q^j), so with q^j the largest power of q
-  dividing gcd(n) the Fitting ideal is taken at m = n / q^j and the exponent
+  dividing gcd(n) the count is taken at m = n / q^j and the exponent
   multiplied by q^j. Let x = u^m - 1 and R the Laurent ring, a UFD of Krull
   dimension 2. If R/(f, x) is finite, gcd(f, x) is a unit, since a common
   non-unit factor h would leave R/(h), of dimension 1, as a quotient; so x
@@ -28,9 +23,29 @@ Laurent quotient by the generators together with u^n - 1.
   infinite too. Neither step holds elsewhere: in d = 1, (1 + u)^2 over F_2
   has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
   1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
+- d = 2 at a primitive m (gcd(m) = 1), any number of generators: the
+  collapse. Coordinates w = u^U with U m = (1, 0) turn u^m - 1 into
+  w1 - 1, so the quotient is F_q[w2^+-]/(f_i(1, w2)), and F_q[w2^+-] is a
+  PID: dim is the Laurent span of the gcd of the collapsed generators, and
+  the count is infinite exactly when every one of them collapses to 0. No
+  presentation is built.
+- d <= 2 elsewhere: the Fitting ideal (Einsiedler-Ward; Lind-Schmidt-Ward
+  1990). A unimodular change of coordinates, sheared if need be, sends n
+  to (g, 0), so the quotient is a finitely generated module over the PID
+  A = F_q[w2^+-], presented over A[w1]/(m) = A^D for a modulus m whose
+  leading w1-coefficient is a unit. dim is the Laurent span of the gcd of
+  the maximal minors; the count is infinite exactly when that gcd is 0.
+  One generator left after the reduction mod w1^g - 1 gives a square
+  presentation, whose Fitting ideal is its determinant: fraction-free
+  (Bareiss) elimination over F_q[w2], each division exact by Sylvester's
+  identity and checked. Several generators take a column Hermite form
+  over F_q[w2], a Euclid loop whose column operations keep the ideal of
+  maximal minors. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0), and
+  always takes this route.
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
-  same engine decides ideal membership for the mixing check and is the
-  tests' cross-check for the Fitting-ideal route.
+  same engine decides ideal membership for the mixing check, save for one
+  generator in d = 2, which takes an exact division, and is the tests'
+  cross-check for the d <= 2 routes.
 
 An independent window oracle (the same change of coordinates plus truncated
 linear algebra) cross-checks d = 2 counts.
@@ -50,7 +65,7 @@ from .algebra import ord_p, ord_proven, rank_mod_q
 from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import Element, valuations_above
-from .polyfactor import GfPoly, gf_add, gf_divmod, gf_mul, gf_sub
+from .polyfactor import GfPoly, gf_add, gf_divmod, gf_gcd, gf_mul, gf_sub
 
 
 class CountResult(NamedTuple):
@@ -197,9 +212,9 @@ def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int],
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     u = ((old_s, old_t), (-n2 // g, n1 // g))
-    assert u[0][0] * n1 + u[0][1] * n2 == g
-    assert u[1][0] * n1 + u[1][1] * n2 == 0
-    assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
+    if (old_s * n1 + old_t * n2, u[1][0] * n1 + u[1][1] * n2,
+            old_s * u[1][1] - old_t * u[1][0]) != (g, 0, 1):
+        raise ConsistencyError(f"U = {u} does not send n = {n} to ({g}, 0) in SL_2(Z)")
     return g, u
 
 
@@ -318,6 +333,11 @@ def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
     Column Hermite elimination over F_q[w2]: in each row a Euclidean loop
     of column operations leaves one pivot column, whose diagonal entry is a
     factor of the gcd; the other columns are zero in that row and carry on.
+    Column operations over F_q[w2] keep the ideal of maximal minors, so the
+    diagonal's product spans it. The loop's cost is quadratic in the
+    entries' degree, so _fitting_dim_d2 runs it only on presentations that
+    are not square; on square ones the tests keep it as the oracle for
+    _determinant_dim.
     """
     dim = 0
     for i in range(rows):
@@ -338,9 +358,42 @@ def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
     return dim
 
 
-def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
-    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1): the Laurent span of
-    its Fitting ideal over A = F_q[w2^+-], presented over A[w1]/(m) = A^D.
+def _determinant_dim(columns: list[W1Poly], q: int) -> int | None:
+    """Laurent span of the determinant of a square matrix over F_q[w2], or
+    None when it is 0: the Fitting ideal of a square presentation.
+
+    Fraction-free (Bareiss) elimination. By Sylvester's identity every entry
+    after step k is a (k + 1)-minor, so dividing by the previous pivot is
+    exact in the domain F_q[w2]; a nonzero remainder is a ConsistencyError.
+    Row swaps change only the sign, which the Laurent span ignores. The last
+    pivot is the determinant.
+    """
+    a = [list(c) for c in columns]  # the transpose has the same determinant
+    size = len(a)
+    prev: GfPoly = [1]
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if a[i][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        for row in a[k + 1:]:
+            for j in range(k + 1, size):
+                entry = gf_sub(gf_mul(top[k], row[j], q), gf_mul(row[k], top[j], q), q)
+                if k:  # prev is [1] at k = 0
+                    entry, rem = gf_divmod(entry, prev, q)
+                    if rem:
+                        raise ConsistencyError(
+                            f"Bareiss step {k} left a remainder of degree {len(rem) - 1}")
+                row[j] = entry
+        prev = top[k]
+    return _laurent_span(prev)
+
+
+def _presentation(pc: CharPComponent, n: tuple[int, ...]) -> tuple[list[W1Poly], int] | None:
+    """(columns, rows): F_q[w1^+-, w2^+-]/(generators, w1^g - 1) as the
+    cokernel of a rows x len(columns) matrix over A = F_q[w2^+-], presented
+    over A[w1]/(m) = A^rows; None when m is a unit and the quotient is 0.
 
     m is the shortest of w1^g - 1 and the generator lifts whose top w1-class
     is one term, a unit of A. Each cyclic lift spans the same ideal; with the
@@ -354,6 +407,9 @@ def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
     least g / B apart. If g >= t B, each rules out at most one k < t, so some
     k < t leaves the fixed term alone, the top class of a lift. So w1^g - 1
     wins only when g < t B, and then g^2 < t |n|_1 (exponent span).
+
+    Each relation other than m gives the columns h, w1 h, ..., w1^(rows - 1) h
+    mod m, so one surviving generator gives a square matrix.
     """
     q = pc.q
     g, gens_w = _axis_generators(pc, n)
@@ -379,7 +435,7 @@ def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
     else:
         m = relations.pop(i)
         if len(m) == 1:
-            return 0  # m is a monomial, a unit: the quotient is zero
+            return None  # m is a monomial, a unit
         relations.append(_w1_power_minus_one(g, m, q))
     rows = len(m) - 1
     columns = []
@@ -388,7 +444,49 @@ def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
         while len(cols) < rows:
             cols.append(_reduce([[]] + cols[-1], m, q)[0])
         columns += [c + [[] for _ in range(rows - len(c))] for c in cols]
-    return _fitting_dim(columns, rows, q)
+    return columns, rows
+
+
+def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
+    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1): the Laurent span of
+    the Fitting ideal of _presentation(pc, n), or None when it is 0. A
+    square presentation (one generator left after the reduction mod
+    w1^g - 1) takes its determinant; a wider one the Hermite loop."""
+    pres = _presentation(pc, n)
+    if pres is None:
+        return 0
+    columns, rows = pres
+    if len(columns) == rows:
+        return _determinant_dim(columns, pc.q)
+    return _fitting_dim(columns, rows, pc.q)
+
+
+def _collapsed_dim(pc: CharPComponent, m: tuple[int, int]) -> int | None:
+    """dim at a primitive m in d = 2 (gcd(m) = 1), or None when infinite.
+
+    In the coordinates w = u^U with U m = (1, 0), u^m - 1 is w1 - 1, so the
+    quotient is F_q[w2^+-]/(f_i(1, w2)): a term u^e of f_i goes to w2 to the
+    power of U's second row (-m2, m1) times e, and coefficients that meet
+    add up mod q. F_q[w2^+-] is a PID, so dim is the Laurent span of the gcd
+    of the collapsed generators, and the count is infinite exactly when
+    every one of them collapses to 0.
+    """
+    q = pc.q
+    m1, m2 = m
+    common: GfPoly = []
+    for gen in pc.generators:
+        coeffs: dict[int, int] = {}
+        for (e1, e2), c in gen.terms:
+            b = m1 * e2 - m2 * e1
+            coeffs[b] = (coeffs.get(b, 0) + c) % q
+        live = [b for b, c in coeffs.items() if c]
+        if live:
+            low = min(live)
+            f = [0] * (max(live) - low + 1)
+            for b in live:
+                f[b - low] = coeffs[b]
+            common = gf_gcd(common, f, q)
+    return _laurent_span(common) if common else None
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +538,8 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     modulo f wherever the count at m is finite (the module docstring has the
     proof). Every other component is counted at n itself, since the scaling
     fails there: (1 + u)^2 over F_2 in d = 1, and 1 + u1, 1 + u2 over F_2.
+    In d = 2 a primitive m takes the collapsed generators, any other m the
+    Fitting ideal; d >= 3 takes a Groebner basis.
     """
     n = require_nonzero(n, pc.d)
     m, scale = n, 1
@@ -447,7 +547,9 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
         while all(v % pc.q == 0 for v in m):
             m = tuple(v // pc.q for v in m)
             scale *= pc.q
-    if pc.d <= 2:
+    if pc.d == 2 and math.gcd(*m) == 1:
+        dim = _collapsed_dim(pc, m)
+    elif pc.d <= 2:
         dim = _fitting_dim_d2(pc, m)
     else:
         dim = _groebner_dim(pc, m)
@@ -461,7 +563,11 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
 
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
-    """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal."""
+    """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal:
+    by exact division for one generator in d = 2 (_divides_relation), by a
+    Groebner normal form for every other shape."""
+    if pc.d == 2 and len(pc.generators) == 1:
+        return [n for n in iter_shell_points(2, 0, radius) if _divides_relation(pc, n)]
     nvars, gens = _charp_base_generators(pc)
     gb = GroebnerBasis(pc.q, nvars, gens)
     out = []
@@ -469,6 +575,29 @@ def charp_membership_violations(pc: CharPComponent, radius: float):
         if not gb.normal_form(_relation_for(pc, n)):
             out.append(n)
     return out
+
+
+def _divides_relation(pc: CharPComponent, n: tuple[int, int]) -> bool:
+    """u^n - 1 in (f) for the one generator f of a d = 2 component.
+
+    In the coordinates w = u^U with U n = (g, 0), u^n - 1 is w1^g - 1. A
+    divisor of a w1-only polynomial in the Laurent ring, a UFD whose units
+    are the monomials, is w1-only up to a unit. So f divides it iff every
+    term of f in the w coordinates has one w2-exponent and the w1-part phi,
+    shifted to a nonzero constant term, divides w1^g - 1 in F_q[w1].
+    """
+    q = pc.q
+    g, ((a1, a2), (b1, b2)) = _unimodular_to_axis(n)
+    phi: dict[int, int] = {}
+    level = set()
+    for (e1, e2), c in pc.generators[0].terms:
+        phi[a1 * e1 + a2 * e2] = c % q
+        level.add(b1 * e1 + b2 * e2)
+        if len(level) > 1:
+            return False
+    low = min(phi)
+    divisor = [phi.get(a, 0) for a in range(low, max(phi) + 1)]
+    return not gf_divmod([q - 1] + [0] * (g - 1) + [1], divisor, q)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,39 @@ def gf_sub(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
     return gf_trim(out)
 
 
+# Shorter operand length from which Kronecker substitution beats the
+# schoolbook loop: 0.5-1.2x at length 8-16, 1.3-2.4x at 24 and 30-75x at
+# 1024, for moduli 2, 3, 5, 7, 3^8 and 2^61 - 1 (CPython 3.11, 2-CPU x86-64).
+KRONECKER_MIN_LEN = 20
+
+
 def gf_mul(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
     if not f or not g:
         return []
+    if min(len(f), len(g)) >= KRONECKER_MIN_LEN:
+        return _gf_mul_kronecker(f, g, p)
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return gf_trim([c % p for c in out])
+
+
+def _gf_mul_kronecker(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
+    """f g by Kronecker substitution: each operand packed into one integer,
+    a slot of `size` bytes per coefficient, so that one big-integer product
+    holds every coefficient of f g over Z in its own slot. A slot holds
+    min(len) (p - 1)^2, the largest such coefficient, so no carry crosses
+    into the next one. The product is unpacked from its bytes in one pass;
+    repeated shifts would make the unpacking quadratic."""
+    size = ((min(len(f), len(g)) * (p - 1) ** 2).bit_length() + 7) // 8
+    a, b = (int.from_bytes(b"".join((c % p).to_bytes(size, "little") for c in h), "little")
+            for h in (f, g))
+    n = len(f) + len(g) - 1
+    raw = (a * b).to_bytes(n * size, "little")
+    return gf_trim([int.from_bytes(raw[i:i + size], "little") % p
+                    for i in range(0, n * size, size)])
 
 
 def gf_prod(fs, p: int) -> GfPoly:

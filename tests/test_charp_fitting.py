@@ -1,9 +1,12 @@
-"""Char-p counts for d <= 2 come from the Fitting ideal; Groebner bases and
-the window oracle are the independent references here."""
+"""Char-p counts for d <= 2 come from the collapsed generators at a
+primitive n and from the Fitting ideal elsewhere; the Hermite loop on the
+full presentation, Groebner bases and the window oracle are the
+independent references here."""
 
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,8 +22,15 @@ from entrank import (
     parse_spec,
     place_spec,
 )
+from entrank.action import iter_shell_points
+from entrank.counting import _charp_base_generators as base_generators
+from entrank.counting import _fitting_dim as hermite_dim
 from entrank.counting import _fitting_dim_d2 as fitting_dim_d2
 from entrank.counting import _groebner_dim as groebner_dim
+from entrank.counting import _presentation as presentation
+from entrank.counting import _relation_for as relation_for
+from entrank.counting import charp_membership_violations
+from entrank.groebner import GroebnerBasis
 
 
 def fitting_dim(pc: CharPComponent, n):
@@ -178,12 +188,14 @@ def test_window_oracle_fibonacci_direction(led_pc):
 
 def test_large_vectors_count_fast(led_pc):
     # 2^987 at (610, 377) was confirmed by the window oracle, which takes
-    # seconds there
-    for n, e in [((610, 377), 987), ((1024, 0), 0)]:
+    # seconds there; on the F_3 ideal each count is one 2 x 2 determinant
+    # over F_3[w2] of entries of degree about 2g
+    for pc, n, e in [(led_pc, (610, 377), 987), (led_pc, (1024, 0), 0),
+                     (F3_IDEAL, (4096, 0), 8190), (F3_IDEAL, (16384, 0), 32766)]:
         t0 = time.perf_counter()
-        res = count_prime_charp(led_pc, n)
+        res = count_prime_charp(pc, n)
         assert time.perf_counter() - t0 < 1.0, n
-        assert res.factored == (2, e) and res.value == 2**e
+        assert res.factored == (pc.q, e) and res.value == pc.q**e
 
 
 def test_count_is_even_in_n(led_pc):
@@ -218,6 +230,7 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
         fitting_dim(pc, n)
     for n in [(1, 1), (100, 0), (-13, 21)]:
         count_prime_charp(led_pc, n)
+    assert charp_membership_violations(led_pc, 6) == []
     d3 = CharPComponent(q=2, d=3, generators=(
         LaurentPolynomial(terms=(((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1))),))
     with pytest.raises(AssertionError, match="GroebnerBasis built"):
@@ -313,3 +326,83 @@ def test_reduced_infinite_count_names_the_callers_n():
         LaurentPolynomial(terms=(((0, 0), 1), ((1, 0), 1))),))
     with pytest.raises(MathDomainError, match=r"n=\(4, 0\)"):
         count_prime_charp(pc, (4, 0))
+
+
+def hermite_oracle(pc: CharPComponent, n) -> int | None:
+    """dim at n itself, with no Frobenius scaling, from the Hermite/Euclid
+    loop on the full presentation, square or not."""
+    pres = presentation(pc, n)
+    return 0 if pres is None else hermite_dim(*pres, pc.q)
+
+
+def test_collapse_and_determinant_match_the_hermite_loop(monkeypatch):
+    # count_prime_charp collapses the generators at a primitive n and takes
+    # one determinant for one generator elsewhere; the Hermite loop it keeps
+    # for several generators at a non-primitive n is the oracle for all three,
+    # and Groebner bases for the small n
+    routes = []
+    for name in ("_collapsed_dim", "_determinant_dim", "_fitting_dim"):
+        def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
+            routes.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(entrank.counting, name, spy)
+    rng = random.Random(32)
+    cases = [(pc, n) for pc in _one_generator_components(321, 16)
+             for n in [(1, 0), (3, -2), (5, 8), (4, 0), (6, 9), (-10, 4), (9, 0), (12, -18)]]
+    for _ in range(24):
+        q = rng.choice([2, 3, 5])
+        gens = [{(rng.randint(-1, 2), rng.randint(-1, 2)): rng.randrange(1, q)
+                 for _ in range(rng.randint(2, 4))} for _ in range(rng.randint(2, 3))]
+        pc = CharPComponent(q=q, d=2, generators=tuple(
+            LaurentPolynomial(terms=tuple(sorted(t.items()))) for t in gens))
+        cases += [(pc, n) for n in [(1, 1), (2, -5), (0, 3), (4, 2), (-6, 0)]]
+    # planted infinite counts: 1 + u1 and (1 + u1)(1 + u2) over F_2 vanish on
+    # u1 = 1, two generators with the common factor 1 + u1 u2 on u1 u2 = 1
+    u1 = CharPComponent(q=2, d=2, generators=(
+        LaurentPolynomial(terms=(((0, 0), 1), ((1, 0), 1))),))
+    u1u2 = CharPComponent(q=2, d=2, generators=(
+        LaurentPolynomial(terms=(((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1))),))
+    diagonal = CharPComponent(q=3, d=2, generators=(
+        LaurentPolynomial(terms=(((0, 0), 2), ((1, 1), 1))),
+        LaurentPolynomial(terms=(((0, 0), 1), ((0, 1), 2), ((1, 1), 2), ((1, 2), 1))),))
+    cases += [(u1, n) for n in [(1, 0), (4, 0), (3, 0), (2, 2)]]
+    cases += [(u1u2, n) for n in [(1, 0), (0, 2), (3, 0), (0, 6), (1, 1)]]
+    cases += [(diagonal, n) for n in [(1, 1), (-2, -2), (1, 0), (6, 3)]]
+    seen = Counter()
+    for pc, n in cases:
+        routes.clear()
+        got = fitting_dim(pc, n)
+        assert len(routes) <= 1, (pc, n, routes)
+        assert got == hermite_oracle(pc, n), (pc, n)
+        if max(map(abs, n)) <= 3:
+            assert got == groebner_dim(pc, n), (pc, n)
+        seen[routes[0] if routes else "unit modulus", got is None] += 1
+    for route in ("_collapsed_dim", "_determinant_dim", "_fitting_dim"):
+        assert seen[route, False] >= 5 and seen[route, True] >= 1, seen
+    assert seen["_collapsed_dim", True] >= 4 and seen["_determinant_dim", True] >= 2, seen
+
+
+def test_one_generator_membership_matches_groebner():
+    # u^n - 1 in (f) by exact division, against the Groebner normal form at
+    # every |n| <= 5; planted members phi(u^m) u^e with phi | w^k - 1
+    rng = random.Random(4800)
+    comps = _one_generator_components(4800, 12)
+    for _ in range(12):
+        q = rng.choice([2, 3, 5])
+        m = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (-1, 2)])
+        k = rng.choice([1, 2, 3])
+        phi = {(0, 0): q - 1, (k * m[0], k * m[1]): 1}  # u^(k m) - 1
+        if rng.random() < 0.5:
+            phi = {(0, 0): 1, m: 1}  # 1 + u^m, a factor of u^(2m) - 1 when q = 2
+        shift = (rng.randint(-2, 2), rng.randint(-2, 2))
+        comps.append(CharPComponent(q=q, d=2, generators=(LaurentPolynomial(terms=tuple(sorted(
+            ((a + shift[0], b + shift[1]), c) for (a, b), c in phi.items()))),)))
+    planted = 0
+    for pc in comps:
+        gb = GroebnerBasis(pc.q, *base_generators(pc))
+        got = charp_membership_violations(pc, 5)
+        want = [n for n in iter_shell_points(2, 0, 5)
+                if not gb.normal_form(relation_for(pc, n))]
+        assert got == want, pc
+        planted += len(got)
+    assert planted >= 20, planted

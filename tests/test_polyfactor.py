@@ -4,10 +4,13 @@ import pytest
 
 from entrank.algebra import discriminant
 from entrank.polyfactor import (
+    KRONECKER_MIN_LEN,
+    _gf_mul_kronecker,
     factor_monic_int_poly,
     gf_factor,
     gf_from_int_poly,
     gf_mul,
+    gf_trim,
     hensel_lift_factors,
     irreducible_over_q,
     unity_order_candidates,
@@ -65,6 +68,38 @@ def test_gf_factor_handles_pth_powers():
     # (t^2 + t + 1)^2 mod 2 has zero derivative
     sq = gf_mul([1, 1, 1], [1, 1, 1], 2)
     assert gf_factor(sq, 2) == [([1, 1, 1], 2)]
+
+
+@pytest.mark.parametrize("p, root", [(2, None), (3, None), (5, None), (2**61 - 1, None),
+                                     (3**20, 3), (2**64, 2)])
+def test_gf_mul_matches_schoolbook(p, root):
+    # lengths on both sides of the Kronecker threshold, balanced and not; the
+    # p^k moduli are the Hensel ones, where leading coefficients root and
+    # p / root multiply to 0 and leave trailing zeros to trim
+    rng = random.Random(p % 1000003)
+    t = KRONECKER_MIN_LEN
+    shapes = [(0, 0), (0, t), (1, 1), (1, 3 * t), (t - 1, t - 1), (t - 1, 5 * t),
+              (t, t), (t, 5 * t), (3 * t, 2 * t), (200, 300)]
+    for a, b in shapes:
+        for _ in range(3):
+            f = [rng.randrange(p) for _ in range(a)]
+            g = [rng.randrange(p) for _ in range(b)]
+            if root:
+                f[-1:] = [root] * min(a, 1)
+                g[-1:] = [p // root] * min(b, 1)
+            want = gf_trim([c % p for c in _int_mul(f, g)])
+            assert gf_mul(f, g, p) == want, (a, b)
+            if f and g:
+                assert _gf_mul_kronecker(f, g, p) == want, (a, b)
+
+
+def test_gf_mul_kronecker_edges():
+    assert _gf_mul_kronecker([1], [1], 2) == [1]
+    assert _gf_mul_kronecker([3], [3], 9) == []
+    assert _gf_mul_kronecker([4, 0, 0], [0, 5], 7) == [0, 6]
+    # every slot at its bound min(len) (p - 1)^2, the case a carry would spoil
+    f = [256] * 40
+    assert _gf_mul_kronecker(f, f, 257) == gf_trim([c % 257 for c in _int_mul(f, f)])
 
 
 def test_hensel_lift_product_matches():
