@@ -8,8 +8,7 @@ char0_point reads once per point for the count and g alike. No floating
 point touches the result, and integrality is asserted rather than assumed.
 
 Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
-Laurent quotient by the generators together with u^n - 1. In d = 2 the
-route depends on the number of generators and on gcd(n); every route is
+Laurent quotient by the generators together with u^n - 1. Every route is
 exact, an isomorphism of quotients followed by exact arithmetic over F_q.
 
 - d = 2 with one generator f: Frobenius scaling first. Over F_q (q prime),
@@ -23,28 +22,36 @@ exact, an isomorphism of quotients followed by exact arithmetic over F_q.
   infinite too. Neither step holds elsewhere: in d = 1, (1 + u)^2 over F_2
   has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
   1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
-- d = 2 at a primitive m (gcd(m) = 1), any number of generators: the
-  collapse. Coordinates w = u^U with U m = (1, 0) turn u^m - 1 into
-  w1 - 1, so the quotient is F_q[w2^+-]/(f_i(1, w2)), and F_q[w2^+-] is a
-  PID: dim is the Laurent span of the gcd of the collapsed generators, and
-  the count is infinite exactly when every one of them collapses to 0. No
-  presentation is built.
-- d <= 2 elsewhere: the Fitting ideal (Einsiedler-Ward; Lind-Schmidt-Ward
-  1990). A unimodular change of coordinates, sheared if need be, sends n
-  to (g, 0), so the quotient is a finitely generated module over the PID
-  A = F_q[w2^+-], presented over A[w1]/(m) = A^D for a modulus m whose
-  leading w1-coefficient is a unit. dim is the Laurent span of the gcd of
-  the maximal minors; the count is infinite exactly when that gcd is 0.
-  One generator left after the reduction mod w1^g - 1 gives a square
-  presentation, whose Fitting ideal is its determinant: fraction-free
-  (Bareiss) elimination over F_q[w2], each division exact by Sylvester's
-  identity and checked. Several generators take a column Hermite form
-  over F_q[w2], a Euclid loop whose column operations keep the ideal of
-  maximal minors. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0), and
-  always takes this route.
+
+  Then a closed form at m (Lind-Schmidt-Ward 1990; Einsiedler-Lind 2004).
+  Coordinates w = u^U with U m = (g, 0) turn u^m - 1 into w1^g - 1; write
+  f = sum_b C_b(w1) w2^b over its nonzero levels C_b, of w2-span B. As q
+  does not divide g, w1^g - 1 is separable, so F_q[w1]/(w1^g - 1) is the
+  product of the fields K_P = F_q[w1]/(P) over its irreducible factors P,
+  and the quotient the product of the K_P[w2^+-]/(f mod P). Each is a PID
+  quotient of dimension deg P times the span of the levels P does not
+  divide, and infinite if P divides every level. The deg P roots of each P
+  are distinct roots zeta of w1^g - 1, so dim is the sum over all g of
+  them of top(zeta) - bot(zeta), the outermost b with C_b(zeta) != 0: g B
+  minus the sums of b_max - top(zeta) and of bot(zeta) - b_min. With the
+  levels b_0 > b_1 > ... from the top, b_max - top(zeta) is the sum of
+  b_j - b_(j+1) over the j with zeta a root of C_b0, ..., C_bj, and as
+  w1^g - 1 is squarefree there are deg G_j such zeta, for G_j = gcd(w1^g -
+  1, C_b0, ..., C_bj). So each step of that gcd chain drops deg G_j times
+  the gap to the next level, and likewise from the bottom. A G_j left after
+  the last level is a root shared by every level: the count is infinite.
+- d <= 2 elsewhere (several generators, and d = 1): the Fitting ideal
+  (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A unimodular change of
+  coordinates, sheared if need be, sends n to (g, 0), so the quotient is a
+  finitely generated module over the PID A = F_q[w2^+-], presented over
+  A[w1]/(m) = A^D for a modulus m whose leading w1-coefficient is a unit.
+  dim is the Laurent span of the gcd of the maximal minors, from a column
+  Hermite form over F_q[w2], a Euclid loop whose column operations keep
+  the ideal of maximal minors; the count is infinite exactly when that gcd
+  is 0. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0).
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check, save for one
-  generator in d = 2, which takes an exact division, and is the tests'
+  generator in d = 2, which reads the levels above, and is the tests'
   cross-check for the d <= 2 routes.
 
 An independent window oracle (the same change of coordinates plus truncated
@@ -65,7 +72,7 @@ from .algebra import ord_p, ord_proven, rank_mod_q
 from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import Element, valuations_above
-from .polyfactor import GfPoly, gf_add, gf_divmod, gf_gcd, gf_mul, gf_sub
+from .polyfactor import GfPoly, gf_add, gf_divmod, gf_gcd, gf_mul, gf_pow_mod, gf_sub
 
 
 class CountResult(NamedTuple):
@@ -334,10 +341,9 @@ def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
     of column operations leaves one pivot column, whose diagonal entry is a
     factor of the gcd; the other columns are zero in that row and carry on.
     Column operations over F_q[w2] keep the ideal of maximal minors, so the
-    diagonal's product spans it. The loop's cost is quadratic in the
-    entries' degree, so _fitting_dim_d2 runs it only on presentations that
-    are not square; on square ones the tests keep it as the oracle for
-    _determinant_dim.
+    diagonal's product spans it. The columns still active at row i are zero
+    above it, so each Euclid step updates rows i and below only, row i
+    taking the division's remainder.
     """
     dim = 0
     for i in range(rows):
@@ -350,44 +356,13 @@ def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
             pivot = active[0]
             survivors = [pivot]
             for col in active[1:]:
-                quo = gf_divmod(col[i], pivot[i], q)[0]
-                col = [gf_sub(x, gf_mul(quo, y, q), q) for x, y in zip(col, pivot)]
+                quo, rem = gf_divmod(col[i], pivot[i], q)
+                col = col[:i] + [rem] + [gf_sub(x, gf_mul(quo, y, q), q)
+                                         for x, y in zip(col[i + 1:], pivot[i + 1:])]
                 (survivors if col[i] else columns).append(col)
             active = survivors
         dim += _laurent_span(active[0][i])
     return dim
-
-
-def _determinant_dim(columns: list[W1Poly], q: int) -> int | None:
-    """Laurent span of the determinant of a square matrix over F_q[w2], or
-    None when it is 0: the Fitting ideal of a square presentation.
-
-    Fraction-free (Bareiss) elimination. By Sylvester's identity every entry
-    after step k is a (k + 1)-minor, so dividing by the previous pivot is
-    exact in the domain F_q[w2]; a nonzero remainder is a ConsistencyError.
-    Row swaps change only the sign, which the Laurent span ignores. The last
-    pivot is the determinant.
-    """
-    a = [list(c) for c in columns]  # the transpose has the same determinant
-    size = len(a)
-    prev: GfPoly = [1]
-    for k in range(size):
-        pivot = next((i for i in range(k, size) if a[i][k]), None)
-        if pivot is None:
-            return None
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        for row in a[k + 1:]:
-            for j in range(k + 1, size):
-                entry = gf_sub(gf_mul(top[k], row[j], q), gf_mul(row[k], top[j], q), q)
-                if k:  # prev is [1] at k = 0
-                    entry, rem = gf_divmod(entry, prev, q)
-                    if rem:
-                        raise ConsistencyError(
-                            f"Bareiss step {k} left a remainder of degree {len(rem) - 1}")
-                row[j] = entry
-        prev = top[k]
-    return _laurent_span(prev)
 
 
 def _presentation(pc: CharPComponent, n: tuple[int, ...]) -> tuple[list[W1Poly], int] | None:
@@ -409,7 +384,7 @@ def _presentation(pc: CharPComponent, n: tuple[int, ...]) -> tuple[list[W1Poly],
     wins only when g < t B, and then g^2 < t |n|_1 (exponent span).
 
     Each relation other than m gives the columns h, w1 h, ..., w1^(rows - 1) h
-    mod m, so one surviving generator gives a square matrix.
+    mod m.
     """
     q = pc.q
     g, gens_w = _axis_generators(pc, n)
@@ -449,44 +424,54 @@ def _presentation(pc: CharPComponent, n: tuple[int, ...]) -> tuple[list[W1Poly],
 
 def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
     """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1): the Laurent span of
-    the Fitting ideal of _presentation(pc, n), or None when it is 0. A
-    square presentation (one generator left after the reduction mod
-    w1^g - 1) takes its determinant; a wider one the Hermite loop."""
+    the Fitting ideal of _presentation(pc, n), or None when it is 0."""
     pres = _presentation(pc, n)
-    if pres is None:
-        return 0
-    columns, rows = pres
-    if len(columns) == rows:
-        return _determinant_dim(columns, pc.q)
-    return _fitting_dim(columns, rows, pc.q)
+    return 0 if pres is None else _fitting_dim(*pres, pc.q)
 
 
-def _collapsed_dim(pc: CharPComponent, m: tuple[int, int]) -> int | None:
-    """dim at a primitive m in d = 2 (gcd(m) = 1), or None when infinite.
+def _w1_levels(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
+    """(g, levels): the one generator f = sum_b C_b(w1) w2^b of pc in the
+    coordinates w = u^U with U n = (g, 0), as the (b, C_b) with C_b != 0 in
+    ascending b, each C_b divided by its lowest w1 power (a unit). U is a
+    bijection on exponents, so no two terms of f meet."""
+    g, ((a1, a2), (b1, b2)) = _unimodular_to_axis(n)
+    rows: dict[int, dict[int, int]] = {}
+    for (e1, e2), c in pc.generators[0].terms:
+        rows.setdefault(b1 * e1 + b2 * e2, {})[a1 * e1 + a2 * e2] = c % pc.q
+    levels = []
+    for b in sorted(rows):
+        row = rows[b]
+        low = min(row)
+        levels.append((b, [row.get(a, 0) for a in range(low, max(row) + 1)]))
+    return g, levels
 
-    In the coordinates w = u^U with U m = (1, 0), u^m - 1 is w1 - 1, so the
-    quotient is F_q[w2^+-]/(f_i(1, w2)): a term u^e of f_i goes to w2 to the
-    power of U's second row (-m2, m1) times e, and coefficients that meet
-    add up mod q. F_q[w2^+-] is a PID, so dim is the Laurent span of the gcd
-    of the collapsed generators, and the count is infinite exactly when
-    every one of them collapses to 0.
+
+def _gcd_with_w1_power_minus_one(g: int, c: GfPoly, q: int) -> GfPoly:
+    """gcd(w1^g - 1, c), monic, with w1^g taken mod c first; 1 if c is a unit."""
+    if len(c) == 1:
+        return [1]
+    return gf_gcd(c, gf_sub(gf_pow_mod([0, 1], g, c, q), [1], q), q)
+
+
+def _one_generator_dim(pc: CharPComponent, n: tuple[int, int]) -> int | None:
+    """dim of F_q[u1^+-, u2^+-]/(f, u^n - 1) for the one generator f of pc
+    and q not dividing gcd(n), or None when infinite: g B minus the drops of
+    the two gcd chains over the levels of f, walked from each end (the
+    module docstring has the proof).
     """
     q = pc.q
-    m1, m2 = m
-    common: GfPoly = []
-    for gen in pc.generators:
-        coeffs: dict[int, int] = {}
-        for (e1, e2), c in gen.terms:
-            b = m1 * e2 - m2 * e1
-            coeffs[b] = (coeffs.get(b, 0) + c) % q
-        live = [b for b, c in coeffs.items() if c]
-        if live:
-            low = min(live)
-            f = [0] * (max(live) - low + 1)
-            for b in live:
-                f[b - low] = coeffs[b]
-            common = gf_gcd(common, f, q)
-    return _laurent_span(common) if common else None
+    g, levels = _w1_levels(pc, n)
+    drops = 0
+    for walk in (levels, levels[::-1]):
+        common = _gcd_with_w1_power_minus_one(g, walk[0][1], q)
+        for (b, _c), (b_next, c_next) in zip(walk, walk[1:]):
+            if len(common) == 1:
+                break
+            drops += (len(common) - 1) * abs(b_next - b)
+            common = gf_gcd(common, c_next, q)
+        if len(common) > 1:
+            return None  # a root of w1^g - 1 shared by every level
+    return g * (levels[-1][0] - levels[0][0]) - drops
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +521,11 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     A one-generator component in d = 2 is counted at the q-free part m of n,
     and dim(n) = q^j dim(m) for n = q^j m: u^m - 1 is a non-zero-divisor
     modulo f wherever the count at m is finite (the module docstring has the
-    proof). Every other component is counted at n itself, since the scaling
-    fails there: (1 + u)^2 over F_2 in d = 1, and 1 + u1, 1 + u2 over F_2.
-    In d = 2 a primitive m takes the collapsed generators, any other m the
-    Fitting ideal; d >= 3 takes a Groebner basis.
+    proof), where the levels of f in the coordinates that send m to (g, 0)
+    give dim(m) in closed form. Every other component is counted at n
+    itself, since the scaling fails there: (1 + u)^2 over F_2 in d = 1, and
+    1 + u1, 1 + u2 over F_2. In d <= 2 it takes the Fitting ideal, in
+    d >= 3 a Groebner basis.
     """
     n = require_nonzero(n, pc.d)
     m, scale = n, 1
@@ -547,8 +533,7 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
         while all(v % pc.q == 0 for v in m):
             m = tuple(v // pc.q for v in m)
             scale *= pc.q
-    if pc.d == 2 and math.gcd(*m) == 1:
-        dim = _collapsed_dim(pc, m)
+        dim = _one_generator_dim(pc, m)
     elif pc.d <= 2:
         dim = _fitting_dim_d2(pc, m)
     else:
@@ -564,8 +549,8 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
     """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal:
-    by exact division for one generator in d = 2 (_divides_relation), by a
-    Groebner normal form for every other shape."""
+    from the levels of f for one generator in d = 2 (_divides_relation), by
+    a Groebner normal form for every other shape."""
     if pc.d == 2 and len(pc.generators) == 1:
         return [n for n in iter_shell_points(2, 0, radius) if _divides_relation(pc, n)]
     nvars, gens = _charp_base_generators(pc)
@@ -582,22 +567,14 @@ def _divides_relation(pc: CharPComponent, n: tuple[int, int]) -> bool:
 
     In the coordinates w = u^U with U n = (g, 0), u^n - 1 is w1^g - 1. A
     divisor of a w1-only polynomial in the Laurent ring, a UFD whose units
-    are the monomials, is w1-only up to a unit. So f divides it iff every
-    term of f in the w coordinates has one w2-exponent and the w1-part phi,
-    shifted to a nonzero constant term, divides w1^g - 1 in F_q[w1].
+    are the monomials, is w1-only up to a unit. So f divides it iff f has
+    exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C.
     """
-    q = pc.q
-    g, ((a1, a2), (b1, b2)) = _unimodular_to_axis(n)
-    phi: dict[int, int] = {}
-    level = set()
-    for (e1, e2), c in pc.generators[0].terms:
-        phi[a1 * e1 + a2 * e2] = c % q
-        level.add(b1 * e1 + b2 * e2)
-        if len(level) > 1:
-            return False
-    low = min(phi)
-    divisor = [phi.get(a, 0) for a in range(low, max(phi) + 1)]
-    return not gf_divmod([q - 1] + [0] * (g - 1) + [1], divisor, q)[1]
+    g, levels = _w1_levels(pc, n)
+    if len(levels) != 1:
+        return False
+    c = levels[0][1]
+    return len(_gcd_with_w1_power_minus_one(g, c, pc.q)) == len(c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Char-p counts for d <= 2 come from the collapsed generators at a
-primitive n and from the Fitting ideal elsewhere; the Hermite loop on the
-full presentation, Groebner bases and the window oracle are the
-independent references here."""
+"""Char-p counts for d <= 2 come from a closed form in the w2-levels for
+one generator in d = 2 and from the Fitting ideal elsewhere; the Hermite
+loop on the full presentation at n itself, Groebner bases and the window
+oracle are the independent references here."""
 
 import math
 import random
@@ -31,6 +31,7 @@ from entrank.counting import _presentation as presentation
 from entrank.counting import _relation_for as relation_for
 from entrank.counting import charp_membership_violations
 from entrank.groebner import GroebnerBasis
+from entrank.polyfactor import gf_factor
 
 
 def fitting_dim(pc: CharPComponent, n):
@@ -173,7 +174,7 @@ def test_d1_closed_forms_at_large_n():
             assert count_prime_charp(pc, (n,)).factored == (q, math.gcd(k, n)), (q, k, n)
 
 
-@pytest.mark.parametrize("n", [96, 100, 1024])
+@pytest.mark.parametrize("n", [96, 100, 1024, 99999])
 def test_closed_form_deep_axis(led_pc, n):
     assert count_prime_charp(led_pc, (n, 0)) == ledrappier_axis_closed_form(n)
     assert count_prime_charp(led_pc, (-n, 0)).value == ledrappier_axis_closed_form(n).value
@@ -188,10 +189,10 @@ def test_window_oracle_fibonacci_direction(led_pc):
 
 def test_large_vectors_count_fast(led_pc):
     # 2^987 at (610, 377) was confirmed by the window oracle, which takes
-    # seconds there; on the F_3 ideal each count is one 2 x 2 determinant
-    # over F_3[w2] of entries of degree about 2g
+    # seconds there; on the F_3 ideal each count is a few gcds in F_3[w1]
     for pc, n, e in [(led_pc, (610, 377), 987), (led_pc, (1024, 0), 0),
-                     (F3_IDEAL, (4096, 0), 8190), (F3_IDEAL, (16384, 0), 32766)]:
+                     (F3_IDEAL, (4096, 0), 8190), (F3_IDEAL, (16384, 0), 32766),
+                     (F3_IDEAL, (65536, 0), 131070), (F3_IDEAL, (65536, 131072), 262144)]:
         t0 = time.perf_counter()
         res = count_prime_charp(pc, n)
         assert time.perf_counter() - t0 < 1.0, n
@@ -335,13 +336,12 @@ def hermite_oracle(pc: CharPComponent, n) -> int | None:
     return 0 if pres is None else hermite_dim(*pres, pc.q)
 
 
-def test_collapse_and_determinant_match_the_hermite_loop(monkeypatch):
-    # count_prime_charp collapses the generators at a primitive n and takes
-    # one determinant for one generator elsewhere; the Hermite loop it keeps
-    # for several generators at a non-primitive n is the oracle for all three,
-    # and Groebner bases for the small n
+def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
+    # count_prime_charp takes the closed form for one generator in d = 2 and
+    # the Hermite loop for several; the Hermite loop on the full presentation
+    # at n itself is the oracle for both, and Groebner bases for the small n
     routes = []
-    for name in ("_collapsed_dim", "_determinant_dim", "_fitting_dim"):
+    for name in ("_one_generator_dim", "_fitting_dim"):
         def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
             routes.append(_name)
             return _f(*args)
@@ -377,9 +377,39 @@ def test_collapse_and_determinant_match_the_hermite_loop(monkeypatch):
         if max(map(abs, n)) <= 3:
             assert got == groebner_dim(pc, n), (pc, n)
         seen[routes[0] if routes else "unit modulus", got is None] += 1
-    for route in ("_collapsed_dim", "_determinant_dim", "_fitting_dim"):
+    for route in ("_one_generator_dim", "_fitting_dim"):
         assert seen[route, False] >= 5 and seen[route, True] >= 1, seen
-    assert seen["_collapsed_dim", True] >= 4 and seen["_determinant_dim", True] >= 2, seen
+
+
+def test_one_generator_closed_form_matches_the_hermite_oracle():
+    # seeded Laurent generators against the Hermite loop at n itself, with
+    # no Frobenius scaling; planted infinite counts phi(u^m) h, where phi is
+    # an irreducible factor of w^k - 1 over F_q and n = k m
+    rng = random.Random(33)
+    seen = {"finite": 0, "infinite": 0}
+    for i in range(400):
+        q = rng.choice([2, 3, 5, 7])
+        terms = {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randrange(1, q)
+                 for _ in range(rng.randint(1, 6))}
+        while True:
+            n = (rng.randint(-40, 40), rng.randint(-40, 40))
+            if any(n):
+                break
+        planted = i % 8 == 0
+        if planted:
+            sign = rng.choice([-1, 1])
+            m = (sign * rng.randint(1, 4), rng.randint(-4, 4))
+            k = rng.randint(1, 40 // max(map(abs, m)))
+            phi, _mult = rng.choice(gf_factor([q - 1] + [0] * (k - 1) + [1], q))
+            phi_u = {(j * m[0], j * m[1]): c for j, c in enumerate(phi) if c}
+            terms, n = laurent_mul(phi_u, terms, q), (k * m[0], k * m[1])
+        pc = CharPComponent(q=q, d=2, generators=(
+            LaurentPolynomial(terms=tuple(sorted(terms.items()))),))
+        expected = hermite_oracle(pc, n)
+        assert fitting_dim(pc, n) == expected, (pc, n)
+        assert expected is None or not planted, (pc, n)
+        seen["infinite" if expected is None else "finite"] += 1
+    assert seen["finite"] >= 300 and seen["infinite"] >= 50, seen
 
 
 def test_one_generator_membership_matches_groebner():
