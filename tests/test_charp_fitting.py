@@ -407,7 +407,8 @@ def test_one_generator_closed_form_matches_the_hermite_oracle():
             LaurentPolynomial(terms=tuple(sorted(terms.items()))),))
         expected = hermite_oracle(pc, n)
         assert fitting_dim(pc, n) == expected, (pc, n)
-        assert expected is None or not planted, (pc, n)
+        if planted:
+            assert expected is None, (pc, n)
         seen["infinite" if expected is None else "finite"] += 1
     assert seen["finite"] >= 300 and seen["infinite"] >= 50, seen
 
