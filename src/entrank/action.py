@@ -39,6 +39,8 @@ from .numberfield import (
     Element,
     NumberField,
     Place,
+    _charpoly_core,
+    _integral_norm,
     archimedean_places,
     build_field,
     finite_places_above,
@@ -258,6 +260,23 @@ class PlacedComponent:
         return tuple(out)
 
 
+def _support_primes(field: NumberField, xs) -> list[int]:
+    """The primes at which some x in xs may fail to be a unit, ascending.
+
+    x is a unit at every place above p iff p divides no denominator of
+    charpoly(x) or of charpoly(1/x) = reversed charpoly(x) / its constant
+    term; the norm alone misses a split p whose places carry opposite
+    valuations. For x = y/c and charpoly(y) = sum b_j X^j (the cached
+    integer core) these are b_j / c^(n-j) and b_j c^j / b_0."""
+    n, denominators = field.degree, set()
+    for x in xs:
+        b, _powers = _charpoly_core(x.num, field.min_poly)
+        for j, bj in enumerate(b):
+            denominators.add(x.den ** (n - j) // math.gcd(bj, x.den ** (n - j)))
+            denominators.add(abs(b[0]) // math.gcd(bj * x.den ** j, b[0]))
+    return sorted({p for den in denominators for p in factor_int(den)})
+
+
 def compute_places(comp: Char0Component) -> PlacedComponent:
     """comp with its support places and one row per place. ConsistencyError
     unless, for every xi_i, |N(xi_i)| is the product of p^(f_v ord_v(xi_i))
@@ -266,19 +285,7 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
     field = comp.field
     places: list[Place] = archimedean_places(field)
     rows: list = [tuple(log_sigma_ball(place, el) for el in comp.xi) for place in places]
-    # xi is a unit at every place above p iff xi and 1/xi are both integral
-    # there, i.e. iff p divides no denominator of charpoly(xi) or of
-    # charpoly(1/xi) = reversed charpoly(xi) / its constant term. The norm
-    # alone misses a split p whose places carry opposite valuations.
-    denominators: set[int] = set()
-    for el in comp.xi:
-        cp = field.charpoly(el)
-        denominators.update(c.denominator for c in cp)
-        denominators.update((c / cp[0]).denominator for c in cp)
-    primes: set[int] = set()
-    for den in denominators:
-        primes.update(factor_int(den))
-    for p in sorted(primes):
+    for p in _support_primes(field, comp.xi):
         # only the places where some xi may not be a unit are split off
         support = support_mod_p(field, p, comp.xi)
         columns = [valuations_above(field, p, el, support) for el in comp.xi]
@@ -287,12 +294,16 @@ def compute_places(comp: Char0Component) -> PlacedComponent:
                 places.append(place)
                 rows.append(ords)
     for i, el in enumerate(comp.xi):
-        nrm = abs(field.norm(el))
-        placed = math.prod(Fraction(place.p) ** (place.res_degree * row[i])
-                           for place, row in zip(places, rows) if place.kind == "finite")
-        if nrm != placed:
-            raise ConsistencyError(f"|N(xi[{i}])| = {nrm}, but the placed finite places give "
-                                   f"{placed}")
+        # |N(y)| / c^n = prod p^(f_v ord_v(xi_i)), each p^(f_v |ord_v|) moved
+        # to the side where it multiplies, so that both sides are integers
+        nrm, den = abs(_integral_norm(field.min_poly, el.num)), el.den ** field.degree
+        sides = [nrm, den]
+        for place, row in zip(places, rows):
+            if place.kind == "finite":
+                sides[row[i] > 0] *= place.p ** (place.res_degree * abs(row[i]))
+        if sides[0] != sides[1]:
+            raise ConsistencyError(f"|N(xi[{i}])| = {Fraction(nrm, den)}, but the placed finite "
+                                   f"places give {Fraction(sides[1] * nrm, sides[0] * den)}")
     return PlacedComponent(component=comp, places=tuple(places), rows=tuple(rows))
 
 
@@ -380,9 +391,9 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     """Verify xi^n != 1 (char 0) / u^n - 1 not in the ideal (char p) up to a radius.
 
     This is a bounded verification, not a proof of mixing. In char 0,
-    xi^n = 1 forces prod N(xi_i)^n_i = 1, with the norms from
-    NumberField.norm (cached where placement's guard read them), so only
-    the n that pass this exact test are tried: by the orders
+    xi^n = 1 forces prod N(xi_i)^n_i = 1, tested in integers on the norms
+    of the integral parts (cached where placement's guard read them), so
+    only the n that pass this exact test are tried: by the orders
     root_of_unity_order found when n has one nonzero entry, by the exact
     power xi^n otherwise.
     """
@@ -397,10 +408,13 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                 elif order is not None:
                     violations.append(
                         f"components[{idx}]: xi[{j}] is a root of unity of order {order}")
-            norms = [field.norm(el) for el in comp.xi]
+            # N(xi_i) = a_i / c_i^degree, a_i = N(y_i); prod N(xi_i)^n_i = 1 cross-multiplied
+            norms = [(_integral_norm(field.min_poly, el.num), el.den ** field.degree)
+                     for el in comp.xi]
             one = field.one()
             for n in iter_shell_points(spec.d, 0, radius):
-                if math.prod(nrm ** k for nrm, k in zip(norms, n) if k) != 1:
+                if (math.prod((a if k > 0 else c) ** abs(k) for (a, c), k in zip(norms, n))
+                        != math.prod((c if k > 0 else a) ** abs(k) for (a, c), k in zip(norms, n))):
                     continue
                 axes = [j for j, k in enumerate(n) if k]
                 if len(axes) == 1:

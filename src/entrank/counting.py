@@ -568,12 +568,14 @@ def _divides_relation(pc: CharPComponent, n: tuple[int, int]) -> bool:
     In the coordinates w = u^U with U n = (g, 0), u^n - 1 is w1^g - 1. A
     divisor of a w1-only polynomial in the Laurent ring, a UFD whose units
     are the monomials, is w1-only up to a unit. So f divides it iff f has
-    exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C.
+    exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C. The level
+    of a term u^e is (n1 e2 - n2 e1) / gcd(n), so a point is rejected on
+    its terms' cross products, before any level is built.
     """
-    g, levels = _w1_levels(pc, n)
-    if len(levels) != 1:
+    n1, n2 = n
+    if len({n1 * e2 - n2 * e1 for (e1, e2), _c in pc.generators[0].terms}) > 1:
         return False
-    c = levels[0][1]
+    g, ((_b, c),) = _w1_levels(pc, n)
     return len(_gcd_with_w1_power_minus_one(g, c, pc.q)) == len(c)
 
 

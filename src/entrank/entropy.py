@@ -20,7 +20,8 @@ from mpmath.libmp import (finf, fone, from_float, from_int, from_man_exp, fzero,
                           mpf_add, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_sum, to_float)
 
 from .action import PlacedSpec
-from .algebra import _bareiss_det, poly_derivative, poly_divexact, poly_gcd, poly_trim
+from .algebra import (_bareiss_det, discriminant, poly_derivative, poly_divexact, poly_gcd,
+                      poly_trim)
 from .errors import MathDomainError, SpecError
 from .numberfield import DEFAULT_PREC, OUTWARD, root_discs, safe_mpf_log
 
@@ -281,17 +282,20 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     """m(P) = log|lc(P)| + sum over roots of log max(1, |root|).
 
     P splits into squarefree parts S_k with P = lc * prod S_k^k (Yun), so
-    every root search is over simple roots. Roots come from an exact-integer
-    Durand-Kerner iteration, started from a double-precision solve of S_k
-    scaled by its root bound 2^s, with proven Weierstrass inclusion discs
-    (numberfield.root_discs, which the embeddings of a field share): centre
-    (a + ib) 2^-E and radius r 2^-E in integers. All sums are raw libmp at
-    prec bits, rounded to nearest, with |z_i| rounded to prec bits before
-    max(1, |z_i|) and its log taken through safe_mpf_log. A connected union
-    of c discs holds exactly c roots, so the roots and the approximations
-    pair up with |root| - |z_i| at most twice the sum R of the radii;
-    log max(1, .) is 1-Lipschitz, so the estimate is off by at most
-    k * 2 deg(S_k) R for each part, a proven error bound. The precision
+    every root search is over simple roots. A monic P whose discriminant
+    (cached by P, so a field's minimal polynomial reads the one its
+    irreducibility test took) is nonzero is squarefree and primitive, its
+    own one part, and skips Yun's gcds in Z[x]. Roots come from an
+    exact-integer Durand-Kerner iteration, started from a double-precision
+    solve of S_k scaled by its root bound 2^s, with proven Weierstrass
+    inclusion discs (numberfield.root_discs, which the embeddings of a field
+    share): centre (a + ib) 2^-E and radius r 2^-E in integers. All sums are
+    raw libmp at prec bits, rounded to nearest, with |z_i| rounded to prec
+    bits before max(1, |z_i|) and its log taken through safe_mpf_log. A
+    connected union of c discs holds exactly c roots, so the roots and the
+    approximations pair up with |root| - |z_i| at most twice the sum R of
+    the radii; log max(1, .) is 1-Lipschitz, so the estimate is off by at
+    most k * 2 deg(S_k) R for each part, a proven error bound. The precision
     doubles until the bound meets the target. The iteration's grid is
     2^-(prec + 60) for roots of any size up to 2^s and as many bits below
     the bound when s < 0, so huge roots (10^400 + x^2) and tiny ones
@@ -309,7 +313,8 @@ def mahler_measure(coeffs) -> MahlerMeasure:
     while p[low] == 0:
         low += 1  # factors of x contribute nothing
     p = [int(c) for c in p[low:]]
-    parts = _squarefree_parts(p) if len(p) > 1 else []
+    monic_squarefree = len(p) > 1 and p[-1] == 1 and discriminant(p) != 0
+    parts = [(tuple(p), 1)] if monic_squarefree else _squarefree_parts(p) if len(p) > 1 else []
     prec = DEFAULT_PREC
     while True:
         total, bound = safe_mpf_log(from_int(abs(p[-1])), prec, "n"), fzero

@@ -5,11 +5,11 @@ basis, x = (a_0 + a_1 theta + ... + a_(d-1) theta^(d-1)) / c, in lowest
 terms, so equal values compare and hash equal. Products and characteristic
 polynomials share one integer multiply-and-reduce modulo the monic minimal
 polynomial. Each element's characteristic polynomial is computed once and
-cached; placement's support primes, the inverse (by Cayley-Hamilton, in
-integers, which powers cache), root_of_unity_order's norm test and
-mixing_check's norms all read it. Norms and valuations share one integer
-norm, algebra.resultant: the d x d determinant of multiplication by the
-element, and for each lifted block's share the deg F_v x deg F_v one.
+cached in integers; placement's support primes, the inverse (by
+Cayley-Hamilton, in integers, which powers cache) and root_of_unity_order's
+integrality test all read it. Norms and valuations share one integer norm,
+algebra.resultant: the d x d determinant of multiplication by the element,
+and for each lifted block's share the deg F_v x deg F_v one.
 
 Normalization fixes the Artin-Whaples product formula: real places contribute
 |sigma(x)|, complex places |sigma(x)|^2, and a finite place v above p with
@@ -38,7 +38,8 @@ support its place was found with.
 Archimedean data carries proven error radii, in integers from root isolation
 on. The roots of the minimal polynomial, refined from a double-precision
 start by Durand-Kerner sweeps on Gaussian integers until no root moves by
-more than one unit, sit in Weierstrass inclusion discs told apart exactly:
+more than one unit (one sweep per real root and per conjugate pair where
+the starts pair up), sit in Weierstrass inclusion discs told apart exactly:
 centre (a + ib) 2^-E and radius r 2^-E, integers at the finest scale E their
 radii need, each radius rounded up once. An Embedding keeps those integers,
 and embedding i names one root at every precision. An embedding's value
@@ -76,6 +77,7 @@ from .polyfactor import (
     gf_gcd,
     gf_mul,
     gf_prod,
+    gf_rem,
     gf_squarefree_parts,
     gf_sub,
     hensel_lift_factors,
@@ -171,11 +173,13 @@ class NumberField:
         """Multiplicative order when x is a root of unity, else None.
 
         A root of unity is an algebraic integer of norm +-1, so x is none
-        when charpoly(x), read from the one cached computation, is not
-        integral or has a constant term other than +-1; otherwise the
-        candidate orders are tried by exact powers."""
-        cp = self.charpoly(x)
-        if abs(cp[0]) != 1 or any(c.denominator != 1 for c in cp):
+        when charpoly(x) = sum b_j / c^(n-j) X^j, with b from the one cached
+        computation, is not integral or has a constant term other than +-1,
+        tested on the integers b_j and c; otherwise the candidate orders are
+        tried by exact powers."""
+        b, _powers = _charpoly_core(x.num, self.min_poly)
+        n = self.degree
+        if abs(b[0]) != x.den ** n or any(c % x.den ** (n - j) for j, c in enumerate(b)):
             return None
         for n in unity_order_candidates(self.degree):
             if self.pow(x, n) == self.one():
@@ -359,16 +363,22 @@ def _root_scale(coeffs: tuple[int, ...]) -> int:
                 for k, c in enumerate(reversed(coeffs[:-1]), 1) if c), default=0)
 
 
+def _float_coeffs(coeffs: tuple[int, ...], s: int) -> list[float]:
+    """The ascending coefficients of g(y) = f(2^s y) / (lc 2^(s n)) as
+    doubles, by exact integer shifts and one int/int division each."""
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    return [(c << (s * (i - n))) / lead if s < 0 else c / (lead << (s * (n - i)))
+            for i, c in enumerate(coeffs)]
+
+
 def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[complex]:
     """y_i with z_i = 2^s y_i starting points for the roots z_i of f:
-    Durand-Kerner in double precision on g(y) = f(2^s y) / (lc 2^(s n)) for
+    Durand-Kerner in double precision on g = _float_coeffs(f, s) for
     s = _root_scale(f), whose coefficients are below 1 in size and whose
     roots are below 2, so that huge or tiny roots of f neither overflow nor
     underflow. Only the starts come from floats; root_discs refines them in
     exact integers."""
-    n, lead = len(coeffs) - 1, coeffs[-1]
-    b = [(c << (s * (i - n))) / lead if s < 0 else c / (lead << (s * (n - i)))
-         for i, c in enumerate(coeffs)]
+    n, b = len(coeffs) - 1, _float_coeffs(coeffs, s)
     fixed = [(0.4 + 0.9j) ** k for k in range(n)]  # the classical Durand-Kerner start
     zs = fixed[:]
     for _ in range(100):
@@ -388,6 +398,33 @@ def _float_root_starts(coeffs: tuple[int, ...], s: int) -> list[complex]:
         if moved < 2.0 ** -40:  # the last step, quadratic, left about 2^-53
             break
     return zs if all(cmath.isfinite(z) for z in zs) else fixed
+
+
+def _conjugate_twins(coeffs: tuple[int, ...], s: int, ys: list[complex]) -> list[int] | None:
+    """t with y_t the start that mirrors y_i (t_i = i for a real root), or
+    None unless the starts pair up cleanly: t_i, the start nearest
+    conj(y_i), is an involution with |y_t - conj(y_i)| <= rho_i + rho_t, and
+    the discs of radius 3 rho_i are pairwise disjoint, for the Weierstrass
+    radii rho_i = n |g(y_i)| / |prod_{j != i} (y_i - y_j)| in doubles, |g|
+    raised by 4 n 2^-53 sum |b_k y_i^k| for rounding. Up to that rounding
+    the root near y_t is then the conjugate of the root near y_i; two real
+    starts near a complex pair have radii as large as their distance."""
+    n, b = len(ys), _float_coeffs(coeffs, s)
+    radii = []
+    for i, y in enumerate(ys):
+        val, size = 0j, 0.0
+        for c in reversed(b):
+            val, size = val * y + c, size * abs(y) + abs(c)
+        prod = math.prod(y - w for j, w in enumerate(ys) if j != i)
+        if not prod:
+            return None
+        radii.append(n * (abs(val) + 4 * n * 2.0 ** -53 * size) / abs(prod))
+    twins = [min(range(n), key=lambda j: abs(ys[j] - y.conjugate())) for y in ys]
+    if all(twins[t] == i and abs(ys[t] - ys[i].conjugate()) <= radii[i] + radii[t]
+           for i, t in enumerate(twins)) and all(
+            abs(ys[i] - ys[j]) > 3 * (radii[i] + radii[j]) for i in range(n) for j in range(i)):
+        return twins
+    return None
 
 
 def _horner(coeffs, a: int, b: int, scale: int) -> tuple[int, int]:
@@ -413,6 +450,37 @@ def _sweep_cap(n: int, s: int, scale: int) -> int:
     return (n - 1) * (max(s, 0) + scale) + 64
 
 
+def _durand_kerner(coeffs: tuple[int, ...], ws: list[tuple[int, int]], twins: list[int],
+                   scale: int, cap: int) -> list[tuple[int, int]] | None:
+    """root_discs' sweeps on the Gaussian integers ws, in place, until a
+    sweep would move none by more than one unit: that sweep's (|F_i|^2,
+    |P_i|^2) for every i, or None after cap sweeps. Only w_i with twins[i]
+    >= i are iterated; w_t for t = twins[i] > i is kept at conj(w_i)."""
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    reps = [i for i, t in enumerate(twins) if t >= i]
+    for _ in range(cap):
+        fps, steps = [None] * n, []
+        for i in reps:
+            a, b = ws[i]
+            fr, fi = _horner(coeffs, a, b, scale)
+            pr, pi = lead, 0
+            for j, (c, d) in enumerate(ws):
+                if j != i:
+                    pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
+            den = pr * pr + pi * pi
+            fps[i] = fps[twins[i]] = (fr * fr + fi * fi, den)
+            # the nearest Gaussian integer to F_i conj(P_i) / |P_i|^2
+            steps.append(((2 * (fr * pr + fi * pi) + den) // (2 * den),
+                          (2 * (fi * pr - fr * pi) + den) // (2 * den)) if den else (0, 0))
+        if all(-1 <= u <= 1 and -1 <= v <= 1 for u, v in steps):
+            return fps
+        for i, (u, v) in zip(reps, steps):
+            a, b = ws[i][0] - u, ws[i][1] - v
+            ws[twins[i]] = (a, -b)  # the mirror; for twins[i] = i overwritten next
+            ws[i] = (a, b)
+    return None
+
+
 @functools.lru_cache(maxsize=1024)
 def root_discs(coeffs: tuple[int, ...], prec: int
                ) -> tuple[int, tuple[tuple[int, int, int | None], ...]]:
@@ -430,39 +498,40 @@ def root_discs(coeffs: tuple[int, ...], prec: int
     z_j) and moves every w_i by the nearest Gaussian integer to F_i / P_i,
     so the Weierstrass step is exact up to that rounding; P_i = 0 leaves w_i
     where it is. The sweep in which no root would move by more than one unit
-    in either coordinate moves none and is the last. After _sweep_cap
-    sweeps, ResourceLimitError. By Braess-Hadeler (Numer. Math. 21, 1973)
-    the discs hold every root, and a connected union of m of them holds
-    exactly m, however the approximations were found; the last sweep's F_i
+    in either coordinate moves none and is the last.
+
+    Where the double-precision starts pair up (_conjugate_twins), the
+    sweeps run on one approximation per real root and per conjugate pair
+    and mirror the rest: f is real, so while the w_j are closed under
+    conjugation, F and P at conj(w_i) are the conjugates of F_i and P_i,
+    and at a w_i on the axis they are real, so its step stays there.
+    Elsewhere, or if those sweeps reach _sweep_cap, every start is iterated
+    on its own; after _sweep_cap of those, ResourceLimitError.
+
+    By Braess-Hadeler (Numer. Math. 21, 1973) the discs hold every root, and
+    a connected union of m of them holds exactly m, however the
+    approximations were found, mirrored ones included; the last sweep's F_i
     and P_i give r_i, from one ceiling division and one ceiling isqrt, at
     most a relative 2^-(prec + 40) above the exact radius, and P_i = 0
     gives r_i = None, infinite. E is the finest scale at which every r_i is
     exact. Embeddings and Mahler measures of the same polynomial share this
     cache.
     """
-    n, lead = len(coeffs) - 1, coeffs[-1]
+    n = len(coeffs) - 1
     s = _root_scale(coeffs)
     scale = prec + 60 - min(s, 0)
-    ws = [tuple(_scaled(from_float(c), s + scale, "n") for c in (y.real, y.imag))
-          for y in _float_root_starts(coeffs, s)]
-    for _ in range(_sweep_cap(n, s, scale)):
-        fps, steps = [], []
-        for i, (a, b) in enumerate(ws):
-            fr, fi = _horner(coeffs, a, b, scale)
-            pr, pi = lead, 0
-            for j, (c, d) in enumerate(ws):
-                if j != i:
-                    pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
-            den = pr * pr + pi * pi
-            fps.append((fr * fr + fi * fi, den))
-            if den:  # nearest Gaussian integer to F_i conj(P_i) / |P_i|^2
-                steps.append(((2 * (fr * pr + fi * pi) + den) // (2 * den),
-                              (2 * (fi * pr - fr * pi) + den) // (2 * den)))
-            else:
-                steps.append((0, 0))
-        if all(-1 <= u <= 1 and -1 <= v <= 1 for u, v in steps):
+    ys = _float_root_starts(coeffs, s)
+    ws = [tuple(_scaled(from_float(c), s + scale, "n") for c in (y.real, y.imag)) for y in ys]
+    attempts = [(list(range(n)), ws)]  # every start on its own, as a fallback
+    twins = _conjugate_twins(coeffs, s, ys)
+    if twins:  # reals on the axis, and each pair's second start the first's mirror
+        attempts.insert(0, (twins, [(a, 0) if t == i else (ws[t][0], -ws[t][1]) if t < i
+                                    else (a, b) for i, (t, (a, b)) in enumerate(zip(twins, ws))]))
+    for twins, starts in attempts:
+        ws = list(starts)
+        fps = _durand_kerner(coeffs, ws, twins, scale, _sweep_cap(n, s, scale))
+        if fps is not None:
             break
-        ws = [(a - u, b - v) for (a, b), (u, v) in zip(ws, steps)]
     else:
         bits = max(abs(c).bit_length() for c in coeffs)
         raise ResourceLimitError(f"root isolation of a degree-{n} polynomial with coefficients "
@@ -631,7 +700,7 @@ def support_mod_p(field: NumberField, p: int, xs) -> tuple[int, ...] | None:
     fbar = gf_from_int_poly(field.min_poly, p)
     acc = [1]
     for x in xs:
-        acc = gf_divmod(gf_mul(acc, gf_from_int_poly(x.num, p), p), fbar, p)[1]
+        acc = gf_rem(gf_mul(acc, gf_from_int_poly(x.num, p), p), fbar, p)
     return tuple(acc)
 
 
@@ -731,7 +800,7 @@ def valuations_above(field: NumberField, p: int, x: Element,
         raise ConsistencyError("integral part of element has norm 0")
     v_total = ord_p(nrm, p)
     abar = gf_from_int_poly(x.num, p)
-    meets = [v_total > 0 and not gf_divmod(abar, list(gbar), p)[1] for gbar, _e in split.factors]
+    meets = [v_total > 0 and not gf_rem(abar, gbar, p) for gbar, _e in split.factors]
     meets += [v_total > 0 and len(gf_gcd(list(cof), abar, p)) > 1
               for cof in split.blocks[len(split.factors):]]
     if v_total == 0 or sum(meets) == 1:

@@ -79,12 +79,17 @@ def gf_mul(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
         return []
     if min(len(f), len(g)) >= KRONECKER_MIN_LEN:
         return _gf_mul_kronecker(f, g, p)
+    return gf_trim([c % p for c in _schoolbook(f, g)])
+
+
+def _schoolbook(f: GfPoly, g: GfPoly) -> list[int]:
+    """f g over Z, untrimmed."""
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    return gf_trim([c % p for c in out])
+    return out
 
 
 def _gf_mul_kronecker(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
@@ -111,23 +116,33 @@ def gf_prod(fs, p: int) -> GfPoly:
 
 
 def gf_divmod(f: GfPoly, g: GfPoly, p: int) -> tuple[GfPoly, GfPoly]:
+    """(quotient, remainder) of f by g, as gf_rem reduces."""
     if not g:
         raise MathDomainError("division by zero polynomial")
-    f = f[:]
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    while len(f) >= len(g):
-        c = f[-1] * inv % p
-        k = len(f) - len(g)
+    n, inv = len(g) - 1, pow(g[-1], -1, p)
+    r, q = list(f), [0] * max(0, len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n] * inv % p
         if c:
-            q[k] = c
-            for i, b in enumerate(g):
-                f[k + i] = (f[k + i] - c * b) % p
-        f.pop()
-        gf_trim(f)
-        if not f:
-            break
-    return gf_trim(q), gf_trim(f)
+            for i in range(n):
+                r[k + i] -= c * g[i]
+    return gf_trim(q), gf_trim([c % p for c in r[:n]])
+
+
+def gf_rem(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
+    """f mod g, with no quotient built. The leading coefficient of g is a
+    unit; each coefficient of f is reduced once, the top one as it is
+    divided out and the rest at the end, so f may hold any integers."""
+    if not g:
+        raise MathDomainError("division by zero polynomial")
+    n, inv = len(g) - 1, pow(g[-1], -1, p)
+    r = list(f)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] * inv % p
+        if c:
+            for i in range(n):
+                r[k + i] -= c * g[i]
+    return gf_trim([c % p for c in r[:n]])
 
 
 def gf_monic(f: GfPoly, p: int) -> GfPoly:
@@ -139,19 +154,25 @@ def gf_monic(f: GfPoly, p: int) -> GfPoly:
 
 def gf_gcd(f: GfPoly, g: GfPoly, p: int) -> GfPoly:
     while g:
-        f, g = g, gf_divmod(f, g, p)[1]
+        f, g = g, gf_rem(f, g, p)
     return gf_monic(f, p)
 
 
 def gf_pow_mod(f: GfPoly, e: int, mod: GfPoly, p: int) -> GfPoly:
-    out = [1]
-    f = gf_divmod(f, mod, p)[1]
-    while e:
+    """f^e mod mod, squaring only while bits of e are left: e = 1 is one
+    reduction. Below Kronecker's length the products stay over Z, so that
+    gf_rem reduces each of their coefficients once."""
+    if not e:
+        return [1]
+    f, out = gf_rem(f, mod, p), None
+    mul = _schoolbook if len(mod) <= KRONECKER_MIN_LEN else functools.partial(gf_mul, p=p)
+    while True:
         if e & 1:
-            out = gf_divmod(gf_mul(out, f, p), mod, p)[1]
-        f = gf_divmod(gf_mul(f, f, p), mod, p)[1]
+            out = f if out is None else gf_rem(mul(out, f), mod, p)
         e >>= 1
-    return out
+        if not e:
+            return out
+        f = gf_rem(mul(f, f), mod, p)
 
 
 def gf_derivative(f: GfPoly, p: int) -> GfPoly:
@@ -210,7 +231,7 @@ def gf_distinct_degree(f: GfPoly, p: int) -> list[tuple[GfPoly, int]]:
         if len(g) > 1:
             out.append((g, d))
             f = gf_divmod(f, g, p)[0]
-            h = gf_divmod(h, f, p)[1]
+            h = gf_rem(h, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out

@@ -437,3 +437,26 @@ def test_one_generator_membership_matches_groebner():
         assert got == want, pc
         planted += len(got)
     assert planted >= 20, planted
+
+
+def test_membership_rejects_on_cross_products_before_building_levels(monkeypatch):
+    # _divides_relation against the levels route it replaced, at every
+    # |n| <= 12 of the seeded one-generator ideals and of planted members
+    # 1 + u^m over F_2; the levels are built only at the points with one
+    counting = entrank.counting
+    w1_levels = counting._w1_levels
+    comps = _one_generator_components(77, 20) + [
+        CharPComponent(q=2, d=2, generators=(LaurentPolynomial(
+            terms=(((1, -2), 1), ((1 + m1, m2 - 2), 1))),)) for m1, m2 in ((1, 0), (2, -1), (1, 3))]
+    built, members = [], 0
+    monkeypatch.setattr(counting, "_w1_levels", lambda pc, n: built.append(n) or w1_levels(pc, n))
+    for pc in comps:
+        for n in iter_shell_points(2, 0, 12):
+            g, levels = w1_levels(pc, n)
+            want = len(levels) == 1 and len(counting._gcd_with_w1_power_minus_one(
+                g, levels[0][1], pc.q)) == len(levels[0][1])
+            built.clear()
+            assert counting._divides_relation(pc, n) == want, (pc, n)
+            assert built == ([n] if len(levels) == 1 else [])
+            members += want
+    assert members >= 20

@@ -392,6 +392,30 @@ def test_mahler_multiplicative():
         assert abs(mpq.value - mp_.value - mq.value) < 1e-8
 
 
+def test_mahler_early_exit_equals_yuns_route(monkeypatch):
+    # a monic P with a nonzero discriminant is its own one squarefree part:
+    # on seeded monic squarefree polynomials of degree 1..8 Yun's route
+    # gives that part, and with the early exit switched off (discriminant
+    # read as 0) the measure and its bound are the same
+    import entrank.entropy as entropy
+
+    rng = random.Random(515)
+    polys = []
+    while len(polys) < 60:
+        p = [rng.randint(-4, 4) for _ in range(rng.randint(1, 8))] + [1]
+        if p[0] and len(entropy.poly_gcd(p, entropy.poly_derivative(p))) == 1:
+            polys.append(p)
+    calls = []
+    yun = entropy._squarefree_parts
+    monkeypatch.setattr(entropy, "_squarefree_parts", lambda p: calls.append(p) or yun(p))
+    fast = [mahler_measure(p) for p in polys]
+    assert calls == []
+    assert all(yun(p) == [(tuple(p), 1)] for p in polys)
+    monkeypatch.setattr(entropy, "discriminant", lambda p: 0)
+    assert [mahler_measure(p) for p in polys] == fast
+    assert len(calls) == len(polys)
+
+
 @pytest.mark.parametrize("poly", [[-1, -1, 1], [1, 1, 1, 1, 1, 1, 1]])  # x^2 - x - 1, Phi_7
 def test_mahler_doubles_precision_until_the_bound_meets_the_target(monkeypatch, poly):
     import entrank.entropy as entropy

@@ -393,6 +393,145 @@ def test_log_sigma_ball_cut_matches_the_uncut_ball():
     assert total >= 700 and cut >= 0.9 * total
 
 
+def _full_root_discs(coeffs, prec):
+    """root_discs as it was before each conjugate pair was iterated once:
+    every start on its own, with the same sweeps, stop and radii."""
+    import entrank.numberfield as nf
+    from mpmath.libmp import from_float
+
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    s = nf._root_scale(coeffs)
+    scale = prec + 60 - min(s, 0)
+    ws = [tuple(nf._scaled(from_float(c), s + scale, "n") for c in (y.real, y.imag))
+          for y in nf._float_root_starts(coeffs, s)]
+    for _ in range(nf._sweep_cap(n, s, scale)):
+        fps, steps = [], []
+        for i, (a, b) in enumerate(ws):
+            fr, fi = nf._horner(coeffs, a, b, scale)
+            pr, pi = lead, 0
+            for j, (c, d) in enumerate(ws):
+                if j != i:
+                    pr, pi = pr * (a - c) - pi * (b - d), pr * (b - d) + pi * (a - c)
+            den = pr * pr + pi * pi
+            fps.append((fr * fr + fi * fi, den))
+            steps.append(((2 * (fr * pr + fi * pi) + den) // (2 * den),
+                          (2 * (fi * pr - fr * pi) + den) // (2 * den)) if den else (0, 0))
+        if all(-1 <= u <= 1 and -1 <= v <= 1 for u, v in steps):
+            break
+        ws = [(a - u, b - v) for (a, b), (u, v) in zip(ws, steps)]
+    else:
+        raise AssertionError(f"the full iteration did not converge on {coeffs}")
+    radii = [nf._sqrt_ratio_up(n * n * f2, p2 << 2 * scale, prec + 40) if p2 else None
+             for f2, p2 in fps]
+    fine = max([scale] + [t for _root, t in filter(None, radii)])
+    return fine, tuple((a << (fine - scale), b << (fine - scale),
+                        None if r is None else r[0] << (fine - r[1]))
+                       for (a, b), r in zip(ws, radii))
+
+
+def _near_real_pair(k: int) -> tuple[int, ...]:
+    """x^2 - 2 10^k x + 10^(2k) + 1, with roots 10^k +- i."""
+    return (10 ** (2 * k) + 1, -2 * 10**k, 1)
+
+
+def _symmetric_cases():
+    """Seeded squarefree integer polynomials of degree 2..8, monic and not,
+    then nearly-real pairs, a tight cluster, and the tiny-root and huge-root
+    polynomials of the CI's Mahler checks."""
+    rng = random.Random(4242)
+    cases = []
+    while len(cases) < 60:
+        f = [rng.randint(-6, 6) for _ in range(rng.randint(2, 8))] + [rng.choice((1, 1, -2, 3))]
+        if f[0] and len(poly_gcd(f, poly_derivative(f))) == 1:
+            cases.append(tuple(f))
+    seeded = len(cases)
+    cases += [_near_real_pair(k) for k in (1, 3, 6, 8, 20)]
+    cases.append((-2, 200, -5000, 0, 0, 0, 0, 0, 1))  # x^8 - 2(50x - 1)^2: 1/50 +- 6e-9
+    cases.append((-3 * 10**30, 3 + 4 * 10**330, -4 * 10**300 - 10**630, 10**600))
+    cases.append((-4 * 10**600, 2 + 6 * 10**900, -3 * 10**300 - 2 * 10**1200, 10**600))
+    return seeded, cases
+
+
+def test_symmetric_iteration_matches_the_full_one():
+    # where the float starts pair up, every complex disc has its exact
+    # mirror, every real-root disc is centred on the axis, and each disc
+    # meets exactly one disc of the full iteration; elsewhere root_discs is
+    # the full iteration
+    import entrank.numberfield as nf
+
+    seeded, cases = _symmetric_cases()
+    paired = 0
+    for k, coeffs in enumerate(cases):
+        s = nf._root_scale(coeffs)
+        twins = nf._conjugate_twins(coeffs, s, nf._float_root_starts(coeffs, s))
+        scale, discs = nf.root_discs(coeffs, nf.DEFAULT_PREC)
+        full_scale, full = _full_root_discs(coeffs, nf.DEFAULT_PREC)
+        if twins is None:  # the same loop as the oracle's
+            assert (scale, discs) == (full_scale, full), coeffs
+            continue
+        paired += k < seeded
+        for i, ((a, b, r), t) in enumerate(zip(discs, twins)):
+            assert discs[t] == (a, -b, r) and (t == i) == (b == 0), coeffs
+        top = max(scale, full_scale)
+        mine = [[v if v is None else v << (top - scale) for v in d] for d in discs]
+        theirs = [[v if v is None else v << (top - full_scale) for v in d] for d in full]
+        for d in mine:
+            assert sum(not nf._discs_disjoint([d, e]) for e in theirs) == 1, coeffs
+    assert paired >= 0.9 * seeded
+    # floats cannot tell 10^8 +- i from a double root: both routes iterate every start
+    near = _near_real_pair(8)
+    assert nf._conjugate_twins(near, nf._root_scale(near), nf._float_root_starts(
+        near, nf._root_scale(near))) is None
+
+
+def test_mirrored_sweeps_past_the_cap_fall_back_to_the_full_iteration(monkeypatch):
+    # with one sweep allowed to the mirrored route, which needs more from
+    # double-precision starts, root_discs iterates every start on its own
+    import entrank.numberfield as nf
+
+    coeffs, caps, attempts = (3, 1, 0, -2, 1), [1], []
+    sweep_cap, sweeps = nf._sweep_cap, nf._durand_kerner
+
+    def recording(coeffs, ws, twins, scale, cap):
+        out = sweeps(coeffs, ws, twins, scale, cap)
+        attempts.append((list(twins), out is None))
+        return out
+
+    monkeypatch.setattr(nf, "_sweep_cap", lambda *a: caps.pop() if caps else sweep_cap(*a))
+    monkeypatch.setattr(nf, "_durand_kerner", recording)
+    assert nf.root_discs.__wrapped__(coeffs, nf.DEFAULT_PREC) == _full_root_discs(
+        coeffs, nf.DEFAULT_PREC)
+    (twins, failed), (plain, converged) = attempts
+    assert twins != plain == [0, 1, 2, 3] and failed and not converged
+
+
+def test_log_sigma_ball_matches_the_full_iteration_route(monkeypatch):
+    # seeded elements of fields of degree 2..8 and of Q(i) as x^2 - 2 10^k x
+    # + 10^(2k) + 1: the balls at 128 and 256 bits are the ones the full
+    # iteration's embeddings give
+    import functools
+
+    import entrank.numberfield as nf
+
+    rng = random.Random(977)
+    fields = _seeded_fields(977, 24, 8) + [build_field(_near_real_pair(k)) for k in (3, 20)]
+    cases = []
+    for field in fields:
+        x = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(field.degree)])
+        if x.is_zero():
+            continue
+        for y in (x, field.pow(x, rng.randint(2, 30))):
+            cases += [(place, y, prec) for place in archimedean_places(field)
+                      for prec in (128, 256)]
+    balls = [nf.log_sigma_ball.__wrapped__(*case) for case in cases]
+    monkeypatch.setattr(nf, "root_discs", functools.lru_cache(maxsize=None)(_full_root_discs))
+    monkeypatch.setattr(nf, "embeddings", functools.lru_cache(maxsize=None)(
+        nf.embeddings.__wrapped__))
+    assert [nf.log_sigma_ball.__wrapped__(*case) for case in cases] == balls
+    assert len(cases) >= 200
+
+
 def test_build_field_rejects_reducible():
     with pytest.raises(SpecError):
         build_field([-1, 0, 1])  # t^2 - 1
@@ -863,6 +1002,48 @@ def test_squarefree_shortcut_is_the_full_split(monkeypatch):
     assert squarefree >= 0.8 * len(cases) and shortcut.count("unsupported") >= 20
     with pytest.raises(UnsupportedPrimeError):  # 2 divides [O_K : Z[sqrt -3]]
         nf._local_split.__wrapped__(build_field([3, 0, 1]), 2, None)
+
+
+def test_support_primes_read_in_integers_match_the_fractions():
+    # placement reads the denominators of charpoly(xi) and charpoly(1/xi)
+    # off the cached integer core; the Fraction reading gives the same primes
+    from entrank.action import _support_primes
+
+    checked = 0
+    for seed in ("1.0", "2.0"):
+        for field, xs in _sweep_components(seed):
+            denominators = {c.denominator for x in xs for c in field.charpoly(x)}
+            denominators |= {(c / field.charpoly(x)[0]).denominator
+                             for x in xs for c in field.charpoly(x)}
+            want = sorted({q for den in denominators for q in factor_int(den)})
+            assert _support_primes(field, xs) == want
+            checked += len(want) > 0
+    assert checked >= 200
+
+
+def test_root_of_unity_order_reads_integers():
+    # (-1 + theta)/2 and (1 + theta)/2 in Q(sqrt -3) are integral over a
+    # denominator 2, of orders 3 and 6; (1 + theta)/2 in Q(sqrt 5) is an
+    # integral unit of norm -1 but no root of unity
+    sqrt_m3, sqrt_5 = build_field([3, 0, 1]), build_field([-5, 0, 1])
+    assert sqrt_m3.root_of_unity_order(sqrt_m3.element([Fraction(-1, 2), Fraction(1, 2)])) == 3
+    assert sqrt_m3.root_of_unity_order(sqrt_m3.element([Fraction(1, 2), Fraction(1, 2)])) == 6
+    golden = sqrt_5.element([Fraction(1, 2), Fraction(1, 2)])
+    assert [c.denominator for c in sqrt_5.charpoly(golden)] == [1, 1, 1]
+    assert sqrt_5.charpoly(golden)[0] == -1 and sqrt_5.root_of_unity_order(golden) is None
+    zeta5 = build_field([1, 1, 1, 1, 1])
+    assert zeta5.root_of_unity_order(zeta5.element([0, -1, 0, 0])) == 10
+    # seeded: None wherever the Fraction charpoly is not integral or its
+    # constant term is not +-1
+    rng = random.Random(12)
+    for field in _seeded_fields(12, 40, 8):
+        x = field.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                           for _ in range(field.degree)])
+        if x.is_zero():
+            continue
+        cp = field.charpoly(x)
+        if abs(cp[0]) != 1 or any(c.denominator != 1 for c in cp):
+            assert field.root_of_unity_order(x) is None
 
 
 def test_dedekind_criterion_holds_where_p_squared_misses_the_discriminant():
