@@ -351,6 +351,11 @@ class CheckReport:
     violations: tuple[str, ...]
 
 
+def _check_radius(r: float) -> None:
+    if not (r >= 0 and math.isfinite(r * r)):
+        raise MathDomainError(f"radius must be a number >= 0 with a finite square, got {r}")
+
+
 def iter_shell_points(d: int, r_min: float, r_max: float) -> Iterator[tuple[int, ...]]:
     """One representative of each +-n pair, n != 0, with r_min <= |n|_2 <= r_max:
     the one whose first nonzero entry is positive. Yielded in the order
@@ -358,8 +363,7 @@ def iter_shell_points(d: int, r_min: float, r_max: float) -> Iterator[tuple[int,
     taking the first m points visits only the shells they lie in.
     """
     for r in (r_min, r_max):
-        if not (r >= 0 and math.isfinite(r * r)):
-            raise MathDomainError(f"radius must be a number >= 0 with a finite square, got {r}")
+        _check_radius(r)
     lo, top = max(math.ceil(r_min * r_min), 1), math.floor(r_max * r_max)
     for k in range(math.isqrt(lo), math.isqrt(top) + 1):  # shell k: k^2 <= |n|^2 < (k + 1)^2
         yield from _points_with_square_norm_in(d, max(lo, k * k), min((k + 1) ** 2 - 1, top))
@@ -395,8 +399,10 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     of the integral parts (cached where placement's guard read them), so
     only the n that pass this exact test are tried: by the orders
     root_of_unity_order found when n has one nonzero entry, by the exact
-    power xi^n otherwise.
+    power xi^n otherwise. In char p with d <= 2, a finite quotient R/J of
+    dimension D > 0 is one violation, for no particular n.
     """
+    _check_radius(radius)
     violations: list[str] = []
     for idx, (comp, _mult) in enumerate(spec.components):
         if isinstance(comp, Char0Component):
@@ -425,8 +431,13 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
                 if unity:
                     violations.append(f"components[{idx}]: xi^{n} = 1")
         else:
-            from .counting import charp_membership_violations
+            from .counting import charp_membership_violations, finite_quotient_dim
 
+            dim = finite_quotient_dim(comp)
+            if dim:
+                violations.append(f"components[{idx}]: finite quotient of dimension {dim}: "
+                                  "not mixing")
+                continue
             for n in charp_membership_violations(comp, radius):
                 violations.append(f"components[{idx}]: u^{n} - 1 lies in the ideal")
     return CheckReport(name="mixing", passed=not violations,

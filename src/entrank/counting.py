@@ -19,8 +19,8 @@ exact, an isomorphism of quotients followed by exact arithmetic over F_q.
   non-unit factor h would leave R/(h), of dimension 1, as a quotient; so x
   is a non-zero-divisor on M = R/(f) and each x^i M / x^(i+1) M is M / xM.
   If R/(f, x) is infinite, (f, x^(q^j)) lies in (h) and the count at n is
-  infinite too. Neither step holds elsewhere: in d = 1, (1 + u)^2 over F_2
-  has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
+  infinite too. Neither step holds for a finite quotient: in d = 1, (1 + u)^2
+  over F_2 has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
   1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
 
   Then a closed form at m (Lind-Schmidt-Ward 1990; Einsiedler-Lind 2004).
@@ -40,19 +40,24 @@ exact, an isomorphism of quotients followed by exact arithmetic over F_q.
   1, C_b0, ..., C_bj). So each step of that gcd chain drops deg G_j times
   the gap to the next level, and likewise from the bottom. A G_j left after
   the last level is a root shared by every level: the count is infinite.
-- d <= 2 elsewhere (several generators, and d = 1): the Fitting ideal
-  (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A unimodular change of
-  coordinates, sheared if need be, sends n to (g, 0), so the quotient is a
-  finitely generated module over the PID A = F_q[w2^+-], presented over
-  A[w1]/(m) = A^D for a modulus m whose leading w1-coefficient is a unit.
-  dim is the Laurent span of the gcd of the maximal minors, from a column
-  Hermite form over F_q[w2], a Euclid loop whose column operations keep
-  the ideal of maximal minors; the count is infinite exactly when that gcd
-  is 0. d = 1 is the d = 2 quotient by u2 - 1, at (n, 0).
+- d = 2 with any generators: one exact sequence (Lind-Schmidt-Ward 1990;
+  Schmidt 1995, Ch. II; Einsiedler-Lind 2004). Let G be the gcd of the
+  generators f_i up to a monomial (a primitive pseudo-remainder sequence
+  over F_q[u1][u2]) and J = (f_i / G), so I = G J and multiplication by G
+  gives 0 -> R/J -> R/I -> R/(G) -> 0. The f_i / G share no prime factor,
+  so R/J is finite, of some dimension D, and u1, u2 act on it by invertible
+  matrices U1, U2 (from one Groebner basis of J). If R/(G, x) is finite, x
+  is a non-zero-divisor on R/(G), as above, so the sequence stays exact
+  modulo x and dim = dim(R/(G), n) + D - rank(U1^n1 U2^n2 - 1). If it is
+  infinite, so is R/(I, x), which maps onto it. D > 0 means alpha is not
+  mixing: a maximal ideal m is then an associated prime of R/I, and
+  u^n - 1 lies in m for some n != 0 since R/m is finite. With D = 0,
+  I = (G), so u^n - 1 lies in I iff G divides it, read from G's levels.
+- d = 1: R is a PID, so I = (G) and dim = deg gcd(G, u^|n| - 1), or |n|
+  with no generators (G = 0; in d = 2 the count is then infinite).
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
-  same engine decides ideal membership for the mixing check, save for one
-  generator in d = 2, which reads the levels above, and is the tests'
-  cross-check for the d <= 2 routes.
+  same engine decides ideal membership for the mixing check there, builds
+  J's basis in d = 2, and is the tests' cross-check for the d <= 2 route.
 
 An independent window oracle (the same change of coordinates plus truncated
 linear algebra) cross-checks d = 2 counts.
@@ -60,19 +65,20 @@ linear algebra) cross-checks d = 2 counts.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .action import CharPComponent, PlacedComponent, PlacedSpec, iter_shell_points
+from .action import (CharPComponent, LaurentPolynomial, PlacedComponent, PlacedSpec,
+                     iter_shell_points)
 from .algebra import ord_p, ord_proven, rank_mod_q
 from .errors import ConsistencyError, MathDomainError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import Element, valuations_above
-from .polyfactor import GfPoly, gf_add, gf_divmod, gf_gcd, gf_mul, gf_pow_mod, gf_sub
+from .polyfactor import GfPoly, gf_divmod, gf_gcd, gf_mul, gf_pow_mod, gf_sub, gf_trim
 
 
 class CountResult(NamedTuple):
@@ -196,11 +202,11 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) 
 
 
 # ---------------------------------------------------------------------------
-# Char p, d <= 2: the Fitting ideal over A = F_q[w2^+-]
+# Char p, d <= 2: the gcd part
 # ---------------------------------------------------------------------------
 
 AxisPoly = dict[tuple[int, int], int]  # (w1 exponent mod g, w2 exponent) -> coefficient
-W1Poly = list[GfPoly]  # polynomial in w1, ascending, with coefficients in F_q[w2]
+BiPoly = list[GfPoly]  # polynomial in u2, ascending, with coefficients in F_q[u1]
 
 
 def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
@@ -225,24 +231,19 @@ def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int],
     return g, u
 
 
-def _axis_generators(pc: CharPComponent, n: tuple[int, ...]) -> tuple[int, list[AxisPoly]]:
-    """(g, generators) in the coordinates w = u^U that send n to (g, 0).
+def _axis_generators(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[AxisPoly]]:
+    """(g, generators) of a d = 2 component in the coordinates w = u^U that
+    send n to (g, 0).
 
     There u^n - 1 becomes w1^g - 1, so w1 exponents are reduced mod g and
     w2 exponents shifted to start at 0 (both are multiplications by units
     of the quotient). Generators that vanish after the reduction are dropped.
-    For d = 1 the ring is the d = 2 ring modulo u2 - 1, taken at (n, 0).
     """
-    gens = [gen.terms for gen in pc.generators]
-    if pc.d == 1:
-        n = (n[0], 0)
-        gens = [[((e, 0), c) for (e,), c in terms] for terms in gens]
-        gens.append([((0, 0), pc.q - 1), ((0, 1), 1)])
     g, u = _unimodular_to_axis(n)
     gens_w: list[AxisPoly] = []
-    for terms in gens:
+    for gen in pc.generators:
         mapped: AxisPoly = {}
-        for (e1, e2), c in terms:
+        for (e1, e2), c in gen.terms:
             a = u[0][0] * e1 + u[0][1] * e2
             b = u[1][0] * e1 + u[1][1] * e2
             key = (a % g, b)
@@ -253,180 +254,6 @@ def _axis_generators(pc: CharPComponent, n: tuple[int, ...]) -> tuple[int, list[
         low = min(j for (_a, j) in mapped)
         gens_w.append({(a, j - low): c for (a, j), c in mapped.items()})
     return g, gens_w
-
-
-def _w1_poly(poly: AxisPoly) -> W1Poly:
-    """poly as a polynomial in w1 over F_q[w2], divided by its lowest w1 power."""
-    low = min(a for a, _j in poly)
-    out: W1Poly = [[] for _ in range(max(a for a, _j in poly) - low + 1)]
-    for (a, j), c in poly.items():
-        coeff = out[a - low]
-        coeff.extend([0] * (j + 1 - len(coeff)))
-        coeff[j] = c
-    return out
-
-
-def _ord_w2(f: GfPoly) -> int:
-    return next(i for i, c in enumerate(f) if c)
-
-
-def _laurent_span(f: GfPoly) -> int:
-    """deg - ord_w2: the F_q-dimension of A/(f)."""
-    return len(f) - 1 - _ord_w2(f)
-
-
-def _reduce(p: W1Poly, m: W1Poly, q: int) -> tuple[W1Poly, int]:
-    """(r, s) with r = w2^s * (p mod m) in A[w1], r free of any common w2 factor.
-
-    The leading w1-coefficient of m must be a monomial c * w2^k, a unit of A;
-    each division step multiplies by the power of w2 that keeps every
-    coefficient inside F_q[w2].
-    """
-    p = list(p)
-    deg = len(m) - 1
-    k = len(m[-1]) - 1
-    inv = pow(m[-1][k], -1, q)
-    s = 0
-    while len(p) > deg:
-        top = p.pop()
-        if not top:
-            continue
-        lift = max(0, k - _ord_w2(top))
-        if lift:
-            p = [[0] * lift + c if c else c for c in p]
-            top = [0] * lift + top
-            s += lift
-        f = [c * inv % q for c in top[k:]]
-        shift = len(p) - deg
-        for i, mc in enumerate(m[:-1]):
-            p[shift + i] = gf_sub(p[shift + i], gf_mul(f, mc, q), q)
-    strip = min((_ord_w2(c) for c in p if c), default=0)
-    if strip:
-        p = [c[strip:] if c else c for c in p]
-    return p, s - strip
-
-
-def _mul(a: W1Poly, b: W1Poly, q: int) -> W1Poly:
-    out: W1Poly = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = gf_add(out[i + j], gf_mul(x, y, q), q)
-    return out
-
-
-def _w1_power_minus_one(g: int, m: W1Poly, q: int) -> W1Poly:
-    """A unit multiple of (w1^g - 1) mod m, by square-and-multiply."""
-    acc: W1Poly = [[1]]
-    e = 0  # w1^(bits so far) mod m = w2^-e * acc
-    for bit in bin(g)[2:]:
-        acc, s = _reduce(_mul(acc, acc, q), m, q)
-        e = 2 * e + s
-        if bit == "1":
-            acc, s = _reduce([[]] + acc, m, q)
-            e += s
-    # w1^g - 1 = w2^-e * (acc - w2^e)
-    if e < 0:
-        acc = [[0] * -e + c if c else c for c in acc]
-        e = 0
-    return [gf_sub(acc[0], [0] * e + [1], q)] + acc[1:]
-
-
-def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
-    """Laurent span of the gcd of the maximal minors of a rows x len(columns)
-    matrix over A, or None when that gcd is 0.
-
-    Column Hermite elimination over F_q[w2]: in each row a Euclidean loop
-    of column operations leaves one pivot column, whose diagonal entry is a
-    factor of the gcd; the other columns are zero in that row and carry on.
-    Column operations over F_q[w2] keep the ideal of maximal minors, so the
-    diagonal's product spans it. The columns still active at row i are zero
-    above it, so each Euclid step updates rows i and below only, row i
-    taking the division's remainder.
-    """
-    dim = 0
-    for i in range(rows):
-        active = [c for c in columns if c[i]]
-        columns = [c for c in columns if not c[i]]
-        if not active:
-            return None
-        while len(active) > 1:
-            active.sort(key=lambda c: len(c[i]))
-            pivot = active[0]
-            survivors = [pivot]
-            for col in active[1:]:
-                quo, rem = gf_divmod(col[i], pivot[i], q)
-                col = col[:i] + [rem] + [gf_sub(x, gf_mul(quo, y, q), q)
-                                         for x, y in zip(col[i + 1:], pivot[i + 1:])]
-                (survivors if col[i] else columns).append(col)
-            active = survivors
-        dim += _laurent_span(active[0][i])
-    return dim
-
-
-def _presentation(pc: CharPComponent, n: tuple[int, ...]) -> tuple[list[W1Poly], int] | None:
-    """(columns, rows): F_q[w1^+-, w2^+-]/(generators, w1^g - 1) as the
-    cokernel of a rows x len(columns) matrix over A = F_q[w2^+-], presented
-    over A[w1]/(m) = A^rows; None when m is a unit and the quotient is 0.
-
-    m is the shortest of w1^g - 1 and the generator lifts whose top w1-class
-    is one term, a unit of A. Each cyclic lift spans the same ideal; with the
-    classes sorted, the one cut at r_i has top r_(i-1) and degree
-    (r_(i-1) - r_i) mod g, and top r_i after w1 -> 1/w1. When k = 0 gives no
-    lift and g > 1, the shears w1^a w2^b -> w1^(a + kb) w2^b, k < t (the most
-    terms of a generator), are tried too: U's second row added k times to its
-    first keeps U n = (g, 0). Bound: fix a term w1^a0 w2^b0 of a generator of
-    t terms and w2-span B. Another term w1^a w2^b joins its class under shear
-    k iff k (b - b0) = a0 - a mod g: never if b = b0, else for k spaced at
-    least g / B apart. If g >= t B, each rules out at most one k < t, so some
-    k < t leaves the fixed term alone, the top class of a lift. So w1^g - 1
-    wins only when g < t B, and then g^2 < t |n|_1 (exponent span).
-
-    Each relation other than m gives the columns h, w1 h, ..., w1^(rows - 1) h
-    mod m.
-    """
-    q = pc.q
-    g, gens_w = _axis_generators(pc, n)
-    # (degree, generators, index of m, class sent to w1^0, direction): w1^g - 1 first
-    best = (g, gens_w, None, 0, 1)
-    for k in range(max(map(len, gens_w), default=1)):
-        if k == 1 and (best[2] is not None or g == 1):
-            break
-        sheared = [{((a + k * j) % g, j): c for (a, j), c in p.items()} for p in gens_w]
-        for i, poly in enumerate(sheared):
-            sizes = Counter(a for a, _j in poly)
-            classes = sorted(sizes)
-            for prev, cut in zip(classes[-1:] + classes[:-1], classes):
-                deg = (prev - cut) % g
-                for top, origin, sign in ((prev, cut, 1), (cut, prev, -1)):
-                    if sizes[top] == 1 and deg < best[0]:
-                        best = (deg, sheared, i, origin, sign)
-    _deg, sheared, i, origin, sign = best
-    relations = [_w1_poly({(sign * (a - origin) % g, j): c for (a, j), c in p.items()})
-                 for p in sheared]
-    if i is None:  # the modulus is w1^g - 1
-        m = [[q - 1]] + [[] for _ in range(g - 1)] + [[1]]
-    else:
-        m = relations.pop(i)
-        if len(m) == 1:
-            return None  # m is a monomial, a unit
-        relations.append(_w1_power_minus_one(g, m, q))
-    rows = len(m) - 1
-    columns = []
-    for h in relations:  # h, w1 h, ..., w1^(rows - 1) h mod m
-        cols = [_reduce(h, m, q)[0]]
-        while len(cols) < rows:
-            cols.append(_reduce([[]] + cols[-1], m, q)[0])
-        columns += [c + [[] for _ in range(rows - len(c))] for c in cols]
-    return columns, rows
-
-
-def _fitting_dim_d2(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
-    """dim of F_q[w1^+-, w2^+-]/(generators, w1^g - 1): the Laurent span of
-    the Fitting ideal of _presentation(pc, n), or None when it is 0."""
-    pres = _presentation(pc, n)
-    return 0 if pres is None else _fitting_dim(*pres, pc.q)
 
 
 def _w1_levels(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
@@ -474,8 +301,78 @@ def _one_generator_dim(pc: CharPComponent, n: tuple[int, int]) -> int | None:
     return g * (levels[-1][0] - levels[0][0]) - drops
 
 
+def _bivariate(gen: LaurentPolynomial, q: int) -> BiPoly:
+    """A generator (d <= 2) as a polynomial in u2 over F_q[u1], divided by
+    its lowest power of each variable, a unit; [] when it is zero mod q."""
+    terms = [((e + (0,))[:2], c % q) for e, c in gen.terms if c % q]
+    if not terms:
+        return []
+    low1, low2 = (min(e[i] for e, _c in terms) for i in (0, 1))
+    out: BiPoly = [[] for _ in range(max(e2 for (_e1, e2), _c in terms) - low2 + 1)]
+    for (e1, e2), c in terms:
+        coeff = out[e2 - low2]
+        coeff.extend([0] * (e1 - low1 + 1 - len(coeff)))
+        coeff[e1 - low1] = c
+    return out
+
+
+def _laurent(f: BiPoly) -> LaurentPolynomial:
+    return LaurentPolynomial(terms=tuple(sorted(
+        ((a, b), c) for b, coeff in enumerate(f) for a, c in enumerate(coeff) if c)))
+
+
+def _primitive(f: BiPoly, q: int) -> tuple[GfPoly, BiPoly]:
+    """(content, primitive part) of f != 0: the monic gcd of its
+    coefficients in F_q[u1], and f divided by it."""
+    content: GfPoly = []
+    for c in f:
+        content = gf_gcd(content, c, q)
+    return content, [gf_divmod(c, content, q)[0] for c in f]
+
+
+def _prem(f: BiPoly, g: BiPoly, q: int) -> BiPoly:
+    """lc(g)^k f mod g for some k >= 0, lc(g) the leading u2-coefficient."""
+    r, k = list(f), len(g) - 1
+    while len(r) > k:
+        top = r.pop()
+        r = [gf_mul(c, g[-1], q) for c in r]
+        for i, c in enumerate(g[:-1]):
+            r[len(r) - k + i] = gf_sub(r[len(r) - k + i], gf_mul(top, c, q), q)
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd_part(pc: CharPComponent) -> BiPoly:
+    """G, the gcd of pc's generators in F_q[u1][u2] up to a unit ([] if
+    none): the gcd of their contents times the last primitive
+    pseudo-remainder of their primitive parts, as poly_gcd does over Z."""
+    polys = [f for f in (_bivariate(gen, pc.q) for gen in pc.generators) if f]
+    if not polys:
+        return []
+    content, g = _primitive(polys[0], pc.q)
+    for f in polys[1:]:
+        c, h = _primitive(f, pc.q)
+        content = gf_gcd(content, c, pc.q)
+        while h:
+            r = _prem(g, h, pc.q)
+            g, h = h, (_primitive(r, pc.q)[1] if r else [])
+    return [gf_mul(content, c, pc.q) for c in g]
+
+
+def _divexact(f: BiPoly, g: BiPoly, q: int) -> BiPoly:
+    """f / g by Kronecker substitution u2 -> u1^N, N past the u1-degree of
+    f and so of every coefficient of g and f / g: no two terms meet."""
+    size = max(map(len, f))
+    h, rem = gf_divmod(*(gf_trim([c for coeff in p for c in coeff + [0] * (size - len(coeff))])
+                         for p in (f, g)), q)
+    if rem:
+        raise ConsistencyError(f"the gcd {g} does not divide the generator {f}")
+    return [gf_trim(h[i:i + size]) for i in range(0, len(h), size)]
+
+
 # ---------------------------------------------------------------------------
-# Char p, d >= 3, and the cross-check: Groebner bases
+# Char p: Groebner bases (d >= 3, and the finite part R/J in d = 2)
 # ---------------------------------------------------------------------------
 
 def _charp_base_generators(pc: CharPComponent) -> tuple[int, list[GfMPoly]]:
@@ -515,51 +412,139 @@ def _groebner_dim(pc: CharPComponent, n: tuple[int, ...]) -> int | None:
     return GroebnerBasis(pc.q, nvars, gens).standard_monomial_count()
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
+class Decomposition(NamedTuple):
+    """I = G J for a d = 2 component (the module docstring has the sequence)."""
+
+    gcd: CharPComponent | None  # (G), None when G = 0
+    dim: int  # D, the F_q-dimension of R/J
+    units: tuple[Matrix, ...]  # u1, u2, 1/u1, 1/u2 acting on R/J
+
+
+@functools.lru_cache(maxsize=256)
+def _decomposition(pc: CharPComponent) -> Decomposition:
+    """G, and R/J from one Groebner basis of the cofactors f_i / G: its
+    standard monomials are a basis, and one normal form per monomial and
+    variable (u1, u2 and their inverses t1, t2) gives the matrices."""
+    q, g = pc.q, _gcd_part(pc)
+    if not g:
+        return Decomposition(None, 0, ())
+    cofactors = CharPComponent(q=q, d=2, generators=tuple(
+        _laurent(_divexact(f, g, q)) for f in (_bivariate(gen, q) for gen in pc.generators) if f))
+    gb = GroebnerBasis(q, *_charp_base_generators(cofactors))
+    monos = gb.standard_monomials()
+    if monos is None:
+        raise ConsistencyError(f"the cofactors {cofactors.generators} share a factor")
+    index = {m: i for i, m in enumerate(monos)}
+    units = [[[0] * len(monos) for _ in monos] for _v in range(4)]
+    for v, mat in enumerate(units):
+        for j, m in enumerate(monos):
+            for mono, c in gb.normal_form({m[:v] + (m[v] + 1,) + m[v + 1:]: 1}).items():
+                mat[index[mono]][j] = c
+    return Decomposition(CharPComponent(q=q, d=2, generators=(_laurent(g),)),
+                         len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
+
+
+def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in a)
+
+
+def _finite_part_dim(dec: Decomposition, n: tuple[int, int], q: int) -> int:
+    """dim R/(J, u^n - 1) = D - rank(U1^n1 U2^n2 - 1), at n itself."""
+    power = None
+    for v, e in enumerate(n):
+        base = dec.units[v if e > 0 else v + 2]
+        e = abs(e)
+        while e:
+            if e & 1:
+                power = base if power is None else _mat_mul(power, base, q)
+            e >>= 1
+            if e:
+                base = _mat_mul(base, base, q)
+    rows = [[(c - (i == j)) % q for j, c in enumerate(row)] for i, row in enumerate(power)]
+    return dec.dim - rank_mod_q(rows, q)
+
+
+def _gcd_part_dim(g: CharPComponent, n: tuple[int, int]) -> int | None:
+    """dim R/(G, u^n - 1) for the one generator G of g, or None when infinite:
+    the closed form at the q-free part m of n, times q^j for n = q^j m."""
+    m, scale = n, 1
+    while all(v % g.q == 0 for v in m):
+        m = tuple(v // g.q for v in m)
+        scale *= g.q
+    dim = _one_generator_dim(g, m)
+    return None if dim is None else dim * scale
+
+
+def _several_generators_dim(pc: CharPComponent, n: tuple[int, int]) -> int | None:
+    """dim(R/(G), n) + dim(R/J, n) in d = 2, or None when infinite."""
+    dec = _decomposition(pc)
+    dim = None if dec.gcd is None else _gcd_part_dim(dec.gcd, n)
+    return dim if dim is None or not dec.dim else dim + _finite_part_dim(dec, n, pc.q)
+
+
+def _d1_dim(pc: CharPComponent, n: int) -> int:
+    """deg gcd(G, u^|n| - 1) in d = 1, or |n| when G = 0."""
+    g = _gcd_part(pc)
+    return len(_gcd_with_w1_power_minus_one(abs(n), g[0], pc.q)) - 1 if g else abs(n)
+
+
+def finite_quotient_dim(pc: CharPComponent) -> int:
+    """D = dim R/J for I = G J in d = 2, where D > 0 means not mixing; 0
+    where no decomposition is built (d = 1, where I = (G), and d >= 3)."""
+    return _decomposition(pc).dim if pc.d == 2 and len(pc.generators) != 1 else 0
+
+
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite.
 
-    A one-generator component in d = 2 is counted at the q-free part m of n,
-    and dim(n) = q^j dim(m) for n = q^j m: u^m - 1 is a non-zero-divisor
-    modulo f wherever the count at m is finite (the module docstring has the
-    proof), where the levels of f in the coordinates that send m to (g, 0)
-    give dim(m) in closed form. Every other component is counted at n
-    itself, since the scaling fails there: (1 + u)^2 over F_2 in d = 1, and
-    1 + u1, 1 + u2 over F_2. In d <= 2 it takes the Fitting ideal, in
-    d >= 3 a Groebner basis.
+    In d = 2, with I = G J, dim = dim(R/(G), n) + D - rank(U1^n1 U2^n2 - 1)
+    where R/(G, u^n - 1) is finite, and infinite elsewhere (the module
+    docstring has the proof): the gcd part in closed form from the levels
+    of G at the q-free part m of n, times q^j for n = q^j m, and the finite
+    part at n itself, where that scaling fails. In d = 1, dim = deg gcd(G,
+    u^|n| - 1); in d >= 3, a Groebner basis.
     """
     n = require_nonzero(n, pc.d)
-    m, scale = n, 1
     if pc.d == 2 and len(pc.generators) == 1:
-        while all(v % pc.q == 0 for v in m):
-            m = tuple(v // pc.q for v in m)
-            scale *= pc.q
-        dim = _one_generator_dim(pc, m)
-    elif pc.d <= 2:
-        dim = _fitting_dim_d2(pc, m)
+        dim = _gcd_part_dim(pc, n)
+    elif pc.d == 2:
+        dim = _several_generators_dim(pc, n)
+    elif pc.d == 1:
+        dim = _d1_dim(pc, n[0])
     else:
-        dim = _groebner_dim(pc, m)
+        dim = _groebner_dim(pc, n)
     if dim is None:
         raise MathDomainError(
             f"count at n={n} is infinite (quotient not zero-dimensional); "
             "the component violates entropy rank one in this direction")
-    dim *= scale
     return CountResult(value=pc.q**dim, factored=(pc.q, dim),
                        per_component=((pc.q**dim, 1),))
 
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
-    """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal:
-    from the levels of f for one generator in d = 2 (_divides_relation), by
-    a Groebner normal form for every other shape."""
-    if pc.d == 2 and len(pc.generators) == 1:
-        return [n for n in iter_shell_points(2, 0, radius) if _divides_relation(pc, n)]
+    """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal I.
+
+    In d <= 2, I = (G) unless D > 0 (MathDomainError), and G divides u^n - 1
+    as its levels show in d = 2 (_divides_relation) or one gcd in d = 1. In
+    d >= 3, a Groebner normal form at every point.
+    """
+    points = iter_shell_points(pc.d, 0, radius)
+    if pc.d == 1:
+        g = _gcd_part(pc)
+        return [n for n in points if g and len(
+            _gcd_with_w1_power_minus_one(abs(n[0]), g[0], pc.q)) == len(g[0])]
+    if pc.d == 2:
+        if dim := finite_quotient_dim(pc):
+            raise MathDomainError(f"finite quotient of dimension {dim}: not mixing")
+        g = pc if len(pc.generators) == 1 else _decomposition(pc).gcd
+        return [] if g is None else [n for n in points if _divides_relation(g, n)]
     nvars, gens = _charp_base_generators(pc)
     gb = GroebnerBasis(pc.q, nvars, gens)
-    out = []
-    for n in iter_shell_points(pc.d, 0, radius):
-        if not gb.normal_form(_relation_for(pc, n)):
-            out.append(n)
-    return out
+    return [n for n in points if not gb.normal_form(_relation_for(pc, n))]
 
 
 def _divides_relation(pc: CharPComponent, n: tuple[int, int]) -> bool:

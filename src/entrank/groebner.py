@@ -178,8 +178,9 @@ class GroebnerBasis:
             return None
         return bounds  # type: ignore[return-value]
 
-    def standard_monomial_count(self) -> int | None:
-        """Dimension of the quotient as an F_q-space; None if not zero-dimensional."""
+    def standard_monomials(self) -> list[Mono] | None:
+        """The monomials outside the leading-term ideal, an F_q-basis of the
+        quotient, in lexicographic order; None if not zero-dimensional."""
         bounds = self.variable_bounds()
         if bounds is None:
             return None
@@ -189,8 +190,9 @@ class GroebnerBasis:
         if cells > CELL_CAP:
             raise ResourceLimitError(f"standard monomial box has {cells} cells")
         lms = self.lms
-        count = 0
-        for mono in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_divides(lm, mono) for lm in lms):
-                count += 1
-        return count
+        return [mono for mono in itertools.product(*(range(b) for b in bounds))
+                if not any(mono_divides(lm, mono) for lm in lms)]
+
+    def standard_monomial_count(self) -> int | None:
+        """Dimension of the quotient as an F_q-space; None if not zero-dimensional."""
+        return None if (monos := self.standard_monomials()) is None else len(monos)

@@ -1,7 +1,9 @@
-"""Char-p counts for d <= 2 come from a closed form in the w2-levels for
-one generator in d = 2 and from the Fitting ideal elsewhere; the Hermite
-loop on the full presentation at n itself, Groebner bases and the window
-oracle are the independent references here."""
+"""Char-p counts for d <= 2 come from one exact sequence: in d = 2 the
+generators' gcd G, counted in closed form from its w2-levels, plus the
+finite quotient R/J by the cofactors; in d = 1, deg gcd(G, u^|n| - 1). The
+Hermite loop on the full presentation at n itself (kept here as the
+oracle), Groebner bases and the window oracle are the independent
+references."""
 
 import math
 import random
@@ -22,16 +24,14 @@ from entrank import (
     parse_spec,
     place_spec,
 )
-from entrank.action import iter_shell_points
+from entrank.action import iter_shell_points, mixing_check
+from entrank.counting import _axis_generators as axis_generators
 from entrank.counting import _charp_base_generators as base_generators
-from entrank.counting import _fitting_dim as hermite_dim
-from entrank.counting import _fitting_dim_d2 as fitting_dim_d2
 from entrank.counting import _groebner_dim as groebner_dim
-from entrank.counting import _presentation as presentation
 from entrank.counting import _relation_for as relation_for
-from entrank.counting import charp_membership_violations
+from entrank.counting import charp_membership_violations, finite_quotient_dim
 from entrank.groebner import GroebnerBasis
-from entrank.polyfactor import gf_factor
+from entrank.polyfactor import GfPoly, gf_add, gf_divmod, gf_factor, gf_mul, gf_sub
 
 
 def fitting_dim(pc: CharPComponent, n):
@@ -125,9 +125,11 @@ F3_IDEAL = CharPComponent(q=3, d=2, generators=(LaurentPolynomial(terms=(
 
 
 def test_shear_gives_a_modulus_where_no_lift_does():
-    # (1 + u2) u1 + 1 + u2 + u2^2 over F_3: no cyclic lift has a unit leading
-    # w1-coefficient, but after the shear k = 1 one has w1-degree 2
-    assert fitting_dim(F3_IDEAL, (4, 0)) == groebner_dim(F3_IDEAL, (4, 0))
+    # (1 + u2) u1 + 1 + u2 + u2^2 over F_3: in the Hermite oracle's
+    # presentation no cyclic lift has a unit leading w1-coefficient, but
+    # after the shear k = 1 one has w1-degree 2
+    assert hermite_oracle(F3_IDEAL, (4, 0)) == groebner_dim(F3_IDEAL, (4, 0))
+    assert hermite_oracle(F3_IDEAL, (513, 0)) == 1026
     assert count_prime_charp(F3_IDEAL, (513, 0)).factored == (3, 1026)
 
 
@@ -226,8 +228,12 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
 
     monkeypatch.setattr(entrank.counting, "GroebnerBasis", Forbidden)
     rng = random.Random(11)
+    several = []
     for _ in range(40):
         pc, n = random_case(rng)
+        if pc.d == 2 and len(pc.generators) > 1:
+            several.append((pc, n))
+            continue
         fitting_dim(pc, n)
     for n in [(1, 1), (100, 0), (-13, 21)]:
         count_prime_charp(led_pc, n)
@@ -236,6 +242,19 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
         LaurentPolynomial(terms=(((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1))),))
     with pytest.raises(AssertionError, match="GroebnerBasis built"):
         count_prime_charp(d3, (1, 0, 0))
+    # several generators in d = 2: one basis, of the cofactors' ideal J, per
+    # component however many n are counted, and none for the n themselves
+    built = []
+    real = GroebnerBasis
+    monkeypatch.setattr(entrank.counting, "GroebnerBasis",
+                        lambda *args: built.append(args) or real(*args))
+    entrank.counting._decomposition.cache_clear()
+    for pc, n in several:
+        built.clear()
+        for k in range(1, 9):
+            fitting_dim(pc, (k * n[0], -k * n[1]))
+        assert len(built) == 1, pc
+    assert len(several) >= 8, len(several)
 
 
 def _one_generator_components(seed: int, count: int):
@@ -294,16 +313,16 @@ def test_frobenius_scales_the_groebner_exponent():
 
 def test_reduced_count_matches_the_direct_route():
     # count_prime_charp counts a one-generator d = 2 component at the q-free
-    # part m of n and scales by q^j; the Fitting ideal taken at q^j m itself
-    # must agree, finite or infinite
+    # part m of n and scales by q^j; the Hermite oracle taken at q^j m
+    # itself must agree, finite or infinite
     seen = {"finite": 0, "infinite": 0}
     for pc in _one_generator_components(478, 18):
         for m in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]:
-            dim = fitting_dim_d2(pc, m)
+            dim = hermite_oracle(pc, m)
             for j in (1, 2):
                 n = tuple(pc.q**j * v for v in m)
                 scaled = None if dim is None else pc.q**j * dim
-                assert fitting_dim(pc, n) == fitting_dim_d2(pc, n) == scaled, (pc, m, j)
+                assert fitting_dim(pc, n) == hermite_oracle(pc, n) == scaled, (pc, m, j)
                 seen["infinite" if dim is None else "finite"] += 1
     assert seen["finite"] >= 190 and seen["infinite"] >= 2, seen
 
@@ -329,19 +348,247 @@ def test_reduced_infinite_count_names_the_callers_n():
         count_prime_charp(pc, (4, 0))
 
 
+# ---------------------------------------------------------------------------
+# The Hermite oracle: the Fitting ideal of a presentation over A = F_q[w2^+-]
+# (Einsiedler-Ward; Lind-Schmidt-Ward 1990). A unimodular change of
+# coordinates, sheared if need be, sends n to (g, 0), so the quotient is a
+# finitely generated module over the PID A, presented over A[w1]/(m) = A^D
+# for a modulus m whose leading w1-coefficient is a unit. dim is the Laurent
+# span of the gcd of the maximal minors, from a column Hermite form over
+# F_q[w2], a Euclid loop whose column operations keep the ideal of maximal
+# minors; the count is infinite exactly when that gcd is 0. d = 1 is the
+# d = 2 quotient by u2 - 1, at (n, 0). It counts at n itself, with no
+# Frobenius scaling and no gcd, so it shares no step with count_prime_charp.
+# ---------------------------------------------------------------------------
+
+W1Poly = list[list[int]]  # polynomial in w1, ascending, with coefficients in F_q[w2]
+
+
+def _as_d2(pc: CharPComponent, n):
+    """(pc, n), a d = 1 component taken as the d = 2 ring modulo u2 - 1 at (n, 0)."""
+    if pc.d == 2:
+        return pc, n
+    gens = tuple(LaurentPolynomial(terms=tuple(((e, 0), c) for (e,), c in gen.terms))
+                 for gen in pc.generators)
+    gens += (LaurentPolynomial(terms=(((0, 0), pc.q - 1), ((0, 1), 1))),)
+    return CharPComponent(q=pc.q, d=2, generators=gens), (n[0], 0)
+
+
+def _w1_poly(poly: dict) -> W1Poly:
+    """poly as a polynomial in w1 over F_q[w2], divided by its lowest w1 power."""
+    low = min(a for a, _j in poly)
+    out: W1Poly = [[] for _ in range(max(a for a, _j in poly) - low + 1)]
+    for (a, j), c in poly.items():
+        coeff = out[a - low]
+        coeff.extend([0] * (j + 1 - len(coeff)))
+        coeff[j] = c
+    return out
+
+
+def _ord_w2(f: GfPoly) -> int:
+    return next(i for i, c in enumerate(f) if c)
+
+
+def _laurent_span(f: GfPoly) -> int:
+    """deg - ord_w2: the F_q-dimension of A/(f)."""
+    return len(f) - 1 - _ord_w2(f)
+
+
+def _reduce(p: W1Poly, m: W1Poly, q: int) -> tuple[W1Poly, int]:
+    """(r, s) with r = w2^s * (p mod m) in A[w1], r free of any common w2 factor.
+
+    The leading w1-coefficient of m must be a monomial c * w2^k, a unit of A;
+    each division step multiplies by the power of w2 that keeps every
+    coefficient inside F_q[w2].
+    """
+    p = list(p)
+    deg = len(m) - 1
+    k = len(m[-1]) - 1
+    inv = pow(m[-1][k], -1, q)
+    s = 0
+    while len(p) > deg:
+        top = p.pop()
+        if not top:
+            continue
+        lift = max(0, k - _ord_w2(top))
+        if lift:
+            p = [[0] * lift + c if c else c for c in p]
+            top = [0] * lift + top
+            s += lift
+        f = [c * inv % q for c in top[k:]]
+        shift = len(p) - deg
+        for i, mc in enumerate(m[:-1]):
+            p[shift + i] = gf_sub(p[shift + i], gf_mul(f, mc, q), q)
+    strip = min((_ord_w2(c) for c in p if c), default=0)
+    if strip:
+        p = [c[strip:] if c else c for c in p]
+    return p, s - strip
+
+
+def _mul(a: W1Poly, b: W1Poly, q: int) -> W1Poly:
+    out: W1Poly = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = gf_add(out[i + j], gf_mul(x, y, q), q)
+    return out
+
+
+def _w1_power_minus_one(g: int, m: W1Poly, q: int) -> W1Poly:
+    """A unit multiple of (w1^g - 1) mod m, by square-and-multiply."""
+    acc: W1Poly = [[1]]
+    e = 0  # w1^(bits so far) mod m = w2^-e * acc
+    for bit in bin(g)[2:]:
+        acc, s = _reduce(_mul(acc, acc, q), m, q)
+        e = 2 * e + s
+        if bit == "1":
+            acc, s = _reduce([[]] + acc, m, q)
+            e += s
+    # w1^g - 1 = w2^-e * (acc - w2^e)
+    if e < 0:
+        acc = [[0] * -e + c if c else c for c in acc]
+        e = 0
+    return [gf_sub(acc[0], [0] * e + [1], q)] + acc[1:]
+
+
+def _fitting_dim(columns: list[W1Poly], rows: int, q: int) -> int | None:
+    """Laurent span of the gcd of the maximal minors of a rows x len(columns)
+    matrix over A, or None when that gcd is 0.
+
+    Column Hermite elimination over F_q[w2]: in each row a Euclidean loop
+    of column operations leaves one pivot column, whose diagonal entry is a
+    factor of the gcd; the other columns are zero in that row and carry on.
+    Column operations over F_q[w2] keep the ideal of maximal minors, so the
+    diagonal's product spans it. The columns still active at row i are zero
+    above it, so each Euclid step updates rows i and below only, row i
+    taking the division's remainder.
+    """
+    dim = 0
+    for i in range(rows):
+        active = [c for c in columns if c[i]]
+        columns = [c for c in columns if not c[i]]
+        if not active:
+            return None
+        while len(active) > 1:
+            active.sort(key=lambda c: len(c[i]))
+            pivot = active[0]
+            survivors = [pivot]
+            for col in active[1:]:
+                quo, rem = gf_divmod(col[i], pivot[i], q)
+                col = col[:i] + [rem] + [gf_sub(x, gf_mul(quo, y, q), q)
+                                         for x, y in zip(col[i + 1:], pivot[i + 1:])]
+                (survivors if col[i] else columns).append(col)
+            active = survivors
+        dim += _laurent_span(active[0][i])
+    return dim
+
+
+def _presentation(pc: CharPComponent, n) -> tuple[list[W1Poly], int] | None:
+    """(columns, rows): F_q[w1^+-, w2^+-]/(generators, w1^g - 1) as the
+    cokernel of a rows x len(columns) matrix over A = F_q[w2^+-], presented
+    over A[w1]/(m) = A^rows; None when m is a unit and the quotient is 0.
+
+    m is the shortest of w1^g - 1 and the generator lifts whose top w1-class
+    is one term, a unit of A. Each cyclic lift spans the same ideal; with the
+    classes sorted, the one cut at r_i has top r_(i-1) and degree
+    (r_(i-1) - r_i) mod g, and top r_i after w1 -> 1/w1. When k = 0 gives no
+    lift and g > 1, the shears w1^a w2^b -> w1^(a + kb) w2^b, k < t (the most
+    terms of a generator), are tried too: U's second row added k times to its
+    first keeps U n = (g, 0). Bound: fix a term w1^a0 w2^b0 of a generator of
+    t terms and w2-span B. Another term w1^a w2^b joins its class under shear
+    k iff k (b - b0) = a0 - a mod g: never if b = b0, else for k spaced at
+    least g / B apart. If g >= t B, each rules out at most one k < t, so some
+    k < t leaves the fixed term alone, the top class of a lift. So w1^g - 1
+    wins only when g < t B, and then g^2 < t |n|_1 (exponent span).
+
+    Each relation other than m gives the columns h, w1 h, ..., w1^(rows - 1) h
+    mod m.
+    """
+    pc, n = _as_d2(pc, n)
+    q = pc.q
+    g, gens_w = axis_generators(pc, n)
+    # (degree, generators, index of m, class sent to w1^0, direction): w1^g - 1 first
+    best = (g, gens_w, None, 0, 1)
+    for k in range(max(map(len, gens_w), default=1)):
+        if k == 1 and (best[2] is not None or g == 1):
+            break
+        sheared = [{((a + k * j) % g, j): c for (a, j), c in p.items()} for p in gens_w]
+        for i, poly in enumerate(sheared):
+            sizes = Counter(a for a, _j in poly)
+            classes = sorted(sizes)
+            for prev, cut in zip(classes[-1:] + classes[:-1], classes):
+                deg = (prev - cut) % g
+                for top, origin, sign in ((prev, cut, 1), (cut, prev, -1)):
+                    if sizes[top] == 1 and deg < best[0]:
+                        best = (deg, sheared, i, origin, sign)
+    _deg, sheared, i, origin, sign = best
+    relations = [_w1_poly({(sign * (a - origin) % g, j): c for (a, j), c in p.items()})
+                 for p in sheared]
+    if i is None:  # the modulus is w1^g - 1
+        m = [[q - 1]] + [[] for _ in range(g - 1)] + [[1]]
+    else:
+        m = relations.pop(i)
+        if len(m) == 1:
+            return None  # m is a monomial, a unit
+        relations.append(_w1_power_minus_one(g, m, q))
+    rows = len(m) - 1
+    columns = []
+    for h in relations:  # h, w1 h, ..., w1^(rows - 1) h mod m
+        cols = [_reduce(h, m, q)[0]]
+        while len(cols) < rows:
+            cols.append(_reduce([[]] + cols[-1], m, q)[0])
+        columns += [c + [[] for _ in range(rows - len(c))] for c in cols]
+    return columns, rows
+
+
 def hermite_oracle(pc: CharPComponent, n) -> int | None:
     """dim at n itself, with no Frobenius scaling, from the Hermite/Euclid
     loop on the full presentation, square or not."""
-    pres = presentation(pc, n)
-    return 0 if pres is None else hermite_dim(*pres, pc.q)
+    pres = _presentation(pc, n)
+    return 0 if pres is None else _fitting_dim(*pres, pc.q)
+
+
+def _random_laurent(rng: random.Random, q: int, d: int, terms: int, top: int) -> dict:
+    while True:
+        out = {tuple(rng.randint(0, top) for _ in range(d)): rng.randrange(1, q)
+               for _ in range(terms)}
+        if len(out) > 1:
+            return out
+
+
+def _planted_common_factors(seed: int, count: int, d: int):
+    """count seeded ideals G h_1, ..., G h_k over F_2, F_3 or F_5 with k = 2
+    or 3. A third have a cofactor u^e, a unit, so that J = (h_i) is the
+    whole ring; in d = 2 a third have G divisible by u^m - 1, which makes
+    the count infinite on the multiples of m."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        q = rng.choice([2, 3, 5])
+        common = _random_laurent(rng, q, d, rng.randint(2, 3), 2)
+        if d == 2 and i % 3 == 1:
+            m = rng.choice([(1, 0), (0, 1), (1, 1)])
+            common = laurent_mul(common, {(0, 0): q - 1, m: 1}, q)
+        cofactors = [_random_laurent(rng, q, d, rng.randint(2, 3), 2)
+                     for _ in range(rng.randint(2, 3))]
+        if i % 3 == 0:
+            cofactors[rng.randrange(len(cofactors))] = {
+                tuple(rng.randint(-1, 1) for _ in range(d)): 1}
+        out.append(CharPComponent(q=q, d=d, generators=tuple(
+            LaurentPolynomial(terms=tuple(sorted(laurent_mul(common, h, q).items())))
+            for h in cofactors)))
+    return out
 
 
 def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
-    # count_prime_charp takes the closed form for one generator in d = 2 and
-    # the Hermite loop for several; the Hermite loop on the full presentation
-    # at n itself is the oracle for both, and Groebner bases for the small n
+    # count_prime_charp counts the gcd G in closed form in d = 2 (one
+    # generator is its own G) and adds the finite part R/J when D > 0; d = 1
+    # takes deg gcd(G, u^|n| - 1). The Hermite loop on the full presentation
+    # at n itself is the oracle for every route, and Groebner bases for the
+    # small n
     routes = []
-    for name in ("_one_generator_dim", "_fitting_dim"):
+    for name in ("_one_generator_dim", "_finite_part_dim", "_d1_dim"):
         def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
             routes.append(_name)
             return _f(*args)
@@ -368,17 +615,38 @@ def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
     cases += [(u1, n) for n in [(1, 0), (4, 0), (3, 0), (2, 2)]]
     cases += [(u1u2, n) for n in [(1, 0), (0, 2), (3, 0), (0, 6), (1, 1)]]
     cases += [(diagonal, n) for n in [(1, 1), (-2, -2), (1, 0), (6, 3)]]
-    seen = Counter()
+    # several generators with planted common factors, in d = 2 and d = 1
+    cases += [(pc, n) for pc in _planted_common_factors(36, 36, 2)
+              for n in [(1, 1), (2, -3), (0, 3), (4, 2), (-6, 0), (3, 0), (1, 0)]]
+    cases += [(pc, (n,)) for pc in _planted_common_factors(37, 12, 1) for n in (1, -4, 6, 12)]
+    # d = 1 with no generators, and (1 + u)^2 over F_2
+    zero = CharPComponent(q=3, d=1, generators=())
+    square = CharPComponent(q=2, d=1, generators=(
+        LaurentPolynomial(terms=(((0,), 1), ((2,), 1))),))
+    cases += [(zero, (n,)) for n in (1, 5, -7)] + [(square, (n,)) for n in (1, 2, 4, -8)]
+    seen, dims = Counter(), set()
     for pc, n in cases:
         routes.clear()
         got = fitting_dim(pc, n)
-        assert len(routes) <= 1, (pc, n, routes)
+        if pc.d == 1:
+            kind, want = "d = 1", ["_d1_dim"]
+        elif len(pc.generators) == 1:
+            kind, want = "one generator", ["_one_generator_dim"]
+        else:
+            dim = finite_quotient_dim(pc)
+            dims.add(dim)
+            kind = "D > 0" if dim else "D = 0"
+            want = ["_one_generator_dim"]
+            if dim and got is not None:
+                want.append("_finite_part_dim")
+        assert routes == want, (pc, n, routes)
         assert got == hermite_oracle(pc, n), (pc, n)
         if max(map(abs, n)) <= 3:
             assert got == groebner_dim(pc, n), (pc, n)
-        seen[routes[0] if routes else "unit modulus", got is None] += 1
-    for route in ("_one_generator_dim", "_fitting_dim"):
-        assert seen[route, False] >= 5 and seen[route, True] >= 1, seen
+        seen[kind, got is None] += 1
+    for kind in ("one generator", "D > 0", "D = 0"):
+        assert seen[kind, False] >= 5 and seen[kind, True] >= 1, seen
+    assert seen["d = 1", False] >= 40 and max(dims) >= 3, (seen, dims)
 
 
 def test_one_generator_closed_form_matches_the_hermite_oracle():
@@ -437,6 +705,43 @@ def test_one_generator_membership_matches_groebner():
         assert got == want, pc
         planted += len(got)
     assert planted >= 20, planted
+
+
+def test_membership_from_the_gcd_matches_groebner():
+    # several generators and d = 1: with D = 0, I = (G) and u^n - 1 lies in
+    # I iff G divides it, against the Groebner normal form at every
+    # |n| <= 5; planted members have G = u^m - 1 or, over F_2, 1 + u^m. With
+    # D > 0 membership is refused, and mixing_check names D instead
+    rng = random.Random(4900)
+    comps = _planted_common_factors(49, 12, 2) + _planted_common_factors(50, 8, 1)
+    for _ in range(10):
+        d, q = rng.choice([1, 2]), rng.choice([2, 3])
+        m = tuple(rng.randint(0, 2) for _ in range(d))
+        common = {(0,) * d: q - 1 if rng.random() < 0.5 else 1, m: 1} if any(m) else {m: 1}
+        unit = {tuple(rng.randint(-1, 1) for _ in range(d)): 1}
+        cofactors = [_random_laurent(rng, q, d, 2, 2), unit]
+        comps.append(CharPComponent(q=q, d=d, generators=tuple(
+            LaurentPolynomial(terms=tuple(sorted(laurent_mul(common, h, q).items())))
+            for h in cofactors)))
+    checked = members = refused = 0
+    for pc in comps:
+        if finite_quotient_dim(pc):
+            with pytest.raises(MathDomainError, match="finite quotient of dimension"):
+                charp_membership_violations(pc, 5)
+            refused += 1
+            continue
+        gb = GroebnerBasis(pc.q, *base_generators(pc))
+        want = [n for n in iter_shell_points(pc.d, 0, 5)
+                if not gb.normal_form(relation_for(pc, n))]
+        assert charp_membership_violations(pc, 5) == want, pc
+        checked += 1
+        members += len(want)
+    assert checked >= 12 and refused >= 5 and members >= 10, (checked, refused, members)
+    two = parse_spec({"d": 2, "components": [{"char": 2, "generators": [
+        {"terms": [{"exp": e, "coeff": 1} for e in ([0, 0], [1, 0], [1, 1], [0, 2])]},
+        {"terms": [{"exp": e, "coeff": 1} for e in ([0, 0], [0, 1], [2, 0], [1, 1])]}]}]})
+    assert mixing_check(two, 48).violations == (
+        "components[0]: finite quotient of dimension 1: not mixing",)
 
 
 def test_membership_rejects_on_cross_products_before_building_levels(monkeypatch):
