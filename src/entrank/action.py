@@ -399,8 +399,8 @@ def mixing_check(spec: ActionSpec, radius: float = 8.0) -> CheckReport:
     of the integral parts (cached where placement's guard read them), so
     only the n that pass this exact test are tried: by the orders
     root_of_unity_order found when n has one nonzero entry, by the exact
-    power xi^n otherwise. In char p with d <= 2, a finite quotient R/J of
-    dimension D > 0 is one violation, for no particular n.
+    power xi^n otherwise. In char p with d <= 2, a finite submodule of R/I
+    of dimension D > 0 is one violation, for no particular n.
     """
     _check_radius(radius)
     violations: list[str] = []

@@ -7,28 +7,48 @@ taken once, and ord_v(xi^n - 1) at the finite support places, which
 char0_point reads once per point for the count and g alike. No floating
 point touches the result, and integrality is asserted rather than assumed.
 
-Char-p prime components: |F| = q^dim where dim is the F_q-dimension of the
-Laurent quotient by the generators together with u^n - 1. Every route is
-exact, an isomorphism of quotients followed by exact arithmetic over F_q.
+Char-p prime components: |F| = q^dim where dim is the F_q-dimension of
+R/(I, u^n - 1), R the Laurent ring and I the ideal of the generators. Every
+route is exact, an isomorphism of quotients followed by exact arithmetic
+over F_q.
 
-- d = 2 with one generator f: Frobenius scaling first. Over F_q (q prime),
-  u^(q^j m) - 1 = (u^m - 1)^(q^j), so with q^j the largest power of q
-  dividing gcd(n) the count is taken at m = n / q^j and the exponent
-  multiplied by q^j. Let x = u^m - 1 and R the Laurent ring, a UFD of Krull
-  dimension 2. If R/(f, x) is finite, gcd(f, x) is a unit, since a common
-  non-unit factor h would leave R/(h), of dimension 1, as a quotient; so x
-  is a non-zero-divisor on M = R/(f) and each x^i M / x^(i+1) M is M / xM.
-  If R/(f, x) is infinite, (f, x^(q^j)) lies in (h) and the count at n is
+- d <= 2, whatever the number of generators: one exact sequence
+  (Lind-Schmidt-Ward 1990; Schmidt 1995, Ch. II; Einsiedler-Lind 2004). Let
+  G be the gcd of the generators f_i up to a monomial (a primitive
+  pseudo-remainder sequence over F_q[u1][u2]; G = 0 without generators) and
+  J = (f_i / G), so I = G J and multiplication by G gives 0 -> R/J -> R/I ->
+  R/(G) -> 0. D is the dimension of R/I's largest finite submodule. D > 0
+  means alpha is not mixing: a maximal ideal m is then an associated prime
+  of R/I, and u^n - 1 lies in m for some n != 0 since R/m is finite. With
+  D = 0, I = (G), so u^n - 1 lies in I iff G divides it, read from G's levels.
+- d = 2: the f_i / G share no prime factor, so R/J is finite, and R/(G) has
+  no finite submodule but 0 (it is Cohen-Macaulay of dimension 1), so
+  D = dim R/J: 0 where G = 0 or a cofactor is a unit (J = R, as with one
+  generator), else read with the matrices U1, U2 of u1, u2 on R/J from one
+  Groebner basis of J. If R/(G, x) is finite for x = u^n - 1, x is a
+  non-zero-divisor on R/(G) (below), so the sequence stays exact modulo x
+  and dim = dim(R/(G), n) + D - rank(U1^n1 U2^n2 - 1). If it is infinite,
+  so is R/(I, x), which maps onto it (always so where G = 0).
+- d = 1: R is a PID, so J = R and R/I = R/(G) is finite: D = deg G, and
+  dim = deg gcd(G, u^|n| - 1), or |n| with no generators (G = 0).
+- The gcd part in d = 2, dim R/(G, u^n - 1): Frobenius scaling first. Over
+  F_q (q prime), u^(q^j m) - 1 = (u^m - 1)^(q^j), so with q^j the largest
+  power of q dividing gcd(n) the count is taken at m = n / q^j and the
+  exponent multiplied by q^j. Let x = u^m - 1; R is a UFD of Krull dimension
+  2. If R/(G, x) is finite, gcd(G, x) is a unit, since a common non-unit
+  factor h would leave R/(h), of dimension 1, as a quotient; so x is a
+  non-zero-divisor on M = R/(G) and each x^i M / x^(i+1) M is M / xM. If
+  R/(G, x) is infinite, (G, x^(q^j)) lies in (h) and the count at n is
   infinite too. Neither step holds for a finite quotient: in d = 1, (1 + u)^2
   over F_2 has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
   1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
 
   Then a closed form at m (Lind-Schmidt-Ward 1990; Einsiedler-Lind 2004).
   Coordinates w = u^U with U m = (g, 0) turn u^m - 1 into w1^g - 1; write
-  f = sum_b C_b(w1) w2^b over its nonzero levels C_b, of w2-span B. As q
+  G = sum_b C_b(w1) w2^b over its nonzero levels C_b, of w2-span B. As q
   does not divide g, w1^g - 1 is separable, so F_q[w1]/(w1^g - 1) is the
   product of the fields K_P = F_q[w1]/(P) over its irreducible factors P,
-  and the quotient the product of the K_P[w2^+-]/(f mod P). Each is a PID
+  and the quotient the product of the K_P[w2^+-]/(G mod P). Each is a PID
   quotient of dimension deg P times the span of the levels P does not
   divide, and infinite if P divides every level. The deg P roots of each P
   are distinct roots zeta of w1^g - 1, so dim is the sum over all g of
@@ -40,21 +60,6 @@ exact, an isomorphism of quotients followed by exact arithmetic over F_q.
   1, C_b0, ..., C_bj). So each step of that gcd chain drops deg G_j times
   the gap to the next level, and likewise from the bottom. A G_j left after
   the last level is a root shared by every level: the count is infinite.
-- d = 2 with any generators: one exact sequence (Lind-Schmidt-Ward 1990;
-  Schmidt 1995, Ch. II; Einsiedler-Lind 2004). Let G be the gcd of the
-  generators f_i up to a monomial (a primitive pseudo-remainder sequence
-  over F_q[u1][u2]) and J = (f_i / G), so I = G J and multiplication by G
-  gives 0 -> R/J -> R/I -> R/(G) -> 0. The f_i / G share no prime factor,
-  so R/J is finite, of some dimension D, and u1, u2 act on it by invertible
-  matrices U1, U2 (from one Groebner basis of J). If R/(G, x) is finite, x
-  is a non-zero-divisor on R/(G), as above, so the sequence stays exact
-  modulo x and dim = dim(R/(G), n) + D - rank(U1^n1 U2^n2 - 1). If it is
-  infinite, so is R/(I, x), which maps onto it. D > 0 means alpha is not
-  mixing: a maximal ideal m is then an associated prime of R/I, and
-  u^n - 1 lies in m for some n != 0 since R/m is finite. With D = 0,
-  I = (G), so u^n - 1 lies in I iff G divides it, read from G's levels.
-- d = 1: R is a PID, so I = (G) and dim = deg gcd(G, u^|n| - 1), or |n|
-  with no generators (G = 0; in d = 2 the count is then infinite).
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check there, builds
   J's basis in d = 2, and is the tests' cross-check for the d <= 2 route.
@@ -256,20 +261,24 @@ def _axis_generators(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[
     return g, gens_w
 
 
-def _w1_levels(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
-    """(g, levels): the one generator f = sum_b C_b(w1) w2^b of pc in the
-    coordinates w = u^U with U n = (g, 0), as the (b, C_b) with C_b != 0 in
-    ascending b, each C_b divided by its lowest w1 power (a unit). U is a
-    bijection on exponents, so no two terms of f meet."""
+def _w1_levels(gcd: BiPoly, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
+    """(g, levels): G = sum_b C_b(w1) w2^b in the coordinates w = u^U with
+    U n = (g, 0), as the (b, C_b) with C_b != 0 in ascending b, each C_b
+    divided by its lowest w1 power (a unit). U is a bijection on exponents,
+    so no two terms of G meet."""
     g, ((a1, a2), (b1, b2)) = _unimodular_to_axis(n)
     rows: dict[int, dict[int, int]] = {}
-    for (e1, e2), c in pc.generators[0].terms:
-        rows.setdefault(b1 * e1 + b2 * e2, {})[a1 * e1 + a2 * e2] = c % pc.q
+    for e2, coeff in enumerate(gcd):
+        for e1, c in enumerate(coeff):
+            if c:
+                rows.setdefault(b1 * e1 + b2 * e2, {})[a1 * e1 + a2 * e2] = c
     levels = []
-    for b in sorted(rows):
-        row = rows[b]
+    for b, row in sorted(rows.items()):
         low = min(row)
-        levels.append((b, [row.get(a, 0) for a in range(low, max(row) + 1)]))
+        level = [0] * (max(row) - low + 1)
+        for a, c in row.items():
+            level[a - low] = c
+        levels.append((b, level))
     return g, levels
 
 
@@ -280,14 +289,13 @@ def _gcd_with_w1_power_minus_one(g: int, c: GfPoly, q: int) -> GfPoly:
     return gf_gcd(c, gf_sub(gf_pow_mod([0, 1], g, c, q), [1], q), q)
 
 
-def _one_generator_dim(pc: CharPComponent, n: tuple[int, int]) -> int | None:
-    """dim of F_q[u1^+-, u2^+-]/(f, u^n - 1) for the one generator f of pc
-    and q not dividing gcd(n), or None when infinite: g B minus the drops of
-    the two gcd chains over the levels of f, walked from each end (the
-    module docstring has the proof).
+def _one_generator_dim(gcd: BiPoly, q: int, n: tuple[int, int]) -> int | None:
+    """dim of F_q[u1^+-, u2^+-]/(G, u^n - 1) for G != 0 and q not dividing
+    gcd(n), or None when infinite: g B minus the drops of the two gcd chains
+    over the levels of G, walked from each end (the module docstring has the
+    proof).
     """
-    q = pc.q
-    g, levels = _w1_levels(pc, n)
+    g, levels = _w1_levels(gcd, n)
     drops = 0
     for walk in (levels, levels[::-1]):
         common = _gcd_with_w1_power_minus_one(g, walk[0][1], q)
@@ -343,26 +351,27 @@ def _prem(f: BiPoly, g: BiPoly, q: int) -> BiPoly:
     return r
 
 
-def _gcd_part(pc: CharPComponent) -> BiPoly:
-    """G, the gcd of pc's generators in F_q[u1][u2] up to a unit ([] if
-    none): the gcd of their contents times the last primitive
-    pseudo-remainder of their primitive parts, as poly_gcd does over Z."""
-    polys = [f for f in (_bivariate(gen, pc.q) for gen in pc.generators) if f]
-    if not polys:
-        return []
-    content, g = _primitive(polys[0], pc.q)
+def _gcd_part(polys: list[BiPoly], q: int) -> BiPoly:
+    """G, the gcd of the nonzero polys in F_q[u1][u2] up to a unit ([] if
+    there are none), one more poly at a time: the gcd of the two contents
+    times the last primitive pseudo-remainder of the two primitive parts, as
+    poly_gcd does over Z. One poly is its own G."""
+    gcd = polys[0] if polys else []
     for f in polys[1:]:
-        c, h = _primitive(f, pc.q)
-        content = gf_gcd(content, c, pc.q)
+        (content, gcd), (content_f, h) = _primitive(gcd, q), _primitive(f, q)
         while h:
-            r = _prem(g, h, pc.q)
-            g, h = h, (_primitive(r, pc.q)[1] if r else [])
-    return [gf_mul(content, c, pc.q) for c in g]
+            r = _prem(gcd, h, q)
+            gcd, h = h, (_primitive(r, q)[1] if r else [])
+        content = gf_gcd(content, content_f, q)
+        gcd = [gf_mul(content, c, q) for c in gcd]
+    return gcd
 
 
 def _divexact(f: BiPoly, g: BiPoly, q: int) -> BiPoly:
     """f / g by Kronecker substitution u2 -> u1^N, N past the u1-degree of
     f and so of every coefficient of g and f / g: no two terms meet."""
+    if f == g:
+        return [[1]]  # one generator is its own G
     size = max(map(len, f))
     h, rem = gf_divmod(*(gf_trim([c for coeff in p for c in coeff + [0] * (size - len(coeff))])
                          for p in (f, g)), q)
@@ -416,35 +425,39 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class Decomposition(NamedTuple):
-    """I = G J for a d = 2 component (the module docstring has the sequence)."""
+    """I = G J for a component in d <= 2 (the module docstring has the sequence)."""
 
-    gcd: CharPComponent | None  # (G), None when G = 0
-    dim: int  # D, the F_q-dimension of R/J
-    units: tuple[Matrix, ...]  # u1, u2, 1/u1, 1/u2 acting on R/J
+    gcd: BiPoly  # G, [] when G = 0
+    dim: int  # D, the dimension of R/I's largest finite submodule: R/J in d = 2, R/(G) in d = 1
+    units: tuple[Matrix, ...]  # u1, u2, 1/u1, 1/u2 on R/J; () where no basis is built
 
 
 @functools.lru_cache(maxsize=256)
 def _decomposition(pc: CharPComponent) -> Decomposition:
     """G, and R/J from one Groebner basis of the cofactors f_i / G: its
     standard monomials are a basis, and one normal form per monomial and
-    variable (u1, u2 and their inverses t1, t2) gives the matrices."""
-    q, g = pc.q, _gcd_part(pc)
-    if not g:
-        return Decomposition(None, 0, ())
-    cofactors = CharPComponent(q=q, d=2, generators=tuple(
-        _laurent(_divexact(f, g, q)) for f in (_bivariate(gen, q) for gen in pc.generators) if f))
-    gb = GroebnerBasis(q, *_charp_base_generators(cofactors))
+    variable (u1, u2 and their inverses t1, t2) gives the matrices. No basis
+    is built in d = 1, where G = 0, or where a cofactor is a unit (J = R)."""
+    q = pc.q
+    polys = [f for f in (_bivariate(gen, q) for gen in pc.generators) if f]
+    gcd = _gcd_part(polys, q)
+    if pc.d == 1:  # R is a PID: J = R, and R/(G) is finite of dimension deg G
+        return Decomposition(gcd, len(gcd[0]) - 1 if gcd else 0, ())
+    cofactors = [_divexact(f, gcd, q) for f in polys]
+    if not gcd or any(len(h) == 1 and len(h[0]) == 1 for h in cofactors):
+        return Decomposition(gcd, 0, ())
+    gb = GroebnerBasis(q, *_charp_base_generators(
+        CharPComponent(q=q, d=2, generators=tuple(map(_laurent, cofactors)))))
     monos = gb.standard_monomials()
     if monos is None:
-        raise ConsistencyError(f"the cofactors {cofactors.generators} share a factor")
+        raise ConsistencyError(f"the cofactors {cofactors} share a factor")
     index = {m: i for i, m in enumerate(monos)}
     units = [[[0] * len(monos) for _ in monos] for _v in range(4)]
     for v, mat in enumerate(units):
         for j, m in enumerate(monos):
             for mono, c in gb.normal_form({m[:v] + (m[v] + 1,) + m[v + 1:]: 1}).items():
                 mat[index[mono]][j] = c
-    return Decomposition(CharPComponent(q=q, d=2, generators=(_laurent(g),)),
-                         len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
+    return Decomposition(gcd, len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
 
 
 def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
@@ -468,100 +481,88 @@ def _finite_part_dim(dec: Decomposition, n: tuple[int, int], q: int) -> int:
     return dec.dim - rank_mod_q(rows, q)
 
 
-def _gcd_part_dim(g: CharPComponent, n: tuple[int, int]) -> int | None:
-    """dim R/(G, u^n - 1) for the one generator G of g, or None when infinite:
-    the closed form at the q-free part m of n, times q^j for n = q^j m."""
+def _gcd_part_dim(gcd: BiPoly, q: int, n: tuple[int, int]) -> int | None:
+    """dim R/(G, u^n - 1) in d = 2 for G != 0, or None when infinite: the
+    closed form at the q-free part m of n, times q^j for n = q^j m."""
     m, scale = n, 1
-    while all(v % g.q == 0 for v in m):
-        m = tuple(v // g.q for v in m)
-        scale *= g.q
-    dim = _one_generator_dim(g, m)
+    while not (m[0] % q or m[1] % q):
+        m = tuple(v // q for v in m)
+        scale *= q
+    dim = _one_generator_dim(gcd, q, m)
     return None if dim is None else dim * scale
 
 
-def _several_generators_dim(pc: CharPComponent, n: tuple[int, int]) -> int | None:
-    """dim(R/(G), n) + dim(R/J, n) in d = 2, or None when infinite."""
-    dec = _decomposition(pc)
-    dim = None if dec.gcd is None else _gcd_part_dim(dec.gcd, n)
-    return dim if dim is None or not dec.dim else dim + _finite_part_dim(dec, n, pc.q)
-
-
-def _d1_dim(pc: CharPComponent, n: int) -> int:
-    """deg gcd(G, u^|n| - 1) in d = 1, or |n| when G = 0."""
-    g = _gcd_part(pc)
-    return len(_gcd_with_w1_power_minus_one(abs(n), g[0], pc.q)) - 1 if g else abs(n)
-
-
 def finite_quotient_dim(pc: CharPComponent) -> int:
-    """D = dim R/J for I = G J in d = 2, where D > 0 means not mixing; 0
-    where no decomposition is built (d = 1, where I = (G), and d >= 3)."""
-    return _decomposition(pc).dim if pc.d == 2 and len(pc.generators) != 1 else 0
+    """D, the dimension of R/I's largest finite submodule (R/J in d = 2, all
+    of R/(G) in d = 1), where D > 0 means not mixing; 0 in d >= 3, where no
+    decomposition is built."""
+    return _decomposition(pc).dim if pc.d <= 2 else 0
 
 
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite.
 
-    In d = 2, with I = G J, dim = dim(R/(G), n) + D - rank(U1^n1 U2^n2 - 1)
-    where R/(G, u^n - 1) is finite, and infinite elsewhere (the module
-    docstring has the proof): the gcd part in closed form from the levels
-    of G at the q-free part m of n, times q^j for n = q^j m, and the finite
-    part at n itself, where that scaling fails. In d = 1, dim = deg gcd(G,
-    u^|n| - 1); in d >= 3, a Groebner basis.
+    In d <= 2, from the component's one decomposition I = G J (the module
+    docstring has the proofs). In d = 2, dim = dim(R/(G), n) + D -
+    rank(U1^n1 U2^n2 - 1) where R/(G, u^n - 1) is finite, and infinite
+    elsewhere: the gcd part in closed form from the levels of G at the q-free
+    part m of n, times q^j for n = q^j m, and the finite part, when D > 0, at
+    n itself, where that scaling fails. In d = 1, dim = deg gcd(G, u^|n| - 1),
+    or |n| when G = 0. In d >= 3, a Groebner basis.
     """
     n = require_nonzero(n, pc.d)
-    if pc.d == 2 and len(pc.generators) == 1:
-        dim = _gcd_part_dim(pc, n)
-    elif pc.d == 2:
-        dim = _several_generators_dim(pc, n)
-    elif pc.d == 1:
-        dim = _d1_dim(pc, n[0])
-    else:
+    if pc.d > 2:
         dim = _groebner_dim(pc, n)
+    elif pc.d == 1:
+        g, gcd = abs(n[0]), _decomposition(pc).gcd
+        dim = len(_gcd_with_w1_power_minus_one(g, gcd[0], pc.q)) - 1 if gcd else g
+    else:
+        dec = _decomposition(pc)
+        dim = _gcd_part_dim(dec.gcd, pc.q, n) if dec.gcd else None
+        if dim is not None and dec.dim:
+            dim += _finite_part_dim(dec, n, pc.q)
     if dim is None:
         raise MathDomainError(
             f"count at n={n} is infinite (quotient not zero-dimensional); "
             "the component violates entropy rank one in this direction")
-    return CountResult(value=pc.q**dim, factored=(pc.q, dim),
-                       per_component=((pc.q**dim, 1),))
+    value = pc.q**dim
+    return CountResult(value=value, factored=(pc.q, dim), per_component=((value, 1),))
 
 
 def charp_membership_violations(pc: CharPComponent, radius: float):
     """Lattice vectors 0 < |n| <= radius with u^n - 1 inside the ideal I.
 
-    In d <= 2, I = (G) unless D > 0 (MathDomainError), and G divides u^n - 1
-    as its levels show in d = 2 (_divides_relation) or one gcd in d = 1. In
-    d >= 3, a Groebner normal form at every point.
+    In d <= 2, I = (G) unless D > 0 (MathDomainError), so u^n - 1 lies in I
+    iff G != 0 divides it, as G's levels show (_divides_relation; in d = 1,
+    G and u^n - 1 are polynomials in u1 alone). In d >= 3, a Groebner normal
+    form at every point.
     """
     points = iter_shell_points(pc.d, 0, radius)
-    if pc.d == 1:
-        g = _gcd_part(pc)
-        return [n for n in points if g and len(
-            _gcd_with_w1_power_minus_one(abs(n[0]), g[0], pc.q)) == len(g[0])]
-    if pc.d == 2:
-        if dim := finite_quotient_dim(pc):
-            raise MathDomainError(f"finite quotient of dimension {dim}: not mixing")
-        g = pc if len(pc.generators) == 1 else _decomposition(pc).gcd
-        return [] if g is None else [n for n in points if _divides_relation(g, n)]
-    nvars, gens = _charp_base_generators(pc)
-    gb = GroebnerBasis(pc.q, nvars, gens)
-    return [n for n in points if not gb.normal_form(_relation_for(pc, n))]
+    if pc.d > 2:
+        nvars, gens = _charp_base_generators(pc)
+        gb = GroebnerBasis(pc.q, nvars, gens)
+        return [n for n in points if not gb.normal_form(_relation_for(pc, n))]
+    if dim := finite_quotient_dim(pc):
+        raise MathDomainError(f"finite quotient of dimension {dim}: not mixing")
+    gcd = _decomposition(pc).gcd
+    return [n for n in points if gcd and _divides_relation(gcd, pc.q, (n + (0,))[:2])]
 
 
-def _divides_relation(pc: CharPComponent, n: tuple[int, int]) -> bool:
-    """u^n - 1 in (f) for the one generator f of a d = 2 component.
+def _divides_relation(gcd: BiPoly, q: int, n: tuple[int, int]) -> bool:
+    """u^n - 1 in (G) for a polynomial G != 0 in u1 and u2.
 
     In the coordinates w = u^U with U n = (g, 0), u^n - 1 is w1^g - 1. A
     divisor of a w1-only polynomial in the Laurent ring, a UFD whose units
-    are the monomials, is w1-only up to a unit. So f divides it iff f has
+    are the monomials, is w1-only up to a unit. So G divides it iff G has
     exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C. The level
     of a term u^e is (n1 e2 - n2 e1) / gcd(n), so a point is rejected on
     its terms' cross products, before any level is built.
     """
     n1, n2 = n
-    if len({n1 * e2 - n2 * e1 for (e1, e2), _c in pc.generators[0].terms}) > 1:
+    if len({n1 * e2 - n2 * e1 for e2, co in enumerate(gcd) for e1, c in enumerate(co) if c}) > 1:
         return False
-    g, ((_b, c),) = _w1_levels(pc, n)
-    return len(_gcd_with_w1_power_minus_one(g, c, pc.q)) == len(c)
+    g, ((_b, c),) = _w1_levels(gcd, n)
+    return len(_gcd_with_w1_power_minus_one(g, c, q)) == len(c)
 
 
 # ---------------------------------------------------------------------------

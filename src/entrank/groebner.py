@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 from .errors import ResourceLimitError
 
@@ -122,7 +123,7 @@ class GroebnerBasis:
             g = self._reduce(g)
             if g:
                 self._add_to_basis(g, heap)
-        while heap:
+        while heap and any(self.lms[-1]):  # once 1 is in, the ideal is the ring
             _, i, j, lcm = heapq.heappop(heap)
             if mono_mul(self.lms[i], self.lms[j]) == lcm:
                 continue  # coprime leading terms: S-poly reduces to zero
@@ -163,35 +164,24 @@ class GroebnerBasis:
 
     # -- quotient dimension ------------------------------------------------
 
-    def variable_bounds(self) -> list[int] | None:
-        """Per-variable pure-power degrees in the leading-term ideal, or None."""
-        if (0,) * self.nvars in self.lms:  # the ideal contains 1
-            return [0] * self.nvars
-        bounds: list[int | None] = [None] * self.nvars
+    def standard_monomials(self) -> list[Mono] | None:
+        """The monomials outside the leading-term ideal, an F_q-basis of the
+        quotient, in lexicographic order; None if not zero-dimensional. The
+        basis is minimal: 1 alone where the ideal is the ring, and at most one
+        pure power of each variable, which bounds that variable's degree."""
+        if (0,) * self.nvars in self.lms:
+            return []
+        bounds = [0] * self.nvars
         for lm in self.lms:
             support = [i for i, e in enumerate(lm) if e]
             if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or lm[i] < bounds[i]:
-                    bounds[i] = lm[i]
-        if any(b is None for b in bounds):
+                bounds[support[0]] = lm[support[0]]
+        if not all(bounds):
             return None
-        return bounds  # type: ignore[return-value]
-
-    def standard_monomials(self) -> list[Mono] | None:
-        """The monomials outside the leading-term ideal, an F_q-basis of the
-        quotient, in lexicographic order; None if not zero-dimensional."""
-        bounds = self.variable_bounds()
-        if bounds is None:
-            return None
-        cells = 1
-        for b in bounds:
-            cells *= max(b, 1)
-        if cells > CELL_CAP:
+        if (cells := math.prod(bounds)) > CELL_CAP:
             raise ResourceLimitError(f"standard monomial box has {cells} cells")
-        lms = self.lms
-        return [mono for mono in itertools.product(*(range(b) for b in bounds))
-                if not any(mono_divides(lm, mono) for lm in lms)]
+        return [mono for mono in itertools.product(*map(range, bounds))
+                if not any(mono_divides(lm, mono) for lm in self.lms)]
 
     def standard_monomial_count(self) -> int | None:
         """Dimension of the quotient as an F_q-space; None if not zero-dimensional."""

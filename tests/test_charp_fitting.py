@@ -227,6 +227,7 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
             raise AssertionError("GroebnerBasis built")
 
     monkeypatch.setattr(entrank.counting, "GroebnerBasis", Forbidden)
+    entrank.counting._decomposition.cache_clear()
     rng = random.Random(11)
     several = []
     for _ in range(40):
@@ -238,6 +239,15 @@ def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
     for n in [(1, 1), (100, 0), (-13, 21)]:
         count_prime_charp(led_pc, n)
     assert charp_membership_violations(led_pc, 6) == []
+    # several generators with a unit cofactor u^e (every third planted
+    # ideal), and several generators in d = 1: J = R, so no basis either
+    unit_cofactor = _planted_common_factors(36, 36, 2)[::3] + _planted_common_factors(37, 4, 1)
+    for pc in unit_cofactor:
+        assert len(pc.generators) > 1 and (finite_quotient_dim(pc) == 0 or pc.d == 1)
+        for n in [(1, 1), (2, -3), (0, 3), (4, 0)] if pc.d == 2 else [(1,), (-4,), (6,)]:
+            fitting_dim(pc, n)
+        if pc.d == 2:
+            charp_membership_violations(pc, 5)
     d3 = CharPComponent(q=2, d=3, generators=(
         LaurentPolynomial(terms=(((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1))),))
     with pytest.raises(AssertionError, match="GroebnerBasis built"):
@@ -584,11 +594,11 @@ def _planted_common_factors(seed: int, count: int, d: int):
 def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
     # count_prime_charp counts the gcd G in closed form in d = 2 (one
     # generator is its own G) and adds the finite part R/J when D > 0; d = 1
-    # takes deg gcd(G, u^|n| - 1). The Hermite loop on the full presentation
-    # at n itself is the oracle for every route, and Groebner bases for the
-    # small n
+    # takes deg gcd(G, u^|n| - 1) from the same decomposition, with neither
+    # d = 2 step. The Hermite loop on the full presentation at n itself is
+    # the oracle for every route, and Groebner bases for the small n
     routes = []
-    for name in ("_one_generator_dim", "_finite_part_dim", "_d1_dim"):
+    for name in ("_one_generator_dim", "_finite_part_dim"):
         def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
             routes.append(_name)
             return _f(*args)
@@ -629,7 +639,7 @@ def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
         routes.clear()
         got = fitting_dim(pc, n)
         if pc.d == 1:
-            kind, want = "d = 1", ["_d1_dim"]
+            kind, want = "d = 1", []
         elif len(pc.generators) == 1:
             kind, want = "one generator", ["_one_generator_dim"]
         else:
@@ -711,7 +721,8 @@ def test_membership_from_the_gcd_matches_groebner():
     # several generators and d = 1: with D = 0, I = (G) and u^n - 1 lies in
     # I iff G divides it, against the Groebner normal form at every
     # |n| <= 5; planted members have G = u^m - 1 or, over F_2, 1 + u^m. With
-    # D > 0 membership is refused, and mixing_check names D instead
+    # D > 0 membership is refused, and mixing_check names D instead. In
+    # d = 1, R/(G) is finite whenever G is not a unit: D is all of R/I
     rng = random.Random(4900)
     comps = _planted_common_factors(49, 12, 2) + _planted_common_factors(50, 8, 1)
     for _ in range(10):
@@ -723,45 +734,57 @@ def test_membership_from_the_gcd_matches_groebner():
         comps.append(CharPComponent(q=q, d=d, generators=tuple(
             LaurentPolynomial(terms=tuple(sorted(laurent_mul(common, h, q).items())))
             for h in cofactors)))
-    checked = members = refused = 0
+    checked = members = 0
+    refused = Counter()
     for pc in comps:
-        if finite_quotient_dim(pc):
+        gb = GroebnerBasis(pc.q, *base_generators(pc))
+        if dim := finite_quotient_dim(pc):
             with pytest.raises(MathDomainError, match="finite quotient of dimension"):
                 charp_membership_violations(pc, 5)
-            refused += 1
+            if pc.d == 1:
+                assert dim == gb.standard_monomial_count(), pc
+            refused[pc.d] += 1
             continue
-        gb = GroebnerBasis(pc.q, *base_generators(pc))
         want = [n for n in iter_shell_points(pc.d, 0, 5)
                 if not gb.normal_form(relation_for(pc, n))]
         assert charp_membership_violations(pc, 5) == want, pc
         checked += 1
         members += len(want)
-    assert checked >= 12 and refused >= 5 and members >= 10, (checked, refused, members)
+    assert checked >= 12 and min(refused[1], refused[2]) >= 5 and members >= 10, (
+        checked, refused, members)
     two = parse_spec({"d": 2, "components": [{"char": 2, "generators": [
         {"terms": [{"exp": e, "coeff": 1} for e in ([0, 0], [1, 0], [1, 1], [0, 2])]},
         {"terms": [{"exp": e, "coeff": 1} for e in ([0, 0], [0, 1], [2, 0], [1, 1])]}]}]})
     assert mixing_check(two, 48).violations == (
         "components[0]: finite quotient of dimension 1: not mixing",)
+    # R/(1 + u + u^4) over F_2 is F_16, on which u^15 acts trivially: found
+    # at any radius, not only from 15 on
+    f16 = parse_spec({"d": 1, "components": [{"char": 2, "generators": [
+        {"terms": [{"exp": [e], "coeff": 1} for e in (0, 1, 4)]}]}]})
+    assert mixing_check(f16, 8).violations == (
+        "components[0]: finite quotient of dimension 4: not mixing",)
 
 
 def test_membership_rejects_on_cross_products_before_building_levels(monkeypatch):
     # _divides_relation against the levels route it replaced, at every
     # |n| <= 12 of the seeded one-generator ideals and of planted members
-    # 1 + u^m over F_2; the levels are built only at the points with one
+    # 1 + u^m over F_2; the levels of G (here the generator itself) are
+    # built only at the points with one
     counting = entrank.counting
     w1_levels = counting._w1_levels
     comps = _one_generator_components(77, 20) + [
         CharPComponent(q=2, d=2, generators=(LaurentPolynomial(
             terms=(((1, -2), 1), ((1 + m1, m2 - 2), 1))),)) for m1, m2 in ((1, 0), (2, -1), (1, 3))]
     built, members = [], 0
-    monkeypatch.setattr(counting, "_w1_levels", lambda pc, n: built.append(n) or w1_levels(pc, n))
+    monkeypatch.setattr(counting, "_w1_levels", lambda f, n: built.append(n) or w1_levels(f, n))
     for pc in comps:
+        gcd = counting._decomposition(pc).gcd
         for n in iter_shell_points(2, 0, 12):
-            g, levels = w1_levels(pc, n)
+            g, levels = w1_levels(gcd, n)
             want = len(levels) == 1 and len(counting._gcd_with_w1_power_minus_one(
                 g, levels[0][1], pc.q)) == len(levels[0][1])
             built.clear()
-            assert counting._divides_relation(pc, n) == want, (pc, n)
+            assert counting._divides_relation(gcd, pc.q, n) == want, (pc, n)
             assert built == ([n] if len(levels) == 1 else [])
             members += want
     assert members >= 20

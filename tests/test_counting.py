@@ -352,6 +352,20 @@ def test_groebner_membership_budget_is_per_call(monkeypatch):
     assert gb.normal_form({(6,): 1, (0,): 1}) == {}
 
 
+def test_groebner_stops_once_the_ideal_is_the_ring(monkeypatch):
+    # x^2 y^2 + x y^2 + 1 and x y + x^2 y^2 over F_2 span the whole ring: no
+    # S-polynomial is formed once a constant is in the basis, the minimal
+    # basis is {1}, every normal form is 0 and no monomial is standard
+    formed = []
+    s_poly = GroebnerBasis._s_poly
+    monkeypatch.setattr(GroebnerBasis, "_s_poly", lambda self, *args: formed.append(
+        (0, 0) in self.lms) or s_poly(self, *args))
+    gb = GroebnerBasis(2, 2, [{(2, 2): 1, (1, 2): 1, (0, 0): 1}, {(1, 1): 1, (2, 2): 1}])
+    assert formed and not any(formed)
+    assert gb.basis == [{(0, 0): 1}] and gb.standard_monomials() == []
+    assert gb.normal_form({(3, 1): 1, (0, 0): 1}) == {}
+
+
 def test_charp_symmetry(led_pc):
     for n in [(1, 1), (2, -3), (-5, 3), (4, 6)]:
         neg = tuple(-v for v in n)
