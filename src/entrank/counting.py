@@ -31,7 +31,8 @@ over F_q.
   so is R/(I, x), which maps onto it (always so where G = 0).
 - d = 1: R is a PID, so J = R and R/I = R/(G) is finite: D = deg G, and
   dim = deg gcd(G, u^|n| - 1), or |n| with no generators (G = 0).
-- The gcd part in d = 2, dim R/(G, u^n - 1): Frobenius scaling first. Over
+- The gcd part in d = 2, dim R/(G, u^n - 1), on the edge lines of G's Newton
+  polygon (off them it is the width, below): Frobenius scaling first. Over
   F_q (q prime), u^(q^j m) - 1 = (u^m - 1)^(q^j), so with q^j the largest
   power of q dividing gcd(n) the count is taken at m = n / q^j and the
   exponent multiplied by q^j. Let x = u^m - 1; R is a UFD of Krull dimension
@@ -60,6 +61,13 @@ over F_q.
   1, C_b0, ..., C_bj). So each step of that gcd chain drops deg G_j times
   the gap to the next level, and likewise from the bottom. A G_j left after
   the last level is a root shared by every level: the count is infinite.
+
+  Off the edge lines it is the polygon's width (Einsiedler-Lind 2004). A
+  term u^e of G lies on level s / g, s = n1 e2 - n2 e1. Where one term alone
+  takes s_max and one alone s_min, n is parallel to no edge, both end levels
+  are monomials, units, so neither chain drops: dim = g B = s_max - s_min,
+  read from G's terms alone, and linear in n, so it needs no scaling. As the
+  chains only drop, an exponent past the width is a ConsistencyError.
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check there, builds
   J's basis in d = 2, and is the tests' cross-check for the d <= 2 route.
@@ -212,6 +220,7 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) 
 
 AxisPoly = dict[tuple[int, int], int]  # (w1 exponent mod g, w2 exponent) -> coefficient
 BiPoly = list[GfPoly]  # polynomial in u2, ascending, with coefficients in F_q[u1]
+Terms = tuple[tuple[int, int, int], ...]  # (e1, e2, c) per nonzero term of a BiPoly
 
 
 def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
@@ -261,17 +270,15 @@ def _axis_generators(pc: CharPComponent, n: tuple[int, int]) -> tuple[int, list[
     return g, gens_w
 
 
-def _w1_levels(gcd: BiPoly, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
+def _w1_levels(terms: Terms, n: tuple[int, int]) -> tuple[int, list[tuple[int, GfPoly]]]:
     """(g, levels): G = sum_b C_b(w1) w2^b in the coordinates w = u^U with
     U n = (g, 0), as the (b, C_b) with C_b != 0 in ascending b, each C_b
     divided by its lowest w1 power (a unit). U is a bijection on exponents,
     so no two terms of G meet."""
     g, ((a1, a2), (b1, b2)) = _unimodular_to_axis(n)
     rows: dict[int, dict[int, int]] = {}
-    for e2, coeff in enumerate(gcd):
-        for e1, c in enumerate(coeff):
-            if c:
-                rows.setdefault(b1 * e1 + b2 * e2, {})[a1 * e1 + a2 * e2] = c
+    for e1, e2, c in terms:
+        rows.setdefault(b1 * e1 + b2 * e2, {})[a1 * e1 + a2 * e2] = c
     levels = []
     for b, row in sorted(rows.items()):
         low = min(row)
@@ -289,13 +296,13 @@ def _gcd_with_w1_power_minus_one(g: int, c: GfPoly, q: int) -> GfPoly:
     return gf_gcd(c, gf_sub(gf_pow_mod([0, 1], g, c, q), [1], q), q)
 
 
-def _one_generator_dim(gcd: BiPoly, q: int, n: tuple[int, int]) -> int | None:
-    """dim of F_q[u1^+-, u2^+-]/(G, u^n - 1) for G != 0 and q not dividing
-    gcd(n), or None when infinite: g B minus the drops of the two gcd chains
-    over the levels of G, walked from each end (the module docstring has the
-    proof).
+def _closed_form_dim(terms: Terms, q: int, n: tuple[int, int]) -> int | None:
+    """dim of F_q[u1^+-, u2^+-]/(G, u^n - 1) for G != 0, any number of
+    generators, and q not dividing gcd(n), or None when infinite: g B minus
+    the drops of the two gcd chains over the levels of G, walked from each
+    end (the module docstring has the proof).
     """
-    g, levels = _w1_levels(gcd, n)
+    g, levels = _w1_levels(terms, n)
     drops = 0
     for walk in (levels, levels[::-1]):
         common = _gcd_with_w1_power_minus_one(g, walk[0][1], q)
@@ -425,9 +432,11 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class Decomposition(NamedTuple):
-    """I = G J for a component in d <= 2 (the module docstring has the sequence)."""
+    """I = G J for a component in d <= 2 (the module docstring has the
+    sequence), with G's terms listed once for the width, levels and membership."""
 
     gcd: BiPoly  # G, [] when G = 0
+    terms: Terms  # G's terms (e1, e2, c), e2 = 0 in d = 1; () when G = 0
     dim: int  # D, the dimension of R/I's largest finite submodule: R/J in d = 2, R/(G) in d = 1
     units: tuple[Matrix, ...]  # u1, u2, 1/u1, 1/u2 on R/J; () where no basis is built
 
@@ -441,11 +450,12 @@ def _decomposition(pc: CharPComponent) -> Decomposition:
     q = pc.q
     polys = [f for f in (_bivariate(gen, q) for gen in pc.generators) if f]
     gcd = _gcd_part(polys, q)
+    terms = tuple((e1, e2, c) for e2, coeff in enumerate(gcd) for e1, c in enumerate(coeff) if c)
     if pc.d == 1:  # R is a PID: J = R, and R/(G) is finite of dimension deg G
-        return Decomposition(gcd, len(gcd[0]) - 1 if gcd else 0, ())
+        return Decomposition(gcd, terms, len(gcd[0]) - 1 if gcd else 0, ())
     cofactors = [_divexact(f, gcd, q) for f in polys]
     if not gcd or any(len(h) == 1 and len(h[0]) == 1 for h in cofactors):
-        return Decomposition(gcd, 0, ())
+        return Decomposition(gcd, terms, 0, ())
     gb = GroebnerBasis(q, *_charp_base_generators(
         CharPComponent(q=q, d=2, generators=tuple(map(_laurent, cofactors)))))
     monos = gb.standard_monomials()
@@ -457,7 +467,7 @@ def _decomposition(pc: CharPComponent) -> Decomposition:
         for j, m in enumerate(monos):
             for mono, c in gb.normal_form({m[:v] + (m[v] + 1,) + m[v + 1:]: 1}).items():
                 mat[index[mono]][j] = c
-    return Decomposition(gcd, len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
+    return Decomposition(gcd, terms, len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
 
 
 def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
@@ -481,14 +491,23 @@ def _finite_part_dim(dec: Decomposition, n: tuple[int, int], q: int) -> int:
     return dec.dim - rank_mod_q(rows, q)
 
 
-def _gcd_part_dim(gcd: BiPoly, q: int, n: tuple[int, int]) -> int | None:
+def _gcd_part_dim(terms: Terms, q: int, n: tuple[int, int]) -> int | None:
     """dim R/(G, u^n - 1) in d = 2 for G != 0, or None when infinite: the
-    closed form at the q-free part m of n, times q^j for n = q^j m."""
-    m, scale = n, 1
-    while not (m[0] % q or m[1] % q):
-        m = tuple(v // q for v in m)
-        scale *= q
-    dim = _one_generator_dim(gcd, q, m)
+    width s_max - s_min of G's Newton polygon across n off its edge lines; on
+    them the closed form at the q-free part m of n, times q^j for n = q^j m,
+    and never past the width (ConsistencyError)."""
+    n1, n2 = n
+    s = sorted([n1 * e2 - n2 * e1 for e1, e2, _c in terms])
+    width = s[-1] - s[0]
+    if len(s) == 1 or (s[0] < s[1] and s[-2] < s[-1]):
+        return width
+    scale = 1
+    while not (n1 % q or n2 % q):
+        n1, n2, scale = n1 // q, n2 // q, scale * q
+    dim = _closed_form_dim(terms, q, (n1, n2))
+    if dim is not None and dim * scale > width:
+        raise ConsistencyError(
+            f"at n={n} the closed form gives {dim * scale}, past the width {width}")
     return None if dim is None else dim * scale
 
 
@@ -505,7 +524,8 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     In d <= 2, from the component's one decomposition I = G J (the module
     docstring has the proofs). In d = 2, dim = dim(R/(G), n) + D -
     rank(U1^n1 U2^n2 - 1) where R/(G, u^n - 1) is finite, and infinite
-    elsewhere: the gcd part in closed form from the levels of G at the q-free
+    elsewhere: the gcd part as the width of G's Newton polygon across n off
+    its edge lines, on them in closed form from the levels of G at the q-free
     part m of n, times q^j for n = q^j m, and the finite part, when D > 0, at
     n itself, where that scaling fails. In d = 1, dim = deg gcd(G, u^|n| - 1),
     or |n| when G = 0. In d >= 3, a Groebner basis.
@@ -518,7 +538,7 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
         dim = len(_gcd_with_w1_power_minus_one(g, gcd[0], pc.q)) - 1 if gcd else g
     else:
         dec = _decomposition(pc)
-        dim = _gcd_part_dim(dec.gcd, pc.q, n) if dec.gcd else None
+        dim = _gcd_part_dim(dec.terms, pc.q, n) if dec.terms else None
         if dim is not None and dec.dim:
             dim += _finite_part_dim(dec, n, pc.q)
     if dim is None:
@@ -544,24 +564,24 @@ def charp_membership_violations(pc: CharPComponent, radius: float):
         return [n for n in points if not gb.normal_form(_relation_for(pc, n))]
     if dim := finite_quotient_dim(pc):
         raise MathDomainError(f"finite quotient of dimension {dim}: not mixing")
-    gcd = _decomposition(pc).gcd
-    return [n for n in points if gcd and _divides_relation(gcd, pc.q, (n + (0,))[:2])]
+    terms = _decomposition(pc).terms
+    return [n for n in points if terms and _divides_relation(terms, pc.q, (n + (0,))[:2])]
 
 
-def _divides_relation(gcd: BiPoly, q: int, n: tuple[int, int]) -> bool:
+def _divides_relation(terms: Terms, q: int, n: tuple[int, int]) -> bool:
     """u^n - 1 in (G) for a polynomial G != 0 in u1 and u2.
 
     In the coordinates w = u^U with U n = (g, 0), u^n - 1 is w1^g - 1. A
     divisor of a w1-only polynomial in the Laurent ring, a UFD whose units
     are the monomials, is w1-only up to a unit. So G divides it iff G has
-    exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C. The level
-    of a term u^e is (n1 e2 - n2 e1) / gcd(n), so a point is rejected on
-    its terms' cross products, before any level is built.
+    exactly one level C (_w1_levels) and gcd(w1^g - 1, C) = C. A term u^e
+    lies on level s / gcd(n), s = n1 e2 - n2 e1 as in the count's width, so
+    a point is rejected on its terms' s before any level is built.
     """
     n1, n2 = n
-    if len({n1 * e2 - n2 * e1 for e2, co in enumerate(gcd) for e1, c in enumerate(co) if c}) > 1:
+    if len({n1 * e2 - n2 * e1 for e1, e2, _c in terms}) > 1:
         return False
-    g, ((_b, c),) = _w1_levels(gcd, n)
+    g, ((_b, c),) = _w1_levels(terms, n)
     return len(_gcd_with_w1_power_minus_one(g, c, q)) == len(c)
 
 

@@ -1,5 +1,6 @@
 """Char-p counts for d <= 2 come from one exact sequence: in d = 2 the
-generators' gcd G, counted in closed form from its w2-levels, plus the
+generators' gcd G, counted as the width of its Newton polygon off the
+polygon's edge lines and in closed form from its w2-levels on them, plus the
 finite quotient R/J by the cofactors; in d = 1, deg gcd(G, u^|n| - 1). The
 Hermite loop on the full presentation at n itself (kept here as the
 oracle), Groebner bases and the window oracle are the independent
@@ -7,14 +8,17 @@ references."""
 
 import math
 import random
+import re
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
 import entrank.counting
 from entrank import (
     CharPComponent,
+    ConsistencyError,
     LaurentPolynomial,
     MathDomainError,
     charp_window_oracle,
@@ -592,13 +596,14 @@ def _planted_common_factors(seed: int, count: int, d: int):
 
 
 def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
-    # count_prime_charp counts the gcd G in closed form in d = 2 (one
-    # generator is its own G) and adds the finite part R/J when D > 0; d = 1
-    # takes deg gcd(G, u^|n| - 1) from the same decomposition, with neither
-    # d = 2 step. The Hermite loop on the full presentation at n itself is
-    # the oracle for every route, and Groebner bases for the small n
+    # count_prime_charp counts the gcd G in d = 2 (one generator is its own
+    # G), as the width of its Newton polygon off the polygon's edge lines and
+    # in closed form on them, and adds the finite part R/J when D > 0; d = 1
+    # takes deg gcd(G, u^|n| - 1) from the same decomposition, with none of
+    # the d = 2 steps. The Hermite loop on the full presentation at n itself
+    # is the oracle for every route, and Groebner bases for the small n
     routes = []
-    for name in ("_one_generator_dim", "_finite_part_dim"):
+    for name in ("_closed_form_dim", "_finite_part_dim"):
         def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
             routes.append(_name)
             return _f(*args)
@@ -634,19 +639,25 @@ def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
     square = CharPComponent(q=2, d=1, generators=(
         LaurentPolynomial(terms=(((0,), 1), ((2,), 1))),))
     cases += [(zero, (n,)) for n in (1, 5, -7)] + [(square, (n,)) for n in (1, 2, 4, -8)]
-    seen, dims = Counter(), set()
+    seen, dims, lines = Counter(), set(), Counter()
     for pc, n in cases:
         routes.clear()
         got = fitting_dim(pc, n)
         if pc.d == 1:
             kind, want = "d = 1", []
-        elif len(pc.generators) == 1:
-            kind, want = "one generator", ["_one_generator_dim"]
         else:
-            dim = finite_quotient_dim(pc)
-            dims.add(dim)
-            kind = "D > 0" if dim else "D = 0"
-            want = ["_one_generator_dim"]
+            # one generator's exponents are G's up to a shift, read here
+            # without the decomposition
+            if len(pc.generators) == 1:
+                kind, dim, exps = "one generator", 0, [e for e, _c in pc.generators[0].terms]
+            else:
+                dim = finite_quotient_dim(pc)
+                dims.add(dim)
+                kind = "D > 0" if dim else "D = 0"
+                exps = [(e1, e2) for e1, e2, _c in entrank.counting._decomposition(pc).terms]
+            on_line = _on_edge_line(exps, n)
+            lines[on_line] += 1
+            want = ["_closed_form_dim"] if on_line else []
             if dim and got is not None:
                 want.append("_finite_part_dim")
         assert routes == want, (pc, n, routes)
@@ -657,6 +668,84 @@ def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
     for kind in ("one generator", "D > 0", "D = 0"):
         assert seen[kind, False] >= 5 and seen[kind, True] >= 1, seen
     assert seen["d = 1", False] >= 40 and max(dims) >= 3, (seen, dims)
+    assert min(lines.values()) >= 100, lines
+
+
+def _on_edge_line(exps, n) -> bool:
+    """n is parallel to an edge of the Newton polygon of the exponents
+    (e1, e2): two of them take the largest or the smallest s = n1 e2 -
+    n2 e1. False for a single exponent, whose polygon is a point."""
+    s = sorted(n[0] * e2 - n[1] * e1 for e1, e2 in exps)
+    return len(s) > 1 and (s[0] == s[1] or s[-2] == s[-1])
+
+
+def _width(exps, n) -> int:
+    """The width of the Newton polygon of the exponents across n."""
+    s = [n[0] * e2 - n[1] * e1 for e1, e2 in exps]
+    return max(s) - min(s)
+
+
+def test_counts_off_the_edge_lines_are_the_polygons_width():
+    # where n is parallel to no edge of the Newton polygon N(f), both end
+    # w2-levels of f are single terms, neither gcd chain drops, and the
+    # exponent is the width of N(f) across n (Einsiedler-Lind 2004). Each
+    # such count is checked against the closed form called at the q-free
+    # part m of n = q^j m and scaled by q^j; on the edge lines the count
+    # equals the width, falls below it, or is infinite
+    closed_form = entrank.counting._closed_form_dim
+    seen = Counter()
+    for pc in _one_generator_components(99, 80):
+        exps = [e for e, _c in pc.generators[0].terms]
+        terms = entrank.counting._decomposition(pc).terms
+        for n in product(range(-12, 13), repeat=2):
+            if not any(n):
+                continue
+            got, width = fitting_dim(pc, n), _width(exps, n)
+            if not _on_edge_line(exps, n):
+                m, scale = n, 1
+                while not (m[0] % pc.q or m[1] % pc.q):
+                    m, scale = (m[0] // pc.q, m[1] // pc.q), scale * pc.q
+                assert got == width == closed_form(terms, pc.q, m) * scale, (pc, n)
+                seen["width"] += 1
+            elif got is None:
+                seen["infinite"] += 1
+            else:
+                assert got <= width, (pc, n)
+                seen["equal" if got == width else "below"] += 1
+    assert seen == {"width": 45940, "equal": 1816, "below": 3256, "infinite": 156}, seen
+
+
+def test_a_closed_form_past_the_width_is_refused(monkeypatch, led_pc):
+    # on an edge line the exponent can fall below the width of G's Newton
+    # polygon across n but never exceed it: a closed form one past the width
+    # is a ConsistencyError naming the n that was asked for, and off the
+    # edge lines the closed form is not called
+    def past_width(terms, _q, m):
+        return _width([(e1, e2) for e1, e2, _c in terms], m) + 1
+
+    monkeypatch.setattr(entrank.counting, "_closed_form_dim", past_width)
+    assert fitting_dim(led_pc, (5, -7)) == 7
+    for n in [(6, 0), (0, -3), (12, -12), (-5, 5)]:
+        with pytest.raises(ConsistencyError, match=re.escape(f"n={n}")):
+            count_prime_charp(led_pc, n)
+
+
+def test_width_plus_the_finite_part_matches_the_hermite_oracle():
+    # several generators off the edge lines of G's Newton polygon: the width
+    # of G's polygon across n plus D - rank(U1^n1 U2^n2 - 1) is the count
+    # of the full presentation at n
+    counting = entrank.counting
+    seen = Counter()
+    for pc in _planted_common_factors(36, 36, 2):
+        dec = counting._decomposition(pc)
+        exps = [(e1, e2) for e1, e2, _c in dec.terms]
+        for n in product(range(-7, 8), repeat=2):
+            if not any(n) or _on_edge_line(exps, n):
+                continue
+            finite = counting._finite_part_dim(dec, n, pc.q) if dec.dim else 0
+            assert _width(exps, n) + finite == hermite_oracle(pc, n) == fitting_dim(pc, n), (pc, n)
+            seen[dec.dim > 0] += 1
+    assert min(seen[True], seen[False]) >= 1000, seen
 
 
 def test_one_generator_closed_form_matches_the_hermite_oracle():
@@ -778,13 +867,13 @@ def test_membership_rejects_on_cross_products_before_building_levels(monkeypatch
     built, members = [], 0
     monkeypatch.setattr(counting, "_w1_levels", lambda f, n: built.append(n) or w1_levels(f, n))
     for pc in comps:
-        gcd = counting._decomposition(pc).gcd
+        terms = counting._decomposition(pc).terms
         for n in iter_shell_points(2, 0, 12):
-            g, levels = w1_levels(gcd, n)
+            g, levels = w1_levels(terms, n)
             want = len(levels) == 1 and len(counting._gcd_with_w1_power_minus_one(
                 g, levels[0][1], pc.q)) == len(levels[0][1])
             built.clear()
-            assert counting._divides_relation(gcd, pc.q, n) == want, (pc, n)
+            assert counting._divides_relation(terms, pc.q, n) == want, (pc, n)
             assert built == ([n] if len(levels) == 1 else [])
             members += want
     assert members >= 20
