@@ -330,12 +330,17 @@ class PlacedSpec:
 
 
 def place_spec(spec: ActionSpec) -> PlacedSpec:
+    """Each char-0 component with its places; each char-p one as is, its
+    decomposition (the cached counting._decomposition) built here in d <= 2."""
+    from .counting import _decomposition
+
     entries: list[tuple[PlacedComponent | CharPComponent, int]] = []
     for comp, mult in spec.components:
         if isinstance(comp, Char0Component):
-            entries.append((compute_places(comp), mult))
-        else:
-            entries.append((comp, mult))
+            comp = compute_places(comp)
+        elif comp.d <= 2:
+            _decomposition(comp)
+        entries.append((comp, mult))
     return PlacedSpec(spec=spec, entries=tuple(entries))
 
 

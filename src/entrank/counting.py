@@ -44,30 +44,42 @@ over F_q.
   over F_2 has exponents 1, 2, 2, 2 at n = 1, 2, 4, 8, and the two generators
   1 + u1, 1 + u2 over F_2 give exponent 1 at (1, 0), (2, 0) and (4, 0).
 
-  Then a closed form at m (Lind-Schmidt-Ward 1990; Einsiedler-Lind 2004).
-  Coordinates w = u^U with U m = (g, 0) turn u^m - 1 into w1^g - 1; write
-  G = sum_b C_b(w1) w2^b over its nonzero levels C_b, of w2-span B. As q
-  does not divide g, w1^g - 1 is separable, so F_q[w1]/(w1^g - 1) is the
-  product of the fields K_P = F_q[w1]/(P) over its irreducible factors P,
-  and the quotient the product of the K_P[w2^+-]/(G mod P). Each is a PID
-  quotient of dimension deg P times the span of the levels P does not
-  divide, and infinite if P divides every level. The deg P roots of each P
-  are distinct roots zeta of w1^g - 1, so dim is the sum over all g of
-  them of top(zeta) - bot(zeta), the outermost b with C_b(zeta) != 0: g B
-  minus the sums of b_max - top(zeta) and of bot(zeta) - b_min. With the
-  levels b_0 > b_1 > ... from the top, b_max - top(zeta) is the sum of
-  b_j - b_(j+1) over the j with zeta a root of C_b0, ..., C_bj, and as
-  w1^g - 1 is squarefree there are deg G_j such zeta, for G_j = gcd(w1^g -
-  1, C_b0, ..., C_bj). So each step of that gcd chain drops deg G_j times
-  the gap to the next level, and likewise from the bottom. A G_j left after
-  the last level is a root shared by every level: the count is infinite.
+  Then at m (Lind-Schmidt-Ward 1990; Einsiedler-Lind 2004). Coordinates
+  w = u^U with U m = (g, 0) turn u^m - 1 into w1^g - 1; write G = sum_b
+  C_b(w1) w2^b over its nonzero levels C_b, of w2-span B, each divided by
+  its lowest w1 power. U's second row is e = m / g turned a quarter, and
+  another first row multiplies C_b by a power of w1, so the levels depend
+  on e alone. As q does not divide g, w1^g - 1 is separable, so F_q[w1]/
+  (w1^g - 1) is the product of the fields K_P = F_q[w1]/(P) over its
+  irreducible factors P, and the quotient the product of the K_P[w2^+-]/
+  (G mod P), each of dimension deg P times the span of the levels P does
+  not divide, infinite if P divides every level. So dim = g B - drops(m):
+  each root of w1^g - 1 on the top level drops the gap to the first level
+  it is not a root of, likewise from the bottom, and a root of every level
+  makes the count infinite. (The tests' oracle sums the same drops as the
+  gcd chains gcd(w1^g - 1, C_b0, ..., C_bj) from each end.)
+
+  Only roots of the end levels drop, so placement builds, per primitive
+  direction e of an edge of N(G) (the convex hull of G's exponents), one
+  table for e and -e: the distinct roots of the two end levels along e (a
+  face polynomial, or a monomial, with none) in blocks of one degree k
+  (distinct-degree factorization of their squarefree parts) and one gap
+  (gcds with the levels in turn), None for roots of every level. No root
+  is 0, and one of degree k has order dividing q^k - 1, so it is a root of
+  w1^g - 1 iff of w1^h - 1, h = gcd(g, q^k - 1): a block drops its gap
+  times deg gcd(block, w1^h - 1), all of it where w1^h = 1 mod block, with
+  no integer factored. On an edge line dim(n) = width(n) - q^j drops(m),
+  with no change of coordinates, level or gcd chain. (Splitting blocks into
+  irreducibles can cost more than the rest of placement on a face of
+  degree 100 over F_5.)
 
   Off the edge lines it is the polygon's width (Einsiedler-Lind 2004). A
   term u^e of G lies on level s / g, s = n1 e2 - n2 e1. Where one term alone
   takes s_max and one alone s_min, n is parallel to no edge, both end levels
-  are monomials, units, so neither chain drops: dim = g B = s_max - s_min,
-  read from G's terms alone, and linear in n, so it needs no scaling. As the
-  chains only drop, an exponent past the width is a ConsistencyError.
+  are monomials, units, so nothing drops: dim = g B = s_max - s_min, read
+  from G's terms alone, and linear in n, so it needs no scaling. As drops
+  are at least 0 and at most g B, an exponent outside [0, width] is a
+  ConsistencyError, and so is a tie at an end of N(G) along no edge.
 - d >= 3: a grevlex Groebner basis with auxiliary inverse variables. The
   same engine decides ideal membership for the mixing check there, builds
   J's basis in d = 2, and is the tests' cross-check for the d <= 2 route.
@@ -88,10 +100,13 @@ from typing import NamedTuple
 from .action import (CharPComponent, LaurentPolynomial, PlacedComponent, PlacedSpec,
                      iter_shell_points)
 from .algebra import ord_p, ord_proven, rank_mod_q
-from .errors import ConsistencyError, MathDomainError
+from .errors import ConsistencyError, MathDomainError, ResourceLimitError
 from .groebner import GfMPoly, GroebnerBasis
 from .numberfield import Element, valuations_above
-from .polyfactor import GfPoly, gf_divmod, gf_gcd, gf_mul, gf_pow_mod, gf_sub, gf_trim
+from .polyfactor import (GfPoly, gf_distinct_degree, gf_divmod, gf_gcd, gf_monic, gf_mul,
+                         gf_pow_mod, gf_squarefree_parts, gf_sub, gf_trim)
+
+COUNT_BITS_CAP = 1 << 20  # q^dim is refused once dim * ceil(log2 q), its bit bound, passes this
 
 
 class CountResult(NamedTuple):
@@ -221,6 +236,7 @@ def _count_char0_at(pc: PlacedComponent, n: tuple[int, ...], point: Char0Point) 
 AxisPoly = dict[tuple[int, int], int]  # (w1 exponent mod g, w2 exponent) -> coefficient
 BiPoly = list[GfPoly]  # polynomial in u2, ascending, with coefficients in F_q[u1]
 Terms = tuple[tuple[int, int, int], ...]  # (e1, e2, c) per nonzero term of a BiPoly
+EdgeTable = tuple[tuple[GfPoly, int, int | None], ...]  # (block, q^k - 1, gap) per block of degree k
 
 
 def _unimodular_to_axis(n: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], tuple[int, int]]]:
@@ -290,30 +306,68 @@ def _w1_levels(terms: Terms, n: tuple[int, int]) -> tuple[int, list[tuple[int, G
 
 
 def _gcd_with_w1_power_minus_one(g: int, c: GfPoly, q: int) -> GfPoly:
-    """gcd(w1^g - 1, c), monic, with w1^g taken mod c first; 1 if c is a unit."""
+    """gcd(w1^g - 1, c), monic, with w1^g taken mod c first: c where that is
+    1, and 1 if c is a unit."""
     if len(c) == 1:
         return [1]
-    return gf_gcd(c, gf_sub(gf_pow_mod([0, 1], g, c, q), [1], q), q)
+    power = gf_pow_mod([0, 1], g, c, q)
+    return gf_monic(c, q) if power == [1] else gf_gcd(c, gf_sub(power, [1], q), q)
 
 
-def _closed_form_dim(terms: Terms, q: int, n: tuple[int, int]) -> int | None:
-    """dim of F_q[u1^+-, u2^+-]/(G, u^n - 1) for G != 0, any number of
-    generators, and q not dividing gcd(n), or None when infinite: g B minus
-    the drops of the two gcd chains over the levels of G, walked from each
-    end (the module docstring has the proof).
-    """
-    g, levels = _w1_levels(terms, n)
+def _hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The vertices of the convex hull of the points in turn, no three on a
+    line (Andrew's monotone chain): two for a segment, none for a point."""
+    points, hull = sorted(set(points)), []
+    for chain in (points, points[::-1]):
+        start = len(hull)
+        for (x, y) in chain:
+            while len(hull) > start + 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                             <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+                hull.pop()
+            hull.append((x, y))
+        del hull[-1:]  # each chain's last point starts the other
+    return hull
+
+
+def _edge_tables(terms: Terms, q: int) -> dict[tuple[int, int], EdgeTable]:
+    """One EdgeTable per primitive direction e of an edge of N(G), keyed by
+    e and -e: the roots of the end levels along e in blocks of one degree k
+    and one gap to the first level that lacks them (None: no level does)."""
+    hull = _hull([(e1, e2) for e1, e2, _c in terms])
+    tables: dict[tuple[int, int], EdgeTable] = {}
+    for (a1, a2), (b1, b2) in zip(hull, hull[1:] + hull[:1]):
+        k = math.gcd(b1 - a1, b2 - a2)
+        e = ((b1 - a1) // k, (b2 - a2) // k)
+        if e in tables:
+            continue
+        _g, levels = _w1_levels(terms, e)
+        table = []
+        for walk in (levels, levels[::-1]) if len(levels) > 1 else (levels,):
+            b0, face = walk[0]
+            for part, _mult in gf_squarefree_parts(face, q):  # none for a monomial
+                for block, deg in gf_distinct_degree(part, q):
+                    for b, c in walk[1:]:  # split off the roots of block that c lacks
+                        common = gf_gcd(block, c, q)
+                        if len(common) < len(block):
+                            table.append((gf_divmod(block, common, q)[0], q**deg - 1, abs(b - b0)))
+                            block = common
+                    if len(block) > 1:
+                        table.append((block, q**deg - 1, None))
+        tables[e] = tables[-e[0], -e[1]] = tuple(table)
+    return tables
+
+
+def _edge_drops(table: EdgeTable, g: int, q: int) -> int | None:
+    """drops(m) at gcd(m) = g, q not dividing g, from an edge table; None if
+    a root of w1^g - 1 lies on every level."""
     drops = 0
-    for walk in (levels, levels[::-1]):
-        common = _gcd_with_w1_power_minus_one(g, walk[0][1], q)
-        for (b, _c), (b_next, c_next) in zip(walk, walk[1:]):
-            if len(common) == 1:
-                break
-            drops += (len(common) - 1) * abs(b_next - b)
-            common = gf_gcd(common, c_next, q)
-        if len(common) > 1:
-            return None  # a root of w1^g - 1 shared by every level
-    return g * (levels[-1][0] - levels[0][0]) - drops
+    for block, cycle, gap in table:
+        roots = len(_gcd_with_w1_power_minus_one(math.gcd(g, cycle), block, q)) - 1
+        if roots:
+            if gap is None:
+                return None
+            drops += roots * gap
+    return drops
 
 
 def _bivariate(gen: LaurentPolynomial, q: int) -> BiPoly:
@@ -433,29 +487,33 @@ Matrix = tuple[tuple[int, ...], ...]
 
 class Decomposition(NamedTuple):
     """I = G J for a component in d <= 2 (the module docstring has the
-    sequence), with G's terms listed once for the width, levels and membership."""
+    sequence), with G's terms listed once for the width, levels, membership
+    and edge tables."""
 
     gcd: BiPoly  # G, [] when G = 0
     terms: Terms  # G's terms (e1, e2, c), e2 = 0 in d = 1; () when G = 0
     dim: int  # D, the dimension of R/I's largest finite submodule: R/J in d = 2, R/(G) in d = 1
     units: tuple[Matrix, ...]  # u1, u2, 1/u1, 1/u2 on R/J; () where no basis is built
+    edges: dict[tuple[int, int], EdgeTable]  # _edge_tables in d = 2; {} in d = 1
 
 
 @functools.lru_cache(maxsize=256)
 def _decomposition(pc: CharPComponent) -> Decomposition:
-    """G, and R/J from one Groebner basis of the cofactors f_i / G: its
-    standard monomials are a basis, and one normal form per monomial and
-    variable (u1, u2 and their inverses t1, t2) gives the matrices. No basis
-    is built in d = 1, where G = 0, or where a cofactor is a unit (J = R)."""
+    """G, its edge tables, and R/J from one Groebner basis of the cofactors
+    f_i / G: its standard monomials are a basis, and one normal form per
+    monomial and variable (u1, u2 and their inverses t1, t2) gives the
+    matrices. No basis is built in d = 1, where G = 0, or where a cofactor
+    is a unit (J = R). Placement builds it (action.place_spec)."""
     q = pc.q
     polys = [f for f in (_bivariate(gen, q) for gen in pc.generators) if f]
     gcd = _gcd_part(polys, q)
     terms = tuple((e1, e2, c) for e2, coeff in enumerate(gcd) for e1, c in enumerate(coeff) if c)
     if pc.d == 1:  # R is a PID: J = R, and R/(G) is finite of dimension deg G
-        return Decomposition(gcd, terms, len(gcd[0]) - 1 if gcd else 0, ())
+        return Decomposition(gcd, terms, len(gcd[0]) - 1 if gcd else 0, (), {})
+    edges = _edge_tables(terms, q)
     cofactors = [_divexact(f, gcd, q) for f in polys]
     if not gcd or any(len(h) == 1 and len(h[0]) == 1 for h in cofactors):
-        return Decomposition(gcd, terms, 0, ())
+        return Decomposition(gcd, terms, 0, (), edges)
     gb = GroebnerBasis(q, *_charp_base_generators(
         CharPComponent(q=q, d=2, generators=tuple(map(_laurent, cofactors)))))
     monos = gb.standard_monomials()
@@ -467,7 +525,8 @@ def _decomposition(pc: CharPComponent) -> Decomposition:
         for j, m in enumerate(monos):
             for mono, c in gb.normal_form({m[:v] + (m[v] + 1,) + m[v + 1:]: 1}).items():
                 mat[index[mono]][j] = c
-    return Decomposition(gcd, terms, len(monos), tuple(tuple(map(tuple, mat)) for mat in units))
+    return Decomposition(gcd, terms, len(monos), tuple(tuple(map(tuple, mat)) for mat in units),
+                         edges)
 
 
 def _mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
@@ -491,24 +550,29 @@ def _finite_part_dim(dec: Decomposition, n: tuple[int, int], q: int) -> int:
     return dec.dim - rank_mod_q(rows, q)
 
 
-def _gcd_part_dim(terms: Terms, q: int, n: tuple[int, int]) -> int | None:
+def _gcd_part_dim(dec: Decomposition, q: int, n: tuple[int, int]) -> int | None:
     """dim R/(G, u^n - 1) in d = 2 for G != 0, or None when infinite: the
-    width s_max - s_min of G's Newton polygon across n off its edge lines; on
-    them the closed form at the q-free part m of n, times q^j for n = q^j m,
-    and never past the width (ConsistencyError)."""
+    width s_max - s_min of G's Newton polygon across n, less on its edge
+    lines q^j drops(m) for n = q^j m, m q-free, from the table of n's
+    direction; ConsistencyError for no such table or a dim outside [0, width]."""
     n1, n2 = n
-    s = sorted([n1 * e2 - n2 * e1 for e1, e2, _c in terms])
+    s = sorted([n1 * e2 - n2 * e1 for e1, e2, _c in dec.terms])
     width = s[-1] - s[0]
     if len(s) == 1 or (s[0] < s[1] and s[-2] < s[-1]):
         return width
+    g = math.gcd(n1, n2)
+    table = dec.edges.get((n1 // g, n2 // g))
+    if table is None:
+        raise ConsistencyError(f"at n={n} G's terms tie at an end of its Newton polygon, "
+                               "but no edge of it runs along n")
     scale = 1
-    while not (n1 % q or n2 % q):
-        n1, n2, scale = n1 // q, n2 // q, scale * q
-    dim = _closed_form_dim(terms, q, (n1, n2))
-    if dim is not None and dim * scale > width:
+    while not g % q:
+        g, scale = g // q, scale * q
+    drops = _edge_drops(table, g, q)
+    if drops is not None and not 0 <= scale * drops <= width:
         raise ConsistencyError(
-            f"at n={n} the closed form gives {dim * scale}, past the width {width}")
-    return None if dim is None else dim * scale
+            f"at n={n} the edge table gives {width - scale * drops}, outside [0, {width}]")
+    return None if drops is None else width - scale * drops
 
 
 def finite_quotient_dim(pc: CharPComponent) -> int:
@@ -521,14 +585,14 @@ def finite_quotient_dim(pc: CharPComponent) -> int:
 def count_prime_charp(pc: CharPComponent, n) -> CountResult:
     """|F| = q^dim for a char-p prime component; errors if the count is infinite.
 
-    In d <= 2, from the component's one decomposition I = G J (the module
-    docstring has the proofs). In d = 2, dim = dim(R/(G), n) + D -
+    In d <= 2, from the one decomposition I = G J that placement builds (the
+    module docstring has the proofs). In d = 2, dim = dim(R/(G), n) + D -
     rank(U1^n1 U2^n2 - 1) where R/(G, u^n - 1) is finite, and infinite
-    elsewhere: the gcd part as the width of G's Newton polygon across n off
-    its edge lines, on them in closed form from the levels of G at the q-free
-    part m of n, times q^j for n = q^j m, and the finite part, when D > 0, at
-    n itself, where that scaling fails. In d = 1, dim = deg gcd(G, u^|n| - 1),
-    or |n| when G = 0. In d >= 3, a Groebner basis.
+    elsewhere: the gcd part as the width of G's Newton polygon across n,
+    less on its edge lines q^j drops(m) for n = q^j m from the edge table of
+    n's direction, and the finite part, when D > 0, at n itself, where that
+    scaling fails. In d = 1, dim = deg gcd(G, u^|n| - 1), or |n| when G = 0.
+    In d >= 3, a Groebner basis. Past COUNT_BITS_CAP, ResourceLimitError.
     """
     n = require_nonzero(n, pc.d)
     if pc.d > 2:
@@ -538,13 +602,16 @@ def count_prime_charp(pc: CharPComponent, n) -> CountResult:
         dim = len(_gcd_with_w1_power_minus_one(g, gcd[0], pc.q)) - 1 if gcd else g
     else:
         dec = _decomposition(pc)
-        dim = _gcd_part_dim(dec.terms, pc.q, n) if dec.terms else None
+        dim = _gcd_part_dim(dec, pc.q, n) if dec.terms else None
         if dim is not None and dec.dim:
             dim += _finite_part_dim(dec, n, pc.q)
     if dim is None:
         raise MathDomainError(
             f"count at n={n} is infinite (quotient not zero-dimensional); "
             "the component violates entropy rank one in this direction")
+    if dim * (pc.q - 1).bit_length() > COUNT_BITS_CAP:
+        raise ResourceLimitError(f"count at n={n} is {pc.q}^{dim}, past the cap of "
+                                 f"{COUNT_BITS_CAP} bits")
     value = pc.q**dim
     return CountResult(value=value, factored=(pc.q, dim), per_component=((value, 1),))
 

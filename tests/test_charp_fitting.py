@@ -1,10 +1,10 @@
 """Char-p counts for d <= 2 come from one exact sequence: in d = 2 the
-generators' gcd G, counted as the width of its Newton polygon off the
-polygon's edge lines and in closed form from its w2-levels on them, plus the
-finite quotient R/J by the cofactors; in d = 1, deg gcd(G, u^|n| - 1). The
-Hermite loop on the full presentation at n itself (kept here as the
-oracle), Groebner bases and the window oracle are the independent
-references."""
+generators' gcd G, counted as the width of its Newton polygon, less on the
+polygon's edge lines the drops read from per-edge tables that placement
+builds, plus the finite quotient R/J by the cofactors; in d = 1, deg gcd(G,
+u^|n| - 1). The level-chain closed form and the Hermite loop on the full
+presentation at n itself (both kept here as oracles), Groebner bases and
+the window oracle are the independent references."""
 
 import math
 import random
@@ -21,6 +21,7 @@ from entrank import (
     ConsistencyError,
     LaurentPolynomial,
     MathDomainError,
+    ResourceLimitError,
     charp_window_oracle,
     count_composite,
     count_prime_charp,
@@ -35,7 +36,7 @@ from entrank.counting import _groebner_dim as groebner_dim
 from entrank.counting import _relation_for as relation_for
 from entrank.counting import charp_membership_violations, finite_quotient_dim
 from entrank.groebner import GroebnerBasis
-from entrank.polyfactor import GfPoly, gf_add, gf_divmod, gf_factor, gf_mul, gf_sub
+from entrank.polyfactor import GfPoly, gf_add, gf_divmod, gf_factor, gf_gcd, gf_mul, gf_sub
 
 
 def fitting_dim(pc: CharPComponent, n):
@@ -205,6 +206,20 @@ def test_large_vectors_count_fast(led_pc):
         assert res.factored == (pc.q, e) and res.value == pc.q**e
 
 
+def test_counts_past_the_bit_cap_are_refused(led_pc):
+    # q^dim is formed only while dim * ceil(log2 q) stays within
+    # COUNT_BITS_CAP: on Ledrappier (q = 2) the width at (k - 1, 1) is k
+    cap = entrank.counting.COUNT_BITS_CAP
+    assert count_prime_charp(led_pc, (cap - 1, 1)).factored == (2, cap)
+    with pytest.raises(ResourceLimitError, match=re.escape(f"n={(cap, 1)} is 2^{cap + 1}")):
+        count_prime_charp(led_pc, (cap, 1))
+    # over F_3 the bound is 2 dim: 3^524288 is admitted (3^262144, the
+    # largest count the CI prints, has half that bound), 3^524289 is not
+    assert count_prime_charp(F3_IDEAL, (131072, 262144)).factored == (3, cap // 2)
+    with pytest.raises(ResourceLimitError, match=re.escape(f"is 3^{cap // 2 + 1},")):
+        count_prime_charp(F3_IDEAL, (131072, 262145))
+
+
 def test_count_is_even_in_n(led_pc):
     rng = random.Random(5)
     for _ in range(20):
@@ -223,6 +238,25 @@ def test_composite_factored_from_component():
     res = count_composite(place_spec(spec), (610, 377))
     assert res.factored == (2, 2 * 987) and res.value == 2**(2 * 987)
     assert res.per_component == ((2**987, 2),)
+
+
+def test_placement_builds_the_decomposition():
+    # place_spec builds each d <= 2 char-p component's decomposition, edge
+    # tables included, so that no count builds one; d >= 3 builds none
+    cache = entrank.counting._decomposition
+    cache.cache_clear()
+    ps = place_spec(parse_spec({"d": 2, "components": [
+        {"char": 3, "generators": [{"terms": [{"exp": [0, 0], "coeff": 1}, {"exp": [2, 1], "coeff": 1},
+                                              {"exp": [1, 3], "coeff": 2}]}]},
+        {"char": 2, "generators": [{"terms": [{"exp": [0, 0], "coeff": 1},
+                                              {"exp": [1, 0], "coeff": 1}]}]}]}))
+    assert cache.cache_info().misses == 2
+    for n in [(0, 1), (3, 2), (-2, -1), (4, 2)]:  # (4, 2) lies on an edge line of the first
+        count_composite(ps, n)
+    assert cache.cache_info().misses == 2
+    place_spec(parse_spec({"d": 3, "components": [{"char": 2, "generators": [
+        {"terms": [{"exp": [0, 0, 0], "coeff": 1}, {"exp": [1, 1, 1], "coeff": 1}]}]}]}))
+    assert cache.cache_info().misses == 2
 
 
 def test_no_groebner_basis_for_d_at_most_2(monkeypatch, led_pc):
@@ -597,13 +631,14 @@ def _planted_common_factors(seed: int, count: int, d: int):
 
 def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
     # count_prime_charp counts the gcd G in d = 2 (one generator is its own
-    # G), as the width of its Newton polygon off the polygon's edge lines and
-    # in closed form on them, and adds the finite part R/J when D > 0; d = 1
-    # takes deg gcd(G, u^|n| - 1) from the same decomposition, with none of
-    # the d = 2 steps. The Hermite loop on the full presentation at n itself
-    # is the oracle for every route, and Groebner bases for the small n
+    # G), as the width of its Newton polygon, less on the polygon's edge
+    # lines the drops from the edge table of n's direction, and adds the
+    # finite part R/J when D > 0; d = 1 takes deg gcd(G, u^|n| - 1) from the
+    # same decomposition, with none of the d = 2 steps. The Hermite loop on
+    # the full presentation at n itself is the oracle for every route, and
+    # Groebner bases for the small n
     routes = []
-    for name in ("_closed_form_dim", "_finite_part_dim"):
+    for name in ("_edge_drops", "_finite_part_dim"):
         def spy(*args, _name=name, _f=getattr(entrank.counting, name)):
             routes.append(_name)
             return _f(*args)
@@ -657,7 +692,7 @@ def test_closed_form_and_fitting_routes_match_the_hermite_oracle(monkeypatch):
                 exps = [(e1, e2) for e1, e2, _c in entrank.counting._decomposition(pc).terms]
             on_line = _on_edge_line(exps, n)
             lines[on_line] += 1
-            want = ["_closed_form_dim"] if on_line else []
+            want = ["_edge_drops"] if on_line else []
             if dim and got is not None:
                 want.append("_finite_part_dim")
         assert routes == want, (pc, n, routes)
@@ -685,14 +720,55 @@ def _width(exps, n) -> int:
     return max(s) - min(s)
 
 
+def closed_form_oracle(terms, q: int, n) -> int | None:
+    """dim R/(G, u^n - 1) for G != 0 and q not dividing gcd(n), or None when
+    infinite, from the levels of G at n itself: g B minus the drops of the
+    two gcd chains gcd(w1^g - 1, C_b0, ..., C_bj), walked from each end,
+    each step dropping the chain's degree times the gap to the next level
+    (the closed form the edge tables regroup)."""
+    counting = entrank.counting
+    g, levels = counting._w1_levels(terms, n)
+    drops = 0
+    for walk in (levels, levels[::-1]):
+        common = counting._gcd_with_w1_power_minus_one(g, walk[0][1], q)
+        for (b, _c), (b_next, c_next) in zip(walk, walk[1:]):
+            if len(common) == 1:
+                break
+            drops += (len(common) - 1) * abs(b_next - b)
+            common = gf_gcd(common, c_next, q)
+        if len(common) > 1:
+            return None  # a root of w1^g - 1 shared by every level
+    return g * (levels[-1][0] - levels[0][0]) - drops
+
+
+def oracle_dim(pc: CharPComponent, n) -> int | None:
+    """The exponent at n from the closed-form oracle: the width off the edge
+    lines of G's polygon, on them the oracle at the q-free part m of n =
+    q^j m times q^j; plus the finite part R/J where D > 0."""
+    dec = entrank.counting._decomposition(pc)
+    exps = [(e1, e2) for e1, e2, _c in dec.terms]
+    if not exps:
+        return None
+    if _on_edge_line(exps, n):
+        m, scale = n, 1
+        while not (m[0] % pc.q or m[1] % pc.q):
+            m, scale = (m[0] // pc.q, m[1] // pc.q), scale * pc.q
+        dim = closed_form_oracle(dec.terms, pc.q, m)
+        if dim is None:
+            return None
+        dim *= scale
+    else:
+        dim = _width(exps, n)
+    return dim + (entrank.counting._finite_part_dim(dec, n, pc.q) if dec.dim else 0)
+
+
 def test_counts_off_the_edge_lines_are_the_polygons_width():
     # where n is parallel to no edge of the Newton polygon N(f), both end
     # w2-levels of f are single terms, neither gcd chain drops, and the
     # exponent is the width of N(f) across n (Einsiedler-Lind 2004). Each
-    # such count is checked against the closed form called at the q-free
-    # part m of n = q^j m and scaled by q^j; on the edge lines the count
-    # equals the width, falls below it, or is infinite
-    closed_form = entrank.counting._closed_form_dim
+    # such count is checked against the closed-form oracle called at the
+    # q-free part m of n = q^j m and scaled by q^j; on the edge lines the
+    # count equals the width, falls below it, or is infinite
     seen = Counter()
     for pc in _one_generator_components(99, 80):
         exps = [e for e, _c in pc.generators[0].terms]
@@ -705,7 +781,7 @@ def test_counts_off_the_edge_lines_are_the_polygons_width():
                 m, scale = n, 1
                 while not (m[0] % pc.q or m[1] % pc.q):
                     m, scale = (m[0] // pc.q, m[1] // pc.q), scale * pc.q
-                assert got == width == closed_form(terms, pc.q, m) * scale, (pc, n)
+                assert got == width == closed_form_oracle(terms, pc.q, m) * scale, (pc, n)
                 seen["width"] += 1
             elif got is None:
                 seen["infinite"] += 1
@@ -715,19 +791,130 @@ def test_counts_off_the_edge_lines_are_the_polygons_width():
     assert seen == {"width": 45940, "equal": 1816, "below": 3256, "infinite": 156}, seen
 
 
+def test_edge_tables_match_the_closed_form_oracle():
+    # every n in [-12, 12]^2 \ 0 and eight large n on edge lines, for
+    # seeded one-generator ideals and planted several-generator ones: the
+    # count from the edge tables is the level-chain oracle's exponent
+    large = [(720, 0), (0, -2187), (3125, 3125), (-840, 840), (600, 1200), (1260, -630),
+             (1024, 3072), (-4096, 0)]
+    points = [n for n in product(range(-12, 13), repeat=2) if any(n)] + large
+    comps = (_one_generator_components(99, 80) + _one_generator_components(5150, 40)
+             + _planted_common_factors(36, 36, 2) + _planted_common_factors(4242, 60, 2))
+    seen = Counter()
+    for pc in comps:
+        for n in points:
+            got = fitting_dim(pc, n)
+            assert got == oracle_dim(pc, n), (pc, n)
+            seen[got is None] += 1
+    assert seen == {False: 139040 - 2062, True: 2062}, seen
+
+
+def _with_edges(monkeypatch, change):
+    """Count with _decomposition's edge tables replaced by change(edges)."""
+    real = entrank.counting._decomposition
+    monkeypatch.setattr(entrank.counting, "_decomposition",
+                        lambda pc: (dec := real(pc))._replace(edges=change(dec.edges)))
+
+
+class _LookupLog(dict):
+    """A dict that appends to asked each key looked up with get."""
+
+    def __init__(self, items, asked: list):
+        super().__init__(items)
+        self.asked = asked
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
 def test_a_closed_form_past_the_width_is_refused(monkeypatch, led_pc):
     # on an edge line the exponent can fall below the width of G's Newton
-    # polygon across n but never exceed it: a closed form one past the width
-    # is a ConsistencyError naming the n that was asked for, and off the
-    # edge lines the closed form is not called
-    def past_width(terms, _q, m):
-        return _width([(e1, e2) for e1, e2, _c in terms], m) + 1
+    # polygon across n but never exceed it, nor fall below 0: a table gap
+    # made negative (an exponent past the width) or inflated (an exponent
+    # below 0) is a ConsistencyError naming the n that was asked for, and
+    # off the edge lines no table is read
+    for bump in (lambda gap: -1, lambda gap: gap + 50):
+        asked = []
+        _with_edges(monkeypatch, lambda edges, bump=bump, asked=asked: _LookupLog(
+            {e: tuple((block, cycle, bump(gap)) for block, cycle, gap in table)
+             for e, table in edges.items()}, asked))
+        assert fitting_dim(led_pc, (5, -7)) == 7 and asked == []
+        for n in [(6, 0), (0, -3), (12, -12), (-5, 5)]:
+            with pytest.raises(ConsistencyError, match=re.escape(f"n={n}")):
+                count_prime_charp(led_pc, n)
+        assert len(asked) == 4
 
-    monkeypatch.setattr(entrank.counting, "_closed_form_dim", past_width)
-    assert fitting_dim(led_pc, (5, -7)) == 7
-    for n in [(6, 0), (0, -3), (12, -12), (-5, 5)]:
-        with pytest.raises(ConsistencyError, match=re.escape(f"n={n}")):
-            count_prime_charp(led_pc, n)
+
+def _component(q: int, terms) -> CharPComponent:
+    return CharPComponent(q=q, d=2, generators=(LaurentPolynomial(terms=tuple(sorted(terms))),))
+
+
+def _blocks(pc, e):
+    """The (block, gap) pairs of the edge table along e."""
+    return sorted((tuple(block), gap) for block, _c, gap in entrank.counting._decomposition(pc).edges[e])
+
+
+def test_edge_tables_follow_the_polygons_shape():
+    # the hull of G's exponents names the table keys, both signs of each
+    # edge direction; each count is checked against the Hermite loop and,
+    # at small n, Groebner bases
+    axes = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    shapes = {
+        # a single term, a unit: no edge, and every count is q^0
+        "point": (_component(3, [((2, 1), 1)]), set()),
+        # collinear terms: a segment, whose one level divides itself
+        "segment": (_component(2, [((0, 0), 1), ((1, 0), 1)]), {(1, 0), (-1, 0)}),
+        "three on a line": (_component(2, [((0, 0), 1), ((1, 0), 1), ((3, 0), 1)]),
+                            {(1, 0), (-1, 0)}),
+        # a parallelogram with both ends non-monomial: (1 + u1)(1 + u2) and
+        # one whose faces are parted by a monomial level
+        "(1 + u1)(1 + u2)": (_component(3, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]),
+                             axes),
+        "parted": (_component(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((0, 2), 1),
+                                  ((1, 2), 1)]), axes),
+        # a face factor of degree 2, 1 + w + w^2 of order 3
+        "degree 2": (_component(2, [((0, 0), 1), ((1, 0), 1), ((2, 0), 1), ((0, 1), 1)]),
+                     {(1, 0), (-1, 0), (-2, 1), (2, -1), (0, 1), (0, -1)}),
+    }
+    for name, (pc, keys) in shapes.items():
+        assert set(entrank.counting._decomposition(pc).edges) == keys, name
+        for n in [(1, 0), (2, 0), (3, 0), (6, 0), (9, 0), (0, 2), (3, 3), (2, -1), (12, -6)]:
+            got = fitting_dim(pc, n)
+            assert got == hermite_oracle(pc, n), (name, n)
+            if max(map(abs, n)) <= 3:
+                assert got == groebner_dim(pc, n), (name, n)
+    assert fitting_dim(shapes["point"][0], (5, 7)) == 0
+    assert fitting_dim(shapes["segment"][0], (4, 0)) is None
+    assert _blocks(shapes["three on a line"][0], (1, 0)) == [((1, 1, 0, 1), None)]
+    assert _blocks(shapes["(1 + u1)(1 + u2)"][0], (1, 0)) == [((1, 1), None)] * 2
+    assert _blocks(shapes["parted"][0], (1, 0)) == [((1, 1), 1)] * 2
+    assert _blocks(shapes["degree 2"][0], (1, 0)) == [((1, 1, 1), 1)]
+    assert [fitting_dim(shapes["degree 2"][0], (g, 0)) for g in range(1, 13)] == [
+        1, 2, 1, 4, 5, 2, 7, 8, 7, 10, 11, 4]
+
+
+def test_a_block_of_equal_degree_factors_drops_per_root():
+    # the face (1 + w + w^4)(1 + w + w^2 + w^3 + w^4) over F_2 is one block
+    # of degree 4: its roots have orders 15 and 5, so at (g, 0) it drops 4
+    # where 5 divides g and 8 where 15 does, with no split into factors
+    face = gf_mul([1, 1, 0, 0, 1], [1, 1, 1, 1, 1], 2)
+    pc = _component(2, [((a, 0), 1) for a, c in enumerate(face) if c] + [((3, 1), 1)])
+    assert _blocks(pc, (1, 0)) == [(tuple(face), 1)]
+    for g in [1, 3, 5, 10, 15, 30, 45, 60, 75]:
+        n = (g, 0)
+        want = g - (g & -g) * (8 if g % 15 == 0 else 4 if g % 5 == 0 else 0)  # g & -g = 2^j
+        assert fitting_dim(pc, n) == want == oracle_dim(pc, n) == hermite_oracle(pc, n), n
+
+
+def test_a_tie_along_no_tabled_edge_is_refused(monkeypatch, led_pc):
+    # a count whose n ties at an end of N(G) needs the table of n's
+    # direction: with (1, 0) taken out, (4, 0) is a ConsistencyError naming
+    # n, while (-6, 0) still reads the table of (-1, 0)
+    _with_edges(monkeypatch, lambda edges: {e: t for e, t in edges.items() if e != (1, 0)})
+    with pytest.raises(ConsistencyError, match=re.escape("n=(4, 0)")):
+        count_prime_charp(led_pc, (4, 0))
+    assert fitting_dim(led_pc, (-6, 0)) == 4 == ledrappier_axis_closed_form(6).factored[1]
 
 
 def test_width_plus_the_finite_part_matches_the_hermite_oracle():

@@ -229,6 +229,18 @@ def test_count_with_unfactorable_denominator_exits_3(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
 
 
+def test_count_past_the_size_cap_exits_3(capsys):
+    # off Ledrappier's edge lines the exponent 10^20 + 1 comes at once from
+    # the polygon's width; the count 2^(10^20 + 1) is refused before it is
+    # formed, naming n and the exponent
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "count", "--spec", LED, "--n", "100000000000000000000,1")
+    assert time.perf_counter() - start < 10
+    assert rc == 3 and out == ""
+    assert err == ("resource limit: count at n=(100000000000000000000, 1) is "
+                   "2^100000000000000000001, past the cap of 1048576 bits\n")
+
+
 def test_table_determinism(capsys):
     rc1, out1, _ = run(capsys, "table", "--spec", X2X3, "--range", "-5:5,0:5")
     rc2, out2, _ = run(capsys, "table", "--spec", X2X3, "--range", "-5:5,0:5")
